@@ -104,7 +104,7 @@ class ConnectionFamily:
             for _ in range(n):
                 val = alg.Ad(g, val) - v
             return val
-        ginv = np.linalg.inv(g)
+        ginv = alg.inv(g)
         for _ in range(-n):
             val = alg.Ad(ginv, val + v)
         return val
@@ -132,7 +132,7 @@ class ConnectionFamily:
     def equivariance_residual(self, t, g, v, k):
         """|alpha_t(Ad_k g)(Ad_k v) - Ad_k alpha_t(g)(v)| for invariant families."""
         alg = self.algebra
-        gk = k @ g @ np.linalg.inv(k)
+        gk = k @ g @ alg.inv(k)
         lhs = self(t, gk, alg.Ad(k, v))
         rhs = alg.Ad(k, self(t, g, v))
         return float(np.linalg.norm(lhs - rhs))
@@ -163,7 +163,7 @@ def invariant_alpha0(algebra, coeffs):
         if b:
             out = out + b * algebra.Ad(g, v)
         if c:
-            out = out + c * algebra.Ad(np.linalg.inv(g), v)
+            out = out + c * algebra.Ad(algebra.inv(g), v)
         return out
 
     return alpha0

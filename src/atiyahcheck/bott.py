@@ -32,7 +32,6 @@ __all__ = [
     "GValuedOneForm",
     "oneform_zero",
     "oneform_theta_left",
-    "oneform_from_de_rham",
     "kappa_oneform",
     "gauge_transform",
     "map_theta_right",
@@ -121,13 +120,7 @@ def oneform_zero(algebra):
 def oneform_theta_left(algebra):
     """a* theta^L: the left Maurer-Cartan form on the anchor."""
     return GValuedOneForm(
-        algebra, lambda g, s: algebra.Ad(np.linalg.inv(g), s.v(g)), name="a*thetaL")
-
-
-def oneform_from_de_rham(omega):
-    """Wrap a g-valued de Rham 1-form as an algebroid form via the anchor."""
-    return GValuedOneForm(omega.algebra, lambda g, s: omega(g, s.v(g)),
-                          name=f"a*({omega.name})")
+        algebra, lambda g, s: algebra.Ad(algebra.inv(g), s.v(g)), name="a*thetaL")
 
 
 def kappa_oneform(algebra, t):
@@ -139,13 +132,13 @@ def kappa_oneform(algebra, t):
 def map_theta_right(algebra, phi, g, v, h=1e-4):
     """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients."""
     d = algebra.directional(phi, g, v, h=h)
-    return algebra.from_matrix(d @ np.linalg.inv(phi(g)))
+    return algebra.from_matrix(d @ algebra.inv(phi(g)))
 
 
 def map_theta_left(algebra, phi, g, v, h=1e-4):
     """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients."""
     d = algebra.directional(phi, g, v, h=h)
-    return algebra.from_matrix(np.linalg.inv(phi(g)) @ d)
+    return algebra.from_matrix(algebra.inv(phi(g)) @ d)
 
 
 def gauge_transform(phi, beta, h=1e-4):
@@ -183,7 +176,7 @@ class GaugePeriodicFamily:
             return val
         for _ in range(-n):
             pinv_val = val + map_theta_right(alg, self.phi, g, v, h=self.h)
-            val = alg.Ad(np.linalg.inv(self.phi(g)), pinv_val)
+            val = alg.Ad(alg.inv(self.phi(g)), pinv_val)
         return val
 
     def value(self, t, g, sec):
@@ -678,7 +671,7 @@ def concat_families(f1, f2, algebra):
                     val = alg.Ad(self.phi(g), val) - map_theta_right(alg, self.phi, g, v)
                 return val
             for _ in range(-n):
-                val = alg.Ad(np.linalg.inv(self.phi(g)),
+                val = alg.Ad(alg.inv(self.phi(g)),
                              val + map_theta_right(alg, self.phi, g, v))
             return val
 
@@ -687,9 +680,9 @@ def concat_families(f1, f2, algebra):
             s = t - n
             d = self._base(s, g, sec, True)
             alg = self.algebra
-            gp = self.phi(g) if n > 0 else np.linalg.inv(self.phi(g))
+            gp = self.phi(g) if n > 0 else alg.inv(self.phi(g))
             for _ in range(abs(n)):
-                d = alg.from_matrix(gp @ alg.to_matrix(d) @ np.linalg.inv(gp))
+                d = alg.from_matrix(gp @ alg.to_matrix(d) @ alg.inv(gp))
             return d
 
         def at(self, t):

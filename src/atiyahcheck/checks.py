@@ -27,7 +27,7 @@ from .sections import (AlgebroidSection, BumpFunction, TimeGrid, extend,
                        random_section, random_twisted_loop, time_derivative)
 
 __all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES",
-           "run_checks", "list_checks"]
+           "run_checks", "list_checks", "result_keys"]
 
 SUITES = ("algebroid", "forms", "lifting", "bott", "fusion", "courant", "qham")
 
@@ -84,12 +84,13 @@ class CheckContext:
 
 
 class CheckSpec:
-    def __init__(self, name, suite, fn, groups=None, identity=""):
+    def __init__(self, name, suite, fn, groups=None, identity="", sub_results=()):
         self.name = name
         self.suite = suite
         self.fn = fn
         self.groups = groups          # None means every catalog group
         self.identity = identity
+        self.sub_results = sub_results  # further result names the check reports
 
     def applicable(self, group):
         return self.groups is None or group in self.groups
@@ -98,9 +99,10 @@ class CheckSpec:
 REGISTRY = []
 
 
-def _register(name, suite, groups=None, identity=""):
+def _register(name, suite, groups=None, identity="", sub_results=()):
     def wrap(fn):
-        REGISTRY.append(CheckSpec(name, suite, fn, groups=groups, identity=identity))
+        REGISTRY.append(CheckSpec(name, suite, fn, groups=groups, identity=identity,
+                                  sub_results=sub_results))
         return fn
     return wrap
 
@@ -308,7 +310,7 @@ def check_generator_action(ctx):
 
         def action(u):
             k = alg.exp(u * x)
-            kinv = np.linalg.inv(k)
+            kinv = alg.inv(k)
             return alg.Ad(k, xi.profile(kinv @ g @ k, t0))
 
         h = ctx.h
@@ -819,7 +821,7 @@ def check_varpi_generators(ctx):
         x, y = alg.random_vector(rng), alg.random_vector(rng)
         got = lf.canonical_two_form(albr.generator(alg, x), albr.generator(alg, y),
                                     g, ctx.grid, h_t=ctx.h_t)
-        want = 0.5 * alg.pairing(x, alg.Ad(g, y) - alg.Ad(np.linalg.inv(g), y))
+        want = 0.5 * alg.pairing(x, alg.Ad(g, y) - alg.Ad(alg.inv(g), y))
         worst = max(worst, abs(got - want))
     # the pinned spot value at the quarter turn
     e = np.eye(alg.dim)
@@ -1415,7 +1417,7 @@ def check_cs_period_equivariant(ctx):
     lhs = integrate_01(integrand, grid)
     w = bt.map_theta_right(alg, phi, g, xi.v(g), h=ctx.h)
     gphi = phi(g)
-    rhs = -0.5 * alg.pairing(alg.Ad(np.linalg.inv(gphi), w) + w, x)
+    rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(gphi), w) + w, x)
     rhs -= bt.q_functional(fam, g, xa, xi, grid, h=ctx.h)
     worst = abs(lhs - rhs)
     tol = ctx.tolerance("bott", "cs_period_equivariant", 1e-4)
@@ -1470,7 +1472,7 @@ def check_q_inversion(ctx):
     class Invert:
         def __init__(self, base):
             self.algebra = base.algebra
-            self.phi = lambda gg: np.linalg.inv(base.phi(gg))
+            self.phi = lambda gg: base.algebra.inv(base.phi(gg))
             self.base = base
 
         def value(self, t, g, s):
@@ -1623,7 +1625,8 @@ def check_higher_transgression(ctx):
 
 
 @_register("pressley_segal", "bott", groups=("su2", "so3", "torus2"),
-           identity="sigma^p restricted to loops is the Kac-Moody cocycle int xi'.zeta")
+           identity="sigma^p restricted to loops is the Kac-Moody cocycle int xi'.zeta",
+           sub_results=("pressley_segal_closed",))
 def check_pressley_segal(ctx):
     rng = ctx.rng("pressley_segal")
     alg = ctx.algebra
@@ -2015,7 +2018,8 @@ def check_pullback_bracket(ctx):
 
 
 @_register("kernel_theorem", "qham", groups=("su2",),
-           identity="ker(a* omega + varpi_M) = g + (ker omega ∩ ker dPhi), probed on a truncated basis")
+           identity="ker(a* omega + varpi_M) = g + (ker omega ∩ ker dPhi), probed on a truncated basis",
+           sub_results=("kernel_generator_rows", "kernel_loop_velocity", "kernel_basis_seams"))
 def check_kernel_theorem(ctx):
     rng = ctx.rng("kernel_theorem")
     alg = ctx.algebra
@@ -2117,7 +2121,7 @@ def check_pullback_three_form(ctx):
     lhs1 = -vform(n, xg, secs[0])
     g = klass.point(n)
     w = klass.push_tangent(n, secs[0].xfield(n))
-    rhs1 = -0.5 * alg.pairing(alg.Ad(np.linalg.inv(g), w) + w, x)
+    rhs1 = -0.5 * alg.pairing(alg.Ad(alg.inv(g), w) + w, x)
     worst = max(worst, abs(lhs1 - rhs1))
     tol = ctx.tolerance("qham", "pullback_three_form", 1e-4)
     return [_result(ctx, "pullback_three_form", "qham",
@@ -2277,8 +2281,17 @@ def list_checks(group=None, suites=None):
     return out
 
 
+def result_keys():
+    """Every `suite.check` a verify run can report: the valid tolerance keys."""
+    return {f"{spec.suite}.{name}" for spec in REGISTRY
+            for name in (spec.name, *spec.sub_results)}
+
+
 def run_checks(group, config, suites=None, progress=None):
-    """Execute the applicable checks for a group; returns CheckResult list."""
+    """Execute the applicable checks for a group; returns CheckResult list.
+
+    Each result carries the measured wall time of the check that produced it.
+    """
     ctx = CheckContext(group, config)
     results = []
     for spec in REGISTRY:
@@ -2290,7 +2303,7 @@ def run_checks(group, config, suites=None, progress=None):
         out = spec.fn(ctx)
         elapsed = (time.perf_counter() - start) * 1000.0
         for res in out:
-            res.runtime_ms = elapsed / len(out)
+            res.runtime_ms = elapsed
             results.append(res)
         if progress is not None:
             progress(spec, out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bott import ConventionError, calibrate_conventions
-from .checks import SUITES, list_checks, run_checks
+from .checks import SUITES, list_checks, result_keys, run_checks
 from .liealg import GROUP_NAMES
 from .qham import GhjwSignError
 
@@ -87,6 +87,10 @@ def validate_config(config):
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
+    unknown = sorted(set(config.get("tol_overrides", {})) - result_keys())
+    if unknown:
+        raise ConfigError(f"unknown tolerance keys {unknown}; a key names a "
+                          "reported result as suite.check")
     config["group"] = group
     config["n_points"] = n
     config["fd_step"] = fd

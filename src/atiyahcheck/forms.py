@@ -18,7 +18,6 @@ from .liealg import LieAlgebra
 
 __all__ = [
     "AlgebroidForm",
-    "EquivariantForm",
     "contract",
     "exterior_derivative",
     "lie_derivative",
@@ -28,7 +27,6 @@ __all__ = [
     "pullback_anchor",
     "cartan_three_form",
     "equivariant_cartan",
-    "wedge_pair",
 ]
 
 
@@ -50,19 +48,6 @@ class AlgebroidForm:
 
     def zero_like(self):
         return 0.0 if self.scalar else np.zeros(self.algebra.dim)
-
-
-class EquivariantForm:
-    """Map x -> AlgebroidForm, polynomial in x of a recorded degree."""
-
-    def __init__(self, algebra, at, poly_degree=1, name=""):
-        self.algebra = algebra
-        self._at = at
-        self.poly_degree = poly_degree
-        self.name = name
-
-    def at(self, x):
-        return self._at(np.asarray(x, dtype=float))
 
 
 def contract(form, section):
@@ -207,7 +192,7 @@ def cartan_three_form(algebra):
     """
 
     def evaluator(g, v1, v2, v3):
-        ginv = np.linalg.inv(g)
+        ginv = algebra.inv(g)
         us = [algebra.Ad(ginv, v) for v in (v1, v2, v3)]
         total = 0.0
         for perm in itertools.permutations(range(3)):
@@ -224,37 +209,13 @@ def equivariant_cartan(algebra, x):
     x = np.asarray(x, dtype=float)
 
     def deg1(g, v):
-        ginv = np.linalg.inv(g)
+        ginv = algebra.inv(g)
         return -0.5 * algebra.pairing(algebra.Ad(ginv, v) + v, x)
 
     return {
         3: cartan_three_form(algebra),
         1: DeRhamForm(algebra, 1, deg1, name="eta_G deg-1"),
     }
-
-
-def wedge_pair(algebra, a, b, pairing=None):
-    """B-paired wedge of a p-form and q-form with g-values (de Rham, shared g).
-
-    (a . b)(v_1..v_{p+q}) = sum over (p, q) shuffles of
-    sign * B(a(shuffle), b(complement)).
-    """
-    if pairing is None:
-        pairing = algebra.pairing
-    p, q = a.degree, b.degree
-
-    def evaluator(g, *vs):
-        total = 0.0
-        for combo in itertools.combinations(range(p + q), p):
-            rest = [i for i in range(p + q) if i not in combo]
-            sign = _shuffle_sign(combo, rest)
-            va = a(g, *[vs[i] for i in combo])
-            vb = b(g, *[vs[i] for i in rest])
-            total += sign * pairing(va, vb)
-        return total
-
-    return DeRhamForm(algebra, p + q, evaluator,
-                      name=f"{a.name}.{b.name}")
 
 
 def _perm_sign(perm):
@@ -265,7 +226,3 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def _shuffle_sign(left, right):
-    return _perm_sign(tuple(left) + tuple(right))

@@ -14,14 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bott import _gl01
 from .forms import DeRhamForm
 
 __all__ = ["chart_pullback", "radial_primitive", "poincare_primitive"]
-
-
-def _gauss_legendre_01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class ChartForm:
@@ -47,7 +43,7 @@ def chart_pullback(omega, h=1e-4):
     def push(x, u):
         def at(s):
             return alg.exp(x + s * u)
-        ginv = np.linalg.inv(at(0.0))
+        ginv = alg.inv(at(0.0))
         d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
         d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
         return alg.from_matrix((4.0 * d1 - d2) / 3.0)
@@ -61,7 +57,7 @@ def chart_pullback(omega, h=1e-4):
 
 def radial_primitive(mu, n_radial=24):
     """The radial homotopy h mu of a chart form (a primitive when mu is closed)."""
-    nodes, weights = _gauss_legendre_01(n_radial)
+    nodes, weights = _gl01(n_radial)
     k = mu.degree
 
     def evaluator(x, *us):
@@ -94,7 +90,7 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
             def at(s, u=u):
                 return alg.exp(x + s * u)
 
-            ginv = np.linalg.inv(at(0.0))
+            ginv = alg.inv(at(0.0))
             d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
             d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
             cols.append(alg.from_matrix((4.0 * d1 - d2) / 3.0))

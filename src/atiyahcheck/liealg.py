@@ -8,11 +8,25 @@ algebra elements are coefficient vectors in the chosen basis.
 
 Complex groups (su(2)) are handled through a fixed real encoding
 a + ib -> [[a, -b], [b, a]] so that all numerics stay real.
+
+Each LieAlgebra keeps a small least-recently-used memo of at most
+_MEMO_SIZE (256) entries, shared by two kinds of value:
+  * the Richardson step exponentials expm(+-h V), expm(+-2h V) of
+    `directional` (and of fusion's product-group stencil), keyed by the
+    bytes of the direction matrix V and the step h;
+  * the group inverse `inv(g)` behind `Ad`, `Ad_operator` and the callers
+    that invert group elements, keyed by the bytes of g.
+A hit returns the array computed on the first miss by the same function
+(expm, np.linalg.inv) from the same operand, and callers combine it with
+the same operations in the same order as before, so every result is
+bit-identical to the unmemoised computation.  Memoised arrays are
+read-only, so a caller cannot corrupt the memo by writing to one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -30,6 +44,13 @@ _PADE13 = (
     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
     960960.0, 16380.0, 182.0, 1.0,
 )
+
+_MEMO_SIZE = 256
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def expm(a):
@@ -80,6 +101,7 @@ class LieAlgebra:
         self.group_tolerance = group_tolerance
         self._membership = membership
         self._log_map = log_map
+        self._memo = OrderedDict()
 
         flat = self.basis.reshape(self.dim, -1).T      # (n*n, dim)
         self._flat_basis = flat
@@ -145,17 +167,42 @@ class LieAlgebra:
     def identity(self):
         return np.eye(self.matrix_size)
 
+    def _remember(self, key, value):
+        """Store a memo entry, dropping the least recently used past _MEMO_SIZE."""
+        self._memo[key] = value
+        if len(self._memo) > _MEMO_SIZE:
+            self._memo.popitem(last=False)
+        return value
+
     def inv(self, g):
-        return np.linalg.inv(g)
+        """g^{-1} as a read-only array, memoised by the bytes of g."""
+        g = np.asarray(g, dtype=float)
+        key = g.tobytes()
+        ginv = self._memo.get(key)
+        if ginv is None:
+            return self._remember(key, _frozen(np.linalg.inv(g)))
+        self._memo.move_to_end(key)
+        return ginv
+
+    def step_exponentials(self, vm, h):
+        """(expm(h vm), expm(-h vm), expm(2h vm), expm(-2h vm)), read-only and
+        memoised by the bytes of the direction matrix vm and the step h."""
+        key = (vm.tobytes(), h)
+        steps = self._memo.get(key)
+        if steps is None:
+            return self._remember(key, tuple(
+                _frozen(expm(step * vm)) for step in (h, -h, 2.0 * h, -2.0 * h)))
+        self._memo.move_to_end(key)
+        return steps
 
     def Ad(self, g, x):
         """Ad_g x = g X g^{-1}, returned in basis coefficients."""
-        m = g @ self.to_matrix(x) @ np.linalg.inv(g)
+        m = g @ self.to_matrix(x) @ self.inv(g)
         return self.from_matrix(m)
 
     def Ad_operator(self, g):
         """The dim x dim matrix of Ad_g on coefficients."""
-        ginv = np.linalg.inv(g)
+        ginv = self.inv(g)
         cols = [self._proj @ (g @ self.basis[i] @ ginv).ravel() for i in range(self.dim)]
         return np.array(cols).T
 
@@ -178,15 +225,15 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g; func may return scalars or arrays.
         """
-        vm = self.to_matrix(v)
+        e_h, e_mh, e_2h, e_m2h = self.step_exponentials(self.to_matrix(v), h)
 
-        def delta(step):
-            plus = func(expm(step * vm) @ g)
-            minus = func(expm(-step * vm) @ g)
+        def delta(step, e_plus, e_minus):
+            plus = func(e_plus @ g)
+            minus = func(e_minus @ g)
             return (np.asarray(plus, dtype=float) - np.asarray(minus, dtype=float)) / (2.0 * step)
 
-        d1 = delta(h)
-        d2 = delta(2.0 * h)
+        d1 = delta(h, e_h, e_mh)
+        d2 = delta(2.0 * h, e_2h, e_m2h)
         out = (4.0 * d1 - d2) / 3.0
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite directional derivative")
@@ -199,7 +246,7 @@ class LieAlgebra:
         if side == "right":
             return np.asarray(v, dtype=float)
         if side == "left":
-            return self.Ad(np.linalg.inv(g), v)
+            return self.Ad(self.inv(g), v)
         raise ValueError("side must be 'left' or 'right'")
 
     # -- sampling -------------------------------------------------------------

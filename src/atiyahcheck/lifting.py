@@ -356,7 +356,7 @@ class HorizontalFamily:
             for _ in range(n):
                 val = alg.Ad(g, val)
             return val
-        ginv = np.linalg.inv(g)
+        ginv = alg.inv(g)
         for _ in range(-n):
             val = alg.Ad(ginv, val)
         return val

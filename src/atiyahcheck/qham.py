@@ -81,7 +81,7 @@ class ConjugacyClass:
         def at(s):
             return self.point(_norm(n + s * u))
 
-        ginv = np.linalg.inv(at(0.0))
+        ginv = self.algebra.inv(at(0.0))
         d1 = (at(h) - at(-h)) @ ginv / (2 * h)
         d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4 * h)
         return self.algebra.from_matrix((4.0 * d1 - d2) / 3.0)
@@ -110,7 +110,7 @@ class ConjugacyClass:
     def equivariance_residual(self, k, n):
         rot = self.algebra.Ad_operator(k)
         lhs = self.point(_norm(rot @ n))
-        rhs = k @ self.point(n) @ np.linalg.inv(k)
+        rhs = k @ self.point(n) @ self.algebra.inv(k)
         return float(np.linalg.norm(lhs - rhs))
 
 
@@ -151,7 +151,7 @@ def ghjw_omega(klass, sign):
         g = klass.point(n)
         x1 = klass.solve_generator(n, t1)
         x2 = klass.solve_generator(n, t2)
-        ginv = np.linalg.inv(g)
+        ginv = alg.inv(g)
         return 0.5 * sign * alg.pairing(x1, alg.Ad(ginv, x2) - alg.Ad(g, x2))
 
     return omega
@@ -163,7 +163,7 @@ def ghjw_moment_residual(klass, omega, n, x, u):
     g = klass.point(n)
     w = klass.push_tangent(n, u)
     lhs = omega(n, klass.generator_field(x, n), u)
-    rhs = -0.5 * alg.pairing(alg.Ad(np.linalg.inv(g), w) + w, x)
+    rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(g), w) + w, x)
     return abs(lhs - rhs)
 
 
@@ -211,13 +211,6 @@ class PullbackSection:
         g = self.klass.point(n)
         gap = self.profile(n, 1.0) - alg.Ad(g, self.profile(n, 0.0)) - self.v(n)
         return float(np.linalg.norm(gap))
-
-    def section_at(self, n):
-        """Freeze into an ordinary section evaluated at the image point."""
-        alg = self.algebra
-        prof = lambda g, t: self.profile(n, t)
-        dprof = None if self.dprofile is None else (lambda g, t: self.dprofile(n, t))
-        return AlgebroidSection(alg, prof, lambda g: self.v(n), dprofile=dprof)
 
 
 def pullback_template(klass, afunc, xfield, bump, name=""):

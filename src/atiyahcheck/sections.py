@@ -154,7 +154,7 @@ def extend(section, g, t):
         for _ in range(n):
             val = alg.Ad(g, val) + v
         return val
-    ginv = np.linalg.inv(g)
+    ginv = alg.inv(g)
     for _ in range(-n):
         val = alg.Ad(ginv, val - v)
     return val
@@ -172,7 +172,7 @@ def extend_deriv(section, g, t, h_t=1e-5):
         for _ in range(n):
             d = alg.Ad(g, d)
         return d
-    ginv = np.linalg.inv(g)
+    ginv = alg.inv(g)
     for _ in range(-n):
         d = alg.Ad(ginv, d)
     return d
@@ -294,11 +294,11 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
 
     def profile(g, t):
         c = gamma(g, t)
-        return algebra.from_matrix(c @ algebra.to_matrix(path(t)) @ np.linalg.inv(c))
+        return algebra.from_matrix(c @ algebra.to_matrix(path(t)) @ algebra.inv(c))
 
     def dprofile(g, t):
         c = gamma(g, t)
-        cinv = np.linalg.inv(c)
+        cinv = algebra.inv(c)
         ad = algebra.from_matrix(c @ algebra.to_matrix(path(t)) @ cinv)
         dad = algebra.from_matrix(c @ algebra.to_matrix(dpath(t)) @ cinv)
         # exp(u L) moves along its own direction: gamma' gamma^{-1} = f'(t) log g

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report schema, determinism, identity table."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -14,8 +15,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, **kw):
+    # the child process finds the package the way this test process did
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "atiyahcheck.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 def test_list_checks_exit_zero():
@@ -36,6 +40,27 @@ def test_config_error_unknown_group():
 
 def test_config_error_bad_tol():
     assert main(["verify", "--tol", "nonsense"]) == 2
+
+
+def test_config_error_unknown_tol_key(monkeypatch):
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    assert cli.main(["verify", "--group", "torus2", "--suite", "forms",
+                     "--tol", "forms.no_such_check=1e-30", "--quiet"]) == 2
+    assert not ran  # rejected before any check runs
+
+
+def test_tol_key_of_sub_result_accepted(monkeypatch):
+    from atiyahcheck import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_checks",
+                        lambda group, config, **k: seen.append(config) or [])
+    assert cli.main(["verify", "--group", "su2", "--suite", "qham",
+                     "--tol", "qham.kernel_loop_velocity=2e-4", "--quiet"]) == 0
+    assert seen[0]["tol_overrides"] == {"qham.kernel_loop_velocity": 2e-4}
 
 
 def test_verify_report_schema(tmp_path):

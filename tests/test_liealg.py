@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from atiyahcheck import liealg
 from atiyahcheck.liealg import (GROUP_NAMES, cubic_polynomial, expm,
                                 make_group, quadratic_polynomial)
 
@@ -139,3 +140,65 @@ def test_polynomials():
     assert p3 is not None
     assert abs(p3(np.array([2.0, 0, 0]), np.array([2.0, 0, 0]),
                   np.array([2.0, 0, 0])) - 8.0) < 1e-14
+
+
+# -- memo of step exponentials and group inverses ------------------------------
+
+def _uncached_directional(algebra, func, g, v, h):
+    vm = algebra.to_matrix(v)
+
+    def delta(step):
+        plus = np.asarray(func(expm(step * vm) @ g), dtype=float)
+        minus = np.asarray(func(expm(-step * vm) @ g), dtype=float)
+        return (plus - minus) / (2.0 * step)
+
+    return (4.0 * delta(h) - delta(2.0 * h)) / 3.0
+
+
+def test_memo_results_bit_identical(algebra):
+    rng = np.random.default_rng(7)
+    g = algebra.random_group(rng)
+    v, x = algebra.random_vector(rng), algebra.random_vector(rng)
+    func = lambda gg: gg @ algebra.to_matrix(x)
+    want_d = _uncached_directional(algebra, func, g, v, 1e-4)
+    want_ad = algebra.from_matrix(g @ algebra.to_matrix(x) @ np.linalg.inv(g))
+    for _ in range(2):  # cold, then served from the memo
+        assert algebra.directional(func, g, v).tobytes() == want_d.tobytes()
+        assert algebra.Ad(g, x).tobytes() == want_ad.tobytes()
+        assert algebra.inv(g).tobytes() == np.linalg.inv(g).tobytes()
+
+
+def test_directional_expm_calls_cold_and_warm(monkeypatch):
+    alg = make_group("su2")
+    rng = np.random.default_rng(8)
+    g1, g2 = alg.random_group(rng), alg.random_group(rng)
+    v, x = alg.random_vector(rng), alg.random_vector(rng)
+    calls = []
+    real = liealg.expm
+    monkeypatch.setattr(liealg, "expm", lambda a: calls.append(1) or real(a))
+    func = lambda gg: float(np.trace(gg @ alg.to_matrix(x)))
+    alg.directional(func, g1, v)
+    assert len(calls) == 4
+    # the step exponentials depend on (v, h) only, not on the base point
+    alg.directional(func, g2, v)
+    assert len(calls) == 4
+    alg.directional(func, g1, v, h=2e-4)
+    assert len(calls) == 8
+
+
+def test_memo_size_is_bounded():
+    alg = make_group("so3")
+    rng = np.random.default_rng(9)
+    for _ in range(liealg._MEMO_SIZE + 50):
+        alg.inv(alg.random_group(rng))
+        alg.directional(lambda gg: gg, alg.identity(), alg.random_vector(rng))
+    assert len(alg._memo) == liealg._MEMO_SIZE
+
+
+def test_memoised_inverse_is_read_only(algebra):
+    rng = np.random.default_rng(10)
+    g = algebra.random_group(rng)
+    ginv = algebra.inv(g)
+    with pytest.raises(ValueError):
+        ginv[0, 0] = 123.0
+    assert algebra.inv(g).tobytes() == np.linalg.inv(g).tobytes()
