@@ -1,10 +1,22 @@
 """Named identity checks, shared by the CLI runner and the test suite.
 
-Every check draws its randomness from a generator derived from
-(seed, check name), so execution order never changes results.  A check
-returns one or more CheckResult records; the residual reported is the
-worst sample.  Identity strings name the mathematical statement being
-verified and appear verbatim in the README table.
+A check is declared once, by `@_register`: its suite, name, the groups it
+runs on, and for every result it reports (its own first, then any
+`sub_results`) the result name, the identity verified and the default
+tolerance.  Identity strings name the mathematical statement and appear
+verbatim in the README table.
+
+A check body takes `(ctx, rng)` and returns only what it measured: the
+residual (the worst sample), or for a check with sub-results a mapping
+from every declared result name to its residual.  A body with report
+extras returns `(residual, extras)`, where `extras["notes"]` becomes the
+notes and any other key an extra param of the check's own result.  The
+registry builds every `CheckResult` from that.  A result's tolerance is
+the `tol_overrides` entry for `suite.name` if there is one (`--tol`),
+else its declared default.
+
+`rng` is a generator derived from (seed, check name), so execution order
+never changes results.
 """
 
 from __future__ import annotations
@@ -49,12 +61,11 @@ class CheckResult:
 
 
 class CheckContext:
-    """Execution context: group, grids, steps, per-check RNG and tolerances."""
+    """Execution context: group, grids, steps, per-check RNG and tolerance overrides."""
 
     def __init__(self, group_name, config):
         self.group_name = group_name
         self.algebra = make_group(group_name)
-        self.config = config
         self.grid = TimeGrid(config.get("n_points", 201))
         self.coarse_grid = TimeGrid(min(101, config.get("n_points", 201)))
         self.h = config.get("fd_step", 1e-4)
@@ -69,14 +80,8 @@ class CheckContext:
         return np.random.default_rng(np.random.SeedSequence(
             entropy=self.seed, spawn_key=(key,)))
 
-    def tolerance(self, suite, name, default):
-        return float(self.tol_overrides.get(f"{suite}.{name}", default))
-
     def conventions(self):
         return bt.calibrate_conventions()
-
-    def abelian(self):
-        return self.group_name == "torus2"
 
     def random_sections(self, rng, count):
         return [random_section(self.algebra, rng, bump=self.bump)
@@ -84,56 +89,68 @@ class CheckContext:
 
 
 class CheckSpec:
-    def __init__(self, name, suite, fn, groups=None, identity="", sub_results=()):
-        self.name = name
+    """A registered check and the results it reports.
+
+    `results` holds `(name, identity, default tolerance)` for every result,
+    the check's own first.  `fn(ctx)` runs the body and returns the
+    `CheckResult`s; it is a plain attribute so that a caller may wrap it.
+    """
+
+    def __init__(self, suite, name, body, groups, results):
         self.suite = suite
-        self.fn = fn
+        self.name = name
+        self.body = body
         self.groups = groups          # None means every catalog group
-        self.identity = identity
-        self.sub_results = sub_results  # further result names the check reports
+        self.results = results
+        self.fn = self._run
 
     def applicable(self, group):
         return self.groups is None or group in self.groups
+
+    def _run(self, ctx):
+        out = self.body(ctx, ctx.rng(self.name))
+        residuals, extras = out if isinstance(out, tuple) else (out, {})
+        if not isinstance(residuals, dict):
+            residuals = {self.name: residuals}
+        results = [CheckResult(self.suite, name, identity, {"group": ctx.group_name},
+                               float(residuals[name]),
+                               float(ctx.tol_overrides.get(f"{self.suite}.{name}", default)))
+                   for name, identity, default in self.results]
+        # report extras describe the check's own result, which is declared first
+        results[0].params.update((k, v) for k, v in extras.items() if k != "notes")
+        results[0].notes = extras.get("notes", "")
+        return results
 
 
 REGISTRY = []
 
 
-def _register(name, suite, groups=None, identity="", sub_results=()):
-    def wrap(fn):
-        REGISTRY.append(CheckSpec(name, suite, fn, groups=groups, identity=identity,
-                                  sub_results=sub_results))
-        return fn
+def _register(suite, name, tol, identity, groups=None, sub_results=()):
+    """Declare a check; `sub_results` lists `(name, identity, tol)` of each further result."""
+    def wrap(body):
+        REGISTRY.append(CheckSpec(suite, name, body, groups,
+                                  ((name, identity, tol), *sub_results)))
+        return body
     return wrap
-
-
-def _result(ctx, spec_name, suite, identity, residual, tol, params=None, notes=""):
-    return CheckResult(suite, spec_name, identity,
-                       params or {"group": ctx.group_name},
-                       float(residual), float(tol), notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # algebroid suite
 # ---------------------------------------------------------------------------
 
-@_register("structure_jacobi", "algebroid",
+@_register("algebroid", "structure_jacobi", tol=1e-12,
            identity="[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 (structure constants)")
-def check_structure_jacobi(ctx):
+def check_structure_jacobi(ctx, rng):
     c = ctx.algebra.c
     jac = (np.einsum("ijm,mkl->ijkl", c, c)
            + np.einsum("jkm,mil->ijkl", c, c)
            + np.einsum("kim,mjl->ijkl", c, c))
-    tol = ctx.tolerance("algebroid", "structure_jacobi", 1e-12)
-    return [_result(ctx, "structure_jacobi", "algebroid",
-                    "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 (structure constants)",
-                    np.max(np.abs(jac)), tol)]
+    return np.max(np.abs(jac))
 
 
-@_register("bilinear_invariance", "algebroid",
+@_register("algebroid", "bilinear_invariance", tol=1e-10,
            identity="B(Ad_g x, Ad_g y) = B(x, y)")
-def check_bilinear_invariance(ctx):
-    rng = ctx.rng("bilinear_invariance")
+def check_bilinear_invariance(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -141,14 +158,11 @@ def check_bilinear_invariance(ctx):
         x, y = alg.random_vector(rng), alg.random_vector(rng)
         worst = max(worst, abs(alg.pairing(alg.Ad(g, x), alg.Ad(g, y))
                                - alg.pairing(x, y)))
-    tol = ctx.tolerance("algebroid", "bilinear_invariance", 1e-10)
-    return [_result(ctx, "bilinear_invariance", "algebroid",
-                    "B(Ad_g x, Ad_g y) = B(x, y)", worst, tol)]
+    return worst
 
 
-@_register("ad_homomorphism", "algebroid", identity="Ad_{gh} = Ad_g Ad_h")
-def check_ad_homomorphism(ctx):
-    rng = ctx.rng("ad_homomorphism")
+@_register("algebroid", "ad_homomorphism", tol=1e-10, identity="Ad_{gh} = Ad_g Ad_h")
+def check_ad_homomorphism(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -156,15 +170,12 @@ def check_ad_homomorphism(ctx):
         x = alg.random_vector(rng)
         worst = max(worst, np.linalg.norm(alg.Ad(g @ h, x)
                                           - alg.Ad(g, alg.Ad(h, x))))
-    tol = ctx.tolerance("algebroid", "ad_homomorphism", 1e-10)
-    return [_result(ctx, "ad_homomorphism", "algebroid",
-                    "Ad_{gh} = Ad_g Ad_h", worst, tol)]
+    return worst
 
 
-@_register("dirderiv_oracle", "algebroid",
+@_register("algebroid", "dirderiv_oracle", tol=1e-7,
            identity="D_v(g -> Ad_g c) = [v, Ad_g c]")
-def check_dirderiv(ctx):
-    rng = ctx.rng("dirderiv_oracle")
+def check_dirderiv(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -174,15 +185,12 @@ def check_dirderiv(ctx):
         want = alg.bracket(v, alg.Ad(g, c))
         scale = max(1.0, np.linalg.norm(want))
         worst = max(worst, np.linalg.norm(got - want) / scale)
-    tol = ctx.tolerance("algebroid", "dirderiv_oracle", 1e-7)
-    return [_result(ctx, "dirderiv_oracle", "algebroid",
-                    "D_v(g -> Ad_g c) = [v, Ad_g c]", worst, tol)]
+    return worst
 
 
-@_register("extend_cocycle", "algebroid",
+@_register("algebroid", "extend_cocycle", tol=1e-10,
            identity="xi(t+1) = Ad_g xi(t) + v_xi for all real t")
-def check_extend_cocycle(ctx):
-    rng = ctx.rng("extend_cocycle")
+def check_extend_cocycle(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -192,44 +200,35 @@ def check_extend_cocycle(ctx):
             lhs = extend(sec, g, t + 1.0)
             rhs = alg.Ad(g, extend(sec, g, t)) + sec.v(g)
             worst = max(worst, np.linalg.norm(lhs - rhs))
-    tol = ctx.tolerance("algebroid", "extend_cocycle", 1e-10)
-    return [_result(ctx, "extend_cocycle", "algebroid",
-                    "xi(t+1) = Ad_g xi(t) + v_xi for all real t", worst, tol)]
+    return worst
 
 
-@_register("template_compatibility", "algebroid",
+@_register("algebroid", "template_compatibility", tol=1e-12,
            identity="template sections satisfy the seam exactly")
-def check_template_compat(ctx):
-    rng = ctx.rng("template_compatibility")
+def check_template_compat(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         worst = max(worst, random_section(alg, rng, bump=ctx.bump)
                     .compatibility_residual(g))
-    tol = ctx.tolerance("algebroid", "template_compatibility", 1e-12)
-    return [_result(ctx, "template_compatibility", "algebroid",
-                    "template sections satisfy the seam exactly", worst, tol)]
+    return worst
 
 
-@_register("simpson_order", "algebroid",
+@_register("algebroid", "simpson_order", tol=0.0,
            identity="composite Simpson converges at fourth order")
-def check_simpson_order(ctx):
+def check_simpson_order(ctx, rng):
     f = lambda t: np.exp(t) * np.sin(3.0 * t)
     exact = integrate_01(f, TimeGrid(1601))
     e1 = abs(integrate_01(f, TimeGrid(11)) - exact)
     e2 = abs(integrate_01(f, TimeGrid(21)) - exact)
     ratio = e1 / e2
-    tol = ctx.tolerance("algebroid", "simpson_order", 0.0)
-    return [_result(ctx, "simpson_order", "algebroid",
-                    "composite Simpson converges at fourth order",
-                    max(0.0, 12.0 - ratio), tol, notes=f"halving ratio {ratio:.1f}")]
+    return max(0.0, 12.0 - ratio), {"notes": f"halving ratio {ratio:.1f}"}
 
 
-@_register("bracket_jacobi", "algebroid",
+@_register("algebroid", "bracket_jacobi", tol=1e-5,
            identity="[[xi,zeta],chi] + cyclic = 0")
-def check_bracket_jacobi(ctx):
-    rng = ctx.rng("bracket_jacobi")
+def check_bracket_jacobi(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     n_triples = max(ctx.samples, 8)
@@ -241,16 +240,12 @@ def check_bracket_jacobi(ctx):
         total = total + albr.bracket(albr.bracket(b, c, h=ctx.h), a, h=ctx.h).profile(g, t0)
         total = total + albr.bracket(albr.bracket(c, a, h=ctx.h), b, h=ctx.h).profile(g, t0)
         worst = max(worst, np.linalg.norm(total))
-    tol = ctx.tolerance("algebroid", "bracket_jacobi", 1e-5)
-    return [_result(ctx, "bracket_jacobi", "algebroid",
-                    "[[xi,zeta],chi] + cyclic = 0", worst, tol,
-                    params={"group": ctx.group_name, "triples": n_triples})]
+    return worst, {"triples": n_triples}
 
 
-@_register("bracket_leibniz", "algebroid",
+@_register("algebroid", "bracket_leibniz", tol=1e-6,
            identity="[xi, h zeta] = h [xi,zeta] + (a(xi) h) zeta")
-def check_bracket_leibniz(ctx):
-    rng = ctx.rng("bracket_leibniz")
+def check_bracket_leibniz(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(ctx.samples, 8)):
@@ -271,15 +266,12 @@ def check_bracket_leibniz(ctx):
         rhs = hfun(g) * albr.bracket(xi, ze, h=ctx.h).profile(g, t0) \
             + float(dh) * ze.profile(g, t0)
         worst = max(worst, np.linalg.norm(lhs - rhs))
-    tol = ctx.tolerance("algebroid", "bracket_leibniz", 1e-6)
-    return [_result(ctx, "bracket_leibniz", "algebroid",
-                    "[xi, h zeta] = h [xi,zeta] + (a(xi) h) zeta", worst, tol)]
+    return worst
 
 
-@_register("anchor_morphism", "algebroid",
+@_register("algebroid", "anchor_morphism", tol=1e-6,
            identity="a([xi,zeta]) = [a(xi), a(zeta)] as vector fields")
-def check_anchor_morphism(ctx):
-    rng = ctx.rng("anchor_morphism")
+def check_anchor_morphism(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -290,15 +282,12 @@ def check_anchor_morphism(ctx):
         want = want + alg.directional(ze.v, g, xi.v(g), h=ctx.h)
         want = want - alg.directional(xi.v, g, ze.v(g), h=ctx.h)
         worst = max(worst, np.linalg.norm(got - want))
-    tol = ctx.tolerance("algebroid", "anchor_morphism", 1e-6)
-    return [_result(ctx, "anchor_morphism", "algebroid",
-                    "a([xi,zeta]) = [a(xi), a(zeta)] as vector fields", worst, tol)]
+    return worst
 
 
-@_register("generator_action", "algebroid",
+@_register("algebroid", "generator_action", tol=1e-6,
            identity="[x_A, xi] = d/du (exp(ux).xi) at u = 0")
-def check_generator_action(ctx):
-    rng = ctx.rng("generator_action")
+def check_generator_action(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -316,9 +305,7 @@ def check_generator_action(ctx):
         h = ctx.h
         want = (8 * (action(h) - action(-h)) - (action(2 * h) - action(-2 * h))) / (12 * h)
         worst = max(worst, np.linalg.norm(got - want))
-    tol = ctx.tolerance("algebroid", "generator_action", 1e-6)
-    return [_result(ctx, "generator_action", "algebroid",
-                    "[x_A, xi] = d/du (exp(ux).xi) at u = 0", worst, tol)]
+    return worst
 
 
 def _invariant_family(ctx, rng):
@@ -327,10 +314,9 @@ def _invariant_family(ctx, rng):
     return albr.build_alpha(ctx.algebra, alpha0=alpha0, bump=ctx.bump, invariant=True)
 
 
-@_register("alpha_gauge_periodicity", "algebroid",
+@_register("algebroid", "alpha_gauge_periodicity", tol=1e-10,
            identity="alpha_{t+1} = Ad_g alpha_t - theta^R")
-def check_alpha_gauge(ctx):
-    rng = ctx.rng("alpha_gauge_periodicity")
+def check_alpha_gauge(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -341,15 +327,12 @@ def check_alpha_gauge(ctx):
             worst = max(worst, alpha.gauge_residual(t, g, v))
         k = alg.random_group(rng)
         worst = max(worst, alpha.equivariance_residual(0.37, g, v, k))
-    tol = ctx.tolerance("algebroid", "alpha_gauge_periodicity", 1e-10)
-    return [_result(ctx, "alpha_gauge_periodicity", "algebroid",
-                    "alpha_{t+1} = Ad_g alpha_t - theta^R", worst, tol)]
+    return worst
 
 
-@_register("curvature_gauge_covariance", "algebroid",
+@_register("algebroid", "curvature_gauge_covariance", tol=1e-6,
            identity="F^{alpha_{t+1}} = Ad_g F^{alpha_t}")
-def check_curvature_covariance(ctx):
-    rng = ctx.rng("curvature_gauge_covariance")
+def check_curvature_covariance(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -360,15 +343,12 @@ def check_curvature_covariance(ctx):
         f0 = albr.curvature(alpha, g, t, v, w, h=ctx.h)
         f1 = albr.curvature(alpha, g, t + 1.0, v, w, h=ctx.h)
         worst = max(worst, np.linalg.norm(f1 - alg.Ad(g, f0)))
-    tol = ctx.tolerance("algebroid", "curvature_gauge_covariance", 1e-6)
-    return [_result(ctx, "curvature_gauge_covariance", "algebroid",
-                    "F^{alpha_{t+1}} = Ad_g F^{alpha_t}", worst, tol)]
+    return worst
 
 
-@_register("connection_vertical", "algebroid",
+@_register("algebroid", "connection_vertical", tol=1e-8,
            identity="theta(xi) = xi + alpha(a(xi)) lies in the loop bundle")
-def check_connection_vertical(ctx):
-    rng = ctx.rng("connection_vertical")
+def check_connection_vertical(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -378,16 +358,12 @@ def check_connection_vertical(ctx):
         vert = albr.connection_apply(alpha, xi)
         worst = max(worst, vert.compatibility_residual(g))
         worst = max(worst, np.linalg.norm(vert.v(g)))
-    tol = ctx.tolerance("algebroid", "connection_vertical", 1e-8)
-    return [_result(ctx, "connection_vertical", "algebroid",
-                    "theta(xi) = xi + alpha(a(xi)) lies in the loop bundle",
-                    worst, tol)]
+    return worst
 
 
-@_register("psi_seam", "algebroid",
+@_register("algebroid", "psi_seam", tol=1e-8,
            identity="Psi(x) = -x + alpha(a(x_A)) is a loop-bundle section")
-def check_psi_seam(ctx):
-    rng = ctx.rng("psi_seam")
+def check_psi_seam(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -400,16 +376,12 @@ def check_psi_seam(ctx):
             worst = max(worst, np.linalg.norm(lhs - rhs))
         worst = max(worst, np.linalg.norm(
             albr.generator_vertical_part(alpha, x, alg.identity(), 0.5) + x))
-    tol = ctx.tolerance("algebroid", "psi_seam", 1e-8)
-    return [_result(ctx, "psi_seam", "algebroid",
-                    "Psi(x) = -x + alpha(a(x_A)) is a loop-bundle section",
-                    worst, tol)]
+    return worst
 
 
-@_register("kappa_seam", "algebroid",
+@_register("algebroid", "kappa_seam", tol=1e-10,
            identity="kappa_{t+1} = Ad_g kappa_t - a* theta^R")
-def check_kappa_seam(ctx):
-    rng = ctx.rng("kappa_seam")
+def check_kappa_seam(ctx, rng):
     alg = ctx.algebra
     kf = albr.KappaFamily(alg)
     worst = 0.0
@@ -423,15 +395,12 @@ def check_kappa_seam(ctx):
         x = alg.random_vector(rng)
         worst = max(worst, np.linalg.norm(
             kf.value(0.4, g, albr.generator(alg, x)) - x))
-    tol = ctx.tolerance("algebroid", "kappa_seam", 1e-10)
-    return [_result(ctx, "kappa_seam", "algebroid",
-                    "kappa_{t+1} = Ad_g kappa_t - a* theta^R", worst, tol)]
+    return worst
 
 
-@_register("kappa_flat", "algebroid",
+@_register("algebroid", "kappa_flat", tol=1e-6,
            identity="F^kappa = 0 and F_G^kappa(x) + x = 0")
-def check_kappa_flat(ctx):
-    rng = ctx.rng("kappa_flat")
+def check_kappa_flat(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -448,9 +417,7 @@ def check_kappa_flat(ctx):
         xa = albr.generator(alg, x)
         fg = -kap(g, xa)  # F_G - part: F = 0, so F_G(x) = -iota_{x_A} kappa
         worst = max(worst, np.linalg.norm(fg + x))
-    tol = ctx.tolerance("algebroid", "kappa_flat", 1e-6)
-    return [_result(ctx, "kappa_flat", "algebroid",
-                    "F^kappa = 0 and F_G^kappa(x) + x = 0", worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +431,8 @@ def _random_one_form(ctx, rng):
                          lambda g, v: alg.pairing(c1 + alg.Ad(g, c2), v))
 
 
-@_register("d_squared", "forms", identity="d(d phi) = 0")
-def check_d_squared(ctx):
-    rng = ctx.rng("d_squared")
+@_register("forms", "d_squared", tol=1e-4, identity="d(d phi) = 0")
+def check_d_squared(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -483,14 +449,12 @@ def check_d_squared(ctx):
                                lambda gg, s: alg.pairing(c, albr.kappa_value(s, gg, t0)))
         dd1 = fm.exterior_derivative(fm.exterior_derivative(one, h=ctx.h), h=ctx.h)
         worst = max(worst, abs(dd1(g, *secs)))
-    tol = ctx.tolerance("forms", "d_squared", 1e-4)
-    return [_result(ctx, "d_squared", "forms", "d(d phi) = 0", worst, tol)]
+    return worst
 
 
-@_register("cartan_commutation", "forms",
+@_register("forms", "cartan_commutation", tol=1e-5,
            identity="i_zeta L_xi = L_xi i_zeta - i_{[xi,zeta]}")
-def check_cartan_commutation(ctx):
-    rng = ctx.rng("cartan_commutation")
+def check_cartan_commutation(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -503,15 +467,12 @@ def check_cartan_commutation(ctx):
         rhs = fm.lie_derivative(fm.contract(phi, ze), xi, h=ctx.h)(g) \
             - phi(g, albr.bracket(xi, ze, h=ctx.h))
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("forms", "cartan_commutation", 1e-5)
-    return [_result(ctx, "cartan_commutation", "forms",
-                    "i_zeta L_xi = L_xi i_zeta - i_{[xi,zeta]}", worst, tol)]
+    return worst
 
 
-@_register("horizontal_basic", "forms",
+@_register("forms", "horizontal_basic", tol=1e-5,
            identity="i_zeta phi = 0 and L_zeta phi = 0 for basic phi, zeta in L")
-def check_horizontal_basic(ctx):
-    rng = ctx.rng("horizontal_basic")
+def check_horizontal_basic(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -522,15 +483,11 @@ def check_horizontal_basic(ctx):
         chi = random_section(alg, rng, bump=ctx.bump)
         worst = max(worst, abs(aom(g, loop)))
         worst = max(worst, abs(fm.lie_derivative(aom, loop, h=ctx.h)(g, chi)))
-    tol = ctx.tolerance("forms", "horizontal_basic", 1e-5)
-    return [_result(ctx, "horizontal_basic", "forms",
-                    "i_zeta phi = 0 and L_zeta phi = 0 for basic phi, zeta in L",
-                    worst, tol)]
+    return worst
 
 
-@_register("anchor_cochain", "forms", identity="d(a* omega) = a*(d omega)")
-def check_anchor_cochain(ctx):
-    rng = ctx.rng("anchor_cochain")
+@_register("forms", "anchor_cochain", tol=1e-5, identity="d(a* omega) = a*(d omega)")
+def check_anchor_cochain(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -540,38 +497,28 @@ def check_anchor_cochain(ctx):
         lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=ctx.h)(g, *secs)
         rhs = fm.pullback_anchor(fm.de_rham_differential(om, h=ctx.h))(g, *secs)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("forms", "anchor_cochain", 1e-5)
-    return [_result(ctx, "anchor_cochain", "forms",
-                    "d(a* omega) = a*(d omega)", worst, tol)]
+    return worst
 
 
-@_register("eta_value", "forms",
+@_register("forms", "eta_value", tol=1e-12,
            identity="eta(e1,e2,e3) = (1/2) B(e1,[e2,e3]) at every g")
-def check_eta_value(ctx):
-    rng = ctx.rng("eta_value")
+def check_eta_value(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     if alg.dim < 3:
-        return [_result(ctx, "eta_value", "forms",
-                        "eta(e1,e2,e3) = (1/2) B(e1,[e2,e3]) at every g",
-                        0.0, 1e-12, notes="dim < 3: eta vanishes identically")]
+        return 0.0, {"notes": "dim < 3: eta vanishes identically"}
     e = np.eye(alg.dim)
     want = 0.5 * alg.pairing(e[0], alg.bracket(e[1], e[2]))
     worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         worst = max(worst, abs(eta(g, e[0], e[1], e[2]) - want))
-    tol = ctx.tolerance("forms", "eta_value", 1e-12)
-    notes = f"reference value {want:g}"
-    return [_result(ctx, "eta_value", "forms",
-                    "eta(e1,e2,e3) = (1/2) B(e1,[e2,e3]) at every g",
-                    worst, tol, notes=notes)]
+    return worst, {"notes": f"reference value {want:g}"}
 
 
-@_register("eta_equivariant_closed", "forms",
+@_register("forms", "eta_equivariant_closed", tol=1e-5,
            identity="d_G eta_G = 0 (2-form and 0-form components)")
-def check_eta_g_closed(ctx):
-    rng = ctx.rng("eta_equivariant_closed")
+def check_eta_g_closed(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     worst = 0.0
@@ -589,17 +536,13 @@ def check_eta_g_closed(ctx):
         flip = eta(g, xg, v, w) + d1(g, v, w)
         if abs(flip) > 1e-5:
             flipped_also = False
-    tol = ctx.tolerance("forms", "eta_equivariant_closed", 1e-5)
     notes = "flipped insertion sign also closed (degenerate data)" if flipped_also else ""
-    return [_result(ctx, "eta_equivariant_closed", "forms",
-                    "d_G eta_G = 0 (2-form and 0-form components)",
-                    worst, tol, notes=notes)]
+    return worst, {"notes": notes}
 
 
-@_register("dkappa_identity", "forms",
+@_register("forms", "dkappa_identity", tol=1e-6,
            identity="d kappa_t(xi, zeta) = -[xi_t, zeta_t]")
-def check_dkappa(ctx):
-    rng = ctx.rng("dkappa_identity")
+def check_dkappa(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -611,18 +554,16 @@ def check_dkappa(ctx):
         got = fm.exterior_derivative(kap, h=ctx.h)(g, xi, ze)
         want = -alg.bracket(extend(xi, g, t0), extend(ze, g, t0))
         worst = max(worst, np.linalg.norm(got - want))
-    tol = ctx.tolerance("forms", "dkappa_identity", 1e-6)
-    return [_result(ctx, "dkappa_identity", "forms",
-                    "d kappa_t(xi, zeta) = -[xi_t, zeta_t]", worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # lifting suite
 # ---------------------------------------------------------------------------
 
-@_register("sigma_value", "lifting",
+@_register("lifting", "sigma_value", tol=1e-7,
            identity="sigma(sin(2 pi t) e1, cos(2 pi t) e1) = -pi")
-def check_sigma_value(ctx):
+def check_sigma_value(ctx, rng):
     alg = ctx.algebra
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     two_pi = 2.0 * np.pi
@@ -632,16 +573,12 @@ def check_sigma_value(ctx):
                       lambda t: -two_pi * np.sin(two_pi * t) * e1)
     val = lf.central_cocycle(s1, s2, alg.identity(), ctx.grid, h_t=ctx.h_t)
     scale = alg.pairing(e1, e1)
-    tol = ctx.tolerance("lifting", "sigma_value", 1e-7)
-    return [_result(ctx, "sigma_value", "lifting",
-                    "sigma(sin(2 pi t) e1, cos(2 pi t) e1) = -pi",
-                    abs(val + np.pi * scale), tol)]
+    return abs(val + np.pi * scale)
 
 
-@_register("sigma_antisymmetry", "lifting",
+@_register("lifting", "sigma_antisymmetry", tol=1e-8,
            identity="sigma(x1,x2) + sigma(x2,x1) = -[x1 . x2] boundary = 0")
-def check_sigma_antisym(ctx):
-    rng = ctx.rng("sigma_antisymmetry")
+def check_sigma_antisym(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -651,16 +588,12 @@ def check_sigma_antisym(ctx):
         s = lf.central_cocycle(z1, z2, g, ctx.grid, h_t=ctx.h_t) \
             + lf.central_cocycle(z2, z1, g, ctx.grid, h_t=ctx.h_t)
         worst = max(worst, abs(s))
-    tol = ctx.tolerance("lifting", "sigma_antisymmetry", 1e-8)
-    return [_result(ctx, "sigma_antisymmetry", "lifting",
-                    "sigma(x1,x2) + sigma(x2,x1) = -[x1 . x2] boundary = 0",
-                    worst, tol)]
+    return worst
 
 
-@_register("dsigma_dj", "lifting",
+@_register("lifting", "dsigma_dj", tol=1e-5,
            identity="(d sigma)(x1,x2) = <dj, [x1,x2]_L>")
-def check_dsigma(ctx):
-    rng = ctx.rng("dsigma_dj")
+def check_dsigma(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -685,15 +618,12 @@ def check_dsigma(ctx):
             lambda t: alg.pairing(time_derivative(ch, g, t, h_t=ctx.h_t),
                                   pointwise.profile(g, t)), ctx.coarse_grid)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("lifting", "dsigma_dj", 1e-5)
-    return [_result(ctx, "dsigma_dj", "lifting",
-                    "(d sigma)(x1,x2) = <dj, [x1,x2]_L>", worst, tol)]
+    return worst
 
 
-@_register("dthetaj_routes", "lifting",
+@_register("lifting", "dthetaj_routes", tol=1e-5,
            identity="<d^theta j, zeta> = -int alpha'.zeta = <dj,zeta> + sigma(theta,zeta)")
-def check_dthetaj(ctx):
-    rng = ctx.rng("dthetaj_routes")
+def check_dthetaj(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -704,16 +634,12 @@ def check_dthetaj(ctx):
         r1 = lf.dtheta_j(alpha, g, xi.v(g), ze, ctx.grid)
         r2 = lf.dtheta_j_definitional(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
         worst = max(worst, abs(r1 - r2))
-    tol = ctx.tolerance("lifting", "dthetaj_routes", 1e-5)
-    return [_result(ctx, "dthetaj_routes", "lifting",
-                    "<d^theta j, zeta> = -int alpha'.zeta = <dj,zeta> + sigma(theta,zeta)",
-                    worst, tol)]
+    return worst
 
 
-@_register("lhat_bracket", "lifting",
+@_register("lifting", "lhat_bracket", tol=1e-6,
            identity="[j x1, j x2] = (j[x1,x2]_L, -sigma(x1,x2)) and Jacobi")
-def check_lhat(ctx):
-    rng = ctx.rng("lhat_bracket")
+def check_lhat(ctx, rng):
     alg = ctx.algebra
     worst_scalar = 0.0
     worst_jac = 0.0
@@ -738,16 +664,12 @@ def check_lhat(ctx):
         outer = lf.bracket_lhat(inner, exts[k], ctx.coarse_grid, h_t=ctx.h_t)
         body_total = body_total + outer.body.profile(g, t0)
     worst_jac = max(worst_jac, np.linalg.norm(body_total))
-    tol = ctx.tolerance("lifting", "lhat_bracket", 1e-6)
-    return [_result(ctx, "lhat_bracket", "lifting",
-                    "[j x1, j x2] = (j[x1,x2]_L, -sigma(x1,x2)) and Jacobi",
-                    max(worst_scalar, worst_jac), tol)]
+    return max(worst_scalar, worst_jac)
 
 
-@_register("nablahat_flat", "lifting",
+@_register("lifting", "nablahat_flat", tol=1e-4,
            identity="nabla_hat is flat: [nabla_1, nabla_2] = nabla_{[1,2]}")
-def check_nablahat_flat(ctx):
-    rng = ctx.rng("nablahat_flat")
+def check_nablahat_flat(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng, scale=0.5)
     xi, ze = ctx.random_sections(rng, 2)
@@ -763,16 +685,12 @@ def check_nablahat_flat(ctx):
     t0 = 0.37
     resid = max(resid, np.linalg.norm(
         n12.body.profile(g, t0) - n21.body.profile(g, t0) - nbr.body.profile(g, t0)))
-    tol = ctx.tolerance("lifting", "nablahat_flat", 1e-4)
-    return [_result(ctx, "nablahat_flat", "lifting",
-                    "nabla_hat is flat: [nabla_1, nabla_2] = nabla_{[1,2]}",
-                    resid, tol)]
+    return resid
 
 
-@_register("nablahat_derivation", "lifting",
+@_register("lifting", "nablahat_derivation", tol=1e-5,
            identity="nabla_hat differentiates the extended bracket")
-def check_nablahat_derivation(ctx):
-    rng = ctx.rng("nablahat_derivation")
+def check_nablahat_derivation(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng, scale=0.5)
     xi = random_section(alg, rng, bump=ctx.bump)
@@ -788,15 +706,12 @@ def check_nablahat_derivation(ctx):
     t0 = 0.41
     resid = max(resid, np.linalg.norm(
         lhs.body.profile(g, t0) - r1.body.profile(g, t0) - r2.body.profile(g, t0)))
-    tol = ctx.tolerance("lifting", "nablahat_derivation", 1e-5)
-    return [_result(ctx, "nablahat_derivation", "lifting",
-                    "nabla_hat differentiates the extended bracket", resid, tol)]
+    return resid
 
 
-@_register("varpi_antisymmetry", "lifting",
+@_register("lifting", "varpi_antisymmetry", tol=1e-6,
            identity="varpi(xi, zeta) + varpi(zeta, xi) = 0")
-def check_varpi_antisym(ctx):
-    rng = ctx.rng("varpi_antisymmetry")
+def check_varpi_antisym(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -805,15 +720,12 @@ def check_varpi_antisym(ctx):
         worst = max(worst, abs(
             lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
             + lf.canonical_two_form(ze, xi, g, ctx.grid, h_t=ctx.h_t)))
-    tol = ctx.tolerance("lifting", "varpi_antisymmetry", 1e-6)
-    return [_result(ctx, "varpi_antisymmetry", "lifting",
-                    "varpi(xi, zeta) + varpi(zeta, xi) = 0", worst, tol)]
+    return worst
 
 
-@_register("varpi_generators", "lifting", groups=("so3", "su2"),
+@_register("lifting", "varpi_generators", tol=1e-8, groups=("so3", "su2"),
            identity="varpi(x_A, y_A) = (1/2) x.(Ad_g - Ad_{g^{-1}}) y")
-def check_varpi_generators(ctx):
-    rng = ctx.rng("varpi_generators")
+def check_varpi_generators(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(ctx.samples, 20)):
@@ -829,16 +741,12 @@ def check_varpi_generators(ctx):
     spot = lf.canonical_two_form(albr.generator(alg, e[0]), albr.generator(alg, e[1]),
                                  g0, ctx.grid, h_t=ctx.h_t)
     worst = max(worst, abs(spot + 1.0))
-    tol = ctx.tolerance("lifting", "varpi_generators", 1e-8)
-    return [_result(ctx, "varpi_generators", "lifting",
-                    "varpi(x_A, y_A) = (1/2) x.(Ad_g - Ad_{g^{-1}}) y",
-                    worst, tol, notes=f"spot value {spot:.12f} at the quarter turn")]
+    return worst, {"notes": f"spot value {spot:.12f} at the quarter turn"}
 
 
-@_register("varpi_splitting_routes", "lifting",
+@_register("lifting", "varpi_splitting_routes", tol=1e-5,
            identity="varpi^alpha = <dj,theta> + (1/2) sigma(theta,theta) = a* Q^alpha + varpi")
-def check_varpi_routes(ctx):
-    rng = ctx.rng("varpi_splitting_routes")
+def check_varpi_routes(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -849,15 +757,11 @@ def check_varpi_routes(ctx):
         base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
         q = lf.q_alpha(alpha, g, xi.v(g), ze.v(g), ctx.grid)
         worst = max(worst, abs(bry - (q + base)))
-    tol = ctx.tolerance("lifting", "varpi_splitting_routes", 1e-5)
-    return [_result(ctx, "varpi_splitting_routes", "lifting",
-                    "varpi^alpha = <dj,theta> + (1/2) sigma(theta,theta) = a* Q^alpha + varpi",
-                    worst, tol)]
+    return worst
 
 
-@_register("varpi_kappa_q", "lifting", identity="varpi = -Q^kappa")
-def check_varpi_kappa_q(ctx):
-    rng = ctx.rng("varpi_kappa_q")
+@_register("lifting", "varpi_kappa_q", tol=1e-8, identity="varpi = -Q^kappa")
+def check_varpi_kappa_q(ctx, rng):
     alg = ctx.algebra
     fam = bt.KappaAsFamily(alg, h_t=ctx.h_t)
     worst = 0.0
@@ -867,15 +771,12 @@ def check_varpi_kappa_q(ctx):
         q = bt.q_functional(fam, g, xi, ze, ctx.grid, h=ctx.h)
         base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
         worst = max(worst, abs(base + q))
-    tol = ctx.tolerance("lifting", "varpi_kappa_q", 1e-8)
-    return [_result(ctx, "varpi_kappa_q", "lifting",
-                    "varpi = -Q^kappa", worst, tol)]
+    return worst
 
 
-@_register("q_closed_form", "lifting",
+@_register("lifting", "q_closed_form", tol=1e-8,
            identity="Q^alpha = ((thL+thR)/2).alpha_0 + (1/2) alpha_0 . Ad_g alpha_0; 0 when alpha_0 = 0")
-def check_q_closed_form(ctx):
-    rng = ctx.rng("q_closed_form")
+def check_q_closed_form(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -887,16 +788,12 @@ def check_q_closed_form(ctx):
         worst = max(worst, abs(q1 - q2))
         zero = albr.build_alpha(alg, bump=ctx.bump)
         worst = max(worst, abs(lf.q_alpha(zero, g, v, w, ctx.grid)))
-    tol = ctx.tolerance("lifting", "q_closed_form", 1e-8)
-    return [_result(ctx, "q_closed_form", "lifting",
-                    "Q^alpha = ((thL+thR)/2).alpha_0 + (1/2) alpha_0 . Ad_g alpha_0; 0 when alpha_0 = 0",
-                    worst, tol)]
+    return worst
 
 
-@_register("iota_loop_varpi", "lifting",
+@_register("lifting", "iota_loop_varpi", tol=1e-5,
            identity="i_xi varpi = -<dj, xi> for xi in the loop bundle")
-def check_iota_loop_varpi(ctx):
-    rng = ctx.rng("iota_loop_varpi")
+def check_iota_loop_varpi(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -908,15 +805,12 @@ def check_iota_loop_varpi(ctx):
             lambda t: alg.pairing(time_derivative(chi, g, t, h_t=ctx.h_t),
                                   extend(ze, g, t)), ctx.grid)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("lifting", "iota_loop_varpi", 1e-5)
-    return [_result(ctx, "iota_loop_varpi", "lifting",
-                    "i_xi varpi = -<dj, xi> for xi in the loop bundle", worst, tol)]
+    return worst
 
 
-@_register("iota_generator_varpi", "lifting",
+@_register("lifting", "iota_generator_varpi", tol=1e-5,
            identity="i_{x_A} varpi = (1/2) a*((theta^L + theta^R).x)")
-def check_iota_generator_varpi(ctx):
-    rng = ctx.rng("iota_generator_varpi")
+def check_iota_generator_varpi(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -927,14 +821,11 @@ def check_iota_generator_varpi(ctx):
                                     h_t=ctx.h_t)
         rhs = 0.5 * alg.pairing(alg.maurer_cartan(g, chi.v(g), "left") + chi.v(g), x)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("lifting", "iota_generator_varpi", 1e-5)
-    return [_result(ctx, "iota_generator_varpi", "lifting",
-                    "i_{x_A} varpi = (1/2) a*((theta^L + theta^R).x)", worst, tol)]
+    return worst
 
 
-@_register("dvarpi_eta", "lifting", identity="d varpi = a* eta")
-def check_dvarpi_eta(ctx):
-    rng = ctx.rng("dvarpi_eta")
+@_register("lifting", "dvarpi_eta", tol=1e-4, identity="d varpi = a* eta")
+def check_dvarpi_eta(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     eta = fm.pullback_anchor(fm.cartan_three_form(alg))
@@ -945,15 +836,12 @@ def check_dvarpi_eta(ctx):
         lhs = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
         rhs = eta(g, *secs)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("lifting", "dvarpi_eta", 1e-4)
-    return [_result(ctx, "dvarpi_eta", "lifting",
-                    "d varpi = a* eta", worst, tol)]
+    return worst
 
 
-@_register("equivariant_three_form", "lifting", groups=("su2",),
+@_register("lifting", "equivariant_three_form", tol=1e-4, groups=("su2",),
            identity="d_G varpi(x) = a* eta_G(x)")
-def check_equivariant_three_form(ctx):
-    rng = ctx.rng("equivariant_three_form")
+def check_equivariant_three_form(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     eta = fm.cartan_three_form(alg)
@@ -971,16 +859,12 @@ def check_equivariant_three_form(ctx):
             lhs1 = -vform(g, xa, secs[0])
             rhs1 = fm.equivariant_cartan(alg, x)[1](g, secs[0].v(g))
             worst = max(worst, abs(lhs1 - rhs1))
-    tol = ctx.tolerance("lifting", "equivariant_three_form", 1e-4)
-    return [_result(ctx, "equivariant_three_form", "lifting",
-                    "d_G varpi(x) = a* eta_G(x)", worst, tol,
-                    params={"group": ctx.group_name, "x_samples": n_x})]
+    return worst, {"x_samples": n_x}
 
 
-@_register("eta_data_route", "lifting",
+@_register("lifting", "eta_data_route", tol=1e-5,
            identity="-<d^theta j, F^theta> = a* eta for alpha_0 = 0")
-def check_eta_data_route(ctx):
-    rng = ctx.rng("eta_data_route")
+def check_eta_data_route(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg, bump=ctx.bump)
     etad = lf.eta_from_data(alpha, ctx.coarse_grid, h=ctx.h)
@@ -990,15 +874,12 @@ def check_eta_data_route(ctx):
         g = alg.random_group(rng)
         vs = [alg.random_vector(rng) for _ in range(3)]
         worst = max(worst, abs(etad(g, *vs) - eta(g, *vs)))
-    tol = ctx.tolerance("lifting", "eta_data_route", 1e-5)
-    return [_result(ctx, "eta_data_route", "lifting",
-                    "-<d^theta j, F^theta> = a* eta for alpha_0 = 0", worst, tol)]
+    return worst
 
 
-@_register("lifted_jacobi_primitive", "lifting", groups=("heisenberg3", "torus2"),
+@_register("lifting", "lifted_jacobi_primitive", tol=1e-4, groups=("heisenberg3", "torus2"),
            identity="d omega = -eta makes the lifted bracket a Lie bracket")
-def check_lifted_jacobi_primitive(ctx):
-    rng = ctx.rng("lifted_jacobi_primitive")
+def check_lifted_jacobi_primitive(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg, bump=ctx.bump)
     omega = None
@@ -1018,17 +899,13 @@ def check_lifted_jacobi_primitive(ctx):
         jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g,
                                           ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
         worst = max(worst, abs(jac))
-    tol = ctx.tolerance("lifting", "lifted_jacobi_primitive", 1e-4)
-    return [_result(ctx, "lifted_jacobi_primitive", "lifting",
-                    "d omega = -eta makes the lifted bracket a Lie bracket",
-                    worst, tol)]
+    return worst
 
 
-@_register("lifted_jacobi_obstruction", "lifting",
+@_register("lifting", "lifted_jacobi_obstruction", tol=1e-4,
            groups=("su2", "heisenberg3", "torus2"),
            identity="scalar Jacobiator of the lifted bracket = (d omega + eta)(X1,X2,X3)")
-def check_lifted_jacobi_obstruction(ctx):
-    rng = ctx.rng("lifted_jacobi_obstruction")
+def check_lifted_jacobi_obstruction(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg, bump=ctx.bump)
     eta = fm.cartan_three_form(alg)
@@ -1050,16 +927,12 @@ def check_lifted_jacobi_obstruction(ctx):
             target += fm.de_rham_differential(om, h=ctx.h)(g, *vs)
         worst = max(worst, abs(jac - target))
         notes.append(f"{label}: jacobiator {jac:.6g} vs {target:.6g}")
-    tol = ctx.tolerance("lifting", "lifted_jacobi_obstruction", 1e-4)
-    return [_result(ctx, "lifted_jacobi_obstruction", "lifting",
-                    "scalar Jacobiator of the lifted bracket = (d omega + eta)(X1,X2,X3)",
-                    worst, tol, notes="; ".join(notes))]
+    return worst, {"notes": "; ".join(notes)}
 
 
-@_register("equivariant_generators", "lifting", groups=("heisenberg3", "torus2"),
+@_register("lifting", "equivariant_generators", tol=1e-4, groups=("heisenberg3", "torus2"),
            identity="omega(x_N, X) + d Phi(x)(X) = <d^theta j(X), Psi(x)>")
-def check_equivariant_generators(ctx):
-    rng = ctx.rng("equivariant_generators")
+def check_equivariant_generators(ctx, rng):
     alg = ctx.algebra
     from .homotopy import poincare_primitive
     alpha = albr.build_alpha(alg, bump=ctx.bump)
@@ -1077,16 +950,12 @@ def check_equivariant_generators(ctx):
         v = alg.random_vector(rng)
         worst = max(worst, lf.equivariant_generator_residual(
             None, phi_map, alpha, x, v, g, ctx.coarse_grid))
-    tol = ctx.tolerance("lifting", "equivariant_generators", 1e-4)
-    return [_result(ctx, "equivariant_generators", "lifting",
-                    "omega(x_N, X) + d Phi(x)(X) = <d^theta j(X), Psi(x)>",
-                    worst, tol)]
+    return worst
 
 
-@_register("gamma_change", "lifting", groups=("su2",),
+@_register("lifting", "gamma_change", tol=1e-4, groups=("su2",),
            identity="eta' - eta = d gamma under (j, theta) -> (j + beta, theta + lambda)")
-def check_gamma_change(ctx):
-    rng = ctx.rng("gamma_change")
+def check_gamma_change(ctx, rng):
     alg = ctx.algebra
     grid = TimeGrid(51)
     alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)),
@@ -1110,10 +979,7 @@ def check_gamma_change(ctx):
                          grid)
     resid2 = abs(gam0(g, vs[0], vs[1]) - want)
     worst = max(abs(lhs - rhs), resid2)
-    tol = ctx.tolerance("lifting", "gamma_change", 1e-4)
-    return [_result(ctx, "gamma_change", "lifting",
-                    "eta' - eta = d gamma under (j, theta) -> (j + beta, theta + lambda)",
-                    worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -1129,19 +995,15 @@ def _random_gvalued(ctx, rng):
         alg, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d))
 
 
-@_register("convention_table", "bott", groups=("su2",),
+@_register("bott", "convention_table", tol=1.0, groups=("su2",),
            identity="orientation signs calibrated once on su2")
-def check_convention_table(ctx):
-    table = ctx.conventions().as_dict()
-    return [_result(ctx, "convention_table", "bott",
-                    "orientation signs calibrated once on su2",
-                    0.0, 1.0, notes=str(table))]
+def check_convention_table(ctx, rng):
+    return 0.0, {"notes": str(ctx.conventions().as_dict())}
 
 
-@_register("stokes_family", "bott",
+@_register("bott", "stokes_family", tol=1e-3,
            identity="d Upsilon(b_0..b_k) = alternating sum of Upsilon with one form omitted")
-def check_stokes_family(ctx):
-    rng = ctx.rng("stokes_family")
+def check_stokes_family(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1164,16 +1026,12 @@ def check_stokes_family(ctx):
         - bt.upsilon(p, [thl, b2], g, secs[:2], conventions=conv, h=ctx.h) \
         + bt.upsilon(p, [thl, b1], g, secs[:2], conventions=conv, h=ctx.h)
     worst = max(worst, abs(lhs2 - rhs2))
-    tol = ctx.tolerance("bott", "stokes_family", 1e-3)
-    return [_result(ctx, "stokes_family", "bott",
-                    "d Upsilon(b_0..b_k) = alternating sum of Upsilon with one form omitted",
-                    worst, tol)]
+    return worst
 
 
-@_register("upsilon_gauge_invariance", "bott",
+@_register("bott", "upsilon_gauge_invariance", tol=1e-4,
            identity="Upsilon(Phi.b_0, Phi.b_1) = Upsilon(b_0, b_1), equivariant version too")
-def check_upsilon_gauge(ctx):
-    rng = ctx.rng("upsilon_gauge_invariance")
+def check_upsilon_gauge(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1190,16 +1048,12 @@ def check_upsilon_gauge(ctx):
         worst = max(worst, abs(
             bt.upsilon_equivariant(p, [b0, b1], x, g, args, conventions=conv, h=ctx.h)
             - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv, h=ctx.h)))
-    tol = ctx.tolerance("bott", "upsilon_gauge_invariance", 1e-4)
-    return [_result(ctx, "upsilon_gauge_invariance", "bott",
-                    "Upsilon(Phi.b_0, Phi.b_1) = Upsilon(b_0, b_1), equivariant version too",
-                    worst, tol)]
+    return worst
 
 
-@_register("gauge_composition", "bott",
+@_register("bott", "gauge_composition", tol=1e-6,
            identity="(Phi' Phi).beta = Phi'.(Phi.beta)")
-def check_gauge_composition(ctx):
-    rng = ctx.rng("gauge_composition")
+def check_gauge_composition(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng)
     sec = random_section(alg, rng, bump=ctx.bump)
@@ -1214,16 +1068,12 @@ def check_gauge_composition(ctx):
     idm = lambda gg: gg
     val = bt.gauge_transform(idm, zero, h=ctx.h)(g, sec)
     worst = max(worst, float(np.linalg.norm(val + sec.v(g))))
-    tol = ctx.tolerance("bott", "gauge_composition", 1e-6)
-    return [_result(ctx, "gauge_composition", "bott",
-                    "(Phi' Phi).beta = Phi'.(Phi.beta)", worst, tol,
-                    notes="identity-map gauge of 0 gives -theta^R")]
+    return worst, {"notes": "identity-map gauge of 0 gives -theta^R"}
 
 
-@_register("cs_vs_bott", "bott",
+@_register("bott", "cs_vs_bott", tol=1e-4,
            identity="CS(beta) = c Upsilon^p(0, beta) with one fixed sign c")
-def check_cs_vs_bott(ctx):
-    rng = ctx.rng("cs_vs_bott")
+def check_cs_vs_bott(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1241,17 +1091,13 @@ def check_cs_vs_bott(ctx):
     if ratios:
         c = float(np.sign(ratios[0]))
         worst = max(abs(r - c) for r in ratios)
-    tol = ctx.tolerance("bott", "cs_vs_bott", 1e-4)
     notes = f"fixed sign {c:g}" if ratios else "degenerate samples"
-    return [_result(ctx, "cs_vs_bott", "bott",
-                    "CS(beta) = c Upsilon^p(0, beta) with one fixed sign c",
-                    worst, tol, notes=notes)]
+    return worst, {"notes": notes}
 
 
-@_register("eta_p_anchor", "bott", groups=("su2", "so3"),
+@_register("bott", "eta_p_anchor", tol=1e-4, groups=("su2", "so3"),
            identity="Upsilon^p(0, theta^L) = c eta with the recorded sign")
-def check_eta_p_anchor(ctx):
-    rng = ctx.rng("eta_p_anchor")
+def check_eta_p_anchor(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1265,15 +1111,11 @@ def check_eta_p_anchor(ctx):
         got = bt.upsilon(p, [zero, thl], g, secs, conventions=conv, h=ctx.h)
         want = conv.eta_p_vs_eta * eta(g, *secs)
         worst = max(worst, abs(got - want))
-    tol = ctx.tolerance("bott", "eta_p_anchor", 1e-4)
-    return [_result(ctx, "eta_p_anchor", "bott",
-                    "Upsilon^p(0, theta^L) = c eta with the recorded sign",
-                    worst, tol, notes=f"c = {conv.eta_p_vs_eta:g}")]
+    return worst, {"notes": f"c = {conv.eta_p_vs_eta:g}"}
 
 
-@_register("cs_exact", "bott", identity="d CS(beta) = (1/2) F^beta . F^beta")
-def check_cs_exact(ctx):
-    rng = ctx.rng("cs_exact")
+@_register("bott", "cs_exact", tol=1e-4, identity="d CS(beta) = (1/2) F^beta . F^beta")
+def check_cs_exact(ctx, rng):
     alg = ctx.algebra
     p = quadratic_polynomial(alg)
     g = alg.random_group(rng)
@@ -1283,15 +1125,12 @@ def check_cs_exact(ctx):
     lhs = fm.exterior_derivative(csf, h=ctx.h)(g, *secs)
     rhs = bt.upsilon(p, [beta], g, secs, rule=bt.SimplexRule(0), h=ctx.h)
     worst = abs(lhs - rhs)
-    tol = ctx.tolerance("bott", "cs_exact", 1e-4)
-    return [_result(ctx, "cs_exact", "bott",
-                    "d CS(beta) = (1/2) F^beta . F^beta", worst, tol)]
+    return worst
 
 
-@_register("cs_gauge_law", "bott",
+@_register("bott", "cs_gauge_law", tol=1e-4,
            identity="CS(Phi.beta) = CS(beta) + Phi* eta - (1/2) d(beta . Phi* theta^L)")
-def check_cs_gauge_law(ctx):
-    rng = ctx.rng("cs_gauge_law")
+def check_cs_gauge_law(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     worst = 0.0
@@ -1312,10 +1151,7 @@ def check_cs_gauge_law(ctx):
         rhs = bt.chern_simons(beta, g, secs, h=ctx.h) + phi_eta(g, *secs) \
             - 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
         worst = max(worst, abs(lhs - rhs))
-    tol = ctx.tolerance("bott", "cs_gauge_law", 1e-4)
-    return [_result(ctx, "cs_gauge_law", "bott",
-                    "CS(Phi.beta) = CS(beta) + Phi* eta - (1/2) d(beta . Phi* theta^L)",
-                    worst, tol)]
+    return worst
 
 
 def _gauge_family(ctx, rng, phi=None):
@@ -1327,10 +1163,9 @@ def _gauge_family(ctx, rng, phi=None):
     return bt.GaugePeriodicFamily(alg, beta0, phi, bump=ctx.bump, h=ctx.h)
 
 
-@_register("transgression", "bott",
+@_register("bott", "transgression", tol=1e-4,
            identity="d/dt CS(beta_t) = beta_t' . F^{beta_t} - (1/2) d(beta_t . beta_t')")
-def check_transgression(ctx):
-    rng = ctx.rng("transgression")
+def check_transgression(ctx, rng):
     alg = ctx.algebra
     fam = _gauge_family(ctx, rng)
     g = alg.random_group(rng)
@@ -1351,16 +1186,12 @@ def check_transgression(ctx):
                             - alg.pairing(fam.value(tt, gg, s2), fam.tderiv(tt, gg, s1)))
     rhs -= 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
     worst = abs(csdot - rhs)
-    tol = ctx.tolerance("bott", "transgression", 1e-4)
-    return [_result(ctx, "transgression", "bott",
-                    "d/dt CS(beta_t) = beta_t' . F^{beta_t} - (1/2) d(beta_t . beta_t')",
-                    worst, tol)]
+    return worst
 
 
-@_register("cs_period_integral", "bott",
+@_register("bott", "cs_period_integral", tol=1e-4,
            identity="int_0^1 beta' . F^{beta_t} dt = Phi* eta + d Q^beta")
-def check_cs_period_integral(ctx):
-    rng = ctx.rng("cs_period_integral")
+def check_cs_period_integral(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     fam = _gauge_family(ctx, rng)
@@ -1388,16 +1219,12 @@ def check_cs_period_integral(ctx):
                              lambda gg, s1, s2: bt.q_functional(fam, gg, s1, s2, grid, h=ctx.h))
     rhs = phi_eta(g, *secs) + fm.exterior_derivative(qform, h=ctx.h)(g, *secs)
     worst = abs(lhs - rhs)
-    tol = ctx.tolerance("bott", "cs_period_integral", 1e-4)
-    return [_result(ctx, "cs_period_integral", "bott",
-                    "int_0^1 beta' . F^{beta_t} dt = Phi* eta + d Q^beta",
-                    worst, tol)]
+    return worst
 
 
-@_register("cs_period_equivariant", "bott",
+@_register("bott", "cs_period_equivariant", tol=1e-4,
            identity="int beta'.(F_G + x) dt = Phi* eta_G + d_G Q (degree-1 component)")
-def check_cs_period_equivariant(ctx):
-    rng = ctx.rng("cs_period_equivariant")
+def check_cs_period_equivariant(ctx, rng):
     alg = ctx.algebra
     phi = lambda gg: gg @ gg
     thl = bt.oneform_theta_left(alg)
@@ -1420,16 +1247,12 @@ def check_cs_period_equivariant(ctx):
     rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(gphi), w) + w, x)
     rhs -= bt.q_functional(fam, g, xa, xi, grid, h=ctx.h)
     worst = abs(lhs - rhs)
-    tol = ctx.tolerance("bott", "cs_period_equivariant", 1e-4)
-    return [_result(ctx, "cs_period_equivariant", "bott",
-                    "int beta'.(F_G + x) dt = Phi* eta_G + d_G Q (degree-1 component)",
-                    worst, tol)]
+    return worst
 
 
-@_register("q_reparametrization", "bott",
+@_register("bott", "q_reparametrization", tol=1e-6,
            identity="Q(beta o phi) = Q(beta) for phi(t+1) = phi(t) + 1")
-def check_q_reparam(ctx):
-    rng = ctx.rng("q_reparametrization")
+def check_q_reparam(ctx, rng):
     alg = ctx.algebra
     fam = _gauge_family(ctx, rng)
     g = alg.random_group(rng)
@@ -1456,14 +1279,11 @@ def check_q_reparam(ctx):
     q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(Reparam(fam, 0.1, 0.13), g, s1, s2, ctx.grid, h=ctx.h)
     worst = abs(q0 - q1)
-    tol = ctx.tolerance("bott", "q_reparametrization", 1e-6)
-    return [_result(ctx, "q_reparametrization", "bott",
-                    "Q(beta o phi) = Q(beta) for phi(t+1) = phi(t) + 1", worst, tol)]
+    return worst
 
 
-@_register("q_inversion", "bott", identity="Q(beta^-) = -Q(beta)")
-def check_q_inversion(ctx):
-    rng = ctx.rng("q_inversion")
+@_register("bott", "q_inversion", tol=1e-6, identity="Q(beta^-) = -Q(beta)")
+def check_q_inversion(ctx, rng):
     alg = ctx.algebra
     fam = _gauge_family(ctx, rng)
     g = alg.random_group(rng)
@@ -1484,15 +1304,12 @@ def check_q_inversion(ctx):
     q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(Invert(fam), g, s1, s2, ctx.grid, h=ctx.h)
     worst = abs(q0 + q1)
-    tol = ctx.tolerance("bott", "q_inversion", 1e-6)
-    return [_result(ctx, "q_inversion", "bott",
-                    "Q(beta^-) = -Q(beta)", worst, tol)]
+    return worst
 
 
-@_register("q_concatenation", "bott",
+@_register("bott", "q_concatenation", tol=1e-5,
            identity="Q(b2 * b1) = Q(b1) + Q(b2) + (1/2) Phi2* theta^L . Phi1* theta^R")
-def check_q_concat(ctx):
-    rng = ctx.rng("q_concatenation")
+def check_q_concat(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng)
     s1, s2 = ctx.random_sections(rng, 2)
@@ -1509,16 +1326,12 @@ def check_q_concat(ctx):
     q2 = bt.q_functional(f2, g, s1, s2, ctx.grid, h=ctx.h)
     lam = bt.q_concat_lambda(alg, phi1, phi2, g, s1, s2, h=ctx.h)
     worst = abs(qc - q1 - q2 - lam)
-    tol = ctx.tolerance("bott", "q_concatenation", 1e-5)
-    return [_result(ctx, "q_concatenation", "bott",
-                    "Q(b2 * b1) = Q(b1) + Q(b2) + (1/2) Phi2* theta^L . Phi1* theta^R",
-                    worst, tol)]
+    return worst
 
 
-@_register("bott_equivariant_closed", "bott",
+@_register("bott", "bott_equivariant_closed", tol=1e-4,
            identity="d_G Upsilon^p_G(0, theta^L) = p(Ad_{g^{-1}} x) - p(x) = 0")
-def check_bott_equiv_closed(ctx):
-    rng = ctx.rng("bott_equivariant_closed")
+def check_bott_equiv_closed(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1532,16 +1345,12 @@ def check_bott_equiv_closed(ctx):
     resid2 = fm.exterior_derivative(one, h=ctx.h)(g, *secs) - three(g, xa, *secs)
     resid0 = one(g, xa)
     worst = max(abs(resid2), abs(resid0))
-    tol = ctx.tolerance("bott", "bott_equivariant_closed", 1e-4)
-    return [_result(ctx, "bott_equivariant_closed", "bott",
-                    "d_G Upsilon^p_G(0, theta^L) = p(Ad_{g^{-1}} x) - p(x) = 0",
-                    worst, tol)]
+    return worst
 
 
-@_register("flat_family_transgression", "bott",
+@_register("bott", "flat_family_transgression", tol=1e-3,
            identity="Upsilon_G(0,b_1) - Upsilon_G(0,b_0) = s d_G I (flat family, recorded s)")
-def check_flat_family(ctx):
-    rng = ctx.rng("flat_family_transgression")
+def check_flat_family(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1572,17 +1381,12 @@ def check_flat_family(ctx):
         - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1], conventions=conv, h=ctx.h)
     rhs1 = s * (-iform(g, xa, secs[0]))
     worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
-    tol = ctx.tolerance("bott", "flat_family_transgression", 1e-3)
-    return [_result(ctx, "flat_family_transgression", "bott",
-                    "Upsilon_G(0,b_1) - Upsilon_G(0,b_0) = s d_G I (flat family, recorded s)",
-                    worst, tol,
-                    notes=f"orientation {s:g}; flatness precondition {pre:.2e}")]
+    return worst, {"notes": f"orientation {s:g}; flatness precondition {pre:.2e}"}
 
 
-@_register("varpi_p_matches_varpi", "bott",
+@_register("bott", "varpi_p_matches_varpi", tol=1e-5,
            identity="varpi^p_G = varpi for the quadratic polynomial")
-def check_varpi_p_matches(ctx):
-    rng = ctx.rng("varpi_p_matches_varpi")
+def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1595,15 +1399,12 @@ def check_varpi_p_matches(ctx):
         got = vpg(x, g, [xi, ze])
         want = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
         worst = max(worst, abs(got - want))
-    tol = ctx.tolerance("bott", "varpi_p_matches_varpi", 1e-5)
-    return [_result(ctx, "varpi_p_matches_varpi", "bott",
-                    "varpi^p_G = varpi for the quadratic polynomial", worst, tol)]
+    return worst
 
 
-@_register("higher_transgression_theorem", "bott", groups=("su2",),
+@_register("bott", "higher_transgression_theorem", tol=1e-3, groups=("su2",),
            identity="d_G varpi^p_G(x) = a* eta^p_G(x)")
-def check_higher_transgression(ctx):
-    rng = ctx.rng("higher_transgression_theorem")
+def check_higher_transgression(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1619,16 +1420,13 @@ def check_higher_transgression(ctx):
     lhs1 = -vform(g, xa, secs[0])
     rhs1 = etaPG(x, g, [secs[0]])
     worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
-    tol = ctx.tolerance("bott", "higher_transgression_theorem", 1e-3)
-    return [_result(ctx, "higher_transgression_theorem", "bott",
-                    "d_G varpi^p_G(x) = a* eta^p_G(x)", worst, tol)]
+    return worst
 
 
-@_register("pressley_segal", "bott", groups=("su2", "so3", "torus2"),
+@_register("bott", "pressley_segal", tol=1e-6, groups=("su2", "so3", "torus2"),
            identity="sigma^p restricted to loops is the Kac-Moody cocycle int xi'.zeta",
-           sub_results=("pressley_segal_closed",))
-def check_pressley_segal(ctx):
-    rng = ctx.rng("pressley_segal")
+           sub_results=[("pressley_segal_closed", "d_CE sigma^p = 0 on loop triples", 1e-4)])
+def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
@@ -1660,29 +1458,17 @@ def check_pressley_segal(ctx):
     for (i, j, k), sgn in (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 2, 0), 1.0)):
         br = albr.bracket(loops[i], loops[j], h=ctx.h)
         ce += sgn * ps(ge, [br, loops[k]])
-    worst_ce = abs(ce)
-    tol = ctx.tolerance("bott", "pressley_segal", 1e-6)
-    tol_ce = ctx.tolerance("bott", "pressley_segal_closed", 1e-4)
-    return [
-        _result(ctx, "pressley_segal", "bott",
-                "sigma^p restricted to loops is the Kac-Moody cocycle int xi'.zeta",
-                worst, tol, notes=f"recorded sign {sign:g}; spot value {spot:.9f}"),
-        _result(ctx, "pressley_segal_closed", "bott",
-                "d_CE sigma^p = 0 on loop triples", worst_ce, tol_ce),
-    ]
+    return ({"pressley_segal": worst, "pressley_segal_closed": abs(ce)},
+            {"notes": f"recorded sign {sign:g}; spot value {spot:.9f}"})
 
 
-@_register("cubic_polynomial_suite", "bott", groups=("su2", "heisenberg3"),
+@_register("bott", "cubic_polynomial_suite", tol=1e-3, groups=("su2", "heisenberg3"),
            identity="cubic p: equivariant transgression and the explicit-formula degeneration")
-def check_cubic_suite(ctx):
-    rng = ctx.rng("cubic_polynomial_suite")
+def check_cubic_suite(ctx, rng):
     alg = ctx.algebra
     p3 = cubic_polynomial(alg)
-    name = "cubic_polynomial_suite"
-    ident = "cubic p: equivariant transgression and the explicit-formula degeneration"
     if p3 is None:
-        return [_result(ctx, name, "bott", ident, 0.0, 1.0,
-                        notes="no invariant cubic exists for this algebra; suite skipped")]
+        return 0.0, {"notes": "no invariant cubic exists for this algebra; suite skipped"}
     conv = ctx.conventions()
     vpg = bt.varpi_p_equivariant(p3, conv, h=ctx.h)
     _, etaPG = bt.eta_p_form(p3, conv, h=ctx.h)
@@ -1723,19 +1509,16 @@ def check_cubic_suite(ctx):
 
     both = max(abs(ps3(ge, loops)), abs(integrate_01(explicit, ctx.coarse_grid)))
     worst = max(worst, both)
-    tol = ctx.tolerance("bott", "cubic_polynomial_suite", 1e-3)
-    return [_result(ctx, name, "bott", ident, worst, tol,
-                    notes="explicit-formula routes both vanish (invariant cubic kills brackets)")]
+    return worst, {"notes": "explicit-formula routes both vanish (invariant cubic kills brackets)"}
 
 
 # ---------------------------------------------------------------------------
 # fusion suite
 # ---------------------------------------------------------------------------
 
-@_register("concat_generators", "fusion", groups=("su2", "so3", "torus2"),
+@_register("fusion", "concat_generators", tol=1e-10, groups=("su2", "so3", "torus2"),
            identity="generators concatenate to generators; closed-form fusion identity")
-def check_concat_generators(ctx):
-    rng = ctx.rng("concat_generators")
+def check_concat_generators(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -1757,16 +1540,12 @@ def check_concat_generators(ctx):
         worst = max(worst, float(np.linalg.norm(
             cat.v(gm) - (alg.Ad(gm, x) - x))))
         worst = max(worst, cat.compatibility_residual(gm))
-    tol = ctx.tolerance("fusion", "concat_generators", 1e-10)
-    return [_result(ctx, "concat_generators", "fusion",
-                    "generators concatenate to generators; closed-form fusion identity",
-                    worst, tol)]
+    return worst
 
 
-@_register("concat_structure", "fusion",
+@_register("fusion", "concat_structure", tol=1e-8,
            identity="a(xi2 * xi1) = Ad_{g2} v1 + v2; seam and associativity")
-def check_concat_structure(ctx):
-    rng = ctx.rng("concat_structure")
+def check_concat_structure(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
@@ -1806,16 +1585,12 @@ def check_concat_structure(ctx):
         return 0.5 * t + 0.5
     for t in np.linspace(0.0, 1.0, 33):
         worst = max(worst, float(np.linalg.norm(left(dyadic(t)) - right(t))))
-    tol = ctx.tolerance("fusion", "concat_structure", 1e-8)
-    return [_result(ctx, "concat_structure", "fusion",
-                    "a(xi2 * xi1) = Ad_{g2} v1 + v2; seam and associativity",
-                    worst, tol)]
+    return worst
 
 
-@_register("pair_bracket_closure", "fusion",
+@_register("fusion", "pair_bracket_closure", tol=1e-6,
            identity="the bracket of composable pairs is again composable")
-def check_pair_bracket_closure(ctx):
-    rng = ctx.rng("pair_bracket_closure")
+def check_pair_bracket_closure(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(2):
@@ -1823,16 +1598,12 @@ def check_pair_bracket_closure(ctx):
         p = fu.pair_from_template(alg, rng, bump=ctx.bump)
         q = fu.pair_from_template(alg, rng, bump=ctx.bump)
         worst = max(worst, fu.pair_bracket(p, q, h=ctx.h).seam_residual(g2, g1))
-    tol = ctx.tolerance("fusion", "pair_bracket_closure", 1e-6)
-    return [_result(ctx, "pair_bracket_closure", "fusion",
-                    "the bracket of composable pairs is again composable",
-                    worst, tol)]
+    return worst
 
 
-@_register("fusion_two_form", "fusion",
+@_register("fusion", "fusion_two_form", tol=1e-4,
            identity="mult! varpi = pr1! varpi + pr2! varpi - lambda")
-def check_fusion_two_form(ctx):
-    rng = ctx.rng("fusion_two_form")
+def check_fusion_two_form(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     n_pairs = max(ctx.samples, 8)
@@ -1841,16 +1612,12 @@ def check_fusion_two_form(ctx):
         p = fu.pair_from_template(alg, rng, bump=ctx.bump)
         q = fu.pair_from_template(alg, rng, bump=ctx.bump)
         worst = max(worst, fu.fusion_residual(p, q, g2, g1, ctx.grid))
-    tol = ctx.tolerance("fusion", "fusion_two_form", 1e-4)
-    return [_result(ctx, "fusion_two_form", "fusion",
-                    "mult! varpi = pr1! varpi + pr2! varpi - lambda",
-                    worst, tol, params={"group": ctx.group_name, "pairs": n_pairs})]
+    return worst, {"pairs": n_pairs}
 
 
-@_register("lambda_cartan_form", "fusion",
+@_register("fusion", "lambda_cartan_form", tol=1e-4,
            identity="mult* eta = pr1* eta + pr2* eta - d lambda")
-def check_lambda_cartan(ctx):
-    rng = ctx.rng("lambda_cartan_form")
+def check_lambda_cartan(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     worst = 0.0
@@ -1858,19 +1625,16 @@ def check_lambda_cartan(ctx):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         triples = [(alg.random_vector(rng), alg.random_vector(rng)) for _ in range(3)]
         worst = max(worst, fu.mult_eta_residual(alg, eta, g2, g1, triples, h=ctx.h))
-    tol = ctx.tolerance("fusion", "lambda_cartan_form", 1e-4)
-    return [_result(ctx, "lambda_cartan_form", "fusion",
-                    "mult* eta = pr1* eta + pr2* eta - d lambda", worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # courant suite
 # ---------------------------------------------------------------------------
 
-@_register("isotropy", "courant",
+@_register("courant", "isotropy", tol=1e-10,
            identity="<f(xi), f(xi)> = 0 for f(xi) = (xi, i_xi varpi)")
-def check_isotropy(ctx):
-    rng = ctx.rng("isotropy")
+def check_isotropy(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     worst = 0.0
@@ -1879,15 +1643,12 @@ def check_isotropy(ctx):
         z = random_twisted_loop(alg, rng, bump=ctx.bump)
         el = fu.CourantElement(z, fm.contract(vform, z))
         worst = max(worst, abs(fu.courant_pairing(el, el, g)))
-    tol = ctx.tolerance("courant", "isotropy", 1e-10)
-    return [_result(ctx, "isotropy", "courant",
-                    "<f(xi), f(xi)> = 0 for f(xi) = (xi, i_xi varpi)", worst, tol)]
+    return worst
 
 
-@_register("loop_action_brackets", "courant",
+@_register("courant", "loop_action_brackets", tol=1e-4,
            identity="[[f(x1), f(x2)]] = f([x1, x2]) for loop sections")
-def check_loop_action(ctx):
-    rng = ctx.rng("loop_action_brackets")
+def check_loop_action(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
     worst = 0.0
@@ -1904,15 +1665,12 @@ def check_loop_action(ctx):
         t0 = rng.uniform(0.2, 0.8)
         worst = max(worst, float(np.linalg.norm(
             cb.section.profile(g, t0) - br.profile(g, t0))))
-    tol = ctx.tolerance("courant", "loop_action_brackets", 1e-4)
-    return [_result(ctx, "loop_action_brackets", "courant",
-                    "[[f(x1), f(x2)]] = f([x1, x2]) for loop sections", worst, tol)]
+    return worst
 
 
-@_register("reduced_twist", "courant",
+@_register("courant", "reduced_twist", tol=1e-4,
            identity="[[f(v1)+a1, f(v2)+a2]] = f([v1,v2]) + i_{v2} i_{v1} a* eta + L_{v1} a2 - i_{v2} d a1")
-def check_reduced_twist(ctx):
-    rng = ctx.rng("reduced_twist")
+def check_reduced_twist(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
     eta = fm.cartan_three_form(alg)
@@ -1928,10 +1686,7 @@ def check_reduced_twist(ctx):
                               * float(np.sin(alg.pairing(c1, alg.Ad(gg, c1)))))
         worst = max(worst, fu.reduced_bracket_residual(
             vform, eta, v1, v2, a1, a2, chi, g, h=ctx.h))
-    tol = ctx.tolerance("courant", "reduced_twist", 1e-4)
-    return [_result(ctx, "reduced_twist", "courant",
-                    "[[f(v1)+a1, f(v2)+a2]] = f([v1,v2]) + i_{v2} i_{v1} a* eta + L_{v1} a2 - i_{v2} d a1",
-                    worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -1943,29 +1698,24 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
-@_register("class_equivariance", "qham", groups=("su2",),
+@_register("qham", "class_equivariance", tol=1e-10, groups=("su2",),
            identity="Phi(k.m) = k Phi(m) k^{-1} on the conjugacy class")
-def check_class_equivariance(ctx):
-    rng = ctx.rng("class_equivariance")
+def check_class_equivariance(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
     worst = 0.0
     for _ in range(ctx.samples):
         worst = max(worst, klass.equivariance_residual(
             alg.random_group(rng), _unit(rng)))
-    tol = ctx.tolerance("qham", "class_equivariance", 1e-10)
-    return [_result(ctx, "class_equivariance", "qham",
-                    "Phi(k.m) = k Phi(m) k^{-1} on the conjugacy class", worst, tol)]
+    return worst
 
 
-@_register("moment_sign_oracle", "qham", groups=("su2",),
+@_register("qham", "moment_sign_oracle", tol=1e-4, groups=("su2",),
            identity="omega(x_M, .) = -(1/2) Phi*((theta^L + theta^R).x) fixes the sign of omega")
-def check_moment_oracle(ctx):
-    rng = ctx.rng("moment_sign_oracle")
+def check_moment_oracle(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
-    sign, residuals = qh.calibrate_ghjw(klass, rng,
-                                        tol=ctx.tolerance("qham", "moment_sign_oracle", 1e-4))
+    sign, residuals = qh.calibrate_ghjw(klass, rng)
     omega = qh.ghjw_omega(klass, sign)
     worst = residuals[sign]
     # pinned magnitude at the quarter-turn example
@@ -1974,16 +1724,12 @@ def check_moment_oracle(ctx):
     t2 = klass.generator_field(np.array([0.0, 1.0, 0.0]), n0)
     mag = abs(omega(n0, t1, t2))
     worst = max(worst, abs(mag - 1.0))
-    tol = ctx.tolerance("qham", "moment_sign_oracle", 1e-4)
-    return [_result(ctx, "moment_sign_oracle", "qham",
-                    "omega(x_M, .) = -(1/2) Phi*((theta^L + theta^R).x) fixes the sign of omega",
-                    worst, tol, notes=f"sign {sign:g}; |omega| = {mag:.6f} at the example")]
+    return worst, {"notes": f"sign {sign:g}; |omega| = {mag:.6f} at the example"}
 
 
-@_register("pullback_bracket_laws", "qham", groups=("su2",),
+@_register("qham", "pullback_bracket_laws", tol=1e-4, groups=("su2",),
            identity="[(X,xi),(Y,zeta)] = ([X,Y], -[xi,zeta] + X zeta - Y xi): seam and Jacobi")
-def check_pullback_bracket(ctx):
-    rng = ctx.rng("pullback_bracket_laws")
+def check_pullback_bracket(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
     n = _unit(rng)
@@ -2011,17 +1757,18 @@ def check_pullback_bracket(ctx):
                              qh.pullback_generator(klass, y))
     want = -alg.bracket(x, y)  # constant profile of the bracket generator
     worst = max(worst, float(np.linalg.norm(gb.profile(n, 0.3) - want)))
-    tol = ctx.tolerance("qham", "pullback_bracket_laws", 1e-4)
-    return [_result(ctx, "pullback_bracket_laws", "qham",
-                    "[(X,xi),(Y,zeta)] = ([X,Y], -[xi,zeta] + X zeta - Y xi): seam and Jacobi",
-                    worst, tol)]
+    return worst
 
 
-@_register("kernel_theorem", "qham", groups=("su2",),
+@_register("qham", "kernel_theorem", tol=0.0, groups=("su2",),
            identity="ker(a* omega + varpi_M) = g + (ker omega ∩ ker dPhi), probed on a truncated basis",
-           sub_results=("kernel_generator_rows", "kernel_loop_velocity", "kernel_basis_seams"))
-def check_kernel_theorem(ctx):
-    rng = ctx.rng("kernel_theorem")
+           sub_results=[
+               ("kernel_generator_rows",
+                "generator elements pair to zero against the whole probe basis", 1e-5),
+               ("kernel_loop_velocity",
+                "kernel vectors have stationary loop parts (xi' = 0)", 1e-4),
+               ("kernel_basis_seams", "every probe element satisfies its seam", 1e-8)])
+def check_kernel_theorem(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
     sign, _ = qh.calibrate_ghjw(klass, rng)
@@ -2044,48 +1791,29 @@ def check_kernel_theorem(ctx):
                 for j in range(null.shape[1]):
                     dpath = np.einsum("a,atd->td", null[:, j], basis.derivs)
                     loop_worst = max(loop_worst, float(np.abs(dpath).max()))
-    dim_resid = float(max(abs(d - 3) for d in dims))
-    results = [
-        _result(ctx, "kernel_theorem", "qham",
-                "ker(a* omega + varpi_M) = g + (ker omega ∩ ker dPhi), probed on a truncated basis",
-                dim_resid, ctx.tolerance("qham", "kernel_theorem", 0.0),
-                params={"group": ctx.group_name, "n_max": [4, 6, 8],
-                        "thresholds": [1e-7, 1e-8, 1e-9]},
-                notes=f"dimension 3 across sweeps; dependencies dropped {sorted(set(dropped))}"),
-        _result(ctx, "kernel_generator_rows", "qham",
-                "generator elements pair to zero against the whole probe basis",
-                gen_worst, ctx.tolerance("qham", "kernel_generator_rows", 1e-5)),
-        _result(ctx, "kernel_loop_velocity", "qham",
-                "kernel vectors have stationary loop parts (xi' = 0)",
-                loop_worst, ctx.tolerance("qham", "kernel_loop_velocity", 1e-4)),
-        _result(ctx, "kernel_basis_seams", "qham",
-                "every probe element satisfies its seam",
-                seam_worst, ctx.tolerance("qham", "kernel_basis_seams", 1e-8)),
-    ]
-    return results
+    residuals = {"kernel_theorem": max(abs(d - 3) for d in dims),
+                 "kernel_generator_rows": gen_worst, "kernel_loop_velocity": loop_worst,
+                 "kernel_basis_seams": seam_worst}
+    return residuals, {
+        "n_max": [4, 6, 8], "thresholds": [1e-7, 1e-8, 1e-9],
+        "notes": f"dimension 3 across sweeps; dependencies dropped {sorted(set(dropped))}"}
 
 
-@_register("abelian_kernel", "qham", groups=("torus2",),
+@_register("qham", "abelian_kernel", tol=0.0, groups=("torus2",),
            identity="abelian degeneration: kernel = constants + ker dPhi")
-def check_abelian_kernel(ctx):
-    rng = ctx.rng("abelian_kernel")
+def check_abelian_kernel(ctx, rng):
     alg = ctx.algebra
     klass = qh.TrivialClass(alg)
     n = _unit(rng)
     basis = qh.TruncatedBasis(klass, n, 4, ctx.grid)
     dim, null, s, ndrop = qh.gram_kernel(basis, None)
     expected = alg.dim + 2
-    tol = ctx.tolerance("qham", "abelian_kernel", 0.0)
-    return [_result(ctx, "abelian_kernel", "qham",
-                    "abelian degeneration: kernel = constants + ker dPhi",
-                    float(abs(dim - expected)), tol,
-                    notes=f"dimension {dim}, expected {expected}")]
+    return float(abs(dim - expected)), {"notes": f"dimension {dim}, expected {expected}"}
 
 
-@_register("pullback_three_form", "qham", groups=("su2",),
+@_register("qham", "pullback_three_form", tol=1e-4, groups=("su2",),
            identity="d_G varpi_M(x) = a_M* Phi* eta_G(x) on the class")
-def check_pullback_three_form(ctx):
-    rng = ctx.rng("pullback_three_form")
+def check_pullback_three_form(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
     n = _unit(rng)
@@ -2123,15 +1851,12 @@ def check_pullback_three_form(ctx):
     w = klass.push_tangent(n, secs[0].xfield(n))
     rhs1 = -0.5 * alg.pairing(alg.Ad(alg.inv(g), w) + w, x)
     worst = max(worst, abs(lhs1 - rhs1))
-    tol = ctx.tolerance("qham", "pullback_three_form", 1e-4)
-    return [_result(ctx, "pullback_three_form", "qham",
-                    "d_G varpi_M(x) = a_M* Phi* eta_G(x) on the class", worst, tol)]
+    return worst
 
 
-@_register("pullback_cochain", "qham", groups=("su2",),
+@_register("qham", "pullback_cochain", tol=1e-4, groups=("su2",),
            identity="d(Phi* omega) = Phi*(d omega) for de Rham forms on the class")
-def check_pullback_cochain(ctx):
-    rng = ctx.rng("pullback_cochain")
+def check_pullback_cochain(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
     n = _unit(rng)
@@ -2161,16 +1886,12 @@ def check_pullback_cochain(ctx):
     lhs = float(d1) - float(d2) - pom(n, br)
     rhs = pdom(n, f1(n), f2(n))
     worst = abs(lhs - rhs)
-    tol = ctx.tolerance("qham", "pullback_cochain", 1e-4)
-    return [_result(ctx, "pullback_cochain", "qham",
-                    "d(Phi* omega) = Phi*(d omega) for de Rham forms on the class",
-                    worst, tol)]
+    return worst
 
 
-@_register("based_projection", "qham",
+@_register("qham", "based_projection", tol=1e-10,
            identity="q(xi) = xi - xi(0) vanishes at 0 with a(q xi) = a(xi) + xi(0)_G")
-def check_based_projection(ctx):
-    rng = ctx.rng("based_projection")
+def check_based_projection(ctx, rng):
     alg = ctx.algebra
     worst = 0.0
     for _ in range(ctx.samples):
@@ -2180,16 +1901,12 @@ def check_based_projection(ctx):
         worst = max(worst, at0, shift)
         q = qh.project_based(xi)
         worst = max(worst, q.compatibility_residual(g))
-    tol = ctx.tolerance("qham", "based_projection", 1e-10)
-    return [_result(ctx, "based_projection", "qham",
-                    "q(xi) = xi - xi(0) vanishes at 0 with a(q xi) = a(xi) + xi(0)_G",
-                    worst, tol)]
+    return worst
 
 
-@_register("subalgebroid_projection", "qham", groups=("heisenberg3",),
+@_register("qham", "subalgebroid_projection", tol=1e-6, groups=("heisenberg3",),
            identity="q(E) of an invariant subalgebroid transverse to the generators is bracket-closed")
-def check_subalgebroid(ctx):
-    rng = ctx.rng("subalgebroid_projection")
+def check_subalgebroid(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng)
     z = np.array([0.0, 0.0, 1.0])
@@ -2231,16 +1948,12 @@ def check_subalgebroid(ctx):
                       np.array([q2.profile(g, t) for t in ts]).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
     worst = max(worst, float(np.linalg.norm(target - a_mat @ coef)))
-    tol = ctx.tolerance("qham", "subalgebroid_projection", 1e-6)
-    return [_result(ctx, "subalgebroid_projection", "qham",
-                    "q(E) of an invariant subalgebroid transverse to the generators is bracket-closed",
-                    worst, tol)]
+    return worst
 
 
-@_register("abelian_collapse", "qham", groups=("torus2",),
+@_register("qham", "abelian_collapse", tol=1e-10, groups=("torus2",),
            identity="abelian degeneration: curvature, eta and twist quantities vanish identically")
-def check_abelian_collapse(ctx):
-    rng = ctx.rng("abelian_collapse")
+def check_abelian_collapse(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     alpha = _invariant_family(ctx, rng)
@@ -2260,10 +1973,7 @@ def check_abelian_collapse(ctx):
     jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg, bump=ctx.bump),
                                       fields, g, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
     worst = max(worst, abs(jac))
-    tol = ctx.tolerance("qham", "abelian_collapse", 1e-10)
-    return [_result(ctx, "abelian_collapse", "qham",
-                    "abelian degeneration: curvature, eta and twist quantities vanish identically",
-                    worst, tol)]
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -2283,8 +1993,7 @@ def list_checks(group=None, suites=None):
 
 def result_keys():
     """Every `suite.check` a verify run can report: the valid tolerance keys."""
-    return {f"{spec.suite}.{name}" for spec in REGISTRY
-            for name in (spec.name, *spec.sub_results)}
+    return {f"{spec.suite}.{name}" for spec in REGISTRY for name, _, _ in spec.results}
 
 
 def run_checks(group, config, suites=None, progress=None):
@@ -2294,11 +2003,7 @@ def run_checks(group, config, suites=None, progress=None):
     """
     ctx = CheckContext(group, config)
     results = []
-    for spec in REGISTRY:
-        if suites and spec.suite not in suites:
-            continue
-        if not spec.applicable(group):
-            continue
+    for spec in list_checks(group, suites):
         start = time.perf_counter()
         out = spec.fn(ctx)
         elapsed = (time.perf_counter() - start) * 1000.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -77,8 +78,10 @@ def validate_config(config):
     if n < 3 or n % 2 == 0:
         raise ConfigError("n_points must be an odd integer >= 3")
     fd = float(config.get("fd_step", 1e-4))
-    if not (0.0 < fd <= 1e-2):
-        raise ConfigError("fd_step must lie in (0, 1e-2]")
+    if not (2e-5 <= fd <= 3e-3):
+        # where every check was seen to pass at its default tolerance: above
+        # it Richardson truncation, below it round-off nears the ladder
+        raise ConfigError("fd_step must lie in [2e-5, 3e-3]")
     samples = int(config.get("samples", 4))
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -99,6 +102,17 @@ def validate_config(config):
     config["t_step"] = float(config.get("t_step", 1e-5))
 
 
+def _margin(residual, tolerance):
+    """residual / tolerance, or None where that is no finite number.
+
+    A zero tolerance admits only a zero residual, whose margin is 0.
+    """
+    if tolerance == 0.0:
+        return 0.0 if residual == 0.0 else None
+    margin = residual / tolerance
+    return margin if math.isfinite(margin) else None
+
+
 def _report_payload(config, results, convention_table):
     checks = []
     for r in sorted(results, key=lambda r: (r.suite, r.name)):
@@ -109,6 +123,7 @@ def _report_payload(config, results, convention_table):
             "params": r.params,
             "residual": repr(r.residual),
             "tolerance": r.tolerance,
+            "margin": _margin(r.residual, r.tolerance),
             "pass": r.passed,
             "runtime_ms": round(r.runtime_ms, 3),
             "notes": r.notes,
@@ -177,8 +192,9 @@ def cmd_list_checks(args):
         return EXIT_CONFIG_ERROR
     for spec in list_checks(group=group, suites=suites):
         scope = "all groups" if spec.groups is None else ", ".join(spec.groups)
-        print(f"{spec.suite}.{spec.name}  [{scope}]")
-        print(f"    {spec.identity}")
+        for name, identity, _ in spec.results:
+            print(f"{spec.suite}.{name}  [{scope}]")
+            print(f"    {identity}")
     return EXIT_OK
 
 

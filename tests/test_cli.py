@@ -3,12 +3,13 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from atiyahcheck.checks import REGISTRY
+from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -42,6 +43,17 @@ def test_config_error_bad_tol():
     assert main(["verify", "--tol", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("fd_step, code", [("1e-2", 2), ("5e-3", 2), ("1e-5", 2), ("1e-6", 2),
+                                           ("3e-3", 0), ("2e-5", 0)])
+def test_fd_step_range(monkeypatch, fd_step, code):
+    # on su2, 1e-2 fails bracket_leibniz (5e-3 takes it to margin 0.99) and 1e-5
+    # and 1e-6 fail bracket_jacobi
+    from atiyahcheck import cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
+    assert cli.main(["verify", "--group", "su2", "--fd-step", fd_step, "--quiet"]) == code
+
+
 def test_config_error_unknown_tol_key(monkeypatch):
     from atiyahcheck import cli
 
@@ -63,6 +75,20 @@ def test_tol_key_of_sub_result_accepted(monkeypatch):
     assert seen[0]["tol_overrides"] == {"qham.kernel_loop_velocity": 2e-4}
 
 
+@pytest.mark.parametrize("group, check, key", [
+    ("torus2", "pressley_segal", "bott.pressley_segal_closed"),
+    ("torus2", "eta_value", "forms.eta_value"),
+    ("su2", "cubic_polynomial_suite", "bott.cubic_polynomial_suite"),
+])
+def test_tol_override_is_the_result_tolerance(group, check, key):
+    # every result, sub-results and early returns included, takes its --tol override
+    spec = next(s for s in REGISTRY if s.name == check)
+    ctx = CheckContext(group, {"samples": 2, "tol_overrides": {key: 3e-3}})
+    expected = {f"{spec.suite}.{name}": tol for name, _, tol in spec.results}
+    expected[key] = 3e-3
+    assert {f"{r.suite}.{r.name}": r.tolerance for r in spec.fn(ctx)} == expected
+
+
 def test_verify_report_schema(tmp_path):
     report = tmp_path / "out.json"
     code = main(["verify", "--group", "torus2", "--suite", "courant",
@@ -74,9 +100,22 @@ def test_verify_report_schema(tmp_path):
     assert data["summary"]["failed"] == 0
     assert data["summary"]["total"] == len(data["checks"])
     for check in data["checks"]:
-        assert set(check) >= {"suite", "check_name", "identity", "params",
-                              "residual", "tolerance", "pass", "runtime_ms"}
-        assert check["pass"] == (float(check["residual"]) <= check["tolerance"])
+        assert set(check) >= {"suite", "check_name", "identity", "params", "residual",
+                              "tolerance", "margin", "pass", "runtime_ms"}
+        residual, tol = float(check["residual"]), check["tolerance"]
+        assert check["pass"] == (residual <= tol)
+        if tol:
+            assert check["margin"] == residual / tol
+        else:
+            assert check["margin"] == (0.0 if residual == 0.0 else None)
+
+
+def test_margin_of_zero_tolerance():
+    from atiyahcheck.cli import _margin
+
+    assert _margin(0.0, 0.0) == 0.0
+    assert _margin(1.0, 0.0) is None
+    assert _margin(2e-5, 1e-4) == pytest.approx(0.2)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -113,10 +152,17 @@ def test_tolerance_override_can_fail(tmp_path):
     assert code == 1
 
 
-def test_no_orphan_identities():
+def test_readme_table_matches_registry():
+    # one README row per declared result, and no row that no check reports
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    missing = [spec.name for spec in REGISTRY if spec.identity not in readme]
-    assert not missing, f"identities missing from README: {missing}"
+    table = re.findall(r"^\| (\w+) \| `(\w+)` \| (.+) \| ([^|]+) \|$", readme, re.M)
+    declared = [(spec.suite, name, identity,
+                 "all" if spec.groups is None else ", ".join(spec.groups))
+                for spec in REGISTRY for name, identity, _ in spec.results]
+    assert len(declared) == len(set(declared))
+    assert set(table) - set(declared) == set(), "README rows no check declares"
+    assert set(declared) - set(table) == set(), "declared results missing from README"
+    assert len(table) == len(declared)
 
 
 def test_convention_abort_exit_code(monkeypatch):
