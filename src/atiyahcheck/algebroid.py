@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sections import AlgebroidSection, extend, time_derivative
+from .sections import AlgebroidSection, InterpolatedFamily, extend, time_derivative
 
 __all__ = [
     "anchor",
@@ -22,7 +22,6 @@ __all__ = [
     "connection_apply",
     "curvature",
     "generator_vertical_part",
-    "kappa_value",
     "KappaFamily",
 ]
 
@@ -81,13 +80,11 @@ def generator(algebra, x):
     return sec
 
 
-class ConnectionFamily:
+class ConnectionFamily(InterpolatedFamily):
     """A t-family of g-valued 1-forms alpha_t with alpha_{t+1} = g . alpha_t.
 
-    Built from a base form alpha_0(g, v) by the standard interpolation
-    alpha_t = alpha_n + f(t - n)(alpha_{n+1} - alpha_n) with
-    alpha_n = g^n . alpha_0, where g . a = Ad_g a - theta^R is the gauge
-    action.  Gauge periodicity holds by construction for every real t.
+    alpha_t(g, v) interpolates alpha_n = g^n . alpha_0 through the bump, where
+    g . a = Ad_g a - theta^R is the gauge action: the step (k, c) = (g, -v).
     """
 
     def __init__(self, algebra, alpha0, bump, invariant=False):
@@ -96,45 +93,24 @@ class ConnectionFamily:
         self.bump = bump
         self.invariant = invariant
 
-    def _alpha_n(self, n, g, v):
-        """alpha_n(g, v) = (g^n . alpha_0)(g, v) by the gauge recursion."""
-        alg = self.algebra
-        val = self.alpha0(g, v)
-        if n > 0:
-            for _ in range(n):
-                val = alg.Ad(g, val) - v
-            return val
-        ginv = alg.inv(g)
-        for _ in range(-n):
-            val = alg.Ad(ginv, val + v)
-        return val
+    def base(self, g, v):
+        return self.alpha0(g, v)
 
-    def __call__(self, t, g, v):
-        n = int(np.floor(t))
-        s = t - n
-        an = self._alpha_n(n, g, v)
-        an1 = self._alpha_n(n + 1, g, v)
-        return an + self.bump(s) * (an1 - an)
-
-    def tderiv(self, t, g, v):
-        n = int(np.floor(t))
-        s = t - n
-        an = self._alpha_n(n, g, v)
-        an1 = self._alpha_n(n + 1, g, v)
-        return self.bump.deriv(s) * (an1 - an)
+    def step(self, g, v):
+        return g, -np.asarray(v, dtype=float)
 
     def gauge_residual(self, t, g, v):
         """|alpha_{t+1} - Ad_g alpha_t + v| at the sample."""
-        lhs = self(t + 1.0, g, v)
-        rhs = self.algebra.Ad(g, self(t, g, v)) - np.asarray(v, dtype=float)
+        lhs = self.value(t + 1.0, g, v)
+        rhs = self.algebra.Ad(g, self.value(t, g, v)) - np.asarray(v, dtype=float)
         return float(np.linalg.norm(lhs - rhs))
 
     def equivariance_residual(self, t, g, v, k):
         """|alpha_t(Ad_k g)(Ad_k v) - Ad_k alpha_t(g)(v)| for invariant families."""
         alg = self.algebra
         gk = k @ g @ alg.inv(k)
-        lhs = self(t, gk, alg.Ad(k, v))
-        rhs = alg.Ad(k, self(t, g, v))
+        lhs = self.value(t, gk, alg.Ad(k, v))
+        rhs = alg.Ad(k, self.value(t, g, v))
         return float(np.linalg.norm(lhs - rhs))
 
 
@@ -174,7 +150,7 @@ def connection_apply(alpha, xi):
     alg = alpha.algebra
 
     def profile(g, t):
-        return xi.profile(g, t) + alpha(t, g, xi.v(g))
+        return xi.profile(g, t) + alpha.value(t, g, xi.v(g))
 
     def v(g):
         return np.zeros(alg.dim)
@@ -195,10 +171,10 @@ def curvature(alpha, g, t, v, w, h=1e-4):
     D_v alpha_t(., w) - D_w alpha_t(., v) - alpha_t(g, -[v, w]).
     """
     alg = alpha.algebra
-    d = alg.directional(lambda gg: alpha(t, gg, w), g, v, h=h)
-    d = d - alg.directional(lambda gg: alpha(t, gg, v), g, w, h=h)
-    d = d - alpha(t, g, -alg.bracket(v, w))
-    return d + alg.bracket(alpha(t, g, v), alpha(t, g, w))
+    d = alg.directional(lambda gg: alpha.value(t, gg, w), g, v, h=h)
+    d = d - alg.directional(lambda gg: alpha.value(t, gg, v), g, w, h=h)
+    d = d - alpha.value(t, g, -alg.bracket(v, w))
+    return d + alg.bracket(alpha.value(t, g, v), alpha.value(t, g, w))
 
 
 def generator_vertical_part(alpha, x, g, t):
@@ -210,29 +186,33 @@ def generator_vertical_part(alpha, x, g, t):
         raise ValueError("generator decomposition needs an invariant connection")
     alg = alpha.algebra
     x = np.asarray(x, dtype=float)
-    return -x + alpha(t, g, alg.Ad(g, x) - x)
-
-
-def kappa_value(xi, g, t):
-    """The tautological family kappa_t(xi) = -xi(g, t)."""
-    return -extend(xi, g, t)
+    return -x + alpha.value(t, g, alg.Ad(g, x) - x)
 
 
 class KappaFamily:
-    """kappa_t as a OneFormFamily-compatible object: algebroid valued, gauge g.
+    """The tautological family kappa_t(xi) = -xi(g, t), algebroid valued.
 
-    kappa_t(xi) = -xi_t; the gauge element is the identity map g -> g, and
-    kappa_{t+1} = Ad_g kappa_t - a* theta^R follows from the seam rule.
+    Its gauge is the identity map g -> g: kappa_{t+1} = Ad_g kappa_t - a* theta^R
+    is the seam rule of the sections.  tderiv differentiates in t with the
+    family's own step h_t.
     """
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, h_t=1e-5):
         self.algebra = algebra
+        self.h_t = h_t
+
+    @staticmethod
+    def phi(g):
+        return g
 
     def value(self, t, g, xi):
-        return kappa_value(xi, g, t)
+        return -extend(xi, g, t)
 
-    def tderiv(self, t, g, xi, h_t=1e-5):
-        return -time_derivative(xi, g, t, h_t=h_t)
+    def tderiv(self, t, g, xi):
+        return -time_derivative(xi, g, t, h_t=self.h_t)
 
-    def gauge(self, g):
-        return g
+    def at(self, t):
+        """kappa_t as a g-valued algebroid 1-form."""
+        from .forms import AlgebroidForm
+        return AlgebroidForm(self.algebra, 1, lambda g, xi: self.value(t, g, xi),
+                             scalar=False, name=f"kappa_{t:g}")

@@ -22,17 +22,15 @@ import numpy as np
 
 from . import algebroid as albr
 from .algebroid import KappaFamily, generator
-from .forms import AlgebroidForm, DeRhamForm, cartan_three_form, pullback_anchor
+from .forms import AlgebroidForm, _perm_sign, cartan_three_form, pullback_anchor
 from .liealg import make_group, quadratic_polynomial
-from .sections import (AlgebroidSection, BumpFunction, TimeGrid, extend,
+from .sections import (BumpFunction, InterpolatedFamily, TimeGrid, gauge_steps,
                        integrate_01, random_section)
 
 __all__ = [
     "SimplexRule",
-    "GValuedOneForm",
     "oneform_zero",
     "oneform_theta_left",
-    "kappa_oneform",
     "gauge_transform",
     "map_theta_right",
     "map_theta_left",
@@ -47,7 +45,6 @@ __all__ = [
     "q_functional",
     "q_concat_lambda",
     "concat_families",
-    "KappaAsFamily",
     "eta_p_form",
     "varpi_p_equivariant",
     "pressley_segal_two_form",
@@ -101,32 +98,14 @@ class SimplexRule:
 # g-valued algebroid 1-forms
 # ---------------------------------------------------------------------------
 
-class GValuedOneForm:
-    """A g-valued 1-form on sections: value(g, section) -> coefficients."""
-
-    def __init__(self, algebra, value, name=""):
-        self.algebra = algebra
-        self._value = value
-        self.name = name
-
-    def __call__(self, g, sec):
-        return np.asarray(self._value(g, sec), dtype=float)
-
-
 def oneform_zero(algebra):
-    return GValuedOneForm(algebra, lambda g, s: np.zeros(algebra.dim), name="0")
+    return AlgebroidForm(algebra, 1, lambda g, s: np.zeros(algebra.dim), scalar=False, name="0")
 
 
 def oneform_theta_left(algebra):
     """a* theta^L: the left Maurer-Cartan form on the anchor."""
-    return GValuedOneForm(
-        algebra, lambda g, s: algebra.Ad(algebra.inv(g), s.v(g)), name="a*thetaL")
-
-
-def kappa_oneform(algebra, t):
-    """The tautological form at fixed time: kappa_t(xi) = -xi(g, t)."""
-    return GValuedOneForm(algebra, lambda g, s: -extend(s, g, t),
-                          name=f"kappa_{t:g}")
+    return AlgebroidForm(algebra, 1, lambda g, s: algebra.Ad(algebra.inv(g), s.v(g)),
+                         scalar=False, name="a*thetaL")
 
 
 def map_theta_right(algebra, phi, g, v, h=1e-4):
@@ -149,14 +128,14 @@ def gauge_transform(phi, beta, h=1e-4):
         out = alg.Ad(phi(g), beta(g, sec))
         return out - map_theta_right(alg, phi, g, sec.v(g), h=h)
 
-    return GValuedOneForm(alg, value, name=f"Phi.{beta.name}")
+    return AlgebroidForm(alg, 1, value, scalar=False, name=f"Phi.{beta.name}")
 
 
-class GaugePeriodicFamily:
+class GaugePeriodicFamily(InterpolatedFamily):
     """A t-family of algebroid 1-forms with beta_{t+1} = Phi . beta_t.
 
-    Interpolated from beta_0 through the bump: beta_t = beta_n +
-    f(t - n)(beta_{n+1} - beta_n) with beta_n the n-fold gauge transform.
+    beta_t interpolates beta_n = Phi^n . beta_0 through the bump; the gauge
+    step is (k, c) = (Phi(g), -Phi* theta^R(a(sec))).
     """
 
     def __init__(self, algebra, beta0, phi, bump=None, h=1e-4):
@@ -166,60 +145,20 @@ class GaugePeriodicFamily:
         self.bump = bump if bump is not None else BumpFunction()
         self.h = h
 
-    def _beta_n(self, n, g, sec):
-        alg = self.algebra
-        val = self.beta0(g, sec)
-        v = sec.v(g)
-        if n >= 0:
-            for _ in range(n):
-                val = alg.Ad(self.phi(g), val) - map_theta_right(alg, self.phi, g, v, h=self.h)
-            return val
-        for _ in range(-n):
-            pinv_val = val + map_theta_right(alg, self.phi, g, v, h=self.h)
-            val = alg.Ad(alg.inv(self.phi(g)), pinv_val)
-        return val
+    def base(self, g, sec):
+        return self.beta0(g, sec)
 
-    def value(self, t, g, sec):
-        n = int(np.floor(t))
-        s = t - n
-        a = self._beta_n(n, g, sec)
-        b = self._beta_n(n + 1, g, sec)
-        return a + self.bump(s) * (b - a)
-
-    def tderiv(self, t, g, sec):
-        n = int(np.floor(t))
-        s = t - n
-        a = self._beta_n(n, g, sec)
-        b = self._beta_n(n + 1, g, sec)
-        return self.bump.deriv(s) * (b - a)
+    def step(self, g, sec):
+        return self.phi(g), -map_theta_right(self.algebra, self.phi, g, sec.v(g), h=self.h)
 
     def at(self, t):
-        return GValuedOneForm(self.algebra, lambda g, sec: self.value(t, g, sec),
-                              name=f"beta_{t:g}")
+        return AlgebroidForm(self.algebra, 1, lambda g, sec: self.value(t, g, sec),
+                             scalar=False, name=f"beta_{t:g}")
 
     def gauge_residual(self, t, g, sec):
         lhs = self.value(t + 1.0, g, sec)
         gt = gauge_transform(self.phi, self.at(t), h=self.h)
         return float(np.linalg.norm(lhs - gt(g, sec)))
-
-
-class KappaAsFamily:
-    """Adapter presenting kappa_t as a gauge-periodic family (gauge = id map)."""
-
-    def __init__(self, algebra, h_t=1e-5):
-        self.algebra = algebra
-        self._kf = KappaFamily(algebra)
-        self.h_t = h_t
-        self.phi = lambda g: g
-
-    def value(self, t, g, sec):
-        return self._kf.value(t, g, sec)
-
-    def tderiv(self, t, g, sec):
-        return self._kf.tderiv(t, g, sec, h_t=self.h_t)
-
-    def at(self, t):
-        return kappa_oneform(self.algebra, t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +229,6 @@ def _shuffle_blocks(indices, sizes):
             yield (combo,) + tail
 
 
-def _perm_sign_of(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 def _p_wedge(p, blocks, args_count):
     """Evaluate p on wedge blocks: list of (degree, evaluator-on-indices).
 
@@ -311,7 +240,7 @@ def _p_wedge(p, blocks, args_count):
     total = 0.0
     for assign in _shuffle_blocks(tuple(range(args_count)), tuple(sizes)):
         flat = tuple(i for blk in assign for i in blk)
-        sign = _perm_sign_of(flat)
+        sign = _perm_sign(flat)
         vecs = [blocks[m][1](assign[m]) for m in range(len(blocks))]
         total += sign * p(*vecs)
     return total
@@ -498,9 +427,10 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
 
     thl = oneform_theta_left(alg)
     c = alg.random_vector(rng, 0.5)
-    beta1 = GValuedOneForm(alg, lambda gg, s: thl(gg, s) * 0.4
-                           + alg.pairing(c, s.v(gg)) * c, name="beta1")
-    beta2 = kappa_oneform(alg, 0.3)
+    beta1 = AlgebroidForm(alg, 1, lambda gg, s: thl(gg, s) * 0.4
+                          + alg.pairing(c, s.v(gg)) * c, scalar=False, name="beta1")
+    kappa = KappaFamily(alg)
+    beta2 = kappa.at(0.3)
 
     # Stokes, k = 1: d Upsilon(b0, b1) = Upsilon(b1) - Upsilon(b0)
     rule1 = SimplexRule(1)
@@ -526,19 +456,18 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
 
     # rectangle: the quadratic identity varpi^p = varpi on a section pair
     from .lifting import canonical_two_form
-    fam = KappaAsFamily(alg)
     x = alg.random_vector(rng)
     zero = oneform_zero(alg)
-    kap0, kap1 = kappa_oneform(alg, 0.0), kappa_oneform(alg, 1.0)
+    kap0, kap1 = kappa.at(0.0), kappa.at(1.0)
     pair = args3[:2]
-    i_raw = rectangle_integral(p, fam, g, pair, x=x, h=h)
+    i_raw = rectangle_integral(p, kappa, g, pair, x=x, h=h)
     u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x, rule2, h)
     want = canonical_two_form(pair[0], pair[1], g, TimeGrid(201))
     rect = _pick_sign(i_raw, want + u2, tol, "quadratic varpi^p = varpi")
 
     # measured, recorded: orientation of the flat-family transgression identity
     iform = AlgebroidForm(alg, 2, lambda gg, *ss:
-                          rect * rectangle_integral(p, fam, gg, ss, x=x, h=h))
+                          rect * rectangle_integral(p, kappa, gg, ss, x=x, h=h))
     d_i = exterior_derivative(iform, h=h)
     lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x, rule1, h)
             - k1 * _upsilon_core(p, [zero, kap0], g, args3, x, rule1, h))
@@ -641,52 +570,37 @@ def q_concat_lambda(alg, phi1, phi2, g, a1, a2, h=1e-4):
 
 
 def concat_families(f1, f2, algebra):
-    """beta2 * beta1 with the doubled-speed parametrization and product gauge."""
+    """beta2 * beta1 with the doubled-speed parametrization and product gauge.
+
+    On [0, 1] the concatenation runs f1, then f2, at double speed; beyond it
+    extends by the gauge step of Phi2 Phi1, with the families' own h.
+    """
 
     class _Concat:
         def __init__(self):
             self.algebra = algebra
             self.phi = lambda g: f2.phi(g) @ f1.phi(g)
-            self.f1, self.f2 = f1, f2
+            self.h = f1.h
 
         def _base(self, t, g, sec, deriv):
-            if t <= 0.5:
-                fam, tt, speed = self.f1, 2.0 * t, 2.0
-            else:
-                fam, tt, speed = self.f2, 2.0 * t - 1.0, 2.0
-            if deriv:
-                return speed * fam.tderiv(tt, g, sec)
-            return fam.value(tt, g, sec)
+            fam, tt = (f1, 2.0 * t) if t <= 0.5 else (f2, 2.0 * t - 1.0)
+            return 2.0 * fam.tderiv(tt, g, sec) if deriv else fam.value(tt, g, sec)
 
         def value(self, t, g, sec):
-            n = int(np.floor(t))
-            s = t - n
-            val = self._base(s, g, sec, False)
-            alg = self.algebra
+            n = math.floor(t)
+            val = self._base(t - n, g, sec, False)
             if n == 0:
                 return val
-            v = sec.v(g)
-            if n > 0:
-                for _ in range(n):
-                    val = alg.Ad(self.phi(g), val) - map_theta_right(alg, self.phi, g, v)
-                return val
-            for _ in range(-n):
-                val = alg.Ad(alg.inv(self.phi(g)),
-                             val + map_theta_right(alg, self.phi, g, v))
-            return val
+            c = -map_theta_right(algebra, self.phi, g, sec.v(g), h=self.h)
+            return gauge_steps(algebra, n, val, self.phi(g), c)
 
         def tderiv(self, t, g, sec):
-            n = int(np.floor(t))
-            s = t - n
-            d = self._base(s, g, sec, True)
-            alg = self.algebra
-            gp = self.phi(g) if n > 0 else alg.inv(self.phi(g))
-            for _ in range(abs(n)):
-                d = alg.from_matrix(gp @ alg.to_matrix(d) @ alg.inv(gp))
-            return d
+            n = math.floor(t)
+            return gauge_steps(algebra, n, self._base(t - n, g, sec, True), self.phi(g))
 
         def at(self, t):
-            return GValuedOneForm(algebra, lambda g, sec: self.value(t, g, sec))
+            return AlgebroidForm(algebra, 1, lambda g, sec: self.value(t, g, sec),
+                                 scalar=False)
 
     return _Concat()
 
@@ -723,10 +637,10 @@ def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4):
     Returns a callable (x, g, args) -> value covering every graded component.
     """
     alg = p.algebra
-    fam = KappaAsFamily(alg)
+    fam = KappaFamily(alg)
     zero = oneform_zero(alg)
     thl = oneform_theta_left(alg)
-    kap0 = kappa_oneform(alg, 0.0)
+    kap0 = fam.at(0.0)
     if rule2 is None:
         rule2 = SimplexRule(2)
 

@@ -108,13 +108,22 @@ class CheckSpec:
         return self.groups is None or group in self.groups
 
     def _run(self, ctx):
-        out = self.body(ctx, ctx.rng(self.name))
+        # a NaN sample would vanish in max(worst, r), so the body runs with
+        # invalid and divide-by-zero operations raising instead
+        try:
+            with np.errstate(invalid="raise", divide="raise"):
+                out = self.body(ctx, ctx.rng(self.name))
+            error = ""
+        except FloatingPointError as exc:
+            error = f"floating-point error: {exc}"
+            out = {name: float("nan") for name, _, _ in self.results}, {"notes": error}
         residuals, extras = out if isinstance(out, tuple) else (out, {})
         if not isinstance(residuals, dict):
             residuals = {self.name: residuals}
         results = [CheckResult(self.suite, name, identity, {"group": ctx.group_name},
                                float(residuals[name]),
-                               float(ctx.tol_overrides.get(f"{self.suite}.{name}", default)))
+                               float(ctx.tol_overrides.get(f"{self.suite}.{name}", default)),
+                               notes=error)
                    for name, identity, default in self.results]
         # report extras describe the check's own result, which is declared first
         results[0].params.update((k, v) for k, v in extras.items() if k != "notes")
@@ -407,11 +416,9 @@ def check_kappa_flat(ctx, rng):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         t0 = rng.uniform(0.1, 0.9)
-        kap = fm.AlgebroidForm(alg, 1, lambda gg, s: albr.kappa_value(s, gg, t0),
-                               scalar=False)
+        kap = albr.KappaFamily(alg).at(t0)
         dk = fm.exterior_derivative(kap, h=ctx.h)
-        fval = dk(g, xi, ze) + alg.bracket(albr.kappa_value(xi, g, t0),
-                                           albr.kappa_value(ze, g, t0))
+        fval = dk(g, xi, ze) + alg.bracket(kap(g, xi), kap(g, ze))
         worst = max(worst, np.linalg.norm(fval))
         x = alg.random_vector(rng)
         xa = albr.generator(alg, x)
@@ -445,8 +452,8 @@ def check_d_squared(ctx, rng):
         dd0 = fm.exterior_derivative(fm.exterior_derivative(zero_form, h=ctx.h), h=ctx.h)
         worst = max(worst, abs(dd0(g, secs[0], secs[1])))
         # 1-form built on the tautological family
-        one = fm.AlgebroidForm(alg, 1,
-                               lambda gg, s: alg.pairing(c, albr.kappa_value(s, gg, t0)))
+        kap = albr.KappaFamily(alg).at(t0)
+        one = fm.AlgebroidForm(alg, 1, lambda gg, s: alg.pairing(c, kap(gg, s)))
         dd1 = fm.exterior_derivative(fm.exterior_derivative(one, h=ctx.h), h=ctx.h)
         worst = max(worst, abs(dd1(g, *secs)))
     return worst
@@ -461,8 +468,8 @@ def check_cartan_commutation(ctx, rng):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         c = alg.random_vector(rng)
-        phi = fm.AlgebroidForm(alg, 1,
-                               lambda gg, s: alg.pairing(c, albr.kappa_value(s, gg, 0.3)))
+        kap = albr.KappaFamily(alg).at(0.3)
+        phi = fm.AlgebroidForm(alg, 1, lambda gg, s: alg.pairing(c, kap(gg, s)))
         lhs = fm.contract(fm.lie_derivative(phi, xi, h=ctx.h), ze)(g)
         rhs = fm.lie_derivative(fm.contract(phi, ze), xi, h=ctx.h)(g) \
             - phi(g, albr.bracket(xi, ze, h=ctx.h))
@@ -549,9 +556,7 @@ def check_dkappa(ctx, rng):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         t0 = rng.uniform(0.1, 0.9)
-        kap = fm.AlgebroidForm(alg, 1, lambda gg, s: albr.kappa_value(s, gg, t0),
-                               scalar=False)
-        got = fm.exterior_derivative(kap, h=ctx.h)(g, xi, ze)
+        got = fm.exterior_derivative(albr.KappaFamily(alg).at(t0), h=ctx.h)(g, xi, ze)
         want = -alg.bracket(extend(xi, g, t0), extend(ze, g, t0))
         worst = max(worst, np.linalg.norm(got - want))
     return worst
@@ -763,7 +768,7 @@ def check_varpi_routes(ctx, rng):
 @_register("lifting", "varpi_kappa_q", tol=1e-8, identity="varpi = -Q^kappa")
 def check_varpi_kappa_q(ctx, rng):
     alg = ctx.algebra
-    fam = bt.KappaAsFamily(alg, h_t=ctx.h_t)
+    fam = albr.KappaFamily(alg, h_t=ctx.h_t)
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -886,7 +891,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
     if ctx.group_name == "heisenberg3":
         # radial-homotopy primitive of -eta in exponential coordinates
         from .homotopy import poincare_primitive
-        prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0)
+        prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0, h=ctx.h)
         omega = lambda g, v, w, prim=prim: prim(g, v, w)
     worst = 0.0
     for _ in range(2):
@@ -940,7 +945,7 @@ def check_equivariant_generators(ctx, rng):
     def phi_map(x):
         mu = fm.DeRhamForm(alg, 1, lambda g, a:
                            -0.5 * alg.pairing(alg.maurer_cartan(g, a, "left") + a, x))
-        prim = poincare_primitive(mu, sign=1.0)
+        prim = poincare_primitive(mu, sign=1.0, h=ctx.h)
         return lambda g: prim(g)
 
     worst = 0.0
@@ -949,7 +954,7 @@ def check_equivariant_generators(ctx, rng):
         x = alg.random_vector(rng)
         v = alg.random_vector(rng)
         worst = max(worst, lf.equivariant_generator_residual(
-            None, phi_map, alpha, x, v, g, ctx.coarse_grid))
+            None, phi_map, alpha, x, v, g, ctx.coarse_grid, h=ctx.h))
     return worst
 
 
@@ -991,8 +996,9 @@ def _random_gvalued(ctx, rng):
     thl = bt.oneform_theta_left(alg)
     c = alg.random_vector(rng, 0.5)
     d = alg.random_vector(rng, 0.5)
-    return bt.GValuedOneForm(
-        alg, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d))
+    return fm.AlgebroidForm(
+        alg, 1, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d),
+        scalar=False)
 
 
 @_register("bott", "convention_table", tol=1.0, groups=("su2",),
@@ -1012,7 +1018,7 @@ def check_stokes_family(ctx, rng):
     secs = ctx.random_sections(rng, 3)
     thl = bt.oneform_theta_left(alg)
     b1 = _random_gvalued(ctx, rng)
-    b2 = bt.kappa_oneform(alg, 0.3)
+    b2 = albr.KappaFamily(alg).at(0.3)
     u1 = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
                           bt.upsilon(p, [thl, b1], gg, ss, conventions=conv, h=ctx.h))
     lhs = fm.exterior_derivative(u1, h=ctx.h)(g, *secs)
@@ -1038,7 +1044,7 @@ def check_upsilon_gauge(ctx, rng):
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     b0 = _random_gvalued(ctx, rng)
-    b1 = bt.kappa_oneform(alg, 0.25)
+    b1 = albr.KappaFamily(alg).at(0.25)
     phi = lambda gg: gg @ gg
     gb0, gb1 = bt.gauge_transform(phi, b0, h=ctx.h), bt.gauge_transform(phi, b1, h=ctx.h)
     worst = abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv, h=ctx.h)
@@ -1228,7 +1234,7 @@ def check_cs_period_equivariant(ctx, rng):
     alg = ctx.algebra
     phi = lambda gg: gg @ gg
     thl = bt.oneform_theta_left(alg)
-    beta0 = bt.GValuedOneForm(alg, lambda g, s: 0.4 * thl(g, s))
+    beta0 = fm.AlgebroidForm(alg, 1, lambda g, s: 0.4 * thl(g, s), scalar=False)
     fam = bt.GaugePeriodicFamily(alg, beta0, phi, bump=ctx.bump, h=ctx.h)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1354,21 +1360,19 @@ def check_flat_family(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    fam = bt.KappaAsFamily(alg, h_t=ctx.h_t)
+    fam = albr.KappaFamily(alg, h_t=ctx.h_t)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 3)
     zero = bt.oneform_zero(alg)
-    kap0, kap1 = bt.kappa_oneform(alg, 0.0), bt.kappa_oneform(alg, 1.0)
+    kap0, kap1 = fam.at(0.0), fam.at(1.0)
     # flatness precondition of the family route
     xa = albr.generator(alg, x)
     pre = 0.0
     for t in (0.2, 0.7):
-        kap = fm.AlgebroidForm(alg, 1, lambda gg, s: albr.kappa_value(s, gg, t),
-                               scalar=False)
+        kap = fam.at(t)
         dk = fm.exterior_derivative(kap, h=ctx.h)(g, secs[0], secs[1])
-        fval = dk + alg.bracket(albr.kappa_value(secs[0], g, t),
-                                albr.kappa_value(secs[1], g, t))
+        fval = dk + alg.bracket(kap(g, secs[0]), kap(g, secs[1]))
         pre = max(pre, float(np.linalg.norm(fval)),
                   float(np.linalg.norm(-kap(g, xa) + np.asarray(x))))
     iform = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
@@ -1487,11 +1491,11 @@ def check_cubic_suite(ctx, rng):
     ps3 = bt.pressley_segal_two_form(p3, conv, h=ctx.h)
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
-    kf = albr.KappaFamily(alg)
+    kf = albr.KappaFamily(alg, h_t=ctx.h_t)
 
     def explicit(t):
         ks = [kf.value(t, ge, l) for l in loops]
-        kd = [kf.tderiv(t, ge, l, h_t=ctx.h_t) for l in loops]
+        kd = [kf.tderiv(t, ge, l) for l in loops]
         total = 0.0
         for a in range(4):
             for b in range(4):

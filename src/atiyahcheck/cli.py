@@ -46,11 +46,26 @@ def _parse_tol(items):
     return out
 
 
+# the keys a config file may set; each flag sets the key of the same meaning
+CONFIG_KEYS = ("group", "suites", "n_points", "fd_step", "t_step", "seed", "samples",
+               "tol_overrides", "report_path")
+
+
+def _read_config_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError("a config file must hold one JSON object")
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; choose from {list(CONFIG_KEYS)}")
+    return config
+
+
 def build_config(args):
     config = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config.update(json.load(fh))
+        config.update(_read_config_file(args.config))
     # flags win over the config file
     mapping = {
         "group": "group", "grid_t": "n_points", "fd_step": "fd_step",
@@ -63,43 +78,71 @@ def build_config(args):
             config[key] = val
     if getattr(args, "suite", None):
         config["suites"] = [s.strip() for s in args.suite.split(",") if s.strip()]
-    tols = dict(config.get("tol_overrides", {}))
+    tols = config.get("tol_overrides", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tol_overrides must be a JSON object of suite.check: value")
+    tols = dict(tols)
     tols.update(_parse_tol(getattr(args, "tol", None)))
     config["tol_overrides"] = tols
     validate_config(config)
     return config
 
 
+def _integer(config, key, default):
+    val = config.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{key} must be an integer, not {val!r}")
+    return val
+
+
+def _number(config, key, default):
+    val = config.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{key} must be a number, not {val!r}")
+    return float(val)
+
+
 def validate_config(config):
     group = config.get("group", "su2")
     if group not in GROUP_NAMES:
         raise ConfigError(f"unknown group {group!r}; choose from {GROUP_NAMES}")
-    n = int(config.get("n_points", 201))
+    n = _integer(config, "n_points", 201)
     if n < 3 or n % 2 == 0:
         raise ConfigError("n_points must be an odd integer >= 3")
-    fd = float(config.get("fd_step", 1e-4))
+    fd = _number(config, "fd_step", 1e-4)
     if not (2e-5 <= fd <= 3e-3):
         # where every check was seen to pass at its default tolerance: above
         # it Richardson truncation, below it round-off nears the ladder
         raise ConfigError("fd_step must lie in [2e-5, 3e-3]")
-    samples = int(config.get("samples", 4))
+    t_step = _number(config, "t_step", 1e-5)
+    if not (math.isfinite(t_step) and t_step > 0.0):
+        # a zero step makes the time central difference 0/0
+        raise ConfigError("t_step must be a positive finite number")
+    samples = _integer(config, "samples", 4)
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     suites = config.get("suites")
     if suites:
+        if not isinstance(suites, list):
+            raise ConfigError("suites must be a list of suite names")
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
-    unknown = sorted(set(config.get("tol_overrides", {})) - result_keys())
+    tols = config.get("tol_overrides", {})
+    unknown = sorted(set(tols) - result_keys())
     if unknown:
         raise ConfigError(f"unknown tolerance keys {unknown}; a key names a "
                           "reported result as suite.check")
+    for key in tols:
+        tols[key] = _number(tols, key, None)
+    if not isinstance(config.get("report_path", ""), str):
+        raise ConfigError("report_path must be a string")
     config["group"] = group
     config["n_points"] = n
     config["fd_step"] = fd
     config["samples"] = samples
-    config["seed"] = int(config.get("seed", 42))
-    config["t_step"] = float(config.get("t_step", 1e-5))
+    config["seed"] = _integer(config, "seed", 42)
+    config["t_step"] = t_step
 
 
 def _margin(residual, tolerance):

@@ -14,6 +14,7 @@ import numpy as np
 from .forms import AlgebroidForm
 from .sections import AlgebroidSection, BumpFunction, integrate_01
 from . import algebroid as albr
+from .liealg import richardson
 from .lifting import canonical_two_form
 
 __all__ = [
@@ -126,13 +127,8 @@ def _directional_pair(algebra, func, g2, g1, w2, w1, h=1e-4):
     """Richardson derivative along the product-group direction (w2, w1)."""
     e2 = algebra.step_exponentials(algebra.to_matrix(w2), h)
     e1 = algebra.step_exponentials(algebra.to_matrix(w1), h)
-
-    def delta(step, plus_i, minus_i):
-        plus = func(e2[plus_i] @ g2, e1[plus_i] @ g1)
-        minus = func(e2[minus_i] @ g2, e1[minus_i] @ g1)
-        return (np.asarray(plus, dtype=float) - np.asarray(minus, dtype=float)) / (2 * step)
-
-    return (4.0 * delta(h, 0, 1) - delta(2 * h, 2, 3)) / 3.0
+    steps = dict(zip((h, -h, 2.0 * h, -2.0 * h), zip(e2, e1)))
+    return richardson(lambda s: func(steps[s][0] @ g2, steps[s][1] @ g1), h)
 
 
 def pair_bracket(p, q, h=1e-4):

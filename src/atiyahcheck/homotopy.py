@@ -32,25 +32,27 @@ class ChartForm:
         return float(self._eval(x, *us))
 
 
+def _push(alg, x, u, h):
+    """theta^R(d exp_x(u)): a Richardson central difference of the curve
+    s -> exp(x + s u) exp(x)^{-1}."""
+    def at(s):
+        return alg.exp(x + s * u)
+    ginv = alg.inv(at(0.0))
+    d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
+    d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
+    return alg.from_matrix((4.0 * d1 - d2) / 3.0)
+
+
 def chart_pullback(omega, h=1e-4):
     """Pull a right-trivialized de Rham form back through exp.
 
-    Chart tangents u push forward to theta^R(d exp_x(u)), computed by a
-    central difference of the curve s -> exp(x + s u) exp(x)^{-1}.
+    Chart tangents u push forward to theta^R(d exp_x(u)).
     """
     alg = omega.algebra
 
-    def push(x, u):
-        def at(s):
-            return alg.exp(x + s * u)
-        ginv = alg.inv(at(0.0))
-        d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
-        d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
-        return alg.from_matrix((4.0 * d1 - d2) / 3.0)
-
     def evaluator(x, *us):
         g = alg.exp(x)
-        return omega(g, *[push(x, u) for u in us])
+        return omega(g, *[_push(alg, x, u, h) for u in us])
 
     return ChartForm(alg, omega.degree, evaluator)
 
@@ -82,18 +84,7 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
 
     def pull_tangent_basis(x):
         # forward map of the chart basis, then invert to carry theta^R data back
-        cols = []
-        for i in range(alg.dim):
-            u = np.zeros(alg.dim)
-            u[i] = 1.0
-
-            def at(s, u=u):
-                return alg.exp(x + s * u)
-
-            ginv = alg.inv(at(0.0))
-            d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
-            d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
-            cols.append(alg.from_matrix((4.0 * d1 - d2) / 3.0))
+        cols = [_push(alg, x, u, h) for u in np.eye(alg.dim)]
         return np.linalg.inv(np.array(cols).T)
 
     def evaluator(g, *vs):

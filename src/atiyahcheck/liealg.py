@@ -34,6 +34,7 @@ __all__ = [
     "LieAlgebra",
     "InvariantPolynomial",
     "expm",
+    "richardson",
     "make_group",
     "GROUP_NAMES",
 ]
@@ -46,6 +47,15 @@ _PADE13 = (
 )
 
 _MEMO_SIZE = 256
+
+
+def richardson(at, h):
+    """(4 D_h - D_2h) / 3, where D_s = (at(s) - at(-s)) / 2s is the central
+    difference of the function at of the step s."""
+    def central(s):
+        return (np.asarray(at(s), dtype=float) - np.asarray(at(-s), dtype=float)) / (2.0 * s)
+
+    return (4.0 * central(h) - central(2.0 * h)) / 3.0
 
 
 def _frozen(a):
@@ -225,16 +235,9 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g; func may return scalars or arrays.
         """
-        e_h, e_mh, e_2h, e_m2h = self.step_exponentials(self.to_matrix(v), h)
-
-        def delta(step, e_plus, e_minus):
-            plus = func(e_plus @ g)
-            minus = func(e_minus @ g)
-            return (np.asarray(plus, dtype=float) - np.asarray(minus, dtype=float)) / (2.0 * step)
-
-        d1 = delta(h, e_h, e_mh)
-        d2 = delta(2.0 * h, e_2h, e_m2h)
-        out = (4.0 * d1 - d2) / 3.0
+        steps = dict(zip((h, -h, 2.0 * h, -2.0 * h),
+                         self.step_exponentials(self.to_matrix(v), h)))
+        out = richardson(lambda s: func(steps[s] @ g), h)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite directional derivative")
         if out.ndim == 0:

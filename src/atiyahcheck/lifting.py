@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebroid import ConnectionFamily, bracket, connection_apply, curvature, \
-    generator_vertical_part
+from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
 from .forms import AlgebroidForm, DeRhamForm
-from .sections import AlgebroidSection, TimeGrid, extend, integrate_01, time_derivative
+from .sections import (AlgebroidSection, InterpolatedFamily, extend, integrate_01,
+                       time_derivative)
 
 __all__ = [
     "central_cocycle",
@@ -161,10 +161,11 @@ def q_alpha(alpha, g, v, w, grid):
     alg = alpha.algebra
     lv = alg.maurer_cartan(g, v, "left")
     lw = alg.maurer_cartan(g, w, "left")
-    out = 0.5 * (alg.pairing(lv, alpha(0.0, g, w)) - alg.pairing(lw, alpha(0.0, g, v)))
+    out = 0.5 * (alg.pairing(lv, alpha.value(0.0, g, w))
+                 - alg.pairing(lw, alpha.value(0.0, g, v)))
     out += 0.5 * integrate_01(
-        lambda t: alg.pairing(alpha(t, g, v), alpha.tderiv(t, g, w))
-        - alg.pairing(alpha(t, g, w), alpha.tderiv(t, g, v)), grid)
+        lambda t: alg.pairing(alpha.value(t, g, v), alpha.tderiv(t, g, w))
+        - alg.pairing(alpha.value(t, g, w), alpha.tderiv(t, g, v)), grid)
     return out
 
 
@@ -174,7 +175,7 @@ def q_alpha_closed_form(alpha, g, v, w):
     Q^alpha = ((theta^L + theta^R)/2) . alpha_0 + (1/2) alpha_0 . Ad_g alpha_0.
     """
     alg = alpha.algebra
-    av, aw = alpha(0.0, g, v), alpha(0.0, g, w)
+    av, aw = alpha.value(0.0, g, v), alpha.value(0.0, g, w)
     mv = 0.5 * (alg.maurer_cartan(g, v, "left") + v)
     mw = 0.5 * (alg.maurer_cartan(g, w, "left") + w)
     out = alg.pairing(mv, aw) - alg.pairing(mw, av)
@@ -234,7 +235,7 @@ def _hor_section(alpha, w_field):
     alg = alpha.algebra
 
     def profile(g, t):
-        return -alpha(t, g, w_field(g))
+        return -alpha.value(t, g, w_field(g))
 
     def dprofile(g, t):
         return -alpha.tderiv(t, g, w_field(g))
@@ -311,7 +312,7 @@ def lifted_jacobiator_scalar(omega, alpha, fields, g, grid, h=1e-4, h_t=1e-5):
     return total
 
 
-def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid):
+def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid, h=1e-4):
     """Residual of the generator condition
 
         omega(x_N, X) + d Phi(x)(X) = < d^theta j (X), Psi(x) >
@@ -326,7 +327,7 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid):
         lhs += omega(g, xg, v)
     if phi_map is not None:
         func = phi_map(x)
-        lhs += alg.directional(lambda gg: np.array(func(gg)), g, v)
+        lhs += alg.directional(lambda gg: np.array(func(gg)), g, v, h=h)
     rhs = -integrate_01(
         lambda t: alg.pairing(alpha.tderiv(t, g, v),
                               generator_vertical_part(alpha, x, g, t)), grid)
@@ -337,7 +338,7 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid):
 # change of splitting and connection
 # ---------------------------------------------------------------------------
 
-class HorizontalFamily:
+class HorizontalFamily(InterpolatedFamily):
     """A horizontal L-valued 1-form as a t-family: lambda_{t+1} = Ad_g lambda_t.
 
     Interpolated from a base value exactly like the connection families, but
@@ -349,36 +350,18 @@ class HorizontalFamily:
         self.lam0 = lam0
         self.bump = bump
 
-    def _lam_n(self, n, g, v):
-        alg = self.algebra
-        val = self.lam0(g, v)
-        if n >= 0:
-            for _ in range(n):
-                val = alg.Ad(g, val)
-            return val
-        ginv = alg.inv(g)
-        for _ in range(-n):
-            val = alg.Ad(ginv, val)
-        return val
+    def base(self, g, v):
+        return self.lam0(g, v)
 
-    def __call__(self, t, g, v):
-        n = int(np.floor(t))
-        s = t - n
-        a, b = self._lam_n(n, g, v), self._lam_n(n + 1, g, v)
-        return a + self.bump(s) * (b - a)
-
-    def tderiv(self, t, g, v):
-        n = int(np.floor(t))
-        s = t - n
-        a, b = self._lam_n(n, g, v), self._lam_n(n + 1, g, v)
-        return self.bump.deriv(s) * (b - a)
+    def step(self, g, v):
+        return g, None
 
     def section(self, w_field, name="lambda(X)"):
         """lambda(X) as an L-section for a constant-frame tangent field."""
         alg = self.algebra
 
         def profile(g, t):
-            return self(t, g, w_field(g))
+            return self.value(t, g, w_field(g))
 
         def dprofile(g, t):
             return self.tderiv(t, g, w_field(g))
@@ -396,8 +379,8 @@ class PerturbedFamily:
         self.lam = lam
         self.invariant = False
 
-    def __call__(self, t, g, v):
-        return self.alpha(t, g, v) + self.lam(t, g, v)
+    def value(self, t, g, v):
+        return self.alpha.value(t, g, v) + self.lam.value(t, g, v)
 
     def tderiv(self, t, g, v):
         return self.alpha.tderiv(t, g, v) + self.lam.tderiv(t, g, v)

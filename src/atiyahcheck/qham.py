@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .liealg import richardson
 from .sections import AlgebroidSection, TimeGrid, integrate_01
 
 __all__ = [
@@ -93,12 +94,7 @@ class ConjugacyClass:
     def directional(self, func, n, u, h=1e-3):
         """Richardson derivative of a function on the sphere along tangent u."""
 
-        def at(s):
-            return np.asarray(func(_norm(n + s * u)), dtype=float)
-
-        d1 = (at(h) - at(-h)) / (2 * h)
-        d2 = (at(2 * h) - at(-2 * h)) / (4 * h)
-        out = (4.0 * d1 - d2) / 3.0
+        out = richardson(lambda s: func(_norm(n + s * u)), h)
         return float(out) if out.ndim == 0 else out
 
     def field_bracket(self, xf, yf, n, h=1e-3):
@@ -123,14 +119,7 @@ class TrivialClass:
     def point(self, n):
         return self.algebra.identity()
 
-    def tangent_basis(self, n):
-        n = np.asarray(n, dtype=float)
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(n @ seed) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        t1 = _norm(np.cross(n, seed))
-        t2 = np.cross(n, t1)
-        return t1, t2
+    tangent_basis = ConjugacyClass.tangent_basis
 
     def generator_field(self, x, n):
         return np.zeros(3)

@@ -18,6 +18,8 @@ __all__ = [
     "TimeGrid",
     "BumpFunction",
     "AlgebroidSection",
+    "gauge_steps",
+    "InterpolatedFamily",
     "extend",
     "extend_deriv",
     "template_section",
@@ -137,45 +139,69 @@ class AlgebroidSection:
         return res
 
 
+def gauge_steps(algebra, n, x, k, c=None):
+    """x after n steps of the affine gauge action x -> Ad_k x + c.
+
+    For n < 0 the -n steps are of the inverse action x -> Ad_{k^{-1}}(x - c);
+    c = None is the linear action Ad_k.  Sections, their time derivatives
+    and every t-family extend past [0, 1] by this one rule.
+    """
+    if n >= 0:
+        for _ in range(n):
+            x = algebra.Ad(k, x) if c is None else algebra.Ad(k, x) + c
+        return x
+    kinv = algebra.inv(k)
+    for _ in range(-n):
+        x = algebra.Ad(kinv, x if c is None else x - c)
+    return x
+
+
+class InterpolatedFamily:
+    """A t-family f_t(g, arg) with f_{t+1} = Ad_k f_t + c, from its value at t = 0.
+
+    A subclass provides `algebra`, `bump`, `base(g, arg)` = f_0 and
+    `step(g, arg)` = (k, c), the gauge step (c = None when it is linear).
+    At integers f_n = gauge_steps(n, f_0); in between
+    f_t = f_n + b(t - n)(f_{n+1} - f_n) with the bump b, so the seam rule
+    holds by construction for every real t.
+    """
+
+    def _ends(self, t, g, arg):
+        n = math.floor(t)
+        k, c = self.step(g, arg)
+        # count from f_0 to the end nearer 0, then take one more step
+        if n >= 0:
+            lo = gauge_steps(self.algebra, n, self.base(g, arg), k, c)
+            return t - n, lo, gauge_steps(self.algebra, 1, lo, k, c)
+        hi = gauge_steps(self.algebra, n + 1, self.base(g, arg), k, c)
+        return t - n, gauge_steps(self.algebra, -1, hi, k, c), hi
+
+    def value(self, t, g, arg):
+        s, lo, hi = self._ends(t, g, arg)
+        return lo + self.bump(s) * (hi - lo)
+
+    def tderiv(self, t, g, arg):
+        s, lo, hi = self._ends(t, g, arg)
+        return self.bump.deriv(s) * (hi - lo)
+
+
 def extend(section, g, t):
     """Value of the section at arbitrary real t via the seam rule.
 
-    For t = n + s with s in [0, 1): value = Ad_g^n xi(s) + (sum of Ad_g^j) v,
-    with the inverse relation for negative n.
+    For t = n + s with s in [0, 1): n gauge steps x -> Ad_g x + v of xi(s).
     """
-    alg = section.algebra
     n = math.floor(t)
-    s = t - n
-    val = section.profile(g, s)
+    val = section.profile(g, t - n)
     if n == 0:
         return val
-    v = section.v(g)
-    if n > 0:
-        for _ in range(n):
-            val = alg.Ad(g, val) + v
-        return val
-    ginv = alg.inv(g)
-    for _ in range(-n):
-        val = alg.Ad(ginv, val - v)
-    return val
+    return gauge_steps(section.algebra, n, val, g, section.v(g))
 
 
 def extend_deriv(section, g, t, h_t=1e-5):
     """Time derivative at arbitrary real t; Ad_g^n of the base derivative."""
-    alg = section.algebra
     n = math.floor(t)
-    s = t - n
-    d = time_derivative(section, g, s, h_t=h_t, _base_only=True)
-    if n == 0:
-        return d
-    if n > 0:
-        for _ in range(n):
-            d = alg.Ad(g, d)
-        return d
-    ginv = alg.inv(g)
-    for _ in range(-n):
-        d = alg.Ad(ginv, d)
-    return d
+    d = time_derivative(section, g, t - n, h_t=h_t, _base_only=True)
+    return gauge_steps(section.algebra, n, d, g)
 
 
 def time_derivative(section, g, t, h_t=1e-5, _base_only=False):

@@ -5,8 +5,7 @@ import pytest
 
 from atiyahcheck.algebroid import (KappaFamily, anchor, bracket, build_alpha,
                                    connection_apply, curvature, generator,
-                                   generator_vertical_part, invariant_alpha0,
-                                   kappa_value)
+                                   generator_vertical_part, invariant_alpha0)
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import BumpFunction, random_section, random_twisted_loop
 
@@ -67,9 +66,9 @@ def test_alpha_zero_interpolates_theta(su2, rng):
     g = su2.random_group(rng)
     v = su2.random_vector(rng)
     for t in (0.1, 0.5, 0.93):
-        assert np.linalg.norm(alpha(t, g, v) + bump(t) * v) < 1e-13
+        assert np.linalg.norm(alpha.value(t, g, v) + bump(t) * v) < 1e-13
     # integer recursion: alpha_1 = g . alpha_0 = -theta^R
-    assert np.linalg.norm(alpha(1.0, g, v) + v) < 1e-13
+    assert np.linalg.norm(alpha.value(1.0, g, v) + v) < 1e-13
 
 
 def test_abelian_alpha(rng):
@@ -77,7 +76,7 @@ def test_abelian_alpha(rng):
     alpha = build_alpha(tor)
     g = tor.random_group(rng)
     v = tor.random_vector(rng)
-    assert np.linalg.norm(alpha(1.2, g, v) - (alpha(0.2, g, v) - v)) < 1e-13
+    assert np.linalg.norm(alpha.value(1.2, g, v) - (alpha.value(0.2, g, v) - v)) < 1e-13
 
 
 def test_curvature_flat_cases(su2, rng):
@@ -120,10 +119,12 @@ def test_psi_values(su2, rng):
 def test_kappa(su2, rng):
     g = su2.random_group(rng)
     x = su2.random_vector(rng)
-    # kappa_t(x_A) = x for every t
-    for t in (0.0, 0.6, 1.3):
-        assert np.linalg.norm(kappa_value(generator(su2, x), g, t) - x) < 1e-12
     kf = KappaFamily(su2)
+    # kappa_t(x_A) = x for every t, as a value and as the 1-form at t
+    for t in (0.0, 0.6, 1.3):
+        assert np.linalg.norm(kf.value(t, g, generator(su2, x)) - x) < 1e-12
+        assert np.linalg.norm(kf.at(t)(g, generator(su2, x)) - x) < 1e-12
+    assert kf.phi(g) is g
     sec = random_section(su2, rng)
     lhs = kf.value(1.25, g, sec)
     rhs = su2.Ad(g, kf.value(0.25, g, sec)) - sec.v(g)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import KappaFamily, generator
-from atiyahcheck.bott import (GValuedOneForm, GaugePeriodicFamily, SimplexRule,
-                              calibrate_conventions, chern_simons,
-                              chern_simons_equivariant, gauge_transform,
-                              kappa_oneform, oneform_theta_left, oneform_zero,
-                              pressley_segal_two_form, q_functional,
+from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, calibrate_conventions,
+                              chern_simons, chern_simons_equivariant, concat_families,
+                              gauge_transform, map_theta_right, oneform_theta_left,
+                              oneform_zero, pressley_segal_two_form, q_functional,
                               rectangle_integral, upsilon, upsilon_equivariant,
-                              varpi_p_equivariant, KappaAsFamily)
+                              varpi_p_equivariant)
+from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.liealg import make_group, quadratic_polynomial
 from atiyahcheck.sections import TimeGrid, integrate_01, random_loop_section, random_section
@@ -82,7 +82,7 @@ def test_cs_values(su2, rng):
     gt = tor.random_group(rng)
     tsecs = [random_section(tor, rng) for _ in range(3)]
     c = tor.random_vector(rng)
-    const = GValuedOneForm(tor, lambda gg, s: tor.pairing(c, s.v(gg)) * c)
+    const = AlgebroidForm(tor, 1, lambda gg, s: tor.pairing(c, s.v(gg)) * c, scalar=False)
     assert abs(chern_simons(const, gt, tsecs)) < 1e-9
 
 
@@ -105,19 +105,18 @@ def test_rectangle_quadratic_closed_form(su2, conv, rng):
     # for the quadratic polynomial the rectangle integral reduces to the
     # kappa . kappa-dot integral (x-independent)
     p = quadratic_polynomial(su2)
-    fam = KappaAsFamily(su2)
     kf = KappaFamily(su2)
     g = su2.random_group(rng)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
     x = su2.random_vector(rng)
-    got = conv.rect_sign * rectangle_integral(p, fam, g, [xi, ze], x=x)
+    got = conv.rect_sign * rectangle_integral(p, kf, g, [xi, ze], x=x)
     grid = TimeGrid(201)
     want = -0.5 * integrate_01(
         lambda t: su2.pairing(kf.value(t, g, xi), kf.tderiv(t, g, ze))
         - su2.pairing(kf.value(t, g, ze), kf.tderiv(t, g, xi)), grid)
     assert abs(got - want) < 1e-6
     # x-independence
-    got2 = conv.rect_sign * rectangle_integral(p, fam, g, [xi, ze],
+    got2 = conv.rect_sign * rectangle_integral(p, kf, g, [xi, ze],
                                                x=su2.random_vector(rng))
     assert abs(got - got2) < 1e-12
 
@@ -130,7 +129,7 @@ def test_upsilon2_closed_form(su2, conv, rng):
     x = su2.random_vector(rng)
     zero = oneform_zero(su2)
     thl = oneform_theta_left(su2)
-    kap0 = kappa_oneform(su2, 0.0)
+    kap0 = KappaFamily(su2).at(0.0)
     got = upsilon_equivariant(p, [zero, thl, kap0], x, g, [xi, ze],
                               conventions=conv)
     want = p(thl(g, xi), kap0(g, ze)) - p(thl(g, ze), kap0(g, xi))
@@ -187,3 +186,25 @@ def test_q_functional_zero_family(su2, rng):
     fam = GaugePeriodicFamily(su2, oneform_zero(su2),
                               lambda gg: np.eye(su2.matrix_size))
     assert abs(q_functional(fam, g, s1, s2, TimeGrid(101))) < 1e-12
+
+
+def test_gauge_family_seams(su2, rng):
+    # beta_{t+1} = Phi . beta_t on both sides of every seam, the concatenation
+    # with Phi = Phi2 Phi1 included; t-derivatives follow the linear part Ad_Phi
+    g = su2.random_group(rng)
+    sec = random_section(su2, rng)
+    thl = oneform_theta_left(su2)
+    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s), scalar=False)
+    e0, e1 = su2.random_vector(rng, 0.4), su2.random_vector(rng, 0.4)
+    phi1 = lambda gg, m=su2.exp(e0): m @ gg
+    phi2 = lambda gg, m=su2.exp(e1): gg @ m
+    f1 = GaugePeriodicFamily(su2, beta0, phi1)
+    f2 = GaugePeriodicFamily(su2, gauge_transform(phi1, beta0), phi2)
+    for fam in (f1, concat_families(f1, f2, su2)):
+        k = fam.phi(g)
+        c = map_theta_right(su2, fam.phi, g, sec.v(g))
+        for t in (-1.4, -0.6, 0.3, 1.3):
+            want = su2.Ad(k, fam.value(t, g, sec)) - c
+            assert np.linalg.norm(fam.value(t + 1.0, g, sec) - want) < 1e-10
+            want_d = su2.Ad(k, fam.tderiv(t, g, sec))
+            assert np.linalg.norm(fam.tderiv(t + 1.0, g, sec) - want_d) < 1e-10

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from atiyahcheck.checks import REGISTRY, CheckContext
@@ -52,6 +53,53 @@ def test_fd_step_range(monkeypatch, fd_step, code):
 
     monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
     assert cli.main(["verify", "--group", "su2", "--fd-step", fd_step, "--quiet"]) == code
+
+
+@pytest.mark.parametrize("t_step", ["0", "-1e-5", "nan", "inf"])
+def test_t_step_must_be_positive_finite(monkeypatch, t_step):
+    # a zero step made the time central difference 0/0, which max() then hid
+    from atiyahcheck import cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
+    assert cli.main(["verify", "--group", "torus2", f"--t-step={t_step}", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    '{"fd_step": "abc"}',      # not a number
+    '[1, 2]',                  # not an object
+    '{"sead": 3}',             # unknown key
+    '{"n_points": 201.7}',     # not an integer
+    '{"samples": 2.5}',        # not an integer
+    '{"tol_overrides": {"forms.eta_value": "tight"}}',
+])
+def test_bad_config_file(tmp_path, monkeypatch, content):
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
+    assert not ran
+
+
+def test_non_finite_sample_fails():
+    # the second sample is 0/0: the check and its sub-result fail with residual nan
+    from atiyahcheck.checks import CheckSpec
+
+    def body(ctx, rng):
+        worst = 0.0
+        for num, den in ((1.0, 2.0), (0.0, 0.0), (1.0, 4.0)):
+            worst = max(worst, np.float64(num) / np.float64(den))
+        return worst
+
+    spec = CheckSpec("algebroid", "nan_probe", body, None,
+                     (("nan_probe", "probe", 1.0), ("nan_probe_sub", "sub-probe", 1.0)))
+    results = spec.fn(CheckContext("torus2", {}))
+    assert [r.name for r in results] == ["nan_probe", "nan_probe_sub"]
+    for r in results:
+        assert not r.passed and np.isnan(r.residual)
+        assert "floating-point error" in r.notes
 
 
 def test_config_error_unknown_tol_key(monkeypatch):

@@ -23,13 +23,6 @@ def rng():
     return np.random.default_rng(11)
 
 
-def _kappa_one_form(alg, t0=0.3, vec=None):
-    kf = KappaFamily(alg)
-    if vec is None:
-        return AlgebroidForm(alg, 1, lambda g, s: kf.value(t0, g, s), scalar=False)
-    return AlgebroidForm(alg, 1, lambda g, s: alg.pairing(vec, kf.value(t0, g, s)))
-
-
 def test_contract_antisymmetry(su2, rng):
     g = su2.random_group(rng)
     phi = AlgebroidForm(su2, 2, lambda gg, a, b:
@@ -44,7 +37,7 @@ def test_contract_antisymmetry(su2, rng):
 def test_contraction_kappa(su2, rng):
     # i_xi kappa_t = -xi_t; horizontal forms kill loop sections
     g = su2.random_group(rng, scale=0.5)
-    kap = _kappa_one_form(su2)
+    kap = KappaFamily(su2).at(0.3)
     xi = random_section(su2, rng)
     from atiyahcheck.sections import extend
     assert np.linalg.norm(contract(kap, xi)(g) + extend(xi, g, 0.3)) < 1e-12
@@ -121,7 +114,8 @@ def test_equivariant_differential_square(su2, rng):
     # d_G at x = 0 is the plain differential; (d_G)^2 = -L_{x_A} on a 1-form
     g = su2.random_group(rng)
     c = su2.random_vector(rng)
-    phi = _kappa_one_form(su2, vec=c)
+    kap = KappaFamily(su2).at(0.3)
+    phi = AlgebroidForm(su2, 1, lambda g, s: su2.pairing(c, kap(g, s)))
     x = su2.random_vector(rng)
     secs = [random_section(su2, rng) for _ in range(2)]
     parts = equivariant_differential(phi, x)
