@@ -1,5 +1,8 @@
 """The transitive Lie algebroid over the group: anchor, bracket, connections.
 
+The bracket is written once for sections over any base (the group, a
+conjugacy class, a slot of G x G); everything else here lives on the group.
+
 Conventions: the tangent bundle of G is right-trivialized, X <-> v with
 theta^R(X) = v.  Constant-v frames are then right-invariant vector fields
 and satisfy theta^R([X, Y]) = -[v, w] for constant v, w; Cartan formulas
@@ -10,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sections import AlgebroidSection, InterpolatedFamily, extend, time_derivative
+from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_section,
+                       extend, time_derivative)
 
 __all__ = [
     "anchor",
@@ -32,52 +36,44 @@ def anchor(section, g):
 
 
 def bracket(xi, zeta, h=1e-4):
-    """Algebroid bracket [xi, zeta] = -[xi, zeta]_g + X zeta - Y xi.
+    """Algebroid bracket [xi, zeta] = -[xi, zeta]_g + X zeta - Y xi over a base.
 
-    X, Y are the right-trivialized fields of the anchors v_xi, v_zeta; the
-    derivative terms are Richardson central differences in the group
-    argument.  The result carries a composed analytic time derivative when
-    both inputs do.
+    X, Y are the tangent fields of xi, zeta on their common base; the
+    derivative terms are the base's Richardson central differences and the
+    tangent field of the result is the base's [X, Y].  The result carries a
+    composed analytic time derivative when both inputs do.
     """
-    alg = xi.algebra
+    alg, base = xi.algebra, xi.base
 
-    def profile(g, t):
-        vx = xi.v(g)
-        vz = zeta.v(g)
-        term = -alg.bracket(xi.profile(g, t), zeta.profile(g, t))
-        term = term + alg.directional(lambda gg: zeta.profile(gg, t), g, vx, h=h)
-        term = term - alg.directional(lambda gg: xi.profile(gg, t), g, vz, h=h)
+    def profile(m, t):
+        x, y = xi.xfield(m), zeta.xfield(m)
+        term = -alg.bracket(xi.profile(m, t), zeta.profile(m, t))
+        term = term + base.directional(lambda mm: zeta.profile(mm, t), m, x, h=h)
+        term = term - base.directional(lambda mm: xi.profile(mm, t), m, y, h=h)
         return term
 
-    def v(g):
-        vx = xi.v(g)
-        vz = zeta.v(g)
-        out = -alg.bracket(vx, vz)
-        out = out + alg.directional(zeta.v, g, vx, h=h)
-        out = out - alg.directional(xi.v, g, vz, h=h)
-        return out
+    def xfield(m):
+        return base.field_bracket(xi.xfield, zeta.xfield, m, h=h)
 
     dprofile = None
     if xi.dprofile is not None and zeta.dprofile is not None:
-        def dprofile(g, t):
-            vx = xi.v(g)
-            vz = zeta.v(g)
-            term = -alg.bracket(xi.dprofile(g, t), zeta.profile(g, t))
-            term = term - alg.bracket(xi.profile(g, t), zeta.dprofile(g, t))
-            term = term + alg.directional(lambda gg: zeta.dprofile(gg, t), g, vx, h=h)
-            term = term - alg.directional(lambda gg: xi.dprofile(gg, t), g, vz, h=h)
+        def dprofile(m, t):
+            x, y = xi.xfield(m), zeta.xfield(m)
+            term = -alg.bracket(xi.dprofile(m, t), zeta.profile(m, t))
+            term = term - alg.bracket(xi.profile(m, t), zeta.dprofile(m, t))
+            term = term + base.directional(lambda mm: zeta.dprofile(mm, t), m, x, h=h)
+            term = term - base.directional(lambda mm: xi.dprofile(mm, t), m, y, h=h)
             return term
 
     name = f"[{xi.name},{zeta.name}]" if xi.name or zeta.name else ""
-    return AlgebroidSection(alg, profile, v, dprofile=dprofile, name=name)
+    return AlgebroidSection(alg, profile, xfield, dprofile=dprofile, name=name, base=base)
 
 
-def generator(algebra, x):
-    """Action generator section: constant profile -x, anchor Ad_g x - x."""
-    from .sections import constant_profile_section
-    sec = constant_profile_section(algebra, -np.asarray(x, dtype=float),
-                                   name="generator")
-    return sec
+def generator(algebra, x, base=None):
+    """Action generator section over a base: constant profile -x, field x_M
+    (on the group, anchor Ad_g x - x)."""
+    return constant_profile_section(algebra, -np.asarray(x, dtype=float),
+                                    name="generator", base=base)
 
 
 class ConnectionFamily(InterpolatedFamily):

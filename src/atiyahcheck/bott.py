@@ -631,13 +631,14 @@ def eta_p_form(p, conventions, rule=None, h=1e-4):
     return plain, equivariant
 
 
-def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4):
+def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4, h_t=1e-5):
     """varpi^p_G = I^p({kappa_t}) - Upsilon^p(0, a* theta^L, kappa_0).
 
-    Returns a callable (x, g, args) -> value covering every graded component.
+    Returns a callable (x, g, args) -> value covering every graded component;
+    kappa is differentiated in t at the step h_t.
     """
     alg = p.algebra
-    fam = KappaFamily(alg)
+    fam = KappaFamily(alg, h_t=h_t)
     zero = oneform_zero(alg)
     thl = oneform_theta_left(alg)
     kap0 = fam.at(0.0)

@@ -36,7 +36,8 @@ from . import qham as qh
 from .liealg import cubic_polynomial, make_group, quadratic_polynomial
 from .sections import (AlgebroidSection, BumpFunction, TimeGrid, extend,
                        integrate_01, loop_section, random_loop_section,
-                       random_section, random_twisted_loop, time_derivative)
+                       random_section, random_twisted_loop, template_section,
+                       time_derivative)
 
 __all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES",
            "run_checks", "list_checks", "result_keys"]
@@ -1394,7 +1395,7 @@ def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
+    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
     worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -1412,7 +1413,7 @@ def check_higher_transgression(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
+    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
     _, etaPG = bt.eta_p_form(p, conv, h=ctx.h)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1434,7 +1435,7 @@ def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    ps = bt.pressley_segal_two_form(p, conv, h=ctx.h)
+    ps = bt.pressley_segal_two_form(p, conv, h=ctx.h, h_t=ctx.h_t)
     ge = alg.identity()
     worst = 0.0
     sign = None
@@ -1474,7 +1475,7 @@ def check_cubic_suite(ctx, rng):
     if p3 is None:
         return 0.0, {"notes": "no invariant cubic exists for this algebra; suite skipped"}
     conv = ctx.conventions()
-    vpg = bt.varpi_p_equivariant(p3, conv, h=ctx.h)
+    vpg = bt.varpi_p_equivariant(p3, conv, h=ctx.h, h_t=ctx.h_t)
     _, etaPG = bt.eta_p_form(p3, conv, h=ctx.h)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1488,7 +1489,7 @@ def check_cubic_suite(ctx, rng):
     worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
     # the explicit proportionality degenerates: invariant cubics kill brackets,
     # so both the restricted 4-form and its comparison integral must vanish
-    ps3 = bt.pressley_segal_two_form(p3, conv, h=ctx.h)
+    ps3 = bt.pressley_segal_two_form(p3, conv, h=ctx.h, h_t=ctx.h_t)
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
     kf = albr.KappaFamily(alg, h_t=ctx.h_t)
@@ -1528,18 +1529,10 @@ def check_concat_generators(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         x, y = alg.random_vector(rng), alg.random_vector(rng)
-
-        def gen_pair(xv):
-            prof = lambda a, b, t: -xv
-            dprof = lambda a, b, t: np.zeros(alg.dim)
-            return fu.PairSection(
-                alg, prof, lambda a, b: alg.Ad(a, xv) - xv,
-                prof, lambda a, b: alg.Ad(b, xv) - xv,
-                dprofile2=dprof, dprofile1=dprof)
-
-        worst = max(worst, fu.fusion_residual(gen_pair(x), gen_pair(y),
+        worst = max(worst, fu.fusion_residual(fu.generator_pair(alg, x),
+                                              fu.generator_pair(alg, y),
                                               g2, g1, ctx.grid))
-        cat = fu.concat(gen_pair(x), g2, g1)
+        cat = fu.concat(fu.generator_pair(alg, x), g2, g1)
         gm = g2 @ g1
         worst = max(worst, float(np.linalg.norm(
             cat.v(gm) - (alg.Ad(gm, x) - x))))
@@ -1555,11 +1548,12 @@ def check_concat_structure(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         pair = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        worst = max(worst, pair.seam_residual(g2, g1))
+        worst = max(worst, fu.composable_residual(pair, g2, g1))
         cat = fu.concat(pair, g2, g1)
         gm = g2 @ g1
+        xi2, xi1 = pair
         worst = max(worst, float(np.linalg.norm(
-            cat.v(gm) - alg.Ad(g2, pair.v1(g2, g1)) - pair.v2(g2, g1))))
+            cat.v(gm) - alg.Ad(g2, xi1.v((g2, g1))) - xi2.v((g2, g1)))))
         worst = max(worst, cat.compatibility_residual(gm))
     # associativity after the dyadic reparametrization, on frozen paths
     g3, g2, g1 = [alg.random_group(rng) for _ in range(3)]
@@ -1601,7 +1595,7 @@ def check_pair_bracket_closure(ctx, rng):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         p = fu.pair_from_template(alg, rng, bump=ctx.bump)
         q = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        worst = max(worst, fu.pair_bracket(p, q, h=ctx.h).seam_residual(g2, g1))
+        worst = max(worst, fu.composable_residual(fu.pair_bracket(p, q, h=ctx.h), g2, g1))
     return worst
 
 
@@ -1697,6 +1691,10 @@ def check_reduced_twist(ctx, rng):
 # qham suite
 # ---------------------------------------------------------------------------
 
+# brackets of sections over the class differentiate on the sphere at this step
+_SPHERE_STEP = 1e-3
+
+
 def _unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
@@ -1744,21 +1742,22 @@ def check_pullback_bracket(ctx, rng):
         u0, u1 = rng.standard_normal(3), rng.standard_normal(3)
         af = lambda m: a0 + (m @ u0) * a1v
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0))
-        return qh.pullback_template(klass, af, xf, ctx.bump)
+        return template_section(alg, af, xf, ctx.bump, base=klass)
+
+    def br(p, q):
+        return albr.bracket(p, q, h=_SPHERE_STEP)
 
     p1, p2, p3 = mk(), mk(), mk()
-    worst = p1.seam_residual(n)
-    b12 = qh.pullback_bracket(p1, p2)
-    worst = max(worst, b12.seam_residual(n))
+    worst = p1.compatibility_residual(n)
+    b12 = br(p1, p2)
+    worst = max(worst, b12.compatibility_residual(n))
     t0 = 0.4
-    jac = qh.pullback_bracket(b12, p3).profile(n, t0) \
-        + qh.pullback_bracket(qh.pullback_bracket(p2, p3), p1).profile(n, t0) \
-        + qh.pullback_bracket(qh.pullback_bracket(p3, p1), p2).profile(n, t0)
+    jac = br(b12, p3).profile(n, t0) + br(br(p2, p3), p1).profile(n, t0) \
+        + br(br(p3, p1), p2).profile(n, t0)
     worst = max(worst, float(np.linalg.norm(jac)))
     # generators pulled back bracket as in the algebra
     x, y = alg.random_vector(rng), alg.random_vector(rng)
-    gb = qh.pullback_bracket(qh.pullback_generator(klass, x),
-                             qh.pullback_generator(klass, y))
+    gb = br(albr.generator(alg, x, base=klass), albr.generator(alg, y, base=klass))
     want = -alg.bracket(x, y)  # constant profile of the bracket generator
     worst = max(worst, float(np.linalg.norm(gb.profile(n, 0.3) - want)))
     return worst
@@ -1827,12 +1826,12 @@ def check_pullback_three_form(ctx, rng):
         u0, u1 = rng.standard_normal(3), rng.standard_normal(3)
         af = lambda m: a0 + (m @ u0) * a0
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0))
-        return qh.pullback_template(klass, af, xf, ctx.bump)
+        return template_section(alg, af, xf, ctx.bump, base=klass)
 
     secs = [mk() for _ in range(3)]
     # degree-3 Koszul differential of the pulled-back 2-form on the sphere
     def vform(m, p, q):
-        return qh.varpi_pullback(klass, p, q, m, ctx.coarse_grid, h_t=ctx.h_t)
+        return lf.canonical_two_form(p, q, m, ctx.coarse_grid, h_t=ctx.h_t)
 
     total = 0.0
     for i in range(3):
@@ -1843,13 +1842,13 @@ def check_pullback_three_form(ctx, rng):
     for i in range(3):
         for j in range(i + 1, 3):
             (k,) = [m for m in range(3) if m != i and m != j]
-            br = qh.pullback_bracket(secs[i], secs[j])
+            br = albr.bracket(secs[i], secs[j], h=_SPHERE_STEP)
             total += ((-1) ** (i + j)) * vform(n, br, secs[k])
     # the right side vanishes: 3-forms on a surface pull back to zero
     worst = abs(total)
     # degree-1 equivariant component
     x = alg.random_vector(rng)
-    xg = qh.pullback_generator(klass, x)
+    xg = albr.generator(alg, x, base=klass)
     lhs1 = -vform(n, xg, secs[0])
     g = klass.point(n)
     w = klass.push_tangent(n, secs[0].xfield(n))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 
 import numpy as np
@@ -156,6 +158,17 @@ def _margin(residual, tolerance):
     return margin if math.isfinite(margin) else None
 
 
+def _environment():
+    """Where the report was produced: interpreter, numpy, platform, CPU count.
+
+    platform.platform() would start a child process (`uname -p`); the
+    platform string is built from in-process queries instead.
+    """
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "cpu_count": os.cpu_count()}
+
+
 def _report_payload(config, results, convention_table):
     checks = []
     for r in sorted(results, key=lambda r: (r.suite, r.name)):
@@ -176,6 +189,7 @@ def _report_payload(config, results, convention_table):
         "version": __version__,
         "config_echo": {k: v for k, v in config.items() if k != "report_path"},
         "convention_table": convention_table,
+        "environment": _environment(),
         "checks": checks,
         "summary": {"total": len(results), "passed": passed,
                     "failed": len(results) - passed},

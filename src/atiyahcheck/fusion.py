@@ -1,10 +1,13 @@
 """Concatenation of sections, the composable-pair algebroid, and Courant data.
 
-Pairs live over the product group with points written (g2, g1) and the
-composite g2 g1 (concatenation runs right to left).  Pair sections may
-depend on both slots; their bracket differentiates along both factors.
-The fusion defect is lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1
-the (g2)-slot, a convention pinned by the closed-form generator identity.
+Pairs live over the product group with points m = (g2, g1) and the
+composite g2 g1 (concatenation runs right to left).  Each slot of G x G is
+a base of sections (Phi = pr_2 or pr_1, see sections.AlgebroidSection),
+and a pair is a tuple (xi2, xi1) of sections over the two slots that share
+one tangent field, the two-row (v2, v1) on G x G.  So the template, seam,
+bracket and varpi of a pair are the group's own, run once per slot.  The
+fusion defect is lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1 the
+(g2)-slot, a convention pinned by the closed-form generator identity.
 """
 
 from __future__ import annotations
@@ -12,13 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import AlgebroidForm
-from .sections import AlgebroidSection, BumpFunction, integrate_01
+from .sections import AlgebroidSection, BumpFunction, template_section
 from . import algebroid as albr
 from .liealg import richardson
 from .lifting import canonical_two_form
 
 __all__ = [
-    "PairSection",
+    "Slot",
+    "slots",
+    "composable_residual",
+    "generator_pair",
     "pair_from_template",
     "pair_bracket",
     "concat",
@@ -32,44 +38,59 @@ __all__ = [
 ]
 
 
-class PairSection:
-    """A section of the product algebroid: components over the two slots.
+class Slot:
+    """One factor of G x G as a base: Phi(g2, g1) = g2 (index 0) or g1 (index 1).
 
-    profile2/profile1 and v2/v1 are functions of both group points; the
-    seam condition for composability is profile1(g2, g1, 1) =
-    profile2(g2, g1, 0).
+    Tangents of G x G are two rows (w2, w1) of right-trivialized coefficients.
     """
 
-    def __init__(self, algebra, profile2, v2, profile1, v1,
-                 dprofile2=None, dprofile1=None, name=""):
+    def __init__(self, algebra, index):
         self.algebra = algebra
-        self.profile2 = profile2
-        self.v2 = v2
-        self.profile1 = profile1
-        self.v1 = v1
-        self.dprofile2 = dprofile2
-        self.dprofile1 = dprofile1
-        self.name = name
+        self.index = index
 
-    def seam_residual(self, g2, g1):
-        alg = self.algebra
-        gap = self.profile1(g2, g1, 1.0) - self.profile2(g2, g1, 0.0)
-        return float(np.linalg.norm(gap))
+    def point(self, m):
+        return m[self.index]
 
-    def component(self, slot, g2, g1):
-        """Freeze one slot pair into an ordinary section of A at its point."""
+    def push_tangent(self, m, u):
+        return u[self.index]
+
+    def directional(self, func, m, u, h=1e-4):
+        """Richardson derivative along the product-group direction u = (w2, w1)."""
         alg = self.algebra
-        if slot == 1:
-            prof = lambda g, t: self.profile1(g2, g, t)
-            vv = lambda g: self.v1(g2, g)
-            dprof = None if self.dprofile1 is None else (
-                lambda g, t: self.dprofile1(g2, g, t))
-        else:
-            prof = lambda g, t: self.profile2(g, g1, t)
-            vv = lambda g: self.v2(g, g1)
-            dprof = None if self.dprofile2 is None else (
-                lambda g, t: self.dprofile2(g, g1, t))
-        return AlgebroidSection(alg, prof, vv, dprofile=dprof)
+        e2 = alg.step_exponentials(alg.to_matrix(u[0]), h)
+        e1 = alg.step_exponentials(alg.to_matrix(u[1]), h)
+        steps = dict(zip((h, -h, 2.0 * h, -2.0 * h), zip(e2, e1)))
+        return richardson(lambda s: func((steps[s][0] @ m[0], steps[s][1] @ m[1])), h)
+
+    def field_bracket(self, xf, yf, m, h=1e-4):
+        """[X, Y] on G x G, per row -[x_k, y_k] + D_X y_k - D_Y x_k."""
+        alg = self.algebra
+        x, y = xf(m), yf(m)
+        out = -np.array([alg.bracket(x[0], y[0]), alg.bracket(x[1], y[1])])
+        out = out + self.directional(yf, m, x, h=h)
+        return out - self.directional(xf, m, y, h=h)
+
+    def generator_field(self, x, m):
+        """Diagonal conjugation: (Ad_{g2} x - x, Ad_{g1} x - x)."""
+        return np.array([self.algebra.generator_field(x, m[0]),
+                         self.algebra.generator_field(x, m[1])])
+
+
+def slots(algebra):
+    """The (g2)- and (g1)-slot bases of G x G."""
+    return Slot(algebra, 0), Slot(algebra, 1)
+
+
+def composable_residual(pair, g2, g1):
+    """|xi1(1) - xi2(0)|: the slot-1 path ends where the slot-2 path starts."""
+    xi2, xi1 = pair
+    m = (g2, g1)
+    return float(np.linalg.norm(xi1.profile(m, 1.0) - xi2.profile(m, 0.0)))
+
+
+def generator_pair(algebra, x):
+    """The action generator of x over both slots: constant -x, field x_{G x G}."""
+    return tuple(albr.generator(algebra, x, base=s) for s in slots(algebra))
 
 
 def pair_from_template(algebra, rng, bump=None, scale=0.7):
@@ -86,77 +107,27 @@ def pair_from_template(algebra, rng, bump=None, scale=0.7):
     v20 = algebra.random_vector(rng, scale)
     dv2 = algebra.random_vector(rng, scale)
     c2 = rng.uniform(-1, 1)
+    slot2, slot1 = slots(algebra)
 
-    def a1(g1):
-        return a0 + ca * algebra.Ad(g1, da)
+    def a1(m):
+        return a0 + ca * algebra.Ad(m[1], da)
 
-    def v1(g2, g1):
-        return v10 + c1 * algebra.Ad(g1, dv1)
+    def v1(m):
+        return v10 + c1 * algebra.Ad(m[1], dv1)
 
-    def boundary(g2, g1):
-        return algebra.Ad(g1, a1(g1)) + v1(g2, g1)
+    def xfield(m):
+        return np.array([v20 + c2 * algebra.Ad(m[0], dv2), v1(m)])
 
-    def v2(g2, g1):
-        return v20 + c2 * algebra.Ad(g2, dv2)
+    def boundary(m):
+        return algebra.Ad(m[1], a1(m)) + v1(m)
 
-    def profile1(g2, g1, t):
-        base = a1(g1)
-        coef = algebra.Ad(g1, base) + v1(g2, g1) - base
-        return base + bump(t) * coef
-
-    def dprofile1(g2, g1, t):
-        base = a1(g1)
-        coef = algebra.Ad(g1, base) + v1(g2, g1) - base
-        return bump.deriv(t) * coef
-
-    def profile2(g2, g1, t):
-        base = boundary(g2, g1)
-        coef = algebra.Ad(g2, base) + v2(g2, g1) - base
-        return base + bump(t) * coef
-
-    def dprofile2(g2, g1, t):
-        base = boundary(g2, g1)
-        coef = algebra.Ad(g2, base) + v2(g2, g1) - base
-        return bump.deriv(t) * coef
-
-    return PairSection(algebra, profile2, v2, profile1, v1,
-                       dprofile2=dprofile2, dprofile1=dprofile1)
-
-
-def _directional_pair(algebra, func, g2, g1, w2, w1, h=1e-4):
-    """Richardson derivative along the product-group direction (w2, w1)."""
-    e2 = algebra.step_exponentials(algebra.to_matrix(w2), h)
-    e1 = algebra.step_exponentials(algebra.to_matrix(w1), h)
-    steps = dict(zip((h, -h, 2.0 * h, -2.0 * h), zip(e2, e1)))
-    return richardson(lambda s: func(steps[s][0] @ g2, steps[s][1] @ g1), h)
+    return (template_section(algebra, boundary, xfield, bump, base=slot2),
+            template_section(algebra, a1, xfield, bump, base=slot1))
 
 
 def pair_bracket(p, q, h=1e-4):
     """Componentwise algebroid bracket over the product group."""
-    alg = p.algebra
-
-    def make_component(profile_p, profile_q, anchor_p, anchor_q):
-        def profile(g2, g1, t):
-            out = -alg.bracket(profile_p(g2, g1, t), profile_q(g2, g1, t))
-            out = out + _directional_pair(alg, lambda a, b: profile_q(a, b, t),
-                                          g2, g1, p.v2(g2, g1), p.v1(g2, g1), h=h)
-            out = out - _directional_pair(alg, lambda a, b: profile_p(a, b, t),
-                                          g2, g1, q.v2(g2, g1), q.v1(g2, g1), h=h)
-            return out
-
-        def v(g2, g1):
-            out = -alg.bracket(anchor_p(g2, g1), anchor_q(g2, g1))
-            out = out + _directional_pair(alg, anchor_q, g2, g1,
-                                          p.v2(g2, g1), p.v1(g2, g1), h=h)
-            out = out - _directional_pair(alg, anchor_p, g2, g1,
-                                          q.v2(g2, g1), q.v1(g2, g1), h=h)
-            return out
-
-        return profile, v
-
-    prof2, v2 = make_component(p.profile2, q.profile2, p.v2, q.v2)
-    prof1, v1 = make_component(p.profile1, q.profile1, p.v1, q.v1)
-    return PairSection(alg, prof2, v2, prof1, v1)
+    return tuple(albr.bracket(a, b, h=h) for a, b in zip(p, q))
 
 
 def concat(pair, g2, g1):
@@ -166,17 +137,19 @@ def concat(pair, g2, g1):
     path; the anchor datum is Ad_{g2} v1 + v2.  The result is seam-exact at
     the product point (and is used there pointwise).
     """
-    alg = pair.algebra
-    vcat = alg.Ad(g2, pair.v1(g2, g1)) + pair.v2(g2, g1)
+    xi2, xi1 = pair
+    alg = xi2.algebra
+    m = (g2, g1)
+    vcat = alg.Ad(g2, xi1.v(m)) + xi2.v(m)
 
     def base(t, deriv=False):
         if t <= 0.5:
             if deriv:
-                return 2.0 * pair.dprofile1(g2, g1, 2.0 * t)
-            return pair.profile1(g2, g1, 2.0 * t)
+                return 2.0 * xi1.dprofile(m, 2.0 * t)
+            return xi1.profile(m, 2.0 * t)
         if deriv:
-            return 2.0 * pair.dprofile2(g2, g1, 2.0 * t - 1.0)
-        return pair.profile2(g2, g1, 2.0 * t - 1.0)
+            return 2.0 * xi2.dprofile(m, 2.0 * t - 1.0)
+        return xi2.profile(m, 2.0 * t - 1.0)
 
     def profile(g, t):
         return base(t)
@@ -184,8 +157,7 @@ def concat(pair, g2, g1):
     def dprofile(g, t):
         return base(t, deriv=True)
 
-    return AlgebroidSection(alg, profile, lambda g: vcat,
-                            dprofile=dprofile, smooth_flag=True, name="concat")
+    return AlgebroidSection(alg, profile, lambda g: vcat, dprofile=dprofile, name="concat")
 
 
 def fusion_lambda(algebra, g2, g1, vx2, vx1, vy2, vy1):
@@ -196,18 +168,14 @@ def fusion_lambda(algebra, g2, g1, vx2, vx1, vy2, vy1):
 
 def fusion_residual(pair_xi, pair_zeta, g2, g1, grid):
     """|varpi(concat xi, concat zeta) - varpi(xi2, zeta2) - varpi(xi1, zeta1) + lambda|."""
-    alg = pair_xi.algebra
-    gm = g2 @ g1
-    cat_xi = concat(pair_xi, g2, g1)
-    cat_ze = concat(pair_zeta, g2, g1)
-    whole = canonical_two_form(cat_xi, cat_ze, gm, grid)
-    part2 = canonical_two_form(pair_xi.component(2, g2, g1),
-                               pair_zeta.component(2, g2, g1), g2, grid)
-    part1 = canonical_two_form(pair_xi.component(1, g2, g1),
-                               pair_zeta.component(1, g2, g1), g1, grid)
-    lam = fusion_lambda(alg, g2, g1,
-                        pair_xi.v2(g2, g1), pair_xi.v1(g2, g1),
-                        pair_zeta.v2(g2, g1), pair_zeta.v1(g2, g1))
+    (xi2, xi1), (ze2, ze1) = pair_xi, pair_zeta
+    alg = xi2.algebra
+    m = (g2, g1)
+    whole = canonical_two_form(concat(pair_xi, g2, g1), concat(pair_zeta, g2, g1),
+                               g2 @ g1, grid)
+    part2 = canonical_two_form(xi2, ze2, m, grid)
+    part1 = canonical_two_form(xi1, ze1, m, grid)
+    lam = fusion_lambda(alg, g2, g1, xi2.v(m), xi1.v(m), ze2.v(m), ze1.v(m))
     return abs(whole - part2 - part1 + lam)
 
 
@@ -226,30 +194,24 @@ def mult_eta_residual(algebra, eta, g2, g1, triples, h=1e-4):
     lhs = eta(gm, *[push(v2, v1) for v2, v1 in triples])
     rhs = eta(g2, *[v2 for v2, _ in triples]) + eta(g1, *[v1 for _, v1 in triples])
 
-    def lam_eval(a2, a1, b2, b1, p2, p1):
-        tl = algebra.Ad(algebra.inv(p2), a2)
-        sl = algebra.Ad(algebra.inv(p2), b2)
-        return 0.5 * (algebra.pairing(tl, b1) - algebra.pairing(sl, a1))
-
     # de Rham d of lambda over the product group, constant frames
+    product = Slot(algebra, 0)
+
     def dlam(p2, p1):
         total = 0.0
         for i in range(3):
             rest = [triples[m] for m in range(3) if m != i]
-            w2, w1 = triples[i]
-            dval = _directional_pair(
-                algebra,
-                lambda a, b: np.array(lam_eval(rest[0][0], rest[0][1],
-                                               rest[1][0], rest[1][1], a, b)),
-                p2, p1, w2, w1, h=h)
+            dval = product.directional(
+                lambda pt: np.array(fusion_lambda(algebra, *pt, *rest[0], *rest[1])),
+                (p2, p1), triples[i], h=h)
             total += ((-1) ** i) * float(dval)
         for i in range(3):
             for j in range(i + 1, 3):
                 f2 = -algebra.bracket(triples[i][0], triples[j][0])
                 f1 = -algebra.bracket(triples[i][1], triples[j][1])
                 (k,) = [m for m in range(3) if m != i and m != j]
-                total += ((-1) ** (i + j)) * lam_eval(
-                    f2, f1, triples[k][0], triples[k][1], p2, p1)
+                total += ((-1) ** (i + j)) * fusion_lambda(
+                    algebra, p2, p1, f2, f1, *triples[k])
         return total
 
     return abs(lhs - rhs + dlam(g2, g1))

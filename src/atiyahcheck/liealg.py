@@ -244,6 +244,25 @@ class LieAlgebra:
             return float(out)
         return out
 
+    # -- the group as a base of sections (Phi = identity) --------------------
+
+    def point(self, g):
+        return g
+
+    def push_tangent(self, g, u):
+        return u
+
+    def generator_field(self, x, g):
+        """x_G(g) = Ad_g x - x: the generator of conjugation in theta^R."""
+        return self.Ad(g, x) - x
+
+    def field_bracket(self, xf, yf, g, h=1e-4):
+        """theta^R([X, Y]) of right-trivialized fields: -[x, y] + D_x y - D_y x."""
+        x, y = xf(g), yf(g)
+        out = -self.bracket(x, y)
+        out = out + self.directional(yf, g, x, h=h)
+        return out - self.directional(xf, g, y, h=h)
+
     def maurer_cartan(self, g, v, side):
         """Value of the Maurer-Cartan form on the tangent vector with theta^R = v."""
         if side == "right":

@@ -119,15 +119,19 @@ def dtheta_j_definitional(alpha, xi, zeta, g, grid, h_t=1e-5):
     return lead + central_cocycle(vert, zeta, g, grid, h_t=h_t)
 
 
-def canonical_two_form(xi, zeta, g, grid, h_t=1e-5):
-    """varpi(xi, zeta) = int xi' . zeta - (1/2) v_xi . v_zeta - Ad_g xi(0) . v_zeta."""
+def canonical_two_form(xi, zeta, m, grid, h_t=1e-5):
+    """varpi(xi, zeta) = int xi' . zeta - (1/2) v_xi . v_zeta - Ad_g xi(0) . v_zeta.
+
+    Sections over a base Phi: M -> G give the pull-back Phi^! varpi at m,
+    with g = Phi(m).
+    """
     alg = xi.algebra
-    lead = _pair_dot(alg, grid, g,
-                     lambda t: time_derivative(xi, g, t, h_t=h_t),
-                     lambda t: extend(zeta, g, t))
-    vx, vz = xi.v(g), zeta.v(g)
+    lead = _pair_dot(alg, grid, m,
+                     lambda t: time_derivative(xi, m, t, h_t=h_t),
+                     lambda t: extend(zeta, m, t))
+    vx, vz = xi.v(m), zeta.v(m)
     lead -= 0.5 * alg.pairing(vx, vz)
-    lead -= alg.pairing(alg.Ad(g, xi.profile(g, 0.0)), vz)
+    lead -= alg.pairing(alg.Ad(xi.base.point(m), xi.profile(m, 0.0)), vz)
     return lead
 
 
@@ -268,10 +272,7 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
     w1, w2 = s1.tangent, s2.tangent
 
     def wbr(g):
-        out = -alg.bracket(w1(g), w2(g))
-        out = out + alg.directional(w2, g, w1(g), h=h)
-        out = out - alg.directional(w1, g, w2(g), h=h)
-        return out
+        return alg.field_bracket(w1, w2, g, h=h)
 
     hor1 = _hor_section(alpha, w1)
     hor2 = _hor_section(alpha, w2)

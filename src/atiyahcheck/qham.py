@@ -10,6 +10,14 @@ whose global sign is fixed by the moment condition (the degree-1 part of
 d_G omega = -Phi* eta_G) before any kernel computation runs.  The kernel
 of a* omega + varpi_M is probed on a Fourier-truncated basis built in the
 Ad_{Phi(m)}-eigenframe, so every loop mode satisfies its seam exactly.
+
+The class is a base of sections in the sense of sections.AlgebroidSection
+(point, push_tangent, directional, field_bracket, generator_field), so a
+section of the pull-back algebroid Phi^!A is an AlgebroidSection with
+base=klass: sections.template_section and algebroid.generator build them,
+algebroid.bracket brackets them (callers pass the sphere step h = 1e-3),
+lifting.canonical_two_form gives Phi^! varpi and project_based the base
+variant q_M of the based projection.
 """
 
 from __future__ import annotations
@@ -19,22 +27,18 @@ import math
 import numpy as np
 
 from .liealg import richardson
-from .sections import AlgebroidSection, TimeGrid, integrate_01
+from .sections import AlgebroidSection
 
 __all__ = [
     "ConjugacyClass",
     "TrivialClass",
     "ghjw_omega",
     "GhjwSignError",
-    "PullbackSection",
-    "pullback_template",
-    "pullback_bracket",
     "TruncatedBasis",
     "gram_matrix",
     "gram_kernel",
     "project_based",
     "project_based_residuals",
-    "project_based_pullback",
 ]
 
 
@@ -172,97 +176,6 @@ def calibrate_ghjw(klass, rng, samples=6, tol=1e-4):
     if not good:
         raise GhjwSignError(f"moment condition fails for both signs: {best}")
     return good[0], best
-
-
-# ---------------------------------------------------------------------------
-# pull-back sections
-# ---------------------------------------------------------------------------
-
-class PullbackSection:
-    """A pair (X, xi): tangent field on the base and a g-valued path profile.
-
-    Seam: xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + (Phi* theta^R)(X(m)).
-    """
-
-    def __init__(self, klass, xfield, profile, dprofile=None, name=""):
-        self.klass = klass
-        self.algebra = klass.algebra
-        self.xfield = xfield
-        self.profile = profile
-        self.dprofile = dprofile
-        self.name = name
-
-    def v(self, n):
-        return self.klass.push_tangent(n, self.xfield(n))
-
-    def seam_residual(self, n):
-        alg = self.algebra
-        g = self.klass.point(n)
-        gap = self.profile(n, 1.0) - alg.Ad(g, self.profile(n, 0.0)) - self.v(n)
-        return float(np.linalg.norm(gap))
-
-
-def pullback_template(klass, afunc, xfield, bump, name=""):
-    """Template profile a(m) + f(t)(Ad_{Phi(m)} a(m) + v_X(m) - a(m))."""
-    alg = klass.algebra
-
-    def coeff(n):
-        a = afunc(n)
-        return alg.Ad(klass.point(n), a) + klass.push_tangent(n, xfield(n)) - a
-
-    def profile(n, t):
-        return afunc(n) + bump(t) * coeff(n)
-
-    def dprofile(n, t):
-        return bump.deriv(t) * coeff(n)
-
-    return PullbackSection(klass, xfield, profile, dprofile, name=name)
-
-
-def pullback_generator(klass, x):
-    """Phi! of the action generator: (x_M, constant profile -x)."""
-    alg = klass.algebra
-    x = np.asarray(x, dtype=float)
-    return PullbackSection(
-        klass,
-        lambda n: klass.generator_field(x, n),
-        lambda n, t: -x,
-        lambda n, t: np.zeros(alg.dim),
-        name="generator")
-
-
-def pullback_bracket(p, q, h=1e-3):
-    """[(X, xi), (Y, zeta)] = ([X, Y], -[xi, zeta] + X zeta - Y xi)."""
-    klass = p.klass
-    alg = p.algebra
-
-    def xfield(n):
-        return klass.field_bracket(p.xfield, q.xfield, n, h=h)
-
-    def profile(n, t):
-        out = -alg.bracket(p.profile(n, t), q.profile(n, t))
-        out = out + klass.directional(lambda m: q.profile(m, t), n, p.xfield(n), h=h)
-        out = out - klass.directional(lambda m: p.profile(m, t), n, q.xfield(n), h=h)
-        return out
-
-    return PullbackSection(klass, xfield, profile, name=f"[{p.name},{q.name}]")
-
-
-def varpi_pullback(klass, p, q, n, grid, h_t=1e-5):
-    """Phi! varpi evaluated on two pull-back sections at the base point n."""
-    alg = klass.algebra
-    g = klass.point(n)
-
-    def deriv(sec, t):
-        if sec.dprofile is not None:
-            return sec.dprofile(n, t)
-        return (sec.profile(n, t + h_t) - sec.profile(n, t - h_t)) / (2 * h_t)
-
-    lead = integrate_01(lambda t: alg.pairing(deriv(p, t), q.profile(n, t)), grid)
-    vp, vq = p.v(n), q.v(n)
-    lead -= 0.5 * alg.pairing(vp, vq)
-    lead -= alg.pairing(alg.Ad(g, p.profile(n, 0.0)), vq)
-    return lead
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +349,21 @@ def gram_kernel(basis, omega, threshold=1e-8, dependency_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def project_based(xi):
-    """q(xi) = xi - xi(0): profile vanishes at t = 0, anchor gains xi(0)_G."""
-    alg = xi.algebra
+    """q(xi) = xi - xi(0): profile vanishes at t = 0, tangent field gains xi(0)_M.
 
-    def profile(g, t):
-        return xi.profile(g, t) - xi.profile(g, 0.0)
+    Over the group the anchor becomes v + (Ad_g x0 - x0); over the class the
+    tangent field becomes X + (x0)_M, the base variant q_M.
+    """
+    base = xi.base
 
-    def v(g):
-        x0 = xi.profile(g, 0.0)
-        return xi.v(g) + alg.Ad(g, x0) - x0
+    def xfield(m):
+        return xi.xfield(m) + base.generator_field(xi.profile(m, 0.0), m)
 
-    dprofile = None
-    if xi.dprofile is not None:
-        def dprofile(g, t):
-            return xi.dprofile(g, t)
+    def profile(m, t):
+        return xi.profile(m, t) - xi.profile(m, 0.0)
 
-    return AlgebroidSection(alg, profile, v, dprofile=dprofile, name=f"q({xi.name})")
+    return AlgebroidSection(xi.algebra, profile, xfield, dprofile=xi.dprofile,
+                            name=f"q({xi.name})", base=base)
 
 
 def project_based_residuals(xi, g, samples=5):
@@ -462,22 +374,3 @@ def project_based_residuals(xi, g, samples=5):
     x0 = xi.profile(g, 0.0)
     shift = q.v(g) - xi.v(g) - (alg.Ad(g, x0) - x0)
     return at0, float(np.linalg.norm(shift))
-
-
-def project_based_pullback(psec):
-    """The base variant: q_M(X, xi) = (X + xi(0)_M, xi - xi(0))."""
-    klass = psec.klass
-
-    def xfield(n):
-        return psec.xfield(n) + klass.generator_field(psec.profile(n, 0.0), n)
-
-    def profile(n, t):
-        return psec.profile(n, t) - psec.profile(n, 0.0)
-
-    dprofile = None
-    if psec.dprofile is not None:
-        def dprofile(n, t):
-            return psec.dprofile(n, t)
-
-    return PullbackSection(klass, xfield, profile, dprofile,
-                           name=f"q_M({psec.name})")

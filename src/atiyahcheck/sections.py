@@ -1,10 +1,16 @@
-"""Quasi-periodic path sections over the group, their time calculus and quadrature.
+"""Quasi-periodic path sections over a base, their time calculus and quadrature.
 
-A section assigns to (g, t) an algebra vector xi(g, t) together with a
-g-dependent constant v(g) such that xi(g, t+1) = Ad_g xi(g, t) + v(g).
-Profiles are stored as closures on the fundamental interval [0, 1] and
-extended to all real t by iterating the seam rule; grids only enter at
-quadrature time.
+A section of the pull-back algebroid Phi^!A along a map Phi: M -> G assigns
+to (m, t) an algebra vector xi(m, t) together with a tangent field X on M,
+whose push v(m) = theta^R(d Phi X(m)) closes the seam
+xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + v(m).  A base provides point (Phi),
+push_tangent (d Phi in theta^R), directional (derivatives along its
+tangents), field_bracket (of tangent fields) and generator_field (the
+action generator x_M).  The group is the base of its own sections with
+Phi the identity, so there X = v; qham's conjugacy class and fusion's
+slots of G x G are the other bases.  Profiles are stored as closures on
+the fundamental interval [0, 1] and extended to all real t by iterating
+the seam rule; grids only enter at quadrature time.
 """
 
 from __future__ import annotations
@@ -105,35 +111,40 @@ class BumpFunction:
 
 
 class AlgebroidSection:
-    """A quasi-periodic section: profile on [0, 1], anchor data v, optional d/dt.
+    """A quasi-periodic section over a base: profile on [0, 1], tangent field, d/dt.
 
-    profile(g, t) -> coefficients, defined for t in [0, 1];
-    v(g) -> coefficients;
-    dprofile(g, t) -> coefficients, optional analytic time derivative.
-    smooth_flag marks profiles constant in t near t = 0 and t = 1.
+    profile(m, t) -> coefficients, defined for t in [0, 1];
+    xfield(m) -> tangent of the base at m (on the group: the anchor datum);
+    dprofile(m, t) -> coefficients, optional analytic time derivative;
+    base defaults to the group of the algebra itself.
     """
 
-    def __init__(self, algebra, profile, v, dprofile=None, smooth_flag=False, name=""):
+    def __init__(self, algebra, profile, xfield, dprofile=None, name="", base=None):
         self.algebra = algebra
+        self.base = algebra if base is None else base
         self.profile = profile
-        self.v = v
+        self.xfield = xfield
         self.dprofile = dprofile
-        self.smooth_flag = smooth_flag
         self.name = name
 
-    def is_loop(self, g, tol=1e-10):
-        """True when the anchor datum vanishes at g (an L-section there)."""
-        return float(np.linalg.norm(self.v(g))) <= tol
+    def v(self, m):
+        """Anchor datum v(m) = theta^R(d Phi X(m)), the constant of the seam."""
+        return self.base.push_tangent(m, self.xfield(m))
 
-    def compatibility_residual(self, g):
-        """Seam defect |profile(g,1) - Ad_g profile(g,0) - v(g)|."""
+    def is_loop(self, m, tol=1e-10):
+        """True when the anchor datum vanishes at m (an L-section there)."""
+        return float(np.linalg.norm(self.v(m))) <= tol
+
+    def compatibility_residual(self, m):
+        """Seam defect |profile(m,1) - Ad_{Phi(m)} profile(m,0) - v(m)|."""
         alg = self.algebra
-        gap = self.profile(g, 1.0) - alg.Ad(g, self.profile(g, 0.0)) - self.v(g)
+        gap = (self.profile(m, 1.0) - alg.Ad(self.base.point(m), self.profile(m, 0.0))
+               - self.v(m))
         return float(np.linalg.norm(gap))
 
-    def require_compatible(self, g, tol=1e-8):
+    def require_compatible(self, m, tol=1e-8):
         """Raise on a malformed section (seam violated beyond tolerance)."""
-        res = self.compatibility_residual(g)
+        res = self.compatibility_residual(m)
         if res > tol:
             raise ValueError(f"section violates the seam at this point: {res:g}")
         return res
@@ -185,78 +196,84 @@ class InterpolatedFamily:
         return self.bump.deriv(s) * (hi - lo)
 
 
-def extend(section, g, t):
+def extend(section, m, t):
     """Value of the section at arbitrary real t via the seam rule.
 
-    For t = n + s with s in [0, 1): n gauge steps x -> Ad_g x + v of xi(s).
+    For t = n + s with s in [0, 1): n gauge steps x -> Ad_{Phi(m)} x + v(m)
+    of xi(m, s).
     """
     n = math.floor(t)
-    val = section.profile(g, t - n)
+    val = section.profile(m, t - n)
     if n == 0:
         return val
-    return gauge_steps(section.algebra, n, val, g, section.v(g))
+    return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
 
 
-def extend_deriv(section, g, t, h_t=1e-5):
-    """Time derivative at arbitrary real t; Ad_g^n of the base derivative."""
+def extend_deriv(section, m, t, h_t=1e-5):
+    """Time derivative at arbitrary real t; Ad_{Phi(m)}^n of the base derivative."""
     n = math.floor(t)
-    d = time_derivative(section, g, t - n, h_t=h_t, _base_only=True)
-    return gauge_steps(section.algebra, n, d, g)
+    d = time_derivative(section, m, t - n, h_t=h_t, _base_only=True)
+    return gauge_steps(section.algebra, n, d, section.base.point(m))
 
 
-def time_derivative(section, g, t, h_t=1e-5, _base_only=False):
+def time_derivative(section, m, t, h_t=1e-5, _base_only=False):
     """d xi / dt, analytic when the section carries a derivative evaluator.
 
     The fallback central difference uses extend() for stencil points, so it
     is valid across the seam; t outside [0, 1] routes through extend_deriv.
     """
     if not _base_only and not (0.0 <= t <= 1.0):
-        return extend_deriv(section, g, t, h_t=h_t)
+        return extend_deriv(section, m, t, h_t=h_t)
     if section.dprofile is not None:
-        return section.dprofile(g, t)
+        return section.dprofile(m, t)
 
     def value(tt):
-        return extend(section, g, tt)
+        return extend(section, m, tt)
 
     return (value(t + h_t) - value(t - h_t)) / (2.0 * h_t)
 
 
-def template_section(algebra, a, v, bump, name=""):
-    """Section with profile a(g) + f(t) (Ad_g a(g) + v(g) - a(g)).
+def template_section(algebra, a, xfield, bump, name="", base=None):
+    """Section with profile a(m) + f(t) (Ad_{Phi(m)} a(m) + v(m) - a(m)).
 
+    v(m) is the push of the tangent field xfield (on the group, xfield is v).
     The seam condition holds exactly by construction and the analytic time
     derivative is f'(t) times the seam coefficient.
     """
+    base = algebra if base is None else base
 
-    def seam_coeff(g):
-        ag = a(g)
-        return algebra.Ad(g, ag) + v(g) - ag
+    def seam_coeff(m, am):
+        return algebra.Ad(base.point(m), am) + base.push_tangent(m, xfield(m)) - am
 
-    def profile(g, t):
-        return a(g) + bump(t) * seam_coeff(g)
+    def profile(m, t):
+        am = a(m)
+        return am + bump(t) * seam_coeff(m, am)
 
-    def dprofile(g, t):
-        return bump.deriv(t) * seam_coeff(g)
+    def dprofile(m, t):
+        return bump.deriv(t) * seam_coeff(m, a(m))
 
-    return AlgebroidSection(algebra, profile, v, dprofile=dprofile,
-                            smooth_flag=True, name=name)
+    return AlgebroidSection(algebra, profile, xfield, dprofile=dprofile,
+                            name=name, base=base)
 
 
-def constant_profile_section(algebra, value, name=""):
-    """Section with profile identically `value`; the seam forces v = value - Ad_g value."""
+def constant_profile_section(algebra, value, name="", base=None):
+    """Section with profile identically `value`; the seam forces the tangent
+    field to be the generator of -value, so v = value - Ad_{Phi(m)} value."""
+    base = algebra if base is None else base
     value = np.asarray(value, dtype=float)
+    minus = -value
 
-    def profile(g, t):
+    def profile(m, t):
         return value.copy()
 
-    def dprofile(g, t):
+    def dprofile(m, t):
         return np.zeros_like(value)
 
-    def v(g):
-        return value - algebra.Ad(g, value)
+    def xfield(m):
+        return base.generator_field(minus, m)
 
-    return AlgebroidSection(algebra, profile, v, dprofile=dprofile,
-                            smooth_flag=True, name=name)
+    return AlgebroidSection(algebra, profile, xfield, dprofile=dprofile,
+                            name=name, base=base)
 
 
 def loop_section(algebra, path, dpath=None, name=""):

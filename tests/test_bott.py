@@ -208,3 +208,27 @@ def test_gauge_family_seams(su2, rng):
             assert np.linalg.norm(fam.value(t + 1.0, g, sec) - want) < 1e-10
             want_d = su2.Ad(k, fam.tderiv(t, g, sec))
             assert np.linalg.norm(fam.tderiv(t + 1.0, g, sec) - want_d) < 1e-10
+
+
+def test_varpi_p_differentiates_at_t_step(su2, conv, rng):
+    # without an analytic d/dt, kappa' is the central difference at h_t
+    from atiyahcheck.sections import AlgebroidSection, extend
+    p = quadratic_polynomial(su2)
+    step = 0.05
+    g = su2.random_group(rng)
+    x = su2.random_vector(rng)
+    raw = []
+    stepped = []
+    for _ in range(2):
+        sec = random_section(su2, rng)
+        bare = AlgebroidSection(su2, sec.profile, sec.v)
+        raw.append(bare)
+        stepped.append(AlgebroidSection(
+            su2, sec.profile, sec.v,
+            dprofile=lambda gg, t, s=bare: (extend(s, gg, t + step)
+                                            - extend(s, gg, t - step)) / (2.0 * step)))
+    got = varpi_p_equivariant(p, conv, h_t=step)(x, g, raw)
+    want = varpi_p_equivariant(p, conv)(x, g, stepped)
+    fine = varpi_p_equivariant(p, conv)(x, g, raw)
+    assert abs(got - want) < 1e-12
+    assert abs(got - fine) > 1e-8

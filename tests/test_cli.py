@@ -144,7 +144,8 @@ def test_verify_report_schema(tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert set(data) == {"version", "config_echo", "convention_table",
-                         "checks", "summary"}
+                         "environment", "checks", "summary"}
+    assert set(data["environment"]) == {"python", "numpy", "platform", "cpu_count"}
     assert data["summary"]["failed"] == 0
     assert data["summary"]["total"] == len(data["checks"])
     for check in data["checks"]:

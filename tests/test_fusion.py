@@ -6,11 +6,11 @@ import pytest
 from atiyahcheck.algebroid import bracket
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract,
                                pullback_anchor)
-from atiyahcheck.fusion import (CourantElement, PairSection, concat,
+from atiyahcheck.fusion import (CourantElement, composable_residual, concat,
                                 courant_bracket, courant_pairing,
-                                fusion_residual, mult_eta_residual,
-                                pair_bracket, pair_from_template,
-                                reduced_bracket_residual)
+                                fusion_residual, generator_pair,
+                                mult_eta_residual, pair_bracket,
+                                pair_from_template, reduced_bracket_residual)
 from atiyahcheck.lifting import varpi_form
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import TimeGrid, random_section, random_twisted_loop
@@ -26,19 +26,11 @@ def rng():
     return np.random.default_rng(41)
 
 
-def _generator_pair(alg, xv):
-    prof = lambda a, b, t: -xv
-    dprof = lambda a, b, t: np.zeros(alg.dim)
-    return PairSection(alg, prof, lambda a, b: alg.Ad(a, xv) - xv,
-                       prof, lambda a, b: alg.Ad(b, xv) - xv,
-                       dprofile2=dprof, dprofile1=dprof)
-
-
 def test_concat_constant(su2, rng):
     g2, g1 = su2.random_group(rng), su2.random_group(rng)
     x = su2.random_vector(rng)
-    pair = _generator_pair(su2, x)
-    assert pair.seam_residual(g2, g1) < 1e-14
+    pair = generator_pair(su2, x)
+    assert composable_residual(pair, g2, g1) < 1e-14
     cat = concat(pair, g2, g1)
     gm = g2 @ g1
     for t in (0.1, 0.5, 0.9):
@@ -51,7 +43,7 @@ def test_fusion_generators_exact(su2, rng):
     grid = TimeGrid(201)
     g2, g1 = su2.random_group(rng), su2.random_group(rng)
     x, y = su2.random_vector(rng), su2.random_vector(rng)
-    res = fusion_residual(_generator_pair(su2, x), _generator_pair(su2, y),
+    res = fusion_residual(generator_pair(su2, x), generator_pair(su2, y),
                           g2, g1, grid)
     assert res < 1e-12
 
@@ -62,7 +54,7 @@ def test_fusion_abelian_constants():
     grid = TimeGrid(101)
     g2, g1 = tor.random_group(rng), tor.random_group(rng)
     x, y = tor.random_vector(rng), tor.random_vector(rng)
-    res = fusion_residual(_generator_pair(tor, x), _generator_pair(tor, y),
+    res = fusion_residual(generator_pair(tor, x), generator_pair(tor, y),
                           g2, g1, grid)
     assert res < 1e-13
 
@@ -72,7 +64,7 @@ def test_fusion_random_pairs(su2, rng):
     g2, g1 = su2.random_group(rng), su2.random_group(rng)
     p = pair_from_template(su2, rng)
     q = pair_from_template(su2, rng)
-    assert p.seam_residual(g2, g1) < 1e-12
+    assert composable_residual(p, g2, g1) < 1e-12
     assert fusion_residual(p, q, g2, g1, grid) < 1e-4
 
 
@@ -80,7 +72,7 @@ def test_pair_bracket_composable(su2, rng):
     g2, g1 = su2.random_group(rng), su2.random_group(rng)
     p = pair_from_template(su2, rng)
     q = pair_from_template(su2, rng)
-    assert pair_bracket(p, q).seam_residual(g2, g1) < 1e-6
+    assert composable_residual(pair_bracket(p, q), g2, g1) < 1e-6
 
 
 def test_mult_eta(su2, rng):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from atiyahcheck.algebroid import bracket, generator
 from atiyahcheck.liealg import make_group
+from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.qham import (ConjugacyClass, GhjwSignError, TrivialClass,
                               TruncatedBasis, calibrate_ghjw, ghjw_omega,
-                              gram_kernel, project_based, pullback_bracket,
-                              pullback_generator, pullback_template,
-                              varpi_pullback)
-from atiyahcheck.sections import BumpFunction, TimeGrid, random_section
+                              gram_kernel, project_based)
+from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
+                                  template_section)
 
 
 @pytest.fixture
@@ -60,20 +61,20 @@ def test_ghjw_oracle_and_example(su2, klass, rng):
 def test_pullback_template_seam(su2, klass, rng):
     bump = BumpFunction()
     a0 = su2.random_vector(rng)
-    sec = pullback_template(klass, lambda m: a0 + m[0] * a0,
-                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([1.0, 0, 0]),
-                            bump)
+    sec = template_section(su2, lambda m: a0 + m[0] * a0,
+                           lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([1.0, 0, 0]),
+                           bump, base=klass)
     for _ in range(3):
-        assert sec.seam_residual(_unit(rng)) < 1e-10
+        assert sec.compatibility_residual(_unit(rng)) < 1e-10
 
 
 def test_pullback_generator_bracket(su2, klass, rng):
     n = _unit(rng)
     x, y = su2.random_vector(rng), su2.random_vector(rng)
-    gb = pullback_bracket(pullback_generator(klass, x), pullback_generator(klass, y))
+    gb = bracket(generator(su2, x, base=klass), generator(su2, y, base=klass), h=1e-3)
     want = -su2.bracket(x, y)
     assert np.linalg.norm(gb.profile(n, 0.4) - want) < 1e-6
-    assert gb.seam_residual(n) < 1e-6
+    assert gb.compatibility_residual(n) < 1e-6
 
 
 def test_kernel_dimension_and_stability(su2, klass, rng):
@@ -121,11 +122,11 @@ def test_varpi_pullback_generator_rows(su2, klass, rng):
     grid = TimeGrid(201)
     bump = BumpFunction()
     x = su2.random_vector(rng)
-    xg = pullback_generator(klass, x)
-    sec = pullback_template(klass, lambda m: su2.random_vector(np.random.default_rng(1)),
-                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.3, -0.7, 0.2]),
-                            bump)
-    val = varpi_pullback(klass, xg, sec, n, grid) \
+    xg = generator(su2, x, base=klass)
+    sec = template_section(su2, lambda m: su2.random_vector(np.random.default_rng(1)),
+                           lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.3, -0.7, 0.2]),
+                           bump, base=klass)
+    val = canonical_two_form(xg, sec, n, grid) \
         + omega(n, xg.xfield(n), sec.xfield(n))
     assert abs(val) < 1e-10
 
@@ -151,16 +152,15 @@ def test_project_based(su2, rng):
 def test_project_based_pullback(su2, klass, rng):
     bump = BumpFunction()
     a0 = su2.random_vector(rng)
-    sec = pullback_template(klass, lambda m: a0 + m[1] * a0,
-                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.2, 0.5, -0.1]),
-                            bump)
-    from atiyahcheck.qham import project_based_pullback
-    q = project_based_pullback(sec)
+    sec = template_section(su2, lambda m: a0 + m[1] * a0,
+                           lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.2, 0.5, -0.1]),
+                           bump, base=klass)
+    q = project_based(sec)
     n = _unit(rng)
     assert np.linalg.norm(q.profile(n, 0.0)) < 1e-14
-    assert q.seam_residual(n) < 1e-9
+    assert q.compatibility_residual(n) < 1e-9
     # pull-back generators project to zero sections with shifted tangent
     x = su2.random_vector(rng)
-    qg = project_based_pullback(pullback_generator(klass, x))
+    qg = project_based(generator(su2, x, base=klass))
     assert np.linalg.norm(qg.profile(n, 0.6)) < 1e-14
     assert np.linalg.norm(qg.xfield(n)) < 1e-12

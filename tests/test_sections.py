@@ -147,3 +147,26 @@ def test_require_compatible(su2):
                            lambda gg: np.zeros(3))
     with pytest.raises(ValueError):
         bad.require_compatible(g)
+
+
+def test_seam_over_every_base(su2):
+    # extend(m, t+1) = Ad_{Phi(m)} extend(m, t) + v(m) on the class and both slots
+    from atiyahcheck.fusion import pair_from_template
+    from atiyahcheck.qham import ConjugacyClass
+    rng = np.random.default_rng(17)
+    klass = ConjugacyClass(su2)
+    a0 = su2.random_vector(rng)
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    on_class = template_section(
+        su2, lambda m: a0 + m[2] * a0,
+        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
+        BumpFunction(), base=klass)
+    m = (su2.random_group(rng), su2.random_group(rng))
+    xi2, xi1 = pair_from_template(su2, rng)
+    for sec, point in ((on_class, n), (xi2, m), (xi1, m)):
+        g = sec.base.point(point)
+        assert sec.compatibility_residual(point) < 1e-12
+        for t in (-1.4, -0.3, 0.25, 1.6):
+            want = su2.Ad(g, extend(sec, point, t)) + sec.v(point)
+            assert np.linalg.norm(extend(sec, point, t + 1.0) - want) < 1e-12
