@@ -211,4 +211,4 @@ class KappaFamily:
         """kappa_t as a g-valued algebroid 1-form."""
         from .forms import AlgebroidForm
         return AlgebroidForm(self.algebra, 1, lambda g, xi: self.value(t, g, xi),
-                             scalar=False, name=f"kappa_{t:g}")
+                             scalar=False, name="kappa_t")

@@ -25,7 +25,7 @@ from .algebroid import KappaFamily, generator
 from .forms import AlgebroidForm, _perm_sign, cartan_three_form, pullback_anchor
 from .liealg import make_group, quadratic_polynomial
 from .sections import (BumpFunction, InterpolatedFamily, TimeGrid, gauge_steps,
-                       integrate_01, random_section)
+                       piecewise, random_section)
 
 __all__ = [
     "SimplexRule",
@@ -153,7 +153,7 @@ class GaugePeriodicFamily(InterpolatedFamily):
 
     def at(self, t):
         return AlgebroidForm(self.algebra, 1, lambda g, sec: self.value(t, g, sec),
-                             scalar=False, name=f"beta_{t:g}")
+                             scalar=False, name="beta_t")
 
     def gauge_residual(self, t, g, sec):
         lhs = self.value(t + 1.0, g, sec)
@@ -325,7 +325,8 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
                        conventions=None, h=1e-4):
     """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot.
 
-    family must provide value(t, g, sec), tderiv(t, g, sec) and at(t).
+    family must provide value(t, g, sec), tderiv(t, g, sec) and at(t), for
+    arrays of times t.
     """
     alg = p.algebra
     m = p.degree
@@ -345,23 +346,23 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
     reorder = -1.0                     # dt crosses the ds-slot 1-form
     sign = 1.0 if conventions is None else conventions.rect_sign
 
+    # beta_t and its derivatives on all t nodes at once; row ti is t_nodes[ti]
+    data = _PairData(alg, [family.at(t_nodes)], args, g, x=x, h=h)
+    dvals = [family.tderiv(t_nodes, g, a) for a in args]
     total = 0.0
-    for t, wt in zip(t_nodes, t_weights):
-        data = _PairData(alg, [family.at(t)], args, g, x=x, h=h)
-        dvals = [family.tderiv(t, g, a) for a in args]
-
+    for ti, wt in enumerate(t_weights):
         for s, ws in zip(s_nodes, s_weights):
             def f_eval(pair, s=s):
                 i, j = pair
-                return s * data.dbeta(0, i, j) + (s * s) * alg.bracket(
-                    data.value(0, i), data.value(0, j))
+                return s * data.dbeta(0, i, j)[ti] + (s * s) * alg.bracket(
+                    data.value(0, i)[ti], data.value(0, j)[ti])
 
-            blocks = [(1, lambda idx: data.value(0, idx[0])),
-                      (1, lambda idx, s=s: s * dvals[idx[0]])]
+            blocks = [(1, lambda idx: data.value(0, idx[0])[ti]),
+                      (1, lambda idx, s=s: s * dvals[idx[0]][ti])]
             for _ in range(n_f):
                 blocks.append((2, f_eval))
             if n_z:
-                zv = np.asarray(x, dtype=float) - s * data.iota_x(0)
+                zv = np.asarray(x, dtype=float) - s * data.iota_x(0)[ti]
                 for _ in range(n_z):
                     blocks.append((0, lambda idx, zv=zv: zv))
             total += wt * ws * _p_wedge(p, blocks, r)
@@ -548,9 +549,10 @@ def q_functional(family, g, a1, a2, grid, h=1e-4):
     b01 = family.value(0.0, g, a1)
     b02 = family.value(0.0, g, a2)
     out = 0.5 * (alg.pairing(tl1, b02) - alg.pairing(tl2, b01))
-    out += 0.5 * integrate_01(
-        lambda t: alg.pairing(family.value(t, g, a1), family.tderiv(t, g, a2))
-        - alg.pairing(family.value(t, g, a2), family.tderiv(t, g, a1)), grid)
+    ts = grid.nodes
+    out += 0.5 * grid.integrate(
+        alg.pairing(family.value(ts, g, a1), family.tderiv(ts, g, a2))
+        - alg.pairing(family.value(ts, g, a2), family.tderiv(ts, g, a1)))
     return out
 
 
@@ -576,27 +578,31 @@ def concat_families(f1, f2, algebra):
     extends by the gauge step of Phi2 Phi1, with the families' own h.
     """
 
+    def half(t):
+        return t > 0.5
+
     class _Concat:
         def __init__(self):
             self.algebra = algebra
             self.phi = lambda g: f2.phi(g) @ f1.phi(g)
             self.h = f1.h
 
-        def _base(self, t, g, sec, deriv):
-            fam, tt = (f1, 2.0 * t) if t <= 0.5 else (f2, 2.0 * t - 1.0)
-            return 2.0 * fam.tderiv(tt, g, sec) if deriv else fam.value(tt, g, sec)
-
         def value(self, t, g, sec):
-            n = math.floor(t)
-            val = self._base(t - n, g, sec, False)
-            if n == 0:
-                return val
-            c = -map_theta_right(algebra, self.phi, g, sec.v(g), h=self.h)
-            return gauge_steps(algebra, n, val, self.phi(g), c)
+            def piece(n, tn):
+                val = piecewise(tn - n, half, lambda second, s:
+                                (f2 if second else f1).value(2.0 * s - second, g, sec))
+                if n == 0:
+                    return val
+                c = -map_theta_right(algebra, self.phi, g, sec.v(g), h=self.h)
+                return gauge_steps(algebra, n, val, self.phi(g), c)
+            return piecewise(t, np.floor, piece)
 
         def tderiv(self, t, g, sec):
-            n = math.floor(t)
-            return gauge_steps(algebra, n, self._base(t - n, g, sec, True), self.phi(g))
+            def piece(n, tn):
+                val = piecewise(tn - n, half, lambda second, s:
+                                2.0 * (f2 if second else f1).tderiv(2.0 * s - second, g, sec))
+                return gauge_steps(algebra, n, val, self.phi(g))
+            return piecewise(t, np.floor, piece)
 
         def at(self, t):
             return AlgebroidForm(algebra, 1, lambda g, sec: self.value(t, g, sec),

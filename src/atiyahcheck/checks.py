@@ -36,7 +36,7 @@ from . import qham as qh
 from .liealg import cubic_polynomial, make_group, quadratic_polynomial
 from .sections import (AlgebroidSection, BumpFunction, TimeGrid, extend,
                        integrate_01, loop_section, random_loop_section,
-                       random_section, random_twisted_loop, template_section,
+                       random_section, random_twisted_loop, scaled, template_section,
                        time_derivative)
 
 __all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES",
@@ -573,10 +573,10 @@ def check_sigma_value(ctx, rng):
     alg = ctx.algebra
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     two_pi = 2.0 * np.pi
-    s1 = loop_section(alg, lambda t: np.sin(two_pi * t) * e1,
-                      lambda t: two_pi * np.cos(two_pi * t) * e1)
-    s2 = loop_section(alg, lambda t: np.cos(two_pi * t) * e1,
-                      lambda t: -two_pi * np.sin(two_pi * t) * e1)
+    s1 = loop_section(alg, lambda t: scaled(np.sin(two_pi * t), e1),
+                      lambda t: scaled(two_pi * np.cos(two_pi * t), e1))
+    s2 = loop_section(alg, lambda t: scaled(np.cos(two_pi * t), e1),
+                      lambda t: scaled(-two_pi * np.sin(two_pi * t), e1))
     val = lf.central_cocycle(s1, s2, alg.identity(), ctx.grid, h_t=ctx.h_t)
     scale = alg.pairing(e1, e1)
     return abs(val + np.pi * scale)
@@ -620,9 +620,9 @@ def check_dsigma(ctx, rng):
         pointwise = AlgebroidSection(
             alg, lambda gg, t: -alg.bracket(z1.profile(gg, t), z2.profile(gg, t)),
             lambda gg: np.zeros(alg.dim))
-        rhs = integrate_01(
-            lambda t: alg.pairing(time_derivative(ch, g, t, h_t=ctx.h_t),
-                                  pointwise.profile(g, t)), ctx.coarse_grid)
+        ts = ctx.coarse_grid.nodes
+        rhs = ctx.coarse_grid.integrate(alg.pairing(
+            time_derivative(ch, g, ts, h_t=ctx.h_t), pointwise.profile(g, ts)))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -807,9 +807,9 @@ def check_iota_loop_varpi(ctx, rng):
         ze = random_twisted_loop(alg, rng, bump=ctx.bump)
         chi = random_section(alg, rng, bump=ctx.bump)
         lhs = lf.canonical_two_form(ze, chi, g, ctx.grid, h_t=ctx.h_t)
-        rhs = -integrate_01(
-            lambda t: alg.pairing(time_derivative(chi, g, t, h_t=ctx.h_t),
-                                  extend(ze, g, t)), ctx.grid)
+        ts = ctx.grid.nodes
+        rhs = -ctx.grid.integrate(alg.pairing(
+            time_derivative(chi, g, ts, h_t=ctx.h_t), extend(ze, g, ts)))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -971,7 +971,7 @@ def check_gamma_change(ctx, rng):
     lam = lf.HorizontalFamily(alg, lam0, ctx.bump)
     bker = random_twisted_loop(alg, rng, scale=0.4, bump=ctx.bump)
     gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h, h_t=ctx.h_t)
-    etap = lf.eta_perturbed(alpha, lam, bker, grid, h=ctx.h, h_t=ctx.h_t)
+    etap = lf.eta_perturbed(alpha, lam, bker, grid, h=ctx.h)
     eta0 = lf.eta_from_data(alpha, grid, h=ctx.h)
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
@@ -981,8 +981,8 @@ def check_gamma_change(ctx, rng):
     gam0 = lf.gamma_change(alpha, lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim), ctx.bump),
                            bker, grid, h=ctx.h, h_t=ctx.h_t)
     fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1], h=ctx.h)
-    want = -integrate_01(lambda t: alg.pairing(extend(bker, g, t), fsec.profile(g, t)),
-                         grid)
+    want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes),
+                                       fsec.profile(g, grid.nodes)))
     resid2 = abs(gam0(g, vs[0], vs[1]) - want)
     worst = max(abs(lhs - rhs), resid2)
     return worst
@@ -1170,6 +1170,18 @@ def _gauge_family(ctx, rng, phi=None):
     return bt.GaugePeriodicFamily(alg, beta0, phi, bump=ctx.bump, h=ctx.h)
 
 
+def _velocity_dot_curvature(ctx, fam, g, secs, t):
+    """beta_t' . F^{beta_t} on three sections, at a time or an array of times."""
+    alg = ctx.algebra
+    data = bt._PairData(alg, [fam.at(t)], secs, g, h=ctx.h)
+    dv = [fam.tderiv(t, g, s) for s in secs]
+    out = 0.0
+    for (i, j, k), sign in (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0)):
+        f = data.dbeta(0, j, k) + alg.bracket(data.value(0, j), data.value(0, k))
+        out = out + sign * alg.pairing(dv[i], f)
+    return out
+
+
 @_register("bott", "transgression", tol=1e-4,
            identity="d/dt CS(beta_t) = beta_t' . F^{beta_t} - (1/2) d(beta_t . beta_t')")
 def check_transgression(ctx, rng):
@@ -1181,13 +1193,7 @@ def check_transgression(ctx, rng):
     hh = 1e-4
     csdot = (bt.chern_simons(fam.at(tt + hh), g, secs, h=ctx.h)
              - bt.chern_simons(fam.at(tt - hh), g, secs, h=ctx.h)) / (2 * hh)
-    from .bott import _PairData
-    data = _PairData(alg, [fam.at(tt)], secs, g, h=ctx.h)
-    dv = [fam.tderiv(tt, g, s) for s in secs]
-    rhs = 0.0
-    for (i, j, k), sign in (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0)):
-        f = data.dbeta(0, j, k) + alg.bracket(data.value(0, j), data.value(0, k))
-        rhs += sign * alg.pairing(dv[i], f)
+    rhs = _velocity_dot_curvature(ctx, fam, g, secs, tt)
     pair = fm.AlgebroidForm(alg, 2, lambda gg, s1, s2:
                             alg.pairing(fam.value(tt, gg, s1), fam.tderiv(tt, gg, s2))
                             - alg.pairing(fam.value(tt, gg, s2), fam.tderiv(tt, gg, s1)))
@@ -1205,18 +1211,7 @@ def check_cs_period_integral(ctx, rng):
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     grid = TimeGrid(51)
-    from .bott import _PairData
-
-    def integrand(t):
-        data = _PairData(alg, [fam.at(t)], secs, g, h=ctx.h)
-        dv = [fam.tderiv(t, g, s) for s in secs]
-        out = 0.0
-        for (i, j, k), sign in (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0)):
-            f = data.dbeta(0, j, k) + alg.bracket(data.value(0, j), data.value(0, k))
-            out += sign * alg.pairing(dv[i], f)
-        return out
-
-    lhs = integrate_01(integrand, grid)
+    lhs = grid.integrate(_velocity_dot_curvature(ctx, fam, g, secs, grid.nodes))
 
     def phi_eta(gg, *ss):
         vs = [bt.map_theta_right(alg, fam.phi, gg, s.v(gg), h=ctx.h) for s in ss]
@@ -1243,12 +1238,8 @@ def check_cs_period_equivariant(ctx, rng):
     xa = albr.generator(alg, x)
     grid = TimeGrid(51)
 
-    def integrand(t):
-        form = fam.at(t)
-        iota = form(g, xa)
-        return alg.pairing(fam.tderiv(t, g, xi), np.asarray(x) - iota)
-
-    lhs = integrate_01(integrand, grid)
+    ts = grid.nodes
+    lhs = grid.integrate(alg.pairing(fam.tderiv(ts, g, xi), x - fam.value(ts, g, xa)))
     w = bt.map_theta_right(alg, phi, g, xi.v(g), h=ctx.h)
     gphi = phi(g)
     rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(gphi), w) + w, x)
@@ -1281,7 +1272,7 @@ def check_q_reparam(ctx, rng):
             return self.base.value(self._ph(t), g, s)
 
         def tderiv(self, t, g, s):
-            return self._dph(t) * self.base.tderiv(self._ph(t), g, s)
+            return scaled(self._dph(t), self.base.tderiv(self._ph(t), g, s))
 
     q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(Reparam(fam, 0.1, 0.13), g, s1, s2, ctx.grid, h=ctx.h)
@@ -1442,8 +1433,8 @@ def check_pressley_segal(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         l1 = random_loop_section(alg, rng)
         l2 = random_loop_section(alg, rng)
-        km = integrate_01(lambda t: alg.pairing(l1.dprofile(ge, t), l2.profile(ge, t)),
-                          ctx.grid)
+        ts = ctx.grid.nodes
+        km = ctx.grid.integrate(alg.pairing(l1.dprofile(ge, ts), l2.profile(ge, ts)))
         got = ps(ge, [l1, l2])
         if sign is None:
             sign = 1.0 if abs(got - km) < abs(got + km) else -1.0
@@ -1451,10 +1442,10 @@ def check_pressley_segal(ctx, rng):
     # pinned value: sin/cos pair on e1 gives pi up to the recorded sign
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     two_pi = 2.0 * np.pi
-    s1 = loop_section(alg, lambda t: np.sin(two_pi * t) * e1,
-                      lambda t: two_pi * np.cos(two_pi * t) * e1)
-    s2 = loop_section(alg, lambda t: np.cos(two_pi * t) * e1,
-                      lambda t: -two_pi * np.sin(two_pi * t) * e1)
+    s1 = loop_section(alg, lambda t: scaled(np.sin(two_pi * t), e1),
+                      lambda t: scaled(two_pi * np.cos(two_pi * t), e1))
+    s2 = loop_section(alg, lambda t: scaled(np.cos(two_pi * t), e1),
+                      lambda t: scaled(-two_pi * np.sin(two_pi * t), e1))
     spot = ps(ge, [s1, s2])
     worst = max(worst, abs(spot - sign * np.pi * alg.pairing(e1, e1)))
     # Chevalley-Eilenberg closedness on Fourier triples
@@ -1916,14 +1907,15 @@ def check_subalgebroid(ctx, rng):
     y = np.array([0.0, 1.0, 0.0])
     two_pi = 2.0 * np.pi
     s1 = AlgebroidSection(
-        alg, lambda gg, t: np.cos(two_pi * t) * z,
+        alg, lambda gg, t: scaled(np.cos(two_pi * t), z),
         lambda gg: np.zeros(3),
-        dprofile=lambda gg, t: -two_pi * np.sin(two_pi * t) * z, name="s1")
+        dprofile=lambda gg, t: scaled(-two_pi * np.sin(two_pi * t), z), name="s1")
     s2 = AlgebroidSection(
-        alg, lambda gg, t: np.cos(two_pi * t) * y + gg[0, 1] * t * np.cos(two_pi * t) * z,
+        alg, lambda gg, t: scaled(np.cos(two_pi * t), y)
+        + scaled(gg[0, 1] * t * np.cos(two_pi * t), z),
         lambda gg: np.zeros(3),
-        dprofile=lambda gg, t: -two_pi * np.sin(two_pi * t) * y
-        + gg[0, 1] * (np.cos(two_pi * t) - two_pi * t * np.sin(two_pi * t)) * z,
+        dprofile=lambda gg, t: scaled(-two_pi * np.sin(two_pi * t), y)
+        + scaled(gg[0, 1] * (np.cos(two_pi * t) - two_pi * t * np.sin(two_pi * t)), z),
         name="s2")
     worst = max(s1.compatibility_residual(g), s2.compatibility_residual(g))
     # hypotheses: E is closed under the bracket and invariant mod E
@@ -1946,9 +1938,8 @@ def check_subalgebroid(ctx, rng):
                            lambda gg: hfun(gg) * q2.v(gg))
     qbr = albr.bracket(q1, fq2, h=ctx.h)
     ts = np.linspace(0.07, 0.93, 9)
-    target = np.array([qbr.profile(g, t) for t in ts]).ravel()
-    a_mat = np.stack([np.array([q1.profile(g, t) for t in ts]).ravel(),
-                      np.array([q2.profile(g, t) for t in ts]).ravel()], axis=1)
+    target = qbr.profile(g, ts).ravel()
+    a_mat = np.stack([q1.profile(g, ts).ravel(), q2.profile(g, ts).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
     worst = max(worst, float(np.linalg.norm(target - a_mat @ coef)))
     return worst

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import AlgebroidForm
-from .sections import AlgebroidSection, BumpFunction, template_section
+from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
 from . import algebroid as albr
 from .liealg import richardson
 from .lifting import canonical_two_form
@@ -142,20 +142,16 @@ def concat(pair, g2, g1):
     m = (g2, g1)
     vcat = alg.Ad(g2, xi1.v(m)) + xi2.v(m)
 
-    def base(t, deriv=False):
-        if t <= 0.5:
-            if deriv:
-                return 2.0 * xi1.dprofile(m, 2.0 * t)
-            return xi1.profile(m, 2.0 * t)
-        if deriv:
-            return 2.0 * xi2.dprofile(m, 2.0 * t - 1.0)
-        return xi2.profile(m, 2.0 * t - 1.0)
+    def half(t):
+        return t > 0.5
 
     def profile(g, t):
-        return base(t)
+        return piecewise(t, half, lambda second, s:
+                         (xi2 if second else xi1).profile(m, 2.0 * s - second))
 
     def dprofile(g, t):
-        return base(t, deriv=True)
+        return piecewise(t, half, lambda second, s:
+                         2.0 * (xi2 if second else xi1).dprofile(m, 2.0 * s - second))
 
     return AlgebroidSection(alg, profile, lambda g: vcat, dprofile=dprofile, name="concat")
 

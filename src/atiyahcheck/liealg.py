@@ -64,15 +64,15 @@ def _frozen(a):
 
 
 def expm(a):
-    """Matrix exponential by scaling-and-squaring with a [13/13] Pade approximant."""
+    """Matrix exponential by scaling-and-squaring with a [13/13] Pade approximant;
+    leading axes are a batch, scaled alike by its largest 1-norm."""
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
+    norm = np.abs(a).sum(axis=-2).max()
     squarings = 0
     if norm > 0.5:
         squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
         a = a / (2.0 ** squarings)
-    n = a.shape[0]
-    ident = np.eye(n)
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -150,23 +150,26 @@ class LieAlgebra:
     # -- algebra arithmetic --------------------------------------------------
 
     def bracket(self, x, y):
-        """[x, y] in basis coefficients."""
-        return np.einsum("ijk,i,j->k", self.c, x, y)
+        """[x, y] in basis coefficients, over any leading batch axes."""
+        return np.einsum("ijk,...i,...j->...k", self.c, x, y)
 
     def pairing(self, x, y):
-        """B(x, y)."""
-        return float(x @ self.B @ y)
+        """B(x, y): a float, or an array over the leading batch axes."""
+        out = (np.asarray(x) @ self.B)[..., None, :] @ np.asarray(y)[..., :, None]
+        out = out[..., 0, 0]
+        return float(out) if out.ndim == 0 else out
 
     def ad_matrix(self, x):
         """Matrix of ad_x acting on coefficients: (ad x) y = [x, y]."""
         return np.einsum("i,ijk->kj", x, self.c)
 
     def to_matrix(self, x):
-        return np.einsum("i,iab->ab", np.asarray(x, dtype=float), self.basis)
+        return np.einsum("...i,iab->...ab", np.asarray(x, dtype=float), self.basis)
 
     def from_matrix(self, m):
         """Coefficients of the best basis fit to m (exact when m lies in the span)."""
-        return self._proj @ np.asarray(m, dtype=float).ravel()
+        m = np.asarray(m, dtype=float)
+        return (self._proj @ m.reshape(m.shape[:-2] + (-1, 1)))[..., 0]
 
     # -- group operations ----------------------------------------------------
 
@@ -206,7 +209,7 @@ class LieAlgebra:
         return steps
 
     def Ad(self, g, x):
-        """Ad_g x = g X g^{-1}, returned in basis coefficients."""
+        """Ad_g x = g X g^{-1} in basis coefficients, over any batch axes of x."""
         m = g @ self.to_matrix(x) @ self.inv(g)
         return self.from_matrix(m)
 

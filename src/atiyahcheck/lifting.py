@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
 from .forms import AlgebroidForm, DeRhamForm
-from .sections import (AlgebroidSection, InterpolatedFamily, extend, integrate_01,
-                       time_derivative)
+from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_section,
+                       extend, time_derivative)
 
 __all__ = [
     "central_cocycle",
@@ -42,17 +42,20 @@ __all__ = [
 ]
 
 
-def _pair_dot(alg, grid, g, f1, f2):
-    """int_0^1 B(f1(t), f2(t)) dt by Simpson on the configured grid."""
-    return integrate_01(lambda t: alg.pairing(f1(t), f2(t)), grid)
+def _pair_dot(alg, grid, f1, f2):
+    """int_0^1 B(f1(t), f2(t)) dt by Simpson, from f1 and f2 on the grid nodes."""
+    return grid.integrate(alg.pairing(f1, f2))
+
+
+def _dot_deriv(alg, grid, xi, zeta, m, h_t):
+    """int_0^1 B(xi', zeta) dt at m: one evaluation of each section on the grid."""
+    ts = grid.nodes
+    return _pair_dot(alg, grid, time_derivative(xi, m, ts, h_t=h_t), extend(zeta, m, ts))
 
 
 def central_cocycle(xi1, xi2, g, grid, h_t=1e-5):
     """sigma(xi1, xi2) = -int_0^1 B(xi1', xi2) dt for L-sections at g."""
-    alg = xi1.algebra
-    return -_pair_dot(alg, grid, g,
-                      lambda t: time_derivative(xi1, g, t, h_t=h_t),
-                      lambda t: extend(xi2, g, t))
+    return -_dot_deriv(xi1.algebra, grid, xi1, xi2, g, h_t)
 
 
 class ExtendedLSection:
@@ -86,10 +89,7 @@ def nabla_hat(xi, b, grid, h=1e-4, h_t=1e-5):
 
     def scalar(g):
         drift = alg.directional(lambda gg: np.array(b.scalar(gg)), g, base.v(g), h=h)
-        flux = _pair_dot(alg, grid, g,
-                         lambda t: time_derivative(base, g, t, h_t=h_t),
-                         lambda t: extend(b.body, g, t))
-        return float(drift) + flux
+        return float(drift) + _dot_deriv(alg, grid, base, b.body, g, h_t)
 
     return ExtendedLSection(body, scalar)
 
@@ -100,10 +100,8 @@ def nabla_hat(xi, b, grid, h=1e-4, h_t=1e-5):
 
 def dtheta_j(alpha, g, v, zeta, grid):
     """< d^theta j, zeta > on the tangent with theta^R = v: -int alpha_t' (v) . zeta."""
-    alg = alpha.algebra
-    return -_pair_dot(alg, grid, g,
-                      lambda t: alpha.tderiv(t, g, v),
-                      lambda t: extend(zeta, g, t))
+    ts = grid.nodes
+    return -_pair_dot(alpha.algebra, grid, alpha.tderiv(ts, g, v), extend(zeta, g, ts))
 
 
 def dtheta_j_definitional(alpha, xi, zeta, g, grid, h_t=1e-5):
@@ -111,10 +109,7 @@ def dtheta_j_definitional(alpha, xi, zeta, g, grid, h_t=1e-5):
 
     < d j, zeta >(xi) = int xi' . zeta; theta(xi) is the vertical part of xi.
     """
-    alg = alpha.algebra
-    lead = _pair_dot(alg, grid, g,
-                     lambda t: time_derivative(xi, g, t, h_t=h_t),
-                     lambda t: extend(zeta, g, t))
+    lead = _dot_deriv(alpha.algebra, grid, xi, zeta, g, h_t)
     vert = connection_apply(alpha, xi)
     return lead + central_cocycle(vert, zeta, g, grid, h_t=h_t)
 
@@ -126,9 +121,7 @@ def canonical_two_form(xi, zeta, m, grid, h_t=1e-5):
     with g = Phi(m).
     """
     alg = xi.algebra
-    lead = _pair_dot(alg, grid, m,
-                     lambda t: time_derivative(xi, m, t, h_t=h_t),
-                     lambda t: extend(zeta, m, t))
+    lead = _dot_deriv(alg, grid, xi, zeta, m, h_t)
     vx, vz = xi.v(m), zeta.v(m)
     lead -= 0.5 * alg.pairing(vx, vz)
     lead -= alg.pairing(alg.Ad(xi.base.point(m), xi.profile(m, 0.0)), vz)
@@ -149,12 +142,8 @@ def brylinski_two_form(alpha, xi, zeta, g, grid, h_t=1e-5):
     alg = alpha.algebra
     tx = connection_apply(alpha, xi)
     tz = connection_apply(alpha, zeta)
-    lead = _pair_dot(alg, grid, g,
-                     lambda t: time_derivative(xi, g, t, h_t=h_t),
-                     lambda t: extend(tz, g, t))
-    lead -= _pair_dot(alg, grid, g,
-                      lambda t: time_derivative(zeta, g, t, h_t=h_t),
-                      lambda t: extend(tx, g, t))
+    lead = _dot_deriv(alg, grid, xi, tz, g, h_t)
+    lead -= _dot_deriv(alg, grid, zeta, tx, g, h_t)
     lead += 0.5 * (central_cocycle(tx, tz, g, grid, h_t=h_t)
                    - central_cocycle(tz, tx, g, grid, h_t=h_t))
     return lead
@@ -167,9 +156,10 @@ def q_alpha(alpha, g, v, w, grid):
     lw = alg.maurer_cartan(g, w, "left")
     out = 0.5 * (alg.pairing(lv, alpha.value(0.0, g, w))
                  - alg.pairing(lw, alpha.value(0.0, g, v)))
-    out += 0.5 * integrate_01(
-        lambda t: alg.pairing(alpha.value(t, g, v), alpha.tderiv(t, g, w))
-        - alg.pairing(alpha.value(t, g, w), alpha.tderiv(t, g, v)), grid)
+    ts = grid.nodes
+    out += 0.5 * grid.integrate(
+        alg.pairing(alpha.value(ts, g, v), alpha.tderiv(ts, g, w))
+        - alg.pairing(alpha.value(ts, g, w), alpha.tderiv(ts, g, v)))
     return out
 
 
@@ -194,15 +184,15 @@ def eta_from_data(alpha, grid, h=1e-4):
     eta(v1, v2, v3) = sum over cyclic slots of +- int alpha'(v_i) . F(v_j, v_k).
     """
     alg = alpha.algebra
+    ts = grid.nodes
 
     def evaluator(g, v1, v2, v3):
         vs = (v1, v2, v3)
         total = 0.0
         for i, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
             j, k = [m for m in range(3) if m != i]
-            fjk = lambda t: curvature(alpha, g, t, vs[j], vs[k], h=h)
-            total += sign * integrate_01(
-                lambda t: alg.pairing(alpha.tderiv(t, g, vs[i]), fjk(t)), grid)
+            total += sign * _pair_dot(alg, grid, alpha.tderiv(ts, g, vs[i]),
+                                      curvature(alpha, g, ts, vs[j], vs[k], h=h))
         return total
 
     return DeRhamForm(alg, 3, evaluator, name="eta(data)")
@@ -227,11 +217,7 @@ def horizontal_lift(alpha, w_field):
     -alpha_t(W); that profile is vertical-free, so the hat slot is zero.
     """
     alg = alpha.algebra
-    zero = AlgebroidSection(alg,
-                            lambda g, t: np.zeros(alg.dim),
-                            lambda g: np.zeros(alg.dim),
-                            dprofile=lambda g, t: np.zeros(alg.dim),
-                            name="0")
+    zero = constant_profile_section(alg, np.zeros(alg.dim), name="0")
     return LiftedSection(ExtendedLSection(zero, 0.0), w_field)
 
 
@@ -329,9 +315,9 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid, h=1e-4)
     if phi_map is not None:
         func = phi_map(x)
         lhs += alg.directional(lambda gg: np.array(func(gg)), g, v, h=h)
-    rhs = -integrate_01(
-        lambda t: alg.pairing(alpha.tderiv(t, g, v),
-                              generator_vertical_part(alpha, x, g, t)), grid)
+    ts = grid.nodes
+    rhs = -_pair_dot(alg, grid, alpha.tderiv(ts, g, v),
+                     generator_vertical_part(alpha, x, g, ts))
     return abs(float(lhs) - float(rhs))
 
 
@@ -387,12 +373,12 @@ class PerturbedFamily:
         return self.alpha.tderiv(t, g, v) + self.lam.tderiv(t, g, v)
 
 
-def _beta_functional(algebra, kernel, grid, h_t=1e-5):
+def _beta_functional(algebra, kernel, grid):
     """beta in Gamma(L*): zeta -> int B(kernel_t, zeta_t) dt."""
+    ts = grid.nodes
 
     def apply(zeta, g):
-        return integrate_01(
-            lambda t: algebra.pairing(extend(kernel, g, t), extend(zeta, g, t)), grid)
+        return _pair_dot(algebra, grid, extend(kernel, g, ts), extend(zeta, g, ts))
 
     return apply
 
@@ -404,7 +390,7 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
              - <beta, F^theta + d^theta lambda> + (1/2) beta([lambda, lambda]).
     """
     alg = alpha.algebra
-    beta = _beta_functional(alg, beta_kernel, grid, h_t=h_t)
+    beta = _beta_functional(alg, beta_kernel, grid)
 
     def evaluator(g, v, w):
         lam_v = lam.section(lambda gg: v)
@@ -438,16 +424,16 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
     return DeRhamForm(alg, 2, evaluator, name="gamma")
 
 
-def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
+def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
     """eta' for the perturbed data: a* eta' = -<d^{theta'} j', F^{theta'}>."""
     alg = alpha.algebra
     prime = PerturbedFamily(alpha, lam)
-    beta = _beta_functional(alg, beta_kernel, grid, h_t=h_t)
+    beta = _beta_functional(alg, beta_kernel, grid)
+    ts = grid.nodes
 
     def pair_one(g, v, fsec):
         """< d^{theta'} j', F >(X) for the L-section fsec."""
-        lead = -integrate_01(
-            lambda t: alg.pairing(prime.tderiv(t, g, v), fsec.profile(g, t)), grid)
+        lead = -_pair_dot(alg, grid, prime.tderiv(ts, g, v), fsec.profile(g, ts))
         # < d^{theta'} beta, F >(X) = D_v beta(F) - beta([Hor' X, F])
         horp = _hor_section(prime, lambda gg: v)
         drift = alg.directional(lambda gg: np.array(beta(fsec, gg)), g, v, h=h)

@@ -8,9 +8,11 @@ push_tangent (d Phi in theta^R), directional (derivatives along its
 tangents), field_bracket (of tangent fields) and generator_field (the
 action generator x_M).  The group is the base of its own sections with
 Phi the identity, so there X = v; qham's conjugacy class and fusion's
-slots of G x G are the other bases.  Profiles are stored as closures on
-the fundamental interval [0, 1] and extended to all real t by iterating
-the seam rule; grids only enter at quadrature time.
+slots of G x G are the other bases.  Profiles, their derivatives, the
+extension past [0, 1] and the t-families take a float or a 1-D array t
+and return shape np.shape(t) + (dim,), so a pair integral is one call per
+section on the grid nodes and one TimeGrid.integrate; integrate_01 stays
+for scalar callables, one call per node.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ __all__ = [
     "AlgebroidSection",
     "gauge_steps",
     "InterpolatedFamily",
+    "piecewise",
+    "scaled",
     "extend",
-    "extend_deriv",
     "template_section",
     "loop_section",
     "constant_profile_section",
@@ -59,34 +62,38 @@ class TimeGrid:
         object.__setattr__(self, "nodes", np.linspace(0.0, 1.0, n))
         object.__setattr__(self, "weights", w * (h / 3.0))
 
+    def integrate(self, values):
+        """Simpson integral of node values stacked along axis 0, summed in node order."""
+        terms = self.weights * np.moveaxis(np.asarray(values, dtype=float), 0, -1)
+        acc = np.add.accumulate(terms, axis=-1)[..., -1]
+        return float(acc) if acc.ndim == 0 else acc
+
 
 def integrate_01(f, grid):
-    """Composite Simpson integral of a scalar- or vector-valued f over [0, 1]."""
-    vals = [np.asarray(f(t), dtype=float) for t in grid.nodes]
-    acc = sum(w * v for w, v in zip(grid.weights, vals))
-    if np.ndim(acc) == 0:
-        return float(acc)
-    return acc
+    """Simpson integral over [0, 1] of a scalar- or vector-valued f of one float t."""
+    return grid.integrate(np.array([f(t) for t in grid.nodes], dtype=float))
 
 
-def _smoothstep(u):
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / u)
-    b = math.exp(-1.0 / (1.0 - u))
-    return a / (a + b)
+def scaled(f, x):
+    """f(t) x for f of shape np.shape(t) and x of shape (dim,) or np.shape(t) + (dim,)."""
+    return np.asarray(f)[..., None] * x
 
 
-def _smoothstep_deriv(u):
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    a = math.exp(-1.0 / u)
-    b = math.exp(-1.0 / (1.0 - u))
-    da = a / u**2
-    db = -b / (1.0 - u) ** 2
-    return (da * (a + b) - a * (da + db)) / (a + b) ** 2
+def piecewise(t, piece, evaluate):
+    """evaluate(k, tk) on each set of times tk sharing the integer k = piece(tk).
+
+    A float t gives evaluate(int(piece(t)), t); an array gives the pieces'
+    values in the order of t.
+    """
+    if np.ndim(t) == 0:
+        return evaluate(int(piece(t)), t)
+    t = np.asarray(t, dtype=float)
+    keys = piece(t)
+    ks = sorted(set(keys.tolist()))
+    if len(ks) == 1:
+        return evaluate(int(ks[0]), t)
+    vals = np.concatenate([evaluate(int(k), t[keys == k]) for k in ks])
+    return vals[np.argsort(np.argsort(keys, kind="stable"))]
 
 
 class BumpFunction:
@@ -94,7 +101,7 @@ class BumpFunction:
 
     The exp(-1/u) smoothstep is composed with an affine clamp so the flat
     ends hold exactly (not just to all orders), which keeps seam residuals
-    at machine precision.
+    at machine precision.  exp is evaluated only strictly inside (0, 1).
     """
 
     def __init__(self, flat_width=0.1):
@@ -103,19 +110,32 @@ class BumpFunction:
         self.flat_width = flat_width
         self._scale = 1.0 - 2.0 * flat_width
 
+    def _ramp(self, t):
+        """Clamped time u, its mask 0 < u < 1, and u, exp(-1/u), exp(-1/(1-u))
+        taken on the mask, with u = 1/2 off it."""
+        u = (np.asarray(t, dtype=float) - self.flat_width) / self._scale
+        inside = (u > 0.0) & (u < 1.0)
+        ui = np.where(inside, u, 0.5)
+        return u, inside, ui, np.exp(-1.0 / ui), np.exp(-1.0 / (1.0 - ui))
+
     def __call__(self, t):
-        return _smoothstep((t - self.flat_width) / self._scale)
+        u, inside, _, a, b = self._ramp(t)
+        return np.where(inside, a / (a + b), np.where(u >= 1.0, 1.0, 0.0))[()]
 
     def deriv(self, t):
-        return _smoothstep_deriv((t - self.flat_width) / self._scale) / self._scale
+        _, inside, ui, a, b = self._ramp(t)
+        da = a / ui**2
+        db = -b / (1.0 - ui) ** 2
+        slope = (da * (a + b) - a * (da + db)) / (a + b) ** 2 / self._scale
+        return np.where(inside, slope, 0.0)[()]
 
 
 class AlgebroidSection:
     """A quasi-periodic section over a base: profile on [0, 1], tangent field, d/dt.
 
-    profile(m, t) -> coefficients, defined for t in [0, 1];
+    profile(m, t) -> coefficients of shape np.shape(t) + (dim,), t in [0, 1];
     xfield(m) -> tangent of the base at m (on the group: the anchor datum);
-    dprofile(m, t) -> coefficients, optional analytic time derivative;
+    dprofile(m, t) -> the same shape, optional analytic time derivative;
     base defaults to the group of the algebra itself.
     """
 
@@ -154,8 +174,9 @@ def gauge_steps(algebra, n, x, k, c=None):
     """x after n steps of the affine gauge action x -> Ad_k x + c.
 
     For n < 0 the -n steps are of the inverse action x -> Ad_{k^{-1}}(x - c);
-    c = None is the linear action Ad_k.  Sections, their time derivatives
-    and every t-family extend past [0, 1] by this one rule.
+    c = None is the linear action Ad_k.  x may carry leading time axes.
+    Sections, their time derivatives and every t-family extend past [0, 1]
+    by this one rule.
     """
     if n >= 0:
         for _ in range(n):
@@ -174,63 +195,59 @@ class InterpolatedFamily:
     `step(g, arg)` = (k, c), the gauge step (c = None when it is linear).
     At integers f_n = gauge_steps(n, f_0); in between
     f_t = f_n + b(t - n)(f_{n+1} - f_n) with the bump b, so the seam rule
-    holds by construction for every real t.
+    holds by construction for every real t.  Times sharing floor(t) share
+    one pair of ends.
     """
 
-    def _ends(self, t, g, arg):
-        n = math.floor(t)
+    def _ends(self, n, g, arg):
         k, c = self.step(g, arg)
         # count from f_0 to the end nearer 0, then take one more step
         if n >= 0:
             lo = gauge_steps(self.algebra, n, self.base(g, arg), k, c)
-            return t - n, lo, gauge_steps(self.algebra, 1, lo, k, c)
+            return lo, gauge_steps(self.algebra, 1, lo, k, c)
         hi = gauge_steps(self.algebra, n + 1, self.base(g, arg), k, c)
-        return t - n, gauge_steps(self.algebra, -1, hi, k, c), hi
+        return gauge_steps(self.algebra, -1, hi, k, c), hi
 
     def value(self, t, g, arg):
-        s, lo, hi = self._ends(t, g, arg)
-        return lo + self.bump(s) * (hi - lo)
+        def piece(n, tn):
+            lo, hi = self._ends(n, g, arg)
+            return lo + scaled(self.bump(tn - n), hi - lo)
+        return piecewise(t, np.floor, piece)
 
     def tderiv(self, t, g, arg):
-        s, lo, hi = self._ends(t, g, arg)
-        return self.bump.deriv(s) * (hi - lo)
+        def piece(n, tn):
+            lo, hi = self._ends(n, g, arg)
+            return scaled(self.bump.deriv(tn - n), hi - lo)
+        return piecewise(t, np.floor, piece)
 
 
 def extend(section, m, t):
     """Value of the section at arbitrary real t via the seam rule.
 
     For t = n + s with s in [0, 1): n gauge steps x -> Ad_{Phi(m)} x + v(m)
-    of xi(m, s).
+    of xi(m, s), taken once for all times sharing n.
     """
-    n = math.floor(t)
-    val = section.profile(m, t - n)
-    if n == 0:
-        return val
-    return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
+    def piece(n, tn):
+        val = section.profile(m, tn - n)
+        if n == 0:
+            return val
+        return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
+    return piecewise(t, np.floor, piece)
 
 
-def extend_deriv(section, m, t, h_t=1e-5):
-    """Time derivative at arbitrary real t; Ad_{Phi(m)}^n of the base derivative."""
-    n = math.floor(t)
-    d = time_derivative(section, m, t - n, h_t=h_t, _base_only=True)
-    return gauge_steps(section.algebra, n, d, section.base.point(m))
-
-
-def time_derivative(section, m, t, h_t=1e-5, _base_only=False):
-    """d xi / dt, analytic when the section carries a derivative evaluator.
-
-    The fallback central difference uses extend() for stencil points, so it
-    is valid across the seam; t outside [0, 1] routes through extend_deriv.
+def time_derivative(section, m, t, h_t=1e-5):
+    """d xi / dt at real t: Ad_{Phi(m)}^n of the derivative at t - n, n = floor(t)
+    (n = 0 at t = 1).  On [0, 1] that is dprofile when the section has one, else
+    a central difference of extend(), which is valid across the seam.
     """
-    if not _base_only and not (0.0 <= t <= 1.0):
-        return extend_deriv(section, m, t, h_t=h_t)
-    if section.dprofile is not None:
-        return section.dprofile(m, t)
-
-    def value(tt):
-        return extend(section, m, tt)
-
-    return (value(t + h_t) - value(t - h_t)) / (2.0 * h_t)
+    def piece(n, tn):
+        s = tn - n
+        if section.dprofile is not None:
+            d = section.dprofile(m, s)
+        else:
+            d = (extend(section, m, s + h_t) - extend(section, m, s - h_t)) / (2.0 * h_t)
+        return d if n == 0 else gauge_steps(section.algebra, n, d, section.base.point(m))
+    return piecewise(t, lambda tt: np.floor(tt) - (tt == 1.0), piece)
 
 
 def template_section(algebra, a, xfield, bump, name="", base=None):
@@ -247,10 +264,10 @@ def template_section(algebra, a, xfield, bump, name="", base=None):
 
     def profile(m, t):
         am = a(m)
-        return am + bump(t) * seam_coeff(m, am)
+        return am + scaled(bump(t), seam_coeff(m, am))
 
     def dprofile(m, t):
-        return bump.deriv(t) * seam_coeff(m, a(m))
+        return scaled(bump.deriv(t), seam_coeff(m, a(m)))
 
     return AlgebroidSection(algebra, profile, xfield, dprofile=dprofile,
                             name=name, base=base)
@@ -264,10 +281,10 @@ def constant_profile_section(algebra, value, name="", base=None):
     minus = -value
 
     def profile(m, t):
-        return value.copy()
+        return np.zeros(np.shape(t) + value.shape) + value
 
     def dprofile(m, t):
-        return np.zeros_like(value)
+        return np.zeros(np.shape(t) + value.shape)
 
     def xfield(m):
         return base.generator_field(minus, m)
@@ -281,6 +298,7 @@ def loop_section(algebra, path, dpath=None, name=""):
 
     Intended for loops based at points where the profile satisfies
     path(1) = Ad_g path(0); at the group unit any 1-periodic path qualifies.
+    path and dpath follow the profile's array-time contract.
     """
 
     def v(g):
@@ -327,25 +345,23 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
 
     path must be 1-periodic; the seam xi(g, t+1) = Ad_g xi(g, t) then holds
     for every g in the domain of the group log, so the section may be
-    differentiated in g.
+    differentiated in g.  The exponentials of all times form one batch.
     """
     if bump is None:
         bump = BumpFunction()
 
-    def gamma(g, t):
-        return algebra.exp(bump(t) * algebra.log(g))
+    def conjugate(g, t, paths):
+        c = algebra.exp(scaled(bump(t), algebra.log(g)))
+        cinv = np.linalg.inv(c)
+        return [algebra.from_matrix(c @ algebra.to_matrix(x) @ cinv) for x in paths]
 
     def profile(g, t):
-        c = gamma(g, t)
-        return algebra.from_matrix(c @ algebra.to_matrix(path(t)) @ algebra.inv(c))
+        return conjugate(g, t, [path(t)])[0]
 
     def dprofile(g, t):
-        c = gamma(g, t)
-        cinv = algebra.inv(c)
-        ad = algebra.from_matrix(c @ algebra.to_matrix(path(t)) @ cinv)
-        dad = algebra.from_matrix(c @ algebra.to_matrix(dpath(t)) @ cinv)
+        ad, dad = conjugate(g, t, [path(t), dpath(t)])
         # exp(u L) moves along its own direction: gamma' gamma^{-1} = f'(t) log g
-        return dad + bump.deriv(t) * algebra.bracket(algebra.log(g), ad)
+        return dad + scaled(bump.deriv(t), algebra.bracket(algebra.log(g), ad))
 
     def v(g):
         return np.zeros(algebra.dim)
@@ -370,17 +386,17 @@ def random_loop_section(algebra, rng, n_modes=2, scale=0.8, name="loop"):
     const = algebra.random_vector(rng, scale)
 
     def path(t):
-        out = const.copy()
+        out = const
         for k, ck, sk in coeffs:
-            out = out + math.cos(2 * math.pi * k * t) * ck \
-                      + math.sin(2 * math.pi * k * t) * sk
+            out = out + scaled(np.cos(2 * math.pi * k * t), ck) \
+                      + scaled(np.sin(2 * math.pi * k * t), sk)
         return out
 
     def dpath(t):
         out = np.zeros(algebra.dim)
         for k, ck, sk in coeffs:
             w = 2 * math.pi * k
-            out = out - w * math.sin(w * t) * ck + w * math.cos(w * t) * sk
+            out = out - scaled(w * np.sin(w * t), ck) + scaled(w * np.cos(w * t), sk)
         return out
 
     return loop_section(algebra, path, dpath, name=name)

@@ -149,19 +149,20 @@ def test_varpi_p_equals_varpi(su2, conv, rng):
 
 
 def test_pressley_segal_sin_cos(su2, conv):
-    from atiyahcheck.sections import loop_section
+    from atiyahcheck.sections import loop_section, scaled
     p = quadratic_polynomial(su2)
     ps = pressley_segal_two_form(p, conv)
     e1 = np.array([1.0, 0.0, 0.0])
     w = 2 * np.pi
-    s1 = loop_section(su2, lambda t: np.sin(w * t) * e1,
-                      lambda t: w * np.cos(w * t) * e1)
-    s2 = loop_section(su2, lambda t: np.cos(w * t) * e1,
-                      lambda t: -w * np.sin(w * t) * e1)
+    s1 = loop_section(su2, lambda t: scaled(np.sin(w * t), e1),
+                      lambda t: scaled(w * np.cos(w * t), e1))
+    s2 = loop_section(su2, lambda t: scaled(np.cos(w * t), e1),
+                      lambda t: scaled(-w * np.sin(w * t), e1))
     val = ps(su2.identity(), [s1, s2])
     assert abs(abs(val) - np.pi) < 1e-7
     # constant loops pair to zero
-    c = loop_section(su2, lambda t: e1, lambda t: np.zeros(3))
+    c = loop_section(su2, lambda t: scaled(np.ones(np.shape(t)), e1),
+                     lambda t: np.zeros(np.shape(t) + (3,)))
     assert abs(ps(su2.identity(), [c, s2])) < 1e-9
 
 

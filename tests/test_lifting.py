@@ -12,7 +12,7 @@ from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
                                  eta_from_data, lifted_jacobiator_scalar,
                                  nabla_hat, q_alpha, q_alpha_closed_form)
 from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import (BumpFunction, TimeGrid, loop_section,
+from atiyahcheck.sections import (BumpFunction, TimeGrid, loop_section, scaled,
                                   random_section, random_twisted_loop)
 
 
@@ -34,10 +34,10 @@ def rng():
 def _sincos_pair(alg):
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     w = 2 * np.pi
-    s1 = loop_section(alg, lambda t: np.sin(w * t) * e1,
-                      lambda t: w * np.cos(w * t) * e1)
-    s2 = loop_section(alg, lambda t: np.cos(w * t) * e1,
-                      lambda t: -w * np.sin(w * t) * e1)
+    s1 = loop_section(alg, lambda t: scaled(np.sin(w * t), e1),
+                      lambda t: scaled(w * np.cos(w * t), e1))
+    s2 = loop_section(alg, lambda t: scaled(np.cos(w * t), e1),
+                      lambda t: scaled(-w * np.sin(w * t), e1))
     return s1, s2
 
 
@@ -46,14 +46,14 @@ def test_sigma_values(su2, grid):
     ge = su2.identity()
     assert abs(central_cocycle(s1, s2, ge, grid) + np.pi) < 1e-7
     # constant loops give zero
-    c = loop_section(su2, lambda t: np.array([0.3, -0.2, 0.5]),
-                     lambda t: np.zeros(3))
+    c = loop_section(su2, lambda t: scaled(np.ones(np.shape(t)), np.array([0.3, -0.2, 0.5])),
+                     lambda t: np.zeros(np.shape(t) + (3,)))
     assert abs(central_cocycle(c, s2, ge, grid)) < 1e-12
     # orthogonal directions integrate to zero
     e2 = np.array([0.0, 1.0, 0.0])
     w = 2 * np.pi
-    s3 = loop_section(su2, lambda t: np.cos(w * t) * e2,
-                      lambda t: -w * np.sin(w * t) * e2)
+    s3 = loop_section(su2, lambda t: scaled(np.cos(w * t), e2),
+                      lambda t: scaled(-w * np.sin(w * t), e2))
     assert abs(central_cocycle(s1, s3, ge, grid)) < 1e-10
 
 
@@ -71,7 +71,8 @@ def test_lhat_bracket_central(su2, grid, rng):
     assert abs(br.scalar(g) + central_cocycle(z1, z2, g, grid)) < 1e-12
     # central elements bracket to zero
     central = ExtendedLSection(
-        loop_section(su2, lambda t: np.zeros(3), lambda t: np.zeros(3)), 1.0)
+        loop_section(su2, lambda t: np.zeros(np.shape(t) + (3,)),
+                     lambda t: np.zeros(np.shape(t) + (3,))), 1.0)
     out = bracket_lhat(central, b, grid)
     assert np.linalg.norm(out.body.profile(g, t0)) < 1e-13
     assert abs(out.scalar(g)) < 1e-13

@@ -6,8 +6,8 @@ import pytest
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import (AlgebroidSection, BumpFunction, TimeGrid,
                                   constant_profile_section, extend,
-                                  integrate_01, loop_section, random_section,
-                                  random_twisted_loop, template_section,
+                                  integrate_01, loop_section, random_loop_section,
+                                  random_section, random_twisted_loop, template_section,
                                   time_derivative)
 
 
@@ -170,3 +170,83 @@ def test_seam_over_every_base(su2):
         for t in (-1.4, -0.3, 0.25, 1.6):
             want = su2.Ad(g, extend(sec, point, t)) + sec.v(point)
             assert np.linalg.norm(extend(sec, point, t + 1.0) - want) < 1e-12
+
+
+def _agree_on_arrays(f, ts):
+    """f(ts)[i] equals f(ts[i]) within 1e-14 of the values' scale."""
+    whole = np.asarray(f(ts))
+    points = np.array([f(t) for t in ts])
+    assert whole.shape == points.shape == ts.shape + points.shape[1:]
+    scale = max(1.0, float(np.abs(points).max()))
+    assert float(np.abs(whole - points).max()) <= 1e-14 * scale
+
+
+def _sections_and_families(su2, rng):
+    """(section, base point) pairs and (family, group point, argument) triples
+    built by every constructor."""
+    from atiyahcheck import algebroid as albr
+    from atiyahcheck import bott, fusion, lifting
+    from atiyahcheck.forms import AlgebroidForm
+    from atiyahcheck.qham import ConjugacyClass
+
+    bump = BumpFunction()
+    g = su2.random_group(rng, scale=0.5)
+    xi, ze = random_section(su2, rng), random_section(su2, rng)
+    klass = ConjugacyClass(su2)
+    n = rng.standard_normal(3)
+    n /= np.linalg.norm(n)
+    a0 = su2.random_vector(rng)
+    on_class = template_section(
+        su2, lambda m: a0 + m[2] * a0,
+        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
+        bump, base=klass)
+    g2, g1 = su2.random_group(rng), su2.random_group(rng)
+    pair = fusion.pair_from_template(su2, rng)
+    alpha = albr.build_alpha(su2, alpha0=albr.invariant_alpha0(su2, (0.2, -0.1, 0.05)),
+                             bump=bump, invariant=True)
+    v, w = su2.random_vector(rng), su2.random_vector(rng)
+    lam = lifting.HorizontalFamily(su2, lambda gg, u: 0.2 * su2.Ad(gg, u), bump)
+    sections = [
+        (xi, g), (on_class, n), (pair[0], (g2, g1)), (pair[1], (g2, g1)),
+        (constant_profile_section(su2, su2.random_vector(rng)), g),
+        (random_loop_section(su2, rng), g), (random_twisted_loop(su2, rng), g),
+        (albr.bracket(xi, ze), g), (albr.connection_apply(alpha, xi), g),
+        (lifting._hor_section(alpha, lambda gg: v), g),
+        (lifting._curvature_section(alpha, lambda gg: v, lambda gg: w), g),
+        (lam.section(lambda gg: w), g), (fusion.concat(pair, g2, g1), g2 @ g1),
+    ]
+    thl = bott.oneform_theta_left(su2)
+    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s), scalar=False)
+    phi1 = lambda gg, m=su2.exp(su2.random_vector(rng, 0.4)): m @ gg
+    phi2 = lambda gg, m=su2.exp(su2.random_vector(rng, 0.4)): gg @ m
+    f1 = bott.GaugePeriodicFamily(su2, beta0, phi1)
+    f2 = bott.GaugePeriodicFamily(su2, bott.gauge_transform(phi1, beta0), phi2)
+    families = [(alpha, g, v), (lam, g, w), (f1, g, xi),
+                (bott.concat_families(f1, f2, su2), g, xi), (albr.KappaFamily(su2), g, xi)]
+    return sections, families
+
+
+def test_grid_matches_points(su2):
+    # one call on an array of times equals one call per time, inside [0, 1]
+    # and across integers, with invalid operations raising as in check bodies
+    rng = np.random.default_rng(29)
+    nodes = TimeGrid(41).nodes
+    h_t = 1e-5
+    crossing = [nodes + h_t, nodes - h_t, np.array([-1.4, -0.3, 1.0, 1.6, 2.3])]
+    with np.errstate(divide="raise", invalid="raise"):
+        sections, families = _sections_and_families(su2, rng)
+        for sec, m in sections:
+            _agree_on_arrays(lambda t: sec.profile(m, t), nodes)
+            if sec.dprofile is not None:
+                _agree_on_arrays(lambda t: sec.dprofile(m, t), nodes)
+            for ts in [nodes] + crossing:
+                _agree_on_arrays(lambda t: extend(sec, m, t), ts)
+                _agree_on_arrays(lambda t: time_derivative(sec, m, t, h_t=h_t), ts)
+        for fam, g, arg in families:
+            for ts in [nodes] + crossing:
+                _agree_on_arrays(lambda t: fam.value(t, g, arg), ts)
+                _agree_on_arrays(lambda t: fam.tderiv(t, g, arg), ts)
+        bump = BumpFunction()
+        for ts in [nodes] + crossing:
+            _agree_on_arrays(bump, ts)
+            _agree_on_arrays(bump.deriv, ts)
