@@ -137,6 +137,9 @@ def validate_config(config):
                           "reported result as suite.check")
     for key in tols:
         tols[key] = _number(tols, key, None)
+        if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
+            # nan fails every comparison and inf passes any residual
+            raise ConfigError(f"tolerance {key} must be a finite number >= 0")
     if not isinstance(config.get("report_path", ""), str):
         raise ConfigError("report_path must be a string")
     config["group"] = group
@@ -144,6 +147,9 @@ def validate_config(config):
     config["fd_step"] = fd
     config["samples"] = samples
     config["seed"] = _integer(config, "seed", 42)
+    if config["seed"] < 0:
+        # numpy's seed sequence takes only non-negative entropy
+        raise ConfigError("seed must be a non-negative integer")
     config["t_step"] = t_step
 
 

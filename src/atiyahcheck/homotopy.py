@@ -32,12 +32,11 @@ class ChartForm:
         return float(self._eval(x, *us))
 
 
-def _push(alg, x, u, h):
+def _push(alg, x, u, h, ginv):
     """theta^R(d exp_x(u)): a Richardson central difference of the curve
-    s -> exp(x + s u) exp(x)^{-1}."""
+    s -> exp(x + s u) exp(x)^{-1}, given ginv = exp(x)^{-1}."""
     def at(s):
         return alg.exp(x + s * u)
-    ginv = alg.inv(at(0.0))
     d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
     d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
     return alg.from_matrix((4.0 * d1 - d2) / 3.0)
@@ -46,13 +45,15 @@ def _push(alg, x, u, h):
 def chart_pullback(omega, h=1e-4):
     """Pull a right-trivialized de Rham form back through exp.
 
-    Chart tangents u push forward to theta^R(d exp_x(u)).
+    Chart tangents u push forward to theta^R(d exp_x(u)); exp(x) and its
+    inverse are computed once per chart point.
     """
     alg = omega.algebra
 
     def evaluator(x, *us):
         g = alg.exp(x)
-        return omega(g, *[_push(alg, x, u, h) for u in us])
+        ginv = alg.inv(g)
+        return omega(g, *[_push(alg, x, u, h, ginv) for u in us])
 
     return ChartForm(alg, omega.degree, evaluator)
 
@@ -84,7 +85,8 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
 
     def pull_tangent_basis(x):
         # forward map of the chart basis, then invert to carry theta^R data back
-        cols = [_push(alg, x, u, h) for u in np.eye(alg.dim)]
+        ginv = alg.inv(alg.exp(x))
+        cols = [_push(alg, x, u, h, ginv) for u in np.eye(alg.dim)]
         return np.linalg.inv(np.array(cols).T)
 
     def evaluator(g, *vs):

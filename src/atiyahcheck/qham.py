@@ -10,6 +10,9 @@ whose global sign is fixed by the moment condition (the degree-1 part of
 d_G omega = -Phi* eta_G) before any kernel computation runs.  The kernel
 of a* omega + varpi_M is probed on a Fourier-truncated basis built in the
 Ad_{Phi(m)}-eigenframe, so every loop mode satisfies its seam exactly.
+Each truncation builds one Gram matrix, one eigendecomposition of the
+basis metric and one SVD; gram_kernel reads the kernel dimension at every
+relative singular threshold off those singular values.
 
 The class is a base of sections in the sense of sections.AlgebroidSection
 (point, push_tangent, directional, field_bracket, generator_field), so a
@@ -184,72 +187,78 @@ def calibrate_ghjw(klass, rng, samples=6, tol=1e-4):
 
 class TruncatedBasis:
     """Grid arrays for the probe basis at a base point: generators, tangents,
-    and loop modes built in the Ad_{Phi(m)}-eigenframe (seam-exact per mode)."""
+    and loop modes built in the Ad_{Phi(m)}-eigenframe (seam-exact per mode).
 
-    def __init__(self, klass, n, n_max, grid, bump=None):
+    g = Phi(n) and the pushed tangents theta^R(dPhi t) are computed once per
+    basis.  Only generator and tangent rows move the base point; every other
+    row has tangent 0, whose push is exactly 0, so it is not pushed.
+    """
+
+    def __init__(self, klass, n, n_max, grid):
         alg = klass.algebra
         self.klass = klass
         self.n = np.asarray(n, dtype=float)
         self.grid = grid
         ts = grid.nodes
-        g = klass.point(n)
+        self.g = g = klass.point(n)
         dim = alg.dim
+        still = np.zeros((len(ts), dim))
 
         labels = []
         tangents = []        # base tangents in R^3
+        pushed = []          # theta^R(dPhi tangent) in g
         values = []          # (n_t, dim) arrays
         derivs = []
 
-        def add(label, tangent, vals, ders):
+        def add(label, tangent, vals, ders, push=None):
+            tangent = np.asarray(tangent, dtype=float)
+            if push is None:
+                push = klass.push_tangent(n, tangent) if tangent.any() else np.zeros(dim)
             labels.append(label)
-            tangents.append(np.asarray(tangent, dtype=float))
+            tangents.append(tangent)
+            pushed.append(push)
             values.append(np.asarray(vals, dtype=float))
             derivs.append(np.asarray(ders, dtype=float))
 
         # generators (x_M, constant -e_i)
         for i in range(dim):
             x = np.zeros(dim); x[i] = 1.0
-            const = np.tile(-x, (len(ts), 1))
-            add(f"gen{i}", klass.generator_field(x, n), const, np.zeros_like(const))
+            add(f"gen{i}", klass.generator_field(x, n), np.tile(-x, (len(ts), 1)), still)
 
         # tangent directions, completed with the constant path solving the seam
         # (c - Ad_g c = v); on a conjugacy class these are exact generator
         # combinations, a rank deficiency the kernel routine quotients out
-        t1, t2 = klass.tangent_basis(n)
-        one_minus_ad = np.eye(dim) - alg.Ad_operator(g)
-        for j, tv in enumerate((t1, t2)):
+        rot = alg.Ad_operator(g)
+        one_minus_ad = np.eye(dim) - rot
+        for j, tv in enumerate(klass.tangent_basis(n)):
             v = klass.push_tangent(n, tv)
             c = np.linalg.lstsq(one_minus_ad, v, rcond=None)[0]
-            vals = np.tile(c, (len(ts), 1))
-            add(f"tan{j}", tv, vals, np.zeros_like(vals))
+            add(f"tan{j}", tv, np.tile(c, (len(ts), 1)), still, push=v)
 
         # loop modes from the eigenframe of Ad_g on coefficients
-        rot = alg.Ad_operator(g)
-        axis_modes, plane_modes = _eigenframe_modes(rot, n_max)
-        for name, func, dfunc in axis_modes + plane_modes:
-            vals = np.array([func(t) for t in ts])
-            ders = np.array([dfunc(t) for t in ts])
+        axis_modes, plane_modes = _eigenframe_modes(rot, n_max, ts)
+        for name, vals, ders in axis_modes + plane_modes:
             add(name, np.zeros(3), vals, ders)
 
         self.labels = labels
         self.tangents = np.array(tangents)
+        self.pushed = np.array(pushed)      # (K, dim)
         self.values = np.stack(values)      # (K, n_t, dim)
         self.derivs = np.stack(derivs)
         self.size = len(labels)
 
     def seam_residuals(self):
         alg = self.klass.algebra
-        g = self.klass.point(self.n)
         out = []
         for k in range(self.size):
-            v = self.klass.push_tangent(self.n, self.tangents[k])
-            gap = self.values[k, -1] - alg.Ad(g, self.values[k, 0]) - v
+            gap = self.values[k, -1] - alg.Ad(self.g, self.values[k, 0]) - self.pushed[k]
             out.append(float(np.linalg.norm(gap)))
         return np.array(out)
 
 
-def _eigenframe_modes(rot, n_max):
-    """Real Fourier modes adapted to a rotation operator on coefficients."""
+def _eigenframe_modes(rot, n_max, ts):
+    """Real Fourier modes adapted to a rotation operator on coefficients, as
+    (name, values, derivatives) with (len(ts), dim) arrays on the times ts."""
     w, vecs = np.linalg.eig(rot)
     axis = []
     plane = []
@@ -264,12 +273,9 @@ def _eigenframe_modes(rot, n_max):
             # elements together with their base tangents
             for k in range(1, n_max + 1):
                 wk = 2 * math.pi * k
-                axis.append((f"axis-cos{k}",
-                             lambda t, u=u, wk=wk: math.cos(wk * t) * u,
-                             lambda t, u=u, wk=wk: -wk * math.sin(wk * t) * u))
-                axis.append((f"axis-sin{k}",
-                             lambda t, u=u, wk=wk: math.sin(wk * t) * u,
-                             lambda t, u=u, wk=wk: wk * math.cos(wk * t) * u))
+                cos, sin = np.cos(wk * ts)[:, None], np.sin(wk * ts)[:, None]
+                axis.append((f"axis-cos{k}", cos * u, -wk * sin * u))
+                axis.append((f"axis-sin{k}", sin * u, wk * cos * u))
         elif lam.imag > 1e-12 and not done_pair:
             done_pair = True
             phi = math.atan2(lam.imag, lam.real)
@@ -278,35 +284,34 @@ def _eigenframe_modes(rot, n_max):
             for k in range(-n_max, n_max + 1):
                 freq = phi + 2 * math.pi * k
                 # zeta(t) = Re/Im[e^{i freq t} wvec]; Ad_g zeta(t) = zeta(t+1)
-                plane.append((f"plane-re{k}",
-                              lambda t, w0=wvec, f=freq: np.real(np.exp(1j * f * t) * w0),
-                              lambda t, w0=wvec, f=freq: np.real(1j * f * np.exp(1j * f * t) * w0)))
-                plane.append((f"plane-im{k}",
-                              lambda t, w0=wvec, f=freq: np.imag(np.exp(1j * f * t) * w0),
-                              lambda t, w0=wvec, f=freq: np.imag(1j * f * np.exp(1j * f * t) * w0)))
+                wave = np.exp(1j * freq * ts)[:, None]
+                zeta = wave * wvec
+                dzeta = 1j * freq * wave * wvec
+                plane.append((f"plane-re{k}", np.real(zeta), np.real(dzeta)))
+                plane.append((f"plane-im{k}", np.imag(zeta), np.imag(dzeta)))
     return axis, plane
 
 
 def gram_matrix(basis, omega):
-    """Antisymmetric Gram matrix of a* omega + varpi_M on the truncated basis."""
-    klass = basis.klass
-    alg = klass.algebra
-    n = basis.n
-    g = klass.point(n)
-    weights = basis.grid.weights
-    k = basis.size
+    """Antisymmetric Gram matrix of a* omega + varpi_M on the truncated basis.
 
-    vs = np.array([klass.push_tangent(n, basis.tangents[i]) for i in range(k)])
+    omega is summed only over pairs of rows that both move the base point:
+    a row with tangent 0 solves to the generator 0, so its omega term is 0.
+    """
+    alg = basis.klass.algebra
+    vs = basis.pushed
     b_mat = alg.B
     # int B(xi_a', xi_b) dt with Simpson weights
-    lead = np.einsum("atd,de,bte,t->ab", basis.derivs, b_mat, basis.values, weights)
-    ad0 = np.array([alg.Ad(g, basis.values[i, 0]) for i in range(k)])
+    lead = np.einsum("atd,de,bte,t->ab", basis.derivs, b_mat, basis.values,
+                     basis.grid.weights)
+    ad0 = np.array([alg.Ad(basis.g, basis.values[i, 0]) for i in range(basis.size)])
     s = lead - 0.5 * np.einsum("ad,de,be->ab", vs, b_mat, vs) \
         - np.einsum("ad,de,be->ab", ad0, b_mat, vs)
     if omega is not None:
-        for a in range(k):
-            for b in range(a + 1, k):
-                val = omega(n, basis.tangents[a], basis.tangents[b])
+        moving = np.flatnonzero(basis.tangents.any(axis=1))
+        for i, a in enumerate(moving):
+            for b in moving[i + 1:]:
+                val = omega(basis.n, basis.tangents[a], basis.tangents[b])
                 s[a, b] += val
                 s[b, a] -= val
     return s
@@ -320,15 +325,16 @@ def basis_metric(basis):
     return tan + loop
 
 
-def gram_kernel(basis, omega, threshold=1e-8, dependency_tol=1e-9):
-    """Kernel dimension of the form on the span of the probe basis.
+def gram_kernel(basis, omega, thresholds=(1e-8,), dependency_tol=1e-9):
+    """Kernel dimensions of the form on the span of the probe basis.
 
     The basis metric is diagonalized first and exact span dependencies are
     quotiented out (on a conjugacy class the tangent completions coincide
     with generator combinations); the form is then expressed in an
-    orthonormal frame of the span and its SVD nullity read off at a
-    relative singular threshold.  Returns (dim, kernel vectors in basis
-    coefficients, Gram matrix, number of dropped dependencies).
+    orthonormal frame of the span and its SVD taken once.  Each relative
+    singular threshold reads its nullity off the same singular values.
+    Returns ([(dim, kernel vectors in basis coefficients) per threshold],
+    Gram matrix, number of dropped dependencies).
     """
     if not basis.klass.algebra.nondegenerate:
         raise ValueError("kernel theorem needs a nondegenerate pairing")
@@ -339,9 +345,11 @@ def gram_kernel(basis, omega, threshold=1e-8, dependency_tol=1e-9):
     frame = vecs[:, keep] / np.sqrt(w[keep])
     s_eff = frame.T @ s @ frame
     u, sig, vh = np.linalg.svd(s_eff)
-    cut = threshold * sig[0]
-    null = vh[sig < cut].conj().T
-    return null.shape[1], frame @ null, s, int((~keep).sum())
+    kernels = []
+    for threshold in thresholds:
+        null = vh[sig < threshold * sig[0]].conj().T
+        kernels.append((null.shape[1], frame @ null))
+    return kernels, s, int((~keep).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,42 @@ def test_t_step_must_be_positive_finite(monkeypatch, t_step):
     assert cli.main(["verify", "--group", "torus2", f"--t-step={t_step}", "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-3"]])
+def test_negative_seed_flag(monkeypatch, argv):
+    # numpy's seed sequence raised on negative entropy, a traceback and exit 1
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    assert cli.main(["verify", "--group", "torus2", *argv, "--quiet"]) == 2
+    assert not ran
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_tolerance_must_be_finite_non_negative(monkeypatch, value):
+    # nan failed the check silently (exit 1) and inf passed any residual
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    assert cli.main(["verify", "--group", "torus2", "--suite", "fusion",
+                     "--tol", f"fusion.fusion_two_form={value}", "--quiet"]) == 2
+    assert not ran
+
+
+def test_zero_tolerance_accepted(monkeypatch):
+    from atiyahcheck import cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
+    assert cli.main(["verify", "--group", "torus2", "--suite", "fusion",
+                     "--tol", "fusion.fusion_two_form=0", "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("content", [
+    '{"seed": -3}',            # negative seed
+    '{"tol_overrides": {"forms.eta_value": NaN}}',
+    '{"tol_overrides": {"forms.eta_value": -1e-6}}',
+    '{"tol_overrides": {"forms.eta_value": Infinity}}',
     '{"fd_step": "abc"}',      # not a number
     '[1, 2]',                  # not an object
     '{"sead": 3}',             # unknown key

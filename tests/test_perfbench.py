@@ -6,7 +6,8 @@ import pathlib
 
 import numpy as np
 
-from atiyahcheck import lifting
+from atiyahcheck import lifting, qham
+from atiyahcheck.checks import run_checks
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import TimeGrid, random_section
 
@@ -35,3 +36,28 @@ def test_tracer_counts_section_attributes():
     assert tracer.counts["sections.profile"] > 0
     assert tracer.counts["sections.v"] > 0
     assert tracer.calls["lifting.canonical_two_form"] == 1
+
+
+def test_kernel_probe_work_per_truncation():
+    # one Gram matrix per truncation, not one per (truncation, threshold)
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        results = run_checks("su2", {"seed": 42}, suites=["qham"])
+    assert all(r.passed for r in results)
+    assert tracer.calls["qham.gram_matrix"] == 3
+
+
+def test_class_points_do_not_grow_with_truncation():
+    # only generator and tangent rows push through Phi, whatever n_max is
+    klass = qham.ConjugacyClass(make_group("su2"))
+    omega = qham.ghjw_omega(klass, 1.0)
+    n = np.array([0.36, -0.48, 0.8])
+    points = []
+    for n_max in (4, 8):
+        tracer = _tracer_module().Tracer()
+        with tracer.installed():
+            basis = qham.TruncatedBasis(klass, n, n_max, TimeGrid(101))
+            basis.seam_residuals()
+            qham.gram_kernel(basis, omega, (1e-7, 1e-8, 1e-9))
+        points.append(tracer.calls["qham.ConjugacyClass.point"])
+    assert points[0] == points[1] > 0

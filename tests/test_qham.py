@@ -7,8 +7,8 @@ from atiyahcheck.algebroid import bracket, generator
 from atiyahcheck.liealg import make_group
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.qham import (ConjugacyClass, GhjwSignError, TrivialClass,
-                              TruncatedBasis, calibrate_ghjw, ghjw_omega,
-                              gram_kernel, project_based)
+                              TruncatedBasis, basis_metric, calibrate_ghjw,
+                              ghjw_omega, gram_kernel, gram_matrix, project_based)
 from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
                                   template_section)
 
@@ -85,13 +85,12 @@ def test_kernel_dimension_and_stability(su2, klass, rng):
     for n_max in (4, 6):
         basis = TruncatedBasis(klass, n, n_max, grid)
         assert basis.seam_residuals().max() < 1e-8
-        for thr in (1e-7, 1e-8):
-            dim, null, s, dropped = gram_kernel(basis, omega, threshold=thr)
-            assert dim == 3
-            assert dropped == 2
+        kernels, s, dropped = gram_kernel(basis, omega, thresholds=(1e-7, 1e-8))
+        assert [dim for dim, _ in kernels] == [3, 3]
+        assert dropped == 2
     # generator rows pair to zero
     basis = TruncatedBasis(klass, n, 4, grid)
-    dim, null, s, _ = gram_kernel(basis, omega)
+    kernels, s, _ = gram_kernel(basis, omega)
     assert np.abs(s[:3, :]).max() < 1e-5
 
 
@@ -110,9 +109,81 @@ def test_kernel_requires_nondegenerate_pairing():
 def test_abelian_kernel_count(rng):
     tor = make_group("torus2")
     basis = TruncatedBasis(TrivialClass(tor), _unit(rng), 4, TimeGrid(201))
-    dim, null, s, dropped = gram_kernel(basis, None)
+    [(dim, null)], s, dropped = gram_kernel(basis, None)
     assert dim == tor.dim + 2
     assert dropped == 0
+
+
+def _oracle_gram(basis, omega):
+    """The Gram matrix as first written: every row pushed, omega on every pair."""
+    klass = basis.klass
+    alg = klass.algebra
+    n = basis.n
+    g = klass.point(n)
+    vs = np.array([klass.push_tangent(n, basis.tangents[i]) for i in range(basis.size)])
+    lead = np.einsum("atd,de,bte,t->ab", basis.derivs, alg.B, basis.values,
+                     basis.grid.weights)
+    ad0 = np.array([alg.Ad(g, basis.values[i, 0]) for i in range(basis.size)])
+    s = lead - 0.5 * np.einsum("ad,de,be->ab", vs, alg.B, vs) \
+        - np.einsum("ad,de,be->ab", ad0, alg.B, vs)
+    if omega is not None:
+        for a in range(basis.size):
+            for b in range(a + 1, basis.size):
+                val = omega(n, basis.tangents[a], basis.tangents[b])
+                s[a, b] += val
+                s[b, a] -= val
+    return s
+
+
+def _oracle_kernel(basis, omega, threshold, dependency_tol=1e-9):
+    """One threshold per call, each with its own Gram matrix, eigh and SVD."""
+    s = _oracle_gram(basis, omega)
+    w, vecs = np.linalg.eigh(basis_metric(basis))
+    keep = w > dependency_tol * w.max()
+    frame = vecs[:, keep] / np.sqrt(w[keep])
+    _, sig, vh = np.linalg.svd(frame.T @ s @ frame)
+    null = vh[sig < threshold * sig[0]].conj().T
+    return null.shape[1], frame @ null, s, int((~keep).sum())
+
+
+def _oracle_cases():
+    su2 = make_group("su2")
+    klass = ConjugacyClass(su2)
+    sign, _ = calibrate_ghjw(klass, np.random.default_rng(53))
+    n = _unit(np.random.default_rng(11))
+    for n_max in (4, 8):
+        yield TruncatedBasis(klass, n, n_max, TimeGrid(201)), ghjw_omega(klass, sign)
+    tor = make_group("torus2")
+    yield TruncatedBasis(TrivialClass(tor), n, 4, TimeGrid(201)), None
+
+
+def test_gram_matrix_matches_oracle():
+    # skipping zero-tangent pushes and omega terms leaves every entry exact
+    for basis, omega in _oracle_cases():
+        assert np.array_equal(gram_matrix(basis, omega), _oracle_gram(basis, omega))
+
+
+def test_threshold_sweep_matches_per_threshold_calls():
+    thresholds = (1e-7, 1e-8, 1e-9)
+    for basis, omega in _oracle_cases():
+        kernels, s, dropped = gram_kernel(basis, omega, thresholds)
+        assert len(kernels) == len(thresholds)
+        for thr, (dim, null) in zip(thresholds, kernels):
+            [(dim_one, null_one)], s_one, dropped_one = gram_kernel(basis, omega, (thr,))
+            dim_old, null_old, s_old, dropped_old = _oracle_kernel(basis, omega, thr)
+            assert dim == dim_one == dim_old
+            assert np.array_equal(null, null_one) and np.array_equal(null, null_old)
+            assert np.array_equal(s, s_one) and np.array_equal(s, s_old)
+            assert dropped == dropped_one == dropped_old
+
+
+def test_loop_rows_have_zero_push(su2, klass, rng):
+    basis = TruncatedBasis(klass, _unit(rng), 4, TimeGrid(51))
+    moving = basis.tangents.any(axis=1)
+    assert moving.sum() == 5     # three generators and two tangents
+    assert not basis.pushed[~moving].any()
+    for k in np.flatnonzero(moving):
+        assert np.array_equal(basis.pushed[k], klass.push_tangent(basis.n, basis.tangents[k]))
 
 
 def test_varpi_pullback_generator_rows(su2, klass, rng):
