@@ -6,14 +6,15 @@ runs on, and for every result it reports (its own first, then any
 tolerance.  Identity strings name the mathematical statement and appear
 verbatim in the README table.
 
-A check body takes `(ctx, rng)` and returns only what it measured: the
-residual (the worst sample), or for a check with sub-results a mapping
-from every declared result name to its residual.  A body with report
-extras returns `(residual, extras)`, where `extras["notes"]` becomes the
-notes and any other key an extra param of the check's own result.  The
-registry builds every `CheckResult` from that.  A result's tolerance is
-the `tol_overrides` entry for `suite.name` if there is one (`--tol`),
-else its declared default.
+A check body is a generator taking `(ctx, rng)`.  It yields one sample
+`r` of the check's own result at a time, or `(name, r)` for a declared
+sub-result, and may return a dict of report extras: `extras["notes"]`
+becomes the notes and any other key an extra param of the check's own
+result.  The registry reduces the samples of each result to its residual
+and builds every `CheckResult`; a body that has nothing to measure yields
+`0.0` before it returns.  A result's tolerance is the `tol_overrides`
+entry for `suite.name` if there is one (`--tol`), else its declared
+default.
 
 `rng` is a generator derived from (seed, check name), so execution order
 never changes results.
@@ -54,8 +55,11 @@ class CheckResult:
     residual: float
     tolerance: float
     passed: bool = field(init=False)
-    runtime_ms: float = 0.0
+    check: str = ""               # the registered check that reported it
+    runtime_ms: float = 0.0       # wall time of that check
     notes: str = ""
+    n_samples: int = 0
+    worst_sample: int | None = None
 
     def __post_init__(self):
         self.passed = bool(self.residual <= self.tolerance)
@@ -89,12 +93,32 @@ class CheckContext:
                 for _ in range(count)]
 
 
+def _reduce(samples):
+    """`(residual, worst_sample, note)` of one result from its samples in yield order.
+
+    The residual is `max(worst, r)` over the samples, starting from 0.0, and
+    `worst_sample` the index of the first sample equal to it.  A NaN or
+    negative sample, or no sample at all, fails the result with residual nan.
+    """
+    worst = 0.0
+    for i, r in enumerate(samples):
+        if not r >= 0.0:
+            return float("nan"), i, f"sample {i} is {float(r)!r}"
+        worst = max(worst, r)
+    if not samples:
+        return float("nan"), None, "no samples"
+    return float(worst), next(i for i, r in enumerate(samples) if r == worst), ""
+
+
 class CheckSpec:
     """A registered check and the results it reports.
 
     `results` holds `(name, identity, default tolerance)` for every result,
-    the check's own first.  `fn(ctx)` runs the body and returns the
-    `CheckResult`s; it is a plain attribute so that a caller may wrap it.
+    the check's own first.  `body(ctx, rng)` is a generator: it yields a
+    sample `r` of the check's own result or `(name, r)` of a sub-result, and
+    returns its report extras (a dict) or nothing.  `fn(ctx)` runs the body
+    to the end and returns the `CheckResult`s; it is a plain attribute so
+    that a caller may wrap it.
     """
 
     def __init__(self, suite, name, body, groups, results):
@@ -109,26 +133,36 @@ class CheckSpec:
         return self.groups is None or group in self.groups
 
     def _run(self, ctx):
-        # a NaN sample would vanish in max(worst, r), so the body runs with
-        # invalid and divide-by-zero operations raising instead
+        samples = {name: [] for name, _, _ in self.results}
+        extras, error = {}, ""
+        body = self.body(ctx, ctx.rng(self.name))
         try:
+            # invalid and divide-by-zero operations raise, so that a NaN made
+            # by one fails the check with the operation named
             with np.errstate(invalid="raise", divide="raise"):
-                out = self.body(ctx, ctx.rng(self.name))
-            error = ""
+                while True:
+                    item = next(body)
+                    name, r = item if isinstance(item, tuple) else (self.name, item)
+                    if name not in samples:
+                        raise ValueError(f"check {self.suite}.{self.name} yielded a sample "
+                                         f"of undeclared result {name!r}")
+                    samples[name].append(r)
+        except StopIteration as stop:
+            extras = stop.value or {}
         except FloatingPointError as exc:
             error = f"floating-point error: {exc}"
-            out = {name: float("nan") for name, _, _ in self.results}, {"notes": error}
-        residuals, extras = out if isinstance(out, tuple) else (out, {})
-        if not isinstance(residuals, dict):
-            residuals = {self.name: residuals}
-        results = [CheckResult(self.suite, name, identity, {"group": ctx.group_name},
-                               float(residuals[name]),
-                               float(ctx.tol_overrides.get(f"{self.suite}.{name}", default)),
-                               notes=error)
-                   for name, identity, default in self.results]
+        results = []
+        for name, identity, default in self.results:
+            residual, worst_sample, note = ((float("nan"), None, error) if error
+                                            else _reduce(samples[name]))
+            results.append(CheckResult(
+                self.suite, name, identity, {"group": ctx.group_name}, residual,
+                float(ctx.tol_overrides.get(f"{self.suite}.{name}", default)),
+                check=self.name, notes=note, n_samples=len(samples[name]),
+                worst_sample=worst_sample))
         # report extras describe the check's own result, which is declared first
         results[0].params.update((k, v) for k, v in extras.items() if k != "notes")
-        results[0].notes = extras.get("notes", "")
+        results[0].notes = "; ".join(filter(None, (results[0].notes, extras.get("notes"))))
         return results
 
 
@@ -155,74 +189,63 @@ def check_structure_jacobi(ctx, rng):
     jac = (np.einsum("ijm,mkl->ijkl", c, c)
            + np.einsum("jkm,mil->ijkl", c, c)
            + np.einsum("kim,mjl->ijkl", c, c))
-    return np.max(np.abs(jac))
+    yield np.max(np.abs(jac))
 
 
 @_register("algebroid", "bilinear_invariance", tol=1e-10,
            identity="B(Ad_g x, Ad_g y) = B(x, y)")
 def check_bilinear_invariance(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         x, y = alg.random_vector(rng), alg.random_vector(rng)
-        worst = max(worst, abs(alg.pairing(alg.Ad(g, x), alg.Ad(g, y))
-                               - alg.pairing(x, y)))
-    return worst
+        yield abs(alg.pairing(alg.Ad(g, x), alg.Ad(g, y))
+                  - alg.pairing(x, y))
 
 
 @_register("algebroid", "ad_homomorphism", tol=1e-10, identity="Ad_{gh} = Ad_g Ad_h")
 def check_ad_homomorphism(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g, h = alg.random_group(rng), alg.random_group(rng)
         x = alg.random_vector(rng)
-        worst = max(worst, np.linalg.norm(alg.Ad(g @ h, x)
-                                          - alg.Ad(g, alg.Ad(h, x))))
-    return worst
+        yield np.linalg.norm(alg.Ad(g @ h, x)
+                             - alg.Ad(g, alg.Ad(h, x)))
 
 
 @_register("algebroid", "dirderiv_oracle", tol=1e-7,
            identity="D_v(g -> Ad_g c) = [v, Ad_g c]")
 def check_dirderiv(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         c, v = alg.random_vector(rng), alg.random_vector(rng)
         got = alg.directional(lambda gg: alg.Ad(gg, c), g, v, h=ctx.h)
         want = alg.bracket(v, alg.Ad(g, c))
         scale = max(1.0, np.linalg.norm(want))
-        worst = max(worst, np.linalg.norm(got - want) / scale)
-    return worst
+        yield np.linalg.norm(got - want) / scale
 
 
 @_register("algebroid", "extend_cocycle", tol=1e-10,
            identity="xi(t+1) = Ad_g xi(t) + v_xi for all real t")
 def check_extend_cocycle(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         sec = random_section(alg, rng, bump=ctx.bump)
         for t in (-1.4, -0.3, 0.25, 0.8, 1.6, 2.3):
             lhs = extend(sec, g, t + 1.0)
             rhs = alg.Ad(g, extend(sec, g, t)) + sec.v(g)
-            worst = max(worst, np.linalg.norm(lhs - rhs))
-    return worst
+            yield np.linalg.norm(lhs - rhs)
 
 
 @_register("algebroid", "template_compatibility", tol=1e-12,
            identity="template sections satisfy the seam exactly")
 def check_template_compat(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        worst = max(worst, random_section(alg, rng, bump=ctx.bump)
-                    .compatibility_residual(g))
-    return worst
+        yield random_section(alg, rng, bump=ctx.bump).compatibility_residual(g)
 
 
 @_register("algebroid", "simpson_order", tol=0.0,
@@ -233,14 +256,14 @@ def check_simpson_order(ctx, rng):
     e1 = abs(integrate_01(f, TimeGrid(11)) - exact)
     e2 = abs(integrate_01(f, TimeGrid(21)) - exact)
     ratio = e1 / e2
-    return max(0.0, 12.0 - ratio), {"notes": f"halving ratio {ratio:.1f}"}
+    yield max(0.0, 12.0 - ratio)
+    return {"notes": f"halving ratio {ratio:.1f}"}
 
 
 @_register("algebroid", "bracket_jacobi", tol=1e-5,
            identity="[[xi,zeta],chi] + cyclic = 0")
 def check_bracket_jacobi(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     n_triples = max(ctx.samples, 8)
     for _ in range(n_triples):
         g = alg.random_group(rng)
@@ -249,15 +272,14 @@ def check_bracket_jacobi(ctx, rng):
         total = albr.bracket(albr.bracket(a, b, h=ctx.h), c, h=ctx.h).profile(g, t0)
         total = total + albr.bracket(albr.bracket(b, c, h=ctx.h), a, h=ctx.h).profile(g, t0)
         total = total + albr.bracket(albr.bracket(c, a, h=ctx.h), b, h=ctx.h).profile(g, t0)
-        worst = max(worst, np.linalg.norm(total))
-    return worst, {"triples": n_triples}
+        yield np.linalg.norm(total)
+    return {"triples": n_triples}
 
 
 @_register("algebroid", "bracket_leibniz", tol=1e-6,
            identity="[xi, h zeta] = h [xi,zeta] + (a(xi) h) zeta")
 def check_bracket_leibniz(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(ctx.samples, 8)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -275,15 +297,13 @@ def check_bracket_leibniz(ctx, rng):
         dh = alg.directional(lambda gg: np.array(hfun(gg)), g, xi.v(g), h=ctx.h)
         rhs = hfun(g) * albr.bracket(xi, ze, h=ctx.h).profile(g, t0) \
             + float(dh) * ze.profile(g, t0)
-        worst = max(worst, np.linalg.norm(lhs - rhs))
-    return worst
+        yield np.linalg.norm(lhs - rhs)
 
 
 @_register("algebroid", "anchor_morphism", tol=1e-6,
            identity="a([xi,zeta]) = [a(xi), a(zeta)] as vector fields")
 def check_anchor_morphism(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -291,15 +311,13 @@ def check_anchor_morphism(ctx, rng):
         want = -alg.bracket(xi.v(g), ze.v(g))
         want = want + alg.directional(ze.v, g, xi.v(g), h=ctx.h)
         want = want - alg.directional(xi.v, g, ze.v(g), h=ctx.h)
-        worst = max(worst, np.linalg.norm(got - want))
-    return worst
+        yield np.linalg.norm(got - want)
 
 
 @_register("algebroid", "generator_action", tol=1e-6,
            identity="[x_A, xi] = d/du (exp(ux).xi) at u = 0")
 def check_generator_action(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         x = alg.random_vector(rng)
@@ -314,8 +332,7 @@ def check_generator_action(ctx, rng):
 
         h = ctx.h
         want = (8 * (action(h) - action(-h)) - (action(2 * h) - action(-2 * h))) / (12 * h)
-        worst = max(worst, np.linalg.norm(got - want))
-    return worst
+        yield np.linalg.norm(got - want)
 
 
 def _invariant_family(ctx, rng):
@@ -328,23 +345,20 @@ def _invariant_family(ctx, rng):
            identity="alpha_{t+1} = Ad_g alpha_t - theta^R")
 def check_alpha_gauge(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         v = alg.random_vector(rng)
         alpha = _invariant_family(ctx, rng)
         for t in (-0.4, 0.3, 1.2):
-            worst = max(worst, alpha.gauge_residual(t, g, v))
+            yield alpha.gauge_residual(t, g, v)
         k = alg.random_group(rng)
-        worst = max(worst, alpha.equivariance_residual(0.37, g, v, k))
-    return worst
+        yield alpha.equivariance_residual(0.37, g, v, k)
 
 
 @_register("algebroid", "curvature_gauge_covariance", tol=1e-6,
            identity="F^{alpha_{t+1}} = Ad_g F^{alpha_t}")
 def check_curvature_covariance(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         v, w = alg.random_vector(rng), alg.random_vector(rng)
@@ -352,30 +366,26 @@ def check_curvature_covariance(ctx, rng):
         t = 0.04  # flat region of the bump, matched across the seam
         f0 = albr.curvature(alpha, g, t, v, w, h=ctx.h)
         f1 = albr.curvature(alpha, g, t + 1.0, v, w, h=ctx.h)
-        worst = max(worst, np.linalg.norm(f1 - alg.Ad(g, f0)))
-    return worst
+        yield np.linalg.norm(f1 - alg.Ad(g, f0))
 
 
 @_register("algebroid", "connection_vertical", tol=1e-8,
            identity="theta(xi) = xi + alpha(a(xi)) lies in the loop bundle")
 def check_connection_vertical(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         alpha = _invariant_family(ctx, rng)
         xi = random_section(alg, rng, bump=ctx.bump)
         vert = albr.connection_apply(alpha, xi)
-        worst = max(worst, vert.compatibility_residual(g))
-        worst = max(worst, np.linalg.norm(vert.v(g)))
-    return worst
+        yield vert.compatibility_residual(g)
+        yield np.linalg.norm(vert.v(g))
 
 
 @_register("algebroid", "psi_seam", tol=1e-8,
            identity="Psi(x) = -x + alpha(a(x_A)) is a loop-bundle section")
 def check_psi_seam(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         alpha = _invariant_family(ctx, rng)
@@ -383,10 +393,9 @@ def check_psi_seam(ctx, rng):
         for t in (0.0, 0.33, 0.8):
             lhs = albr.generator_vertical_part(alpha, x, g, t + 1.0)
             rhs = alg.Ad(g, albr.generator_vertical_part(alpha, x, g, t))
-            worst = max(worst, np.linalg.norm(lhs - rhs))
-        worst = max(worst, np.linalg.norm(
-            albr.generator_vertical_part(alpha, x, alg.identity(), 0.5) + x))
-    return worst
+            yield np.linalg.norm(lhs - rhs)
+        yield np.linalg.norm(
+            albr.generator_vertical_part(alpha, x, alg.identity(), 0.5) + x)
 
 
 @_register("algebroid", "kappa_seam", tol=1e-10,
@@ -394,25 +403,22 @@ def check_psi_seam(ctx, rng):
 def check_kappa_seam(ctx, rng):
     alg = ctx.algebra
     kf = albr.KappaFamily(alg)
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi = random_section(alg, rng, bump=ctx.bump)
         for t in (-0.3, 0.3, 1.4):
             lhs = kf.value(t + 1.0, g, xi)
             rhs = alg.Ad(g, kf.value(t, g, xi)) - xi.v(g)
-            worst = max(worst, np.linalg.norm(lhs - rhs))
+            yield np.linalg.norm(lhs - rhs)
         x = alg.random_vector(rng)
-        worst = max(worst, np.linalg.norm(
-            kf.value(0.4, g, albr.generator(alg, x)) - x))
-    return worst
+        yield np.linalg.norm(
+            kf.value(0.4, g, albr.generator(alg, x)) - x)
 
 
 @_register("algebroid", "kappa_flat", tol=1e-6,
            identity="F^kappa = 0 and F_G^kappa(x) + x = 0")
 def check_kappa_flat(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -420,12 +426,11 @@ def check_kappa_flat(ctx, rng):
         kap = albr.KappaFamily(alg).at(t0)
         dk = fm.exterior_derivative(kap, h=ctx.h)
         fval = dk(g, xi, ze) + alg.bracket(kap(g, xi), kap(g, ze))
-        worst = max(worst, np.linalg.norm(fval))
+        yield np.linalg.norm(fval)
         x = alg.random_vector(rng)
         xa = albr.generator(alg, x)
         fg = -kap(g, xa)  # F_G - part: F = 0, so F_G(x) = -iota_{x_A} kappa
-        worst = max(worst, np.linalg.norm(fg + x))
-    return worst
+        yield np.linalg.norm(fg + x)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +447,6 @@ def _random_one_form(ctx, rng):
 @_register("forms", "d_squared", tol=1e-4, identity="d(d phi) = 0")
 def check_d_squared(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
@@ -451,20 +455,18 @@ def check_d_squared(ctx, rng):
         # 0-form
         zero_form = fm.AlgebroidForm(alg, 0, lambda gg: alg.pairing(c, alg.Ad(gg, c)))
         dd0 = fm.exterior_derivative(fm.exterior_derivative(zero_form, h=ctx.h), h=ctx.h)
-        worst = max(worst, abs(dd0(g, secs[0], secs[1])))
+        yield abs(dd0(g, secs[0], secs[1]))
         # 1-form built on the tautological family
         kap = albr.KappaFamily(alg).at(t0)
         one = fm.AlgebroidForm(alg, 1, lambda gg, s: alg.pairing(c, kap(gg, s)))
         dd1 = fm.exterior_derivative(fm.exterior_derivative(one, h=ctx.h), h=ctx.h)
-        worst = max(worst, abs(dd1(g, *secs)))
-    return worst
+        yield abs(dd1(g, *secs))
 
 
 @_register("forms", "cartan_commutation", tol=1e-5,
            identity="i_zeta L_xi = L_xi i_zeta - i_{[xi,zeta]}")
 def check_cartan_commutation(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -474,38 +476,33 @@ def check_cartan_commutation(ctx, rng):
         lhs = fm.contract(fm.lie_derivative(phi, xi, h=ctx.h), ze)(g)
         rhs = fm.lie_derivative(fm.contract(phi, ze), xi, h=ctx.h)(g) \
             - phi(g, albr.bracket(xi, ze, h=ctx.h))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("forms", "horizontal_basic", tol=1e-5,
            identity="i_zeta phi = 0 and L_zeta phi = 0 for basic phi, zeta in L")
 def check_horizontal_basic(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         om = _random_one_form(ctx, rng)
         aom = fm.pullback_anchor(om)
         loop = random_twisted_loop(alg, rng, bump=ctx.bump)
         chi = random_section(alg, rng, bump=ctx.bump)
-        worst = max(worst, abs(aom(g, loop)))
-        worst = max(worst, abs(fm.lie_derivative(aom, loop, h=ctx.h)(g, chi)))
-    return worst
+        yield abs(aom(g, loop))
+        yield abs(fm.lie_derivative(aom, loop, h=ctx.h)(g, chi))
 
 
 @_register("forms", "anchor_cochain", tol=1e-5, identity="d(a* omega) = a*(d omega)")
 def check_anchor_cochain(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         om = _random_one_form(ctx, rng)
         secs = ctx.random_sections(rng, 2)
         lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=ctx.h)(g, *secs)
         rhs = fm.pullback_anchor(fm.de_rham_differential(om, h=ctx.h))(g, *secs)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("forms", "eta_value", tol=1e-12,
@@ -514,14 +511,14 @@ def check_eta_value(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     if alg.dim < 3:
-        return 0.0, {"notes": "dim < 3: eta vanishes identically"}
+        yield 0.0
+        return {"notes": "dim < 3: eta vanishes identically"}
     e = np.eye(alg.dim)
     want = 0.5 * alg.pairing(e[0], alg.bracket(e[1], e[2]))
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        worst = max(worst, abs(eta(g, e[0], e[1], e[2]) - want))
-    return worst, {"notes": f"reference value {want:g}"}
+        yield abs(eta(g, e[0], e[1], e[2]) - want)
+    return {"notes": f"reference value {want:g}"}
 
 
 @_register("forms", "eta_equivariant_closed", tol=1e-5,
@@ -529,7 +526,6 @@ def check_eta_value(ctx, rng):
 def check_eta_g_closed(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     flipped_also = True
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -538,29 +534,26 @@ def check_eta_g_closed(ctx, rng):
         xg = alg.Ad(g, x) - x
         v, w = alg.random_vector(rng), alg.random_vector(rng)
         d1 = fm.de_rham_differential(parts[1], h=ctx.h)
-        resid2 = -eta(g, xg, v, w) + d1(g, v, w)
-        resid0 = parts[1](g, xg)
-        worst = max(worst, abs(resid2), abs(resid0))
+        yield abs(-eta(g, xg, v, w) + d1(g, v, w))
+        yield abs(parts[1](g, xg))
         flip = eta(g, xg, v, w) + d1(g, v, w)
         if abs(flip) > 1e-5:
             flipped_also = False
     notes = "flipped insertion sign also closed (degenerate data)" if flipped_also else ""
-    return worst, {"notes": notes}
+    return {"notes": notes}
 
 
 @_register("forms", "dkappa_identity", tol=1e-6,
            identity="d kappa_t(xi, zeta) = -[xi_t, zeta_t]")
 def check_dkappa(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         t0 = rng.uniform(0.1, 0.9)
         got = fm.exterior_derivative(albr.KappaFamily(alg).at(t0), h=ctx.h)(g, xi, ze)
         want = -alg.bracket(extend(xi, g, t0), extend(ze, g, t0))
-        worst = max(worst, np.linalg.norm(got - want))
-    return worst
+        yield np.linalg.norm(got - want)
 
 
 # ---------------------------------------------------------------------------
@@ -579,29 +572,26 @@ def check_sigma_value(ctx, rng):
                       lambda t: scaled(-two_pi * np.sin(two_pi * t), e1))
     val = lf.central_cocycle(s1, s2, alg.identity(), ctx.grid, h_t=ctx.h_t)
     scale = alg.pairing(e1, e1)
-    return abs(val + np.pi * scale)
+    yield abs(val + np.pi * scale)
 
 
 @_register("lifting", "sigma_antisymmetry", tol=1e-8,
            identity="sigma(x1,x2) + sigma(x2,x1) = -[x1 . x2] boundary = 0")
 def check_sigma_antisym(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
         z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
         z2 = random_twisted_loop(alg, rng, bump=ctx.bump)
         s = lf.central_cocycle(z1, z2, g, ctx.grid, h_t=ctx.h_t) \
             + lf.central_cocycle(z2, z1, g, ctx.grid, h_t=ctx.h_t)
-        worst = max(worst, abs(s))
-    return worst
+        yield abs(s)
 
 
 @_register("lifting", "dsigma_dj", tol=1e-5,
            identity="(d sigma)(x1,x2) = <dj, [x1,x2]_L>")
 def check_dsigma(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
         z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
@@ -623,15 +613,13 @@ def check_dsigma(ctx, rng):
         ts = ctx.coarse_grid.nodes
         rhs = ctx.coarse_grid.integrate(alg.pairing(
             time_derivative(ch, g, ts, h_t=ctx.h_t), pointwise.profile(g, ts)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("lifting", "dthetaj_routes", tol=1e-5,
            identity="<d^theta j, zeta> = -int alpha'.zeta = <dj,zeta> + sigma(theta,zeta)")
 def check_dthetaj(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
         alpha = _invariant_family(ctx, rng)
@@ -639,38 +627,26 @@ def check_dthetaj(ctx, rng):
         ze = random_twisted_loop(alg, rng, bump=ctx.bump)
         r1 = lf.dtheta_j(alpha, g, xi.v(g), ze, ctx.grid)
         r2 = lf.dtheta_j_definitional(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
-        worst = max(worst, abs(r1 - r2))
-    return worst
+        yield abs(r1 - r2)
 
 
 @_register("lifting", "lhat_bracket", tol=1e-6,
            identity="[j x1, j x2] = (j[x1,x2]_L, -sigma(x1,x2)) and Jacobi")
 def check_lhat(ctx, rng):
     alg = ctx.algebra
-    worst_scalar = 0.0
-    worst_jac = 0.0
     g = alg.random_group(rng, scale=0.5)
     loops = [random_twisted_loop(alg, rng, bump=ctx.bump) for _ in range(3)]
+    t0 = rng.uniform(0.2, 0.8)
     exts = [lf.ExtendedLSection.split(z) for z in loops]
     br = lf.bracket_lhat(exts[0], exts[1], ctx.coarse_grid, h_t=ctx.h_t)
-    worst_scalar = abs(br.scalar(g)
-                       + lf.central_cocycle(loops[0], loops[1], g,
-                                            ctx.coarse_grid, h_t=ctx.h_t))
-    # Jacobi of the extended bracket: scalar part of the cyclic sum
-    total = 0.0
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = lf.bracket_lhat(exts[i], exts[j], ctx.coarse_grid, h_t=ctx.h_t)
-        outer = lf.bracket_lhat(inner, exts[k], ctx.coarse_grid, h_t=ctx.h_t)
-        total += outer.scalar(g)
-    worst_jac = abs(total)
-    t0 = rng.uniform(0.2, 0.8)
-    body_total = np.zeros(alg.dim)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        inner = lf.bracket_lhat(exts[i], exts[j], ctx.coarse_grid, h_t=ctx.h_t)
-        outer = lf.bracket_lhat(inner, exts[k], ctx.coarse_grid, h_t=ctx.h_t)
-        body_total = body_total + outer.body.profile(g, t0)
-    worst_jac = max(worst_jac, np.linalg.norm(body_total))
-    return max(worst_scalar, worst_jac)
+    yield abs(br.scalar(g)
+              + lf.central_cocycle(loops[0], loops[1], g, ctx.coarse_grid, h_t=ctx.h_t))
+    # Jacobi of the extended bracket: scalar and body parts of the cyclic sum
+    outers = [lf.bracket_lhat(lf.bracket_lhat(exts[i], exts[j], ctx.coarse_grid, h_t=ctx.h_t),
+                              exts[k], ctx.coarse_grid, h_t=ctx.h_t)
+              for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    yield abs(sum(outer.scalar(g) for outer in outers))
+    yield np.linalg.norm(sum(outer.body.profile(g, t0) for outer in outers))
 
 
 @_register("lifting", "nablahat_flat", tol=1e-4,
@@ -687,11 +663,10 @@ def check_nablahat_flat(ctx, rng):
                        ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
     nbr = lf.nabla_hat(albr.bracket(xi, ze, h=ctx.h), b, ctx.coarse_grid,
                        h=ctx.h, h_t=ctx.h_t)
-    resid = abs(n12.scalar(g) - n21.scalar(g) - nbr.scalar(g))
+    yield abs(n12.scalar(g) - n21.scalar(g) - nbr.scalar(g))
     t0 = 0.37
-    resid = max(resid, np.linalg.norm(
-        n12.body.profile(g, t0) - n21.body.profile(g, t0) - nbr.body.profile(g, t0)))
-    return resid
+    yield np.linalg.norm(
+        n12.body.profile(g, t0) - n21.body.profile(g, t0) - nbr.body.profile(g, t0))
 
 
 @_register("lifting", "nablahat_derivation", tol=1e-5,
@@ -708,53 +683,48 @@ def check_nablahat_derivation(ctx, rng):
                          b2, ctx.coarse_grid, h_t=ctx.h_t)
     r2 = lf.bracket_lhat(b1, lf.nabla_hat(xi, b2, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
                          ctx.coarse_grid, h_t=ctx.h_t)
-    resid = abs(lhs.scalar(g) - r1.scalar(g) - r2.scalar(g))
+    yield abs(lhs.scalar(g) - r1.scalar(g) - r2.scalar(g))
     t0 = 0.41
-    resid = max(resid, np.linalg.norm(
-        lhs.body.profile(g, t0) - r1.body.profile(g, t0) - r2.body.profile(g, t0)))
-    return resid
+    yield np.linalg.norm(
+        lhs.body.profile(g, t0) - r1.body.profile(g, t0) - r2.body.profile(g, t0))
 
 
 @_register("lifting", "varpi_antisymmetry", tol=1e-6,
            identity="varpi(xi, zeta) + varpi(zeta, xi) = 0")
 def check_varpi_antisym(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
-        worst = max(worst, abs(
+        yield abs(
             lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
-            + lf.canonical_two_form(ze, xi, g, ctx.grid, h_t=ctx.h_t)))
-    return worst
+            + lf.canonical_two_form(ze, xi, g, ctx.grid, h_t=ctx.h_t))
 
 
 @_register("lifting", "varpi_generators", tol=1e-8, groups=("so3", "su2"),
            identity="varpi(x_A, y_A) = (1/2) x.(Ad_g - Ad_{g^{-1}}) y")
 def check_varpi_generators(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(ctx.samples, 20)):
         g = alg.random_group(rng)
         x, y = alg.random_vector(rng), alg.random_vector(rng)
         got = lf.canonical_two_form(albr.generator(alg, x), albr.generator(alg, y),
                                     g, ctx.grid, h_t=ctx.h_t)
         want = 0.5 * alg.pairing(x, alg.Ad(g, y) - alg.Ad(alg.inv(g), y))
-        worst = max(worst, abs(got - want))
+        yield abs(got - want)
     # the pinned spot value at the quarter turn
     e = np.eye(alg.dim)
     g0 = alg.exp(0.5 * np.pi * e[2])
     spot = lf.canonical_two_form(albr.generator(alg, e[0]), albr.generator(alg, e[1]),
                                  g0, ctx.grid, h_t=ctx.h_t)
-    worst = max(worst, abs(spot + 1.0))
-    return worst, {"notes": f"spot value {spot:.12f} at the quarter turn"}
+    yield abs(spot + 1.0)
+    return {"notes": f"spot value {spot:.12f} at the quarter turn"}
 
 
 @_register("lifting", "varpi_splitting_routes", tol=1e-5,
            identity="varpi^alpha = <dj,theta> + (1/2) sigma(theta,theta) = a* Q^alpha + varpi")
 def check_varpi_routes(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -762,46 +732,40 @@ def check_varpi_routes(ctx, rng):
         bry = lf.brylinski_two_form(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
         base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
         q = lf.q_alpha(alpha, g, xi.v(g), ze.v(g), ctx.grid)
-        worst = max(worst, abs(bry - (q + base)))
-    return worst
+        yield abs(bry - (q + base))
 
 
 @_register("lifting", "varpi_kappa_q", tol=1e-8, identity="varpi = -Q^kappa")
 def check_varpi_kappa_q(ctx, rng):
     alg = ctx.algebra
     fam = albr.KappaFamily(alg, h_t=ctx.h_t)
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         q = bt.q_functional(fam, g, xi, ze, ctx.grid, h=ctx.h)
         base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
-        worst = max(worst, abs(base + q))
-    return worst
+        yield abs(base + q)
 
 
 @_register("lifting", "q_closed_form", tol=1e-8,
            identity="Q^alpha = ((thL+thR)/2).alpha_0 + (1/2) alpha_0 . Ad_g alpha_0; 0 when alpha_0 = 0")
 def check_q_closed_form(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         v, w = alg.random_vector(rng), alg.random_vector(rng)
         alpha = _invariant_family(ctx, rng)
         q1 = lf.q_alpha(alpha, g, v, w, ctx.grid)
         q2 = lf.q_alpha_closed_form(alpha, g, v, w)
-        worst = max(worst, abs(q1 - q2))
+        yield abs(q1 - q2)
         zero = albr.build_alpha(alg, bump=ctx.bump)
-        worst = max(worst, abs(lf.q_alpha(zero, g, v, w, ctx.grid)))
-    return worst
+        yield abs(lf.q_alpha(zero, g, v, w, ctx.grid))
 
 
 @_register("lifting", "iota_loop_varpi", tol=1e-5,
            identity="i_xi varpi = -<dj, xi> for xi in the loop bundle")
 def check_iota_loop_varpi(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
         ze = random_twisted_loop(alg, rng, bump=ctx.bump)
@@ -810,15 +774,13 @@ def check_iota_loop_varpi(ctx, rng):
         ts = ctx.grid.nodes
         rhs = -ctx.grid.integrate(alg.pairing(
             time_derivative(chi, g, ts, h_t=ctx.h_t), extend(ze, g, ts)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("lifting", "iota_generator_varpi", tol=1e-5,
            identity="i_{x_A} varpi = (1/2) a*((theta^L + theta^R).x)")
 def check_iota_generator_varpi(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         x = alg.random_vector(rng)
@@ -826,8 +788,7 @@ def check_iota_generator_varpi(ctx, rng):
         lhs = lf.canonical_two_form(albr.generator(alg, x), chi, g, ctx.grid,
                                     h_t=ctx.h_t)
         rhs = 0.5 * alg.pairing(alg.maurer_cartan(g, chi.v(g), "left") + chi.v(g), x)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("lifting", "dvarpi_eta", tol=1e-4, identity="d varpi = a* eta")
@@ -835,14 +796,12 @@ def check_dvarpi_eta(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     eta = fm.pullback_anchor(fm.cartan_three_form(alg))
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
         lhs = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
         rhs = eta(g, *secs)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 @_register("lifting", "equivariant_three_form", tol=1e-4, groups=("su2",),
@@ -851,21 +810,20 @@ def check_equivariant_three_form(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     n_x = 5
     for trial in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
         d3 = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
         r3 = eta(g, *[s.v(g) for s in secs])
-        worst = max(worst, abs(d3 - r3))
+        yield abs(d3 - r3)
         for _ in range(n_x):
             x = alg.random_vector(rng)
             xa = albr.generator(alg, x)
             lhs1 = -vform(g, xa, secs[0])
             rhs1 = fm.equivariant_cartan(alg, x)[1](g, secs[0].v(g))
-            worst = max(worst, abs(lhs1 - rhs1))
-    return worst, {"x_samples": n_x}
+            yield abs(lhs1 - rhs1)
+    return {"x_samples": n_x}
 
 
 @_register("lifting", "eta_data_route", tol=1e-5,
@@ -875,12 +833,10 @@ def check_eta_data_route(ctx, rng):
     alpha = albr.build_alpha(alg, bump=ctx.bump)
     etad = lf.eta_from_data(alpha, ctx.coarse_grid, h=ctx.h)
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         vs = [alg.random_vector(rng) for _ in range(3)]
-        worst = max(worst, abs(etad(g, *vs) - eta(g, *vs)))
-    return worst
+        yield abs(etad(g, *vs) - eta(g, *vs))
 
 
 @_register("lifting", "lifted_jacobi_primitive", tol=1e-4, groups=("heisenberg3", "torus2"),
@@ -894,7 +850,6 @@ def check_lifted_jacobi_primitive(ctx, rng):
         from .homotopy import poincare_primitive
         prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0, h=ctx.h)
         omega = lambda g, v, w, prim=prim: prim(g, v, w)
-    worst = 0.0
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
@@ -904,8 +859,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
             om_form = fm.DeRhamForm(alg, 2, omega)
         jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g,
                                           ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
-        worst = max(worst, abs(jac))
-    return worst
+        yield abs(jac)
 
 
 @_register("lifting", "lifted_jacobi_obstruction", tol=1e-4,
@@ -915,7 +869,6 @@ def check_lifted_jacobi_obstruction(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg, bump=ctx.bump)
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     notes = []
     cases = [("omega=0", None)]
     if ctx.group_name == "heisenberg3":
@@ -931,9 +884,9 @@ def check_lifted_jacobi_obstruction(ctx, rng):
         target = eta(g, *vs)
         if om is not None:
             target += fm.de_rham_differential(om, h=ctx.h)(g, *vs)
-        worst = max(worst, abs(jac - target))
+        yield abs(jac - target)
         notes.append(f"{label}: jacobiator {jac:.6g} vs {target:.6g}")
-    return worst, {"notes": "; ".join(notes)}
+    return {"notes": "; ".join(notes)}
 
 
 @_register("lifting", "equivariant_generators", tol=1e-4, groups=("heisenberg3", "torus2"),
@@ -949,14 +902,12 @@ def check_equivariant_generators(ctx, rng):
         prim = poincare_primitive(mu, sign=1.0, h=ctx.h)
         return lambda g: prim(g)
 
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.6)
         x = alg.random_vector(rng)
         v = alg.random_vector(rng)
-        worst = max(worst, lf.equivariant_generator_residual(
-            None, phi_map, alpha, x, v, g, ctx.coarse_grid, h=ctx.h))
-    return worst
+        yield lf.equivariant_generator_residual(
+            None, phi_map, alpha, x, v, g, ctx.coarse_grid, h=ctx.h)
 
 
 @_register("lifting", "gamma_change", tol=1e-4, groups=("su2",),
@@ -977,15 +928,14 @@ def check_gamma_change(ctx, rng):
     vs = [alg.random_vector(rng) for _ in range(3)]
     lhs = etap(g, *vs) - eta0(g, *vs)
     rhs = fm.de_rham_differential(gam, h=ctx.h)(g, *vs)
+    yield abs(lhs - rhs)
     # specialization: lambda = 0, beta only: a* gamma = -<beta, F>
     gam0 = lf.gamma_change(alpha, lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim), ctx.bump),
                            bker, grid, h=ctx.h, h_t=ctx.h_t)
     fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1], h=ctx.h)
     want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes),
                                        fsec.profile(g, grid.nodes)))
-    resid2 = abs(gam0(g, vs[0], vs[1]) - want)
-    worst = max(abs(lhs - rhs), resid2)
-    return worst
+    yield abs(gam0(g, vs[0], vs[1]) - want)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +955,8 @@ def _random_gvalued(ctx, rng):
 @_register("bott", "convention_table", tol=1.0, groups=("su2",),
            identity="orientation signs calibrated once on su2")
 def check_convention_table(ctx, rng):
-    return 0.0, {"notes": str(ctx.conventions().as_dict())}
+    yield 0.0
+    return {"notes": str(ctx.conventions().as_dict())}
 
 
 @_register("bott", "stokes_family", tol=1e-3,
@@ -1014,7 +965,6 @@ def check_stokes_family(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    worst = 0.0
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     thl = bt.oneform_theta_left(alg)
@@ -1025,15 +975,14 @@ def check_stokes_family(ctx, rng):
     lhs = fm.exterior_derivative(u1, h=ctx.h)(g, *secs)
     rhs = bt.upsilon(p, [b1], g, secs, conventions=conv, h=ctx.h) \
         - bt.upsilon(p, [thl], g, secs, conventions=conv, h=ctx.h)
-    worst = max(worst, abs(lhs - rhs))
+    yield abs(lhs - rhs)
     u2 = fm.AlgebroidForm(alg, 1, lambda gg, *ss:
                           bt.upsilon(p, [thl, b1, b2], gg, ss, conventions=conv, h=ctx.h))
     lhs2 = fm.exterior_derivative(u2, h=ctx.h)(g, *secs[:2])
     rhs2 = bt.upsilon(p, [b1, b2], g, secs[:2], conventions=conv, h=ctx.h) \
         - bt.upsilon(p, [thl, b2], g, secs[:2], conventions=conv, h=ctx.h) \
         + bt.upsilon(p, [thl, b1], g, secs[:2], conventions=conv, h=ctx.h)
-    worst = max(worst, abs(lhs2 - rhs2))
-    return worst
+    yield abs(lhs2 - rhs2)
 
 
 @_register("bott", "upsilon_gauge_invariance", tol=1e-4,
@@ -1048,14 +997,13 @@ def check_upsilon_gauge(ctx, rng):
     b1 = albr.KappaFamily(alg).at(0.25)
     phi = lambda gg: gg @ gg
     gb0, gb1 = bt.gauge_transform(phi, b0, h=ctx.h), bt.gauge_transform(phi, b1, h=ctx.h)
-    worst = abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv, h=ctx.h)
-                - bt.upsilon(p, [gb0, gb1], g, secs, conventions=conv, h=ctx.h))
+    yield abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv, h=ctx.h)
+              - bt.upsilon(p, [gb0, gb1], g, secs, conventions=conv, h=ctx.h))
     x = alg.random_vector(rng)
     for args in (secs, secs[:1]):
-        worst = max(worst, abs(
+        yield abs(
             bt.upsilon_equivariant(p, [b0, b1], x, g, args, conventions=conv, h=ctx.h)
-            - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv, h=ctx.h)))
-    return worst
+            - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv, h=ctx.h))
 
 
 @_register("bott", "gauge_composition", tol=1e-6,
@@ -1070,12 +1018,12 @@ def check_gauge_composition(ctx, rng):
     phi2 = lambda gg: gg @ gg
     lhs = bt.gauge_transform(lambda gg: phi2(gg) @ phi1(gg), beta, h=ctx.h)(g, sec)
     rhs = bt.gauge_transform(phi2, bt.gauge_transform(phi1, beta, h=ctx.h), h=ctx.h)(g, sec)
-    worst = float(np.linalg.norm(lhs - rhs))
+    yield float(np.linalg.norm(lhs - rhs))
     zero = bt.oneform_zero(alg)
     idm = lambda gg: gg
     val = bt.gauge_transform(idm, zero, h=ctx.h)(g, sec)
-    worst = max(worst, float(np.linalg.norm(val + sec.v(g))))
-    return worst, {"notes": "identity-map gauge of 0 gives -theta^R"}
+    yield float(np.linalg.norm(val + sec.v(g)))
+    return {"notes": "identity-map gauge of 0 gives -theta^R"}
 
 
 @_register("bott", "cs_vs_bott", tol=1e-4,
@@ -1086,7 +1034,6 @@ def check_cs_vs_bott(ctx, rng):
     p = quadratic_polynomial(alg)
     zero = bt.oneform_zero(alg)
     ratios = []
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
@@ -1095,11 +1042,13 @@ def check_cs_vs_bott(ctx, rng):
         cs = bt.chern_simons(beta, g, secs, h=ctx.h)
         if abs(cs) > 1e-8:
             ratios.append(ub / cs)
-    if ratios:
-        c = float(np.sign(ratios[0]))
-        worst = max(abs(r - c) for r in ratios)
-    notes = f"fixed sign {c:g}" if ratios else "degenerate samples"
-    return worst, {"notes": notes}
+    if not ratios:
+        yield 0.0
+        return {"notes": "degenerate samples"}
+    c = float(np.sign(ratios[0]))
+    for r in ratios:
+        yield abs(r - c)
+    return {"notes": f"fixed sign {c:g}"}
 
 
 @_register("bott", "eta_p_anchor", tol=1e-4, groups=("su2", "so3"),
@@ -1111,14 +1060,13 @@ def check_eta_p_anchor(ctx, rng):
     zero = bt.oneform_zero(alg)
     thl = bt.oneform_theta_left(alg)
     eta = fm.pullback_anchor(fm.cartan_three_form(alg))
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
         got = bt.upsilon(p, [zero, thl], g, secs, conventions=conv, h=ctx.h)
         want = conv.eta_p_vs_eta * eta(g, *secs)
-        worst = max(worst, abs(got - want))
-    return worst, {"notes": f"c = {conv.eta_p_vs_eta:g}"}
+        yield abs(got - want)
+    return {"notes": f"c = {conv.eta_p_vs_eta:g}"}
 
 
 @_register("bott", "cs_exact", tol=1e-4, identity="d CS(beta) = (1/2) F^beta . F^beta")
@@ -1131,8 +1079,7 @@ def check_cs_exact(ctx, rng):
     csf = fm.AlgebroidForm(alg, 3, lambda gg, *ss: bt.chern_simons(beta, gg, ss, h=ctx.h))
     lhs = fm.exterior_derivative(csf, h=ctx.h)(g, *secs)
     rhs = bt.upsilon(p, [beta], g, secs, rule=bt.SimplexRule(0), h=ctx.h)
-    worst = abs(lhs - rhs)
-    return worst
+    yield abs(lhs - rhs)
 
 
 @_register("bott", "cs_gauge_law", tol=1e-4,
@@ -1140,7 +1087,6 @@ def check_cs_exact(ctx, rng):
 def check_cs_gauge_law(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     for _ in range(max(1, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
@@ -1157,8 +1103,7 @@ def check_cs_gauge_law(ctx, rng):
         lhs = bt.chern_simons(bt.gauge_transform(phi, beta, h=ctx.h), g, secs, h=ctx.h)
         rhs = bt.chern_simons(beta, g, secs, h=ctx.h) + phi_eta(g, *secs) \
             - 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        yield abs(lhs - rhs)
 
 
 def _gauge_family(ctx, rng, phi=None):
@@ -1198,8 +1143,7 @@ def check_transgression(ctx, rng):
                             alg.pairing(fam.value(tt, gg, s1), fam.tderiv(tt, gg, s2))
                             - alg.pairing(fam.value(tt, gg, s2), fam.tderiv(tt, gg, s1)))
     rhs -= 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
-    worst = abs(csdot - rhs)
-    return worst
+    yield abs(csdot - rhs)
 
 
 @_register("bott", "cs_period_integral", tol=1e-4,
@@ -1220,8 +1164,7 @@ def check_cs_period_integral(ctx, rng):
     qform = fm.AlgebroidForm(alg, 2,
                              lambda gg, s1, s2: bt.q_functional(fam, gg, s1, s2, grid, h=ctx.h))
     rhs = phi_eta(g, *secs) + fm.exterior_derivative(qform, h=ctx.h)(g, *secs)
-    worst = abs(lhs - rhs)
-    return worst
+    yield abs(lhs - rhs)
 
 
 @_register("bott", "cs_period_equivariant", tol=1e-4,
@@ -1244,8 +1187,7 @@ def check_cs_period_equivariant(ctx, rng):
     gphi = phi(g)
     rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(gphi), w) + w, x)
     rhs -= bt.q_functional(fam, g, xa, xi, grid, h=ctx.h)
-    worst = abs(lhs - rhs)
-    return worst
+    yield abs(lhs - rhs)
 
 
 @_register("bott", "q_reparametrization", tol=1e-6,
@@ -1276,8 +1218,7 @@ def check_q_reparam(ctx, rng):
 
     q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(Reparam(fam, 0.1, 0.13), g, s1, s2, ctx.grid, h=ctx.h)
-    worst = abs(q0 - q1)
-    return worst
+    yield abs(q0 - q1)
 
 
 @_register("bott", "q_inversion", tol=1e-6, identity="Q(beta^-) = -Q(beta)")
@@ -1301,8 +1242,7 @@ def check_q_inversion(ctx, rng):
 
     q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(Invert(fam), g, s1, s2, ctx.grid, h=ctx.h)
-    worst = abs(q0 + q1)
-    return worst
+    yield abs(q0 + q1)
 
 
 @_register("bott", "q_concatenation", tol=1e-5,
@@ -1323,8 +1263,7 @@ def check_q_concat(ctx, rng):
     q1 = bt.q_functional(f1, g, s1, s2, ctx.grid, h=ctx.h)
     q2 = bt.q_functional(f2, g, s1, s2, ctx.grid, h=ctx.h)
     lam = bt.q_concat_lambda(alg, phi1, phi2, g, s1, s2, h=ctx.h)
-    worst = abs(qc - q1 - q2 - lam)
-    return worst
+    yield abs(qc - q1 - q2 - lam)
 
 
 @_register("bott", "bott_equivariant_closed", tol=1e-4,
@@ -1340,10 +1279,8 @@ def check_bott_equiv_closed(ctx, rng):
     xa = albr.generator(alg, x)
     one = fm.AlgebroidForm(alg, 1, lambda gg, *ss: etaPG(x, gg, list(ss)))
     three = fm.AlgebroidForm(alg, 3, lambda gg, *ss: etaPG(x, gg, list(ss)))
-    resid2 = fm.exterior_derivative(one, h=ctx.h)(g, *secs) - three(g, xa, *secs)
-    resid0 = one(g, xa)
-    worst = max(abs(resid2), abs(resid0))
-    return worst
+    yield abs(fm.exterior_derivative(one, h=ctx.h)(g, *secs) - three(g, xa, *secs))
+    yield abs(one(g, xa))
 
 
 @_register("bott", "flat_family_transgression", tol=1e-3,
@@ -1376,8 +1313,9 @@ def check_flat_family(ctx, rng):
     lhs1 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs[:1], conventions=conv, h=ctx.h) \
         - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1], conventions=conv, h=ctx.h)
     rhs1 = s * (-iform(g, xa, secs[0]))
-    worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
-    return worst, {"notes": f"orientation {s:g}; flatness precondition {pre:.2e}"}
+    yield abs(lhs3 - rhs3)
+    yield abs(lhs1 - rhs1)
+    return {"notes": f"orientation {s:g}; flatness precondition {pre:.2e}"}
 
 
 @_register("bott", "varpi_p_matches_varpi", tol=1e-5,
@@ -1387,23 +1325,25 @@ def check_varpi_p_matches(ctx, rng):
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         x = alg.random_vector(rng)
         got = vpg(x, g, [xi, ze])
         want = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
-        worst = max(worst, abs(got - want))
-    return worst
+        yield abs(got - want)
 
 
 @_register("bott", "higher_transgression_theorem", tol=1e-3, groups=("su2",),
            identity="d_G varpi^p_G(x) = a* eta^p_G(x)")
 def check_higher_transgression(ctx, rng):
+    yield from _transgression_samples(ctx, rng, quadratic_polynomial(ctx.algebra))
+
+
+def _transgression_samples(ctx, rng, p):
+    """Degrees 3 and 1 of d_G varpi^p_G(x) = a* eta^p_G(x) at a random point."""
     alg = ctx.algebra
     conv = ctx.conventions()
-    p = quadratic_polynomial(alg)
     vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
     _, etaPG = bt.eta_p_form(p, conv, h=ctx.h)
     g = alg.random_group(rng)
@@ -1415,8 +1355,8 @@ def check_higher_transgression(ctx, rng):
     xa = albr.generator(alg, x)
     lhs1 = -vform(g, xa, secs[0])
     rhs1 = etaPG(x, g, [secs[0]])
-    worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
-    return worst
+    yield abs(lhs3 - rhs3)
+    yield abs(lhs1 - rhs1)
 
 
 @_register("bott", "pressley_segal", tol=1e-6, groups=("su2", "so3", "torus2"),
@@ -1428,7 +1368,6 @@ def check_pressley_segal(ctx, rng):
     p = quadratic_polynomial(alg)
     ps = bt.pressley_segal_two_form(p, conv, h=ctx.h, h_t=ctx.h_t)
     ge = alg.identity()
-    worst = 0.0
     sign = None
     for _ in range(max(2, ctx.samples // 2)):
         l1 = random_loop_section(alg, rng)
@@ -1438,7 +1377,7 @@ def check_pressley_segal(ctx, rng):
         got = ps(ge, [l1, l2])
         if sign is None:
             sign = 1.0 if abs(got - km) < abs(got + km) else -1.0
-        worst = max(worst, abs(got - sign * km))
+        yield abs(got - sign * km)
     # pinned value: sin/cos pair on e1 gives pi up to the recorded sign
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     two_pi = 2.0 * np.pi
@@ -1447,15 +1386,15 @@ def check_pressley_segal(ctx, rng):
     s2 = loop_section(alg, lambda t: scaled(np.cos(two_pi * t), e1),
                       lambda t: scaled(-two_pi * np.sin(two_pi * t), e1))
     spot = ps(ge, [s1, s2])
-    worst = max(worst, abs(spot - sign * np.pi * alg.pairing(e1, e1)))
+    yield abs(spot - sign * np.pi * alg.pairing(e1, e1))
     # Chevalley-Eilenberg closedness on Fourier triples
     loops = [random_loop_section(alg, rng) for _ in range(3)]
     ce = 0.0
     for (i, j, k), sgn in (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 2, 0), 1.0)):
         br = albr.bracket(loops[i], loops[j], h=ctx.h)
         ce += sgn * ps(ge, [br, loops[k]])
-    return ({"pressley_segal": worst, "pressley_segal_closed": abs(ce)},
-            {"notes": f"recorded sign {sign:g}; spot value {spot:.9f}"})
+    yield "pressley_segal_closed", abs(ce)
+    return {"notes": f"recorded sign {sign:g}; spot value {spot:.9f}"}
 
 
 @_register("bott", "cubic_polynomial_suite", tol=1e-3, groups=("su2", "heisenberg3"),
@@ -1464,23 +1403,12 @@ def check_cubic_suite(ctx, rng):
     alg = ctx.algebra
     p3 = cubic_polynomial(alg)
     if p3 is None:
-        return 0.0, {"notes": "no invariant cubic exists for this algebra; suite skipped"}
-    conv = ctx.conventions()
-    vpg = bt.varpi_p_equivariant(p3, conv, h=ctx.h, h_t=ctx.h_t)
-    _, etaPG = bt.eta_p_form(p3, conv, h=ctx.h)
-    g = alg.random_group(rng)
-    x = alg.random_vector(rng)
-    secs = ctx.random_sections(rng, 3)
-    vform = fm.AlgebroidForm(alg, 2, lambda gg, *ss: vpg(x, gg, list(ss)))
-    lhs3 = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
-    rhs3 = etaPG(x, g, secs)
-    xa = albr.generator(alg, x)
-    lhs1 = -vform(g, xa, secs[0])
-    rhs1 = etaPG(x, g, [secs[0]])
-    worst = max(abs(lhs3 - rhs3), abs(lhs1 - rhs1))
+        yield 0.0
+        return {"notes": "no invariant cubic exists for this algebra; suite skipped"}
+    yield from _transgression_samples(ctx, rng, p3)
     # the explicit proportionality degenerates: invariant cubics kill brackets,
     # so both the restricted 4-form and its comparison integral must vanish
-    ps3 = bt.pressley_segal_two_form(p3, conv, h=ctx.h, h_t=ctx.h_t)
+    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions(), h=ctx.h, h_t=ctx.h_t)
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
     kf = albr.KappaFamily(alg, h_t=ctx.h_t)
@@ -1503,9 +1431,9 @@ def check_cubic_suite(ctx, rng):
                 total += sgn * p3(ks[a], kd[b], 2.0 * alg.bracket(ks[i], ks[j]))
         return total
 
-    both = max(abs(ps3(ge, loops)), abs(integrate_01(explicit, ctx.coarse_grid)))
-    worst = max(worst, both)
-    return worst, {"notes": "explicit-formula routes both vanish (invariant cubic kills brackets)"}
+    yield abs(ps3(ge, loops))
+    yield abs(integrate_01(explicit, ctx.coarse_grid))
+    return {"notes": "explicit-formula routes both vanish (invariant cubic kills brackets)"}
 
 
 # ---------------------------------------------------------------------------
@@ -1516,36 +1444,33 @@ def check_cubic_suite(ctx, rng):
            identity="generators concatenate to generators; closed-form fusion identity")
 def check_concat_generators(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         x, y = alg.random_vector(rng), alg.random_vector(rng)
-        worst = max(worst, fu.fusion_residual(fu.generator_pair(alg, x),
-                                              fu.generator_pair(alg, y),
-                                              g2, g1, ctx.grid))
+        yield fu.fusion_residual(fu.generator_pair(alg, x),
+                                 fu.generator_pair(alg, y),
+                                 g2, g1, ctx.grid)
         cat = fu.concat(fu.generator_pair(alg, x), g2, g1)
         gm = g2 @ g1
-        worst = max(worst, float(np.linalg.norm(
-            cat.v(gm) - (alg.Ad(gm, x) - x))))
-        worst = max(worst, cat.compatibility_residual(gm))
-    return worst
+        yield float(np.linalg.norm(
+            cat.v(gm) - (alg.Ad(gm, x) - x)))
+        yield cat.compatibility_residual(gm)
 
 
 @_register("fusion", "concat_structure", tol=1e-8,
            identity="a(xi2 * xi1) = Ad_{g2} v1 + v2; seam and associativity")
 def check_concat_structure(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         pair = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        worst = max(worst, fu.composable_residual(pair, g2, g1))
+        yield fu.composable_residual(pair, g2, g1)
         cat = fu.concat(pair, g2, g1)
         gm = g2 @ g1
         xi2, xi1 = pair
-        worst = max(worst, float(np.linalg.norm(
-            cat.v(gm) - alg.Ad(g2, xi1.v((g2, g1))) - xi2.v((g2, g1)))))
-        worst = max(worst, cat.compatibility_residual(gm))
+        yield float(np.linalg.norm(
+            cat.v(gm) - alg.Ad(g2, xi1.v((g2, g1))) - xi2.v((g2, g1))))
+        yield cat.compatibility_residual(gm)
     # associativity after the dyadic reparametrization, on frozen paths
     g3, g2, g1 = [alg.random_group(rng) for _ in range(3)]
     paths = []
@@ -1573,35 +1498,31 @@ def check_concat_structure(ctx, rng):
             return t + 0.25
         return 0.5 * t + 0.5
     for t in np.linspace(0.0, 1.0, 33):
-        worst = max(worst, float(np.linalg.norm(left(dyadic(t)) - right(t))))
-    return worst
+        yield float(np.linalg.norm(left(dyadic(t)) - right(t)))
 
 
 @_register("fusion", "pair_bracket_closure", tol=1e-6,
            identity="the bracket of composable pairs is again composable")
 def check_pair_bracket_closure(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(2):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         p = fu.pair_from_template(alg, rng, bump=ctx.bump)
         q = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        worst = max(worst, fu.composable_residual(fu.pair_bracket(p, q, h=ctx.h), g2, g1))
-    return worst
+        yield fu.composable_residual(fu.pair_bracket(p, q, h=ctx.h), g2, g1)
 
 
 @_register("fusion", "fusion_two_form", tol=1e-4,
            identity="mult! varpi = pr1! varpi + pr2! varpi - lambda")
 def check_fusion_two_form(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     n_pairs = max(ctx.samples, 8)
     for _ in range(n_pairs):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         p = fu.pair_from_template(alg, rng, bump=ctx.bump)
         q = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        worst = max(worst, fu.fusion_residual(p, q, g2, g1, ctx.grid))
-    return worst, {"pairs": n_pairs}
+        yield fu.fusion_residual(p, q, g2, g1, ctx.grid)
+    return {"pairs": n_pairs}
 
 
 @_register("fusion", "lambda_cartan_form", tol=1e-4,
@@ -1609,12 +1530,10 @@ def check_fusion_two_form(ctx, rng):
 def check_lambda_cartan(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         triples = [(alg.random_vector(rng), alg.random_vector(rng)) for _ in range(3)]
-        worst = max(worst, fu.mult_eta_residual(alg, eta, g2, g1, triples, h=ctx.h))
-    return worst
+        yield fu.mult_eta_residual(alg, eta, g2, g1, triples, h=ctx.h)
 
 
 # ---------------------------------------------------------------------------
@@ -1626,13 +1545,11 @@ def check_lambda_cartan(ctx, rng):
 def check_isotropy(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng, scale=0.5)
         z = random_twisted_loop(alg, rng, bump=ctx.bump)
         el = fu.CourantElement(z, fm.contract(vform, z))
-        worst = max(worst, abs(fu.courant_pairing(el, el, g)))
-    return worst
+        yield abs(fu.courant_pairing(el, el, g))
 
 
 @_register("courant", "loop_action_brackets", tol=1e-4,
@@ -1640,7 +1557,6 @@ def check_isotropy(ctx, rng):
 def check_loop_action(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
-    worst = 0.0
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
         z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
@@ -1650,11 +1566,10 @@ def check_loop_action(ctx, rng):
         f2 = fu.CourantElement(z2, fm.contract(vform, z2))
         cb = fu.courant_bracket(f1, f2, h=ctx.h)
         br = albr.bracket(z1, z2, h=ctx.h)
-        worst = max(worst, abs(cb.coform(g, chi) - vform(g, br, chi)))
+        yield abs(cb.coform(g, chi) - vform(g, br, chi))
         t0 = rng.uniform(0.2, 0.8)
-        worst = max(worst, float(np.linalg.norm(
-            cb.section.profile(g, t0) - br.profile(g, t0))))
-    return worst
+        yield float(np.linalg.norm(
+            cb.section.profile(g, t0) - br.profile(g, t0)))
 
 
 @_register("courant", "reduced_twist", tol=1e-4,
@@ -1663,7 +1578,6 @@ def check_reduced_twist(ctx, rng):
     alg = ctx.algebra
     vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
     eta = fm.cartan_three_form(alg)
-    worst = 0.0
     for _ in range(2):
         g = alg.random_group(rng)
         v1, v2, chi = ctx.random_sections(rng, 3)
@@ -1673,9 +1587,8 @@ def check_reduced_twist(ctx, rng):
         a2 = fm.AlgebroidForm(alg, 1,
                               lambda gg, s: alg.pairing(c2, s.v(gg))
                               * float(np.sin(alg.pairing(c1, alg.Ad(gg, c1)))))
-        worst = max(worst, fu.reduced_bracket_residual(
-            vform, eta, v1, v2, a1, a2, chi, g, h=ctx.h))
-    return worst
+        yield fu.reduced_bracket_residual(
+            vform, eta, v1, v2, a1, a2, chi, g, h=ctx.h)
 
 
 # ---------------------------------------------------------------------------
@@ -1696,11 +1609,9 @@ def _unit(rng):
 def check_class_equivariance(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
-    worst = 0.0
     for _ in range(ctx.samples):
-        worst = max(worst, klass.equivariance_residual(
-            alg.random_group(rng), _unit(rng)))
-    return worst
+        yield klass.equivariance_residual(
+            alg.random_group(rng), _unit(rng))
 
 
 @_register("qham", "moment_sign_oracle", tol=1e-4, groups=("su2",),
@@ -1710,14 +1621,14 @@ def check_moment_oracle(ctx, rng):
     klass = qh.ConjugacyClass(alg)
     sign, residuals = qh.calibrate_ghjw(klass, rng)
     omega = qh.ghjw_omega(klass, sign)
-    worst = residuals[sign]
+    yield residuals[sign]
     # pinned magnitude at the quarter-turn example
     n0 = np.array([0.0, 0.0, 1.0])
     t1 = klass.generator_field(np.array([1.0, 0.0, 0.0]), n0)
     t2 = klass.generator_field(np.array([0.0, 1.0, 0.0]), n0)
     mag = abs(omega(n0, t1, t2))
-    worst = max(worst, abs(mag - 1.0))
-    return worst, {"notes": f"sign {sign:g}; |omega| = {mag:.6f} at the example"}
+    yield abs(mag - 1.0)
+    return {"notes": f"sign {sign:g}; |omega| = {mag:.6f} at the example"}
 
 
 @_register("qham", "pullback_bracket_laws", tol=1e-4, groups=("su2",),
@@ -1739,19 +1650,18 @@ def check_pullback_bracket(ctx, rng):
         return albr.bracket(p, q, h=_SPHERE_STEP)
 
     p1, p2, p3 = mk(), mk(), mk()
-    worst = p1.compatibility_residual(n)
+    yield p1.compatibility_residual(n)
     b12 = br(p1, p2)
-    worst = max(worst, b12.compatibility_residual(n))
+    yield b12.compatibility_residual(n)
     t0 = 0.4
     jac = br(b12, p3).profile(n, t0) + br(br(p2, p3), p1).profile(n, t0) \
         + br(br(p3, p1), p2).profile(n, t0)
-    worst = max(worst, float(np.linalg.norm(jac)))
+    yield float(np.linalg.norm(jac))
     # generators pulled back bracket as in the algebra
     x, y = alg.random_vector(rng), alg.random_vector(rng)
     gb = br(albr.generator(alg, x, base=klass), albr.generator(alg, y, base=klass))
     want = -alg.bracket(x, y)  # constant profile of the bracket generator
-    worst = max(worst, float(np.linalg.norm(gb.profile(n, 0.3) - want)))
-    return worst
+    yield float(np.linalg.norm(gb.profile(n, 0.3) - want))
 
 
 @_register("qham", "kernel_theorem", tol=0.0, groups=("su2",),
@@ -1768,27 +1678,21 @@ def check_kernel_theorem(ctx, rng):
     sign, _ = qh.calibrate_ghjw(klass, rng)
     omega = qh.ghjw_omega(klass, sign)
     n = _unit(rng)
-    dims = []
-    seam_worst = 0.0
-    gen_worst = 0.0
-    loop_worst = 0.0
     dropped = []
     truncations, thresholds = (4, 6, 8), (1e-7, 1e-8, 1e-9)
     for n_max in truncations:
         basis = qh.TruncatedBasis(klass, n, n_max, ctx.grid)
-        seam_worst = max(seam_worst, float(basis.seam_residuals().max()))
+        yield "kernel_basis_seams", float(basis.seam_residuals().max())
         kernels, s, ndrop = qh.gram_kernel(basis, omega, thresholds)
-        dims += [dim for dim, _ in kernels]
+        for dim, _ in kernels:
+            yield abs(dim - 3)
         dropped.append(ndrop)
-        gen_worst = max(gen_worst, float(np.abs(s[:3, :]).max()))
+        yield "kernel_generator_rows", float(np.abs(s[:3, :]).max())
         _, null = kernels[thresholds.index(1e-8)]
         for j in range(null.shape[1]):
             dpath = np.einsum("a,atd->td", null[:, j], basis.derivs)
-            loop_worst = max(loop_worst, float(np.abs(dpath).max()))
-    residuals = {"kernel_theorem": max(abs(d - 3) for d in dims),
-                 "kernel_generator_rows": gen_worst, "kernel_loop_velocity": loop_worst,
-                 "kernel_basis_seams": seam_worst}
-    return residuals, {
+            yield "kernel_loop_velocity", float(np.abs(dpath).max())
+    return {
         "n_max": list(truncations), "thresholds": list(thresholds),
         "notes": f"dimension 3 across sweeps; dependencies dropped {sorted(set(dropped))}"}
 
@@ -1802,7 +1706,8 @@ def check_abelian_kernel(ctx, rng):
     basis = qh.TruncatedBasis(klass, n, 4, ctx.grid)
     [(dim, _)], _, _ = qh.gram_kernel(basis, None)
     expected = alg.dim + 2
-    return float(abs(dim - expected)), {"notes": f"dimension {dim}, expected {expected}"}
+    yield float(abs(dim - expected))
+    return {"notes": f"dimension {dim}, expected {expected}"}
 
 
 @_register("qham", "pullback_three_form", tol=1e-4, groups=("su2",),
@@ -1836,7 +1741,7 @@ def check_pullback_three_form(ctx, rng):
             br = albr.bracket(secs[i], secs[j], h=_SPHERE_STEP)
             total += ((-1) ** (i + j)) * vform(n, br, secs[k])
     # the right side vanishes: 3-forms on a surface pull back to zero
-    worst = abs(total)
+    yield abs(total)
     # degree-1 equivariant component
     x = alg.random_vector(rng)
     xg = albr.generator(alg, x, base=klass)
@@ -1844,8 +1749,7 @@ def check_pullback_three_form(ctx, rng):
     g = klass.point(n)
     w = klass.push_tangent(n, secs[0].xfield(n))
     rhs1 = -0.5 * alg.pairing(alg.Ad(alg.inv(g), w) + w, x)
-    worst = max(worst, abs(lhs1 - rhs1))
-    return worst
+    yield abs(lhs1 - rhs1)
 
 
 @_register("qham", "pullback_cochain", tol=1e-4, groups=("su2",),
@@ -1879,23 +1783,21 @@ def check_pullback_cochain(ctx, rng):
     br = klass.field_bracket(f1, f2, n)
     lhs = float(d1) - float(d2) - pom(n, br)
     rhs = pdom(n, f1(n), f2(n))
-    worst = abs(lhs - rhs)
-    return worst
+    yield abs(lhs - rhs)
 
 
 @_register("qham", "based_projection", tol=1e-10,
            identity="q(xi) = xi - xi(0) vanishes at 0 with a(q xi) = a(xi) + xi(0)_G")
 def check_based_projection(ctx, rng):
     alg = ctx.algebra
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi = random_section(alg, rng, bump=ctx.bump)
         at0, shift = qh.project_based_residuals(xi, g)
-        worst = max(worst, at0, shift)
+        yield at0
+        yield shift
         q = qh.project_based(xi)
-        worst = max(worst, q.compatibility_residual(g))
-    return worst
+        yield q.compatibility_residual(g)
 
 
 @_register("qham", "subalgebroid_projection", tol=1e-6, groups=("heisenberg3",),
@@ -1917,16 +1819,17 @@ def check_subalgebroid(ctx, rng):
         dprofile=lambda gg, t: scaled(-two_pi * np.sin(two_pi * t), y)
         + scaled(gg[0, 1] * (np.cos(two_pi * t) - two_pi * t * np.sin(two_pi * t)), z),
         name="s2")
-    worst = max(s1.compatibility_residual(g), s2.compatibility_residual(g))
+    yield s1.compatibility_residual(g)
+    yield s2.compatibility_residual(g)
     # hypotheses: E is closed under the bracket and invariant mod E
     br = albr.bracket(s1, s2, h=ctx.h)
-    worst = max(worst, float(np.linalg.norm(br.profile(g, 0.3))),
-                float(np.linalg.norm(br.v(g))))
+    yield float(np.linalg.norm(br.profile(g, 0.3)))
+    yield float(np.linalg.norm(br.v(g)))
     x = alg.random_vector(rng)
     act = albr.bracket(albr.generator(alg, x), s2, h=ctx.h)
     t0 = 0.3
-    worst = max(worst, float(np.linalg.norm(
-        act.profile(g, t0) - x[0] * s1.profile(g, t0))))
+    yield float(np.linalg.norm(
+        act.profile(g, t0) - x[0] * s1.profile(g, t0)))
     # conclusion: brackets of function multiples of q(E)-sections stay in the span
     q1, q2 = qh.project_based(s1), qh.project_based(s2)
     c0 = alg.random_vector(rng)
@@ -1941,8 +1844,7 @@ def check_subalgebroid(ctx, rng):
     target = qbr.profile(g, ts).ravel()
     a_mat = np.stack([q1.profile(g, ts).ravel(), q2.profile(g, ts).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
-    worst = max(worst, float(np.linalg.norm(target - a_mat @ coef)))
-    return worst
+    yield float(np.linalg.norm(target - a_mat @ coef))
 
 
 @_register("qham", "abelian_collapse", tol=1e-10, groups=("torus2",),
@@ -1952,22 +1854,20 @@ def check_abelian_collapse(ctx, rng):
     eta = fm.cartan_three_form(alg)
     alpha = _invariant_family(ctx, rng)
     etad = lf.eta_from_data(albr.build_alpha(alg, bump=ctx.bump), ctx.coarse_grid, h=ctx.h)
-    worst = 0.0
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         v, w, u = [alg.random_vector(rng) for _ in range(3)]
-        worst = max(worst, float(np.linalg.norm(
-            albr.curvature(alpha, g, 0.37, v, w, h=ctx.h))))
-        worst = max(worst, abs(eta(g, v, w, u)))
-        worst = max(worst, abs(etad(g, v, w, u)))
+        yield float(np.linalg.norm(
+            albr.curvature(alpha, g, 0.37, v, w, h=ctx.h)))
+        yield abs(eta(g, v, w, u))
+        yield abs(etad(g, v, w, u))
     # twist term of the reduced Courant bracket and the lifted Jacobiator
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
     fields = [lambda gg, vv=v: vv for v in vs]
     jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg, bump=ctx.bump),
                                       fields, g, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
-    worst = max(worst, abs(jac))
-    return worst
+    yield abs(jac)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def _report_payload(config, results, convention_table):
             "tolerance": r.tolerance,
             "margin": _margin(r.residual, r.tolerance),
             "pass": r.passed,
-            "runtime_ms": round(r.runtime_ms, 3),
+            "n_samples": r.n_samples,
+            "worst_sample": r.worst_sample,
             "notes": r.notes,
         })
     passed = sum(1 for r in results if r.passed)
@@ -195,10 +196,13 @@ def _report_payload(config, results, convention_table):
         "version": __version__,
         "config_echo": {k: v for k, v in config.items() if k != "report_path"},
         "convention_table": convention_table,
-        "environment": _environment(),
         "checks": checks,
         "summary": {"total": len(results), "passed": passed,
                     "failed": len(results) - passed},
+        # what differs between two runs of the same configuration
+        "run": {"environment": _environment(),
+                "check_runtime_ms": {f"{r.suite}.{r.check}": round(r.runtime_ms, 3)
+                                     for r in results}},
     }
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report schema, determinism, identity table."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -123,10 +124,8 @@ def test_non_finite_sample_fails():
     from atiyahcheck.checks import CheckSpec
 
     def body(ctx, rng):
-        worst = 0.0
         for num, den in ((1.0, 2.0), (0.0, 0.0), (1.0, 4.0)):
-            worst = max(worst, np.float64(num) / np.float64(den))
-        return worst
+            yield np.float64(num) / np.float64(den)
 
     spec = CheckSpec("algebroid", "nan_probe", body, None,
                      (("nan_probe", "probe", 1.0), ("nan_probe_sub", "sub-probe", 1.0)))
@@ -135,6 +134,67 @@ def test_non_finite_sample_fails():
     for r in results:
         assert not r.passed and np.isnan(r.residual)
         assert "floating-point error" in r.notes
+
+
+def _probe(body, sub_results=()):
+    from atiyahcheck.checks import CheckSpec
+
+    spec = CheckSpec("algebroid", "probe", body, None,
+                     (("probe", "probe", 1.0), *sub_results))
+    return spec.fn(CheckContext("torus2", {}))
+
+
+@pytest.mark.parametrize("samples, index, value", [
+    ((1e-3, float("nan"), 0.0), 1, "nan"),   # max(worst, nan) kept worst
+    ((-1.0,), 0, "-1.0"),                    # the 0.0 floor hid a negative residual
+    ((0.5, np.float64(-2e-3)), 1, "-0.002"),
+])
+def test_nan_or_negative_sample_fails(samples, index, value):
+    def body(ctx, rng):
+        yield from samples
+        return {"notes": "extra"}
+
+    [r] = _probe(body)
+    assert not r.passed and np.isnan(r.residual)
+    assert r.worst_sample == index and r.n_samples == len(samples)
+    assert r.notes == f"sample {index} is {value}; extra"
+
+
+def test_worst_sample_is_first_maximum():
+    def body(ctx, rng):
+        yield from (0.0, 2e-3, 1e-3, 2e-3)
+        yield "probe_sub", 0.0
+
+    own, sub = _probe(body, [("probe_sub", "sub-probe", 1.0)])
+    assert (own.residual, own.n_samples, own.worst_sample) == (2e-3, 4, 1)
+    assert (sub.residual, sub.n_samples, sub.worst_sample) == (0.0, 1, 0)
+    assert own.passed and sub.passed
+
+
+def test_missing_sub_result_fails():
+    # a declared result with no sample used to crash verify with a KeyError
+    def body(ctx, rng):
+        yield 1e-3
+
+    own, sub = _probe(body, [("probe_sub", "sub-probe", 1.0)])
+    assert own.passed and own.residual == 1e-3
+    assert not sub.passed and np.isnan(sub.residual)
+    assert sub.notes == "no samples" and sub.n_samples == 0 and sub.worst_sample is None
+
+
+def test_undeclared_sub_result_raises():
+    # a residual under an undeclared name used to be dropped silently
+    def body(ctx, rng):
+        yield 1e-3
+        yield "probe_typo", 2e-3
+
+    with pytest.raises(ValueError, match=r"algebroid\.probe.*'probe_typo'"):
+        _probe(body, [("probe_sub", "sub-probe", 1.0)])
+
+
+def test_every_body_is_a_generator():
+    # the runner is the one place that reduces samples to a residual
+    assert [s.name for s in REGISTRY if not inspect.isgeneratorfunction(s.body)] == []
 
 
 def test_config_error_unknown_tol_key(monkeypatch):
@@ -179,13 +239,21 @@ def test_verify_report_schema(tmp_path):
     assert code == 0
     data = json.loads(report.read_text())
     assert set(data) == {"version", "config_echo", "convention_table",
-                         "environment", "checks", "summary"}
-    assert set(data["environment"]) == {"python", "numpy", "platform", "cpu_count"}
+                         "checks", "summary", "run"}
+    assert set(data["run"]) == {"environment", "check_runtime_ms"}
+    assert set(data["run"]["environment"]) == {"python", "numpy", "platform", "cpu_count"}
+    # one runtime per check, sub-results included under their check
+    spec_keys = {f"{s.suite}.{s.name}" for s in REGISTRY
+                 if s.suite == "courant" and s.applicable("torus2")}
+    assert set(data["run"]["check_runtime_ms"]) == spec_keys
+    assert all(ms >= 0.0 for ms in data["run"]["check_runtime_ms"].values())
     assert data["summary"]["failed"] == 0
     assert data["summary"]["total"] == len(data["checks"])
     for check in data["checks"]:
         assert set(check) >= {"suite", "check_name", "identity", "params", "residual",
-                              "tolerance", "margin", "pass", "runtime_ms"}
+                              "tolerance", "margin", "pass", "n_samples", "worst_sample"}
+        assert "runtime_ms" not in check
+        assert check["n_samples"] >= 1 and 0 <= check["worst_sample"] < check["n_samples"]
         residual, tol = float(check["residual"]), check["tolerance"]
         assert check["pass"] == (residual <= tol)
         if tol:
@@ -223,8 +291,7 @@ def test_report_determinism(tmp_path):
                      "--seed", "42", "--quiet", "--report", str(report)])
         assert code == 0
         data = json.loads(report.read_text())
-        for check in data["checks"]:
-            check.pop("runtime_ms")
+        data.pop("run")
         payloads.append(json.dumps(data, sort_keys=True))
     assert payloads[0] == payloads[1]
 

@@ -3,6 +3,7 @@ section attributes it wraps, run against the package as it stands."""
 
 import importlib.util
 import pathlib
+import time
 
 import numpy as np
 
@@ -61,3 +62,15 @@ def test_class_points_do_not_grow_with_truncation():
             qham.gram_kernel(basis, omega, (1e-7, 1e-8, 1e-9))
         points.append(tracer.calls["qham.ConjugacyClass.point"])
     assert points[0] == points[1] > 0
+
+
+def test_check_bodies_run_inside_the_check_span():
+    # the tracer times a check by wrapping spec.fn, so the body's samples
+    # must be drawn inside that call, not by a caller after it returns
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        start = time.perf_counter()
+        results = run_checks("torus2", {"seed": 42}, suites=["algebroid"])
+        wall = time.perf_counter() - start
+    assert all(r.passed for r in results)
+    assert sum(seconds for _, _, seconds in tracer.check_spans) >= 0.5 * wall
