@@ -16,6 +16,7 @@ import math
 import os
 import platform
 import sys
+import time
 
 import numpy as np
 
@@ -175,7 +176,7 @@ def _environment():
             "cpu_count": os.cpu_count()}
 
 
-def _report_payload(config, results, convention_table):
+def _report_payload(config, results, convention_table, calibration_ms):
     checks = []
     for r in sorted(results, key=lambda r: (r.suite, r.name)):
         checks.append({
@@ -201,6 +202,7 @@ def _report_payload(config, results, convention_table):
                     "failed": len(results) - passed},
         # what differs between two runs of the same configuration
         "run": {"environment": _environment(),
+                "calibration_ms": round(calibration_ms, 3),
                 "check_runtime_ms": {f"{r.suite}.{r.check}": round(r.runtime_ms, 3)
                                      for r in results}},
     }
@@ -225,13 +227,16 @@ def cmd_verify(args):
                   f"  tol {r.tolerance:.1e}")
 
     try:
-        results = run_checks(group, config, suites=suites, progress=progress)
+        # calibrated before the checks, so no check's runtime carries it
+        start = time.perf_counter()
         convention_table = calibrate_conventions().as_dict()
+        calibration_ms = (time.perf_counter() - start) * 1000.0
+        results = run_checks(group, config, suites=suites, progress=progress)
     except (ConventionError, GhjwSignError) as exc:
         print(f"convention abort: {exc}", file=sys.stderr)
         return EXIT_CONVENTION_ABORT
 
-    payload = _report_payload(config, results, convention_table)
+    payload = _report_payload(config, results, convention_table, calibration_ms)
     report_path = config.get("report_path")
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 from .forms import AlgebroidForm
 from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
 from . import algebroid as albr
-from .liealg import richardson
+from .liealg import richardson, stencil_steps
 from .lifting import canonical_two_form
 
 __all__ = [
@@ -59,7 +59,7 @@ class Slot:
         alg = self.algebra
         e2 = alg.step_exponentials(alg.to_matrix(u[0]), h)
         e1 = alg.step_exponentials(alg.to_matrix(u[1]), h)
-        steps = dict(zip((h, -h, 2.0 * h, -2.0 * h), zip(e2, e1)))
+        steps = dict(zip(stencil_steps(h), zip(e2, e1)))
         return richardson(lambda s: func((steps[s][0] @ m[0], steps[s][1] @ m[1])), h)
 
     def field_bracket(self, xf, yf, m, h=1e-4):

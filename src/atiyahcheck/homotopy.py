@@ -8,6 +8,12 @@ radial homotopy operator
 
 which satisfies d(h mu) + h(d mu) = mu, so h mu is a primitive of closed mu.
 The radial integral uses Gauss-Legendre nodes.
+
+A chart tangent u at y pushes forward to theta^R(d exp_y(u)), a Richardson
+stencil of exp(y + s u) exp(y)^{-1}.  One evaluation of a primitive
+exponentiates the chart basis stencils at x in one batched expm, and every
+radial node s x with the stencils of all its tangents in a second one; the
+form is then evaluated once per node and the radial sum taken in node order.
 """
 
 from __future__ import annotations
@@ -16,61 +22,26 @@ import numpy as np
 
 from .bott import _gl01
 from .forms import DeRhamForm
+from .liealg import stencil_steps
 
-__all__ = ["chart_pullback", "radial_primitive", "poincare_primitive"]
-
-
-class ChartForm:
-    """A k-form on the chart domain in g (coefficients), plain numpy evaluator."""
-
-    def __init__(self, algebra, degree, evaluator):
-        self.algebra = algebra
-        self.degree = degree
-        self._eval = evaluator
-
-    def __call__(self, x, *us):
-        return float(self._eval(x, *us))
+__all__ = ["poincare_primitive"]
 
 
-def _push(alg, x, u, h, ginv):
-    """theta^R(d exp_x(u)): a Richardson central difference of the curve
-    s -> exp(x + s u) exp(x)^{-1}, given ginv = exp(x)^{-1}."""
-    def at(s):
-        return alg.exp(x + s * u)
-    d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
-    d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
-    return alg.from_matrix((4.0 * d1 - d2) / 3.0)
+def _chart_pushes(alg, ys, us, h):
+    """exp(y) and theta^R(d exp_y(u)) for every chart point y (a row of ys)
+    and every tangent u (a row of us), from one batched exponential.
 
-
-def chart_pullback(omega, h=1e-4):
-    """Pull a right-trivialized de Rham form back through exp.
-
-    Chart tangents u push forward to theta^R(d exp_x(u)); exp(x) and its
-    inverse are computed once per chart point.
+    Returns the group points, shape (len(ys), n, n), and the pushed
+    tangents, shape (len(ys), len(us), dim).
     """
-    alg = omega.algebra
-
-    def evaluator(x, *us):
-        g = alg.exp(x)
-        ginv = alg.inv(g)
-        return omega(g, *[_push(alg, x, u, h, ginv) for u in us])
-
-    return ChartForm(alg, omega.degree, evaluator)
-
-
-def radial_primitive(mu, n_radial=24):
-    """The radial homotopy h mu of a chart form (a primitive when mu is closed)."""
-    nodes, weights = _gl01(n_radial)
-    k = mu.degree
-
-    def evaluator(x, *us):
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for s, w in zip(nodes, weights):
-            total += w * (s ** (k - 1)) * mu(s * x, x, *us)
-        return total
-
-    return ChartForm(mu.algebra, k - 1, evaluator)
+    steps = np.array(stencil_steps(h))
+    moved = ys[:, None, None, :] + steps[:, None] * us[:, None, :]
+    points = np.concatenate([ys[:, None, :], moved.reshape(len(ys), -1, alg.dim)], axis=1)
+    mats = alg.exp(points)
+    gs = mats[:, 0]
+    ginv = np.array([alg.inv(g) for g in gs])
+    stencils = mats[:, 1:].reshape((len(ys), len(us), 4) + gs.shape[1:])
+    return gs, alg.push_stencil(stencils, ginv[:, None], h)
 
 
 def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
@@ -81,19 +52,20 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
     the forward pushforward on the chart basis).
     """
     alg = omega.algebra
-    prim = radial_primitive(chart_pullback(omega, h=h), n_radial=n_radial)
-
-    def pull_tangent_basis(x):
-        # forward map of the chart basis, then invert to carry theta^R data back
-        ginv = alg.inv(alg.exp(x))
-        cols = [_push(alg, x, u, h, ginv) for u in np.eye(alg.dim)]
-        return np.linalg.inv(np.array(cols).T)
+    k = omega.degree
+    nodes, weights = _gl01(n_radial)
+    chart_basis = np.eye(alg.dim)
 
     def evaluator(g, *vs):
-        x = alg.log(g)
-        back = pull_tangent_basis(x)
-        us = [back @ v for v in vs]
-        return sign * prim(x, *us)
+        x = np.asarray(alg.log(g), dtype=float)
+        # forward map of the chart basis, then invert to carry theta^R data back
+        _, cols = _chart_pushes(alg, x[None], chart_basis, h)
+        back = np.linalg.inv(cols[0].T)
+        tangents = np.array([x] + [back @ v for v in vs])
+        gs, pushed = _chart_pushes(alg, nodes[:, None] * x, tangents, h)
+        total = 0.0
+        for s, w, gj, uj in zip(nodes, weights, gs, pushed):
+            total += w * (s ** (k - 1)) * float(omega(gj, *uj))
+        return sign * total
 
-    return DeRhamForm(alg, omega.degree - 1, evaluator,
-                      name=f"primitive({omega.name})")
+    return DeRhamForm(alg, k - 1, evaluator, name=f"primitive({omega.name})")

@@ -35,6 +35,7 @@ __all__ = [
     "InvariantPolynomial",
     "expm",
     "richardson",
+    "stencil_steps",
     "make_group",
     "GROUP_NAMES",
 ]
@@ -58,20 +59,25 @@ def richardson(at, h):
     return (4.0 * central(h) - central(2.0 * h)) / 3.0
 
 
+def stencil_steps(h):
+    """The steps of a Richardson stencil, in the order its points are kept."""
+    return (h, -h, 2.0 * h, -2.0 * h)
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
 
 
-def expm(a):
-    """Matrix exponential by scaling-and-squaring with a [13/13] Pade approximant;
-    leading axes are a batch, scaled alike by its largest 1-norm."""
-    a = np.asarray(a, dtype=float)
-    norm = np.abs(a).sum(axis=-2).max()
-    squarings = 0
+def _squarings(norm):
+    """Squarings that bring a 1-norm down to at most 0.5."""
     if norm > 0.5:
-        squarings = max(0, int(math.ceil(math.log2(norm / 0.5))))
-        a = a / (2.0 ** squarings)
+        return max(0, int(math.ceil(math.log2(norm / 0.5))))
+    return 0
+
+
+def _pade13(a):
+    """The [13/13] Pade approximant of exp(a), over any leading batch axes."""
     ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
@@ -85,10 +91,41 @@ def expm(a):
         a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
-    r = np.linalg.solve(v - u, v + u)
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a):
+    """Matrix exponential by scaling-and-squaring with a [13/13] Pade approximant.
+
+    Leading axes are a batch.  Each member is scaled by its own 1-norm and
+    squared its own number of times, so it is computed exactly as it would
+    be alone: expm(a)[i] equals expm(a[i]) bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        return _expm_batch(a)
+    squarings = _squarings(np.abs(a).sum(axis=-2).max())
+    if squarings:
+        a = a / (2.0 ** squarings)
+    r = _pade13(a)
     for _ in range(squarings):
         r = r @ r
     return r
+
+
+def _expm_batch(a):
+    flat = a.reshape((-1,) + a.shape[-2:])
+    norms = np.abs(flat).sum(axis=-2).max(axis=-1)
+    squarings = np.array([_squarings(norm) for norm in norms.tolist()], dtype=int)
+    r = _pade13(flat / (2.0 ** squarings)[:, None, None])
+    for k in range(squarings.max(initial=0)):
+        todo = np.flatnonzero(squarings > k)
+        if len(todo) == len(r):
+            r = r @ r
+        else:
+            sub = r[todo]
+            r[todo] = sub @ sub
+    return r.reshape(a.shape)
 
 
 class LieAlgebra:
@@ -204,9 +241,20 @@ class LieAlgebra:
         steps = self._memo.get(key)
         if steps is None:
             return self._remember(key, tuple(
-                _frozen(expm(step * vm)) for step in (h, -h, 2.0 * h, -2.0 * h)))
+                _frozen(expm(step * vm)) for step in stencil_steps(h)))
         self._memo.move_to_end(key)
         return steps
+
+    def push_stencil(self, points, ginv, h):
+        """theta^R of the velocity at s = 0 of a curve through g = ginv^{-1},
+        from its points at stencil_steps(h) on axis -3 of `points`.
+
+        (4 d1 - d2) / 3 with d1 = (at(h) - at(-h)) ginv / 2h and
+        d2 = (at(2h) - at(-2h)) ginv / 4h, over any leading batch axes.
+        """
+        d1 = (points[..., 0, :, :] - points[..., 1, :, :]) @ ginv / (2.0 * h)
+        d2 = (points[..., 2, :, :] - points[..., 3, :, :]) @ ginv / (4.0 * h)
+        return self.from_matrix((4.0 * d1 - d2) / 3.0)
 
     def Ad(self, g, x):
         """Ad_g x = g X g^{-1} in basis coefficients, over any batch axes of x."""
@@ -238,8 +286,7 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g; func may return scalars or arrays.
         """
-        steps = dict(zip((h, -h, 2.0 * h, -2.0 * h),
-                         self.step_exponentials(self.to_matrix(v), h)))
+        steps = dict(zip(stencil_steps(h), self.step_exponentials(self.to_matrix(v), h)))
         out = richardson(lambda s: func(steps[s] @ g), h)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite directional derivative")

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .liealg import richardson
+from .liealg import richardson, stencil_steps
 from .sections import AlgebroidSection
 
 __all__ = [
@@ -85,14 +85,8 @@ class ConjugacyClass:
     def push_tangent(self, n, u, h=1e-5):
         """theta^R of d Phi applied to the sphere tangent u (Richardson FD)."""
         n = np.asarray(n, dtype=float)
-
-        def at(s):
-            return self.point(_norm(n + s * u))
-
-        ginv = self.algebra.inv(at(0.0))
-        d1 = (at(h) - at(-h)) @ ginv / (2 * h)
-        d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4 * h)
-        return self.algebra.from_matrix((4.0 * d1 - d2) / 3.0)
+        at = [self.point(_norm(n + s * u)) for s in (0.0,) + stencil_steps(h)]
+        return self.algebra.push_stencil(np.array(at[1:]), self.algebra.inv(at[0]), h)
 
     def solve_generator(self, n, t):
         """Minimum-norm x with x_M(n) = t; for the cross-product action x = n x t."""

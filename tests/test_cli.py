@@ -240,7 +240,8 @@ def test_verify_report_schema(tmp_path):
     data = json.loads(report.read_text())
     assert set(data) == {"version", "config_echo", "convention_table",
                          "checks", "summary", "run"}
-    assert set(data["run"]) == {"environment", "check_runtime_ms"}
+    assert set(data["run"]) == {"environment", "calibration_ms", "check_runtime_ms"}
+    assert data["run"]["calibration_ms"] >= 0.0
     assert set(data["run"]["environment"]) == {"python", "numpy", "platform", "cpu_count"}
     # one runtime per check, sub-results included under their check
     spec_keys = {f"{s.suite}.{s.name}" for s in REGISTRY
@@ -260,6 +261,37 @@ def test_verify_report_schema(tmp_path):
             assert check["margin"] == residual / tol
         else:
             assert check["margin"] == (0.0 if residual == 0.0 else None)
+
+
+def test_calibration_runs_before_the_checks(tmp_path, monkeypatch):
+    # the one-time calibration is timed on its own, not inside the first
+    # check that asks for the conventions
+    from atiyahcheck import bott, cli
+
+    monkeypatch.setattr(bott, "_CONVENTIONS", None)
+    running, uncached_inside = [], []
+    real = bott.calibrate_conventions
+
+    def calibrate(*args, **kwargs):
+        if bott._CONVENTIONS is None:
+            uncached_inside.append(list(running))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bott, "calibrate_conventions", calibrate)
+    monkeypatch.setattr(cli, "calibrate_conventions", calibrate)
+    for spec in REGISTRY:
+        def run(ctx, fn=spec.fn, name=spec.name):
+            running.append(name)
+            try:
+                return fn(ctx)
+            finally:
+                running.pop()
+        monkeypatch.setattr(spec, "fn", run)
+    report = tmp_path / "out.json"
+    assert main(["verify", "--group", "su2", "--suite", "bott", "--quiet",
+                 "--report", str(report)]) == 0
+    assert uncached_inside == [[]]
+    assert "calibration_ms" in json.loads(report.read_text())["run"]
 
 
 def test_margin_of_zero_tolerance():

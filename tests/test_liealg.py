@@ -52,6 +52,23 @@ def test_expm_against_series():
     assert np.linalg.norm(expm(m) - series) < 1e-13
 
 
+def test_expm_batch_members_computed_alone(algebra):
+    # each member gets its own scaling, so a batch mixing norms (zero, below
+    # and above 0.5, at and just past powers of two) matches single calls
+    rng = np.random.default_rng(12)
+    direction = algebra.to_matrix(algebra.random_vector(rng))
+    unit = direction / np.abs(direction).sum(axis=0).max()
+    norms = [0.0, 0.1, 0.5, np.nextafter(0.5, 1.0), 0.7, 1.0, np.nextafter(1.0, 2.0),
+             2.0, 2.0 + 1e-9, 3.3, 8.0, np.nextafter(8.0, 9.0), 40.0]
+    batch = np.array([r * unit for r in norms]
+                     + [algebra.to_matrix(algebra.random_vector(rng, s)) for s in (0.2, 1.5, 6.0)])
+    for shape in ((len(batch),), (2, len(batch) // 2)):
+        got = expm(batch.reshape(shape + batch.shape[1:]))
+        assert got.shape == shape + batch.shape[1:]
+        for member, want in zip(got.reshape(batch.shape), batch):
+            assert np.array_equal(member, expm(want))
+
+
 def test_so3_rotation_oracle():
     alg = make_group("so3")
     t = 0.7

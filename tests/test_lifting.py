@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import build_alpha, generator, invariant_alpha0
+from atiyahcheck.bott import _gl01
 from atiyahcheck.forms import DeRhamForm, cartan_three_form, de_rham_differential
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
@@ -161,6 +162,64 @@ def test_lifted_jacobiator_obstruction(su2, rng):
     fields = [lambda gg, vv=v: vv for v in vs]
     jac = lifted_jacobiator_scalar(None, alpha, fields, g, grid)
     assert abs(jac - eta(g, *vs)) < 1e-9
+
+
+def _oracle_push(alg, x, u, h, ginv):
+    """theta^R(d exp_x(u)) as first written: four single exponentials."""
+    def at(s):
+        return alg.exp(x + s * u)
+    d1 = (at(h) - at(-h)) @ ginv / (2.0 * h)
+    d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4.0 * h)
+    return alg.from_matrix((4.0 * d1 - d2) / 3.0)
+
+
+def _oracle_primitive(omega, sign, n_radial=24, h=1e-4):
+    """The radial primitive as first written: the chart pull-back of omega
+    and the radial sum, node by node and one exponential at a time."""
+    alg, k = omega.algebra, omega.degree
+    nodes, weights = _gl01(n_radial)
+
+    def chart_pullback(y, *us):
+        g = alg.exp(y)
+        ginv = alg.inv(g)
+        return float(omega(g, *[_oracle_push(alg, y, u, h, ginv) for u in us]))
+
+    def radial_primitive(x, *us):
+        total = 0.0
+        for s, w in zip(nodes, weights):
+            total += w * (s ** (k - 1)) * chart_pullback(s * x, x, *us)
+        return float(total)
+
+    def primitive(g, *vs):
+        x = alg.log(g)
+        ginv = alg.inv(alg.exp(x))
+        cols = [_oracle_push(alg, x, u, h, ginv) for u in np.eye(alg.dim)]
+        back = np.linalg.inv(np.array(cols).T)
+        return sign * radial_primitive(x, *[back @ v for v in vs])
+
+    return primitive
+
+
+def _primitive_cases():
+    # -eta, and the 1-forms behind lifting.equivariant_generators
+    for name in ("heisenberg3", "torus2"):
+        alg = make_group(name)
+        x = np.linspace(0.4, -0.7, alg.dim)
+        yield DeRhamForm(alg, 1, lambda g, a, alg=alg, x=x: -0.5 * alg.pairing(
+            alg.maurer_cartan(g, a, "left") + a, x)), 1.0
+    yield cartan_three_form(make_group("heisenberg3")), -1.0
+    yield cartan_three_form(make_group("su2")), -1.0     # eta is not zero here
+
+
+def test_poincare_primitive_matches_node_by_node_oracle():
+    rng = np.random.default_rng(29)
+    for omega, sign in _primitive_cases():
+        alg = omega.algebra
+        prim, oracle = poincare_primitive(omega, sign=sign), _oracle_primitive(omega, sign)
+        for _ in range(3):
+            g = alg.random_group(rng, scale=0.6)
+            vs = [alg.random_vector(rng) for _ in range(omega.degree - 1)]
+            assert prim(g, *vs) == oracle(g, *vs)
 
 
 def test_poincare_primitive_heisenberg(rng):

@@ -9,6 +9,8 @@ import numpy as np
 
 from atiyahcheck import lifting, qham
 from atiyahcheck.checks import run_checks
+from atiyahcheck.forms import cartan_three_form
+from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import TimeGrid, random_section
 
@@ -62,6 +64,22 @@ def test_class_points_do_not_grow_with_truncation():
             qham.gram_kernel(basis, omega, (1e-7, 1e-8, 1e-9))
         points.append(tracer.calls["qham.ConjugacyClass.point"])
     assert points[0] == points[1] > 0
+
+
+def test_primitive_expm_calls_do_not_grow_with_radial_nodes():
+    # every radial node and stencil point is exponentiated in one batch
+    alg = make_group("heisenberg3")
+    rng = np.random.default_rng(4)
+    g = alg.random_group(rng, scale=0.5)
+    vs = [alg.random_vector(rng) for _ in range(2)]
+    calls = []
+    for n_radial in (12, 24):
+        prim = poincare_primitive(cartan_three_form(alg), sign=-1.0, n_radial=n_radial)
+        tracer = _tracer_module().Tracer()
+        with tracer.installed():
+            prim(g, *vs)
+        calls.append(tracer.calls["liealg.expm"])
+    assert calls[0] == calls[1] > 0
 
 
 def test_check_bodies_run_inside_the_check_span():

@@ -157,6 +157,24 @@ def _oracle_cases():
     yield TruncatedBasis(TrivialClass(tor), n, 4, TimeGrid(201)), None
 
 
+def _oracle_push(klass, n, u, h=1e-5):
+    """theta^R of d Phi(u) as first written: one class point per stencil point."""
+    def at(s):
+        m = n + s * u
+        return klass.point(m / np.linalg.norm(m))
+    ginv = klass.algebra.inv(at(0.0))
+    d1 = (at(h) - at(-h)) @ ginv / (2 * h)
+    d2 = (at(2 * h) - at(-2 * h)) @ ginv / (4 * h)
+    return klass.algebra.from_matrix((4.0 * d1 - d2) / 3.0)
+
+
+def test_push_tangent_matches_per_point_oracle(klass, rng):
+    for _ in range(4):
+        n = _unit(rng)
+        for u in klass.tangent_basis(n) + (rng.standard_normal(3),):
+            assert np.array_equal(klass.push_tangent(n, u), _oracle_push(klass, n, u))
+
+
 def test_gram_matrix_matches_oracle():
     # skipping zero-tangent pushes and omega terms leaves every entry exact
     for basis, omega in _oracle_cases():

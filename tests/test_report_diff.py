@@ -1,0 +1,57 @@
+"""tools/report_diff.py on small hand-written reports."""
+
+import importlib.util
+import io
+import json
+import pathlib
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("report_diff", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(suite, name, residual, tolerance, passed=True):
+    return {"suite": suite, "check_name": name, "identity": "x = y", "params": {},
+            "residual": repr(residual), "tolerance": tolerance,
+            "margin": residual / tolerance, "pass": passed,
+            "n_samples": 2, "worst_sample": 0, "notes": ""}
+
+
+def _write(path, results):
+    path.write_text(json.dumps({"checks": results, "run": {"environment": {}}}))
+    return str(path)
+
+
+def _diff(tmp_path, parent, change):
+    out = io.StringIO()
+    code = _tool().diff(_write(tmp_path / "parent.json", parent),
+                        _write(tmp_path / "change.json", change), out=out)
+    return code, out.getvalue().splitlines()
+
+
+def test_moved_result_is_listed(tmp_path):
+    parent = [_result("forms", "stokes", 1e-9, 1e-6), _result("courant", "isotropy", 4e-15, 1e-10)]
+    change = [_result("forms", "stokes", 1e-9, 1e-6), _result("courant", "isotropy", 5e-15, 1e-10)]
+    code, lines = _diff(tmp_path, parent, change)
+    assert code == 0
+    assert lines[0] == "total 2 results, 1 identical"
+    assert lines[1:] == ["  courant.isotropy: 4e-15 -> 5e-15  tol 1e-10  margin move 1e-05"]
+
+
+def test_pass_flip_or_other_result_set_fails(tmp_path):
+    parent = [_result("forms", "stokes", 1e-9, 1e-6), _result("lifting", "dsigma_dj", 2e-6, 1e-5)]
+    flipped = [_result("forms", "stokes", 1e-9, 1e-6),
+               _result("lifting", "dsigma_dj", 2e-5, 1e-5, passed=False)]
+    code, lines = _diff(tmp_path, parent, flipped)
+    assert code == 1 and lines[0] == "total 2 results, 1 identical"
+    assert lines[1].endswith("PASS FLIPPED")
+    code, lines = _diff(tmp_path, parent, parent[:1])
+    assert code == 1
+    assert lines == ["total 1 results, 1 identical", "  only in parent: lifting.dsigma_dj"]
+    code, _ = _diff(tmp_path, parent, parent)
+    assert code == 0
