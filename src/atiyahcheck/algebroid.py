@@ -84,9 +84,8 @@ class ConnectionFamily(InterpolatedFamily):
     """
 
     def __init__(self, algebra, alpha0, bump, invariant=False):
-        self.algebra = algebra
+        super().__init__(algebra, bump)
         self.alpha0 = alpha0
-        self.bump = bump
         self.invariant = invariant
 
     def base(self, g, v):

@@ -139,10 +139,9 @@ class GaugePeriodicFamily(InterpolatedFamily):
     """
 
     def __init__(self, algebra, beta0, phi, bump=None, h=1e-4):
-        self.algebra = algebra
+        super().__init__(algebra, bump if bump is not None else BumpFunction())
         self.beta0 = beta0
         self.phi = phi
-        self.bump = bump if bump is not None else BumpFunction()
         self.h = h
 
     def base(self, g, sec):
@@ -266,40 +265,35 @@ def _upsilon_core(p, betas, g, args, x, rule, h):
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     prefactor = (-1.0) ** ((k + 1) // 2)
 
-    def f_block(s_full):
-        def evaluate(pair):
-            i, j = pair
-            out = data.dbeta(0, i, j) * s_full[0]
-            for fi in range(1, k + 1):
-                out = out + s_full[fi] * data.dbeta(fi, i, j)
-            left = sum(s_full[fi] * data.value(fi, i) for fi in range(k + 1))
-            right = sum(s_full[fi] * data.value(fi, j) for fi in range(k + 1))
-            return out + alg.bracket(left, right)
-        return evaluate
+    # barycentric coordinates of every node, one row per node
+    s = np.array([(1.0 - sum(node),) + tuple(node) for node in rule.nodes])
 
-    def z_vector(s_full):
-        out = np.asarray(data.x, dtype=float).copy()
+    def f_block(pair):
+        i, j = pair
+        out = data.dbeta(0, i, j) * s[:, 0, None]
+        for fi in range(1, k + 1):
+            out = out + s[:, fi, None] * data.dbeta(fi, i, j)
+        left = sum(s[:, fi, None] * data.value(fi, i) for fi in range(k + 1))
+        right = sum(s[:, fi, None] * data.value(fi, j) for fi in range(k + 1))
+        return out + alg.bracket(left, right)
+
+    blocks = []
+    for i in range(1, k + 1):
+        def b_eval(idx, i=i):
+            (a,) = idx
+            return data.value(i, a) - data.value(0, a)
+        blocks.append((1, b_eval))
+    blocks += [(2, f_block)] * n_f
+    if n_z:
+        zv = np.asarray(data.x, dtype=float)
         for fi in range(k + 1):
-            out = out - s_full[fi] * data.iota_x(fi)
-        return out
-
+            zv = zv - s[:, fi, None] * data.iota_x(fi)
+        blocks += [(0, lambda idx: zv)] * n_z
+    values = np.broadcast_to(_p_wedge(p, blocks, r), (len(s),))
+    # summed in rule order from 0.0, exactly as node by node
     total = 0.0
-    for node, weight in zip(rule.nodes, rule.weights):
-        s_full = (1.0 - sum(node),) + tuple(node)
-        blocks = []
-        for i in range(1, k + 1):
-            def b_eval(idx, i=i):
-                (a,) = idx
-                return data.value(i, a) - data.value(0, a)
-            blocks.append((1, b_eval))
-        fb = f_block(s_full)
-        for _ in range(n_f):
-            blocks.append((2, fb))
-        if n_z:
-            zv = z_vector(s_full)
-            for _ in range(n_z):
-                blocks.append((0, lambda idx, zv=zv: zv))
-        total += weight * _p_wedge(p, blocks, r)
+    for weight, value in zip(rule.weights, values.tolist()):
+        total += weight * value
     return prefactor * reorder * coeff * total
 
 

@@ -860,6 +860,10 @@ def check_lifted_jacobi_primitive(ctx, rng):
         jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g,
                                           ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
         yield abs(jac)
+    if ctx.group_name == "heisenberg3":
+        return {"notes": "eta vanishes identically on heisenberg3 (B is zero on the "
+                         "centre, which holds every bracket), so the check compares "
+                         "against omega = 0"}
 
 
 @_register("lifting", "lifted_jacobi_obstruction", tol=1e-4,

@@ -337,8 +337,10 @@ class LieAlgebra:
 class InvariantPolynomial:
     """A fully symmetric multilinear form p(x_1, ..., x_m) invariant under Ad.
 
-    The polarized evaluator takes m coefficient vectors; p(x) means the
-    diagonal value p(x, ..., x).  Invariance is spot-checked at construction.
+    The polarized evaluator takes m coefficient vectors, each with optional
+    leading batch axes; p(x) means the diagonal value p(x, ..., x).  A call
+    returns a float for single vectors and an array over the batch axes
+    otherwise, as `pairing` does.  Invariance is spot-checked at construction.
     """
 
     def __init__(self, algebra, degree, evaluator, name="p", check_samples=4):
@@ -362,7 +364,8 @@ class InvariantPolynomial:
     def __call__(self, *xs):
         if len(xs) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(xs)}")
-        return float(self._eval(*xs))
+        out = np.asarray(self._eval(*xs))
+        return float(out) if out.ndim == 0 else out
 
 
 def quadratic_polynomial(algebra):
@@ -380,7 +383,7 @@ def cubic_polynomial(algebra):
     """
     if algebra.name == "heisenberg3":
         def p(x, y, z):
-            return x[0] * y[0] * z[0]
+            return x[..., 0] * y[..., 0] * z[..., 0]
         return InvariantPolynomial(algebra, 3, p, name="x-coeff cubed")
     return None
 

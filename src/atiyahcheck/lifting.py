@@ -333,9 +333,8 @@ class HorizontalFamily(InterpolatedFamily):
     """
 
     def __init__(self, algebra, lam0, bump):
-        self.algebra = algebra
+        super().__init__(algebra, bump)
         self.lam0 = lam0
-        self.bump = bump
 
     def base(self, g, v):
         return self.lam0(g, v)

@@ -13,14 +13,26 @@ extension past [0, 1] and the t-families take a float or a 1-D array t
 and return shape np.shape(t) + (dim,), so a pair integral is one call per
 section on the grid nodes and one TimeGrid.integrate; integrate_01 stays
 for scalar callables, one call per node.
+
+A PointMemo keeps the point data that sections and t-families recompute
+most: a random section's anchor datum v(g) and its template data
+(a(g), seam coefficient), and a t-family's pair of ends f_n, f_{n+1} at
+(n, g, arg).  It is least-recently-used with at most liealg._MEMO_SIZE
+entries, keyed by the bytes of each array argument (group point, vector)
+and by an int or a section object itself.  A hit returns a read-only copy
+of what the same function returned on the first miss, so every result is
+bit-identical to the unmemoised computation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .liealg import _MEMO_SIZE
 
 __all__ = [
     "TimeGrid",
@@ -170,6 +182,44 @@ class AlgebroidSection:
         return res
 
 
+def _memo_key(arg):
+    if isinstance(arg, (int, AlgebroidSection)):
+        return arg
+    return np.asarray(arg, dtype=float).tobytes()
+
+
+def _frozen_copy(value):
+    if isinstance(value, tuple):
+        return tuple(_frozen_copy(v) for v in value)
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+class PointMemo:
+    """fn memoised per point, least recently used first out past _MEMO_SIZE.
+
+    The key holds the bytes of each array argument and an int or a section
+    itself; a value (an array or a tuple of arrays) is kept as a read-only
+    copy of what fn returned on the first miss.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.entries = OrderedDict()
+
+    def __call__(self, *args):
+        key = tuple(_memo_key(a) for a in args)
+        value = self.entries.get(key)
+        if value is None:
+            value = self.entries[key] = _frozen_copy(self.fn(*args))
+            if len(self.entries) > _MEMO_SIZE:
+                self.entries.popitem(last=False)
+        else:
+            self.entries.move_to_end(key)
+        return value
+
+
 def gauge_steps(algebra, n, x, k, c=None):
     """x after n steps of the affine gauge action x -> Ad_k x + c.
 
@@ -191,15 +241,20 @@ def gauge_steps(algebra, n, x, k, c=None):
 class InterpolatedFamily:
     """A t-family f_t(g, arg) with f_{t+1} = Ad_k f_t + c, from its value at t = 0.
 
-    A subclass provides `algebra`, `bump`, `base(g, arg)` = f_0 and
-    `step(g, arg)` = (k, c), the gauge step (c = None when it is linear).
-    At integers f_n = gauge_steps(n, f_0); in between
-    f_t = f_n + b(t - n)(f_{n+1} - f_n) with the bump b, so the seam rule
-    holds by construction for every real t.  Times sharing floor(t) share
-    one pair of ends.
+    A subclass calls __init__ with its algebra and bump and provides
+    `base(g, arg)` = f_0 and `step(g, arg)` = (k, c), the gauge step
+    (c = None when it is linear).  At integers f_n = gauge_steps(n, f_0); in
+    between f_t = f_n + b(t - n)(f_{n+1} - f_n) with the bump b, so the seam
+    rule holds by construction for every real t.  Times sharing floor(t)
+    share one pair of ends, memoised per (n, g, arg) for value and tderiv.
     """
 
-    def _ends(self, n, g, arg):
+    def __init__(self, algebra, bump):
+        self.algebra = algebra
+        self.bump = bump
+        self._ends = PointMemo(self._gauge_ends)
+
+    def _gauge_ends(self, n, g, arg):
         k, c = self.step(g, arg)
         # count from f_0 to the end nearer 0, then take one more step
         if n >= 0:
@@ -258,16 +313,25 @@ def template_section(algebra, a, xfield, bump, name="", base=None):
     derivative is f'(t) times the seam coefficient.
     """
     base = algebra if base is None else base
+    return _template(algebra, _seam_data(algebra, a, xfield, base), xfield, bump, name, base)
 
-    def seam_coeff(m, am):
-        return algebra.Ad(base.point(m), am) + base.push_tangent(m, xfield(m)) - am
 
-    def profile(m, t):
+def _seam_data(algebra, a, xfield, base):
+    """m -> (a(m), Ad_{Phi(m)} a(m) + v(m) - a(m)), the point data of a template."""
+    def data(m):
         am = a(m)
-        return am + scaled(bump(t), seam_coeff(m, am))
+        return am, algebra.Ad(base.point(m), am) + base.push_tangent(m, xfield(m)) - am
+    return data
+
+
+def _template(algebra, data, xfield, bump, name, base):
+    """The template section of the point data data(m) = (a(m), seam coefficient)."""
+    def profile(m, t):
+        am, coeff = data(m)
+        return am + scaled(bump(t), coeff)
 
     def dprofile(m, t):
-        return scaled(bump.deriv(t), seam_coeff(m, a(m)))
+        return scaled(bump.deriv(t), data(m)[1])
 
     return AlgebroidSection(algebra, profile, xfield, dprofile=dprofile,
                             name=name, base=base)
@@ -320,7 +384,8 @@ def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
 
     a(g) and v(g) are each a fixed random vector plus a random multiple of
     Ad_g applied to another fixed random vector, so group-derivative terms
-    in brackets are exercised.
+    in brackets are exercised.  v(g) and the template data
+    (a(g), seam coefficient) are memoised per group point.
     """
     if bump is None:
         bump = BumpFunction()
@@ -334,10 +399,9 @@ def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
     def a(g):
         return a0 + ca * algebra.Ad(g, da)
 
-    def v(g):
-        return v0 + cv * algebra.Ad(g, dv)
-
-    return template_section(algebra, a, v, bump, name=name)
+    v = PointMemo(lambda g: v0 + cv * algebra.Ad(g, dv))
+    data = PointMemo(_seam_data(algebra, a, v, algebra))
+    return _template(algebra, data, v, bump, name, algebra)
 
 
 def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):

@@ -1,10 +1,13 @@
 """Bott simplex forms, Chern-Simons calculus and the Q functional."""
 
+import math
+
 import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import KappaFamily, generator
-from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, calibrate_conventions,
+from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_wedge,
+                              _upsilon_core, calibrate_conventions,
                               chern_simons, chern_simons_equivariant, concat_families,
                               gauge_transform, map_theta_right, oneform_theta_left,
                               oneform_zero, pressley_segal_two_form, q_functional,
@@ -12,7 +15,7 @@ from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, calibrate_conven
                               varpi_p_equivariant)
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
-from atiyahcheck.liealg import make_group, quadratic_polynomial
+from atiyahcheck.liealg import cubic_polynomial, make_group, quadratic_polynomial
 from atiyahcheck.sections import TimeGrid, integrate_01, random_loop_section, random_section
 
 
@@ -233,3 +236,85 @@ def test_varpi_p_differentiates_at_t_step(su2, conv, rng):
     fine = varpi_p_equivariant(p, conv)(x, g, raw)
     assert abs(got - want) < 1e-12
     assert abs(got - fine) > 1e-8
+
+
+def _oracle_upsilon_core(p, betas, g, args, x, rule, h):
+    """The simplex quadrature node by node: one wedge evaluation per node."""
+    alg, m, k, r = p.algebra, p.degree, len(betas) - 1, len(args)
+    n_f = (r - k) // 2
+    n_z = m - k - n_f
+    if (r - k) % 2 or n_f < 0 or n_z < 0 or (n_z and x is None):
+        return 0.0
+    data = _PairData(alg, betas, args, g, x=x, h=h)
+    reorder = (-1.0) ** (k * (k - 1) // 2)
+    coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
+    prefactor = (-1.0) ** ((k + 1) // 2)
+
+    def f_block(s_full):
+        def evaluate(pair):
+            i, j = pair
+            out = data.dbeta(0, i, j) * s_full[0]
+            for fi in range(1, k + 1):
+                out = out + s_full[fi] * data.dbeta(fi, i, j)
+            left = sum(s_full[fi] * data.value(fi, i) for fi in range(k + 1))
+            right = sum(s_full[fi] * data.value(fi, j) for fi in range(k + 1))
+            return out + alg.bracket(left, right)
+        return evaluate
+
+    total = 0.0
+    for node, weight in zip(rule.nodes, rule.weights):
+        s_full = (1.0 - sum(node),) + tuple(node)
+        blocks = [(1, lambda idx, i=i: data.value(i, idx[0]) - data.value(0, idx[0]))
+                  for i in range(1, k + 1)]
+        blocks += [(2, f_block(s_full))] * n_f
+        if n_z:
+            zv = np.asarray(data.x, dtype=float).copy()
+            for fi in range(k + 1):
+                zv = zv - s_full[fi] * data.iota_x(fi)
+            blocks += [(0, lambda idx, zv=zv: zv)] * n_z
+        total += weight * _p_wedge(p, blocks, r)
+    return prefactor * reorder * coeff * total
+
+
+def _random_oneform(alg, rng):
+    thl = oneform_theta_left(alg)
+    c, d = alg.random_vector(rng, 0.5), alg.random_vector(rng, 0.5)
+    return AlgebroidForm(
+        alg, 1, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d)
+        + c, scalar=False)
+
+
+@pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])
+def test_upsilon_core_matches_node_by_node_oracle(name, degree):
+    alg = make_group(name)
+    p = quadratic_polynomial(alg) if degree == 2 else cubic_polynomial(alg)
+    rng = np.random.default_rng(37)
+    g = alg.random_group(rng)
+    x = alg.random_vector(rng)
+    forms = [_random_oneform(alg, rng) for _ in range(3)]
+    secs = [random_section(alg, rng) for _ in range(2 * degree)]
+    nonzero = 0
+    for k in (0, 1, 2):
+        rule = SimplexRule(k)
+        for r in range(k % 2, 2 * degree + 1, 2):
+            for xk in (None, x):
+                got = _upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule, 1e-4)
+                want = _oracle_upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule, 1e-4)
+                assert got == want, (k, r, xk is None)
+                nonzero += got != 0.0
+    assert nonzero >= 6
+
+
+@pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])
+def test_invariant_polynomial_over_node_axes(name, degree):
+    alg = make_group(name)
+    p = quadratic_polynomial(alg) if degree == 2 else cubic_polynomial(alg)
+    rng = np.random.default_rng(41)
+    xs = [rng.standard_normal((17, alg.dim)) for _ in range(degree)]
+    batch = p(*xs)
+    assert batch.shape == (17,)
+    assert batch.tolist() == [p(*[x[n] for x in xs]) for n in range(17)]
+    assert type(p(*[x[0] for x in xs])) is float
+    # a single vector broadcasts against the node axis
+    mixed = p(xs[0][0], *xs[1:])
+    assert mixed.tolist() == [p(xs[0][0], *[x[n] for x in xs[1:]]) for n in range(17)]

@@ -5,6 +5,7 @@ import pytest
 
 from atiyahcheck.algebroid import build_alpha, generator, invariant_alpha0
 from atiyahcheck.bott import _gl01
+from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.forms import DeRhamForm, cartan_three_form, de_rham_differential
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
@@ -232,3 +233,20 @@ def test_poincare_primitive_heisenberg(rng):
     g = h3.random_group(rng)
     x1, x2 = h3.random_vector(rng), h3.random_vector(rng)
     assert abs(dprim(g, x1, x2) - closed(g, x1, x2)) < 1e-6
+
+
+def test_heisenberg_eta_vanishes_and_the_primitive_check_says_so():
+    # B is zero on the centre, which holds every bracket, so eta is exactly 0
+    # and lifted_jacobi_primitive compares against omega = 0 there
+    h3 = make_group("heisenberg3")
+    eta = cartan_three_form(h3)
+    rng = np.random.default_rng(43)
+    for _ in range(6):
+        g = h3.random_group(rng)
+        assert eta(g, *[h3.random_vector(rng) for _ in range(3)]) == 0.0
+    spec = next(s for s in REGISTRY if s.name == "lifted_jacobi_primitive")
+    for group, noted in (("heisenberg3", True), ("torus2", False)):
+        results = spec.fn(CheckContext(group, {"seed": 42}))
+        assert [r.name for r in results] == ["lifted_jacobi_primitive"]
+        assert all(r.passed for r in results)
+        assert ("eta vanishes identically" in results[0].notes) == noted

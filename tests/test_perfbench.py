@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from atiyahcheck import lifting, qham
+from atiyahcheck import algebroid, lifting, qham
 from atiyahcheck.checks import run_checks
 from atiyahcheck.forms import cartan_three_form
 from atiyahcheck.homotopy import poincare_primitive
@@ -92,3 +92,39 @@ def test_check_bodies_run_inside_the_check_span():
         wall = time.perf_counter() - start
     assert all(r.passed for r in results)
     assert sum(seconds for _, _, seconds in tracer.check_spans) >= 0.5 * wall
+
+
+def _ad_calls_of_repeat(call):
+    """liealg.Ad calls of a second call(), after a first one that makes some."""
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        call()
+        first = tracer.calls["liealg.Ad"]
+        call()
+    assert first > 0
+    return tracer.calls["liealg.Ad"] - first
+
+
+def test_repeated_family_point_adds_no_ad_calls():
+    # a connection family's ends at (n, g, v) are computed once per point
+    alg = make_group("su2")
+    rng = np.random.default_rng(61)
+    alpha = algebroid.build_alpha(
+        alg, alpha0=algebroid.invariant_alpha0(alg, (0.2, -0.1, 0.05)))
+    v = alg.random_vector(rng)
+    for method in (alpha.value, alpha.tderiv):
+        for t in (0.4, 1.7, np.linspace(-1.0, 2.0, 7)):
+            g = alg.random_group(rng)
+            assert _ad_calls_of_repeat(lambda: method(t, g, v)) == 0
+
+
+def test_repeated_random_section_point_adds_no_ad_calls():
+    # a random section's v(g) and template data are computed once per point
+    alg = make_group("su2")
+    rng = np.random.default_rng(67)
+    xi = random_section(alg, rng)
+    g = alg.random_group(rng)
+    assert _ad_calls_of_repeat(lambda: xi.v(g)) == 0
+    for t in (0.6, TimeGrid(21).nodes):
+        g = alg.random_group(rng)
+        assert _ad_calls_of_repeat(lambda: xi.profile(g, t)) == 0

@@ -55,3 +55,35 @@ def test_pass_flip_or_other_result_set_fails(tmp_path):
     assert lines == ["total 1 results, 1 identical", "  only in parent: lifting.dsigma_dj"]
     code, _ = _diff(tmp_path, parent, parent)
     assert code == 0
+
+
+def test_directories_are_diffed_report_by_report(tmp_path):
+    parent_dir, change_dir = tmp_path / "parent", tmp_path / "change"
+    parent_dir.mkdir()
+    change_dir.mkdir()
+    stokes = _result("forms", "stokes", 1e-9, 1e-6)
+    isotropy = _result("courant", "isotropy", 4e-15, 1e-10)
+    moved = _result("courant", "isotropy", 5e-15, 1e-10)
+    _write(parent_dir / "su2_42.json", [stokes, isotropy])
+    _write(change_dir / "su2_42.json", [stokes, moved])
+    _write(parent_dir / "so3_42.json", [stokes])
+    _write(change_dir / "so3_42.json", [stokes])
+    (parent_dir / "notes.txt").write_text("not a report")
+    out = io.StringIO()
+    code = _tool().diff(str(parent_dir), str(change_dir), out=out)
+    assert code == 0
+    assert out.getvalue().splitlines() == [
+        "total 3 results, 2 identical",
+        "so3_42.json: 1 results, 1 identical",
+        "su2_42.json: 2 results, 1 identical",
+        "  courant.isotropy: 4e-15 -> 5e-15  tol 1e-10  margin move 1e-05",
+    ]
+    # a flip in any pair, or a report only one directory holds, exits 1
+    _write(change_dir / "so3_42.json", [_result("forms", "stokes", 2e-6, 1e-6, passed=False)])
+    assert _tool().diff(str(parent_dir), str(change_dir), out=io.StringIO()) == 1
+    _write(change_dir / "so3_42.json", [stokes])
+    _write(parent_dir / "torus2_42.json", [stokes])
+    out = io.StringIO()
+    assert _tool().diff(str(parent_dir), str(change_dir), out=out) == 1
+    assert out.getvalue().splitlines()[-1] == "only in parent: torus2_42.json"
+    assert _tool().main([str(parent_dir), str(change_dir / "su2_42.json")]) == 2

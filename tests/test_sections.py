@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import (AlgebroidSection, BumpFunction, TimeGrid,
+from atiyahcheck.liealg import _MEMO_SIZE, make_group
+from atiyahcheck.sections import (AlgebroidSection, BumpFunction, PointMemo, TimeGrid,
                                   constant_profile_section, extend,
                                   integrate_01, loop_section, random_loop_section,
-                                  random_section, random_twisted_loop, template_section,
-                                  time_derivative)
+                                  random_section, random_twisted_loop, scaled,
+                                  template_section, time_derivative)
 
 
 @pytest.fixture
@@ -250,3 +250,97 @@ def test_grid_matches_points(su2):
         for ts in [nodes] + crossing:
             _agree_on_arrays(bump, ts)
             _agree_on_arrays(bump.deriv, ts)
+
+
+def _unmemoised_random_section(alg, seed):
+    """random_section(alg, default_rng(seed)) rebuilt from its draws with no memo:
+    its a and v, and the plain template section over them."""
+    rng = np.random.default_rng(seed)
+    a0, da = alg.random_vector(rng, 0.8), alg.random_vector(rng, 0.8)
+    ca = rng.uniform(-1.0, 1.0)
+    v0, dv = alg.random_vector(rng, 0.8), alg.random_vector(rng, 0.8)
+    cv = rng.uniform(-1.0, 1.0)
+    a = lambda g: a0 + ca * alg.Ad(g, da)
+    v = lambda g: v0 + cv * alg.Ad(g, dv)
+    return a, v, template_section(alg, a, v, BumpFunction())
+
+
+def _interpolated_families(su2, rng):
+    """(family, argument) pairs of the memoised t-families, with their sections."""
+    from atiyahcheck.sections import InterpolatedFamily
+
+    sections, families = _sections_and_families(su2, rng)
+    return sections, [(fam, arg) for fam, _, arg in families
+                      if isinstance(fam, InterpolatedFamily)]
+
+
+def test_point_memos_equal_unmemoised_computation(su2):
+    # repeated and new points alike: a hit returns exactly the first miss's value
+    rng = np.random.default_rng(47)
+    sec = random_section(su2, np.random.default_rng(5))
+    a, v, plain = _unmemoised_random_section(su2, 5)
+    _, families = _interpolated_families(su2, rng)
+    assert len(families) == 3
+    ts = np.array([0.0, 0.05, 0.3, 0.5, 0.93, 1.0])
+    points = [su2.random_group(rng) for _ in range(3)]
+    for g in points + points[::-1] + [su2.random_group(rng)]:
+        assert np.array_equal(sec.v(g), v(g))
+        assert np.array_equal(sec.profile(g, 0.0), a(g))
+        assert np.array_equal(sec.profile(g, ts), plain.profile(g, ts))
+        assert np.array_equal(sec.dprofile(g, ts), plain.dprofile(g, ts))
+        for fam, arg in families:
+            for t in (-1.4, -0.3, 0.0, 0.45, 1.0, 1.6, 2.3):
+                n = int(np.floor(t))
+                lo, hi = fam._gauge_ends(n, g, arg)
+                assert np.array_equal(fam.value(t, g, arg),
+                                      lo + scaled(fam.bump(t - n), hi - lo))
+                assert np.array_equal(fam.tderiv(t, g, arg),
+                                      scaled(fam.bump.deriv(t - n), hi - lo))
+
+
+def test_memoised_point_data_is_read_only(su2):
+    rng = np.random.default_rng(53)
+    g = su2.random_group(rng)
+    sec = random_section(su2, rng)
+    with pytest.raises(ValueError):
+        sec.v(g)[0] = 1.0
+    assert sec.profile(g, 0.4).flags.writeable
+    for fam, arg in _interpolated_families(su2, rng)[1]:
+        for end in fam._ends(1, g, arg):
+            with pytest.raises(ValueError):
+                end[0] = 1.0
+        assert fam.value(1.5, g, arg).flags.writeable
+
+
+def test_point_memos_hold_at_most_memo_size_entries(su2, monkeypatch):
+    memos = []
+    init = PointMemo.__init__
+
+    def recording_init(memo, fn):
+        memos.append(memo)
+        init(memo, fn)
+
+    monkeypatch.setattr(PointMemo, "__init__", recording_init)
+    rng = np.random.default_rng(59)
+    sections, families = _interpolated_families(su2, rng)
+    sec = sections[0][0]                      # a random section
+    for g in [su2.random_group(rng) for _ in range(_MEMO_SIZE + 20)]:
+        sec.profile(g, 0.3)
+        sec.v(g)
+        for fam, arg in families:
+            fam.value(0.3, g, arg)
+        assert max(len(memo.entries) for memo in memos) <= _MEMO_SIZE
+    assert sum(len(memo.entries) == _MEMO_SIZE for memo in memos) >= 2 + len(families)
+    # the least recently used point is the one dropped
+    calls = []
+    memo = PointMemo(lambda x: calls.append(x) or 2.0 * x)
+    keys = [np.full(2, float(i)) for i in range(_MEMO_SIZE + 1)]
+    for key in keys[:_MEMO_SIZE]:
+        memo(key)
+    memo(keys[0])
+    memo(keys[_MEMO_SIZE])
+    assert len(calls) == _MEMO_SIZE + 1
+    memo(keys[0])
+    assert len(calls) == _MEMO_SIZE + 1
+    memo(keys[1])
+    assert len(calls) == _MEMO_SIZE + 2
