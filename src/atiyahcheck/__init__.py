@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 from .liealg import LieAlgebra, InvariantPolynomial, make_group, GROUP_NAMES
 from .sections import (AlgebroidSection, BumpFunction, TimeGrid,
                        extend, integrate_01, template_section, time_derivative)
-from .algebroid import anchor, bracket, build_alpha, generator, KappaFamily
+from .algebroid import bracket, build_alpha, generator, KappaFamily
 
 __all__ = [
     "__version__",
     "LieAlgebra", "InvariantPolynomial", "make_group", "GROUP_NAMES",
     "AlgebroidSection", "BumpFunction", "TimeGrid",
     "extend", "integrate_01", "template_section", "time_derivative",
-    "anchor", "bracket", "build_alpha", "generator", "KappaFamily",
+    "bracket", "build_alpha", "generator", "KappaFamily",
 ]

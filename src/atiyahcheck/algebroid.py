@@ -1,12 +1,12 @@
-"""The transitive Lie algebroid over the group: anchor, bracket, connections.
+"""The transitive Lie algebroid over the group: bracket, generators, connections.
 
 The bracket is written once for sections over any base (the group, a
 conjugacy class, a slot of G x G); everything else here lives on the group.
 
 Conventions: the tangent bundle of G is right-trivialized, X <-> v with
 theta^R(X) = v.  Constant-v frames are then right-invariant vector fields
-and satisfy theta^R([X, Y]) = -[v, w] for constant v, w; Cartan formulas
-below carry that frame-bracket correction explicitly.
+and satisfy theta^R([X, Y]) = -[v, w] for constant v, w; the curvature's
+d alpha_t is forms.de_rham_differential, which carries that correction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_se
                        extend, time_derivative)
 
 __all__ = [
-    "anchor",
     "bracket",
     "generator",
     "ConnectionFamily",
@@ -28,11 +27,6 @@ __all__ = [
     "generator_vertical_part",
     "KappaFamily",
 ]
-
-
-def anchor(section, g):
-    """Anchor value in right trivialization: just the datum v(g)."""
-    return section.v(g)
 
 
 def bracket(xi, zeta, h=1e-4):
@@ -160,15 +154,12 @@ def connection_apply(alpha, xi):
 
 
 def curvature(alpha, g, t, v, w, h=1e-4):
-    """F^{alpha_t}(X, Y) = d alpha_t(X, Y) + [alpha_t(X), alpha_t(Y)].
-
-    d alpha_t in constant right-trivialized frames:
-    D_v alpha_t(., w) - D_w alpha_t(., v) - alpha_t(g, -[v, w]).
-    """
+    """F^{alpha_t}(X, Y) = d alpha_t(X, Y) + [alpha_t(X), alpha_t(Y)], with
+    d alpha_t the de Rham differential in constant right-trivialized frames."""
+    from .forms import AlgebroidForm, de_rham_differential
     alg = alpha.algebra
-    d = alg.directional(lambda gg: alpha.value(t, gg, w), g, v, h=h)
-    d = d - alg.directional(lambda gg: alpha.value(t, gg, v), g, w, h=h)
-    d = d - alpha.value(t, g, -alg.bracket(v, w))
+    alpha_t = AlgebroidForm(alg, 1, lambda gg, u: alpha.value(t, gg, u), scalar=False)
+    d = de_rham_differential(alpha_t, h=h)(g, v, w)
     return d + alg.bracket(alpha.value(t, g, v), alpha.value(t, g, w))
 
 

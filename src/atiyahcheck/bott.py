@@ -22,7 +22,8 @@ import numpy as np
 
 from . import algebroid as albr
 from .algebroid import KappaFamily, generator
-from .forms import AlgebroidForm, _perm_sign, cartan_three_form, pullback_anchor
+from .forms import (AlgebroidForm, _perm_sign, along_sections, cartan_three_form, koszul,
+                    pullback_anchor)
 from .liealg import make_group, quadratic_polynomial
 from .sections import (BumpFunction, InterpolatedFamily, TimeGrid, gauge_steps,
                        piecewise, random_section)
@@ -41,7 +42,6 @@ __all__ = [
     "ConventionTable",
     "calibrate_conventions",
     "chern_simons",
-    "chern_simons_equivariant",
     "q_functional",
     "q_concat_lambda",
     "concat_families",
@@ -197,13 +197,10 @@ class _PairData:
             return -self.dbeta(fi, j, i)
         key = (fi, i, j)
         if key not in self._dbeta:
-            alg, g = self.alg, self.g
-            beta = self.betas[fi]
-            si, sj = self.args[i], self.args[j]
-            out = alg.directional(lambda gg: beta(gg, sj), g, si.v(g), h=self.h)
-            out = out - alg.directional(lambda gg: beta(gg, si), g, sj.v(g), h=self.h)
-            out = out - beta(g, self._bracket_section(i, j))
-            self._dbeta[key] = out
+            # the cached bracket section keeps the t-family memos warm
+            d = koszul(self.betas[fi], along_sections(self.h),
+                       lambda si, sj: self._bracket_section(i, j))
+            self._dbeta[key] = d(self.g, self.args[i], self.args[j])
         return self._dbeta[key]
 
     def iota_x(self, fi):
@@ -518,22 +515,6 @@ def _shuffles_12():
     return (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0))
 
 
-def chern_simons_equivariant(beta, x, g, args, h=1e-4):
-    """CS_G(beta)(x): the 3-form part is CS(beta); degree-1 part is
-
-    -(1/2) B(iota_x beta, beta(.)) + B(beta(.), x).
-    """
-    alg = beta.algebra
-    if len(args) == 3:
-        return chern_simons(beta, g, args, h=h)
-    if len(args) != 1:
-        raise ValueError("CS_G has components in degrees 3 and 1")
-    xa = generator(alg, x)
-    iota = beta(g, xa)
-    val = beta(g, args[0])
-    return -0.5 * alg.pairing(iota, val) + alg.pairing(val, np.asarray(x, dtype=float))
-
-
 def q_functional(family, g, a1, a2, grid, h=1e-4):
     """Q^beta = (1/2) Phi* theta^L . beta_0 + (1/2) int beta_t . beta_t' dt."""
     alg = family.algebra
@@ -610,10 +591,10 @@ def concat_families(f1, f2, algebra):
 # ---------------------------------------------------------------------------
 
 def eta_p_form(p, conventions, rule=None, h=1e-4):
-    """eta^p = Upsilon^p(0, a* theta^L) as an algebroid form factory.
+    """eta^p_G = Upsilon^p_G(0, a* theta^L) as an algebroid form factory.
 
-    Returns a callable (g, args) -> value; the argument count selects the
-    equivariant component when x is supplied.
+    Returns a callable (x, g, args) -> value; the argument count selects the
+    graded component.
     """
     alg = p.algebra
     zero = oneform_zero(alg)
@@ -621,14 +602,11 @@ def eta_p_form(p, conventions, rule=None, h=1e-4):
     if rule is None:
         rule = SimplexRule(1)
 
-    def plain(g, args):
-        return upsilon(p, [zero, thl], g, args, rule=rule, conventions=conventions, h=h)
-
     def equivariant(x, g, args):
         return upsilon_equivariant(p, [zero, thl], x, g, args,
                                    rule=rule, conventions=conventions, h=h)
 
-    return plain, equivariant
+    return equivariant
 
 
 def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4, h_t=1e-5):

@@ -80,7 +80,7 @@ def build_config(args):
         if val is not None:
             config[key] = val
     if getattr(args, "suite", None):
-        config["suites"] = [s.strip() for s in args.suite.split(",") if s.strip()]
+        config["suites"] = _parse_suites(args.suite)
     tols = config.get("tol_overrides", {})
     if not isinstance(tols, dict):
         raise ConfigError("tol_overrides must be a JSON object of suite.check: value")
@@ -105,10 +105,26 @@ def _number(config, key, default):
     return float(val)
 
 
+def _parse_suites(text):
+    """The suite names of a comma-separated --suite value; blank names are dropped."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _validate_selection(group, suites):
+    """Reject an unknown group (None selects every group) or suite."""
+    if group is not None and group not in GROUP_NAMES:
+        raise ConfigError(f"unknown group {group!r}; choose from {GROUP_NAMES}")
+    if suites:
+        if not isinstance(suites, list):
+            raise ConfigError("suites must be a list of suite names")
+        bad = [s for s in suites if s not in SUITES]
+        if bad:
+            raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
+
+
 def validate_config(config):
     group = config.get("group", "su2")
-    if group not in GROUP_NAMES:
-        raise ConfigError(f"unknown group {group!r}; choose from {GROUP_NAMES}")
+    _validate_selection(group, config.get("suites"))
     n = _integer(config, "n_points", 201)
     if n < 3 or n % 2 == 0:
         raise ConfigError("n_points must be an odd integer >= 3")
@@ -124,13 +140,6 @@ def validate_config(config):
     samples = _integer(config, "samples", 4)
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    suites = config.get("suites")
-    if suites:
-        if not isinstance(suites, list):
-            raise ConfigError("suites must be a list of suite names")
-        bad = [s for s in suites if s not in SUITES]
-        if bad:
-            raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
     tols = config.get("tol_overrides", {})
     unknown = sorted(set(tols) - result_keys())
     if unknown:
@@ -251,16 +260,12 @@ def cmd_verify(args):
 
 
 def cmd_list_checks(args):
-    group = getattr(args, "group", None)
-    suites = None
-    if getattr(args, "suite", None):
-        suites = [s.strip() for s in args.suite.split(",")]
-        bad = [s for s in suites if s not in SUITES]
-        if bad:
-            print(f"unknown suites {bad}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-    if group is not None and group not in GROUP_NAMES:
-        print(f"unknown group {group!r}", file=sys.stderr)
+    group = args.group
+    suites = _parse_suites(args.suite) if args.suite else None
+    try:
+        _validate_selection(group, suites)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     for spec in list_checks(group=group, suites=suites):
         scope = "all groups" if spec.groups is None else ", ".join(spec.groups)
@@ -277,7 +282,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--group", choices=GROUP_NAMES, default=None)
+    ver.add_argument("--group", default=None, help="one of " + ", ".join(GROUP_NAMES))
     ver.add_argument("--suite", default=None,
                      help="comma-separated subset of " + ",".join(SUITES))
     ver.add_argument("--grid-t", dest="grid_t", type=int, default=None,
@@ -294,8 +299,9 @@ def main(argv=None):
     ver.set_defaults(func=cmd_verify)
 
     ls = sub.add_parser("list-checks", help="print check names and identities")
-    ls.add_argument("--group", default=None)
-    ls.add_argument("--suite", default=None)
+    ls.add_argument("--group", default=None, help="one of " + ", ".join(GROUP_NAMES))
+    ls.add_argument("--suite", default=None,
+                    help="comma-separated subset of " + ",".join(SUITES))
     ls.set_defaults(func=cmd_list_checks)
 
     args = parser.parse_args(argv)

@@ -1,10 +1,16 @@
-"""Exterior calculus on algebroid forms and on de Rham forms over the group.
+"""Exterior calculus on forms over a base of sections.
 
-Algebroid k-forms are evaluators on k sections at a group point (scalar- or
-g-valued with the trivial coefficient action).  The differential is the
-Koszul formula; de Rham forms on G live in right-trivialized constant
-frames and use the same Cartan formula with the frame-bracket correction
-theta^R([X, Y]) = -[v, w].
+A k-form is an evaluator on a base point m and k arguments, scalar- or
+g-valued with the trivial coefficient action.  The arguments are sections
+(algebroid forms, over the group, a conjugacy class or a slot of G x G),
+right-trivialized tangent coefficients on G (de Rham forms) or any other
+tangents a caller supplies.  The Koszul/Cartan differential is written
+once, in `koszul`; the caller supplies the derivative along an argument
+and the bracket of two arguments.  On sections that is the base's own
+derivative along the tangent field and the algebroid bracket
+(`exterior_derivative`); in constant right-trivialized frames it is
+`LieAlgebra.directional` and the frame bracket theta^R([X, Y]) = -[v, w]
+(`de_rham_differential`).
 """
 
 from __future__ import annotations
@@ -14,15 +20,14 @@ import itertools
 import numpy as np
 
 from . import algebroid as albr
-from .liealg import LieAlgebra
 
 __all__ = [
     "AlgebroidForm",
     "contract",
+    "koszul",
+    "along_sections",
     "exterior_derivative",
     "lie_derivative",
-    "equivariant_differential",
-    "DeRhamForm",
     "de_rham_differential",
     "pullback_anchor",
     "cartan_three_form",
@@ -31,7 +36,7 @@ __all__ = [
 
 
 class AlgebroidForm:
-    """Degree-k multilinear alternating evaluator on sections at a group point."""
+    """Degree-k multilinear alternating evaluator on k arguments at a base point."""
 
     def __init__(self, algebra, degree, evaluator, scalar=True, name=""):
         self.algebra = algebra
@@ -40,10 +45,10 @@ class AlgebroidForm:
         self.scalar = scalar
         self.name = name
 
-    def __call__(self, g, *sections):
-        if len(sections) != self.degree:
-            raise ValueError(f"form of degree {self.degree} got {len(sections)} sections")
-        val = self._eval(g, *sections)
+    def __call__(self, m, *args):
+        if len(args) != self.degree:
+            raise ValueError(f"form of degree {self.degree} got {len(args)} arguments")
+        val = self._eval(m, *args)
         return float(val) if self.scalar else np.asarray(val, dtype=float)
 
     def zero_like(self):
@@ -62,31 +67,43 @@ def contract(form, section):
                          scalar=form.scalar, name=f"i_{section.name}({form.name})")
 
 
-def exterior_derivative(form, h=1e-4, bracket_h=1e-4):
-    """Koszul differential:
+def koszul(form, derivative, bracket):
+    """The Koszul differential of a k-form:
 
-    d phi(xi_0..xi_k) = sum_i (-1)^i D_{a(xi_i)} phi(.. xi_i omitted ..)
-                      + sum_{i<j} (-1)^{i+j} phi([xi_i, xi_j], .. both omitted ..).
+    d w(a_0..a_k) = sum_i (-1)^i D_{a_i} w(.. a_i omitted ..)
+                  + sum_{i<j} (-1)^{i+j} w(bracket(a_i, a_j), .. both omitted ..),
+
+    where derivative(f, m, a) is D_a f at m for a function f of base points.
     """
-    alg = form.algebra
     k = form.degree
 
-    def evaluator(g, *secs):
+    def evaluator(m, *args):
         total = form.zero_like()
         for i in range(k + 1):
-            rest = secs[:i] + secs[i + 1:]
-            direction = secs[i].v(g)
-            dval = alg.directional(lambda gg: form(gg, *rest), g, direction, h=h)
+            rest = args[:i] + args[i + 1:]
+            dval = derivative(lambda mm: form(mm, *rest), m, args[i])
             total = total + ((-1) ** i) * dval
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
-                br = albr.bracket(secs[i], secs[j], h=bracket_h)
-                rest = tuple(s for m, s in enumerate(secs) if m != i and m != j)
-                total = total + ((-1) ** (i + j)) * form(g, br, *rest)
+                rest = tuple(a for n, a in enumerate(args) if n != i and n != j)
+                total = total + ((-1) ** (i + j)) * form(m, bracket(args[i], args[j]), *rest)
         return total
 
-    return AlgebroidForm(alg, k + 1, evaluator, scalar=form.scalar,
+    return AlgebroidForm(form.algebra, k + 1, evaluator, scalar=form.scalar,
                          name=f"d({form.name})")
+
+
+def along_sections(h):
+    """The derivative along a section: its base's Richardson derivative, at the
+    step h, along the section's tangent field (on the group, its anchor)."""
+    def derivative(f, m, section):
+        return section.base.directional(f, m, section.xfield(m), h=h)
+    return derivative
+
+
+def exterior_derivative(form, h=1e-4, bracket_h=1e-4):
+    """The algebroid differential of a form on sections over any one base."""
+    return koszul(form, along_sections(h), lambda a, b: albr.bracket(a, b, h=bracket_h))
 
 
 def lie_derivative(form, section, h=1e-4):
@@ -105,80 +122,21 @@ def lie_derivative(form, section, h=1e-4):
                          scalar=form.scalar, name=f"L_{section.name}({form.name})")
 
 
-def equivariant_differential(form, x, h=1e-4):
-    """d_G at a fixed algebra element: (d phi - i_{x_A} phi) as graded parts.
-
-    Returns a dict mapping degree -> AlgebroidForm: degree k+1 carries d phi
-    and degree k-1 carries minus the contraction with the action generator.
-    """
-    alg = form.algebra
-    parts = {form.degree + 1: exterior_derivative(form, h=h)}
-    if form.degree >= 1:
-        xa = albr.generator(alg, x)
-        minus = contract(form, xa)
-
-        def evaluator(g, *secs):
-            return -minus(g, *secs)
-
-        parts[form.degree - 1] = AlgebroidForm(
-            alg, form.degree - 1, evaluator, scalar=form.scalar,
-            name=f"-i_xA({form.name})")
-    return parts
-
-
-# ---------------------------------------------------------------------------
-# de Rham forms on the group in right-trivialized frames
-# ---------------------------------------------------------------------------
-
-class DeRhamForm:
-    """A k-form on G evaluated on right-trivialized tangent coefficients."""
-
-    def __init__(self, algebra, degree, evaluator, scalar=True, name=""):
-        self.algebra = algebra
-        self.degree = degree
-        self._eval = evaluator
-        self.scalar = scalar
-        self.name = name
-
-    def __call__(self, g, *vs):
-        if len(vs) != self.degree:
-            raise ValueError(f"form of degree {self.degree} got {len(vs)} vectors")
-        val = self._eval(g, *vs)
-        return float(val) if self.scalar else np.asarray(val, dtype=float)
-
-
 def de_rham_differential(omega, h=1e-4):
-    """Cartan formula for constant right-trivialized frames.
-
-    d w(v_0..v_k) = sum_i (-1)^i D_{v_i} w(.. v_i ..)
-                  + sum_{i<j} (-1)^{i+j} w(-[v_i, v_j], ..).
-    """
+    """The de Rham differential of a form on G in constant right-trivialized
+    frames, whose bracket is theta^R([X, Y]) = -[v, w]."""
     alg = omega.algebra
-    k = omega.degree
-
-    def evaluator(g, *vs):
-        total = 0.0 if omega.scalar else np.zeros(alg.dim)
-        for i in range(k + 1):
-            rest = vs[:i] + vs[i + 1:]
-            dval = alg.directional(lambda gg: omega(gg, *rest), g, vs[i], h=h)
-            total = total + ((-1) ** i) * dval
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                frame = -alg.bracket(vs[i], vs[j])
-                rest = tuple(v for m, v in enumerate(vs) if m != i and m != j)
-                total = total + ((-1) ** (i + j)) * omega(g, frame, *rest)
-        return total
-
-    return DeRhamForm(alg, k + 1, evaluator, scalar=omega.scalar,
-                      name=f"d({omega.name})")
+    return koszul(omega, lambda f, g, v: alg.directional(f, g, v, h=h),
+                  lambda v, w: -alg.bracket(v, w))
 
 
 def pullback_anchor(omega):
-    """a*: evaluate a de Rham form on the anchors of the argument sections."""
+    """a*: evaluate a de Rham form of degree >= 1 at Phi(m) on the anchor data
+    of the argument sections, which share the base of Phi."""
     alg = omega.algebra
 
-    def evaluator(g, *secs):
-        return omega(g, *[s.v(g) for s in secs])
+    def evaluator(m, *secs):
+        return omega(secs[0].base.point(m), *[s.v(m) for s in secs])
 
     return AlgebroidForm(alg, omega.degree, evaluator, scalar=omega.scalar,
                          name=f"a*({omega.name})")
@@ -201,7 +159,7 @@ def cartan_three_form(algebra):
                                             algebra.bracket(us[perm[1]], us[perm[2]]))
         return total / 12.0
 
-    return DeRhamForm(algebra, 3, evaluator, name="eta")
+    return AlgebroidForm(algebra, 3, evaluator, name="eta")
 
 
 def equivariant_cartan(algebra, x):
@@ -214,7 +172,7 @@ def equivariant_cartan(algebra, x):
 
     return {
         3: cartan_three_form(algebra),
-        1: DeRhamForm(algebra, 1, deg1, name="eta_G deg-1"),
+        1: AlgebroidForm(algebra, 1, deg1, name="eta_G deg-1"),
     }
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import AlgebroidForm
+from .forms import AlgebroidForm, koszul
 from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
 from . import algebroid as albr
 from .liealg import richardson, stencil_steps
@@ -190,27 +190,12 @@ def mult_eta_residual(algebra, eta, g2, g1, triples, h=1e-4):
     lhs = eta(gm, *[push(v2, v1) for v2, v1 in triples])
     rhs = eta(g2, *[v2 for v2, _ in triples]) + eta(g1, *[v1 for _, v1 in triples])
 
-    # de Rham d of lambda over the product group, constant frames
+    # de Rham d of lambda over the product group, constant frames per row
     product = Slot(algebra, 0)
-
-    def dlam(p2, p1):
-        total = 0.0
-        for i in range(3):
-            rest = [triples[m] for m in range(3) if m != i]
-            dval = product.directional(
-                lambda pt: np.array(fusion_lambda(algebra, *pt, *rest[0], *rest[1])),
-                (p2, p1), triples[i], h=h)
-            total += ((-1) ** i) * float(dval)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                f2 = -algebra.bracket(triples[i][0], triples[j][0])
-                f1 = -algebra.bracket(triples[i][1], triples[j][1])
-                (k,) = [m for m in range(3) if m != i and m != j]
-                total += ((-1) ** (i + j)) * fusion_lambda(
-                    algebra, p2, p1, f2, f1, *triples[k])
-        return total
-
-    return abs(lhs - rhs + dlam(g2, g1))
+    lam = AlgebroidForm(algebra, 2, lambda pt, a, b: fusion_lambda(algebra, *pt, *a, *b))
+    dlam = koszul(lam, lambda f, pt, u: product.directional(f, pt, u, h=h),
+                  lambda a, b: (-algebra.bracket(a[0], b[0]), -algebra.bracket(a[1], b[1])))
+    return abs(lhs - rhs + dlam((g2, g1), *triples))
 
 
 # ---------------------------------------------------------------------------

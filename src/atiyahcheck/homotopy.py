@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bott import _gl01
-from .forms import DeRhamForm
+from .forms import AlgebroidForm
 from .liealg import stencil_steps
 
 __all__ = ["poincare_primitive"]
@@ -68,4 +68,4 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
             total += w * (s ** (k - 1)) * float(omega(gj, *uj))
         return sign * total
 
-    return DeRhamForm(alg, k - 1, evaluator, name=f"primitive({omega.name})")
+    return AlgebroidForm(alg, k - 1, evaluator, name=f"primitive({omega.name})")

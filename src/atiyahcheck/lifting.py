@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
-from .forms import AlgebroidForm, DeRhamForm
+from .forms import AlgebroidForm
 from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_section,
                        extend, time_derivative)
 
@@ -195,7 +195,7 @@ def eta_from_data(alpha, grid, h=1e-4):
                                       curvature(alpha, g, ts, vs[j], vs[k], h=h))
         return total
 
-    return DeRhamForm(alg, 3, evaluator, name="eta(data)")
+    return AlgebroidForm(alg, 3, evaluator, name="eta(data)")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,7 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
         out += beta(pointwise, g)
         return out
 
-    return DeRhamForm(alg, 2, evaluator, name="gamma")
+    return AlgebroidForm(alg, 2, evaluator, name="gamma")
 
 
 def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
@@ -448,4 +448,4 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
             total -= sign * pair_one(g, vs[i], fsec)
         return total
 
-    return DeRhamForm(alg, 3, evaluator, name="eta'")
+    return AlgebroidForm(alg, 3, evaluator, name="eta'")

@@ -163,23 +163,12 @@ class AlgebroidSection:
         """Anchor datum v(m) = theta^R(d Phi X(m)), the constant of the seam."""
         return self.base.push_tangent(m, self.xfield(m))
 
-    def is_loop(self, m, tol=1e-10):
-        """True when the anchor datum vanishes at m (an L-section there)."""
-        return float(np.linalg.norm(self.v(m))) <= tol
-
     def compatibility_residual(self, m):
         """Seam defect |profile(m,1) - Ad_{Phi(m)} profile(m,0) - v(m)|."""
         alg = self.algebra
         gap = (self.profile(m, 1.0) - alg.Ad(self.base.point(m), self.profile(m, 0.0))
                - self.v(m))
         return float(np.linalg.norm(gap))
-
-    def require_compatible(self, m, tol=1e-8):
-        """Raise on a malformed section (seam violated beyond tolerance)."""
-        res = self.compatibility_residual(m)
-        if res > tol:
-            raise ValueError(f"section violates the seam at this point: {res:g}")
-        return res
 
 
 def _memo_key(arg):

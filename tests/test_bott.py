@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from atiyahcheck.algebroid import KappaFamily, generator
+from atiyahcheck.algebroid import KappaFamily
 from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_wedge,
                               _upsilon_core, calibrate_conventions,
-                              chern_simons, chern_simons_equivariant, concat_families,
+                              chern_simons, concat_families,
                               gauge_transform, map_theta_right, oneform_theta_left,
                               oneform_zero, pressley_segal_two_form, q_functional,
                               rectangle_integral, upsilon, upsilon_equivariant,
@@ -87,21 +87,6 @@ def test_cs_values(su2, rng):
     c = tor.random_vector(rng)
     const = AlgebroidForm(tor, 1, lambda gg, s: tor.pairing(c, s.v(gg)) * c, scalar=False)
     assert abs(chern_simons(const, gt, tsecs)) < 1e-9
-
-
-def test_cs_equivariant_component(su2, rng):
-    g = su2.random_group(rng)
-    x = su2.random_vector(rng)
-    sec = random_section(su2, rng)
-    thl = oneform_theta_left(su2)
-    got = chern_simons_equivariant(thl, x, g, [sec])
-    xa = generator(su2, x)
-    iota = thl(g, xa)
-    val = thl(g, sec)
-    want = -0.5 * su2.pairing(iota, val) + su2.pairing(val, x)
-    assert abs(got - want) < 1e-12
-    with pytest.raises(ValueError):
-        chern_simons_equivariant(thl, x, g, [sec, sec])
 
 
 def test_rectangle_quadratic_closed_form(su2, conv, rng):

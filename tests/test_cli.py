@@ -17,10 +17,10 @@ from atiyahcheck.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_cli(args, **kw):
+def run_cli(args, module="atiyahcheck.cli", **kw):
     # the child process finds the package the way this test process did
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "atiyahcheck.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, **kw)
 
@@ -39,6 +39,23 @@ def test_config_error_even_grid():
 def test_config_error_unknown_group():
     proc = run_cli(["list-checks", "--group", "nope"])
     assert proc.returncode == 2
+
+
+def test_python_m_package_runs_the_cli():
+    proc = run_cli(["list-checks", "--suite", "qham"], module="atiyahcheck")
+    assert proc.returncode == 0
+    assert "qham.kernel_theorem" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["verify", "list-checks"])
+def test_commands_share_the_selection_rules(monkeypatch, command):
+    # blank names in a suite list are dropped; unknown suites and groups exit 2
+    from atiyahcheck import cli
+
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
+    assert cli.main([command, "--group", "torus2", "--suite", "forms,"]) == 0
+    assert cli.main([command, "--suite", "forms,nope"]) == 2
+    assert cli.main([command, "--group", "nope"]) == 2
 
 
 def test_config_error_bad_tol():

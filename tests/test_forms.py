@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import KappaFamily, bracket, generator
-from atiyahcheck.forms import (AlgebroidForm, DeRhamForm, cartan_three_form,
-                               contract, de_rham_differential,
-                               equivariant_cartan, equivariant_differential,
-                               exterior_derivative, lie_derivative,
-                               pullback_anchor)
+from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract,
+                               de_rham_differential, equivariant_cartan,
+                               exterior_derivative, lie_derivative, pullback_anchor)
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import random_section, random_twisted_loop
 
@@ -42,7 +40,7 @@ def test_contraction_kappa(su2, rng):
     from atiyahcheck.sections import extend
     assert np.linalg.norm(contract(kap, xi)(g) + extend(xi, g, 0.3)) < 1e-12
     z = random_twisted_loop(su2, rng)
-    om = DeRhamForm(su2, 1, lambda gg, v: su2.pairing(v, v) * 0.5 + v[0])
+    om = AlgebroidForm(su2, 1, lambda gg, v: su2.pairing(v, v) * 0.5 + v[0])
     assert abs(pullback_anchor(om)(g, z) - om(g, np.zeros(3))) < 1e-12
 
 
@@ -65,11 +63,11 @@ def test_pullback_anchor_values(su2, rng):
     g = su2.random_group(rng)
     xi = random_section(su2, rng)
     # a* theta^R and a* theta^L evaluate the Maurer-Cartan forms on anchors
-    thr = DeRhamForm(su2, 1, lambda gg, v: np.asarray(v), scalar=False)
+    thr = AlgebroidForm(su2, 1, lambda gg, v: np.asarray(v), scalar=False)
     got = pullback_anchor(thr)(g, xi)
     assert np.allclose(got, xi.v(g))
-    thl = DeRhamForm(su2, 1,
-                     lambda gg, v: su2.maurer_cartan(gg, v, "left"), scalar=False)
+    thl = AlgebroidForm(su2, 1,
+                        lambda gg, v: su2.maurer_cartan(gg, v, "left"), scalar=False)
     got = pullback_anchor(thl)(g, xi)
     assert np.allclose(got, su2.Ad(np.linalg.inv(g), xi.v(g)))
 
@@ -110,29 +108,11 @@ def test_eta_equivariant_degree_one(su2, rng):
     assert abs(got + su2.pairing(v, x)) < 1e-13
 
 
-def test_equivariant_differential_square(su2, rng):
-    # d_G at x = 0 is the plain differential; (d_G)^2 = -L_{x_A} on a 1-form
-    g = su2.random_group(rng)
-    c = su2.random_vector(rng)
-    kap = KappaFamily(su2).at(0.3)
-    phi = AlgebroidForm(su2, 1, lambda g, s: su2.pairing(c, kap(g, s)))
-    x = su2.random_vector(rng)
-    secs = [random_section(su2, rng) for _ in range(2)]
-    parts = equivariant_differential(phi, x)
-    dd = equivariant_differential(parts[2], x)
-    # degree-1 output of d_G d_G: d(-i_xA phi) - i_xA(d phi)
-    xa = generator(su2, x)
-    low = equivariant_differential(parts[0], x)
-    got = dd[1](g, secs[0]) + low[1](g, secs[0])
-    want = -lie_derivative(phi, xa)(g, secs[0])
-    assert abs(got - want) < 1e-5
-
-
 def test_de_rham_differential_mc_equation(su2, rng):
     # d theta^L = -(1/2)[theta^L, theta^L] in constant frames
     g = su2.random_group(rng)
-    thl = DeRhamForm(su2, 1, lambda gg, v: su2.maurer_cartan(gg, v, "left"),
-                     scalar=False)
+    thl = AlgebroidForm(su2, 1, lambda gg, v: su2.maurer_cartan(gg, v, "left"),
+                        scalar=False)
     d = de_rham_differential(thl)
     v, w = su2.random_vector(rng), su2.random_vector(rng)
     lv = su2.maurer_cartan(g, v, "left")

@@ -6,7 +6,7 @@ import pytest
 from atiyahcheck.algebroid import build_alpha, generator, invariant_alpha0
 from atiyahcheck.bott import _gl01
 from atiyahcheck.checks import REGISTRY, CheckContext
-from atiyahcheck.forms import DeRhamForm, cartan_three_form, de_rham_differential
+from atiyahcheck.forms import AlgebroidForm, cartan_three_form, de_rham_differential
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
                                  canonical_two_form, central_cocycle,
@@ -206,7 +206,7 @@ def _primitive_cases():
     for name in ("heisenberg3", "torus2"):
         alg = make_group(name)
         x = np.linspace(0.4, -0.7, alg.dim)
-        yield DeRhamForm(alg, 1, lambda g, a, alg=alg, x=x: -0.5 * alg.pairing(
+        yield AlgebroidForm(alg, 1, lambda g, a, alg=alg, x=x: -0.5 * alg.pairing(
             alg.maurer_cartan(g, a, "left") + a, x)), 1.0
     yield cartan_three_form(make_group("heisenberg3")), -1.0
     yield cartan_three_form(make_group("su2")), -1.0     # eta is not zero here
@@ -225,8 +225,8 @@ def test_poincare_primitive_matches_node_by_node_oracle():
 
 def test_poincare_primitive_heisenberg(rng):
     h3 = make_group("heisenberg3")
-    one = DeRhamForm(h3, 1, lambda g, a: g[0, 1] * a[0] + np.sin(g[1, 2]) * a[1]
-                     + g[0, 2] * a[2])
+    one = AlgebroidForm(h3, 1, lambda g, a: g[0, 1] * a[0] + np.sin(g[1, 2]) * a[1]
+                        + g[0, 2] * a[2])
     closed = de_rham_differential(one)
     prim = poincare_primitive(closed, sign=1.0)
     dprim = de_rham_differential(prim)
