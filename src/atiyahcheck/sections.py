@@ -16,12 +16,16 @@ for scalar callables, one call per node.
 
 A PointMemo keeps the point data that sections and t-families recompute
 most: a random section's anchor datum v(g) and its template data
-(a(g), seam coefficient), and a t-family's pair of ends f_n, f_{n+1} at
-(n, g, arg).  It is least-recently-used with at most liealg._MEMO_SIZE
-entries, keyed by the bytes of each array argument (group point, vector)
-and by an int or a section object itself.  A hit returns a read-only copy
-of what the same function returned on the first miss, so every result is
-bit-identical to the unmemoised computation.
+(a(g), seam coefficient), a t-family's pair of ends f_n, f_{n+1} at
+(n, g, arg), a bump's value and derivative at t, and a twisted loop's
+conjugator (c, c^{-1}), c = exp(b(t) log g), at (g, t).  It is
+least-recently-used with at most liealg._MEMO_SIZE entries, keyed by the
+shape and bytes of each array argument (group point, vector, times; so
+0.5 and [0.5] differ) and by an int or a section object itself.  A hit
+returns a read-only copy of what the same function returned on the first
+miss (a numpy scalar is kept as it is), so every result is bit-identical
+to the unmemoised computation.  extend makes one profile call per array
+of times, whatever integers the times cross.
 """
 
 from __future__ import annotations
@@ -121,6 +125,8 @@ class BumpFunction:
             raise ValueError("flat_width must lie in [0, 0.5)")
         self.flat_width = flat_width
         self._scale = 1.0 - 2.0 * flat_width
+        self._values = PointMemo(self._value)
+        self._derivs = PointMemo(self._deriv)
 
     def _ramp(self, t):
         """Clamped time u, its mask 0 < u < 1, and u, exp(-1/u), exp(-1/(1-u))
@@ -131,10 +137,18 @@ class BumpFunction:
         return u, inside, ui, np.exp(-1.0 / ui), np.exp(-1.0 / (1.0 - ui))
 
     def __call__(self, t):
+        """b(t), memoised per t; an array value is read-only."""
+        return self._values(t)
+
+    def deriv(self, t):
+        """b'(t), memoised per t; an array value is read-only."""
+        return self._derivs(t)
+
+    def _value(self, t):
         u, inside, _, a, b = self._ramp(t)
         return np.where(inside, a / (a + b), np.where(u >= 1.0, 1.0, 0.0))[()]
 
-    def deriv(self, t):
+    def _deriv(self, t):
         _, inside, ui, a, b = self._ramp(t)
         da = a / ui**2
         db = -b / (1.0 - ui) ** 2
@@ -174,12 +188,15 @@ class AlgebroidSection:
 def _memo_key(arg):
     if isinstance(arg, (int, AlgebroidSection)):
         return arg
-    return np.asarray(arg, dtype=float).tobytes()
+    arr = np.asarray(arg, dtype=float)
+    return arr.shape, arr.tobytes()
 
 
 def _frozen_copy(value):
     if isinstance(value, tuple):
         return tuple(_frozen_copy(v) for v in value)
+    if isinstance(value, np.generic):
+        return value
     out = np.array(value, dtype=float)
     out.setflags(write=False)
     return out
@@ -188,9 +205,10 @@ def _frozen_copy(value):
 class PointMemo:
     """fn memoised per point, least recently used first out past _MEMO_SIZE.
 
-    The key holds the bytes of each array argument and an int or a section
-    itself; a value (an array or a tuple of arrays) is kept as a read-only
-    copy of what fn returned on the first miss.
+    The key holds the shape and bytes of each array argument and an int or
+    a section itself; a value (an array or a tuple of arrays) is kept as a
+    read-only copy of what fn returned on the first miss, a numpy scalar as
+    it is.
     """
 
     def __init__(self, fn):
@@ -269,14 +287,24 @@ def extend(section, m, t):
     """Value of the section at arbitrary real t via the seam rule.
 
     For t = n + s with s in [0, 1): n gauge steps x -> Ad_{Phi(m)} x + v(m)
-    of xi(m, s), taken once for all times sharing n.
+    of xi(m, s).  An array of times takes one profile call for all its s,
+    then the steps once for the rows sharing each nonzero n.
     """
-    def piece(n, tn):
-        val = section.profile(m, tn - n)
+    def steps(n, val):
         if n == 0:
             return val
         return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
-    return piecewise(t, np.floor, piece)
+
+    if np.ndim(t) == 0:
+        n = int(np.floor(t))
+        return steps(n, section.profile(m, t - n))
+    t = np.asarray(t, dtype=float)
+    ns = np.floor(t)
+    out = np.array(section.profile(m, t - ns))
+    for n in set(ns.tolist()) - {0.0}:
+        rows = ns == n
+        out[rows] = steps(int(n), out[rows])
+    return out
 
 
 def time_derivative(section, m, t, h_t=1e-5):
@@ -398,14 +426,20 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
 
     path must be 1-periodic; the seam xi(g, t+1) = Ad_g xi(g, t) then holds
     for every g in the domain of the group log, so the section may be
-    differentiated in g.  The exponentials of all times form one batch.
+    differentiated in g.  The exponentials of all times form one batch, and
+    the conjugator and its inverse are memoised per (g, t) for profile and
+    dprofile alike.
     """
     if bump is None:
         bump = BumpFunction()
 
-    def conjugate(g, t, paths):
+    @PointMemo
+    def conjugator(g, t):
         c = algebra.exp(scaled(bump(t), algebra.log(g)))
-        cinv = np.linalg.inv(c)
+        return c, np.linalg.inv(c)
+
+    def conjugate(g, t, paths):
+        c, cinv = conjugator(g, t)
         return [algebra.from_matrix(c @ algebra.to_matrix(x) @ cinv) for x in paths]
 
     def profile(g, t):

@@ -7,9 +7,6 @@ registry the CLI runs; nothing is recalibrated per test.  Run with
 
 import time
 
-import numpy as np
-import pytest
-
 from atiyahcheck.checks import CheckContext, REGISTRY, run_checks
 
 BASE_CONFIG = {"n_points": 201, "fd_step": 1e-4, "t_step": 1e-5,

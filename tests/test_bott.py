@@ -16,7 +16,7 @@ from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_we
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.liealg import cubic_polynomial, make_group, quadratic_polynomial
-from atiyahcheck.sections import TimeGrid, integrate_01, random_loop_section, random_section
+from atiyahcheck.sections import TimeGrid, integrate_01, random_section
 
 
 @pytest.fixture(scope="module")

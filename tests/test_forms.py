@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from atiyahcheck.algebroid import KappaFamily, bracket, generator
+from atiyahcheck.algebroid import KappaFamily, generator
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract,
                                de_rham_differential, equivariant_cartan,
                                exterior_derivative, lie_derivative, pullback_anchor)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import bracket
-from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract,
-                               pullback_anchor)
+from atiyahcheck.forms import AlgebroidForm, cartan_three_form, contract
 from atiyahcheck.fusion import (CourantElement, composable_residual, concat,
                                 courant_bracket, courant_pairing,
                                 fusion_residual, generator_pair,

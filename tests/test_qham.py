@@ -6,9 +6,9 @@ import pytest
 from atiyahcheck.algebroid import bracket, generator
 from atiyahcheck.liealg import make_group
 from atiyahcheck.lifting import canonical_two_form
-from atiyahcheck.qham import (ConjugacyClass, GhjwSignError, TrivialClass,
-                              TruncatedBasis, basis_metric, calibrate_ghjw,
-                              ghjw_omega, gram_kernel, gram_matrix, project_based)
+from atiyahcheck.qham import (ConjugacyClass, TrivialClass, TruncatedBasis,
+                              basis_metric, calibrate_ghjw, ghjw_omega, gram_kernel,
+                              gram_matrix, project_based)
 from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
                                   template_section)
 

@@ -5,10 +5,11 @@ import pytest
 
 from atiyahcheck.liealg import _MEMO_SIZE, make_group
 from atiyahcheck.sections import (AlgebroidSection, BumpFunction, PointMemo, TimeGrid,
-                                  constant_profile_section, extend,
-                                  integrate_01, loop_section, random_loop_section,
-                                  random_section, random_twisted_loop, scaled,
-                                  template_section, time_derivative)
+                                  constant_profile_section, extend, gauge_steps,
+                                  integrate_01, loop_section, piecewise,
+                                  random_loop_section, random_section,
+                                  random_twisted_loop, scaled, template_section,
+                                  time_derivative)
 
 
 @pytest.fixture
@@ -343,3 +344,99 @@ def test_point_memos_hold_at_most_memo_size_entries(su2, monkeypatch):
     assert len(calls) == _MEMO_SIZE + 1
     memo(keys[1])
     assert len(calls) == _MEMO_SIZE + 2
+
+
+def test_point_memo_keys_arrays_by_shape():
+    memo = PointMemo(lambda t: np.asarray(t) * 2.0)
+    assert np.shape(memo(0.5)) == ()
+    assert np.shape(memo(np.array([0.5]))) == (1,)
+    assert np.shape(memo(np.array([[0.5]]))) == (1, 1)
+    assert len(memo.entries) == 3
+
+
+def test_bump_memo_equals_uncached_formula():
+    # float, 0-d array, 1-element array and grid: same bits, type and shape,
+    # on the first call and on every hit
+    bump, plain = BumpFunction(), BumpFunction()
+    nodes = TimeGrid(41).nodes
+    times = [0.5, np.array(0.5), np.array([0.5]), 0.03, 0.97, nodes, nodes + 1e-5, 0.5]
+    for t in times:
+        for memoised, uncached in ((bump, plain._value), (bump.deriv, plain._deriv)):
+            want = uncached(t)
+            for got in (memoised(t), memoised(t)):
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want) == np.shape(t)
+                assert np.array_equal(got, want)
+    assert type(bump(0.5)) is np.float64
+    assert bump(nodes) is bump(nodes.copy())
+
+
+def test_bump_memo_is_read_only_and_bounded():
+    bump = BumpFunction()
+    nodes = TimeGrid(41).nodes
+    for values in (bump(nodes), bump.deriv(nodes)):
+        with pytest.raises(ValueError):
+            values[3] = 1.0
+    for k in range(_MEMO_SIZE + 20):
+        bump(k / (_MEMO_SIZE + 20))
+        bump.deriv(np.array([k / 7.0]))
+    assert len(bump._values.entries) == len(bump._derivs.entries) == _MEMO_SIZE
+
+
+def _extend_oracle(section, m, t):
+    """extend as one profile call per integer piece of t."""
+    def piece(n, tn):
+        val = section.profile(m, tn - n)
+        if n == 0:
+            return val
+        return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
+    return piecewise(t, np.floor, piece)
+
+
+def test_extend_takes_one_profile_call_per_time_array(su2):
+    from atiyahcheck.algebroid import bracket
+    from atiyahcheck.qham import ConjugacyClass
+    rng = np.random.default_rng(61)
+    a0 = su2.random_vector(rng)
+    on_class = template_section(
+        su2, lambda m: a0 + m[2] * a0,
+        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
+        BumpFunction(), base=ConjugacyClass(su2))
+    n = rng.standard_normal(3)
+    g = su2.random_group(rng, scale=0.5)
+    xi, ze = random_section(su2, rng), random_section(su2, rng)
+    cases = [(xi, g), (bracket(xi, ze), g), (random_twisted_loop(su2, rng), g),
+             (on_class, n / np.linalg.norm(n))]
+    nodes = TimeGrid(41).nodes
+    for sec, m in cases:
+        calls = []
+        profile = sec.profile
+        sec.profile = lambda mm, t, profile=profile, calls=calls: (
+            calls.append(np.shape(t)) or profile(mm, t))
+        for ts in (nodes, np.linspace(-2.3, 3.7, 37), nodes + 2.0):
+            calls.clear()
+            got = extend(sec, m, ts)
+            assert calls == [ts.shape]
+            assert np.array_equal(got, _extend_oracle(sec, m, ts))
+
+
+def test_twisted_loop_exponentiates_once_per_point_and_time(su2, monkeypatch):
+    rng = np.random.default_rng(67)
+    z = random_twisted_loop(su2, rng)
+    points = [su2.random_group(rng, scale=0.5) for _ in range(2)]
+    nodes = TimeGrid(41).nodes
+    first = {}
+    for g in points:
+        for t in (0.3, np.array([0.3]), nodes):
+            first[id(g), np.shape(t)] = (z.profile(g, t), z.dprofile(g, t))
+    exps = []
+    exp = su2.exp
+    monkeypatch.setattr(su2, "exp", lambda x: exps.append(np.shape(x)) or exp(x))
+    z = random_twisted_loop(su2, np.random.default_rng(67))
+    for _ in range(2):
+        for g in points:
+            for t in (0.3, np.array([0.3]), nodes):
+                prof, dprof = first[id(g), np.shape(t)]
+                assert np.array_equal(z.dprofile(g, t), dprof)
+                assert np.array_equal(z.profile(g, t), prof)
+    assert len(exps) == 2 * 3
