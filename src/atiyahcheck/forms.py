@@ -36,7 +36,12 @@ __all__ = [
 
 
 class AlgebroidForm:
-    """Degree-k multilinear alternating evaluator on k arguments at a base point."""
+    """Degree-k multilinear alternating evaluator on k arguments at a base point.
+
+    A scalar form returns a float at one point.  An evaluator that takes
+    leading batch axes on its point and arguments (as `cartan_three_form`
+    does) returns an array over those axes instead.
+    """
 
     def __init__(self, algebra, degree, evaluator, scalar=True, name=""):
         self.algebra = algebra
@@ -48,8 +53,8 @@ class AlgebroidForm:
     def __call__(self, m, *args):
         if len(args) != self.degree:
             raise ValueError(f"form of degree {self.degree} got {len(args)} arguments")
-        val = self._eval(m, *args)
-        return float(val) if self.scalar else np.asarray(val, dtype=float)
+        val = np.asarray(self._eval(m, *args), dtype=float)
+        return float(val) if self.scalar and val.ndim == 0 else val
 
     def zero_like(self):
         return 0.0 if self.scalar else np.zeros(self.algebra.dim)
@@ -146,17 +151,19 @@ def cartan_three_form(algebra):
     """eta = (1/12) theta^L . [theta^L, theta^L], by full antisymmetrization.
 
     eta(v1, v2, v3) = (1/12) sum over permutations of sign * B(u_p1, [u_p2, u_p3])
-    with u_i = Ad_{g^{-1}} v_i.
+    with u_i = Ad_{g^{-1}} v_i.  The point and the tangents may carry the
+    same leading batch axes; every member is computed as it would be alone.
     """
+    perms = list(itertools.permutations(range(3)))
+    signs = [_perm_sign(perm) for perm in perms]
+    first, second, third = np.array(perms).T
 
     def evaluator(g, v1, v2, v3):
-        ginv = algebra.inv(g)
-        us = [algebra.Ad(ginv, v) for v in (v1, v2, v3)]
+        us = algebra.Ad(algebra.inv(g), np.stack([v1, v2, v3]))
+        terms = algebra.pairing(us[first], algebra.bracket(us[second], us[third]))
         total = 0.0
-        for perm in itertools.permutations(range(3)):
-            sign = _perm_sign(perm)
-            total += sign * algebra.pairing(us[perm[0]],
-                                            algebra.bracket(us[perm[1]], us[perm[2]]))
+        for sign, term in zip(signs, terms):
+            total += sign * term
         return total / 12.0
 
     return AlgebroidForm(algebra, 3, evaluator, name="eta")

@@ -13,7 +13,9 @@ A chart tangent u at y pushes forward to theta^R(d exp_y(u)), a Richardson
 stencil of exp(y + s u) exp(y)^{-1}.  One evaluation of a primitive
 exponentiates the chart basis stencils at x in one batched expm, and every
 radial node s x with the stencils of all its tangents in a second one; the
-form is then evaluated once per node and the radial sum taken in node order.
+group points of the nodes are inverted in one batch too.  The form is then
+evaluated once, on all radial nodes as one batch, and the radial sum taken
+in node order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _chart_pushes(alg, ys, us, h):
     points = np.concatenate([ys[:, None, :], moved.reshape(len(ys), -1, alg.dim)], axis=1)
     mats = alg.exp(points)
     gs = mats[:, 0]
-    ginv = np.array([alg.inv(g) for g in gs])
+    ginv = np.linalg.inv(gs)
     stencils = mats[:, 1:].reshape((len(ys), len(us), 4) + gs.shape[1:])
     return gs, alg.push_stencil(stencils, ginv[:, None], h)
 
@@ -50,6 +52,11 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
     The result is evaluated back on the group: tangents are mapped to chart
     coordinates with the inverse exp differential (solved numerically from
     the forward pushforward on the chart basis).
+
+    omega must take a leading batch axis on its point and its tangents: it is
+    called once per evaluation, on the n_radial node points (n_radial, n, n)
+    and the pushed tangents (n_radial, dim) each, and must return the
+    n_radial values, each as it would be computed alone.
     """
     alg = omega.algebra
     k = omega.degree
@@ -63,9 +70,13 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
         back = np.linalg.inv(cols[0].T)
         tangents = np.array([x] + [back @ v for v in vs])
         gs, pushed = _chart_pushes(alg, nodes[:, None] * x, tangents, h)
+        values = omega(gs, *np.moveaxis(pushed, 1, 0))
+        if np.shape(values) != nodes.shape:
+            raise ValueError(f"{omega.name or 'omega'} gave shape {np.shape(values)} on "
+                             f"{len(nodes)} radial nodes; it must take a leading batch axis")
         total = 0.0
-        for s, w, gj, uj in zip(nodes, weights, gs, pushed):
-            total += w * (s ** (k - 1)) * float(omega(gj, *uj))
+        for s, w, value in zip(nodes, weights, values.tolist()):
+            total += w * (s ** (k - 1)) * value
         return sign * total
 
     return AlgebroidForm(alg, k - 1, evaluator, name=f"primitive({omega.name})")

@@ -1,10 +1,12 @@
 """Exterior calculus: contraction, Koszul differential, Cartan forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import KappaFamily, generator
-from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract,
+from atiyahcheck.forms import (AlgebroidForm, _perm_sign, cartan_three_form, contract,
                                de_rham_differential, equivariant_cartan,
                                exterior_derivative, lie_derivative, pullback_anchor)
 from atiyahcheck.liealg import make_group
@@ -97,6 +99,34 @@ def test_eta_abelian_and_heis():
         g = alg.random_group(rng)
         vs = [alg.random_vector(rng) for _ in range(3)]
         assert abs(eta(g, *vs)) < 1e-14
+
+
+def _eta_alone(alg, g, vs):
+    """The Cartan 3-form as first written: one Ad and one pairing per term."""
+    ginv = alg.inv(g)
+    us = [alg.Ad(ginv, v) for v in vs]
+    total = 0.0
+    for perm in itertools.permutations(range(3)):
+        total += _perm_sign(perm) * alg.pairing(us[perm[0]],
+                                                alg.bracket(us[perm[1]], us[perm[2]]))
+    return total / 12.0
+
+
+@pytest.mark.parametrize("name", ["su2", "so3", "heisenberg3", "torus2"])
+def test_eta_batch_members_computed_alone(name):
+    # a stack of points and tangents gives each member's single-point value,
+    # and a single point still gives a float
+    alg = make_group(name)
+    rng = np.random.default_rng(21)
+    eta = cartan_three_form(alg)
+    gs = np.array([alg.random_group(rng) for _ in range(24)])
+    vs = [np.array([alg.random_vector(rng) for _ in range(24)]) for _ in range(3)]
+    alone = [eta(g, *(v[i] for v in vs)) for i, g in enumerate(gs)]
+    assert all(type(value) is float for value in alone)
+    assert alone == [_eta_alone(alg, g, [v[i] for v in vs]) for i, g in enumerate(gs)]
+    batch = eta(gs, *vs)
+    assert batch.shape == (24,)
+    assert batch.tobytes() == np.array(alone).tobytes()
 
 
 def test_eta_equivariant_degree_one(su2, rng):

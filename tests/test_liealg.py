@@ -203,6 +203,21 @@ def test_directional_expm_calls_cold_and_warm(monkeypatch):
     assert len(calls) == 8
 
 
+def test_directional_batch_members_computed_alone(algebra):
+    # stacked points and directions give each member's own derivative, so a
+    # de Rham differential evaluates on a batch of points
+    rng = np.random.default_rng(13)
+    gs = np.array([algebra.random_group(rng) for _ in range(24)])
+    vs = np.array([algebra.random_vector(rng) for _ in range(24)])
+    x = algebra.random_vector(rng)
+    funcs = (lambda gg: gg @ algebra.to_matrix(x),
+             lambda gg: np.sin(gg[..., 0, 1]) + gg[..., -1, -1] * gg[..., 0, 0],
+             lambda gg: algebra.Ad(gg, x))
+    for func in funcs:
+        alone = np.array([algebra.directional(func, g, v) for g, v in zip(gs, vs)])
+        assert algebra.directional(func, gs, vs).tobytes() == alone.tobytes()
+
+
 def test_memo_size_is_bounded():
     alg = make_group("so3")
     rng = np.random.default_rng(9)

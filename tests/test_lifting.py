@@ -225,14 +225,21 @@ def test_poincare_primitive_matches_node_by_node_oracle():
 
 def test_poincare_primitive_heisenberg(rng):
     h3 = make_group("heisenberg3")
-    one = AlgebroidForm(h3, 1, lambda g, a: g[0, 1] * a[0] + np.sin(g[1, 2]) * a[1]
-                        + g[0, 2] * a[2])
+    one = AlgebroidForm(h3, 1, lambda g, a: g[..., 0, 1] * a[..., 0]
+                        + np.sin(g[..., 1, 2]) * a[..., 1] + g[..., 0, 2] * a[..., 2])
     closed = de_rham_differential(one)
     prim = poincare_primitive(closed, sign=1.0)
     dprim = de_rham_differential(prim)
     g = h3.random_group(rng)
     x1, x2 = h3.random_vector(rng), h3.random_vector(rng)
     assert abs(dprim(g, x1, x2) - closed(g, x1, x2)) < 1e-6
+
+
+def test_poincare_primitive_rejects_a_form_without_a_batch_axis():
+    h3 = make_group("heisenberg3")
+    one = AlgebroidForm(h3, 1, lambda g, a: g[0, 1] * a[0])
+    with pytest.raises(ValueError, match="batch axis"):
+        poincare_primitive(one)(h3.identity())
 
 
 def test_heisenberg_eta_vanishes_and_the_primitive_check_says_so():

@@ -9,7 +9,7 @@ import numpy as np
 
 from atiyahcheck import algebroid, lifting, qham
 from atiyahcheck.checks import run_checks
-from atiyahcheck.forms import cartan_three_form
+from atiyahcheck.forms import AlgebroidForm, cartan_three_form
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import TimeGrid, random_section
@@ -80,6 +80,20 @@ def test_primitive_expm_calls_do_not_grow_with_radial_nodes():
             prim(g, *vs)
         calls.append(tracer.calls["liealg.expm"])
     assert calls[0] == calls[1] > 0
+
+
+def test_primitive_evaluates_its_form_once():
+    # the form is called once, on all radial nodes, not once per node
+    alg = make_group("heisenberg3")
+    rng = np.random.default_rng(4)
+    g = alg.random_group(rng, scale=0.5)
+    vs = [alg.random_vector(rng) for _ in range(2)]
+    eta = cartan_three_form(alg)
+    for n_radial in (12, 24):
+        batches = []
+        counted = AlgebroidForm(alg, 3, lambda gg, *us: batches.append(len(gg)) or eta(gg, *us))
+        poincare_primitive(counted, sign=-1.0, n_radial=n_radial)(g, *vs)
+        assert batches == [n_radial]
 
 
 def test_check_bodies_run_inside_the_check_span():
