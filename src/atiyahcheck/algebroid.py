@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_section,
-                       extend, time_derivative)
+from .sections import (AlgebroidSection, InterpolatedFamily, constant_field,
+                       constant_profile_section, extend, time_derivative)
 
 __all__ = [
     "bracket",
@@ -36,14 +36,20 @@ def bracket(xi, zeta, h=1e-4):
     derivative terms are the base's Richardson central differences and the
     tangent field of the result is the base's [X, Y].  The result carries a
     composed analytic time derivative when both inputs do.
+
+    Each derivative term is one `stencil_derivative` call, which over the
+    group evaluates the inner section once on its whole (4, *point axes)
+    stencil stack; the result takes point axes in turn, so the stencils of
+    a nested bracket run as stacks too.  Over a conjugacy class or a slot
+    of G x G the stencil is evaluated point by point.
     """
     alg, base = xi.algebra, xi.base
 
     def profile(m, t):
         x, y = xi.xfield(m), zeta.xfield(m)
         term = -alg.bracket(xi.profile(m, t), zeta.profile(m, t))
-        term = term + base.directional(lambda mm: zeta.profile(mm, t), m, x, h=h)
-        term = term - base.directional(lambda mm: xi.profile(mm, t), m, y, h=h)
+        term = term + base.stencil_derivative(lambda mm: zeta.profile(mm, t), m, x, h=h)
+        term = term - base.stencil_derivative(lambda mm: xi.profile(mm, t), m, y, h=h)
         return term
 
     def xfield(m):
@@ -55,8 +61,8 @@ def bracket(xi, zeta, h=1e-4):
             x, y = xi.xfield(m), zeta.xfield(m)
             term = -alg.bracket(xi.dprofile(m, t), zeta.profile(m, t))
             term = term - alg.bracket(xi.profile(m, t), zeta.dprofile(m, t))
-            term = term + base.directional(lambda mm: zeta.dprofile(mm, t), m, x, h=h)
-            term = term - base.directional(lambda mm: xi.dprofile(mm, t), m, y, h=h)
+            term = term + base.stencil_derivative(lambda mm: zeta.dprofile(mm, t), m, x, h=h)
+            term = term - base.stencil_derivative(lambda mm: xi.dprofile(mm, t), m, y, h=h)
             return term
 
     name = f"[{xi.name},{zeta.name}]" if xi.name or zeta.name else ""
@@ -141,16 +147,13 @@ def connection_apply(alpha, xi):
     def profile(g, t):
         return xi.profile(g, t) + alpha.value(t, g, xi.v(g))
 
-    def v(g):
-        return np.zeros(alg.dim)
-
     dprofile = None
     if xi.dprofile is not None:
         def dprofile(g, t):
             return xi.dprofile(g, t) + alpha.tderiv(t, g, xi.v(g))
 
-    return AlgebroidSection(alg, profile, v, dprofile=dprofile,
-                            name=f"theta({xi.name})")
+    return AlgebroidSection(alg, profile, constant_field(alg, np.zeros(alg.dim)),
+                            dprofile=dprofile, name=f"theta({xi.name})")
 
 
 def curvature(alpha, g, t, v, w, h=1e-4):

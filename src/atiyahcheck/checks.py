@@ -35,8 +35,8 @@ from . import fusion as fu
 from . import lifting as lf
 from . import qham as qh
 from .liealg import cubic_polynomial, make_group, quadratic_polynomial
-from .sections import (AlgebroidSection, BumpFunction, TimeGrid, extend,
-                       integrate_01, loop_section, random_loop_section,
+from .sections import (AlgebroidSection, BumpFunction, TimeGrid, at_times, constant_field,
+                       extend, integrate_01, loop_section, random_loop_section,
                        random_section, random_twisted_loop, scaled, template_section,
                        time_derivative)
 
@@ -276,6 +276,11 @@ def check_bracket_jacobi(ctx, rng):
     return {"triples": n_triples}
 
 
+def _times(h, t, value):
+    """A function h of the points (point axes only) times value at the times t."""
+    return at_times(np.asarray(h)[..., None], t) * value
+
+
 @_register("algebroid", "bracket_leibniz", tol=1e-6,
            identity="[xi, h zeta] = h [xi,zeta] + (a(xi) h) zeta")
 def check_bracket_leibniz(ctx, rng):
@@ -286,12 +291,12 @@ def check_bracket_leibniz(ctx, rng):
         c0 = alg.random_vector(rng)
 
         def hfun(gg):
-            return float(np.sin(alg.pairing(c0, alg.Ad(gg, c0))))
+            return np.sin(alg.pairing(c0, alg.Ad(gg, c0)))
 
         hz = AlgebroidSection(
-            alg, lambda gg, t: hfun(gg) * ze.profile(gg, t),
-            lambda gg: hfun(gg) * ze.v(gg),
-            dprofile=lambda gg, t: hfun(gg) * ze.dprofile(gg, t))
+            alg, lambda gg, t: _times(hfun(gg), t, ze.profile(gg, t)),
+            lambda gg: _times(hfun(gg), (), ze.v(gg)),
+            dprofile=lambda gg, t: _times(hfun(gg), t, ze.dprofile(gg, t)))
         t0 = rng.uniform(0.15, 0.85)
         lhs = albr.bracket(xi, hz, h=ctx.h).profile(g, t0)
         dh = alg.directional(lambda gg: np.array(hfun(gg)), g, xi.v(g), h=ctx.h)
@@ -608,7 +613,7 @@ def check_dsigma(ctx, rng):
             - lf.central_cocycle(z1, b2, g, ctx.coarse_grid, h_t=ctx.h_t)
         pointwise = AlgebroidSection(
             alg, lambda gg, t: -alg.bracket(z1.profile(gg, t), z2.profile(gg, t)),
-            lambda gg: np.zeros(alg.dim))
+            constant_field(alg, np.zeros(alg.dim)))
         ts = ctx.coarse_grid.nodes
         rhs = ctx.coarse_grid.integrate(alg.pairing(
             time_derivative(ch, g, ts, h_t=ctx.h_t), pointwise.profile(g, ts)))
@@ -852,7 +857,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
-        fields = [lambda gg, vv=v: vv for v in vs]
+        fields = [constant_field(alg, v) for v in vs]
         om_form = None
         if omega is not None:
             om_form = fm.AlgebroidForm(alg, 2, omega)
@@ -881,7 +886,7 @@ def check_lifted_jacobi_obstruction(ctx, rng):
     for label, om in cases:
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
-        fields = [lambda gg, vv=v: vv for v in vs]
+        fields = [constant_field(alg, v) for v in vs]
         jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid,
                                           h=ctx.h, h_t=ctx.h_t)
         target = eta(g, *vs)
@@ -921,7 +926,7 @@ def check_gamma_change(ctx, rng):
     alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)),
                              bump=ctx.bump, invariant=True)
     c1, c2 = alg.random_vector(rng, 0.3), alg.random_vector(rng, 0.3)
-    lam0 = lambda g, v: alg.pairing(c1, v) * c2 + 0.2 * alg.Ad(g, v)
+    lam0 = lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v)
     lam = lf.HorizontalFamily(alg, lam0, ctx.bump)
     bker = random_twisted_loop(alg, rng, scale=0.4, bump=ctx.bump)
     gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h, h_t=ctx.h_t)
@@ -1780,16 +1785,16 @@ def check_subalgebroid(ctx, rng):
     z = np.array([0.0, 0.0, 1.0])
     y = np.array([0.0, 1.0, 0.0])
     two_pi = 2.0 * np.pi
-    s1 = AlgebroidSection(
-        alg, lambda gg, t: scaled(np.cos(two_pi * t), z),
-        lambda gg: np.zeros(3),
-        dprofile=lambda gg, t: scaled(-two_pi * np.sin(two_pi * t), z), name="s1")
+    s1 = loop_section(alg, lambda t: scaled(np.cos(two_pi * t), z),
+                      lambda t: scaled(-two_pi * np.sin(two_pi * t), z), name="s1")
+    # gg[..., 0, 1] over the point axes, times a function of t over the time axes
     s2 = AlgebroidSection(
         alg, lambda gg, t: scaled(np.cos(two_pi * t), y)
-        + scaled(gg[0, 1] * t * np.cos(two_pi * t), z),
-        lambda gg: np.zeros(3),
+        + scaled(np.multiply.outer(gg[..., 0, 1], t) * np.cos(two_pi * t), z),
+        constant_field(alg, np.zeros(3)),
         dprofile=lambda gg, t: scaled(-two_pi * np.sin(two_pi * t), y)
-        + scaled(gg[0, 1] * (np.cos(two_pi * t) - two_pi * t * np.sin(two_pi * t)), z),
+        + scaled(np.multiply.outer(gg[..., 0, 1], np.ones_like(t))
+                 * (np.cos(two_pi * t) - two_pi * t * np.sin(two_pi * t)), z),
         name="s2")
     yield s1.compatibility_residual(g)
     yield s2.compatibility_residual(g)
@@ -1807,10 +1812,10 @@ def check_subalgebroid(ctx, rng):
     c0 = alg.random_vector(rng)
 
     def hfun(gg):
-        return float(np.sin(gg[0, 1] + alg.pairing(c0, c0)))
+        return np.sin(gg[..., 0, 1] + alg.pairing(c0, c0))
 
-    fq2 = AlgebroidSection(alg, lambda gg, t: hfun(gg) * q2.profile(gg, t),
-                           lambda gg: hfun(gg) * q2.v(gg))
+    fq2 = AlgebroidSection(alg, lambda gg, t: _times(hfun(gg), t, q2.profile(gg, t)),
+                           lambda gg: _times(hfun(gg), (), q2.v(gg)))
     qbr = albr.bracket(q1, fq2, h=ctx.h)
     ts = np.linspace(0.07, 0.93, 9)
     target = qbr.profile(g, ts).ravel()

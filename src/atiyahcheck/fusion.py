@@ -17,7 +17,7 @@ import numpy as np
 from .forms import AlgebroidForm, koszul
 from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
 from . import algebroid as albr
-from .liealg import richardson, stencil_steps
+from .liealg import richardson
 from .lifting import canonical_two_form
 
 __all__ = [
@@ -54,13 +54,19 @@ class Slot:
     def push_tangent(self, m, u):
         return u[self.index]
 
+    def point_axes(self, m):
+        return np.shape(m[0])[:-2]
+
     def directional(self, func, m, u, h=1e-4):
         """Richardson derivative along the product-group direction u = (w2, w1)."""
         alg = self.algebra
         e2 = alg.step_exponentials(alg.to_matrix(u[0]), h)
         e1 = alg.step_exponentials(alg.to_matrix(u[1]), h)
-        steps = dict(zip(stencil_steps(h), zip(e2, e1)))
-        return richardson(lambda s: func((steps[s][0] @ m[0], steps[s][1] @ m[1])), h)
+        return richardson([func((s2 @ m[0], s1 @ m[1])) for s2, s1 in zip(e2, e1)], h)
+
+    def stencil_derivative(self, func, m, u, h=1e-4):
+        """The same derivative: a slot evaluates its stencil point by point."""
+        return self.directional(func, m, u, h=h)
 
     def field_bracket(self, xf, yf, m, h=1e-4):
         """[X, Y] on G x G, per row -[x_k, y_k] + D_X y_k - D_Y x_k."""

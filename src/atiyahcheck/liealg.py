@@ -9,13 +9,21 @@ algebra elements are coefficient vectors in the chosen basis.
 Complex groups (su(2)) are handled through a fixed real encoding
 a + ib -> [[a, -b], [b, a]] so that all numerics stay real.
 
+Group points may carry leading point axes (shape point_axes + (n, n)), and
+so may the directions of a Richardson stencil.  A stencil over the group is
+the stack exp(s V) g, s in stencil_steps(h), on a new axis 0; `directional`
+calls its function once per stencil point, `stencil_derivative` once on
+the whole (4, *point_axes) stack, and both combine the four values with
+`richardson`.  Every member of a batch is computed exactly as it would be
+alone, so the two routes agree bit for bit.
+
 Each LieAlgebra keeps a small least-recently-used memo of at most
 _MEMO_SIZE (256) entries, shared by two kinds of value:
-  * the Richardson step exponentials expm(+-h V), expm(+-2h V) of
-    `directional` (and of fusion's product-group stencil), keyed by the
-    bytes of the direction matrix V and the step h;
+  * the stacked Richardson step exponentials expm(+-h V), expm(+-2h V) of
+    a stencil (and of fusion's product-group stencil), keyed by the shape
+    and bytes of the direction matrices V and the step h;
   * the group inverse `inv(g)` behind `Ad`, `Ad_operator` and the callers
-    that invert group elements, keyed by the bytes of g.
+    that invert group elements, keyed by the shape and bytes of g.
 A hit returns the array computed on the first miss by the same function
 (expm, np.linalg.inv) from the same operand, and callers combine it with
 the same operations in the same order as before, so every result is
@@ -50,13 +58,23 @@ _PADE13 = (
 _MEMO_SIZE = 256
 
 
-def richardson(at, h):
-    """(4 D_h - D_2h) / 3, where D_s = (at(s) - at(-s)) / 2s is the central
-    difference of the function at of the step s."""
-    def central(s):
-        return (np.asarray(at(s), dtype=float) - np.asarray(at(-s), dtype=float)) / (2.0 * s)
+def richardson(values, h):
+    """(4 D_h - D_2h) / 3 from a function's values at stencil_steps(h),
+    stacked on axis 0, where D_s = (f(s) - f(-s)) / 2s is the central
+    difference of the step s."""
+    f = np.asarray(values, dtype=float)
+    return (4.0 * ((f[0] - f[1]) / (2.0 * h))
+            - (f[2] - f[3]) / (2.0 * (2.0 * h))) / 3.0
 
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+
+def _derivative(values, h):
+    """richardson of stacked stencil values; a float for a scalar function."""
+    out = richardson(values, h)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite directional derivative")
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def stencil_steps(h):
@@ -225,9 +243,9 @@ class LieAlgebra:
         return value
 
     def inv(self, g):
-        """g^{-1} as a read-only array, memoised by the bytes of g."""
+        """g^{-1} as a read-only array, memoised by the shape and bytes of g."""
         g = np.asarray(g, dtype=float)
-        key = g.tobytes()
+        key = (g.shape, g.tobytes())
         ginv = self._memo.get(key)
         if ginv is None:
             return self._remember(key, _frozen(np.linalg.inv(g)))
@@ -235,13 +253,15 @@ class LieAlgebra:
         return ginv
 
     def step_exponentials(self, vm, h):
-        """(expm(h vm), expm(-h vm), expm(2h vm), expm(-2h vm)), read-only and
-        memoised by the bytes of the direction matrix vm and the step h."""
-        key = (vm.tobytes(), h)
+        """expm(s vm) for s in stencil_steps(h), stacked on a new axis 0: one
+        expm per step over all leading axes of vm.  Read-only and memoised
+        by the shape and bytes of vm and the step h."""
+        vm = np.asarray(vm, dtype=float)
+        key = (vm.shape, vm.tobytes(), h)
         steps = self._memo.get(key)
         if steps is None:
-            return self._remember(key, tuple(
-                _frozen(expm(step * vm)) for step in stencil_steps(h)))
+            return self._remember(key, _frozen(np.stack(
+                [expm(step * vm) for step in stencil_steps(h)])))
         self._memo.move_to_end(key)
         return steps
 
@@ -273,31 +293,62 @@ class LieAlgebra:
         return 0.0
 
     def log(self, g):
-        """Inverse of exp where the catalog group provides one."""
+        """Inverse of exp where the catalog group provides one, point by point
+        over any leading point axes of g."""
         if self._log_map is None:
             raise NotImplementedError(f"no log map for group {self.name!r}")
+        if np.ndim(g) > 2:
+            g = np.asarray(g, dtype=float)
+            flat = g.reshape((-1,) + g.shape[-2:])
+            logs = np.array([self._log_map(self, point) for point in flat])
+            return logs.reshape(g.shape[:-2] + (self.dim,))
         return self._log_map(self, g)
 
     # -- calculus on the group -----------------------------------------------
+
+    def stencil(self, g, v, h):
+        """The Richardson stencil of g along v: exp(s v) g for s in
+        stencil_steps(h), shape (4,) + point axes + (n, n).  v carries the
+        point axes of g, or none (the same direction at every point)."""
+        steps = self.step_exponentials(self.to_matrix(v), h)
+        missing = np.ndim(g) - steps.ndim + 1
+        if missing > 0:
+            steps = steps.reshape(steps.shape[:1] + (1,) * missing + steps.shape[1:])
+        return steps @ g
 
     def directional(self, func, g, v, h=1e-4):
         """Derivative of func along the right-trivialized direction v at g.
 
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
-        curve s -> exp(s v) g; func may return scalars or arrays.
+        curve s -> exp(s v) g.  func is called once per stencil point, with
+        the point axes of g, and may return scalars or arrays; this is the
+        route for forms and scalar functions.
         """
-        steps = dict(zip(stencil_steps(h), self.step_exponentials(self.to_matrix(v), h)))
-        out = richardson(lambda s: func(steps[s] @ g), h)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("non-finite directional derivative")
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _derivative([func(point) for point in self.stencil(g, v, h)], h)
+
+    def stencil_derivative(self, func, g, v, h=1e-4):
+        """The derivative `directional` computes, from one call of func on the
+        whole (4, *point axes) stencil stack.
+
+        func must take leading point axes and return them first, each member
+        as it would be computed alone (every section over the group does,
+        see sections), so the result is bit-identical to `directional`.
+        """
+        points = self.stencil(g, v, h)
+        values = np.asarray(func(points), dtype=float)
+        if values.shape[:points.ndim - 2] != points.shape[:-2]:
+            raise ValueError(f"a function of stencil points {points.shape[:-2]} returned "
+                             f"shape {values.shape}; it must keep the point axes first")
+        return _derivative(values, h)
 
     # -- the group as a base of sections (Phi = identity) --------------------
 
     def point(self, g):
         return g
+
+    def point_axes(self, g):
+        """The leading point axes of a group point or stack of them."""
+        return np.shape(g)[:-2]
 
     def push_tangent(self, g, u):
         return u
@@ -307,11 +358,19 @@ class LieAlgebra:
         return self.Ad(g, x) - x
 
     def field_bracket(self, xf, yf, g, h=1e-4):
-        """theta^R([X, Y]) of right-trivialized fields: -[x, y] + D_x y - D_y x."""
+        """theta^R([X, Y]) of right-trivialized fields: -[x, y] + D_x y - D_y x.
+
+        A field returns the point axes of its argument first, or one vector
+        that holds at every point (a constant field), so each derivative is
+        one stencil call.
+        """
+        def over_points(field):
+            return lambda p: np.broadcast_to(field(p), self.point_axes(p) + (self.dim,))
+
         x, y = xf(g), yf(g)
         out = -self.bracket(x, y)
-        out = out + self.directional(yf, g, x, h=h)
-        return out - self.directional(xf, g, y, h=h)
+        out = out + self.stencil_derivative(over_points(yf), g, x, h=h)
+        return out - self.stencil_derivative(over_points(xf), g, y, h=h)
 
     def maurer_cartan(self, g, v, side):
         """Value of the Maurer-Cartan form on the tangent vector with theta^R = v."""

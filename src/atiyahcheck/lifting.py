@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
 from .forms import AlgebroidForm
-from .sections import (AlgebroidSection, InterpolatedFamily, constant_profile_section,
-                       extend, time_derivative)
+from .sections import (AlgebroidSection, InterpolatedFamily, constant_field,
+                       constant_profile_section, extend, time_derivative)
 
 __all__ = [
     "central_cocycle",
@@ -30,13 +30,10 @@ __all__ = [
     "q_alpha",
     "q_alpha_closed_form",
     "eta_from_data",
-    "LiftedSection",
-    "horizontal_lift",
     "lifted_bracket",
     "lifted_jacobiator_scalar",
     "equivariant_generator_residual",
     "HorizontalFamily",
-    "PerturbedFamily",
     "gamma_change",
     "eta_perturbed",
 ]
@@ -240,10 +237,7 @@ def _curvature_section(alpha, w1, w2, h=1e-4):
     def profile(g, t):
         return curvature(alpha, g, t, w1(g), w2(g), h=h)
 
-    def v(g):
-        return np.zeros(alg.dim)
-
-    return AlgebroidSection(alg, profile, v, name="F")
+    return AlgebroidSection(alg, profile, constant_field(alg, np.zeros(alg.dim)), name="F")
 
 
 def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
@@ -274,10 +268,8 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
         out = out + vert.body.profile(g, t)
         return out
 
-    def body_v(g):
-        return np.zeros(alg.dim)
-
-    body = AlgebroidSection(alg, body_profile, body_v, name="lifted-bracket-body")
+    body = AlgebroidSection(alg, body_profile, constant_field(alg, np.zeros(alg.dim)),
+                            name="lifted-bracket-body")
 
     def scalar(g):
         out = nb1.scalar(g) - nb2.scalar(g) + vert.scalar(g)
@@ -352,7 +344,7 @@ class HorizontalFamily(InterpolatedFamily):
         def dprofile(g, t):
             return self.tderiv(t, g, w_field(g))
 
-        return AlgebroidSection(alg, profile, lambda g: np.zeros(alg.dim),
+        return AlgebroidSection(alg, profile, constant_field(alg, np.zeros(alg.dim)),
                                 dprofile=dprofile, name=name)
 
 
@@ -391,32 +383,33 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
     alg = alpha.algebra
     beta = _beta_functional(alg, beta_kernel, grid)
 
+    zero = constant_field(alg, np.zeros(alg.dim))
+
     def evaluator(g, v, w):
-        lam_v = lam.section(lambda gg: v)
-        lam_w = lam.section(lambda gg: w)
+        fv, fw = constant_field(alg, v), constant_field(alg, w)
+        lam_v = lam.section(fv)
+        lam_w = lam.section(fw)
         out = dtheta_j(alpha, g, v, lam_w, grid) - dtheta_j(alpha, g, w, lam_v, grid)
         out += 0.5 * (central_cocycle(lam_v, lam_w, g, grid, h_t=h_t)
                       - central_cocycle(lam_w, lam_v, g, grid, h_t=h_t))
         # F + d^theta lambda, evaluated on the constant frames (v, w)
-        fsec = _curvature_section(alpha, lambda gg: v, lambda gg: w, h=h)
-        hv = _hor_section(alpha, lambda gg: v)
-        hw = _hor_section(alpha, lambda gg: w)
+        fsec = _curvature_section(alpha, fv, fw, h=h)
+        hv = _hor_section(alpha, fv)
+        hw = _hor_section(alpha, fw)
         dtl1 = bracket(hv, lam_w, h=h)
         dtl2 = bracket(hw, lam_v, h=h)
-        lam_br = lam.section(lambda gg: -alg.bracket(v, w))
+        lam_br = lam.section(constant_field(alg, -alg.bracket(v, w)))
 
         def dtheta_lam(gg, t):
             return (dtl1.profile(gg, t) - dtl2.profile(gg, t)
                     - lam_br.profile(gg, t))
 
         total_arg = AlgebroidSection(
-            alg, lambda gg, t: fsec.profile(gg, t) + dtheta_lam(gg, t),
-            lambda gg: np.zeros(alg.dim))
+            alg, lambda gg, t: fsec.profile(gg, t) + dtheta_lam(gg, t), zero)
         out -= beta(total_arg, g)
         pointwise = AlgebroidSection(
             alg,
-            lambda gg, t: -alg.bracket(lam_v.profile(gg, t), lam_w.profile(gg, t)),
-            lambda gg: np.zeros(alg.dim))
+            lambda gg, t: -alg.bracket(lam_v.profile(gg, t), lam_w.profile(gg, t)), zero)
         out += beta(pointwise, g)
         return out
 
@@ -434,7 +427,7 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
         """< d^{theta'} j', F >(X) for the L-section fsec."""
         lead = -_pair_dot(alg, grid, prime.tderiv(ts, g, v), fsec.profile(g, ts))
         # < d^{theta'} beta, F >(X) = D_v beta(F) - beta([Hor' X, F])
-        horp = _hor_section(prime, lambda gg: v)
+        horp = _hor_section(prime, constant_field(alg, v))
         drift = alg.directional(lambda gg: np.array(beta(fsec, gg)), g, v, h=h)
         br = bracket(horp, fsec, h=h)
         return lead + float(drift) - beta(br, g)
@@ -444,7 +437,8 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
         total = 0.0
         for i, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
             j, k = [m for m in range(3) if m != i]
-            fsec = _curvature_section(prime, lambda gg: vs[j], lambda gg: vs[k], h=h)
+            fsec = _curvature_section(prime, constant_field(alg, vs[j]),
+                                      constant_field(alg, vs[k]), h=h)
             total -= sign * pair_one(g, vs[i], fsec)
         return total
 

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .liealg import richardson, stencil_steps
-from .sections import AlgebroidSection
+from .sections import AlgebroidSection, at_times
 
 __all__ = [
     "ConjugacyClass",
@@ -92,11 +92,17 @@ class ConjugacyClass:
         """Minimum-norm x with x_M(n) = t; for the cross-product action x = n x t."""
         return np.cross(n, t)
 
+    def point_axes(self, n):
+        return np.shape(n)[:-1]
+
     def directional(self, func, n, u, h=1e-3):
         """Richardson derivative of a function on the sphere along tangent u."""
-
-        out = richardson(lambda s: func(_norm(n + s * u)), h)
+        out = richardson([func(_norm(n + s * u)) for s in stencil_steps(h)], h)
         return float(out) if out.ndim == 0 else out
+
+    def stencil_derivative(self, func, n, u, h=1e-3):
+        """The same derivative: the class evaluates its stencil point by point."""
+        return self.directional(func, n, u, h=h)
 
     def field_bracket(self, xf, yf, n, h=1e-3):
         """[X, Y] of tangent fields via the degree-0 homogeneous extension."""
@@ -362,7 +368,7 @@ def project_based(xi):
         return xi.xfield(m) + base.generator_field(xi.profile(m, 0.0), m)
 
     def profile(m, t):
-        return xi.profile(m, t) - xi.profile(m, 0.0)
+        return xi.profile(m, t) - at_times(xi.profile(m, 0.0), t)
 
     return AlgebroidSection(xi.algebra, profile, xfield, dprofile=xi.dprofile,
                             name=f"q({xi.name})", base=base)

@@ -4,15 +4,25 @@ A section of the pull-back algebroid Phi^!A along a map Phi: M -> G assigns
 to (m, t) an algebra vector xi(m, t) together with a tangent field X on M,
 whose push v(m) = theta^R(d Phi X(m)) closes the seam
 xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + v(m).  A base provides point (Phi),
-push_tangent (d Phi in theta^R), directional (derivatives along its
-tangents), field_bracket (of tangent fields) and generator_field (the
-action generator x_M).  The group is the base of its own sections with
-Phi the identity, so there X = v; qham's conjugacy class and fusion's
-slots of G x G are the other bases.  Profiles, their derivatives, the
-extension past [0, 1] and the t-families take a float or a 1-D array t
-and return shape np.shape(t) + (dim,), so a pair integral is one call per
-section on the grid nodes and one TimeGrid.integrate; integrate_01 stays
-for scalar callables, one call per node.
+point_axes, push_tangent (d Phi in theta^R), directional and
+stencil_derivative (derivatives along its tangents), field_bracket (of
+tangent fields) and generator_field (the action generator x_M).  The group
+is the base of its own sections with Phi the identity, so there X = v;
+qham's conjugacy class and fusion's slots of G x G are the other bases.
+
+Point axes lead and time axes follow.  Profiles, their derivatives and the
+t-families take a float or a 1-D array t and return np.shape(t) + (dim,)
+after the point axes of m; over the group m may be a stack of points of
+shape point_axes + (n, n), and xfield and v return point_axes + (dim,).
+Every member is computed exactly as it would be alone, so a bracket over
+the group evaluates each inner section once on its whole Richardson
+stencil (LieAlgebra.stencil_derivative) and the result is bit-identical to
+point-by-point evaluation.  Every section constructor here keeps that
+contract over the group; sections over a conjugacy class or a slot are
+evaluated at one point at a time.  extend and time_derivative take one
+point; a pair integral is one call per section on the grid nodes and one
+TimeGrid.integrate; integrate_01 stays for scalar callables, one call per
+node.
 
 A PointMemo keeps the point data that sections and t-families recompute
 most: a random section's anchor datum v(g) and its template data
@@ -20,12 +30,12 @@ most: a random section's anchor datum v(g) and its template data
 (n, g, arg), a bump's value and derivative at t, and a twisted loop's
 conjugator (c, c^{-1}), c = exp(b(t) log g), at (g, t).  It is
 least-recently-used with at most liealg._MEMO_SIZE entries, keyed by the
-shape and bytes of each array argument (group point, vector, times; so
-0.5 and [0.5] differ) and by an int or a section object itself.  A hit
-returns a read-only copy of what the same function returned on the first
-miss (a numpy scalar is kept as it is), so every result is bit-identical
-to the unmemoised computation.  extend makes one profile call per array
-of times, whatever integers the times cross.
+shape and bytes of each array argument (group point or stack, vector,
+times; so 0.5 and [0.5] differ) and by an int or a section object itself.
+A hit returns a read-only copy of what the same function returned on the
+first miss (a numpy scalar is kept as it is), so every result is
+bit-identical to the unmemoised computation.  extend makes one profile
+call per array of times, whatever integers the times cross.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ __all__ = [
     "TimeGrid",
     "BumpFunction",
     "AlgebroidSection",
+    "at_times",
+    "constant_field",
     "gauge_steps",
     "InterpolatedFamily",
     "piecewise",
@@ -54,7 +66,6 @@ __all__ = [
     "integrate_01",
     "random_section",
     "random_loop_section",
-    "twisted_loop_section",
     "random_twisted_loop",
 ]
 
@@ -91,15 +102,34 @@ def integrate_01(f, grid):
 
 
 def scaled(f, x):
-    """f(t) x for f of shape np.shape(t) and x of shape (dim,) or np.shape(t) + (dim,)."""
+    """f(t) x for f of shape np.shape(t) and x of shape (dim,), np.shape(t) + (dim,)
+    or any shape that broadcasts against np.shape(t) + (1,)."""
     return np.asarray(f)[..., None] * x
+
+
+def at_times(x, t):
+    """x of shape point axes + (dim,) with np.ndim(t) time axes inserted before
+    its last axis, so that it broadcasts against values at the times t."""
+    return np.expand_dims(x, tuple(range(-1 - np.ndim(t), -1)))
+
+
+def constant_field(algebra, value):
+    """The function of group points equal to value at each of them, with
+    their point axes: a constant tangent field or a zero anchor datum."""
+    value = _frozen_copy(value)
+    return lambda g: _over_points(algebra, g, value)
+
+
+def _over_points(algebra, g, value):
+    lead = algebra.point_axes(g)
+    return np.broadcast_to(value, lead + np.shape(value)) if lead else value
 
 
 def piecewise(t, piece, evaluate):
     """evaluate(k, tk) on each set of times tk sharing the integer k = piece(tk).
 
     A float t gives evaluate(int(piece(t)), t); an array gives the pieces'
-    values in the order of t.
+    values, shape point axes + np.shape(t) + (dim,), in the order of t.
     """
     if np.ndim(t) == 0:
         return evaluate(int(piece(t)), t)
@@ -108,8 +138,8 @@ def piecewise(t, piece, evaluate):
     ks = sorted(set(keys.tolist()))
     if len(ks) == 1:
         return evaluate(int(ks[0]), t)
-    vals = np.concatenate([evaluate(int(k), t[keys == k]) for k in ks])
-    return vals[np.argsort(np.argsort(keys, kind="stable"))]
+    vals = np.concatenate([evaluate(int(k), t[keys == k]) for k in ks], axis=-2)
+    return vals[..., np.argsort(np.argsort(keys, kind="stable")), :]
 
 
 class BumpFunction:
@@ -159,7 +189,8 @@ class BumpFunction:
 class AlgebroidSection:
     """A quasi-periodic section over a base: profile on [0, 1], tangent field, d/dt.
 
-    profile(m, t) -> coefficients of shape np.shape(t) + (dim,), t in [0, 1];
+    profile(m, t) -> coefficients of shape np.shape(t) + (dim,), t in [0, 1],
+    after the point axes of m;
     xfield(m) -> tangent of the base at m (on the group: the anchor datum);
     dprofile(m, t) -> the same shape, optional analytic time derivative;
     base defaults to the group of the algebra itself.
@@ -273,18 +304,18 @@ class InterpolatedFamily:
     def value(self, t, g, arg):
         def piece(n, tn):
             lo, hi = self._ends(n, g, arg)
-            return lo + scaled(self.bump(tn - n), hi - lo)
+            return at_times(lo, tn) + scaled(self.bump(tn - n), at_times(hi - lo, tn))
         return piecewise(t, np.floor, piece)
 
     def tderiv(self, t, g, arg):
         def piece(n, tn):
             lo, hi = self._ends(n, g, arg)
-            return scaled(self.bump.deriv(tn - n), hi - lo)
+            return scaled(self.bump.deriv(tn - n), at_times(hi - lo, tn))
         return piecewise(t, np.floor, piece)
 
 
 def extend(section, m, t):
-    """Value of the section at arbitrary real t via the seam rule.
+    """Value of the section at one point m and arbitrary real t via the seam rule.
 
     For t = n + s with s in [0, 1): n gauge steps x -> Ad_{Phi(m)} x + v(m)
     of xi(m, s).  An array of times takes one profile call for all its s,
@@ -345,10 +376,10 @@ def _template(algebra, data, xfield, bump, name, base):
     """The template section of the point data data(m) = (a(m), seam coefficient)."""
     def profile(m, t):
         am, coeff = data(m)
-        return am + scaled(bump(t), coeff)
+        return at_times(am, t) + scaled(bump(t), at_times(coeff, t))
 
     def dprofile(m, t):
-        return scaled(bump.deriv(t), data(m)[1])
+        return scaled(bump.deriv(t), at_times(data(m)[1], t))
 
     return AlgebroidSection(algebra, profile, xfield, dprofile=dprofile,
                             name=name, base=base)
@@ -362,10 +393,10 @@ def constant_profile_section(algebra, value, name="", base=None):
     minus = -value
 
     def profile(m, t):
-        return np.zeros(np.shape(t) + value.shape) + value
+        return np.zeros(base.point_axes(m) + np.shape(t) + value.shape) + value
 
     def dprofile(m, t):
-        return np.zeros(np.shape(t) + value.shape)
+        return np.zeros(base.point_axes(m) + np.shape(t) + value.shape)
 
     def xfield(m):
         return base.generator_field(minus, m)
@@ -379,21 +410,20 @@ def loop_section(algebra, path, dpath=None, name=""):
 
     Intended for loops based at points where the profile satisfies
     path(1) = Ad_g path(0); at the group unit any 1-periodic path qualifies.
-    path and dpath follow the profile's array-time contract.
+    path and dpath follow the profile's array-time contract; over point axes
+    the profile repeats path(t).
     """
 
-    def v(g):
-        return np.zeros(algebra.dim)
-
     def profile(g, t):
-        return path(t)
+        return _over_points(algebra, g, path(t))
 
     dprof = None
     if dpath is not None:
         def dprof(g, t):
-            return dpath(t)
+            return _over_points(algebra, g, dpath(t))
 
-    return AlgebroidSection(algebra, profile, v, dprofile=dprof, name=name)
+    return AlgebroidSection(algebra, profile, constant_field(algebra, np.zeros(algebra.dim)),
+                            dprofile=dprof, name=name)
 
 
 def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
@@ -426,16 +456,16 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
 
     path must be 1-periodic; the seam xi(g, t+1) = Ad_g xi(g, t) then holds
     for every g in the domain of the group log, so the section may be
-    differentiated in g.  The exponentials of all times form one batch, and
-    the conjugator and its inverse are memoised per (g, t) for profile and
-    dprofile alike.
+    differentiated in g.  The exponentials of all points and times form one
+    batch, and the conjugator and its inverse are memoised per (g, t) for
+    profile and dprofile alike.
     """
     if bump is None:
         bump = BumpFunction()
 
     @PointMemo
     def conjugator(g, t):
-        c = algebra.exp(scaled(bump(t), algebra.log(g)))
+        c = algebra.exp(scaled(bump(t), at_times(algebra.log(g), t)))
         return c, np.linalg.inv(c)
 
     def conjugate(g, t, paths):
@@ -448,12 +478,10 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
     def dprofile(g, t):
         ad, dad = conjugate(g, t, [path(t), dpath(t)])
         # exp(u L) moves along its own direction: gamma' gamma^{-1} = f'(t) log g
-        return dad + scaled(bump.deriv(t), algebra.bracket(algebra.log(g), ad))
+        return dad + scaled(bump.deriv(t), algebra.bracket(at_times(algebra.log(g), t), ad))
 
-    def v(g):
-        return np.zeros(algebra.dim)
-
-    return AlgebroidSection(algebra, profile, v, dprofile=dprofile, name=name)
+    return AlgebroidSection(algebra, profile, constant_field(algebra, np.zeros(algebra.dim)),
+                            dprofile=dprofile, name=name)
 
 
 def random_twisted_loop(algebra, rng, n_modes=2, scale=0.8, bump=None, name="twisted-loop"):

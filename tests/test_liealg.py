@@ -234,3 +234,45 @@ def test_memoised_inverse_is_read_only(algebra):
     with pytest.raises(ValueError):
         ginv[0, 0] = 123.0
     assert algebra.inv(g).tobytes() == np.linalg.inv(g).tobytes()
+
+
+def test_memo_keys_hold_the_shape(algebra):
+    # a stack of one point has the bytes of the point alone, not its shape
+    rng = np.random.default_rng(11)
+    g = algebra.random_group(rng)
+    vm = algebra.to_matrix(algebra.random_vector(rng))
+    n = algebra.matrix_size
+    assert algebra.inv(g).shape == (n, n)
+    assert algebra.inv(g[None]).shape == (1, n, n)
+    assert np.shape(algebra.step_exponentials(vm, 1e-4)) == (4, n, n)
+    assert np.shape(algebra.step_exponentials(vm[None], 1e-4)) == (4, 1, n, n)
+
+
+def test_stencil_derivative_matches_directional(algebra):
+    # one call on the (4, *point axes) stack gives directional's bits
+    rng = np.random.default_rng(14)
+    gs = np.array([[algebra.random_group(rng) for _ in range(3)] for _ in range(4)])
+    vs = np.array([[algebra.random_vector(rng) for _ in range(3)] for _ in range(4)])
+    x = algebra.random_vector(rng)
+    funcs = (lambda gg: algebra.Ad(gg, x),
+             lambda gg: np.sin(gg[..., 0, 1]) + gg[..., -1, -1] * gg[..., 0, 0])
+    for func in funcs:
+        for g, v in ((gs[0, 0], vs[0, 0]), (gs, vs), (gs, vs[0, 0])):
+            want = algebra.directional(func, g, v)
+            assert np.asarray(algebra.stencil_derivative(func, g, v)).tobytes() \
+                == np.asarray(want).tobytes()
+
+
+def test_stencil_derivative_rejects_dropped_point_axes():
+    alg = make_group("su2")
+    rng = np.random.default_rng(15)
+    g, v = alg.random_group(rng), alg.random_vector(rng)
+    with pytest.raises(ValueError, match="point axes"):
+        alg.stencil_derivative(lambda gg: np.zeros(alg.dim), g, v)
+
+
+def test_richardson_of_stacked_values():
+    # exact on cubics: f(s) = s^3 + 2 s has derivative 2 at 0
+    h = 0.1
+    values = [s ** 3 + 2.0 * s for s in liealg.stencil_steps(h)]
+    assert abs(liealg.richardson(values, h) - 2.0) < 1e-13

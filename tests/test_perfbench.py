@@ -142,3 +142,30 @@ def test_repeated_random_section_point_adds_no_ad_calls():
     for t in (0.6, TimeGrid(21).nodes):
         g = alg.random_group(rng)
         assert _ad_calls_of_repeat(lambda: xi.profile(g, t)) == 0
+
+
+def test_bracket_profile_evaluates_inner_profiles_on_whole_stencils():
+    # each inner profile is called once per term of the bracket: once at the
+    # point, once on the whole (4,)-stencil of its derivative term; a nested
+    # bracket's inner stencils run as (4, 4) stacks
+    alg = make_group("su2")
+    rng = np.random.default_rng(69)
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        a, b, c = (random_section(alg, rng) for _ in range(3))
+        seen = {}
+        for name, sec in zip("abc", (a, b, c)):
+            seen[name] = []
+            inner = sec.profile
+            sec.profile = lambda m, t, inner=inner, calls=seen[name]: (
+                calls.append(np.shape(m)[:-2]) or inner(m, t))
+        g = alg.random_group(rng)
+        before = tracer.counts["sections.profile"]
+        algebroid.bracket(a, b).profile(g, 0.4)
+        assert tracer.counts["sections.profile"] - before == 5
+        assert seen["a"] == seen["b"] == [(), (4,)]
+        for calls in seen.values():
+            calls.clear()
+        algebroid.bracket(algebroid.bracket(a, b), c).profile(g, TimeGrid(21).nodes)
+        assert seen["a"] == seen["b"] == [(), (4,), (4,), (4, 4)]
+        assert seen["c"] == [(), (4,)]

@@ -1,15 +1,16 @@
-"""tools/report_diff.py on small hand-written reports."""
+"""tools/report_diff.py on small hand-written reports, and tools/reports.py
+on one report of its standard set."""
 
 import importlib.util
 import io
 import json
 import pathlib
 
-_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+_TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("report_diff", _TOOL)
+def _tool(name="report_diff"):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -87,3 +88,18 @@ def test_directories_are_diffed_report_by_report(tmp_path):
     assert _tool().diff(str(parent_dir), str(change_dir), out=out) == 1
     assert out.getvalue().splitlines()[-1] == "only in parent: torus2_42.json"
     assert _tool().main([str(parent_dir), str(change_dir / "su2_42.json")]) == 2
+
+
+def test_standard_reports_on_one_selection(tmp_path):
+    reports = _tool("reports")
+    out = io.StringIO()
+    assert reports.write(str(tmp_path), ["torus2-seed7"], out=out) == 0
+    assert out.getvalue().splitlines() == ["torus2-seed7: exit 0"]
+    report = json.loads((tmp_path / "torus2-seed7.json").read_text())
+    assert report["config_echo"]["seed"] == 7
+    assert report["summary"]["failed"] == 0
+    out = io.StringIO()
+    assert _tool().diff(str(tmp_path), str(tmp_path), out=out) == 0
+    assert out.getvalue().splitlines()[0] == "total 70 results, 70 identical"
+    assert reports.write(str(tmp_path), ["torus2-seed8"]) == 2
+    assert len(reports.REPORTS) == 9
