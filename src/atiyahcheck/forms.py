@@ -9,8 +9,16 @@ once, in `koszul`; the caller supplies the derivative along an argument
 and the bracket of two arguments.  On sections that is the base's own
 derivative along the tangent field and the algebroid bracket
 (`exterior_derivative`); in constant right-trivialized frames it is
-`LieAlgebra.directional` and the frame bracket theta^R([X, Y]) = -[v, w]
-(`de_rham_differential`).
+`LieAlgebra.stencil_derivative` and the frame bracket
+theta^R([X, Y]) = -[v, w] (`de_rham_differential`).
+
+A de Rham form takes leading point axes on its point (and on any tangent
+that carries them) and returns one value per point, each as it would be
+computed alone, so each derivative term of its differential is one call of
+the form on the whole Richardson stencil.  `exterior_derivative` stays
+point by point: its arguments are sections, whose derivative is the
+base's own (`along_sections`), and over a conjugacy class or a slot of
+G x G that base takes one point at a time.
 """
 
 from __future__ import annotations
@@ -129,9 +137,16 @@ def lie_derivative(form, section, h=1e-4):
 
 def de_rham_differential(omega, h=1e-4):
     """The de Rham differential of a form on G in constant right-trivialized
-    frames, whose bracket is theta^R([X, Y]) = -[v, w]."""
+    frames, whose bracket is theta^R([X, Y]) = -[v, w].
+
+    Each derivative term calls omega once, on the (4, *point axes) stencil
+    stack of `LieAlgebra.stencil_derivative`, so omega must take leading
+    point axes and return them first; the differential then takes point
+    axes in turn.  The result is bit-identical to differentiating omega
+    point by point with `LieAlgebra.directional`.
+    """
     alg = omega.algebra
-    return koszul(omega, lambda f, g, v: alg.directional(f, g, v, h=h),
+    return koszul(omega, lambda f, g, v: alg.stencil_derivative(f, g, v, h=h),
                   lambda v, w: -alg.bracket(v, w))
 
 
@@ -152,14 +167,17 @@ def cartan_three_form(algebra):
 
     eta(v1, v2, v3) = (1/12) sum over permutations of sign * B(u_p1, [u_p2, u_p3])
     with u_i = Ad_{g^{-1}} v_i.  The point and the tangents may carry the
-    same leading batch axes; every member is computed as it would be alone.
+    same leading batch axes, or a tangent none (the same vector at every
+    point); every member is computed as it would be alone.
     """
     perms = list(itertools.permutations(range(3)))
     signs = [_perm_sign(perm) for perm in perms]
     first, second, third = np.array(perms).T
 
     def evaluator(g, v1, v2, v3):
-        us = algebra.Ad(algebra.inv(g), np.stack([v1, v2, v3]))
+        lead = algebra.point_axes(g)
+        us = algebra.Ad(algebra.inv(g), np.stack(
+            [np.broadcast_to(v, lead + (algebra.dim,)) for v in (v1, v2, v3)]))
         terms = algebra.pairing(us[first], algebra.bracket(us[second], us[third]))
         total = 0.0
         for sign, term in zip(signs, terms):

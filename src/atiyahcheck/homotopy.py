@@ -15,7 +15,10 @@ exponentiates the chart basis stencils at x in one batched expm, and every
 radial node s x with the stencils of all its tangents in a second one; the
 group points of the nodes are inverted in one batch too.  The form is then
 evaluated once, on all radial nodes as one batch, and the radial sum taken
-in node order.
+in node order.  A primitive takes leading point axes on its point and
+tangents: the points ride along as further batch axes of both expm calls,
+every inversion and the one form call, and the radial sum is taken per
+point, so each point's value is bit-identical to evaluating it alone.
 """
 
 from __future__ import annotations
@@ -30,20 +33,24 @@ __all__ = ["poincare_primitive"]
 
 
 def _chart_pushes(alg, ys, us, h):
-    """exp(y) and theta^R(d exp_y(u)) for every chart point y (a row of ys)
-    and every tangent u (a row of us), from one batched exponential.
+    """exp(y) and theta^R(d exp_y(u)) for chart points ys, shape lead + (dim,),
+    and tangents us, shape broadcasting to lead + (K, dim), from one batched
+    exponential.
 
-    Returns the group points, shape (len(ys), n, n), and the pushed
-    tangents, shape (len(ys), len(us), dim).
+    Returns the group points, shape lead + (n, n), and the pushed tangents,
+    shape lead + (K, dim).
     """
     steps = np.array(stencil_steps(h))
-    moved = ys[:, None, None, :] + steps[:, None] * us[:, None, :]
-    points = np.concatenate([ys[:, None, :], moved.reshape(len(ys), -1, alg.dim)], axis=1)
+    moved = ys[..., None, None, :] + steps[:, None] * us[..., :, None, :]
+    lead = moved.shape[:-3]
+    ys = np.broadcast_to(ys, lead + ys.shape[-1:])
+    points = np.concatenate([ys[..., None, :], moved.reshape(lead + (-1, alg.dim))],
+                            axis=-2)
     mats = alg.exp(points)
-    gs = mats[:, 0]
+    gs = mats[..., 0, :, :]
     ginv = np.linalg.inv(gs)
-    stencils = mats[:, 1:].reshape((len(ys), len(us), 4) + gs.shape[1:])
-    return gs, alg.push_stencil(stencils, ginv[:, None], h)
+    stencils = mats[..., 1:, :, :].reshape(lead + (us.shape[-2], 4) + gs.shape[-2:])
+    return gs, alg.push_stencil(stencils, ginv[..., None, :, :], h)
 
 
 def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
@@ -51,12 +58,17 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
 
     The result is evaluated back on the group: tangents are mapped to chart
     coordinates with the inverse exp differential (solved numerically from
-    the forward pushforward on the chart basis).
+    the forward pushforward on the chart basis).  It takes leading point
+    axes on its point g (and on any tangent that carries them) and returns
+    one value per point, so it is itself a de Rham form that
+    `forms.de_rham_differential` and the lifted bracket can evaluate on a
+    whole stencil.
 
-    omega must take a leading batch axis on its point and its tangents: it is
-    called once per evaluation, on the n_radial node points (n_radial, n, n)
-    and the pushed tangents (n_radial, dim) each, and must return the
-    n_radial values, each as it would be computed alone.
+    omega must take leading batch axes on its point and its tangents: it is
+    called once per evaluation, on the node points, shape point axes +
+    (n_radial, n, n), and the pushed tangents, point axes + (n_radial, dim)
+    each, and must return the point axes + (n_radial,) values, each as it
+    would be computed alone.
     """
     alg = omega.algebra
     k = omega.degree
@@ -64,18 +76,21 @@ def poincare_primitive(omega, sign=1.0, n_radial=24, h=1e-4):
     chart_basis = np.eye(alg.dim)
 
     def evaluator(g, *vs):
+        lead = alg.point_axes(g)
         x = np.asarray(alg.log(g), dtype=float)
         # forward map of the chart basis, then invert to carry theta^R data back
-        _, cols = _chart_pushes(alg, x[None], chart_basis, h)
-        back = np.linalg.inv(cols[0].T)
-        tangents = np.array([x] + [back @ v for v in vs])
-        gs, pushed = _chart_pushes(alg, nodes[:, None] * x, tangents, h)
-        values = omega(gs, *np.moveaxis(pushed, 1, 0))
-        if np.shape(values) != nodes.shape:
+        _, cols = _chart_pushes(alg, x, chart_basis, h)
+        back = np.linalg.inv(np.swapaxes(cols, -1, -2))
+        tangents = np.stack([x] + [(back @ np.asarray(v)[..., None])[..., 0] for v in vs],
+                            axis=-2)
+        gs, pushed = _chart_pushes(alg, nodes[:, None] * x[..., None, :],
+                                   tangents[..., None, :, :], h)
+        values = omega(gs, *np.moveaxis(pushed, -2, 0))
+        if np.shape(values) != lead + nodes.shape:
             raise ValueError(f"{omega.name or 'omega'} gave shape {np.shape(values)} on "
                              f"{len(nodes)} radial nodes; it must take a leading batch axis")
         total = 0.0
-        for s, w, value in zip(nodes, weights, values.tolist()):
+        for s, w, value in zip(nodes, weights, np.moveaxis(values, -1, 0)):
             total += w * (s ** (k - 1)) * value
         return sign * total
 

@@ -13,8 +13,9 @@ Group points may carry leading point axes (shape point_axes + (n, n)), and
 so may the directions of a Richardson stencil.  A stencil over the group is
 the stack exp(s V) g, s in stencil_steps(h), on a new axis 0; `directional`
 calls its function once per stencil point, `stencil_derivative` once on
-the whole (4, *point_axes) stack, and both combine the four values with
-`richardson`.  Every member of a batch is computed exactly as it would be
+the whole (4, *point_axes) stack (sections, lifted scalars and de Rham
+forms over the group take such stacks), and both combine the four values
+with `richardson`.  Every member of a batch is computed exactly as it would be
 alone, so the two routes agree bit for bit.
 
 Each LieAlgebra keeps a small least-recently-used memo of at most
@@ -322,7 +323,9 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g.  func is called once per stencil point, with
         the point axes of g, and may return scalars or arrays; this is the
-        route for forms and scalar functions.
+        route for functions that take one point at a time (the derivative
+        along sections in forms.exterior_derivative, the Bott maps, the
+        checks' own oracles).
         """
         return _derivative([func(point) for point in self.stencil(g, v, h)], h)
 

@@ -6,15 +6,29 @@ j(xi) = (xi, 0) whose cocycle is sigma(xi1, xi2) = -int xi1' . xi2.
 From a connection family alpha_t this module builds the 2-form varpi,
 the obstruction 3-form, the lifted bracket on (L + R) + TG and the
 residuals the identities demand.
+
+Scalars and de Rham forms over the group take leading point axes, as the
+sections do: at a stack of group points, shape point_axes + (n, n), a
+scalar field (`central_cocycle`, `canonical_two_form`, `dtheta_j`, the
+scalar of an ExtendedLSection and of every bracket built here) returns one
+value per point, each computed exactly as it would be alone.  A pair
+integral pairs the two sections' grid values, which leaves the times on
+the last axis, and TimeGrid.integrate sums that axis.  So each drift
+(`nabla_hat`, `eta_perturbed`, `equivariant_generator_residual`) is one
+`LieAlgebra.stencil_derivative` call on the whole (4, *point axes)
+stencil, and nested lifted brackets evaluate their inner grid integrals
+once per stencil, not once per stencil point.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
 from .forms import AlgebroidForm
-from .sections import (AlgebroidSection, InterpolatedFamily, constant_field,
+from .sections import (AlgebroidSection, InterpolatedFamily, _over_points, constant_field,
                        constant_profile_section, extend, time_derivative)
 
 __all__ = [
@@ -40,7 +54,8 @@ __all__ = [
 
 
 def _pair_dot(alg, grid, f1, f2):
-    """int_0^1 B(f1(t), f2(t)) dt by Simpson, from f1 and f2 on the grid nodes."""
+    """int_0^1 B(f1(t), f2(t)) dt by Simpson, from f1 and f2 on the grid nodes
+    (times on the second-to-last axis); one value per point."""
     return grid.integrate(alg.pairing(f1, f2))
 
 
@@ -56,11 +71,18 @@ def central_cocycle(xi1, xi2, g, grid, h_t=1e-5):
 
 
 class ExtendedLSection:
-    """A section of the extended bundle: L-section body plus a scalar field."""
+    """A section of the extended bundle: L-section body plus a scalar field.
+
+    The scalar takes the point axes of its argument, as the body does: at a
+    stack of points it returns one value per point.  A constant scalar is a
+    float at one point and a read-only array filled with it over point axes.
+    """
 
     def __init__(self, body, scalar):
         self.body = body
-        self.scalar = scalar if callable(scalar) else (lambda g, s=float(scalar): s)
+        if not callable(scalar):
+            scalar = partial(_over_points, body.algebra, value=float(scalar))
+        self.scalar = scalar
 
     @classmethod
     def split(cls, body):
@@ -79,14 +101,18 @@ def bracket_lhat(a, b, grid, h_t=1e-5):
 
 
 def nabla_hat(xi, b, grid, h=1e-4, h_t=1e-5):
-    """Lifted representation: ( [xi, body], a(xi) scalar + int xi' . body )."""
+    """Lifted representation: ( [xi, body], a(xi) scalar + int xi' . body ).
+
+    The drift a(xi) scalar is one stencil_derivative call: b's scalar is
+    evaluated once, on the whole Richardson stencil of the point or stack.
+    """
     alg = xi.algebra
     body = bracket(xi.body if isinstance(xi, ExtendedLSection) else xi, b.body, h=h)
     base = xi.body if isinstance(xi, ExtendedLSection) else xi
 
     def scalar(g):
-        drift = alg.directional(lambda gg: np.array(b.scalar(gg)), g, base.v(g), h=h)
-        return float(drift) + _dot_deriv(alg, grid, base, b.body, g, h_t)
+        drift = alg.stencil_derivative(b.scalar, g, base.v(g), h=h)
+        return drift + _dot_deriv(alg, grid, base, b.body, g, h_t)
 
     return ExtendedLSection(body, scalar)
 
@@ -246,7 +272,9 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
     Horizontal-horizontal parts follow
     [Hor(X), Hor(Y)] = Hor([X, Y]) + j(F(X, Y)) - omega(X, Y);
     mixed parts use the lifted representation, vertical parts the extended
-    bracket.  omega is a de Rham 2-form on G (omega = None means 0).
+    bracket.  omega is a de Rham 2-form on G (omega = None means 0); the
+    scalar evaluates it on the point or stack it is given, so omega must take
+    point axes.
     """
     alg = alpha.algebra
     w1, w2 = s1.tangent, s2.tangent
@@ -306,7 +334,7 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid, h=1e-4)
         lhs += omega(g, xg, v)
     if phi_map is not None:
         func = phi_map(x)
-        lhs += alg.directional(lambda gg: np.array(func(gg)), g, v, h=h)
+        lhs += alg.stencil_derivative(func, g, v, h=h)
     ts = grid.nodes
     rhs = -_pair_dot(alg, grid, alpha.tderiv(ts, g, v),
                      generator_vertical_part(alpha, x, g, ts))
@@ -428,9 +456,9 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
         lead = -_pair_dot(alg, grid, prime.tderiv(ts, g, v), fsec.profile(g, ts))
         # < d^{theta'} beta, F >(X) = D_v beta(F) - beta([Hor' X, F])
         horp = _hor_section(prime, constant_field(alg, v))
-        drift = alg.directional(lambda gg: np.array(beta(fsec, gg)), g, v, h=h)
+        drift = alg.stencil_derivative(lambda gg: beta(fsec, gg), g, v, h=h)
         br = bracket(horp, fsec, h=h)
-        return lead + float(drift) - beta(br, g)
+        return lead + drift - beta(br, g)
 
     def evaluator(g, v1, v2, v3):
         vs = (v1, v2, v3)

@@ -19,10 +19,11 @@ the group evaluates each inner section once on its whole Richardson
 stencil (LieAlgebra.stencil_derivative) and the result is bit-identical to
 point-by-point evaluation.  Every section constructor here keeps that
 contract over the group; sections over a conjugacy class or a slot are
-evaluated at one point at a time.  extend and time_derivative take one
-point; a pair integral is one call per section on the grid nodes and one
-TimeGrid.integrate; integrate_01 stays for scalar callables, one call per
-node.
+evaluated at one point at a time.  extend and time_derivative take a
+stack of points too; a pair integral is one call per section on the grid
+nodes and one TimeGrid.integrate over the last (time) axis of their
+pairing, so it gives one value per point; integrate_01 stays for scalar
+callables, one call per node.
 
 A PointMemo keeps the point data that sections and t-families recompute
 most: a random section's anchor datum v(g) and its template data
@@ -90,15 +91,21 @@ class TimeGrid:
         object.__setattr__(self, "weights", w * (h / 3.0))
 
     def integrate(self, values):
-        """Simpson integral of node values stacked along axis 0, summed in node order."""
-        terms = self.weights * np.moveaxis(np.asarray(values, dtype=float), 0, -1)
+        """Simpson integral of node values on the last axis, summed in node order.
+
+        Times are the last axis of a scalar in time, as `pairing` leaves
+        them (point axes + np.shape(t)), so each leading index is integrated
+        exactly as it would be alone.
+        """
+        terms = self.weights * np.asarray(values, dtype=float)
         acc = np.add.accumulate(terms, axis=-1)[..., -1]
         return float(acc) if acc.ndim == 0 else acc
 
 
 def integrate_01(f, grid):
     """Simpson integral over [0, 1] of a scalar- or vector-valued f of one float t."""
-    return grid.integrate(np.array([f(t) for t in grid.nodes], dtype=float))
+    values = np.array([f(t) for t in grid.nodes], dtype=float)
+    return grid.integrate(np.moveaxis(values, 0, -1))
 
 
 def scaled(f, x):
@@ -314,34 +321,46 @@ class InterpolatedFamily:
         return piecewise(t, np.floor, piece)
 
 
+def _point_over_times(section, m, t):
+    """Phi(m) with np.ndim(t) time axes inserted before its matrix axes when m
+    carries point axes, so that it broadcasts against values at the times t."""
+    k = section.base.point(m)
+    if np.ndim(k) == 2:
+        return k
+    return np.expand_dims(k, tuple(range(-2 - np.ndim(t), -2)))
+
+
 def extend(section, m, t):
-    """Value of the section at one point m and arbitrary real t via the seam rule.
+    """Value of the section at m and arbitrary real t via the seam rule.
 
     For t = n + s with s in [0, 1): n gauge steps x -> Ad_{Phi(m)} x + v(m)
     of xi(m, s).  An array of times takes one profile call for all its s,
-    then the steps once for the rows sharing each nonzero n.
+    then the steps once for the times sharing each nonzero n, with Phi(m)
+    and v(m) broadcast over the time axis when m carries point axes.
     """
-    def steps(n, val):
+    def steps(n, val, tn):
         if n == 0:
             return val
-        return gauge_steps(section.algebra, n, val, section.base.point(m), section.v(m))
+        return gauge_steps(section.algebra, n, val, _point_over_times(section, m, tn),
+                           at_times(section.v(m), tn))
 
     if np.ndim(t) == 0:
         n = int(np.floor(t))
-        return steps(n, section.profile(m, t - n))
+        return steps(n, section.profile(m, t - n), t)
     t = np.asarray(t, dtype=float)
     ns = np.floor(t)
     out = np.array(section.profile(m, t - ns))
     for n in set(ns.tolist()) - {0.0}:
         rows = ns == n
-        out[rows] = steps(int(n), out[rows])
+        out[..., rows, :] = steps(int(n), out[..., rows, :], t[rows])
     return out
 
 
 def time_derivative(section, m, t, h_t=1e-5):
     """d xi / dt at real t: Ad_{Phi(m)}^n of the derivative at t - n, n = floor(t)
     (n = 0 at t = 1).  On [0, 1] that is dprofile when the section has one, else
-    a central difference of extend(), which is valid across the seam.
+    a central difference of extend(), which is valid across the seam.  m may
+    carry point axes, as in extend.
     """
     def piece(n, tn):
         s = tn - n
@@ -349,7 +368,9 @@ def time_derivative(section, m, t, h_t=1e-5):
             d = section.dprofile(m, s)
         else:
             d = (extend(section, m, s + h_t) - extend(section, m, s - h_t)) / (2.0 * h_t)
-        return d if n == 0 else gauge_steps(section.algebra, n, d, section.base.point(m))
+        if n == 0:
+            return d
+        return gauge_steps(section.algebra, n, d, _point_over_times(section, m, tn))
     return piecewise(t, lambda tt: np.floor(tt) - (tt == 1.0), piece)
 
 

@@ -8,11 +8,12 @@ import time
 import numpy as np
 
 from atiyahcheck import algebroid, lifting, qham
-from atiyahcheck.checks import run_checks
-from atiyahcheck.forms import AlgebroidForm, cartan_three_form
+from atiyahcheck.checks import _coordinate_omega, run_checks
+from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
+                               equivariant_cartan)
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import TimeGrid, random_section
+from atiyahcheck.sections import TimeGrid, random_section, random_twisted_loop
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -169,3 +170,44 @@ def test_bracket_profile_evaluates_inner_profiles_on_whole_stencils():
         algebroid.bracket(algebroid.bracket(a, b), c).profile(g, TimeGrid(21).nodes)
         assert seen["a"] == seen["b"] == [(), (4,), (4,), (4, 4)]
         assert seen["c"] == [(), (4,)]
+
+
+def test_de_rham_differential_calls_its_form_once_per_derivative_term():
+    # each derivative term is one call on the (4,)-stencil of the point, each
+    # bracket term one call at the point; no per-point directional is left
+    alg = make_group("su2")
+    rng = np.random.default_rng(70)
+    g = alg.random_group(rng)
+    forms = (equivariant_cartan(alg, alg.random_vector(rng))[1], _coordinate_omega(alg),
+             cartan_three_form(alg))
+    for form in forms:
+        k = form.degree
+        seen = []
+        counted = AlgebroidForm(
+            alg, k, lambda gg, *us, form=form: seen.append(np.shape(gg)[:-2]) or form(gg, *us))
+        tracer = _tracer_module().Tracer()
+        with tracer.installed():
+            de_rham_differential(counted)(g, *[alg.random_vector(rng) for _ in range(k + 1)])
+        assert seen == [(4,)] * (k + 1) + [()] * ((k + 1) * k // 2)
+        assert tracer.calls["liealg.directional"] == 0
+
+
+def test_nabla_hat_scalar_calls_the_inner_scalar_once_per_drift():
+    # the drift evaluates the inner scalar once on the whole stencil; nested,
+    # the innermost scalar runs once on a (4, 4) stack
+    alg = make_group("su2")
+    rng = np.random.default_rng(71)
+    grid = TimeGrid(11)
+    g = alg.random_group(rng, scale=0.5)
+    xi, ze = random_section(alg, rng), random_section(alg, rng)
+    seen = []
+    b = lifting.ExtendedLSection(random_twisted_loop(alg, rng), lambda gg: seen.append(
+        np.shape(gg)[:-2]) or np.sin(gg[..., 0, -1]))
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        lifting.nabla_hat(xi, b, grid).scalar(g)
+        assert seen == [(4,)]
+        seen.clear()
+        lifting.nabla_hat(xi, lifting.nabla_hat(ze, b, grid), grid).scalar(g)
+        assert seen == [(4, 4)]
+    assert tracer.calls["liealg.directional"] == 0

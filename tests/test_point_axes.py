@@ -1,18 +1,24 @@
-"""Sections over the group take leading point axes: every member of a stack
-of points equals the section at that point alone, bit for bit, and a
-bracket over the group (one stencil call per derivative term) equals the
-point-by-point `directional` route."""
+"""Sections, scalars and de Rham forms over the group take leading point
+axes: every member of a stack of points equals the value at that point
+alone, bit for bit, and a bracket or a de Rham differential over the group
+(one stencil call per derivative term) equals the point-by-point
+`directional` route."""
 
 import numpy as np
 import pytest
 
 from atiyahcheck import algebroid as albr
 from atiyahcheck import lifting as lf
+from atiyahcheck.checks import _coordinate_omega
+from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
+                               equivariant_cartan, koszul)
+from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.liealg import GROUP_NAMES, make_group
 from atiyahcheck.qham import project_based
 from atiyahcheck.sections import (AlgebroidSection, BumpFunction, TimeGrid, constant_field,
-                                  constant_profile_section, random_loop_section,
-                                  random_section, random_twisted_loop, template_section)
+                                  constant_profile_section, extend, random_loop_section,
+                                  random_section, random_twisted_loop, scaled,
+                                  template_section, time_derivative)
 
 TIMES = (0.37, TimeGrid(41).nodes)
 
@@ -175,3 +181,133 @@ def test_constant_fields_need_not_carry_point_axes():
     bare = alg.field_bracket(lambda g: c1, lambda g: c2, gs)
     carried = alg.field_bracket(constant_field(alg, c1), constant_field(alg, c2), gs)
     assert bare.tobytes() == carried.tobytes()
+
+
+# -- extend and time_derivative on a stack of points ---------------------------
+
+SEAM_TIMES = (TimeGrid(41).nodes, np.linspace(-2.3, 3.7, 37))
+
+
+def test_extend_and_time_derivative_take_point_axes(algebra):
+    # the seam steps broadcast Phi(m) and v(m) over the time axis; a section
+    # without dprofile differentiates extend across the seam
+    rng = np.random.default_rng(77)
+    gs = _points(algebra, rng)
+    a, b = random_section(algebra, rng), random_twisted_loop(algebra, rng)
+    for sec in (a, b, albr.bracket(a, b), AlgebroidSection(algebra, a.profile, a.xfield)):
+        for t in SEAM_TIMES:
+            for fn in (extend, time_derivative):
+                got = fn(sec, gs, t)
+                assert got.shape == gs.shape[:-2] + t.shape + (algebra.dim,)
+                assert got.tobytes() == _alone(lambda g: fn(sec, g, t), gs).tobytes()
+
+
+# -- scalars and de Rham forms over a stack of points ---------------------------
+
+def _assert_scalar(fn, gs):
+    got = np.asarray(fn(gs))
+    assert got.shape == gs.shape[:-2]
+    assert got.tobytes() == _alone(fn, gs).tobytes()
+
+
+def test_lifting_scalars_take_point_axes(algebra):
+    rng = np.random.default_rng(78)
+    gs = _points(algebra, rng)
+    grid = TimeGrid(11)
+    xi, ze = random_section(algebra, rng), random_section(algebra, rng)
+    z1, z2 = random_twisted_loop(algebra, rng), random_twisted_loop(algebra, rng)
+    gen = albr.generator(algebra, algebra.random_vector(rng))
+    _assert_scalar(lambda g: lf._dot_deriv(algebra, grid, xi, z1, g, 1e-5), gs)
+    _assert_scalar(lambda g: lf.central_cocycle(z1, z2, g, grid), gs)
+    _assert_scalar(lambda g: lf.canonical_two_form(xi, ze, g, grid), gs)
+    _assert_scalar(lambda g: lf.canonical_two_form(gen, z1, g, grid), gs)
+    b = lf.ExtendedLSection(z1, lambda g: np.sin(g[..., 0, -1]))
+    inner = lf.nabla_hat(ze, b, grid)
+    split = [lf.ExtendedLSection.split(z) for z in (z1, z2, xi)]
+    vert = lf.bracket_lhat(split[0], split[1], grid)
+    for ext in (split[0], inner, lf.nabla_hat(xi, inner, grid),
+                lf.nabla_hat(albr.bracket(xi, ze), b, grid),
+                vert, lf.bracket_lhat(vert, split[2], grid),
+                lf.nabla_hat(xi, vert, grid)):
+        _assert_scalar(ext.scalar, gs)
+
+
+def test_lifted_bracket_scalar_takes_point_axes(algebra):
+    rng = np.random.default_rng(79)
+    gs = _points(algebra, rng)
+    grid = TimeGrid(11)
+    alpha = albr.build_alpha(algebra)
+    fields = [constant_field(algebra, algebra.random_vector(rng)) for _ in range(3)]
+    h1, h2, h3 = (lf.horizontal_lift(alpha, w) for w in fields)
+    for omega in (None, _coordinate_omega(algebra)):
+        inner = lf.lifted_bracket(omega, alpha, h1, h2, grid)
+        outer = lf.lifted_bracket(omega, alpha, inner, h3, grid)
+        for lifted in (inner, outer):
+            _assert_scalar(lifted.hat.scalar, gs)
+
+
+def _de_rham_forms(alg, rng, grid):
+    """A form of every kind that de_rham_differential differentiates, with the
+    point axes it must take, by name."""
+    x = alg.random_vector(rng)
+    alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)))
+    c1, c2 = alg.random_vector(rng, 0.3), alg.random_vector(rng, 0.3)
+    lam = lf.HorizontalFamily(
+        alg, lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v), alpha.bump)
+    bker = random_twisted_loop(alg, rng, scale=0.4)
+    forms = {
+        "alpha_t": AlgebroidForm(alg, 1, lambda g, u: alpha.value(0.37, g, u), scalar=False),
+        "eta": cartan_three_form(alg),
+        "eta_G deg-1": equivariant_cartan(alg, x)[1],
+        "coordinate omega": _coordinate_omega(alg),
+        "eta(data)": lf.eta_from_data(alpha, grid),
+        "gamma": lf.gamma_change(alpha, lam, bker, grid),
+        "eta'": lf.eta_perturbed(alpha, lam, bker, grid),
+    }
+    if alg.name == "heisenberg3":
+        mu = AlgebroidForm(alg, 1, lambda g, a: -0.5 * alg.pairing(
+            alg.maurer_cartan(g, a, "left") + a, x))
+        forms["primitive(eta)"] = poincare_primitive(cartan_three_form(alg), sign=-1.0)
+        forms["primitive(mu)"] = poincare_primitive(mu)
+    return forms
+
+
+def _oracle_de_rham(omega, h=1e-4):
+    """de_rham_differential by the point-by-point `directional` route."""
+    alg = omega.algebra
+    return koszul(omega, lambda f, g, v: alg.directional(f, g, v, h=h),
+                  lambda v, w: -alg.bracket(v, w))
+
+
+# forms built from constant frames: their tangents are one vector for every point
+FRAME_FORMS = ("eta(data)", "gamma", "eta'")
+
+
+def test_de_rham_forms_take_point_axes(algebra):
+    rng = np.random.default_rng(80)
+    gs = _points(algebra, rng)
+    for name, form in _de_rham_forms(algebra, rng, TimeGrid(11)).items():
+        for carried in (False,) if name in FRAME_FORMS else (False, True):
+            # the tangents hold at every point, or carry the point axes too
+            shape = gs.shape[:-2] + (algebra.dim,) if carried else (algebra.dim,)
+            vs = [rng.standard_normal(shape) for _ in range(form.degree)]
+            got = form(gs, *vs)
+            flat = gs.reshape((-1,) + gs.shape[-2:])
+            each = [form(g, *[v.reshape((-1, algebra.dim))[i] if carried else v
+                              for v in vs]) for i, g in enumerate(flat)]
+            want = np.array(each).reshape(gs.shape[:-2] + np.shape(each[0]))
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_de_rham_differential_matches_directional_oracle(algebra):
+    rng = np.random.default_rng(81)
+    gs = _points(algebra, rng, shape=(2,))
+    for name, form in _de_rham_forms(algebra, rng, TimeGrid(11)).items():
+        if name in ("eta(data)", "eta'"):
+            continue            # 3-forms whose differential no identity uses
+        vs = [algebra.random_vector(rng) for _ in range(form.degree + 1)]
+        d = de_rham_differential(form)
+        got = d(gs, *vs)
+        assert got.tobytes() == _alone(d, gs, *vs).tobytes(), name
+        want = _oracle_de_rham(form)(gs[0], *vs)
+        assert np.asarray(d(gs[0], *vs)).tobytes() == np.asarray(want).tobytes(), name
