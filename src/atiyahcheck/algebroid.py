@@ -1,7 +1,9 @@
 """The transitive Lie algebroid over the group: bracket, generators, connections.
 
-The bracket is written once for sections over any base (the group, a
-conjugacy class, a slot of G x G); everything else here lives on the group.
+The bracket of sections and the bracket of tangent fields are written once
+for any base (the group, a conjugacy class, a slot of G x G), from the
+base's stencil_derivative and frame_bracket; everything else here lives on
+the group.
 
 Conventions: the tangent bundle of G is right-trivialized, X <-> v with
 theta^R(X) = v.  Constant-v frames are then right-invariant vector fields
@@ -17,6 +19,7 @@ from .sections import (AlgebroidSection, InterpolatedFamily, constant_field,
                        constant_profile_section, extend, time_derivative)
 
 __all__ = [
+    "field_bracket",
     "bracket",
     "generator",
     "ConnectionFamily",
@@ -29,13 +32,26 @@ __all__ = [
 ]
 
 
+def field_bracket(base, xf, yf, m, h=1e-4):
+    """[X, Y] of tangent fields on a base: frame_bracket(x, y) + D_X y - D_Y x.
+
+    x, y are the fields' values at m and each D is one `stencil_derivative`
+    of the base, so a field must return the point axes of its argument
+    first (constant_field does).
+    """
+    x, y = xf(m), yf(m)
+    out = base.frame_bracket(x, y)
+    out = out + base.stencil_derivative(yf, m, x, h=h)
+    return out - base.stencil_derivative(xf, m, y, h=h)
+
+
 def bracket(xi, zeta, h=1e-4):
     """Algebroid bracket [xi, zeta] = -[xi, zeta]_g + X zeta - Y xi over a base.
 
     X, Y are the tangent fields of xi, zeta on their common base; the
     derivative terms are the base's Richardson central differences and the
-    tangent field of the result is the base's [X, Y].  The result carries a
-    composed analytic time derivative when both inputs do.
+    tangent field of the result is `field_bracket` of X and Y.  The result
+    carries a composed analytic time derivative when both inputs do.
 
     Each derivative term is one `stencil_derivative` call, which over the
     group evaluates the inner section once on its whole (4, *point axes)
@@ -53,7 +69,7 @@ def bracket(xi, zeta, h=1e-4):
         return term
 
     def xfield(m):
-        return base.field_bracket(xi.xfield, zeta.xfield, m, h=h)
+        return field_bracket(base, xi.xfield, zeta.xfield, m, h=h)
 
     dprofile = None
     if xi.dprofile is not None and zeta.dprofile is not None:

@@ -1845,7 +1845,7 @@ def check_abelian_collapse(ctx, rng):
     # twist term of the reduced Courant bracket and the lifted Jacobiator
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
-    fields = [lambda gg, vv=v: vv for v in vs]
+    fields = [constant_field(alg, v) for v in vs]
     jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg, bump=ctx.bump),
                                       fields, g, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
     yield abs(jac)

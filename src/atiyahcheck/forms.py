@@ -3,19 +3,21 @@
 A k-form is an evaluator on a base point m and k arguments, scalar- or
 g-valued with the trivial coefficient action.  The arguments are sections
 (algebroid forms, over the group, a conjugacy class or a slot of G x G),
-right-trivialized tangent coefficients on G (de Rham forms) or any other
-tangents a caller supplies.  The Koszul/Cartan differential is written
-once, in `koszul`; the caller supplies the derivative along an argument
-and the bracket of two arguments.  On sections that is the base's own
+tangents in a base's constant frames (de Rham forms; on G,
+right-trivialized coefficients) or any other tangents a caller supplies.
+The Koszul/Cartan differential is written once, in `koszul`; the caller
+supplies the derivative along an argument and the bracket of two
+arguments.  On sections that is the base's own
 derivative along the tangent field and the algebroid bracket
-(`exterior_derivative`); in constant right-trivialized frames it is
-`LieAlgebra.stencil_derivative` and the frame bracket
-theta^R([X, Y]) = -[v, w] (`de_rham_differential`).
+(`exterior_derivative`); in a base's constant frames it is the base's
+`stencil_derivative` and `frame_bracket` (`de_rham_differential`: over
+the group theta^R([X, Y]) = -[v, w], over a slot of G x G the same row by
+row, as fusion.mult_eta_residual uses it).
 
-A de Rham form takes leading point axes on its point (and on any tangent
-that carries them) and returns one value per point, each as it would be
-computed alone, so each derivative term of its differential is one call of
-the form on the whole Richardson stencil.  `exterior_derivative` stays
+A de Rham form on G takes leading point axes on its point (and on any
+tangent that carries them) and returns one value per point, each as it
+would be computed alone, so each derivative term of its differential is
+one call of the form on the whole Richardson stencil.  `exterior_derivative` stays
 point by point: its arguments are sections, whose derivative is the
 base's own (`along_sections`), and over a conjugacy class or a slot of
 G x G that base takes one point at a time.
@@ -135,19 +137,21 @@ def lie_derivative(form, section, h=1e-4):
                          scalar=form.scalar, name=f"L_{section.name}({form.name})")
 
 
-def de_rham_differential(omega, h=1e-4):
-    """The de Rham differential of a form on G in constant right-trivialized
-    frames, whose bracket is theta^R([X, Y]) = -[v, w].
+def de_rham_differential(omega, h=1e-4, base=None):
+    """The de Rham differential of a form on a base (default the group) in its
+    constant frames, whose bracket is the base's frame_bracket (over the
+    group theta^R([X, Y]) = -[v, w]).
 
-    Each derivative term calls omega once, on the (4, *point axes) stencil
-    stack of `LieAlgebra.stencil_derivative`, so omega must take leading
-    point axes and return them first; the differential then takes point
-    axes in turn.  The result is bit-identical to differentiating omega
-    point by point with `LieAlgebra.directional`.
+    Each derivative term is one `stencil_derivative` call of the base.  Over
+    the group that calls omega once, on the (4, *point axes) stencil stack,
+    so omega must take leading point axes and return them first; the
+    differential then takes point axes in turn, and the result is
+    bit-identical to differentiating omega point by point with
+    `LieAlgebra.directional`.
     """
-    alg = omega.algebra
-    return koszul(omega, lambda f, g, v: alg.stencil_derivative(f, g, v, h=h),
-                  lambda v, w: -alg.bracket(v, w))
+    base = omega.algebra if base is None else base
+    return koszul(omega, lambda f, m, u: base.stencil_derivative(f, m, u, h=h),
+                  base.frame_bracket)
 
 
 def pullback_anchor(omega):

@@ -5,19 +5,23 @@ composite g2 g1 (concatenation runs right to left).  Each slot of G x G is
 a base of sections (Phi = pr_2 or pr_1, see sections.AlgebroidSection),
 and a pair is a tuple (xi2, xi1) of sections over the two slots that share
 one tangent field, the two-row (v2, v1) on G x G.  So the template, seam,
-bracket and varpi of a pair are the group's own, run once per slot.  The
-fusion defect is lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1 the
-(g2)-slot, a convention pinned by the closed-form generator identity.
+bracket and varpi of a pair are the group's own, run once per slot.  A
+slot's geometry is the pair of group stencils (`Slot.stencil`) and the
+group's frame bracket row by row (`Slot.frame_bracket`), so
+forms.de_rham_differential over a slot is the de Rham differential of
+G x G that mult_eta_residual takes of lambda.  The fusion defect is
+lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1 the (g2)-slot, a
+convention pinned by the closed-form generator identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import AlgebroidForm, koszul
+from .forms import AlgebroidForm, de_rham_differential
 from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
 from . import algebroid as albr
-from .liealg import richardson
+from .liealg import _derivative
 from .lifting import canonical_two_form
 
 __all__ = [
@@ -57,24 +61,25 @@ class Slot:
     def point_axes(self, m):
         return np.shape(m[0])[:-2]
 
-    def directional(self, func, m, u, h=1e-4):
-        """Richardson derivative along the product-group direction u = (w2, w1)."""
+    def stencil(self, m, u, h):
+        """The Richardson stencil of m = (g2, g1) along u = (w2, w1): the points
+        (exp(s w2) g2, exp(s w1) g1), s in stencil_steps(h)."""
         alg = self.algebra
         e2 = alg.step_exponentials(alg.to_matrix(u[0]), h)
         e1 = alg.step_exponentials(alg.to_matrix(u[1]), h)
-        return richardson([func((s2 @ m[0], s1 @ m[1])) for s2, s1 in zip(e2, e1)], h)
+        return [(s2 @ m[0], s1 @ m[1]) for s2, s1 in zip(e2, e1)]
+
+    def frame_bracket(self, u, w):
+        """The group's frame bracket row by row: (-[u2, w2], -[u1, w1])."""
+        return -np.array([self.algebra.bracket(u[0], w[0]), self.algebra.bracket(u[1], w[1])])
+
+    def directional(self, func, m, u, h=1e-4):
+        """Richardson derivative along the product-group direction u = (w2, w1)."""
+        return _derivative([func(p) for p in self.stencil(m, u, h)], h)
 
     def stencil_derivative(self, func, m, u, h=1e-4):
         """The same derivative: a slot evaluates its stencil point by point."""
         return self.directional(func, m, u, h=h)
-
-    def field_bracket(self, xf, yf, m, h=1e-4):
-        """[X, Y] on G x G, per row -[x_k, y_k] + D_X y_k - D_Y x_k."""
-        alg = self.algebra
-        x, y = xf(m), yf(m)
-        out = -np.array([alg.bracket(x[0], y[0]), alg.bracket(x[1], y[1])])
-        out = out + self.directional(yf, m, x, h=h)
-        return out - self.directional(xf, m, y, h=h)
 
     def generator_field(self, x, m):
         """Diagonal conjugation: (Ad_{g2} x - x, Ad_{g1} x - x)."""
@@ -197,10 +202,8 @@ def mult_eta_residual(algebra, eta, g2, g1, triples, h=1e-4):
     rhs = eta(g2, *[v2 for v2, _ in triples]) + eta(g1, *[v1 for _, v1 in triples])
 
     # de Rham d of lambda over the product group, constant frames per row
-    product = Slot(algebra, 0)
     lam = AlgebroidForm(algebra, 2, lambda pt, a, b: fusion_lambda(algebra, *pt, *a, *b))
-    dlam = koszul(lam, lambda f, pt, u: product.directional(f, pt, u, h=h),
-                  lambda a, b: (-algebra.bracket(a[0], b[0]), -algebra.bracket(a[1], b[1])))
+    dlam = de_rham_differential(lam, h=h, base=Slot(algebra, 0))
     return abs(lhs - rhs + dlam((g2, g1), *triples))
 
 

@@ -15,21 +15,15 @@ the stack exp(s V) g, s in stencil_steps(h), on a new axis 0; `directional`
 calls its function once per stencil point, `stencil_derivative` once on
 the whole (4, *point_axes) stack (sections, lifted scalars and de Rham
 forms over the group take such stacks), and both combine the four values
-with `richardson`.  Every member of a batch is computed exactly as it would be
-alone, so the two routes agree bit for bit.
+with `_derivative`, the one Richardson combination of every base.  Every
+member of a batch is computed exactly as it would be alone, so the two
+routes agree bit for bit.
 
-Each LieAlgebra keeps a small least-recently-used memo of at most
-_MEMO_SIZE (256) entries, shared by two kinds of value:
-  * the stacked Richardson step exponentials expm(+-h V), expm(+-2h V) of
-    a stencil (and of fusion's product-group stencil), keyed by the shape
-    and bytes of the direction matrices V and the step h;
-  * the group inverse `inv(g)` behind `Ad`, `Ad_operator` and the callers
-    that invert group elements, keyed by the shape and bytes of g.
-A hit returns the array computed on the first miss by the same function
-(expm, np.linalg.inv) from the same operand, and callers combine it with
-the same operations in the same order as before, so every result is
-bit-identical to the unmemoised computation.  Memoised arrays are
-read-only, so a caller cannot corrupt the memo by writing to one.
+A PointMemo keeps a function's values per argument, least recently used
+first out past _MEMO_SIZE (256) entries, as read-only copies; a hit is
+bit-identical to the unmemoised call.  Each LieAlgebra keeps two: `inv`
+(the group inverse behind `Ad` and `Ad_operator`) and `step_exponentials`
+(the exponentials of a stencil's steps).
 """
 
 from __future__ import annotations
@@ -83,9 +77,50 @@ def stencil_steps(h):
     return (h, -h, 2.0 * h, -2.0 * h)
 
 
-def _frozen(a):
-    a.setflags(write=False)
-    return a
+def _memo_key(arg):
+    """An int, or an object that is not an array of numbers (a section), keys
+    as itself; anything else by the shape and bytes of its float array."""
+    if isinstance(arg, int):
+        return arg
+    arr = np.asarray(arg)
+    if arr.dtype == object:
+        return arg
+    arr = np.asarray(arr, dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+def _frozen_copy(value):
+    if isinstance(value, tuple):
+        return tuple(_frozen_copy(v) for v in value)
+    if isinstance(value, np.generic):
+        return value
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+class PointMemo:
+    """fn memoised per point, least recently used first out past _MEMO_SIZE.
+
+    The key holds each argument as _memo_key gives it (so 0.5 and [0.5]
+    differ); a value (an array or a tuple of arrays) is kept as a read-only
+    copy of what fn returned on the first miss, a numpy scalar as it is.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.entries = OrderedDict()
+
+    def __call__(self, *args):
+        key = tuple(_memo_key(a) for a in args)
+        value = self.entries.get(key)
+        if value is None:
+            value = self.entries[key] = _frozen_copy(self.fn(*args))
+            if len(self.entries) > _MEMO_SIZE:
+                self.entries.popitem(last=False)
+        else:
+            self.entries.move_to_end(key)
+        return value
 
 
 def _squarings(norm):
@@ -167,7 +202,12 @@ class LieAlgebra:
         self.group_tolerance = group_tolerance
         self._membership = membership
         self._log_map = log_map
-        self._memo = OrderedDict()
+        # g^{-1}, behind Ad, Ad_operator and the callers that invert points
+        self.inv = PointMemo(lambda g: np.linalg.inv(g))
+        # expm(s V) for s in stencil_steps(h), stacked on a new axis 0: one
+        # expm per step over all leading axes of the direction matrices V
+        self.step_exponentials = PointMemo(
+            lambda vm, h: np.stack([expm(step * vm) for step in stencil_steps(h)]))
 
         flat = self.basis.reshape(self.dim, -1).T      # (n*n, dim)
         self._flat_basis = flat
@@ -235,36 +275,6 @@ class LieAlgebra:
 
     def identity(self):
         return np.eye(self.matrix_size)
-
-    def _remember(self, key, value):
-        """Store a memo entry, dropping the least recently used past _MEMO_SIZE."""
-        self._memo[key] = value
-        if len(self._memo) > _MEMO_SIZE:
-            self._memo.popitem(last=False)
-        return value
-
-    def inv(self, g):
-        """g^{-1} as a read-only array, memoised by the shape and bytes of g."""
-        g = np.asarray(g, dtype=float)
-        key = (g.shape, g.tobytes())
-        ginv = self._memo.get(key)
-        if ginv is None:
-            return self._remember(key, _frozen(np.linalg.inv(g)))
-        self._memo.move_to_end(key)
-        return ginv
-
-    def step_exponentials(self, vm, h):
-        """expm(s vm) for s in stencil_steps(h), stacked on a new axis 0: one
-        expm per step over all leading axes of vm.  Read-only and memoised
-        by the shape and bytes of vm and the step h."""
-        vm = np.asarray(vm, dtype=float)
-        key = (vm.shape, vm.tobytes(), h)
-        steps = self._memo.get(key)
-        if steps is None:
-            return self._remember(key, _frozen(np.stack(
-                [expm(step * vm) for step in stencil_steps(h)])))
-        self._memo.move_to_end(key)
-        return steps
 
     def push_stencil(self, points, ginv, h):
         """theta^R of the velocity at s = 0 of a curve through g = ginv^{-1},
@@ -360,20 +370,9 @@ class LieAlgebra:
         """x_G(g) = Ad_g x - x: the generator of conjugation in theta^R."""
         return self.Ad(g, x) - x
 
-    def field_bracket(self, xf, yf, g, h=1e-4):
-        """theta^R([X, Y]) of right-trivialized fields: -[x, y] + D_x y - D_y x.
-
-        A field returns the point axes of its argument first, or one vector
-        that holds at every point (a constant field), so each derivative is
-        one stencil call.
-        """
-        def over_points(field):
-            return lambda p: np.broadcast_to(field(p), self.point_axes(p) + (self.dim,))
-
-        x, y = xf(g), yf(g)
-        out = -self.bracket(x, y)
-        out = out + self.stencil_derivative(over_points(yf), g, x, h=h)
-        return out - self.stencil_derivative(over_points(xf), g, y, h=h)
+    def frame_bracket(self, u, w):
+        """theta^R([U, W]) = -[u, w] of the constant right-trivialized frames."""
+        return -self.bracket(u, w)
 
     def maurer_cartan(self, g, v, side):
         """Value of the Maurer-Cartan form on the tangent vector with theta^R = v."""

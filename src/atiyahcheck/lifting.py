@@ -26,7 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .algebroid import bracket, connection_apply, curvature, generator_vertical_part
+from .algebroid import (bracket, connection_apply, curvature, field_bracket,
+                        generator_vertical_part)
 from .forms import AlgebroidForm
 from .sections import (AlgebroidSection, InterpolatedFamily, _over_points, constant_field,
                        constant_profile_section, extend, time_derivative)
@@ -280,7 +281,7 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
     w1, w2 = s1.tangent, s2.tangent
 
     def wbr(g):
-        return alg.field_bracket(w1, w2, g, h=h)
+        return field_bracket(alg, w1, w2, g, h=h)
 
     hor1 = _hor_section(alpha, w1)
     hor2 = _hor_section(alpha, w2)

@@ -14,13 +14,15 @@ Each truncation builds one Gram matrix, one eigendecomposition of the
 basis metric and one SVD; gram_kernel reads the kernel dimension at every
 relative singular threshold off those singular values.
 
-The class is a base of sections in the sense of sections.AlgebroidSection
-(point, push_tangent, directional, field_bracket, generator_field), so a
-section of the pull-back algebroid Phi^!A is an AlgebroidSection with
-base=klass: sections.template_section and algebroid.generator build them,
-algebroid.bracket brackets them (callers pass the sphere step h = 1e-3),
-lifting.canonical_two_form gives Phi^! varpi and project_based the base
-variant q_M of the based projection.
+The class is a base of sections in the sense of sections.AlgebroidSection:
+its geometry is its sphere stencil (`stencil`) and the bracket 0 of the
+constant fields of R^3 (`frame_bracket`), beside point, push_tangent and
+generator_field.  So a section of the pull-back algebroid Phi^!A is an
+AlgebroidSection with base=klass: sections.template_section and
+algebroid.generator build them, algebroid.bracket brackets them and
+algebroid.field_bracket their tangent fields (callers pass the sphere step
+h = 1e-3), lifting.canonical_two_form gives Phi^! varpi and project_based
+the base variant q_M of the based projection.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .liealg import richardson, stencil_steps
+from .liealg import _derivative, stencil_steps
 from .sections import AlgebroidSection, at_times
 
 __all__ = [
@@ -84,9 +86,9 @@ class ConjugacyClass:
 
     def push_tangent(self, n, u, h=1e-5):
         """theta^R of d Phi applied to the sphere tangent u (Richardson FD)."""
-        n = np.asarray(n, dtype=float)
-        at = [self.point(_norm(n + s * u)) for s in (0.0,) + stencil_steps(h)]
-        return self.algebra.push_stencil(np.array(at[1:]), self.algebra.inv(at[0]), h)
+        g = self.point(_norm(n))
+        at = np.array([self.point(p) for p in self.stencil(n, u, h)])
+        return self.algebra.push_stencil(at, self.algebra.inv(g), h)
 
     def solve_generator(self, n, t):
         """Minimum-norm x with x_M(n) = t; for the cross-product action x = n x t."""
@@ -95,20 +97,22 @@ class ConjugacyClass:
     def point_axes(self, n):
         return np.shape(n)[:-1]
 
+    def stencil(self, n, u, h):
+        """The Richardson stencil of n along u on the sphere: the points
+        n + s u, s in stencil_steps(h), each normalised."""
+        return [_norm(n + s * u) for s in stencil_steps(h)]
+
+    def frame_bracket(self, u, w):
+        """0: the constant fields of R^3 commute."""
+        return 0.0
+
     def directional(self, func, n, u, h=1e-3):
         """Richardson derivative of a function on the sphere along tangent u."""
-        out = richardson([func(_norm(n + s * u)) for s in stencil_steps(h)], h)
-        return float(out) if out.ndim == 0 else out
+        return _derivative([func(p) for p in self.stencil(n, u, h)], h)
 
     def stencil_derivative(self, func, n, u, h=1e-3):
         """The same derivative: the class evaluates its stencil point by point."""
         return self.directional(func, n, u, h=h)
-
-    def field_bracket(self, xf, yf, n, h=1e-3):
-        """[X, Y] of tangent fields via the degree-0 homogeneous extension."""
-        dxy = self.directional(lambda m: yf(m), n, xf(n), h=h)
-        dyx = self.directional(lambda m: xf(m), n, yf(n), h=h)
-        return dxy - dyx
 
     def equivariance_residual(self, k, n):
         rot = self.algebra.Ad_operator(k)
@@ -374,7 +378,7 @@ def project_based(xi):
                             name=f"q({xi.name})", base=base)
 
 
-def project_based_residuals(xi, g, samples=5):
+def project_based_residuals(xi, g):
     """(value at t=0, anchor-shift defect) for the based projection."""
     alg = xi.algebra
     q = project_based(xi)

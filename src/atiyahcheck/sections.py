@@ -4,11 +4,14 @@ A section of the pull-back algebroid Phi^!A along a map Phi: M -> G assigns
 to (m, t) an algebra vector xi(m, t) together with a tangent field X on M,
 whose push v(m) = theta^R(d Phi X(m)) closes the seam
 xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + v(m).  A base provides point (Phi),
-point_axes, push_tangent (d Phi in theta^R), directional and
-stencil_derivative (derivatives along its tangents), field_bracket (of
-tangent fields) and generator_field (the action generator x_M).  The group
-is the base of its own sections with Phi the identity, so there X = v;
-qham's conjugacy class and fusion's slots of G x G are the other bases.
+point_axes, push_tangent (d Phi in theta^R), generator_field (the action
+generator x_M) and its geometry: stencil(m, u, h), its four Richardson
+points in stencil_steps order, and frame_bracket(u, w), the bracket of its
+constant frames.  Its directional and stencil_derivative combine the
+values at the stencil with liealg's one Richardson combination, and
+algebroid.field_bracket brackets its tangent fields.  The group is the
+base of its own sections with Phi the identity, so there X = v; qham's
+conjugacy class and fusion's slots of G x G are the other bases.
 
 Point axes lead and time axes follow.  Profiles, their derivatives and the
 t-families take a float or a 1-D array t and return np.shape(t) + (dim,)
@@ -25,16 +28,11 @@ nodes and one TimeGrid.integrate over the last (time) axis of their
 pairing, so it gives one value per point; integrate_01 stays for scalar
 callables, one call per node.
 
-A PointMemo keeps the point data that sections and t-families recompute
-most: a random section's anchor datum v(g) and its template data
+A liealg.PointMemo keeps the point data that sections and t-families
+recompute most: a random section's anchor datum v(g) and its template data
 (a(g), seam coefficient), a t-family's pair of ends f_n, f_{n+1} at
 (n, g, arg), a bump's value and derivative at t, and a twisted loop's
-conjugator (c, c^{-1}), c = exp(b(t) log g), at (g, t).  It is
-least-recently-used with at most liealg._MEMO_SIZE entries, keyed by the
-shape and bytes of each array argument (group point or stack, vector,
-times; so 0.5 and [0.5] differ) and by an int or a section object itself.
-A hit returns a read-only copy of what the same function returned on the
-first miss (a numpy scalar is kept as it is), so every result is
+conjugator (c, c^{-1}), c = exp(b(t) log g), at (g, t).  Every result is
 bit-identical to the unmemoised computation.  extend makes one profile
 call per array of times, whatever integers the times cross.
 """
@@ -42,12 +40,11 @@ call per array of times, whatever integers the times cross.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import _MEMO_SIZE
+from .liealg import PointMemo, _frozen_copy
 
 __all__ = [
     "TimeGrid",
@@ -221,48 +218,6 @@ class AlgebroidSection:
         gap = (self.profile(m, 1.0) - alg.Ad(self.base.point(m), self.profile(m, 0.0))
                - self.v(m))
         return float(np.linalg.norm(gap))
-
-
-def _memo_key(arg):
-    if isinstance(arg, (int, AlgebroidSection)):
-        return arg
-    arr = np.asarray(arg, dtype=float)
-    return arr.shape, arr.tobytes()
-
-
-def _frozen_copy(value):
-    if isinstance(value, tuple):
-        return tuple(_frozen_copy(v) for v in value)
-    if isinstance(value, np.generic):
-        return value
-    out = np.array(value, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-class PointMemo:
-    """fn memoised per point, least recently used first out past _MEMO_SIZE.
-
-    The key holds the shape and bytes of each array argument and an int or
-    a section itself; a value (an array or a tuple of arrays) is kept as a
-    read-only copy of what fn returned on the first miss, a numpy scalar as
-    it is.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.entries = OrderedDict()
-
-    def __call__(self, *args):
-        key = tuple(_memo_key(a) for a in args)
-        value = self.entries.get(key)
-        if value is None:
-            value = self.entries[key] = _frozen_copy(self.fn(*args))
-            if len(self.entries) > _MEMO_SIZE:
-                self.entries.popitem(last=False)
-        else:
-            self.entries.move_to_end(key)
-        return value
 
 
 def gauge_steps(algebra, n, x, k, c=None):

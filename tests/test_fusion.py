@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from atiyahcheck.algebroid import bracket
+from atiyahcheck.algebroid import bracket, field_bracket
 from atiyahcheck.forms import AlgebroidForm, cartan_three_form, contract
-from atiyahcheck.fusion import (CourantElement, composable_residual, concat,
+from atiyahcheck.fusion import (CourantElement, Slot, composable_residual, concat,
                                 courant_bracket, courant_pairing,
                                 fusion_residual, generator_pair,
                                 mult_eta_residual, pair_bracket,
@@ -72,6 +72,18 @@ def test_pair_bracket_composable(su2, rng):
     p = pair_from_template(su2, rng)
     q = pair_from_template(su2, rng)
     assert composable_residual(pair_bracket(p, q), g2, g1) < 1e-6
+
+
+def test_slot_field_bracket_is_the_row_formula(su2, rng):
+    # per row -[x_k, y_k] + D_X y_k - D_Y x_k, with the slot's own derivative
+    m = (su2.random_group(rng), su2.random_group(rng))
+    xf = pair_from_template(su2, rng)[0].xfield
+    yf = pair_from_template(su2, rng)[0].xfield
+    x, y = xf(m), yf(m)
+    for slot in (Slot(su2, 0), Slot(su2, 1)):
+        want = -np.array([su2.bracket(x[0], y[0]), su2.bracket(x[1], y[1])])
+        want = want + slot.directional(yf, m, x) - slot.directional(xf, m, y)
+        assert field_bracket(slot, xf, yf, m).tobytes() == want.tobytes()
 
 
 def test_mult_eta(su2, rng):

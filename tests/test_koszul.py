@@ -10,7 +10,7 @@ import pytest
 
 from atiyahcheck import bott
 from atiyahcheck.algebroid import (KappaFamily, bracket, build_alpha, curvature,
-                                   invariant_alpha0)
+                                   field_bracket, invariant_alpha0)
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
                                exterior_derivative, pullback_anchor)
 from atiyahcheck.fusion import Slot, fusion_lambda, mult_eta_residual, pair_from_template
@@ -125,7 +125,7 @@ def test_class_cochain_matches_the_sphere_formula(su2, rng):
     f2 = lambda m: (np.eye(3) - np.outer(m, m)) @ t2
     d1 = klass.directional(lambda m: np.array(pom(m, f2(m))), n, f1(n))
     d2 = klass.directional(lambda m: np.array(pom(m, f1(m))), n, f2(n))
-    want = float(d1) - float(d2) - pom(n, klass.field_bracket(f1, f2, n))
+    want = float(d1) - float(d2) - pom(n, field_bracket(klass, f1, f2, n, h=SPHERE_STEP))
 
     zero = lambda m: np.zeros(su2.dim)
     secs = [template_section(su2, zero, f, BumpFunction(), base=klass) for f in (f1, f2)]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from atiyahcheck import liealg
+from atiyahcheck.fusion import Slot
 from atiyahcheck.liealg import (GROUP_NAMES, cubic_polynomial, expm,
                                 make_group, quadratic_polynomial)
+from atiyahcheck.qham import ConjugacyClass
 
 
 @pytest.fixture(params=GROUP_NAMES)
@@ -219,12 +221,17 @@ def test_directional_batch_members_computed_alone(algebra):
 
 
 def test_memo_size_is_bounded():
+    # inverses and step exponentials each keep their own memo
     alg = make_group("so3")
     rng = np.random.default_rng(9)
     for _ in range(liealg._MEMO_SIZE + 50):
         alg.inv(alg.random_group(rng))
         alg.directional(lambda gg: gg, alg.identity(), alg.random_vector(rng))
-    assert len(alg._memo) == liealg._MEMO_SIZE
+    assert len(alg.inv.entries) == liealg._MEMO_SIZE
+    assert len(alg.step_exponentials.entries) == liealg._MEMO_SIZE
+    for memo in (alg.inv, alg.step_exponentials):
+        for value in memo.entries.values():
+            assert not value.flags.writeable
 
 
 def test_memoised_inverse_is_read_only(algebra):
@@ -269,6 +276,23 @@ def test_stencil_derivative_rejects_dropped_point_axes():
     g, v = alg.random_group(rng), alg.random_vector(rng)
     with pytest.raises(ValueError, match="point axes"):
         alg.stencil_derivative(lambda gg: np.zeros(alg.dim), g, v)
+
+
+@pytest.mark.parametrize("base_name", ["group", "class", "slot"])
+def test_non_finite_derivative_raises_on_every_base(base_name):
+    # every base combines its stencil values with the one checked Richardson step
+    alg = make_group("su2")
+    rng = np.random.default_rng(16)
+    v = alg.random_vector(rng)
+    if base_name == "group":
+        base, m, u = alg, alg.random_group(rng), v
+    elif base_name == "class":
+        base, m, u = ConjugacyClass(alg), np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    else:
+        base, m, u = Slot(alg, 0), (alg.random_group(rng), alg.random_group(rng)), (v, v)
+    for derivative in (base.directional, base.stencil_derivative):
+        with pytest.raises(FloatingPointError):
+            derivative(lambda p: np.full(base.point_axes(p) + (3,), np.nan), m, u)
 
 
 def test_richardson_of_stacked_values():

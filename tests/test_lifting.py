@@ -14,8 +14,8 @@ from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
                                  eta_from_data, lifted_jacobiator_scalar,
                                  nabla_hat, q_alpha, q_alpha_closed_form)
 from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import (BumpFunction, TimeGrid, loop_section, scaled,
-                                  random_section, random_twisted_loop)
+from atiyahcheck.sections import (BumpFunction, TimeGrid, constant_field, loop_section,
+                                  scaled, random_section, random_twisted_loop)
 
 
 @pytest.fixture
@@ -160,7 +160,7 @@ def test_lifted_jacobiator_obstruction(su2, rng):
     eta = cartan_three_form(su2)
     g = su2.random_group(rng, scale=0.5)
     vs = [su2.random_vector(rng) for _ in range(3)]
-    fields = [lambda gg, vv=v: vv for v in vs]
+    fields = [constant_field(su2, v) for v in vs]
     jac = lifted_jacobiator_scalar(None, alpha, fields, g, grid)
     assert abs(jac - eta(g, *vs)) < 1e-9
 

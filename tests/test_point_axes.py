@@ -163,24 +163,13 @@ def test_field_bracket_matches_directional_oracle(algebra):
     c1, c2 = algebra.random_vector(rng), algebra.random_vector(rng)
     xf = lambda g: algebra.Ad(g, c1)
     yf = constant_field(algebra, c2)
-    inner = lambda g: algebra.field_bracket(xf, yf, g)
-    for field in (inner, lambda g: algebra.field_bracket(inner, xf, g)):
+    inner = lambda g: albr.field_bracket(algebra, xf, yf, g)
+    for field in (inner, lambda g: albr.field_bracket(algebra, inner, xf, g)):
         assert field(gs).tobytes() == _alone(field, gs).tobytes()
     g = gs[0, 0]
     want = -algebra.bracket(xf(g), yf(g)) + algebra.directional(yf, g, xf(g)) \
         - algebra.directional(xf, g, yf(g))
     assert inner(g).tobytes() == want.tobytes()
-
-
-def test_constant_fields_need_not_carry_point_axes():
-    # a field that returns one vector holds it at every point of a stack
-    alg = make_group("so3")
-    rng = np.random.default_rng(76)
-    gs = _points(alg, rng)
-    c1, c2 = alg.random_vector(rng), alg.random_vector(rng)
-    bare = alg.field_bracket(lambda g: c1, lambda g: c2, gs)
-    carried = alg.field_bracket(constant_field(alg, c1), constant_field(alg, c2), gs)
-    assert bare.tobytes() == carried.tobytes()
 
 
 # -- extend and time_derivative on a stack of points ---------------------------
