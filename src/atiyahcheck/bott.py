@@ -24,9 +24,9 @@ from . import algebroid as albr
 from .algebroid import KappaFamily, generator
 from .forms import (AlgebroidForm, _perm_sign, along_sections, cartan_three_form, koszul,
                     pullback_anchor)
-from .liealg import make_group, quadratic_polynomial
+from .liealg import make_group, per_point, quadratic_polynomial
 from .sections import (BumpFunction, InterpolatedFamily, TimeGrid, gauge_steps,
-                       piecewise, random_section)
+                       piecewise, random_section, scaled)
 
 __all__ = [
     "SimplexRule",
@@ -99,7 +99,8 @@ class SimplexRule:
 # ---------------------------------------------------------------------------
 
 def oneform_zero(algebra):
-    return AlgebroidForm(algebra, 1, lambda g, s: np.zeros(algebra.dim), scalar=False, name="0")
+    return AlgebroidForm(algebra, 1, lambda g, s: np.zeros(algebra.point_axes(g) + (algebra.dim,)),
+                         scalar=False, name="0")
 
 
 def oneform_theta_left(algebra):
@@ -243,7 +244,10 @@ def _p_wedge(p, blocks, args_count):
 
 
 def _upsilon_core(p, betas, g, args, x, rule, h):
-    """The raw simplex integral with the display prefactor, before the dial."""
+    """The raw simplex integral with the display prefactor, before the dial;
+    one point at a time over any leading point axes of g."""
+    if np.ndim(g) > 2:
+        return per_point(lambda point: _upsilon_core(p, betas, point, args, x, rule, h), g)
     alg = p.algebra
     m = p.degree
     k = len(betas) - 1
@@ -317,8 +321,12 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
     """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot.
 
     family must provide value(t, g, sec), tderiv(t, g, sec) and at(t), for
-    arrays of times t.
+    arrays of times t.  Over leading point axes of g the integral is taken
+    one point at a time.
     """
+    if np.ndim(g) > 2:
+        return per_point(lambda point: rectangle_integral(
+            p, family, point, args, x=x, n_s=n_s, n_t=n_t, conventions=conventions, h=h), g)
     alg = p.algebra
     m = p.degree
     r = len(args)
@@ -420,7 +428,7 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
     thl = oneform_theta_left(alg)
     c = alg.random_vector(rng, 0.5)
     beta1 = AlgebroidForm(alg, 1, lambda gg, s: thl(gg, s) * 0.4
-                          + alg.pairing(c, s.v(gg)) * c, scalar=False, name="beta1")
+                          + scaled(alg.pairing(c, s.v(gg)), c), scalar=False, name="beta1")
     kappa = KappaFamily(alg)
     beta2 = kappa.at(0.3)
 

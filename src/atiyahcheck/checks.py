@@ -960,7 +960,7 @@ def _random_gvalued(ctx, rng):
     c = alg.random_vector(rng, 0.5)
     d = alg.random_vector(rng, 0.5)
     return fm.AlgebroidForm(
-        alg, 1, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d),
+        alg, 1, lambda g, s: 0.4 * thl(g, s) + scaled(alg.pairing(c, s.v(g)), alg.Ad(g, d)),
         scalar=False)
 
 
@@ -1592,7 +1592,7 @@ def check_reduced_twist(ctx, rng):
                               lambda gg, s: alg.pairing(c1 + alg.Ad(gg, c2), s.v(gg)))
         a2 = fm.AlgebroidForm(alg, 1,
                               lambda gg, s: alg.pairing(c2, s.v(gg))
-                              * float(np.sin(alg.pairing(c1, alg.Ad(gg, c1)))))
+                              * np.sin(alg.pairing(c1, alg.Ad(gg, c1))))
         yield fu.reduced_bracket_residual(
             vform, eta, v1, v2, a1, a2, chi, g, h=ctx.h)
 

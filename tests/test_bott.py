@@ -16,7 +16,7 @@ from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_we
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.liealg import cubic_polynomial, make_group, quadratic_polynomial
-from atiyahcheck.sections import TimeGrid, integrate_01, random_section
+from atiyahcheck.sections import TimeGrid, integrate_01, random_section, scaled
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,8 @@ def test_cs_values(su2, rng):
     gt = tor.random_group(rng)
     tsecs = [random_section(tor, rng) for _ in range(3)]
     c = tor.random_vector(rng)
-    const = AlgebroidForm(tor, 1, lambda gg, s: tor.pairing(c, s.v(gg)) * c, scalar=False)
+    const = AlgebroidForm(tor, 1, lambda gg, s: scaled(tor.pairing(c, s.v(gg)), c),
+                          scalar=False)
     assert abs(chern_simons(const, gt, tsecs)) < 1e-9
 
 
@@ -265,7 +266,7 @@ def _random_oneform(alg, rng):
     thl = oneform_theta_left(alg)
     c, d = alg.random_vector(rng, 0.5), alg.random_vector(rng, 0.5)
     return AlgebroidForm(
-        alg, 1, lambda g, s: 0.4 * thl(g, s) + alg.pairing(c, s.v(g)) * alg.Ad(g, d)
+        alg, 1, lambda g, s: 0.4 * thl(g, s) + scaled(alg.pairing(c, s.v(g)), alg.Ad(g, d))
         + c, scalar=False)
 
 

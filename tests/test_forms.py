@@ -48,7 +48,7 @@ def test_contraction_kappa(su2, rng):
 
 def test_d_constant_zero_form(su2, rng):
     g = su2.random_group(rng)
-    const = AlgebroidForm(su2, 0, lambda gg: 2.5)
+    const = AlgebroidForm(su2, 0, lambda gg: np.full(su2.point_axes(gg), 2.5))
     d = exterior_derivative(const)
     xi = random_section(su2, rng)
     assert abs(d(g, xi)) < 1e-12
@@ -56,7 +56,7 @@ def test_d_constant_zero_form(su2, rng):
 
 def test_lie_derivative_constant(su2, rng):
     g = su2.random_group(rng)
-    const = AlgebroidForm(su2, 0, lambda gg: 1.0)
+    const = AlgebroidForm(su2, 0, lambda gg: np.full(su2.point_axes(gg), 1.0))
     xi = random_section(su2, rng)
     assert abs(lie_derivative(const, xi)(g)) < 1e-12
 

@@ -101,7 +101,7 @@ def test_courant_isotropy_and_zero_coforms(su2, rng):
     el = CourantElement(z, contract(vform, z))
     assert abs(courant_pairing(el, el, g)) < 1e-10
     # with zero coforms the bracket is just the algebroid bracket
-    zero = AlgebroidForm(su2, 1, lambda gg, s: 0.0)
+    zero = AlgebroidForm(su2, 1, lambda gg, s: np.zeros(su2.point_axes(gg)))
     a = CourantElement(random_section(su2, rng), zero)
     b = CourantElement(random_section(su2, rng), zero)
     cb = courant_bracket(a, b)
@@ -120,6 +120,6 @@ def test_reduced_bracket_abelian_zero_twist():
     eta = cartan_three_form(tor)
     g = tor.random_group(rng)
     v1, v2, chi = [random_section(tor, rng) for _ in range(3)]
-    zero = AlgebroidForm(tor, 1, lambda gg, s: 0.0)
+    zero = AlgebroidForm(tor, 1, lambda gg, s: np.zeros(tor.point_axes(gg)))
     res = reduced_bracket_residual(vform, eta, v1, v2, zero, zero, chi, g)
     assert res < 1e-4

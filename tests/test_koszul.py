@@ -11,11 +11,11 @@ import pytest
 from atiyahcheck import bott
 from atiyahcheck.algebroid import (KappaFamily, bracket, build_alpha, curvature,
                                    field_bracket, invariant_alpha0)
-from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
-                               exterior_derivative, pullback_anchor)
+from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract, de_rham_differential,
+                               exterior_derivative, koszul, lie_derivative, pullback_anchor)
 from atiyahcheck.fusion import Slot, fusion_lambda, mult_eta_residual, pair_from_template
-from atiyahcheck.lifting import canonical_two_form
-from atiyahcheck.liealg import make_group
+from atiyahcheck.lifting import canonical_two_form, varpi_form
+from atiyahcheck.liealg import make_group, quadratic_polynomial
 from atiyahcheck.qham import ConjugacyClass
 from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
                                   template_section)
@@ -47,6 +47,42 @@ def _class_section(alg, klass, rng):
         BumpFunction(), base=klass)
 
 
+def _anchor_oracle(form, h):
+    """The Koszul sum over the group by the point-by-point `directional` route
+    along the anchor, with the algebroid bracket at the same step."""
+    alg = form.algebra
+    return koszul(form, lambda f, g, sec: alg.directional(f, g, sec.v(g), h=h),
+                  lambda a, b: bracket(a, b, h=h))
+
+
+def _group_forms(alg, rng):
+    """Forms over the group whose differentials the checks take, by name, each
+    with its exterior derivative and the per-point oracle of that derivative."""
+    h = 1e-4
+    kappa = KappaFamily(alg).at(0.3)
+    thl = bott.oneform_theta_left(alg)
+    family = bott.GaugePeriodicFamily(alg, thl, lambda g: g @ g)
+    c = alg.random_vector(rng)
+    f = AlgebroidForm(alg, 0, lambda g: alg.pairing(c, alg.Ad(g, c)))
+    xi = random_section(alg, rng)
+    upsilon = AlgebroidForm(alg, 3, lambda g, *ss: bott.upsilon(
+        quadratic_polynomial(alg), [thl, kappa], g, ss, h=h))
+    cases = {name: (exterior_derivative(form, h=h), _anchor_oracle(form, h)) for name, form in {
+        "varpi": varpi_form(alg, TimeGrid(21)),
+        "kappa_t": kappa,
+        "a*eta": pullback_anchor(cartan_three_form(alg)),
+        "beta_t": family.at(0.4),
+        "a*thetaL": thl,
+        "upsilon": upsilon,
+    }.items()}
+    cases["d(d f)"] = (exterior_derivative(exterior_derivative(f, h=h), h=h),
+                       _anchor_oracle(_anchor_oracle(f, h), h))
+    lie = AlgebroidForm(alg, 1, lambda g, chi: _anchor_oracle(kappa, h)(g, xi, chi)
+                        + _anchor_oracle(contract(kappa, xi), h)(g, chi), scalar=False)
+    cases["L_xi kappa_t"] = (lie_derivative(kappa, xi, h=h), lie)
+    return cases
+
+
 def test_group_sections_match_the_anchor_formula(su2, rng):
     g = su2.random_group(rng)
     secs = [random_section(su2, rng) for _ in range(2)]
@@ -59,6 +95,21 @@ def test_group_sections_match_the_anchor_formula(su2, rng):
             lambda gg: form(gg, *rest), g, secs[i].v(g), h=h)
     want = want - form(g, bracket(secs[0], secs[1], h=h))
     assert np.array_equal(exterior_derivative(form, h=h)(g, *secs), want)
+    # every derivative term is one call on the stencil stack, bit for bit the
+    # point-by-point route
+    secs += [random_section(su2, rng) for _ in range(2)]
+    for name, (d, oracle) in _group_forms(su2, rng).items():
+        got, want = d(g, *secs[:d.degree]), oracle(g, *secs[:d.degree])
+        assert np.any(np.asarray(got) != 0.0), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_fd_step_reaches_the_bracket(su2, rng):
+    g = su2.random_group(rng)
+    secs = [random_section(su2, rng) for _ in range(2)]
+    form = KappaFamily(su2).at(0.3)
+    got = exterior_derivative(form, h=3e-3)(g, *secs)
+    assert got.tobytes() == _anchor_oracle(form, 3e-3)(g, *secs).tobytes()
 
 
 def test_bott_dbeta_matches_its_formula(su2, rng):

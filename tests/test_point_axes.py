@@ -1,19 +1,20 @@
-"""Sections, scalars and de Rham forms over the group take leading point
-axes: every member of a stack of points equals the value at that point
-alone, bit for bit, and a bracket or a de Rham differential over the group
-(one stencil call per derivative term) equals the point-by-point
+"""Sections, scalars, de Rham forms and algebroid forms over the group take
+leading point axes: every member of a stack of points equals the value at
+that point alone, bit for bit, and a bracket or a de Rham differential over
+the group (one stencil call per derivative term) equals the point-by-point
 `directional` route."""
 
 import numpy as np
 import pytest
 
 from atiyahcheck import algebroid as albr
+from atiyahcheck import bott
 from atiyahcheck import lifting as lf
 from atiyahcheck.checks import _coordinate_omega
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
-                               equivariant_cartan, koszul)
+                               equivariant_cartan, exterior_derivative, koszul)
 from atiyahcheck.homotopy import poincare_primitive
-from atiyahcheck.liealg import GROUP_NAMES, make_group
+from atiyahcheck.liealg import GROUP_NAMES, make_group, per_point
 from atiyahcheck.qham import project_based
 from atiyahcheck.sections import (AlgebroidSection, BumpFunction, TimeGrid, constant_field,
                                   constant_profile_section, extend, random_loop_section,
@@ -300,3 +301,49 @@ def test_de_rham_differential_matches_directional_oracle(algebra):
         assert got.tobytes() == _alone(d, gs, *vs).tobytes(), name
         want = _oracle_de_rham(form)(gs[0], *vs)
         assert np.asarray(d(gs[0], *vs)).tobytes() == np.asarray(want).tobytes(), name
+
+
+# -- algebroid forms over a stack of points --------------------------------------
+
+def test_algebroid_oneforms_take_point_axes(algebra):
+    rng = np.random.default_rng(82)
+    gs = _points(algebra, rng)
+    thl = bott.oneform_theta_left(algebra)
+    phi = lambda g: g @ g
+    forms = {
+        "0": bott.oneform_zero(algebra),
+        "a*thetaL": thl,
+        "kappa_t": albr.KappaFamily(algebra).at(0.3),
+        "beta_t": bott.GaugePeriodicFamily(algebra, thl, phi).at(1.4),
+        "Phi.beta": bott.gauge_transform(phi, thl),
+    }
+    sec = random_section(algebra, rng)
+    for name, form in forms.items():
+        got = form(gs, sec)
+        assert got.shape == gs.shape[:-2] + (algebra.dim,), name
+        assert got.tobytes() == _alone(form, gs, sec).tobytes(), name
+
+
+def test_per_point_stacks_the_values_at_each_point(algebra):
+    rng = np.random.default_rng(83)
+    gs = _points(algebra, rng)
+    seen = []
+
+    def fn(g):
+        seen.append(g.shape)
+        return algebra.Ad(g, np.arange(algebra.dim, dtype=float))
+
+    got = per_point(fn, gs)
+    assert seen == [gs.shape[-2:]] * 12
+    assert got.shape == gs.shape[:-2] + (algebra.dim,)
+    assert got.tobytes() == _alone(fn, gs).tobytes()
+
+
+def test_form_dropping_its_point_axes_raises(algebra):
+    rng = np.random.default_rng(84)
+    g = algebra.random_group(rng)
+    secs = [random_section(algebra, rng) for _ in range(2)]
+    # one value for a whole stack of points
+    constant = AlgebroidForm(algebra, 1, lambda gg, s: 1.0)
+    with pytest.raises(ValueError, match="point axes"):
+        exterior_derivative(constant)(g, *secs)
