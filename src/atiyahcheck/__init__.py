@@ -7,14 +7,14 @@ conjugacy-class kernel theorem, all verified by randomized residual checks.
 __version__ = "0.1.0"
 
 from .liealg import LieAlgebra, InvariantPolynomial, make_group, GROUP_NAMES
-from .sections import (AlgebroidSection, BumpFunction, TimeGrid,
+from .sections import (AlgebroidSection, TimeGrid, bump,
                        extend, integrate_01, template_section, time_derivative)
 from .algebroid import bracket, build_alpha, generator, KappaFamily
 
 __all__ = [
     "__version__",
     "LieAlgebra", "InvariantPolynomial", "make_group", "GROUP_NAMES",
-    "AlgebroidSection", "BumpFunction", "TimeGrid",
+    "AlgebroidSection", "TimeGrid", "bump",
     "extend", "integrate_01", "template_section", "time_derivative",
     "bracket", "build_alpha", "generator", "KappaFamily",
 ]

@@ -99,8 +99,8 @@ class ConnectionFamily(InterpolatedFamily):
     g . a = Ad_g a - theta^R is the gauge action: the step (k, c) = (g, -v).
     """
 
-    def __init__(self, algebra, alpha0, bump, invariant=False):
-        super().__init__(algebra, bump)
+    def __init__(self, algebra, alpha0, invariant=False):
+        super().__init__(algebra)
         self.alpha0 = alpha0
         self.invariant = invariant
 
@@ -125,11 +125,8 @@ class ConnectionFamily(InterpolatedFamily):
         return float(np.linalg.norm(lhs - rhs))
 
 
-def build_alpha(algebra, alpha0=None, bump=None, invariant=None):
+def build_alpha(algebra, alpha0=None, invariant=None):
     """ConnectionFamily from a base 1-form (default alpha_0 = 0, invariant)."""
-    from .sections import BumpFunction
-    if bump is None:
-        bump = BumpFunction()
     if alpha0 is None:
         def alpha0(g, v):
             return np.zeros(algebra.dim)
@@ -137,7 +134,7 @@ def build_alpha(algebra, alpha0=None, bump=None, invariant=None):
             invariant = True
     if invariant is None:
         invariant = False
-    return ConnectionFamily(algebra, alpha0, bump, invariant=invariant)
+    return ConnectionFamily(algebra, alpha0, invariant=invariant)
 
 
 def invariant_alpha0(algebra, coeffs):

@@ -6,14 +6,18 @@ the anchor).  The simplex integrals follow
     Upsilon^p(beta_0..beta_k) = (-1)^[(k+1)/2] int_{Delta^k} p(F^beta),
     beta = beta_0 + sum_i s_i (beta_i - beta_0),
 
-with the ds-components extracted combinatorially.  Orientation of the
-simplex and rectangle integrals relative to that display is a convention;
-one sign per integral family is measured once against the Stokes and
-flat-family identities on su2 and then frozen (see ConventionTable).
+with the ds-components extracted combinatorially.  The quadrature is fixed:
+the k-simplex (k <= 2) takes the tensorized 8-node Gauss-Legendre rule
+SimplexRule(k), built once, and the rectangle integral I^p an
+8 x 32 Gauss-Legendre grid in (s, t).  Orientation of the simplex and
+rectangle integrals relative to that display is a convention; one sign per
+integral family is measured once against the Stokes and flat-family
+identities on su2 and then frozen (see ConventionTable).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,11 +26,11 @@ import numpy as np
 
 from . import algebroid as albr
 from .algebroid import KappaFamily, generator
-from .forms import (AlgebroidForm, _perm_sign, along_sections, cartan_three_form, koszul,
-                    pullback_anchor)
+from .forms import (AlgebroidForm, _perm_sign, along_sections, cartan_three_form,
+                    exterior_derivative, koszul, pullback_anchor)
 from .liealg import make_group, per_point, quadratic_polynomial
-from .sections import (BumpFunction, InterpolatedFamily, TimeGrid, gauge_steps,
-                       piecewise, random_section, scaled)
+from .sections import (InterpolatedFamily, TimeGrid, gauge_steps, piecewise, random_section,
+                       scaled)
 
 __all__ = [
     "SimplexRule",
@@ -62,15 +66,14 @@ def _gl01(n):
 
 @dataclass(frozen=True)
 class SimplexRule:
-    """Tensorized Gauss-Legendre nodes mapped onto the standard k-simplex."""
+    """Tensorized 8-node Gauss-Legendre rules mapped onto the standard k-simplex."""
 
     dimension: int
-    order: int = 8
     nodes: tuple = field(init=False, repr=False)
     weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        k, n = self.dimension, self.order
+        k, n = self.dimension, 8
         if k == 0:
             nodes, weights = [()], [1.0]
         elif k == 1:
@@ -92,6 +95,13 @@ class SimplexRule:
         total = sum(self.weights)
         if abs(total - 1.0 / math.factorial(max(k, 1))) > 1e-12 and k > 0:
             raise AssertionError("weights do not sum to the simplex volume")
+
+
+@functools.cache
+def _simplex_rule(k):
+    """SimplexRule(k), built once, on first use: built at import, the rules
+    raised the benchmark's peak RSS by 1-2.5 MB on every workload."""
+    return SimplexRule(k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +149,8 @@ class GaugePeriodicFamily(InterpolatedFamily):
     step is (k, c) = (Phi(g), -Phi* theta^R(a(sec))).
     """
 
-    def __init__(self, algebra, beta0, phi, bump=None, h=1e-4):
-        super().__init__(algebra, bump if bump is not None else BumpFunction())
+    def __init__(self, algebra, beta0, phi, h=1e-4):
+        super().__init__(algebra)
         self.beta0 = beta0
         self.phi = phi
         self.h = h
@@ -178,7 +188,7 @@ class _PairData:
         self._dbeta = {}        # (form index, i, j) -> vector, i < j
         self._brackets = {}     # (i, j) -> bracket section
         self.x = x
-        self._iota = None
+        self._iota = {}
 
     def value(self, fi, ai):
         key = (fi, ai)
@@ -206,8 +216,6 @@ class _PairData:
 
     def iota_x(self, fi):
         """Contraction of beta_fi with the action generator of x."""
-        if self._iota is None:
-            self._iota = {}
         if fi not in self._iota:
             xa = generator(self.alg, self.x)
             self._iota[fi] = self.betas[fi](self.g, xa)
@@ -243,9 +251,10 @@ def _p_wedge(p, blocks, args_count):
     return total
 
 
-def _upsilon_core(p, betas, g, args, x, rule, h):
-    """The raw simplex integral with the display prefactor, before the dial;
-    one point at a time over any leading point axes of g.
+def _upsilon_core(p, betas, g, args, x, h):
+    """The raw simplex integral with the display prefactor, before the dial,
+    on the rule of the (len(betas) - 1)-simplex; one point at a time over
+    any leading point axes of g.
 
     This and `rectangle_integral` stay per point: the one-time convention
     calibration is mostly the exterior derivative of a rectangle integral,
@@ -253,10 +262,11 @@ def _upsilon_core(p, betas, g, args, x, rule, h):
     benchmark's speed probe can time.
     """
     if np.ndim(g) > 2:
-        return per_point(lambda point: _upsilon_core(p, betas, point, args, x, rule, h), g)
+        return per_point(lambda point: _upsilon_core(p, betas, point, args, x, h), g)
     alg = p.algebra
     m = p.degree
     k = len(betas) - 1
+    rule = _simplex_rule(k)
     r = len(args)
     if (r - k) % 2 != 0:
         return 0.0
@@ -304,27 +314,21 @@ def _upsilon_core(p, betas, g, args, x, rule, h):
     return prefactor * reorder * coeff * total
 
 
-def upsilon(p, betas, g, args, rule=None, conventions=None, h=1e-4):
+def upsilon(p, betas, g, args, conventions=None, h=1e-4):
     """Bott form Upsilon^p(beta_0..beta_k) evaluated on argument sections."""
-    k = len(betas) - 1
-    if rule is None:
-        rule = SimplexRule(k)
-    sign = 1.0 if conventions is None else conventions.upsilon_sign(k)
-    return sign * _upsilon_core(p, betas, g, args, None, rule, h)
+    sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
+    return sign * _upsilon_core(p, betas, g, args, None, h)
 
 
-def upsilon_equivariant(p, betas, x, g, args, rule=None, conventions=None, h=1e-4):
+def upsilon_equivariant(p, betas, x, g, args, conventions=None, h=1e-4):
     """Equivariant Bott form at the algebra element x (graded by len(args))."""
-    k = len(betas) - 1
-    if rule is None:
-        rule = SimplexRule(k)
-    sign = 1.0 if conventions is None else conventions.upsilon_sign(k)
-    return sign * _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float), rule, h)
+    sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
+    return sign * _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float), h)
 
 
-def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
-                       conventions=None, h=1e-4):
-    """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot.
+def rectangle_integral(p, family, g, args, x=None, conventions=None, h=1e-4):
+    """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot,
+    on 8 Gauss-Legendre nodes in s and 32 in t.
 
     family must provide value(t, g, sec), tderiv(t, g, sec) and at(t), for
     arrays of times t.  Over leading point axes of g the integral is taken
@@ -332,7 +336,7 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: rectangle_integral(
-            p, family, point, args, x=x, n_s=n_s, n_t=n_t, conventions=conventions, h=h), g)
+            p, family, point, args, x=x, conventions=conventions, h=h), g)
     alg = p.algebra
     m = p.degree
     r = len(args)
@@ -345,8 +349,8 @@ def rectangle_integral(p, family, g, args, x=None, n_s=8, n_t=32,
     if n_z > 0 and x is None:
         return 0.0
 
-    s_nodes, s_weights = _gl01(n_s)
-    t_nodes, t_weights = _gl01(n_t)
+    s_nodes, s_weights = _gl01(8)
+    t_nodes, t_weights = _gl01(32)
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     reorder = -1.0                     # dt crosses the ds-slot 1-form
     sign = 1.0 if conventions is None else conventions.rect_sign
@@ -419,6 +423,8 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
     side is pinned independently by closed-form spot values).  The relative
     orientation of the flat-family transgression identity and the ratio of
     Upsilon^p(0, theta^L) to the Cartan 3-form are measured and recorded.
+    A pick whose two sides are both exactly 0.0 measures nothing; it keeps
+    the sign +1 and the table's notes name it as unmeasured.
     """
     global _CONVENTIONS
     if _CONVENTIONS is not None:
@@ -437,28 +443,25 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
                           + scaled(alg.pairing(c, s.v(gg)), c), scalar=False, name="beta1")
     kappa = KappaFamily(alg)
     beta2 = kappa.at(0.3)
+    unmeasured = []
 
     # Stokes, k = 1: d Upsilon(b0, b1) = Upsilon(b1) - Upsilon(b0)
-    rule1 = SimplexRule(1)
-    u1 = AlgebroidForm(alg, 2, lambda gg, *ss:
-                       _upsilon_core(p, [thl, beta1], gg, ss, None, rule1, h))
-    from .forms import exterior_derivative
+    u1 = AlgebroidForm(alg, 2, lambda gg, *ss: _upsilon_core(p, [thl, beta1], gg, ss, None, h))
     du1 = exterior_derivative(u1, h=h)
     lhs = du1(g, *args3)
-    rhs = (_upsilon_core(p, [beta1], g, args3, None, SimplexRule(0), h)
-           - _upsilon_core(p, [thl], g, args3, None, SimplexRule(0), h))
-    k1 = _pick_sign(lhs, rhs, tol, "Stokes k=1")
+    rhs = (_upsilon_core(p, [beta1], g, args3, None, h)
+           - _upsilon_core(p, [thl], g, args3, None, h))
+    k1 = _pick_sign(lhs, rhs, tol, "Stokes k=1", unmeasured)
 
     # Stokes, k = 2: d Upsilon(b0,b1,b2) = Upsilon(b1,b2) - Upsilon(b0,b2) + Upsilon(b0,b1)
-    rule2 = SimplexRule(2)
     u2 = AlgebroidForm(alg, 1, lambda gg, *ss:
-                       _upsilon_core(p, [thl, beta1, beta2], gg, ss, None, rule2, h))
+                       _upsilon_core(p, [thl, beta1, beta2], gg, ss, None, h))
     du2 = exterior_derivative(u2, h=h)
     lhs2 = du2(g, *args3[:2])
-    rhs2 = (k1 * _upsilon_core(p, [beta1, beta2], g, args3[:2], None, rule1, h)
-            - k1 * _upsilon_core(p, [thl, beta2], g, args3[:2], None, rule1, h)
-            + k1 * _upsilon_core(p, [thl, beta1], g, args3[:2], None, rule1, h))
-    k2 = _pick_sign(lhs2, rhs2, tol, "Stokes k=2")
+    rhs2 = (k1 * _upsilon_core(p, [beta1, beta2], g, args3[:2], None, h)
+            - k1 * _upsilon_core(p, [thl, beta2], g, args3[:2], None, h)
+            + k1 * _upsilon_core(p, [thl, beta1], g, args3[:2], None, h))
+    k2 = _pick_sign(lhs2, rhs2, tol, "Stokes k=2", unmeasured)
 
     # rectangle: the quadratic identity varpi^p = varpi on a section pair
     from .lifting import canonical_two_form
@@ -467,32 +470,38 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
     kap0, kap1 = kappa.at(0.0), kappa.at(1.0)
     pair = args3[:2]
     i_raw = rectangle_integral(p, kappa, g, pair, x=x, h=h)
-    u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x, rule2, h)
+    u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x, h)
     want = canonical_two_form(pair[0], pair[1], g, TimeGrid(201))
-    rect = _pick_sign(i_raw, want + u2, tol, "quadratic varpi^p = varpi")
+    rect = _pick_sign(i_raw, want + u2, tol, "quadratic varpi^p = varpi", unmeasured)
 
     # measured, recorded: orientation of the flat-family transgression identity
     iform = AlgebroidForm(alg, 2, lambda gg, *ss:
                           rect * rectangle_integral(p, kappa, gg, ss, x=x, h=h))
     d_i = exterior_derivative(iform, h=h)
-    lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x, rule1, h)
-            - k1 * _upsilon_core(p, [zero, kap0], g, args3, x, rule1, h))
+    lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x, h)
+            - k1 * _upsilon_core(p, [zero, kap0], g, args3, x, h))
     rhs3 = d_i(g, *args3)
-    lemma = _pick_sign(lhs3, rhs3, tol, "flat-family transgression")
+    lemma = _pick_sign(lhs3, rhs3, tol, "flat-family transgression", unmeasured)
 
     # measured, recorded: Upsilon^p(0, theta^L) against the Cartan form
     eta = pullback_anchor(cartan_three_form(alg))
-    got = k1 * _upsilon_core(p, [zero, thl], g, args3, None, rule1, h)
+    got = k1 * _upsilon_core(p, [zero, thl], g, args3, None, h)
     want_eta = eta(g, *args3)
     ratio = got / want_eta
     if abs(abs(ratio) - 1.0) > tol:
         raise ConventionError(f"eta^p is not +-eta: ratio {ratio}")
-    _CONVENTIONS = ConventionTable(k1, k2, rect, lemma, float(np.sign(ratio)),
-                                   notes="calibrated on su2")
+    notes = "calibrated on su2"
+    if unmeasured:
+        notes += f"; unmeasured, both sides 0.0, sign +1: {', '.join(unmeasured)}"
+    _CONVENTIONS = ConventionTable(k1, k2, rect, lemma, float(np.sign(ratio)), notes=notes)
     return _CONVENTIONS
 
 
-def _pick_sign(lhs, rhs, tol, label):
+def _pick_sign(lhs, rhs, tol, label, unmeasured):
+    """+1 or -1 as lhs = +rhs or -rhs within tol; label goes on unmeasured
+    when both sides are exactly 0.0."""
+    if lhs == 0.0 and rhs == 0.0:
+        unmeasured.append(label)
     scale = max(1.0, abs(rhs))
     if abs(lhs - rhs) < tol * scale:
         return 1.0
@@ -604,7 +613,7 @@ def concat_families(f1, f2, algebra):
 # higher primitives and Pressley-Segal forms
 # ---------------------------------------------------------------------------
 
-def eta_p_form(p, conventions, rule=None, h=1e-4):
+def eta_p_form(p, conventions, h=1e-4):
     """eta^p_G = Upsilon^p_G(0, a* theta^L) as an algebroid form factory.
 
     Returns a callable (x, g, args) -> value; the argument count selects the
@@ -613,17 +622,14 @@ def eta_p_form(p, conventions, rule=None, h=1e-4):
     alg = p.algebra
     zero = oneform_zero(alg)
     thl = oneform_theta_left(alg)
-    if rule is None:
-        rule = SimplexRule(1)
 
     def equivariant(x, g, args):
-        return upsilon_equivariant(p, [zero, thl], x, g, args,
-                                   rule=rule, conventions=conventions, h=h)
+        return upsilon_equivariant(p, [zero, thl], x, g, args, conventions=conventions, h=h)
 
     return equivariant
 
 
-def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4, h_t=1e-5):
+def varpi_p_equivariant(p, conventions, h=1e-4, h_t=1e-5):
     """varpi^p_G = I^p({kappa_t}) - Upsilon^p(0, a* theta^L, kappa_0).
 
     Returns a callable (x, g, args) -> value covering every graded component;
@@ -634,22 +640,19 @@ def varpi_p_equivariant(p, conventions, n_s=8, n_t=32, rule2=None, h=1e-4, h_t=1
     zero = oneform_zero(alg)
     thl = oneform_theta_left(alg)
     kap0 = fam.at(0.0)
-    if rule2 is None:
-        rule2 = SimplexRule(2)
 
     def value(x, g, args):
-        out = rectangle_integral(p, fam, g, args, x=x, n_s=n_s, n_t=n_t,
-                                 conventions=conventions, h=h)
+        out = rectangle_integral(p, fam, g, args, x=x, conventions=conventions, h=h)
         out -= upsilon_equivariant(p, [zero, thl, kap0], x, g, args,
-                                   rule=rule2, conventions=conventions, h=h)
+                                   conventions=conventions, h=h)
         return out
 
     return value
 
 
-def pressley_segal_two_form(p, conventions, **kw):
+def pressley_segal_two_form(p, conventions, h=1e-4, h_t=1e-5):
     """sigma^p: the pull-back of varpi^p to loops at the group unit."""
-    vpg = varpi_p_equivariant(p, conventions, **kw)
+    vpg = varpi_p_equivariant(p, conventions, h=h, h_t=h_t)
     alg = p.algebra
     x0 = np.zeros(alg.dim)
 

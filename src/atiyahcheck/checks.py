@@ -35,10 +35,9 @@ from . import fusion as fu
 from . import lifting as lf
 from . import qham as qh
 from .liealg import cubic_polynomial, make_group, quadratic_polynomial
-from .sections import (AlgebroidSection, BumpFunction, TimeGrid, at_times, constant_field,
-                       extend, integrate_01, loop_section, random_loop_section,
-                       random_section, random_twisted_loop, scaled, template_section,
-                       time_derivative)
+from .sections import (AlgebroidSection, TimeGrid, at_times, bump, constant_field, extend,
+                       integrate_01, loop_section, random_loop_section, random_section,
+                       random_twisted_loop, scaled, template_section, time_derivative)
 
 __all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES",
            "run_checks", "list_checks", "result_keys"]
@@ -78,7 +77,6 @@ class CheckContext:
         self.samples = config.get("samples", 4)
         self.seed = config.get("seed", 42)
         self.tol_overrides = config.get("tol_overrides", {})
-        self.bump = BumpFunction()
 
     def rng(self, name):
         key = zlib.crc32(name.encode("utf-8"))
@@ -89,7 +87,7 @@ class CheckContext:
         return bt.calibrate_conventions()
 
     def random_sections(self, rng, count):
-        return [random_section(self.algebra, rng, bump=self.bump)
+        return [random_section(self.algebra, rng)
                 for _ in range(count)]
 
 
@@ -232,7 +230,7 @@ def check_extend_cocycle(ctx, rng):
     alg = ctx.algebra
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        sec = random_section(alg, rng, bump=ctx.bump)
+        sec = random_section(alg, rng)
         for t in (-1.4, -0.3, 0.25, 0.8, 1.6, 2.3):
             lhs = extend(sec, g, t + 1.0)
             rhs = alg.Ad(g, extend(sec, g, t)) + sec.v(g)
@@ -245,7 +243,7 @@ def check_template_compat(ctx, rng):
     alg = ctx.algebra
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        yield random_section(alg, rng, bump=ctx.bump).compatibility_residual(g)
+        yield random_section(alg, rng).compatibility_residual(g)
 
 
 @_register("algebroid", "simpson_order", tol=0.0,
@@ -326,7 +324,7 @@ def check_generator_action(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         x = alg.random_vector(rng)
-        xi = random_section(alg, rng, bump=ctx.bump)
+        xi = random_section(alg, rng)
         t0 = rng.uniform(0.1, 0.9)
         got = albr.bracket(albr.generator(alg, x), xi, h=ctx.h).profile(g, t0)
 
@@ -343,7 +341,7 @@ def check_generator_action(ctx, rng):
 def _invariant_family(ctx, rng):
     coeffs = rng.uniform(-0.5, 0.5, size=3)
     alpha0 = albr.invariant_alpha0(ctx.algebra, coeffs)
-    return albr.build_alpha(ctx.algebra, alpha0=alpha0, bump=ctx.bump, invariant=True)
+    return albr.build_alpha(ctx.algebra, alpha0=alpha0, invariant=True)
 
 
 @_register("algebroid", "alpha_gauge_periodicity", tol=1e-10,
@@ -381,7 +379,7 @@ def check_connection_vertical(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         alpha = _invariant_family(ctx, rng)
-        xi = random_section(alg, rng, bump=ctx.bump)
+        xi = random_section(alg, rng)
         vert = albr.connection_apply(alpha, xi)
         yield vert.compatibility_residual(g)
         yield np.linalg.norm(vert.v(g))
@@ -410,7 +408,7 @@ def check_kappa_seam(ctx, rng):
     kf = albr.KappaFamily(alg)
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        xi = random_section(alg, rng, bump=ctx.bump)
+        xi = random_section(alg, rng)
         for t in (-0.3, 0.3, 1.4):
             lhs = kf.value(t + 1.0, g, xi)
             rhs = alg.Ad(g, kf.value(t, g, xi)) - xi.v(g)
@@ -491,8 +489,8 @@ def check_horizontal_basic(ctx, rng):
         g = alg.random_group(rng)
         om = _random_one_form(ctx, rng)
         aom = fm.pullback_anchor(om)
-        loop = random_twisted_loop(alg, rng, bump=ctx.bump)
-        chi = random_section(alg, rng, bump=ctx.bump)
+        loop = random_twisted_loop(alg, rng)
+        chi = random_section(alg, rng)
         yield abs(aom(g, loop))
         yield abs(fm.lie_derivative(aom, loop, h=ctx.h)(g, chi))
 
@@ -585,8 +583,8 @@ def check_sigma_antisym(ctx, rng):
     alg = ctx.algebra
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
-        z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
-        z2 = random_twisted_loop(alg, rng, bump=ctx.bump)
+        z1 = random_twisted_loop(alg, rng)
+        z2 = random_twisted_loop(alg, rng)
         s = lf.central_cocycle(z1, z2, g, ctx.grid, h_t=ctx.h_t) \
             + lf.central_cocycle(z2, z1, g, ctx.grid, h_t=ctx.h_t)
         yield abs(s)
@@ -598,9 +596,9 @@ def check_dsigma(ctx, rng):
     alg = ctx.algebra
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
-        z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
-        z2 = random_twisted_loop(alg, rng, bump=ctx.bump)
-        ch = random_section(alg, rng, bump=ctx.bump)
+        z1 = random_twisted_loop(alg, rng)
+        z2 = random_twisted_loop(alg, rng)
+        ch = random_section(alg, rng)
         # i_chi (d sigma)(x1,x2): derivative term minus structure terms
         drift = alg.stencil_derivative(
             lambda gg: lf.central_cocycle(z1, z2, gg, ctx.coarse_grid, h_t=ctx.h_t),
@@ -626,8 +624,8 @@ def check_dthetaj(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
         alpha = _invariant_family(ctx, rng)
-        xi = random_section(alg, rng, bump=ctx.bump)
-        ze = random_twisted_loop(alg, rng, bump=ctx.bump)
+        xi = random_section(alg, rng)
+        ze = random_twisted_loop(alg, rng)
         r1 = lf.dtheta_j(alpha, g, xi.v(g), ze, ctx.grid)
         r2 = lf.dtheta_j_definitional(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
         yield abs(r1 - r2)
@@ -638,7 +636,7 @@ def check_dthetaj(ctx, rng):
 def check_lhat(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng, scale=0.5)
-    loops = [random_twisted_loop(alg, rng, bump=ctx.bump) for _ in range(3)]
+    loops = [random_twisted_loop(alg, rng) for _ in range(3)]
     t0 = rng.uniform(0.2, 0.8)
     exts = [lf.ExtendedLSection.split(z) for z in loops]
     br = lf.bracket_lhat(exts[0], exts[1], ctx.coarse_grid, h_t=ctx.h_t)
@@ -658,7 +656,7 @@ def check_nablahat_flat(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng, scale=0.5)
     xi, ze = ctx.random_sections(rng, 2)
-    body = random_twisted_loop(alg, rng, bump=ctx.bump)
+    body = random_twisted_loop(alg, rng)
     b = lf.ExtendedLSection(body, lambda gg: np.sin(gg[..., 0, -1]))
     n12 = lf.nabla_hat(xi, lf.nabla_hat(ze, b, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
                        ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
@@ -677,9 +675,9 @@ def check_nablahat_flat(ctx, rng):
 def check_nablahat_derivation(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng, scale=0.5)
-    xi = random_section(alg, rng, bump=ctx.bump)
-    b1 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng, bump=ctx.bump))
-    b2 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng, bump=ctx.bump))
+    xi = random_section(alg, rng)
+    b1 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
+    b2 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
     lhs = lf.nabla_hat(xi, lf.bracket_lhat(b1, b2, ctx.coarse_grid, h_t=ctx.h_t),
                        ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
     r1 = lf.bracket_lhat(lf.nabla_hat(xi, b1, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
@@ -761,7 +759,7 @@ def check_q_closed_form(ctx, rng):
         q1 = lf.q_alpha(alpha, g, v, w, ctx.grid)
         q2 = lf.q_alpha_closed_form(alpha, g, v, w)
         yield abs(q1 - q2)
-        zero = albr.build_alpha(alg, bump=ctx.bump)
+        zero = albr.build_alpha(alg)
         yield abs(lf.q_alpha(zero, g, v, w, ctx.grid))
 
 
@@ -771,8 +769,8 @@ def check_iota_loop_varpi(ctx, rng):
     alg = ctx.algebra
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.5)
-        ze = random_twisted_loop(alg, rng, bump=ctx.bump)
-        chi = random_section(alg, rng, bump=ctx.bump)
+        ze = random_twisted_loop(alg, rng)
+        chi = random_section(alg, rng)
         lhs = lf.canonical_two_form(ze, chi, g, ctx.grid, h_t=ctx.h_t)
         ts = ctx.grid.nodes
         rhs = -ctx.grid.integrate(alg.pairing(
@@ -787,7 +785,7 @@ def check_iota_generator_varpi(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         x = alg.random_vector(rng)
-        chi = random_section(alg, rng, bump=ctx.bump)
+        chi = random_section(alg, rng)
         lhs = lf.canonical_two_form(albr.generator(alg, x), chi, g, ctx.grid,
                                     h_t=ctx.h_t)
         rhs = 0.5 * alg.pairing(alg.maurer_cartan(g, chi.v(g), "left") + chi.v(g), x)
@@ -833,7 +831,7 @@ def check_equivariant_three_form(ctx, rng):
            identity="-<d^theta j, F^theta> = a* eta for alpha_0 = 0")
 def check_eta_data_route(ctx, rng):
     alg = ctx.algebra
-    alpha = albr.build_alpha(alg, bump=ctx.bump)
+    alpha = albr.build_alpha(alg)
     etad = lf.eta_from_data(alpha, ctx.coarse_grid, h=ctx.h)
     eta = fm.cartan_three_form(alg)
     for _ in range(max(2, ctx.samples // 2)):
@@ -846,7 +844,7 @@ def check_eta_data_route(ctx, rng):
            identity="d omega = -eta makes the lifted bracket a Lie bracket")
 def check_lifted_jacobi_primitive(ctx, rng):
     alg = ctx.algebra
-    alpha = albr.build_alpha(alg, bump=ctx.bump)
+    alpha = albr.build_alpha(alg)
     omega = None
     if ctx.group_name == "heisenberg3":
         # radial-homotopy primitive of -eta in exponential coordinates
@@ -881,7 +879,7 @@ def _coordinate_omega(alg):
            identity="scalar Jacobiator of the lifted bracket = (d omega + eta)(X1,X2,X3)")
 def check_lifted_jacobi_obstruction(ctx, rng):
     alg = ctx.algebra
-    alpha = albr.build_alpha(alg, bump=ctx.bump)
+    alpha = albr.build_alpha(alg)
     eta = fm.cartan_three_form(alg)
     notes = []
     cases = [("omega=0", None)]
@@ -906,7 +904,7 @@ def check_lifted_jacobi_obstruction(ctx, rng):
 def check_equivariant_generators(ctx, rng):
     alg = ctx.algebra
     from .homotopy import poincare_primitive
-    alpha = albr.build_alpha(alg, bump=ctx.bump)
+    alpha = albr.build_alpha(alg)
 
     def phi_map(x):
         mu = fm.AlgebroidForm(alg, 1, lambda g, a:
@@ -928,11 +926,11 @@ def check_gamma_change(ctx, rng):
     alg = ctx.algebra
     grid = TimeGrid(51)
     alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)),
-                             bump=ctx.bump, invariant=True)
+                             invariant=True)
     c1, c2 = alg.random_vector(rng, 0.3), alg.random_vector(rng, 0.3)
     lam0 = lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v)
-    lam = lf.HorizontalFamily(alg, lam0, ctx.bump)
-    bker = random_twisted_loop(alg, rng, scale=0.4, bump=ctx.bump)
+    lam = lf.HorizontalFamily(alg, lam0)
+    bker = random_twisted_loop(alg, rng, scale=0.4)
     gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h, h_t=ctx.h_t)
     etap = lf.eta_perturbed(alpha, lam, bker, grid, h=ctx.h)
     eta0 = lf.eta_from_data(alpha, grid, h=ctx.h)
@@ -942,7 +940,7 @@ def check_gamma_change(ctx, rng):
     rhs = fm.de_rham_differential(gam, h=ctx.h)(g, *vs)
     yield abs(lhs - rhs)
     # specialization: lambda = 0, beta only: a* gamma = -<beta, F>
-    gam0 = lf.gamma_change(alpha, lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim), ctx.bump),
+    gam0 = lf.gamma_change(alpha, lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim)),
                            bker, grid, h=ctx.h, h_t=ctx.h_t)
     fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1], h=ctx.h)
     want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes),
@@ -1023,7 +1021,7 @@ def check_upsilon_gauge(ctx, rng):
 def check_gauge_composition(ctx, rng):
     alg = ctx.algebra
     g = alg.random_group(rng)
-    sec = random_section(alg, rng, bump=ctx.bump)
+    sec = random_section(alg, rng)
     beta = _random_gvalued(ctx, rng)
     e0 = alg.random_vector(rng, 0.4)
     phi1 = lambda gg: alg.exp(e0) @ gg
@@ -1090,7 +1088,7 @@ def check_cs_exact(ctx, rng):
     beta = _random_gvalued(ctx, rng)
     csf = fm.AlgebroidForm(alg, 3, lambda gg, *ss: bt.chern_simons(beta, gg, ss, h=ctx.h))
     lhs = fm.exterior_derivative(csf, h=ctx.h)(g, *secs)
-    rhs = bt.upsilon(p, [beta], g, secs, rule=bt.SimplexRule(0), h=ctx.h)
+    rhs = bt.upsilon(p, [beta], g, secs, h=ctx.h)
     yield abs(lhs - rhs)
 
 
@@ -1124,7 +1122,7 @@ def _gauge_family(ctx, rng, phi=None):
     if phi is None:
         e1 = alg.random_vector(rng, 0.4)
         phi = lambda gg, m=alg.exp(e1): gg @ m
-    return bt.GaugePeriodicFamily(alg, beta0, phi, bump=ctx.bump, h=ctx.h)
+    return bt.GaugePeriodicFamily(alg, beta0, phi, h=ctx.h)
 
 
 def _velocity_dot_curvature(ctx, fam, g, secs, t):
@@ -1186,10 +1184,10 @@ def check_cs_period_equivariant(ctx, rng):
     phi = lambda gg: gg @ gg
     thl = bt.oneform_theta_left(alg)
     beta0 = fm.AlgebroidForm(alg, 1, lambda g, s: 0.4 * thl(g, s), scalar=False)
-    fam = bt.GaugePeriodicFamily(alg, beta0, phi, bump=ctx.bump, h=ctx.h)
+    fam = bt.GaugePeriodicFamily(alg, beta0, phi, h=ctx.h)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
-    xi = random_section(alg, rng, bump=ctx.bump)
+    xi = random_section(alg, rng)
     xa = albr.generator(alg, x)
     grid = TimeGrid(51)
 
@@ -1267,9 +1265,8 @@ def check_q_concat(ctx, rng):
     e0, e1 = alg.random_vector(rng, 0.4), alg.random_vector(rng, 0.4)
     phi1 = lambda gg, m=alg.exp(e0): m @ gg
     phi2 = lambda gg, m=alg.exp(e1): gg @ m
-    f1 = bt.GaugePeriodicFamily(alg, beta0, phi1, bump=ctx.bump, h=ctx.h)
-    f2 = bt.GaugePeriodicFamily(alg, bt.gauge_transform(phi1, beta0, h=ctx.h), phi2,
-                                bump=ctx.bump, h=ctx.h)
+    f1 = bt.GaugePeriodicFamily(alg, beta0, phi1, h=ctx.h)
+    f2 = bt.GaugePeriodicFamily(alg, bt.gauge_transform(phi1, beta0, h=ctx.h), phi2, h=ctx.h)
     cat = bt.concat_families(f1, f2, alg)
     qc = bt.q_functional(cat, g, s1, s2, ctx.grid, h=ctx.h)
     q1 = bt.q_functional(f1, g, s1, s2, ctx.grid, h=ctx.h)
@@ -1469,7 +1466,7 @@ def check_concat_structure(ctx, rng):
     alg = ctx.algebra
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
-        pair = fu.pair_from_template(alg, rng, bump=ctx.bump)
+        pair = fu.pair_from_template(alg, rng)
         yield fu.composable_residual(pair, g2, g1)
         cat = fu.concat(pair, g2, g1)
         gm = g2 @ g1
@@ -1480,11 +1477,10 @@ def check_concat_structure(ctx, rng):
     # associativity after the dyadic reparametrization, on frozen paths
     g3, g2, g1 = [alg.random_group(rng) for _ in range(3)]
     paths = []
-    b = ctx.bump
     vals = [alg.random_vector(rng) for _ in range(4)]
     for i in range(3):
         a0, a1 = vals[i], vals[i + 1]
-        paths.append(lambda t, a0=a0, a1=a1: a0 + b(t) * (a1 - a0))
+        paths.append(lambda t, a0=a0, a1=a1: a0 + bump(t) * (a1 - a0))
     def left(t):
         # ((p3 * p2) * p1)
         if t <= 0.5:
@@ -1513,8 +1509,8 @@ def check_pair_bracket_closure(ctx, rng):
     alg = ctx.algebra
     for _ in range(2):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
-        p = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        q = fu.pair_from_template(alg, rng, bump=ctx.bump)
+        p = fu.pair_from_template(alg, rng)
+        q = fu.pair_from_template(alg, rng)
         yield fu.composable_residual(fu.pair_bracket(p, q, h=ctx.h), g2, g1)
 
 
@@ -1525,8 +1521,8 @@ def check_fusion_two_form(ctx, rng):
     n_pairs = max(ctx.samples, 8)
     for _ in range(n_pairs):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
-        p = fu.pair_from_template(alg, rng, bump=ctx.bump)
-        q = fu.pair_from_template(alg, rng, bump=ctx.bump)
+        p = fu.pair_from_template(alg, rng)
+        q = fu.pair_from_template(alg, rng)
         yield fu.fusion_residual(p, q, g2, g1, ctx.grid)
     return {"pairs": n_pairs}
 
@@ -1553,7 +1549,7 @@ def check_isotropy(ctx, rng):
     vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
     for _ in range(ctx.samples):
         g = alg.random_group(rng, scale=0.5)
-        z = random_twisted_loop(alg, rng, bump=ctx.bump)
+        z = random_twisted_loop(alg, rng)
         el = fu.CourantElement(z, fm.contract(vform, z))
         yield abs(fu.courant_pairing(el, el, g))
 
@@ -1565,9 +1561,9 @@ def check_loop_action(ctx, rng):
     vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
-        z1 = random_twisted_loop(alg, rng, bump=ctx.bump)
-        z2 = random_twisted_loop(alg, rng, bump=ctx.bump)
-        chi = random_section(alg, rng, bump=ctx.bump)
+        z1 = random_twisted_loop(alg, rng)
+        z2 = random_twisted_loop(alg, rng)
+        chi = random_section(alg, rng)
         f1 = fu.CourantElement(z1, fm.contract(vform, z1))
         f2 = fu.CourantElement(z2, fm.contract(vform, z2))
         cb = fu.courant_bracket(f1, f2, h=ctx.h)
@@ -1650,7 +1646,7 @@ def check_pullback_bracket(ctx, rng):
         u0, u1 = rng.standard_normal(3), rng.standard_normal(3)
         af = lambda m: a0 + (m @ u0) * a1v
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0))
-        return template_section(alg, af, xf, ctx.bump, base=klass)
+        return template_section(alg, af, xf, base=klass)
 
     def br(p, q):
         return albr.bracket(p, q, h=_SPHERE_STEP)
@@ -1728,7 +1724,7 @@ def check_pullback_three_form(ctx, rng):
         u0, u1 = rng.standard_normal(3), rng.standard_normal(3)
         af = lambda m: a0 + (m @ u0) * a0
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0))
-        return template_section(alg, af, xf, ctx.bump, base=klass)
+        return template_section(alg, af, xf, base=klass)
 
     secs = [mk() for _ in range(3)]
     vform = fm.AlgebroidForm(alg, 2, lambda m, p, q: lf.canonical_two_form(
@@ -1758,7 +1754,7 @@ def check_pullback_cochain(ctx, rng):
 
     def field(tv):
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ tv
-        return template_section(alg, zero, xf, ctx.bump, base=klass)
+        return template_section(alg, zero, xf, base=klass)
 
     secs = [field(t) for t in klass.tangent_basis(n)]
     lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=_SPHERE_STEP)(n, *secs)
@@ -1772,7 +1768,7 @@ def check_based_projection(ctx, rng):
     alg = ctx.algebra
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
-        xi = random_section(alg, rng, bump=ctx.bump)
+        xi = random_section(alg, rng)
         at0, shift = qh.project_based_residuals(xi, g)
         yield at0
         yield shift
@@ -1833,7 +1829,7 @@ def check_abelian_collapse(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     alpha = _invariant_family(ctx, rng)
-    etad = lf.eta_from_data(albr.build_alpha(alg, bump=ctx.bump), ctx.coarse_grid, h=ctx.h)
+    etad = lf.eta_from_data(albr.build_alpha(alg), ctx.coarse_grid, h=ctx.h)
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         v, w, u = [alg.random_vector(rng) for _ in range(3)]
@@ -1845,8 +1841,8 @@ def check_abelian_collapse(ctx, rng):
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
     fields = [constant_field(alg, v) for v in vs]
-    jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg, bump=ctx.bump),
-                                      fields, g, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
+    jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg), fields, g, ctx.coarse_grid,
+                                      h=ctx.h, h_t=ctx.h_t)
     yield abs(jac)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import AlgebroidForm, de_rham_differential
-from .sections import AlgebroidSection, BumpFunction, piecewise, template_section
+from .sections import AlgebroidSection, piecewise, template_section
 from . import algebroid as albr
 from .liealg import _derivative
 from .lifting import canonical_two_form
@@ -73,13 +73,10 @@ class Slot:
         """The group's frame bracket row by row: (-[u2, w2], -[u1, w1])."""
         return -np.array([self.algebra.bracket(u[0], w[0]), self.algebra.bracket(u[1], w[1])])
 
-    def directional(self, func, m, u, h=1e-4):
-        """Richardson derivative along the product-group direction u = (w2, w1)."""
-        return _derivative([func(p) for p in self.stencil(m, u, h)], h)
-
     def stencil_derivative(self, func, m, u, h=1e-4):
-        """The same derivative: a slot evaluates its stencil point by point."""
-        return self.directional(func, m, u, h=h)
+        """Richardson derivative along the product-group direction u = (w2, w1),
+        evaluating func at the stencil points one at a time."""
+        return _derivative([func(p) for p in self.stencil(m, u, h)], h)
 
     def generator_field(self, x, m):
         """Diagonal conjugation: (Ad_{g2} x - x, Ad_{g1} x - x)."""
@@ -104,11 +101,9 @@ def generator_pair(algebra, x):
     return tuple(albr.generator(algebra, x, base=s) for s in slots(algebra))
 
 
-def pair_from_template(algebra, rng, bump=None, scale=0.7):
+def pair_from_template(algebra, rng, scale=0.7):
     """A seeded composable pair: slot-1 template plus a slot-2 template whose
     base value is the slot-1 boundary, so the seam holds identically."""
-    if bump is None:
-        bump = BumpFunction()
     a0 = algebra.random_vector(rng, scale)
     da = algebra.random_vector(rng, scale)
     ca = rng.uniform(-1, 1)
@@ -132,8 +127,8 @@ def pair_from_template(algebra, rng, bump=None, scale=0.7):
     def boundary(m):
         return algebra.Ad(m[1], a1(m)) + v1(m)
 
-    return (template_section(algebra, boundary, xfield, bump, base=slot2),
-            template_section(algebra, a1, xfield, bump, base=slot1))
+    return (template_section(algebra, boundary, xfield, base=slot2),
+            template_section(algebra, a1, xfield, base=slot1))
 
 
 def pair_bracket(p, q, h=1e-4):

@@ -353,8 +353,8 @@ class HorizontalFamily(InterpolatedFamily):
     with the homogeneous gauge action (a difference of two connections).
     """
 
-    def __init__(self, algebra, lam0, bump):
-        super().__init__(algebra, bump)
+    def __init__(self, algebra, lam0):
+        super().__init__(algebra)
         self.lam0 = lam0
 
     def base(self, g, v):

@@ -7,9 +7,10 @@ xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + v(m).  A base provides point (Phi),
 point_axes, push_tangent (d Phi in theta^R), generator_field (the action
 generator x_M) and its geometry: stencil(m, u, h), its four Richardson
 points in stencil_steps order, and frame_bracket(u, w), the bracket of its
-constant frames.  Its directional and stencil_derivative combine the
-values at the stencil with liealg's one Richardson combination, and
-algebroid.field_bracket brackets its tangent fields.  The group is the
+constant frames.  Its stencil_derivative (and, on the group and the
+conjugacy class, directional) combines the values at the stencil with
+liealg's one Richardson combination, and algebroid.field_bracket brackets
+its tangent fields.  The group is the
 base of its own sections with Phi the identity, so there X = v; qham's
 conjugacy class and fusion's slots of G x G are the other bases.
 
@@ -28,13 +29,18 @@ nodes and one TimeGrid.integrate over the last (time) axis of their
 pairing, so it gives one value per point; integrate_01 stays for scalar
 callables, one call per node.
 
+Every quasi-periodic object is built from one smooth cutoff, the module's
+`bump` b, flat on [0, FLAT_WIDTH] and [1 - FLAT_WIDTH, 1]: templates,
+twisted loops and the t-families f_t = f_n + b(t - n)(f_{n+1} - f_n).
+
 A liealg.PointMemo keeps the point data that sections and t-families
 recompute most: a random section's anchor datum v(g) and its template data
 (a(g), seam coefficient), a t-family's pair of ends f_n, f_{n+1} at
-(n, g, arg), a bump's value and derivative at t, and a twisted loop's
-conjugator (c, c^{-1}), c = exp(b(t) log g), at (g, t).  Every result is
-bit-identical to the unmemoised computation.  extend makes one profile
-call per array of times, whatever integers the times cross.
+(n, g, arg), the bump's value and derivative at t (one memo pair for the
+process), and a twisted loop's conjugator (c, c^{-1}), c = exp(b(t) log g),
+at (g, t).  Every result is bit-identical to the unmemoised computation.
+extend makes one profile call per array of times, whatever integers the
+times cross.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .liealg import PointMemo, _frozen_copy
 __all__ = [
     "TimeGrid",
     "BumpFunction",
+    "bump",
     "AlgebroidSection",
     "at_times",
     "constant_field",
@@ -146,26 +153,28 @@ def piecewise(t, piece, evaluate):
     return vals[..., np.argsort(np.argsort(keys, kind="stable")), :]
 
 
+FLAT_WIDTH = 0.1
+_RAMP_SCALE = 1.0 - 2.0 * FLAT_WIDTH
+
+
 class BumpFunction:
-    """Smooth interpolant with f = 0 on [0, flat], f = 1 on [1-flat, 1].
+    """Smooth interpolant with b = 0 on [0, FLAT_WIDTH], b = 1 on [1 - FLAT_WIDTH, 1].
 
     The exp(-1/u) smoothstep is composed with an affine clamp so the flat
     ends hold exactly (not just to all orders), which keeps seam residuals
     at machine precision.  exp is evaluated only strictly inside (0, 1).
+    The construction has one bump, the module's `bump`, so its value and
+    derivative are memoised per t once for the whole process.
     """
 
-    def __init__(self, flat_width=0.1):
-        if not 0.0 <= flat_width < 0.5:
-            raise ValueError("flat_width must lie in [0, 0.5)")
-        self.flat_width = flat_width
-        self._scale = 1.0 - 2.0 * flat_width
+    def __init__(self):
         self._values = PointMemo(self._value)
         self._derivs = PointMemo(self._deriv)
 
     def _ramp(self, t):
         """Clamped time u, its mask 0 < u < 1, and u, exp(-1/u), exp(-1/(1-u))
         taken on the mask, with u = 1/2 off it."""
-        u = (np.asarray(t, dtype=float) - self.flat_width) / self._scale
+        u = (np.asarray(t, dtype=float) - FLAT_WIDTH) / _RAMP_SCALE
         inside = (u > 0.0) & (u < 1.0)
         ui = np.where(inside, u, 0.5)
         return u, inside, ui, np.exp(-1.0 / ui), np.exp(-1.0 / (1.0 - ui))
@@ -186,8 +195,11 @@ class BumpFunction:
         _, inside, ui, a, b = self._ramp(t)
         da = a / ui**2
         db = -b / (1.0 - ui) ** 2
-        slope = (da * (a + b) - a * (da + db)) / (a + b) ** 2 / self._scale
+        slope = (da * (a + b) - a * (da + db)) / (a + b) ** 2 / _RAMP_SCALE
         return np.where(inside, slope, 0.0)[()]
+
+
+bump = BumpFunction()
 
 
 class AlgebroidSection:
@@ -241,7 +253,7 @@ def gauge_steps(algebra, n, x, k, c=None):
 class InterpolatedFamily:
     """A t-family f_t(g, arg) with f_{t+1} = Ad_k f_t + c, from its value at t = 0.
 
-    A subclass calls __init__ with its algebra and bump and provides
+    A subclass calls __init__ with its algebra and provides
     `base(g, arg)` = f_0 and `step(g, arg)` = (k, c), the gauge step
     (c = None when it is linear).  At integers f_n = gauge_steps(n, f_0); in
     between f_t = f_n + b(t - n)(f_{n+1} - f_n) with the bump b, so the seam
@@ -249,9 +261,8 @@ class InterpolatedFamily:
     share one pair of ends, memoised per (n, g, arg) for value and tderiv.
     """
 
-    def __init__(self, algebra, bump):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.bump = bump
         self._ends = PointMemo(self._gauge_ends)
 
     def _gauge_ends(self, n, g, arg):
@@ -266,13 +277,13 @@ class InterpolatedFamily:
     def value(self, t, g, arg):
         def piece(n, tn):
             lo, hi = self._ends(n, g, arg)
-            return at_times(lo, tn) + scaled(self.bump(tn - n), at_times(hi - lo, tn))
+            return at_times(lo, tn) + scaled(bump(tn - n), at_times(hi - lo, tn))
         return piecewise(t, np.floor, piece)
 
     def tderiv(self, t, g, arg):
         def piece(n, tn):
             lo, hi = self._ends(n, g, arg)
-            return scaled(self.bump.deriv(tn - n), at_times(hi - lo, tn))
+            return scaled(bump.deriv(tn - n), at_times(hi - lo, tn))
         return piecewise(t, np.floor, piece)
 
 
@@ -329,7 +340,7 @@ def time_derivative(section, m, t, h_t=1e-5):
     return piecewise(t, lambda tt: np.floor(tt) - (tt == 1.0), piece)
 
 
-def template_section(algebra, a, xfield, bump, name="", base=None):
+def template_section(algebra, a, xfield, name="", base=None):
     """Section with profile a(m) + f(t) (Ad_{Phi(m)} a(m) + v(m) - a(m)).
 
     v(m) is the push of the tangent field xfield (on the group, xfield is v).
@@ -337,7 +348,7 @@ def template_section(algebra, a, xfield, bump, name="", base=None):
     derivative is f'(t) times the seam coefficient.
     """
     base = algebra if base is None else base
-    return _template(algebra, _seam_data(algebra, a, xfield, base), xfield, bump, name, base)
+    return _template(algebra, _seam_data(algebra, a, xfield, base), xfield, name, base)
 
 
 def _seam_data(algebra, a, xfield, base):
@@ -348,7 +359,7 @@ def _seam_data(algebra, a, xfield, base):
     return data
 
 
-def _template(algebra, data, xfield, bump, name, base):
+def _template(algebra, data, xfield, name, base):
     """The template section of the point data data(m) = (a(m), seam coefficient)."""
     def profile(m, t):
         am, coeff = data(m)
@@ -402,7 +413,7 @@ def loop_section(algebra, path, dpath=None, name=""):
                             dprofile=dprof, name=name)
 
 
-def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
+def random_section(algebra, rng, scale=0.8, name="random"):
     """Seeded random template section with genuinely g-dependent data.
 
     a(g) and v(g) are each a fixed random vector plus a random multiple of
@@ -410,8 +421,6 @@ def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
     in brackets are exercised.  v(g) and the template data
     (a(g), seam coefficient) are memoised per group point.
     """
-    if bump is None:
-        bump = BumpFunction()
     a0 = algebra.random_vector(rng, scale)
     da = algebra.random_vector(rng, scale)
     ca = rng.uniform(-1.0, 1.0)
@@ -424,10 +433,10 @@ def random_section(algebra, rng, bump=None, scale=0.8, name="random"):
 
     v = PointMemo(lambda g: v0 + cv * algebra.Ad(g, dv))
     data = PointMemo(_seam_data(algebra, a, v, algebra))
-    return _template(algebra, data, v, bump, name, algebra)
+    return _template(algebra, data, v, name, algebra)
 
 
-def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
+def twisted_loop_section(algebra, path, dpath, name="twisted-loop"):
     """A genuine L-section over the log-chart: profile Ad_{exp(f(t) log g)} path(t).
 
     path must be 1-periodic; the seam xi(g, t+1) = Ad_g xi(g, t) then holds
@@ -436,9 +445,6 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
     batch, and the conjugator and its inverse are memoised per (g, t) for
     profile and dprofile alike.
     """
-    if bump is None:
-        bump = BumpFunction()
-
     @PointMemo
     def conjugator(g, t):
         c = algebra.exp(scaled(bump(t), at_times(algebra.log(g), t)))
@@ -460,18 +466,18 @@ def twisted_loop_section(algebra, path, dpath, bump=None, name="twisted-loop"):
                             dprofile=dprofile, name=name)
 
 
-def random_twisted_loop(algebra, rng, n_modes=2, scale=0.8, bump=None, name="twisted-loop"):
+def random_twisted_loop(algebra, rng, scale=0.8, name="twisted-loop"):
     """Seeded twisted loop built from a random Fourier path."""
-    base = random_loop_section(algebra, rng, n_modes=n_modes, scale=scale)
+    base = random_loop_section(algebra, rng, scale=scale)
     path = lambda t: base.profile(np.eye(algebra.matrix_size), t)
     dpath = lambda t: base.dprofile(np.eye(algebra.matrix_size), t)
-    return twisted_loop_section(algebra, path, dpath, bump=bump, name=name)
+    return twisted_loop_section(algebra, path, dpath, name=name)
 
 
-def random_loop_section(algebra, rng, n_modes=2, scale=0.8, name="loop"):
-    """Random Fourier loop (an L-section at the group unit)."""
+def random_loop_section(algebra, rng, scale=0.8, name="loop"):
+    """Random Fourier loop of modes 1 and 2 (an L-section at the group unit)."""
     coeffs = []
-    for k in range(1, n_modes + 1):
+    for k in (1, 2):
         coeffs.append((k, algebra.random_vector(rng, scale / k),
                        algebra.random_vector(rng, scale / k)))
     const = algebra.random_vector(rng, scale)

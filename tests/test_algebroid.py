@@ -7,7 +7,7 @@ from atiyahcheck.algebroid import (KappaFamily, bracket, build_alpha,
                                    connection_apply, curvature, generator,
                                    generator_vertical_part, invariant_alpha0)
 from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import BumpFunction, random_section, random_twisted_loop
+from atiyahcheck.sections import bump, random_section, random_twisted_loop
 
 
 @pytest.fixture
@@ -59,8 +59,7 @@ def test_bracket_self(su2, rng):
 
 
 def test_alpha_zero_interpolates_theta(su2, rng):
-    bump = BumpFunction()
-    alpha = build_alpha(su2, bump=bump)
+    alpha = build_alpha(su2)
     g = su2.random_group(rng)
     v = su2.random_vector(rng)
     for t in (0.1, 0.5, 0.93):

@@ -7,7 +7,7 @@ import pytest
 
 from atiyahcheck.algebroid import KappaFamily
 from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_wedge,
-                              _upsilon_core, calibrate_conventions,
+                              _pick_sign, _simplex_rule, _upsilon_core, calibrate_conventions,
                               chern_simons, concat_families,
                               gauge_transform, map_theta_right, oneform_theta_left,
                               oneform_zero, pressley_segal_two_form, q_functional,
@@ -43,6 +43,10 @@ def test_simplex_rules():
     assert abs(sum(r2.weights) - 0.5) < 1e-13
     with pytest.raises(ValueError):
         SimplexRule(3)
+    # the Bott forms' one rule per simplex dimension is the 8-node rule, built once
+    assert [_simplex_rule(k) for k in range(3)] == [r0, r1, r2]
+    assert _simplex_rule(2) is _simplex_rule(2)
+    assert len(r1.nodes) == 8 and len(r2.nodes) == 64
 
 
 def test_convention_table_shape(conv):
@@ -51,6 +55,20 @@ def test_convention_table_shape(conv):
                           "lemma_orientation", "eta_p_vs_eta"}
     for key in ("upsilon_k1", "upsilon_k2", "rectangle", "eta_p_vs_eta"):
         assert table[key] in (1.0, -1.0)
+
+
+def test_convention_table_notes_name_its_unmeasured_picks(conv):
+    # the two Stokes picks compare 0.0 with 0.0 on su2, so their sign +1 is a
+    # default, not a measurement; the measured picks are not named
+    notes = conv.notes
+    assert notes.startswith("calibrated on su2; unmeasured")
+    assert "Stokes k=1" in notes and "Stokes k=2" in notes
+    assert "varpi" not in notes and "transgression" not in notes
+    assert conv.as_dict()["notes"] == notes
+    unmeasured = []
+    assert _pick_sign(0.0, 0.0, 1e-3, "zero", unmeasured) == 1.0
+    assert _pick_sign(-2.0, 2.0, 1e-3, "measured", unmeasured) == -1.0
+    assert unmeasured == ["zero"]
 
 
 def test_upsilon_flat_zero(su2, conv, rng):
@@ -284,7 +302,7 @@ def test_upsilon_core_matches_node_by_node_oracle(name, degree):
         rule = SimplexRule(k)
         for r in range(k % 2, 2 * degree + 1, 2):
             for xk in (None, x):
-                got = _upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule, 1e-4)
+                got = _upsilon_core(p, forms[:k + 1], g, secs[:r], xk, 1e-4)
                 want = _oracle_upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule, 1e-4)
                 assert got == want, (k, r, xk is None)
                 nonzero += got != 0.0

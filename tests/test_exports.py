@@ -1,14 +1,20 @@
 """Every exported name resolves, so `from module import *` cannot break."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import atiyahcheck
+from atiyahcheck import sections
 
 MODULES = ["atiyahcheck"] + [f"atiyahcheck.{info.name}"
                              for info in pkgutil.iter_modules(atiyahcheck.__path__)]
+
+# fixed by the construction: the one bump and its flat width, the Bott
+# quadrature rules and node counts, and the Fourier modes of a random loop
+CONSTANTS = {"bump", "flat_width", "rule", "rule2", "n_s", "n_t", "n_modes"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +22,26 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(name)
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert missing == []
+
+
+def _own_callables(mod):
+    for _, obj in inspect.getmembers(mod):
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (fn for fn in vars(obj).values() if inspect.isfunction(fn))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_construction_constants_are_not_parameters(name):
+    mod = importlib.import_module(name)
+    taken = {(fn.__qualname__, param) for fn in _own_callables(mod)
+             for param in inspect.signature(fn).parameters if param in CONSTANTS}
+    assert taken == set()
+
+
+def test_the_package_exports_the_one_bump():
+    assert atiyahcheck.bump is sections.bump
+    assert "BumpFunction" not in atiyahcheck.__all__

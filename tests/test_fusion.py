@@ -82,7 +82,7 @@ def test_slot_field_bracket_is_the_row_formula(su2, rng):
     x, y = xf(m), yf(m)
     for slot in (Slot(su2, 0), Slot(su2, 1)):
         want = -np.array([su2.bracket(x[0], y[0]), su2.bracket(x[1], y[1])])
-        want = want + slot.directional(yf, m, x) - slot.directional(xf, m, y)
+        want = want + slot.stencil_derivative(yf, m, x) - slot.stencil_derivative(xf, m, y)
         assert field_bracket(slot, xf, yf, m).tobytes() == want.tobytes()
 
 

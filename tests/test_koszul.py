@@ -17,7 +17,7 @@ from atiyahcheck.fusion import Slot, fusion_lambda, mult_eta_residual, pair_from
 from atiyahcheck.lifting import canonical_two_form, varpi_form
 from atiyahcheck.liealg import make_group, quadratic_polynomial
 from atiyahcheck.qham import ConjugacyClass
-from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
+from atiyahcheck.sections import (TimeGrid, random_section,
                                   template_section)
 
 SPHERE_STEP = 1e-3
@@ -43,8 +43,7 @@ def _class_section(alg, klass, rng):
     u0, u1 = rng.standard_normal(3), rng.standard_normal(3)
     return template_section(
         alg, lambda m: a0 + (m @ u0) * a0,
-        lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0)),
-        BumpFunction(), base=klass)
+        lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0)), base=klass)
 
 
 def _anchor_oracle(form, h):
@@ -179,7 +178,7 @@ def test_class_cochain_matches_the_sphere_formula(su2, rng):
     want = float(d1) - float(d2) - pom(n, field_bracket(klass, f1, f2, n, h=SPHERE_STEP))
 
     zero = lambda m: np.zeros(su2.dim)
-    secs = [template_section(su2, zero, f, BumpFunction(), base=klass) for f in (f1, f2)]
+    secs = [template_section(su2, zero, f, base=klass) for f in (f1, f2)]
     got = exterior_derivative(pullback_anchor(om), h=SPHERE_STEP)(n, *secs)
     assert got == want
     assert abs(got - pullback_anchor(de_rham_differential(om))(n, *secs)) < 1e-4
@@ -194,7 +193,7 @@ def test_product_group_dlambda_matches_its_cartan_sum(su2, rng):
     total = 0.0
     for i in range(3):
         rest = [triples[m] for m in range(3) if m != i]
-        dval = product.directional(
+        dval = product.stencil_derivative(
             lambda pt: np.array(fusion_lambda(su2, *pt, *rest[0], *rest[1])),
             (g2, g1), triples[i], h=h)
         total += ((-1) ** i) * float(dval)

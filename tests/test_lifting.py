@@ -14,8 +14,8 @@ from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
                                  eta_from_data, lifted_jacobiator_scalar,
                                  nabla_hat, q_alpha, q_alpha_closed_form)
 from atiyahcheck.liealg import make_group
-from atiyahcheck.sections import (BumpFunction, TimeGrid, constant_field, loop_section,
-                                  scaled, random_section, random_twisted_loop)
+from atiyahcheck.sections import (TimeGrid, bump, constant_field, loop_section, scaled,
+                                  random_section, random_twisted_loop)
 
 
 @pytest.fixture
@@ -125,7 +125,6 @@ def test_dtheta_j_routes(su2, grid, rng):
     assert abs(r1 - r2) < 1e-10
     # alpha_0 = 0 reduces to int f' v.zeta
     zero_alpha = build_alpha(su2)
-    bump = BumpFunction()
     from atiyahcheck.sections import extend, integrate_01
     v = xi.v(g)
     want = integrate_01(
@@ -257,3 +256,18 @@ def test_heisenberg_eta_vanishes_and_the_primitive_check_says_so():
         assert [r.name for r in results] == ["lifted_jacobi_primitive"]
         assert all(r.passed for r in results)
         assert ("eta vanishes identically" in results[0].notes) == noted
+
+
+def test_su2_jacobiator_at_omega_zero_is_order_one_and_equals_eta():
+    # the quantity a primitive omega must cancel on su2: with the draws of
+    # lifted_jacobi_obstruction at seed 42 it is -2.286, far from zero, and
+    # equal to eta on the three fields (tolerance 1e-4, as the check declares)
+    ctx = CheckContext("su2", {"seed": 42})
+    alg, rng = ctx.algebra, ctx.rng("lifted_jacobi_obstruction")
+    g = alg.random_group(rng, scale=0.5)
+    vs = [alg.random_vector(rng) for _ in range(3)]
+    jac = lifted_jacobiator_scalar(None, build_alpha(alg), [constant_field(alg, v) for v in vs],
+                                   g, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
+    assert abs(jac) > 1.0
+    assert round(jac, 3) == -2.286
+    assert abs(jac - cartan_three_form(alg)(g, *vs)) < 1e-4

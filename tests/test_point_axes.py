@@ -16,7 +16,7 @@ from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differe
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.liealg import GROUP_NAMES, make_group, per_point
 from atiyahcheck.qham import project_based
-from atiyahcheck.sections import (AlgebroidSection, BumpFunction, TimeGrid, constant_field,
+from atiyahcheck.sections import (AlgebroidSection, TimeGrid, constant_field,
                                   constant_profile_section, extend, random_loop_section,
                                   random_section, random_twisted_loop, scaled,
                                   template_section, time_derivative)
@@ -87,10 +87,10 @@ def _constructors(alg, rng):
     da = alg.random_vector(rng)
     dv = alg.random_vector(rng)
     template = template_section(alg, lambda g: alg.Ad(g, da),
-                                lambda g: alg.Ad(g, dv) - dv, BumpFunction())
+                                lambda g: alg.Ad(g, dv) - dv)
     xi = random_section(alg, rng)
     alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)))
-    lam = lf.HorizontalFamily(alg, lambda g, v: 0.2 * alg.Ad(g, v), alpha.bump)
+    lam = lf.HorizontalFamily(alg, lambda g, v: 0.2 * alg.Ad(g, v))
     w1, w2 = (constant_field(alg, alg.random_vector(rng)) for _ in range(2))
     return {
         "random": xi,
@@ -243,7 +243,7 @@ def _de_rham_forms(alg, rng, grid):
     alpha = albr.build_alpha(alg, alpha0=albr.invariant_alpha0(alg, (0.2, -0.1, 0.05)))
     c1, c2 = alg.random_vector(rng, 0.3), alg.random_vector(rng, 0.3)
     lam = lf.HorizontalFamily(
-        alg, lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v), alpha.bump)
+        alg, lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v))
     bker = random_twisted_loop(alg, rng, scale=0.4)
     forms = {
         "alpha_t": AlgebroidForm(alg, 1, lambda g, u: alpha.value(0.37, g, u), scalar=False),

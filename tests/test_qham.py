@@ -9,8 +9,7 @@ from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.qham import (ConjugacyClass, TrivialClass, TruncatedBasis,
                               basis_metric, calibrate_ghjw, ghjw_omega, gram_kernel,
                               gram_matrix, project_based)
-from atiyahcheck.sections import (BumpFunction, TimeGrid, random_section,
-                                  template_section)
+from atiyahcheck.sections import TimeGrid, random_section, template_section
 
 
 @pytest.fixture
@@ -59,11 +58,10 @@ def test_ghjw_oracle_and_example(su2, klass, rng):
 
 
 def test_pullback_template_seam(su2, klass, rng):
-    bump = BumpFunction()
     a0 = su2.random_vector(rng)
     sec = template_section(su2, lambda m: a0 + m[0] * a0,
                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([1.0, 0, 0]),
-                           bump, base=klass)
+                           base=klass)
     for _ in range(3):
         assert sec.compatibility_residual(_unit(rng)) < 1e-10
 
@@ -209,12 +207,11 @@ def test_varpi_pullback_generator_rows(su2, klass, rng):
     omega = ghjw_omega(klass, sign)
     n = _unit(rng)
     grid = TimeGrid(201)
-    bump = BumpFunction()
     x = su2.random_vector(rng)
     xg = generator(su2, x, base=klass)
     sec = template_section(su2, lambda m: su2.random_vector(np.random.default_rng(1)),
                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.3, -0.7, 0.2]),
-                           bump, base=klass)
+                           base=klass)
     val = canonical_two_form(xg, sec, n, grid) \
         + omega(n, xg.xfield(n), sec.xfield(n))
     assert abs(val) < 1e-10
@@ -239,11 +236,10 @@ def test_project_based(su2, rng):
 
 
 def test_project_based_pullback(su2, klass, rng):
-    bump = BumpFunction()
     a0 = su2.random_vector(rng)
     sec = template_section(su2, lambda m: a0 + m[1] * a0,
                            lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.2, 0.5, -0.1]),
-                           bump, base=klass)
+                           base=klass)
     q = project_based(sec)
     n = _unit(rng)
     assert np.linalg.norm(q.profile(n, 0.0)) < 1e-14

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from atiyahcheck.liealg import _MEMO_SIZE, make_group
-from atiyahcheck.sections import (AlgebroidSection, BumpFunction, PointMemo, TimeGrid,
+from atiyahcheck.sections import (FLAT_WIDTH, AlgebroidSection, PointMemo, TimeGrid, bump,
                                   constant_profile_section, extend, gauge_steps,
-                                  integrate_01, loop_section, piecewise,
-                                  random_loop_section, random_section,
-                                  random_twisted_loop, scaled, template_section,
-                                  time_derivative)
+                                  integrate_01, loop_section, piecewise, random_loop_section,
+                                  random_section, random_twisted_loop, scaled,
+                                  template_section, time_derivative)
 
 
 @pytest.fixture
@@ -45,14 +44,13 @@ def test_simpson_fourth_order():
 
 
 def test_bump_flat_ends():
-    f = BumpFunction()
-    assert f(0.0) == 0.0 and f(0.05) == 0.0
-    assert f(1.0) == 1.0 and f(0.97) == 1.0
-    assert f.deriv(0.02) == 0.0 and f.deriv(0.99) == 0.0
+    assert bump(0.0) == 0.0 and bump(0.05) == 0.0 and bump(FLAT_WIDTH) == 0.0
+    assert bump(1.0) == 1.0 and bump(0.97) == 1.0 and bump(1.0 - FLAT_WIDTH) == 1.0
+    assert bump.deriv(0.02) == 0.0 and bump.deriv(0.99) == 0.0
     # derivative consistent with finite differences in the interior
     for t in (0.2, 0.5, 0.77):
-        fd = (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
-        assert abs(fd - f.deriv(t)) < 1e-7
+        fd = (bump(t + 1e-6) - bump(t - 1e-6)) / 2e-6
+        assert abs(fd - bump.deriv(t)) < 1e-7
 
 
 def test_constant_section_seam(su2):
@@ -67,8 +65,7 @@ def test_constant_section_seam(su2):
 
 
 def test_template_zero(su2):
-    bump = BumpFunction()
-    zero = template_section(su2, lambda g: np.zeros(3), lambda g: np.zeros(3), bump)
+    zero = template_section(su2, lambda g: np.zeros(3), lambda g: np.zeros(3))
     g = su2.identity()
     assert np.linalg.norm(zero.profile(g, 0.4)) == 0.0
 
@@ -77,9 +74,7 @@ def test_template_generator_cancellation(su2):
     # a = -x, v = Ad_g x - x makes the bump coefficient vanish identically
     rng = np.random.default_rng(1)
     x = su2.random_vector(rng)
-    bump = BumpFunction()
-    sec = template_section(su2, lambda g: -x,
-                           lambda g: su2.Ad(g, x) - x, bump)
+    sec = template_section(su2, lambda g: -x, lambda g: su2.Ad(g, x) - x)
     g = su2.random_group(rng)
     for t in (0.0, 0.31, 0.8):
         assert np.linalg.norm(sec.profile(g, t) + x) < 1e-12
@@ -160,8 +155,7 @@ def test_seam_over_every_base(su2):
     n /= np.linalg.norm(n)
     on_class = template_section(
         su2, lambda m: a0 + m[2] * a0,
-        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
-        BumpFunction(), base=klass)
+        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]), base=klass)
     m = (su2.random_group(rng), su2.random_group(rng))
     xi2, xi1 = pair_from_template(su2, rng)
     for sec, point in ((on_class, n), (xi2, m), (xi1, m)):
@@ -189,7 +183,6 @@ def _sections_and_families(su2, rng):
     from atiyahcheck.forms import AlgebroidForm
     from atiyahcheck.qham import ConjugacyClass
 
-    bump = BumpFunction()
     g = su2.random_group(rng, scale=0.5)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
     klass = ConjugacyClass(su2)
@@ -198,14 +191,13 @@ def _sections_and_families(su2, rng):
     a0 = su2.random_vector(rng)
     on_class = template_section(
         su2, lambda m: a0 + m[2] * a0,
-        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
-        bump, base=klass)
+        lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]), base=klass)
     g2, g1 = su2.random_group(rng), su2.random_group(rng)
     pair = fusion.pair_from_template(su2, rng)
     alpha = albr.build_alpha(su2, alpha0=albr.invariant_alpha0(su2, (0.2, -0.1, 0.05)),
-                             bump=bump, invariant=True)
+                             invariant=True)
     v, w = su2.random_vector(rng), su2.random_vector(rng)
-    lam = lifting.HorizontalFamily(su2, lambda gg, u: 0.2 * su2.Ad(gg, u), bump)
+    lam = lifting.HorizontalFamily(su2, lambda gg, u: 0.2 * su2.Ad(gg, u))
     sections = [
         (xi, g), (on_class, n), (pair[0], (g2, g1)), (pair[1], (g2, g1)),
         (constant_profile_section(su2, su2.random_vector(rng)), g),
@@ -246,7 +238,6 @@ def test_grid_matches_points(su2):
             for ts in [nodes] + crossing:
                 _agree_on_arrays(lambda t: fam.value(t, g, arg), ts)
                 _agree_on_arrays(lambda t: fam.tderiv(t, g, arg), ts)
-        bump = BumpFunction()
         for ts in [nodes] + crossing:
             _agree_on_arrays(bump, ts)
             _agree_on_arrays(bump.deriv, ts)
@@ -262,7 +253,7 @@ def _unmemoised_random_section(alg, seed):
     cv = rng.uniform(-1.0, 1.0)
     a = lambda g: a0 + ca * alg.Ad(g, da)
     v = lambda g: v0 + cv * alg.Ad(g, dv)
-    return a, v, template_section(alg, a, v, BumpFunction())
+    return a, v, template_section(alg, a, v)
 
 
 def _interpolated_families(su2, rng):
@@ -293,9 +284,9 @@ def test_point_memos_equal_unmemoised_computation(su2):
                 n = int(np.floor(t))
                 lo, hi = fam._gauge_ends(n, g, arg)
                 assert np.array_equal(fam.value(t, g, arg),
-                                      lo + scaled(fam.bump(t - n), hi - lo))
+                                      lo + scaled(bump(t - n), hi - lo))
                 assert np.array_equal(fam.tderiv(t, g, arg),
-                                      scaled(fam.bump.deriv(t - n), hi - lo))
+                                      scaled(bump.deriv(t - n), hi - lo))
 
 
 def test_memoised_point_data_is_read_only(su2):
@@ -357,11 +348,10 @@ def test_point_memo_keys_arrays_by_shape():
 def test_bump_memo_equals_uncached_formula():
     # float, 0-d array, 1-element array and grid: same bits, type and shape,
     # on the first call and on every hit
-    bump, plain = BumpFunction(), BumpFunction()
     nodes = TimeGrid(41).nodes
     times = [0.5, np.array(0.5), np.array([0.5]), 0.03, 0.97, nodes, nodes + 1e-5, 0.5]
     for t in times:
-        for memoised, uncached in ((bump, plain._value), (bump.deriv, plain._deriv)):
+        for memoised, uncached in ((bump, bump._value), (bump.deriv, bump._deriv)):
             want = uncached(t)
             for got in (memoised(t), memoised(t)):
                 assert type(got) is type(want)
@@ -372,7 +362,6 @@ def test_bump_memo_equals_uncached_formula():
 
 
 def test_bump_memo_is_read_only_and_bounded():
-    bump = BumpFunction()
     nodes = TimeGrid(41).nodes
     for values in (bump(nodes), bump.deriv(nodes)):
         with pytest.raises(ValueError):
@@ -401,7 +390,7 @@ def test_extend_takes_one_profile_call_per_time_array(su2):
     on_class = template_section(
         su2, lambda m: a0 + m[2] * a0,
         lambda m: (np.eye(3) - np.outer(m, m)) @ np.array([0.4, -0.1, 0.6]),
-        BumpFunction(), base=ConjugacyClass(su2))
+        base=ConjugacyClass(su2))
     n = rng.standard_normal(3)
     g = su2.random_group(rng, scale=0.5)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
