@@ -195,13 +195,12 @@ class KappaFamily:
     """The tautological family kappa_t(xi) = -xi(g, t), algebroid valued.
 
     Its gauge is the identity map g -> g: kappa_{t+1} = Ad_g kappa_t - a* theta^R
-    is the seam rule of the sections.  tderiv differentiates in t with the
-    family's own step h_t.
+    is the seam rule of the sections.  tderiv is time_derivative: a section's
+    analytic dprofile, else the central difference at sections.T_STEP.
     """
 
-    def __init__(self, algebra, h_t=1e-5):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.h_t = h_t
 
     @staticmethod
     def phi(g):
@@ -211,7 +210,7 @@ class KappaFamily:
         return -extend(xi, g, t)
 
     def tderiv(self, t, g, xi):
-        return -time_derivative(xi, g, t, h_t=self.h_t)
+        return -time_derivative(xi, g, t)
 
     def at(self, t):
         """kappa_t as a g-valued algebroid 1-form."""

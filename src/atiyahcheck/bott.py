@@ -413,9 +413,11 @@ class ConventionError(RuntimeError):
 
 
 _CONVENTIONS = None
+_CALIBRATION_TOL = 1e-3   # relative tolerance of a sign pick
+_CALIBRATION_H = 1e-4     # finite-difference step over the group
 
 
-def calibrate_conventions(tol=1e-3, h=1e-4):
+def calibrate_conventions():
     """Fix the orientation dials once, on su2, against the asserted identities.
 
     k = 1 and k = 2 come from the Stokes family identity; the rectangle sign
@@ -429,6 +431,7 @@ def calibrate_conventions(tol=1e-3, h=1e-4):
     global _CONVENTIONS
     if _CONVENTIONS is not None:
         return _CONVENTIONS
+    tol, h = _CALIBRATION_TOL, _CALIBRATION_H
 
     alg = make_group("su2")
     p = quadratic_polynomial(alg)
@@ -629,14 +632,15 @@ def eta_p_form(p, conventions, h=1e-4):
     return equivariant
 
 
-def varpi_p_equivariant(p, conventions, h=1e-4, h_t=1e-5):
+def varpi_p_equivariant(p, conventions, h=1e-4):
     """varpi^p_G = I^p({kappa_t}) - Upsilon^p(0, a* theta^L, kappa_0).
 
     Returns a callable (x, g, args) -> value covering every graded component;
-    kappa is differentiated in t at the step h_t.
+    kappa_t' is each section's analytic dprofile, or for a section without
+    one the central difference at sections.T_STEP.
     """
     alg = p.algebra
-    fam = KappaFamily(alg, h_t=h_t)
+    fam = KappaFamily(alg)
     zero = oneform_zero(alg)
     thl = oneform_theta_left(alg)
     kap0 = fam.at(0.0)
@@ -650,9 +654,9 @@ def varpi_p_equivariant(p, conventions, h=1e-4, h_t=1e-5):
     return value
 
 
-def pressley_segal_two_form(p, conventions, h=1e-4, h_t=1e-5):
+def pressley_segal_two_form(p, conventions, h=1e-4):
     """sigma^p: the pull-back of varpi^p to loops at the group unit."""
-    vpg = varpi_p_equivariant(p, conventions, h=h, h_t=h_t)
+    vpg = varpi_p_equivariant(p, conventions, h=h)
     alg = p.algebra
     x0 = np.zeros(alg.dim)
 

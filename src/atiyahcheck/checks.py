@@ -39,10 +39,15 @@ from .sections import (AlgebroidSection, TimeGrid, at_times, bump, constant_fiel
                        integrate_01, loop_section, random_loop_section, random_section,
                        random_twisted_loop, scaled, template_section, time_derivative)
 
-__all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES",
+__all__ = ["CheckResult", "CheckContext", "REGISTRY", "SUITES", "CONFIG_KEYS", "DEFAULTS",
            "run_checks", "list_checks", "result_keys"]
 
 SUITES = ("algebroid", "forms", "lifting", "bott", "fusion", "courant", "qham")
+
+# the keys a verify config may set, and the defaults of the numeric ones
+CONFIG_KEYS = ("group", "suites", "n_points", "fd_step", "seed", "samples",
+               "tol_overrides", "report_path")
+DEFAULTS = {"n_points": 201, "fd_step": 1e-4, "samples": 4, "seed": 42}
 
 
 @dataclass
@@ -68,14 +73,17 @@ class CheckContext:
     """Execution context: group, grids, steps, per-check RNG and tolerance overrides."""
 
     def __init__(self, group_name, config):
+        unknown = sorted(set(config) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        config = {**DEFAULTS, **config}
         self.group_name = group_name
         self.algebra = make_group(group_name)
-        self.grid = TimeGrid(config.get("n_points", 201))
-        self.coarse_grid = TimeGrid(min(101, config.get("n_points", 201)))
-        self.h = config.get("fd_step", 1e-4)
-        self.h_t = config.get("t_step", 1e-5)
-        self.samples = config.get("samples", 4)
-        self.seed = config.get("seed", 42)
+        self.grid = TimeGrid(config["n_points"])
+        self.coarse_grid = TimeGrid(min(101, config["n_points"]))
+        self.h = config["fd_step"]
+        self.samples = config["samples"]
+        self.seed = config["seed"]
         self.tol_overrides = config.get("tol_overrides", {})
 
     def rng(self, name):
@@ -572,7 +580,7 @@ def check_sigma_value(ctx, rng):
                       lambda t: scaled(two_pi * np.cos(two_pi * t), e1))
     s2 = loop_section(alg, lambda t: scaled(np.cos(two_pi * t), e1),
                       lambda t: scaled(-two_pi * np.sin(two_pi * t), e1))
-    val = lf.central_cocycle(s1, s2, alg.identity(), ctx.grid, h_t=ctx.h_t)
+    val = lf.central_cocycle(s1, s2, alg.identity(), ctx.grid)
     scale = alg.pairing(e1, e1)
     yield abs(val + np.pi * scale)
 
@@ -585,8 +593,7 @@ def check_sigma_antisym(ctx, rng):
         g = alg.random_group(rng, scale=0.5)
         z1 = random_twisted_loop(alg, rng)
         z2 = random_twisted_loop(alg, rng)
-        s = lf.central_cocycle(z1, z2, g, ctx.grid, h_t=ctx.h_t) \
-            + lf.central_cocycle(z2, z1, g, ctx.grid, h_t=ctx.h_t)
+        s = lf.central_cocycle(z1, z2, g, ctx.grid) + lf.central_cocycle(z2, z1, g, ctx.grid)
         yield abs(s)
 
 
@@ -601,19 +608,17 @@ def check_dsigma(ctx, rng):
         ch = random_section(alg, rng)
         # i_chi (d sigma)(x1,x2): derivative term minus structure terms
         drift = alg.stencil_derivative(
-            lambda gg: lf.central_cocycle(z1, z2, gg, ctx.coarse_grid, h_t=ctx.h_t),
-            g, ch.v(g), h=ctx.h)
+            lambda gg: lf.central_cocycle(z1, z2, gg, ctx.coarse_grid), g, ch.v(g), h=ctx.h)
         b1 = albr.bracket(ch, z1, h=ctx.h)
         b2 = albr.bracket(ch, z2, h=ctx.h)
-        lhs = drift \
-            - lf.central_cocycle(b1, z2, g, ctx.coarse_grid, h_t=ctx.h_t) \
-            - lf.central_cocycle(z1, b2, g, ctx.coarse_grid, h_t=ctx.h_t)
+        lhs = drift - lf.central_cocycle(b1, z2, g, ctx.coarse_grid) \
+            - lf.central_cocycle(z1, b2, g, ctx.coarse_grid)
         pointwise = AlgebroidSection(
             alg, lambda gg, t: -alg.bracket(z1.profile(gg, t), z2.profile(gg, t)),
             constant_field(alg, np.zeros(alg.dim)))
         ts = ctx.coarse_grid.nodes
-        rhs = ctx.coarse_grid.integrate(alg.pairing(
-            time_derivative(ch, g, ts, h_t=ctx.h_t), pointwise.profile(g, ts)))
+        rhs = ctx.coarse_grid.integrate(alg.pairing(time_derivative(ch, g, ts),
+                                                    pointwise.profile(g, ts)))
         yield abs(lhs - rhs)
 
 
@@ -627,7 +632,7 @@ def check_dthetaj(ctx, rng):
         xi = random_section(alg, rng)
         ze = random_twisted_loop(alg, rng)
         r1 = lf.dtheta_j(alpha, g, xi.v(g), ze, ctx.grid)
-        r2 = lf.dtheta_j_definitional(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
+        r2 = lf.dtheta_j_definitional(alpha, xi, ze, g, ctx.grid)
         yield abs(r1 - r2)
 
 
@@ -639,12 +644,11 @@ def check_lhat(ctx, rng):
     loops = [random_twisted_loop(alg, rng) for _ in range(3)]
     t0 = rng.uniform(0.2, 0.8)
     exts = [lf.ExtendedLSection.split(z) for z in loops]
-    br = lf.bracket_lhat(exts[0], exts[1], ctx.coarse_grid, h_t=ctx.h_t)
-    yield abs(br.scalar(g)
-              + lf.central_cocycle(loops[0], loops[1], g, ctx.coarse_grid, h_t=ctx.h_t))
+    br = lf.bracket_lhat(exts[0], exts[1], ctx.coarse_grid)
+    yield abs(br.scalar(g) + lf.central_cocycle(loops[0], loops[1], g, ctx.coarse_grid))
     # Jacobi of the extended bracket: scalar and body parts of the cyclic sum
-    outers = [lf.bracket_lhat(lf.bracket_lhat(exts[i], exts[j], ctx.coarse_grid, h_t=ctx.h_t),
-                              exts[k], ctx.coarse_grid, h_t=ctx.h_t)
+    outers = [lf.bracket_lhat(lf.bracket_lhat(exts[i], exts[j], ctx.coarse_grid),
+                              exts[k], ctx.coarse_grid)
               for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
     yield abs(sum(outer.scalar(g) for outer in outers))
     yield np.linalg.norm(sum(outer.body.profile(g, t0) for outer in outers))
@@ -658,12 +662,9 @@ def check_nablahat_flat(ctx, rng):
     xi, ze = ctx.random_sections(rng, 2)
     body = random_twisted_loop(alg, rng)
     b = lf.ExtendedLSection(body, lambda gg: np.sin(gg[..., 0, -1]))
-    n12 = lf.nabla_hat(xi, lf.nabla_hat(ze, b, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
-                       ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
-    n21 = lf.nabla_hat(ze, lf.nabla_hat(xi, b, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
-                       ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
-    nbr = lf.nabla_hat(albr.bracket(xi, ze, h=ctx.h), b, ctx.coarse_grid,
-                       h=ctx.h, h_t=ctx.h_t)
+    n12 = lf.nabla_hat(xi, lf.nabla_hat(ze, b, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid, h=ctx.h)
+    n21 = lf.nabla_hat(ze, lf.nabla_hat(xi, b, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid, h=ctx.h)
+    nbr = lf.nabla_hat(albr.bracket(xi, ze, h=ctx.h), b, ctx.coarse_grid, h=ctx.h)
     yield abs(n12.scalar(g) - n21.scalar(g) - nbr.scalar(g))
     t0 = 0.37
     yield np.linalg.norm(
@@ -678,12 +679,9 @@ def check_nablahat_derivation(ctx, rng):
     xi = random_section(alg, rng)
     b1 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
     b2 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
-    lhs = lf.nabla_hat(xi, lf.bracket_lhat(b1, b2, ctx.coarse_grid, h_t=ctx.h_t),
-                       ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
-    r1 = lf.bracket_lhat(lf.nabla_hat(xi, b1, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
-                         b2, ctx.coarse_grid, h_t=ctx.h_t)
-    r2 = lf.bracket_lhat(b1, lf.nabla_hat(xi, b2, ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t),
-                         ctx.coarse_grid, h_t=ctx.h_t)
+    lhs = lf.nabla_hat(xi, lf.bracket_lhat(b1, b2, ctx.coarse_grid), ctx.coarse_grid, h=ctx.h)
+    r1 = lf.bracket_lhat(lf.nabla_hat(xi, b1, ctx.coarse_grid, h=ctx.h), b2, ctx.coarse_grid)
+    r2 = lf.bracket_lhat(b1, lf.nabla_hat(xi, b2, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid)
     yield abs(lhs.scalar(g) - r1.scalar(g) - r2.scalar(g))
     t0 = 0.41
     yield np.linalg.norm(
@@ -697,9 +695,8 @@ def check_varpi_antisym(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
-        yield abs(
-            lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
-            + lf.canonical_two_form(ze, xi, g, ctx.grid, h_t=ctx.h_t))
+        yield abs(lf.canonical_two_form(xi, ze, g, ctx.grid)
+                  + lf.canonical_two_form(ze, xi, g, ctx.grid))
 
 
 @_register("lifting", "varpi_generators", tol=1e-8, groups=("so3", "su2"),
@@ -709,15 +706,14 @@ def check_varpi_generators(ctx, rng):
     for _ in range(max(ctx.samples, 20)):
         g = alg.random_group(rng)
         x, y = alg.random_vector(rng), alg.random_vector(rng)
-        got = lf.canonical_two_form(albr.generator(alg, x), albr.generator(alg, y),
-                                    g, ctx.grid, h_t=ctx.h_t)
+        got = lf.canonical_two_form(albr.generator(alg, x), albr.generator(alg, y), g, ctx.grid)
         want = 0.5 * alg.pairing(x, alg.Ad(g, y) - alg.Ad(alg.inv(g), y))
         yield abs(got - want)
     # the pinned spot value at the quarter turn
     e = np.eye(alg.dim)
     g0 = alg.exp(0.5 * np.pi * e[2])
     spot = lf.canonical_two_form(albr.generator(alg, e[0]), albr.generator(alg, e[1]),
-                                 g0, ctx.grid, h_t=ctx.h_t)
+                                 g0, ctx.grid)
     yield abs(spot + 1.0)
     return {"notes": f"spot value {spot:.12f} at the quarter turn"}
 
@@ -730,8 +726,8 @@ def check_varpi_routes(ctx, rng):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         alpha = _invariant_family(ctx, rng)
-        bry = lf.brylinski_two_form(alpha, xi, ze, g, ctx.grid, h_t=ctx.h_t)
-        base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
+        bry = lf.brylinski_two_form(alpha, xi, ze, g, ctx.grid)
+        base = lf.canonical_two_form(xi, ze, g, ctx.grid)
         q = lf.q_alpha(alpha, g, xi.v(g), ze.v(g), ctx.grid)
         yield abs(bry - (q + base))
 
@@ -739,12 +735,12 @@ def check_varpi_routes(ctx, rng):
 @_register("lifting", "varpi_kappa_q", tol=1e-8, identity="varpi = -Q^kappa")
 def check_varpi_kappa_q(ctx, rng):
     alg = ctx.algebra
-    fam = albr.KappaFamily(alg, h_t=ctx.h_t)
+    fam = albr.KappaFamily(alg)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         q = bt.q_functional(fam, g, xi, ze, ctx.grid, h=ctx.h)
-        base = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
+        base = lf.canonical_two_form(xi, ze, g, ctx.grid)
         yield abs(base + q)
 
 
@@ -771,10 +767,9 @@ def check_iota_loop_varpi(ctx, rng):
         g = alg.random_group(rng, scale=0.5)
         ze = random_twisted_loop(alg, rng)
         chi = random_section(alg, rng)
-        lhs = lf.canonical_two_form(ze, chi, g, ctx.grid, h_t=ctx.h_t)
+        lhs = lf.canonical_two_form(ze, chi, g, ctx.grid)
         ts = ctx.grid.nodes
-        rhs = -ctx.grid.integrate(alg.pairing(
-            time_derivative(chi, g, ts, h_t=ctx.h_t), extend(ze, g, ts)))
+        rhs = -ctx.grid.integrate(alg.pairing(time_derivative(chi, g, ts), extend(ze, g, ts)))
         yield abs(lhs - rhs)
 
 
@@ -786,8 +781,7 @@ def check_iota_generator_varpi(ctx, rng):
         g = alg.random_group(rng)
         x = alg.random_vector(rng)
         chi = random_section(alg, rng)
-        lhs = lf.canonical_two_form(albr.generator(alg, x), chi, g, ctx.grid,
-                                    h_t=ctx.h_t)
+        lhs = lf.canonical_two_form(albr.generator(alg, x), chi, g, ctx.grid)
         rhs = 0.5 * alg.pairing(alg.maurer_cartan(g, chi.v(g), "left") + chi.v(g), x)
         yield abs(lhs - rhs)
 
@@ -795,7 +789,7 @@ def check_iota_generator_varpi(ctx, rng):
 @_register("lifting", "dvarpi_eta", tol=1e-4, identity="d varpi = a* eta")
 def check_dvarpi_eta(ctx, rng):
     alg = ctx.algebra
-    vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
+    vform = lf.varpi_form(alg, ctx.grid)
     eta = fm.pullback_anchor(fm.cartan_three_form(alg))
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -809,7 +803,7 @@ def check_dvarpi_eta(ctx, rng):
            identity="d_G varpi(x) = a* eta_G(x)")
 def check_equivariant_three_form(ctx, rng):
     alg = ctx.algebra
-    vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
+    vform = lf.varpi_form(alg, ctx.grid)
     eta = fm.cartan_three_form(alg)
     n_x = 5
     for trial in range(max(2, ctx.samples // 2)):
@@ -858,8 +852,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
         om_form = None
         if omega is not None:
             om_form = fm.AlgebroidForm(alg, 2, omega)
-        jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g,
-                                          ctx.coarse_grid, h=ctx.h, h_t=ctx.h_t)
+        jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g, ctx.coarse_grid, h=ctx.h)
         yield abs(jac)
     if ctx.group_name == "heisenberg3":
         return {"notes": "eta vanishes identically on heisenberg3 (B is zero on the "
@@ -889,8 +882,7 @@ def check_lifted_jacobi_obstruction(ctx, rng):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
         fields = [constant_field(alg, v) for v in vs]
-        jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid,
-                                          h=ctx.h, h_t=ctx.h_t)
+        jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid, h=ctx.h)
         target = eta(g, *vs)
         if om is not None:
             target += fm.de_rham_differential(om, h=ctx.h)(g, *vs)
@@ -931,7 +923,7 @@ def check_gamma_change(ctx, rng):
     lam0 = lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v)
     lam = lf.HorizontalFamily(alg, lam0)
     bker = random_twisted_loop(alg, rng, scale=0.4)
-    gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h, h_t=ctx.h_t)
+    gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h)
     etap = lf.eta_perturbed(alpha, lam, bker, grid, h=ctx.h)
     eta0 = lf.eta_from_data(alpha, grid, h=ctx.h)
     g = alg.random_group(rng)
@@ -940,8 +932,8 @@ def check_gamma_change(ctx, rng):
     rhs = fm.de_rham_differential(gam, h=ctx.h)(g, *vs)
     yield abs(lhs - rhs)
     # specialization: lambda = 0, beta only: a* gamma = -<beta, F>
-    gam0 = lf.gamma_change(alpha, lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim)),
-                           bker, grid, h=ctx.h, h_t=ctx.h_t)
+    lam0 = lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim))
+    gam0 = lf.gamma_change(alpha, lam0, bker, grid, h=ctx.h)
     fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1], h=ctx.h)
     want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes),
                                        fsec.profile(g, grid.nodes)))
@@ -1298,7 +1290,7 @@ def check_flat_family(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    fam = albr.KappaFamily(alg, h_t=ctx.h_t)
+    fam = albr.KappaFamily(alg)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 3)
@@ -1333,13 +1325,13 @@ def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
+    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         x = alg.random_vector(rng)
         got = vpg(x, g, [xi, ze])
-        want = lf.canonical_two_form(xi, ze, g, ctx.grid, h_t=ctx.h_t)
+        want = lf.canonical_two_form(xi, ze, g, ctx.grid)
         yield abs(got - want)
 
 
@@ -1353,7 +1345,7 @@ def _transgression_samples(ctx, rng, p):
     """Degrees 3 and 1 of d_G varpi^p_G(x) = a* eta^p_G(x) at a random point."""
     alg = ctx.algebra
     conv = ctx.conventions()
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h, h_t=ctx.h_t)
+    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
     etaPG = bt.eta_p_form(p, conv, h=ctx.h)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1375,7 +1367,7 @@ def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    ps = bt.pressley_segal_two_form(p, conv, h=ctx.h, h_t=ctx.h_t)
+    ps = bt.pressley_segal_two_form(p, conv, h=ctx.h)
     ge = alg.identity()
     sign = None
     for _ in range(max(2, ctx.samples // 2)):
@@ -1417,10 +1409,10 @@ def check_cubic_suite(ctx, rng):
     yield from _transgression_samples(ctx, rng, p3)
     # the explicit proportionality degenerates: invariant cubics kill brackets,
     # so both the restricted 4-form and its comparison integral must vanish
-    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions(), h=ctx.h, h_t=ctx.h_t)
+    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions(), h=ctx.h)
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
-    kf = albr.KappaFamily(alg, h_t=ctx.h_t)
+    kf = albr.KappaFamily(alg)
 
     ts = ctx.coarse_grid.nodes
     ks = [kf.value(ts, ge, l) for l in loops]
@@ -1546,7 +1538,7 @@ def check_lambda_cartan(ctx, rng):
            identity="<f(xi), f(xi)> = 0 for f(xi) = (xi, i_xi varpi)")
 def check_isotropy(ctx, rng):
     alg = ctx.algebra
-    vform = lf.varpi_form(alg, ctx.grid, h_t=ctx.h_t)
+    vform = lf.varpi_form(alg, ctx.grid)
     for _ in range(ctx.samples):
         g = alg.random_group(rng, scale=0.5)
         z = random_twisted_loop(alg, rng)
@@ -1558,7 +1550,7 @@ def check_isotropy(ctx, rng):
            identity="[[f(x1), f(x2)]] = f([x1, x2]) for loop sections")
 def check_loop_action(ctx, rng):
     alg = ctx.algebra
-    vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
+    vform = lf.varpi_form(alg, ctx.coarse_grid)
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
         z1 = random_twisted_loop(alg, rng)
@@ -1578,7 +1570,7 @@ def check_loop_action(ctx, rng):
            identity="[[f(v1)+a1, f(v2)+a2]] = f([v1,v2]) + i_{v2} i_{v1} a* eta + L_{v1} a2 - i_{v2} d a1")
 def check_reduced_twist(ctx, rng):
     alg = ctx.algebra
-    vform = lf.varpi_form(alg, ctx.coarse_grid, h_t=ctx.h_t)
+    vform = lf.varpi_form(alg, ctx.coarse_grid)
     eta = fm.cartan_three_form(alg)
     for _ in range(2):
         g = alg.random_group(rng)
@@ -1727,8 +1719,8 @@ def check_pullback_three_form(ctx, rng):
         return template_section(alg, af, xf, base=klass)
 
     secs = [mk() for _ in range(3)]
-    vform = fm.AlgebroidForm(alg, 2, lambda m, p, q: lf.canonical_two_form(
-        p, q, m, ctx.coarse_grid, h_t=ctx.h_t))
+    vform = fm.AlgebroidForm(alg, 2,
+                             lambda m, p, q: lf.canonical_two_form(p, q, m, ctx.coarse_grid))
     dvarpi = fm.exterior_derivative(vform, h=_SPHERE_STEP)
     # the right side vanishes: 3-forms on a surface pull back to zero
     yield abs(dvarpi(n, *secs))
@@ -1842,7 +1834,7 @@ def check_abelian_collapse(ctx, rng):
     vs = [alg.random_vector(rng) for _ in range(3)]
     fields = [constant_field(alg, v) for v in vs]
     jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg), fields, g, ctx.coarse_grid,
-                                      h=ctx.h, h_t=ctx.h_t)
+                                      h=ctx.h)
     yield abs(jac)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bott import ConventionError, calibrate_conventions
-from .checks import SUITES, list_checks, result_keys, run_checks
+from .checks import CONFIG_KEYS, DEFAULTS, SUITES, list_checks, result_keys, run_checks
 from .liealg import GROUP_NAMES
 from .qham import GhjwSignError
 
@@ -49,11 +49,6 @@ def _parse_tol(items):
     return out
 
 
-# the keys a config file may set; each flag sets the key of the same meaning
-CONFIG_KEYS = ("group", "suites", "n_points", "fd_step", "t_step", "seed", "samples",
-               "tol_overrides", "report_path")
-
-
 def _read_config_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
@@ -70,11 +65,8 @@ def build_config(args):
     if getattr(args, "config", None):
         config.update(_read_config_file(args.config))
     # flags win over the config file
-    mapping = {
-        "group": "group", "grid_t": "n_points", "fd_step": "fd_step",
-        "t_step": "t_step", "seed": "seed", "samples": "samples",
-        "report": "report_path",
-    }
+    mapping = {"group": "group", "grid_t": "n_points", "fd_step": "fd_step", "seed": "seed",
+               "samples": "samples", "report": "report_path"}
     for attr, key in mapping.items():
         val = getattr(args, attr, None)
         if val is not None:
@@ -125,19 +117,15 @@ def _validate_selection(group, suites):
 def validate_config(config):
     group = config.get("group", "su2")
     _validate_selection(group, config.get("suites"))
-    n = _integer(config, "n_points", 201)
+    n = _integer(config, "n_points", DEFAULTS["n_points"])
     if n < 3 or n % 2 == 0:
         raise ConfigError("n_points must be an odd integer >= 3")
-    fd = _number(config, "fd_step", 1e-4)
+    fd = _number(config, "fd_step", DEFAULTS["fd_step"])
     if not (2e-5 <= fd <= 3e-3):
         # where every check was seen to pass at its default tolerance: above
         # it Richardson truncation, below it round-off nears the ladder
         raise ConfigError("fd_step must lie in [2e-5, 3e-3]")
-    t_step = _number(config, "t_step", 1e-5)
-    if not (math.isfinite(t_step) and t_step > 0.0):
-        # a zero step makes the time central difference 0/0
-        raise ConfigError("t_step must be a positive finite number")
-    samples = _integer(config, "samples", 4)
+    samples = _integer(config, "samples", DEFAULTS["samples"])
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     tols = config.get("tol_overrides", {})
@@ -150,17 +138,20 @@ def validate_config(config):
         if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
             # nan fails every comparison and inf passes any residual
             raise ConfigError(f"tolerance {key} must be a finite number >= 0")
-    if not isinstance(config.get("report_path", ""), str):
+    report_path = config.get("report_path", "")
+    if not isinstance(report_path, str):
         raise ConfigError("report_path must be a string")
+    report_dir = os.path.dirname(os.path.abspath(report_path))
+    if report_path and not os.path.isdir(report_dir):
+        raise ConfigError(f"report_path {report_path!r}: no directory {report_dir!r}")
     config["group"] = group
     config["n_points"] = n
     config["fd_step"] = fd
     config["samples"] = samples
-    config["seed"] = _integer(config, "seed", 42)
+    config["seed"] = _integer(config, "seed", DEFAULTS["seed"])
     if config["seed"] < 0:
         # numpy's seed sequence takes only non-negative entropy
         raise ConfigError("seed must be a non-negative integer")
-    config["t_step"] = t_step
 
 
 def _margin(residual, tolerance):
@@ -248,9 +239,13 @@ def cmd_verify(args):
     payload = _report_payload(config, results, convention_table, calibration_ms)
     report_path = config.get("report_path")
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     summary = payload["summary"]
     print(f"{summary['passed']}/{summary['total']} checks passed on {group}")
     failed = [c for c in payload["checks"] if not c["pass"]]
@@ -288,7 +283,6 @@ def main(argv=None):
     ver.add_argument("--grid-t", dest="grid_t", type=int, default=None,
                      help="odd number of time-grid nodes (default 201)")
     ver.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-    ver.add_argument("--t-step", dest="t_step", type=float, default=None)
     ver.add_argument("--tol", action="append", default=None,
                      metavar="suite.check=value", help="tolerance override")
     ver.add_argument("--seed", type=int, default=None)

@@ -54,6 +54,8 @@ _PADE13 = (
 )
 
 _MEMO_SIZE = 256
+_GROUP_TOLERANCE = 1e-9   # the largest membership residual of a sampled group point
+_CHECK_SAMPLES = 4        # random arguments on which an InvariantPolynomial is spot-checked
 
 
 def richardson(values, h):
@@ -203,14 +205,13 @@ class LieAlgebra:
     """
 
     def __init__(self, name, basis, structure_constants, bilinear_form,
-                 membership=None, log_map=None, group_tolerance=1e-9):
+                 membership=None, log_map=None):
         self.name = name
         self.basis = np.asarray(basis, dtype=float)
         self.dim = self.basis.shape[0]
         self.matrix_size = self.basis.shape[1]
         self.c = np.asarray(structure_constants, dtype=float)
         self.B = np.asarray(bilinear_form, dtype=float)
-        self.group_tolerance = group_tolerance
         self._membership = membership
         self._log_map = log_map
         # g^{-1}, behind Ad, Ad_operator and the callers that invert points
@@ -397,7 +398,7 @@ class LieAlgebra:
     def random_group(self, rng, scale=0.7):
         g = self.exp(self.random_vector(rng, scale))
         res = self.membership_residual(g)
-        if res > self.group_tolerance:
+        if res > _GROUP_TOLERANCE:
             raise ValueError(f"sampled group point fails membership: {res:g}")
         return g
 
@@ -411,13 +412,13 @@ class InvariantPolynomial:
     otherwise, as `pairing` does.  Invariance is spot-checked at construction.
     """
 
-    def __init__(self, algebra, degree, evaluator, name="p", check_samples=4):
+    def __init__(self, algebra, degree, evaluator, name="p"):
         self.algebra = algebra
         self.degree = degree
         self._eval = evaluator
         self.name = name
         rng = np.random.default_rng(20_240_117)
-        for _ in range(check_samples):
+        for _ in range(_CHECK_SAMPLES):
             xs = [algebra.random_vector(rng) for _ in range(degree)]
             perm = rng.permutation(degree)
             a = self(*xs)

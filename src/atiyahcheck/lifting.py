@@ -60,15 +60,15 @@ def _pair_dot(alg, grid, f1, f2):
     return grid.integrate(alg.pairing(f1, f2))
 
 
-def _dot_deriv(alg, grid, xi, zeta, m, h_t):
+def _dot_deriv(alg, grid, xi, zeta, m):
     """int_0^1 B(xi', zeta) dt at m: one evaluation of each section on the grid."""
     ts = grid.nodes
-    return _pair_dot(alg, grid, time_derivative(xi, m, ts, h_t=h_t), extend(zeta, m, ts))
+    return _pair_dot(alg, grid, time_derivative(xi, m, ts), extend(zeta, m, ts))
 
 
-def central_cocycle(xi1, xi2, g, grid, h_t=1e-5):
+def central_cocycle(xi1, xi2, g, grid):
     """sigma(xi1, xi2) = -int_0^1 B(xi1', xi2) dt for L-sections at g."""
-    return -_dot_deriv(xi1.algebra, grid, xi1, xi2, g, h_t)
+    return -_dot_deriv(xi1.algebra, grid, xi1, xi2, g)
 
 
 class ExtendedLSection:
@@ -91,17 +91,17 @@ class ExtendedLSection:
         return cls(body, 0.0)
 
 
-def bracket_lhat(a, b, grid, h_t=1e-5):
+def bracket_lhat(a, b, grid):
     """Extended bracket: body -[xi1, xi2] pointwise, scalar int xi1' . xi2."""
     body = bracket(a.body, b.body)
 
     def scalar(g):
-        return -central_cocycle(a.body, b.body, g, grid, h_t=h_t)
+        return -central_cocycle(a.body, b.body, g, grid)
 
     return ExtendedLSection(body, scalar)
 
 
-def nabla_hat(xi, b, grid, h=1e-4, h_t=1e-5):
+def nabla_hat(xi, b, grid, h=1e-4):
     """Lifted representation: ( [xi, body], a(xi) scalar + int xi' . body ).
 
     The drift a(xi) scalar is one stencil_derivative call: b's scalar is
@@ -113,7 +113,7 @@ def nabla_hat(xi, b, grid, h=1e-4, h_t=1e-5):
 
     def scalar(g):
         drift = alg.stencil_derivative(b.scalar, g, base.v(g), h=h)
-        return drift + _dot_deriv(alg, grid, base, b.body, g, h_t)
+        return drift + _dot_deriv(alg, grid, base, b.body, g)
 
     return ExtendedLSection(body, scalar)
 
@@ -128,48 +128,47 @@ def dtheta_j(alpha, g, v, zeta, grid):
     return -_pair_dot(alpha.algebra, grid, alpha.tderiv(ts, g, v), extend(zeta, g, ts))
 
 
-def dtheta_j_definitional(alpha, xi, zeta, g, grid, h_t=1e-5):
+def dtheta_j_definitional(alpha, xi, zeta, g, grid):
     """The defining route < d j, zeta >(xi) + sigma(theta(xi), zeta).
 
     < d j, zeta >(xi) = int xi' . zeta; theta(xi) is the vertical part of xi.
     """
-    lead = _dot_deriv(alpha.algebra, grid, xi, zeta, g, h_t)
+    lead = _dot_deriv(alpha.algebra, grid, xi, zeta, g)
     vert = connection_apply(alpha, xi)
-    return lead + central_cocycle(vert, zeta, g, grid, h_t=h_t)
+    return lead + central_cocycle(vert, zeta, g, grid)
 
 
-def canonical_two_form(xi, zeta, m, grid, h_t=1e-5):
+def canonical_two_form(xi, zeta, m, grid):
     """varpi(xi, zeta) = int xi' . zeta - (1/2) v_xi . v_zeta - Ad_g xi(0) . v_zeta.
 
     Sections over a base Phi: M -> G give the pull-back Phi^! varpi at m,
     with g = Phi(m).
     """
     alg = xi.algebra
-    lead = _dot_deriv(alg, grid, xi, zeta, m, h_t)
+    lead = _dot_deriv(alg, grid, xi, zeta, m)
     vx, vz = xi.v(m), zeta.v(m)
     lead -= 0.5 * alg.pairing(vx, vz)
     lead -= alg.pairing(alg.Ad(xi.base.point(m), xi.profile(m, 0.0)), vz)
     return lead
 
 
-def varpi_form(algebra, grid, h_t=1e-5):
+def varpi_form(algebra, grid):
     """The canonical 2-form packaged as an algebroid form."""
 
     def evaluator(g, xi, zeta):
-        return canonical_two_form(xi, zeta, g, grid, h_t=h_t)
+        return canonical_two_form(xi, zeta, g, grid)
 
     return AlgebroidForm(algebra, 2, evaluator, name="varpi")
 
 
-def brylinski_two_form(alpha, xi, zeta, g, grid, h_t=1e-5):
+def brylinski_two_form(alpha, xi, zeta, g, grid):
     """varpi^alpha by the splitting route: <d j, theta> + (1/2) sigma(theta, theta)."""
     alg = alpha.algebra
     tx = connection_apply(alpha, xi)
     tz = connection_apply(alpha, zeta)
-    lead = _dot_deriv(alg, grid, xi, tz, g, h_t)
-    lead -= _dot_deriv(alg, grid, zeta, tx, g, h_t)
-    lead += 0.5 * (central_cocycle(tx, tz, g, grid, h_t=h_t)
-                   - central_cocycle(tz, tx, g, grid, h_t=h_t))
+    lead = _dot_deriv(alg, grid, xi, tz, g)
+    lead -= _dot_deriv(alg, grid, zeta, tx, g)
+    lead += 0.5 * (central_cocycle(tx, tz, g, grid) - central_cocycle(tz, tx, g, grid))
     return lead
 
 
@@ -267,7 +266,7 @@ def _curvature_section(alpha, w1, w2, h=1e-4):
     return AlgebroidSection(alg, profile, constant_field(alg, np.zeros(alg.dim)), name="F")
 
 
-def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
+def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4):
     """Bracket on (L + R) + TG defined by the connection and a 2-form omega.
 
     Horizontal-horizontal parts follow
@@ -287,9 +286,9 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
     hor2 = _hor_section(alpha, w2)
 
     curv = _curvature_section(alpha, w1, w2, h=h)
-    nb1 = nabla_hat(hor1, s2.hat, grid, h=h, h_t=h_t)
-    nb2 = nabla_hat(hor2, s1.hat, grid, h=h, h_t=h_t)
-    vert = bracket_lhat(s1.hat, s2.hat, grid, h_t=h_t)
+    nb1 = nabla_hat(hor1, s2.hat, grid, h=h)
+    nb2 = nabla_hat(hor2, s1.hat, grid, h=h)
+    vert = bracket_lhat(s1.hat, s2.hat, grid)
 
     def body_profile(g, t):
         out = curv.profile(g, t)
@@ -309,13 +308,13 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4, h_t=1e-5):
     return LiftedSection(ExtendedLSection(body, scalar), wbr)
 
 
-def lifted_jacobiator_scalar(omega, alpha, fields, g, grid, h=1e-4, h_t=1e-5):
+def lifted_jacobiator_scalar(omega, alpha, fields, g, grid, h=1e-4):
     """Scalar part of the cyclic double bracket of three horizontal lifts."""
     h1, h2, h3 = [horizontal_lift(alpha, w) for w in fields]
     total = 0.0
     for a, b, c in ((h1, h2, h3), (h2, h3, h1), (h3, h1, h2)):
-        inner = lifted_bracket(omega, alpha, a, b, grid, h=h, h_t=h_t)
-        outer = lifted_bracket(omega, alpha, inner, c, grid, h=h, h_t=h_t)
+        inner = lifted_bracket(omega, alpha, a, b, grid, h=h)
+        outer = lifted_bracket(omega, alpha, inner, c, grid, h=h)
         total += outer.hat.scalar(g)
     return total
 
@@ -403,7 +402,7 @@ def _beta_functional(algebra, kernel, grid):
     return apply
 
 
-def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
+def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4):
     """The 2-form gamma with eta' - eta = d gamma for j' = j + beta, theta' = theta + lambda:
 
     a* gamma = <d^theta j, lambda> + (1/2) sigma(lambda, lambda)
@@ -419,8 +418,8 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4, h_t=1e-5):
         lam_v = lam.section(fv)
         lam_w = lam.section(fw)
         out = dtheta_j(alpha, g, v, lam_w, grid) - dtheta_j(alpha, g, w, lam_v, grid)
-        out += 0.5 * (central_cocycle(lam_v, lam_w, g, grid, h_t=h_t)
-                      - central_cocycle(lam_w, lam_v, g, grid, h_t=h_t))
+        out += 0.5 * (central_cocycle(lam_v, lam_w, g, grid)
+                      - central_cocycle(lam_w, lam_v, g, grid))
         # F + d^theta lambda, evaluated on the constant frames (v, w)
         fsec = _curvature_section(alpha, fv, fw, h=h)
         hv = _hor_section(alpha, fv)

@@ -51,6 +51,12 @@ class GhjwSignError(RuntimeError):
     """Neither sign of the candidate 2-form satisfies the moment condition."""
 
 
+_PUSH_STEP = 1e-5        # the sphere step of push_tangent's Richardson derivative
+_GHJW_SAMPLES = 6        # calibrate_ghjw's moment-condition samples per sign,
+_GHJW_TOL = 1e-4         # and the worst residual a sign must stay below
+_DEPENDENCY_TOL = 1e-9   # gram_kernel drops metric eigenvalues below this share of the largest
+
+
 def _norm(v):
     return v / np.linalg.norm(v)
 
@@ -84,11 +90,11 @@ class ConjugacyClass:
         """
         return -(self.algebra.ad_matrix(x) @ np.asarray(n, dtype=float))
 
-    def push_tangent(self, n, u, h=1e-5):
+    def push_tangent(self, n, u):
         """theta^R of d Phi applied to the sphere tangent u (Richardson FD)."""
         g = self.point(_norm(n))
-        at = np.array([self.point(p) for p in self.stencil(n, u, h)])
-        return self.algebra.push_stencil(at, self.algebra.inv(g), h)
+        at = np.array([self.point(p) for p in self.stencil(n, u, _PUSH_STEP)])
+        return self.algebra.push_stencil(at, self.algebra.inv(g), _PUSH_STEP)
 
     def solve_generator(self, n, t):
         """Minimum-norm x with x_M(n) = t; for the cross-product action x = n x t."""
@@ -135,7 +141,7 @@ class TrivialClass:
     def generator_field(self, x, n):
         return np.zeros(3)
 
-    def push_tangent(self, n, u, h=1e-5):
+    def push_tangent(self, n, u):
         return np.zeros(self.algebra.dim)
 
 
@@ -167,19 +173,19 @@ def ghjw_moment_residual(klass, omega, n, x, u):
     return abs(lhs - rhs)
 
 
-def calibrate_ghjw(klass, rng, samples=6, tol=1e-4):
+def calibrate_ghjw(klass, rng):
     """Fix the global sign by the moment condition; abort if neither works."""
     best = {}
     for sign in (1.0, -1.0):
         omega = ghjw_omega(klass, sign)
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(_GHJW_SAMPLES):
             n = _norm(rng.standard_normal(3))
             x = klass.algebra.random_vector(rng)
             u = klass.tangent_basis(n)[0] + 0.3 * klass.tangent_basis(n)[1]
             worst = max(worst, ghjw_moment_residual(klass, omega, n, x, u))
         best[sign] = worst
-    good = [s for s, r in best.items() if r < tol]
+    good = [s for s, r in best.items() if r < _GHJW_TOL]
     if not good:
         raise GhjwSignError(f"moment condition fails for both signs: {best}")
     return good[0], best
@@ -329,7 +335,7 @@ def basis_metric(basis):
     return tan + loop
 
 
-def gram_kernel(basis, omega, thresholds=(1e-8,), dependency_tol=1e-9):
+def gram_kernel(basis, omega, thresholds=(1e-8,)):
     """Kernel dimensions of the form on the span of the probe basis.
 
     The basis metric is diagonalized first and exact span dependencies are
@@ -345,7 +351,7 @@ def gram_kernel(basis, omega, thresholds=(1e-8,), dependency_tol=1e-9):
     s = gram_matrix(basis, omega)
     m = basis_metric(basis)
     w, vecs = np.linalg.eigh(m)
-    keep = w > dependency_tol * w.max()
+    keep = w > _DEPENDENCY_TOL * w.max()
     frame = vecs[:, keep] / np.sqrt(w[keep])
     s_eff = frame.T @ s @ frame
     u, sig, vh = np.linalg.svd(s_eff)

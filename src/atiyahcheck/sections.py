@@ -322,18 +322,21 @@ def extend(section, m, t):
     return out
 
 
-def time_derivative(section, m, t, h_t=1e-5):
+T_STEP = 1e-5   # time_derivative's central-difference step, for sections without dprofile
+
+
+def time_derivative(section, m, t):
     """d xi / dt at real t: Ad_{Phi(m)}^n of the derivative at t - n, n = floor(t)
-    (n = 0 at t = 1).  On [0, 1] that is dprofile when the section has one, else
-    a central difference of extend(), which is valid across the seam.  m may
-    carry point axes, as in extend.
+    (n = 0 at t = 1).  On [0, 1] that is the analytic dprofile when the section
+    has one, else the central difference of extend() at the fixed step T_STEP,
+    which is valid across the seam.  m may carry point axes, as in extend.
     """
     def piece(n, tn):
         s = tn - n
         if section.dprofile is not None:
             d = section.dprofile(m, s)
         else:
-            d = (extend(section, m, s + h_t) - extend(section, m, s - h_t)) / (2.0 * h_t)
+            d = (extend(section, m, s + T_STEP) - extend(section, m, s - T_STEP)) / (2.0 * T_STEP)
         if n == 0:
             return d
         return gauge_steps(section.algebra, n, d, _point_over_times(section, m, tn))

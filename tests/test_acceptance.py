@@ -9,8 +9,7 @@ import time
 
 from atiyahcheck.checks import CheckContext, REGISTRY, run_checks
 
-BASE_CONFIG = {"n_points": 201, "fd_step": 1e-4, "t_step": 1e-5,
-               "samples": 4, "seed": 42}
+BASE_CONFIG = {"n_points": 201, "fd_step": 1e-4, "samples": 4, "seed": 42}
 
 _SPECS = {spec.name: spec for spec in REGISTRY}
 _CACHE = {}

@@ -73,13 +73,66 @@ def test_fd_step_range(monkeypatch, fd_step, code):
     assert cli.main(["verify", "--group", "su2", "--fd-step", fd_step, "--quiet"]) == code
 
 
-@pytest.mark.parametrize("t_step", ["0", "-1e-5", "nan", "inf"])
-def test_t_step_must_be_positive_finite(monkeypatch, t_step):
-    # a zero step made the time central difference 0/0, which max() then hid
+def test_t_step_flag_is_refused(monkeypatch):
+    # the time step is a constant of the construction, sections.T_STEP
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--group", "torus2", "--t-step", "1e-5", "--quiet"])
+    assert exc.value.code == 2
+    assert not ran
+
+
+def test_t_step_config_key_is_unknown(tmp_path, monkeypatch, capsys):
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_step": 1e-5}')
+    assert cli.main(["verify", "--group", "torus2", "--config", str(cfg), "--quiet"]) == 2
+    assert "unknown config keys ['t_step']" in capsys.readouterr().err
+    assert not ran
+
+
+def test_report_in_a_missing_directory_is_refused_before_any_check(tmp_path, monkeypatch):
+    # the report was opened after every check had run: a traceback and exit 1
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    report = tmp_path / "no" / "such" / "r.json"
+    assert cli.main(["verify", "--group", "torus2", "--report", str(report), "--quiet"]) == 2
+    assert not ran
+
+
+def test_report_write_error_exits_2(tmp_path, monkeypatch, capsys):
+    # a directory passes the directory check, and opening it for writing fails
     from atiyahcheck import cli
 
     monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
-    assert cli.main(["verify", "--group", "torus2", f"--t-step={t_step}", "--quiet"]) == 2
+    assert cli.main(["verify", "--group", "torus2", "--report", str(tmp_path), "--quiet"]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+
+
+def test_context_refuses_an_unknown_key():
+    # a misspelt key ran silently at the default step
+    with pytest.raises(ValueError, match="fd_stp"):
+        CheckContext("su2", {"fd_stp": 1e-3})
+
+
+def test_cli_and_context_share_the_defaults():
+    from atiyahcheck.checks import DEFAULTS
+    from atiyahcheck.cli import validate_config
+
+    config = {}
+    validate_config(config)
+    assert {key: config[key] for key in DEFAULTS} == DEFAULTS
+    ctx = CheckContext("torus2", {})
+    assert (ctx.grid.n_points, ctx.h, ctx.samples, ctx.seed) == (
+        DEFAULTS["n_points"], DEFAULTS["fd_step"], DEFAULTS["samples"], DEFAULTS["seed"])
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-3"]])

@@ -13,8 +13,11 @@ MODULES = ["atiyahcheck"] + [f"atiyahcheck.{info.name}"
                              for info in pkgutil.iter_modules(atiyahcheck.__path__)]
 
 # fixed by the construction: the one bump and its flat width, the Bott
-# quadrature rules and node counts, and the Fourier modes of a random loop
-CONSTANTS = {"bump", "flat_width", "rule", "rule2", "n_s", "n_t", "n_modes"}
+# quadrature rules and node counts, the Fourier modes of a random loop, the
+# time step, the group membership tolerance, the invariance spot checks and
+# the Gram kernel's dependency cut
+CONSTANTS = {"bump", "flat_width", "rule", "rule2", "n_s", "n_t", "n_modes",
+             "h_t", "group_tolerance", "check_samples", "dependency_tol"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,6 +43,19 @@ def test_construction_constants_are_not_parameters(name):
     taken = {(fn.__qualname__, param) for fn in _own_callables(mod)
              for param in inspect.signature(fn).parameters if param in CONSTANTS}
     assert taken == set()
+
+
+def test_calibrations_and_class_pushes_take_no_numeric_parameter():
+    from atiyahcheck import bott, qham
+
+    signatures = {
+        qham.calibrate_ghjw: ["klass", "rng"],
+        bott.calibrate_conventions: [],
+        qham.ConjugacyClass.push_tangent: ["self", "n", "u"],
+        qham.TrivialClass.push_tangent: ["self", "n", "u"],
+    }
+    for fn, params in signatures.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
 
 
 def test_the_package_exports_the_one_bump():

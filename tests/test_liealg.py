@@ -139,7 +139,7 @@ def test_maurer_cartan_rotation():
 def test_membership_residual(algebra):
     rng = np.random.default_rng(5)
     g = algebra.random_group(rng)
-    assert algebra.membership_residual(g) < algebra.group_tolerance
+    assert algebra.membership_residual(g) < liealg._GROUP_TOLERANCE
 
 
 def test_log_roundtrip(algebra):

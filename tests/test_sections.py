@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from atiyahcheck.liealg import _MEMO_SIZE, make_group
-from atiyahcheck.sections import (FLAT_WIDTH, AlgebroidSection, PointMemo, TimeGrid, bump,
-                                  constant_profile_section, extend, gauge_steps,
+from atiyahcheck.sections import (FLAT_WIDTH, T_STEP, AlgebroidSection, PointMemo, TimeGrid,
+                                  bump, constant_profile_section, extend, gauge_steps,
                                   integrate_01, loop_section, piecewise, random_loop_section,
                                   random_section, random_twisted_loop, scaled,
                                   template_section, time_derivative)
@@ -223,8 +223,7 @@ def test_grid_matches_points(su2):
     # and across integers, with invalid operations raising as in check bodies
     rng = np.random.default_rng(29)
     nodes = TimeGrid(41).nodes
-    h_t = 1e-5
-    crossing = [nodes + h_t, nodes - h_t, np.array([-1.4, -0.3, 1.0, 1.6, 2.3])]
+    crossing = [nodes + T_STEP, nodes - T_STEP, np.array([-1.4, -0.3, 1.0, 1.6, 2.3])]
     with np.errstate(divide="raise", invalid="raise"):
         sections, families = _sections_and_families(su2, rng)
         for sec, m in sections:
@@ -233,7 +232,7 @@ def test_grid_matches_points(su2):
                 _agree_on_arrays(lambda t: sec.dprofile(m, t), nodes)
             for ts in [nodes] + crossing:
                 _agree_on_arrays(lambda t: extend(sec, m, t), ts)
-                _agree_on_arrays(lambda t: time_derivative(sec, m, t, h_t=h_t), ts)
+                _agree_on_arrays(lambda t: time_derivative(sec, m, t), ts)
         for fam, g, arg in families:
             for ts in [nodes] + crossing:
                 _agree_on_arrays(lambda t: fam.value(t, g, arg), ts)
