@@ -2,8 +2,8 @@
 
 The bracket of sections and the bracket of tangent fields are written once
 for any base (the group, a conjugacy class, a slot of G x G), from the
-base's stencil_derivative and frame_bracket; everything else here lives on
-the group.
+base's stencil_derivative and frame_bracket, so their derivatives take the
+base's step fd_step; everything else here lives on the group.
 
 Conventions: the tangent bundle of G is right-trivialized, X <-> v with
 theta^R(X) = v.  Constant-v frames are then right-invariant vector fields
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-def field_bracket(base, xf, yf, m, h=1e-4):
+def field_bracket(base, xf, yf, m):
     """[X, Y] of tangent fields on a base: frame_bracket(x, y) + D_X y - D_Y x.
 
     x, y are the fields' values at m and each D is one `stencil_derivative`
@@ -41,11 +41,11 @@ def field_bracket(base, xf, yf, m, h=1e-4):
     """
     x, y = xf(m), yf(m)
     out = base.frame_bracket(x, y)
-    out = out + base.stencil_derivative(yf, m, x, h=h)
-    return out - base.stencil_derivative(xf, m, y, h=h)
+    out = out + base.stencil_derivative(yf, m, x)
+    return out - base.stencil_derivative(xf, m, y)
 
 
-def bracket(xi, zeta, h=1e-4):
+def bracket(xi, zeta):
     """Algebroid bracket [xi, zeta] = -[xi, zeta]_g + X zeta - Y xi over a base.
 
     X, Y are the tangent fields of xi, zeta on their common base; the
@@ -64,12 +64,12 @@ def bracket(xi, zeta, h=1e-4):
     def profile(m, t):
         x, y = xi.xfield(m), zeta.xfield(m)
         term = -alg.bracket(xi.profile(m, t), zeta.profile(m, t))
-        term = term + base.stencil_derivative(lambda mm: zeta.profile(mm, t), m, x, h=h)
-        term = term - base.stencil_derivative(lambda mm: xi.profile(mm, t), m, y, h=h)
+        term = term + base.stencil_derivative(lambda mm: zeta.profile(mm, t), m, x)
+        term = term - base.stencil_derivative(lambda mm: xi.profile(mm, t), m, y)
         return term
 
     def xfield(m):
-        return field_bracket(base, xi.xfield, zeta.xfield, m, h=h)
+        return field_bracket(base, xi.xfield, zeta.xfield, m)
 
     dprofile = None
     if xi.dprofile is not None and zeta.dprofile is not None:
@@ -77,8 +77,8 @@ def bracket(xi, zeta, h=1e-4):
             x, y = xi.xfield(m), zeta.xfield(m)
             term = -alg.bracket(xi.dprofile(m, t), zeta.profile(m, t))
             term = term - alg.bracket(xi.profile(m, t), zeta.dprofile(m, t))
-            term = term + base.stencil_derivative(lambda mm: zeta.dprofile(mm, t), m, x, h=h)
-            term = term - base.stencil_derivative(lambda mm: xi.dprofile(mm, t), m, y, h=h)
+            term = term + base.stencil_derivative(lambda mm: zeta.dprofile(mm, t), m, x)
+            term = term - base.stencil_derivative(lambda mm: xi.dprofile(mm, t), m, y)
             return term
 
     name = f"[{xi.name},{zeta.name}]" if xi.name or zeta.name else ""
@@ -169,13 +169,13 @@ def connection_apply(alpha, xi):
                             dprofile=dprofile, name=f"theta({xi.name})")
 
 
-def curvature(alpha, g, t, v, w, h=1e-4):
+def curvature(alpha, g, t, v, w):
     """F^{alpha_t}(X, Y) = d alpha_t(X, Y) + [alpha_t(X), alpha_t(Y)], with
     d alpha_t the de Rham differential in constant right-trivialized frames."""
     from .forms import AlgebroidForm, de_rham_differential
     alg = alpha.algebra
     alpha_t = AlgebroidForm(alg, 1, lambda gg, u: alpha.value(t, gg, u), scalar=False)
-    d = de_rham_differential(alpha_t, h=h)(g, v, w)
+    d = de_rham_differential(alpha_t)(g, v, w)
     return d + alg.bracket(alpha.value(t, g, v), alpha.value(t, g, w))
 
 

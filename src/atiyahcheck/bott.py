@@ -119,25 +119,25 @@ def oneform_theta_left(algebra):
                          scalar=False, name="a*thetaL")
 
 
-def map_theta_right(algebra, phi, g, v, h=1e-4):
+def map_theta_right(algebra, phi, g, v):
     """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients."""
-    d = algebra.directional(phi, g, v, h=h)
+    d = algebra.directional(phi, g, v)
     return algebra.from_matrix(d @ algebra.inv(phi(g)))
 
 
-def map_theta_left(algebra, phi, g, v, h=1e-4):
+def map_theta_left(algebra, phi, g, v):
     """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients."""
-    d = algebra.directional(phi, g, v, h=h)
+    d = algebra.directional(phi, g, v)
     return algebra.from_matrix(algebra.inv(phi(g)) @ d)
 
 
-def gauge_transform(phi, beta, h=1e-4):
+def gauge_transform(phi, beta):
     """Phi . beta = Ad_Phi(beta) - Phi* theta^R for a map Phi: G -> G."""
     alg = beta.algebra
 
     def value(g, sec):
         out = alg.Ad(phi(g), beta(g, sec))
-        return out - map_theta_right(alg, phi, g, sec.v(g), h=h)
+        return out - map_theta_right(alg, phi, g, sec.v(g))
 
     return AlgebroidForm(alg, 1, value, scalar=False, name=f"Phi.{beta.name}")
 
@@ -149,17 +149,16 @@ class GaugePeriodicFamily(InterpolatedFamily):
     step is (k, c) = (Phi(g), -Phi* theta^R(a(sec))).
     """
 
-    def __init__(self, algebra, beta0, phi, h=1e-4):
+    def __init__(self, algebra, beta0, phi):
         super().__init__(algebra)
         self.beta0 = beta0
         self.phi = phi
-        self.h = h
 
     def base(self, g, sec):
         return self.beta0(g, sec)
 
     def step(self, g, sec):
-        return self.phi(g), -map_theta_right(self.algebra, self.phi, g, sec.v(g), h=self.h)
+        return self.phi(g), -map_theta_right(self.algebra, self.phi, g, sec.v(g))
 
     def at(self, t):
         return AlgebroidForm(self.algebra, 1, lambda g, sec: self.value(t, g, sec),
@@ -167,7 +166,7 @@ class GaugePeriodicFamily(InterpolatedFamily):
 
     def gauge_residual(self, t, g, sec):
         lhs = self.value(t + 1.0, g, sec)
-        gt = gauge_transform(self.phi, self.at(t), h=self.h)
+        gt = gauge_transform(self.phi, self.at(t))
         return float(np.linalg.norm(lhs - gt(g, sec)))
 
 
@@ -178,12 +177,11 @@ class GaugePeriodicFamily(InterpolatedFamily):
 class _PairData:
     """Cached per-(argument pair) data for F^{beta(s)} evaluation."""
 
-    def __init__(self, algebra, betas, args, g, x=None, h=1e-4):
+    def __init__(self, algebra, betas, args, g, x=None):
         self.alg = algebra
         self.betas = betas
         self.args = args
         self.g = g
-        self.h = h
         self._values = {}       # (form index, arg index) -> vector
         self._dbeta = {}        # (form index, i, j) -> vector, i < j
         self._brackets = {}     # (i, j) -> bracket section
@@ -199,7 +197,7 @@ class _PairData:
     def _bracket_section(self, i, j):
         key = (i, j)
         if key not in self._brackets:
-            self._brackets[key] = albr.bracket(self.args[i], self.args[j], h=self.h)
+            self._brackets[key] = albr.bracket(self.args[i], self.args[j])
         return self._brackets[key]
 
     def dbeta(self, fi, i, j):
@@ -209,8 +207,7 @@ class _PairData:
         key = (fi, i, j)
         if key not in self._dbeta:
             # the cached bracket section keeps the t-family memos warm
-            d = koszul(self.betas[fi], along_sections(self.h),
-                       lambda si, sj: self._bracket_section(i, j))
+            d = koszul(self.betas[fi], along_sections, lambda si, sj: self._bracket_section(i, j))
             self._dbeta[key] = d(self.g, self.args[i], self.args[j])
         return self._dbeta[key]
 
@@ -251,7 +248,7 @@ def _p_wedge(p, blocks, args_count):
     return total
 
 
-def _upsilon_core(p, betas, g, args, x, h):
+def _upsilon_core(p, betas, g, args, x):
     """The raw simplex integral with the display prefactor, before the dial,
     on the rule of the (len(betas) - 1)-simplex; one point at a time over
     any leading point axes of g.
@@ -262,7 +259,7 @@ def _upsilon_core(p, betas, g, args, x, h):
     benchmark's speed probe can time.
     """
     if np.ndim(g) > 2:
-        return per_point(lambda point: _upsilon_core(p, betas, point, args, x, h), g)
+        return per_point(lambda point: _upsilon_core(p, betas, point, args, x), g)
     alg = p.algebra
     m = p.degree
     k = len(betas) - 1
@@ -277,7 +274,7 @@ def _upsilon_core(p, betas, g, args, x, h):
     if n_z > 0 and x is None:
         return 0.0
 
-    data = _PairData(alg, betas, args, g, x=x, h=h)
+    data = _PairData(alg, betas, args, g, x=x)
     reorder = (-1.0) ** (k * (k - 1) // 2)
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     prefactor = (-1.0) ** ((k + 1) // 2)
@@ -314,19 +311,19 @@ def _upsilon_core(p, betas, g, args, x, h):
     return prefactor * reorder * coeff * total
 
 
-def upsilon(p, betas, g, args, conventions=None, h=1e-4):
+def upsilon(p, betas, g, args, conventions=None):
     """Bott form Upsilon^p(beta_0..beta_k) evaluated on argument sections."""
     sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
-    return sign * _upsilon_core(p, betas, g, args, None, h)
+    return sign * _upsilon_core(p, betas, g, args, None)
 
 
-def upsilon_equivariant(p, betas, x, g, args, conventions=None, h=1e-4):
+def upsilon_equivariant(p, betas, x, g, args, conventions=None):
     """Equivariant Bott form at the algebra element x (graded by len(args))."""
     sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
-    return sign * _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float), h)
+    return sign * _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float))
 
 
-def rectangle_integral(p, family, g, args, x=None, conventions=None, h=1e-4):
+def rectangle_integral(p, family, g, args, x=None, conventions=None):
     """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot,
     on 8 Gauss-Legendre nodes in s and 32 in t.
 
@@ -336,7 +333,7 @@ def rectangle_integral(p, family, g, args, x=None, conventions=None, h=1e-4):
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: rectangle_integral(
-            p, family, point, args, x=x, conventions=conventions, h=h), g)
+            p, family, point, args, x=x, conventions=conventions), g)
     alg = p.algebra
     m = p.degree
     r = len(args)
@@ -356,7 +353,7 @@ def rectangle_integral(p, family, g, args, x=None, conventions=None, h=1e-4):
     sign = 1.0 if conventions is None else conventions.rect_sign
 
     # beta_t and its derivatives on all t nodes at once; row ti is t_nodes[ti]
-    data = _PairData(alg, [family.at(t_nodes)], args, g, x=x, h=h)
+    data = _PairData(alg, [family.at(t_nodes)], args, g, x=x)
     dvals = [family.tderiv(t_nodes, g, a) for a in args]
     total = 0.0
     for ti, wt in enumerate(t_weights):
@@ -414,11 +411,11 @@ class ConventionError(RuntimeError):
 
 _CONVENTIONS = None
 _CALIBRATION_TOL = 1e-3   # relative tolerance of a sign pick
-_CALIBRATION_H = 1e-4     # finite-difference step over the group
 
 
 def calibrate_conventions():
-    """Fix the orientation dials once, on su2, against the asserted identities.
+    """Fix the orientation dials once, on su2 at the default step FD_STEP,
+    against the asserted identities, whatever step the checks take.
 
     k = 1 and k = 2 come from the Stokes family identity; the rectangle sign
     comes from the quadratic-polynomial identity varpi^p = varpi (whose right
@@ -431,7 +428,7 @@ def calibrate_conventions():
     global _CONVENTIONS
     if _CONVENTIONS is not None:
         return _CONVENTIONS
-    tol, h = _CALIBRATION_TOL, _CALIBRATION_H
+    tol = _CALIBRATION_TOL
 
     alg = make_group("su2")
     p = quadratic_polynomial(alg)
@@ -449,21 +446,19 @@ def calibrate_conventions():
     unmeasured = []
 
     # Stokes, k = 1: d Upsilon(b0, b1) = Upsilon(b1) - Upsilon(b0)
-    u1 = AlgebroidForm(alg, 2, lambda gg, *ss: _upsilon_core(p, [thl, beta1], gg, ss, None, h))
-    du1 = exterior_derivative(u1, h=h)
+    u1 = AlgebroidForm(alg, 2, lambda gg, *ss: _upsilon_core(p, [thl, beta1], gg, ss, None))
+    du1 = exterior_derivative(u1)
     lhs = du1(g, *args3)
-    rhs = (_upsilon_core(p, [beta1], g, args3, None, h)
-           - _upsilon_core(p, [thl], g, args3, None, h))
+    rhs = _upsilon_core(p, [beta1], g, args3, None) - _upsilon_core(p, [thl], g, args3, None)
     k1 = _pick_sign(lhs, rhs, tol, "Stokes k=1", unmeasured)
 
     # Stokes, k = 2: d Upsilon(b0,b1,b2) = Upsilon(b1,b2) - Upsilon(b0,b2) + Upsilon(b0,b1)
-    u2 = AlgebroidForm(alg, 1, lambda gg, *ss:
-                       _upsilon_core(p, [thl, beta1, beta2], gg, ss, None, h))
-    du2 = exterior_derivative(u2, h=h)
+    u2 = AlgebroidForm(alg, 1, lambda gg, *ss: _upsilon_core(p, [thl, beta1, beta2], gg, ss, None))
+    du2 = exterior_derivative(u2)
     lhs2 = du2(g, *args3[:2])
-    rhs2 = (k1 * _upsilon_core(p, [beta1, beta2], g, args3[:2], None, h)
-            - k1 * _upsilon_core(p, [thl, beta2], g, args3[:2], None, h)
-            + k1 * _upsilon_core(p, [thl, beta1], g, args3[:2], None, h))
+    rhs2 = (k1 * _upsilon_core(p, [beta1, beta2], g, args3[:2], None)
+            - k1 * _upsilon_core(p, [thl, beta2], g, args3[:2], None)
+            + k1 * _upsilon_core(p, [thl, beta1], g, args3[:2], None))
     k2 = _pick_sign(lhs2, rhs2, tol, "Stokes k=2", unmeasured)
 
     # rectangle: the quadratic identity varpi^p = varpi on a section pair
@@ -472,23 +467,22 @@ def calibrate_conventions():
     zero = oneform_zero(alg)
     kap0, kap1 = kappa.at(0.0), kappa.at(1.0)
     pair = args3[:2]
-    i_raw = rectangle_integral(p, kappa, g, pair, x=x, h=h)
-    u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x, h)
+    i_raw = rectangle_integral(p, kappa, g, pair, x=x)
+    u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x)
     want = canonical_two_form(pair[0], pair[1], g, TimeGrid(201))
     rect = _pick_sign(i_raw, want + u2, tol, "quadratic varpi^p = varpi", unmeasured)
 
     # measured, recorded: orientation of the flat-family transgression identity
-    iform = AlgebroidForm(alg, 2, lambda gg, *ss:
-                          rect * rectangle_integral(p, kappa, gg, ss, x=x, h=h))
-    d_i = exterior_derivative(iform, h=h)
-    lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x, h)
-            - k1 * _upsilon_core(p, [zero, kap0], g, args3, x, h))
+    iform = AlgebroidForm(alg, 2, lambda gg, *ss: rect * rectangle_integral(p, kappa, gg, ss, x=x))
+    d_i = exterior_derivative(iform)
+    lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x)
+            - k1 * _upsilon_core(p, [zero, kap0], g, args3, x))
     rhs3 = d_i(g, *args3)
     lemma = _pick_sign(lhs3, rhs3, tol, "flat-family transgression", unmeasured)
 
     # measured, recorded: Upsilon^p(0, theta^L) against the Cartan form
     eta = pullback_anchor(cartan_three_form(alg))
-    got = k1 * _upsilon_core(p, [zero, thl], g, args3, None, h)
+    got = k1 * _upsilon_core(p, [zero, thl], g, args3, None)
     want_eta = eta(g, *args3)
     ratio = got / want_eta
     if abs(abs(ratio) - 1.0) > tol:
@@ -518,10 +512,10 @@ def _pick_sign(lhs, rhs, tol, label, unmeasured):
 # Chern-Simons forms and the Q functional
 # ---------------------------------------------------------------------------
 
-def chern_simons(beta, g, args, h=1e-4):
+def chern_simons(beta, g, args):
     """CS(beta) = (1/2)(d beta) . beta + (1/6) beta . [beta, beta] on three sections."""
     alg = beta.algebra
-    data = _PairData(alg, [beta], args, g, h=h)
+    data = _PairData(alg, [beta], args, g)
     total = 0.0
     # (2,1) shuffle: B(d beta(i,j), beta(k))
     for (i, j, k), sign in _shuffles_21():
@@ -541,12 +535,12 @@ def _shuffles_12():
     return (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0))
 
 
-def q_functional(family, g, a1, a2, grid, h=1e-4):
+def q_functional(family, g, a1, a2, grid):
     """Q^beta = (1/2) Phi* theta^L . beta_0 + (1/2) int beta_t . beta_t' dt."""
     alg = family.algebra
     phi = family.phi
-    tl1 = map_theta_left(alg, phi, g, a1.v(g), h=h)
-    tl2 = map_theta_left(alg, phi, g, a2.v(g), h=h)
+    tl1 = map_theta_left(alg, phi, g, a1.v(g))
+    tl2 = map_theta_left(alg, phi, g, a2.v(g))
     b01 = family.value(0.0, g, a1)
     b02 = family.value(0.0, g, a2)
     out = 0.5 * (alg.pairing(tl1, b02) - alg.pairing(tl2, b01))
@@ -557,7 +551,7 @@ def q_functional(family, g, a1, a2, grid, h=1e-4):
     return out
 
 
-def q_concat_lambda(alg, phi1, phi2, g, a1, a2, h=1e-4):
+def q_concat_lambda(alg, phi1, phi2, g, a1, a2):
     """The concatenation defect (1/2) Phi2* theta^L . Phi1* theta^R on a pair.
 
     Convention: for Q(beta2 * beta1) = Q(beta1) + Q(beta2) + lambda-term, the
@@ -565,10 +559,8 @@ def q_concat_lambda(alg, phi1, phi2, g, a1, a2, h=1e-4):
     the closed-form fusion identity on generators.
     """
     v1, v2 = a1.v(g), a2.v(g)
-    lam = alg.pairing(map_theta_left(alg, phi2, g, v1, h=h),
-                      map_theta_right(alg, phi1, g, v2, h=h))
-    lam -= alg.pairing(map_theta_left(alg, phi2, g, v2, h=h),
-                       map_theta_right(alg, phi1, g, v1, h=h))
+    lam = alg.pairing(map_theta_left(alg, phi2, g, v1), map_theta_right(alg, phi1, g, v2))
+    lam -= alg.pairing(map_theta_left(alg, phi2, g, v2), map_theta_right(alg, phi1, g, v1))
     return 0.5 * lam
 
 
@@ -576,7 +568,7 @@ def concat_families(f1, f2, algebra):
     """beta2 * beta1 with the doubled-speed parametrization and product gauge.
 
     On [0, 1] the concatenation runs f1, then f2, at double speed; beyond it
-    extends by the gauge step of Phi2 Phi1, with the families' own h.
+    extends by the gauge step of Phi2 Phi1.
     """
 
     def half(t):
@@ -586,7 +578,6 @@ def concat_families(f1, f2, algebra):
         def __init__(self):
             self.algebra = algebra
             self.phi = lambda g: f2.phi(g) @ f1.phi(g)
-            self.h = f1.h
 
         def value(self, t, g, sec):
             def piece(n, tn):
@@ -594,7 +585,7 @@ def concat_families(f1, f2, algebra):
                                 (f2 if second else f1).value(2.0 * s - second, g, sec))
                 if n == 0:
                     return val
-                c = -map_theta_right(algebra, self.phi, g, sec.v(g), h=self.h)
+                c = -map_theta_right(algebra, self.phi, g, sec.v(g))
                 return gauge_steps(algebra, n, val, self.phi(g), c)
             return piecewise(t, np.floor, piece)
 
@@ -616,7 +607,7 @@ def concat_families(f1, f2, algebra):
 # higher primitives and Pressley-Segal forms
 # ---------------------------------------------------------------------------
 
-def eta_p_form(p, conventions, h=1e-4):
+def eta_p_form(p, conventions):
     """eta^p_G = Upsilon^p_G(0, a* theta^L) as an algebroid form factory.
 
     Returns a callable (x, g, args) -> value; the argument count selects the
@@ -627,12 +618,12 @@ def eta_p_form(p, conventions, h=1e-4):
     thl = oneform_theta_left(alg)
 
     def equivariant(x, g, args):
-        return upsilon_equivariant(p, [zero, thl], x, g, args, conventions=conventions, h=h)
+        return upsilon_equivariant(p, [zero, thl], x, g, args, conventions=conventions)
 
     return equivariant
 
 
-def varpi_p_equivariant(p, conventions, h=1e-4):
+def varpi_p_equivariant(p, conventions):
     """varpi^p_G = I^p({kappa_t}) - Upsilon^p(0, a* theta^L, kappa_0).
 
     Returns a callable (x, g, args) -> value covering every graded component;
@@ -646,17 +637,16 @@ def varpi_p_equivariant(p, conventions, h=1e-4):
     kap0 = fam.at(0.0)
 
     def value(x, g, args):
-        out = rectangle_integral(p, fam, g, args, x=x, conventions=conventions, h=h)
-        out -= upsilon_equivariant(p, [zero, thl, kap0], x, g, args,
-                                   conventions=conventions, h=h)
+        out = rectangle_integral(p, fam, g, args, x=x, conventions=conventions)
+        out -= upsilon_equivariant(p, [zero, thl, kap0], x, g, args, conventions=conventions)
         return out
 
     return value
 
 
-def pressley_segal_two_form(p, conventions, h=1e-4):
+def pressley_segal_two_form(p, conventions):
     """sigma^p: the pull-back of varpi^p to loops at the group unit."""
-    vpg = varpi_p_equivariant(p, conventions, h=h)
+    vpg = varpi_p_equivariant(p, conventions)
     alg = p.algebra
     x0 = np.zeros(alg.dim)
 

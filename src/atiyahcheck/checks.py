@@ -34,7 +34,7 @@ from . import forms as fm
 from . import fusion as fu
 from . import lifting as lf
 from . import qham as qh
-from .liealg import cubic_polynomial, make_group, quadratic_polynomial
+from .liealg import FD_STEP, cubic_polynomial, make_group, quadratic_polynomial
 from .sections import (AlgebroidSection, TimeGrid, at_times, bump, constant_field, extend,
                        integrate_01, loop_section, random_loop_section, random_section,
                        random_twisted_loop, scaled, template_section, time_derivative)
@@ -47,7 +47,7 @@ SUITES = ("algebroid", "forms", "lifting", "bott", "fusion", "courant", "qham")
 # the keys a verify config may set, and the defaults of the numeric ones
 CONFIG_KEYS = ("group", "suites", "n_points", "fd_step", "seed", "samples",
                "tol_overrides", "report_path")
-DEFAULTS = {"n_points": 201, "fd_step": 1e-4, "samples": 4, "seed": 42}
+DEFAULTS = {"n_points": 201, "fd_step": FD_STEP, "samples": 4, "seed": 42}
 
 
 @dataclass
@@ -70,7 +70,7 @@ class CheckResult:
 
 
 class CheckContext:
-    """Execution context: group, grids, steps, per-check RNG and tolerance overrides."""
+    """Execution context: the group (and its fd_step), grids, per-check RNG, tolerances."""
 
     def __init__(self, group_name, config):
         unknown = sorted(set(config) - set(CONFIG_KEYS))
@@ -78,10 +78,9 @@ class CheckContext:
             raise ValueError(f"unknown config keys {unknown}")
         config = {**DEFAULTS, **config}
         self.group_name = group_name
-        self.algebra = make_group(group_name)
+        self.algebra = make_group(group_name, config["fd_step"])
         self.grid = TimeGrid(config["n_points"])
         self.coarse_grid = TimeGrid(min(101, config["n_points"]))
-        self.h = config["fd_step"]
         self.samples = config["samples"]
         self.seed = config["seed"]
         self.tol_overrides = config.get("tol_overrides", {})
@@ -226,7 +225,7 @@ def check_dirderiv(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         c, v = alg.random_vector(rng), alg.random_vector(rng)
-        got = alg.directional(lambda gg: alg.Ad(gg, c), g, v, h=ctx.h)
+        got = alg.directional(lambda gg: alg.Ad(gg, c), g, v)
         want = alg.bracket(v, alg.Ad(g, c))
         scale = max(1.0, np.linalg.norm(want))
         yield np.linalg.norm(got - want) / scale
@@ -275,16 +274,16 @@ def check_bracket_jacobi(ctx, rng):
         g = alg.random_group(rng)
         a, b, c = ctx.random_sections(rng, 3)
         t0 = rng.uniform(0.15, 0.85)
-        total = albr.bracket(albr.bracket(a, b, h=ctx.h), c, h=ctx.h).profile(g, t0)
-        total = total + albr.bracket(albr.bracket(b, c, h=ctx.h), a, h=ctx.h).profile(g, t0)
-        total = total + albr.bracket(albr.bracket(c, a, h=ctx.h), b, h=ctx.h).profile(g, t0)
+        total = albr.bracket(albr.bracket(a, b), c).profile(g, t0)
+        total = total + albr.bracket(albr.bracket(b, c), a).profile(g, t0)
+        total = total + albr.bracket(albr.bracket(c, a), b).profile(g, t0)
         yield np.linalg.norm(total)
     return {"triples": n_triples}
 
 
-def _times(h, t, value):
-    """A function h of the points (point axes only) times value at the times t."""
-    return at_times(np.asarray(h)[..., None], t) * value
+def _times(f, t, value):
+    """A function f of the points (point axes only) times value at the times t."""
+    return at_times(np.asarray(f)[..., None], t) * value
 
 
 @_register("algebroid", "bracket_leibniz", tol=1e-6,
@@ -304,10 +303,9 @@ def check_bracket_leibniz(ctx, rng):
             lambda gg: _times(hfun(gg), (), ze.v(gg)),
             dprofile=lambda gg, t: _times(hfun(gg), t, ze.dprofile(gg, t)))
         t0 = rng.uniform(0.15, 0.85)
-        lhs = albr.bracket(xi, hz, h=ctx.h).profile(g, t0)
-        dh = alg.directional(lambda gg: np.array(hfun(gg)), g, xi.v(g), h=ctx.h)
-        rhs = hfun(g) * albr.bracket(xi, ze, h=ctx.h).profile(g, t0) \
-            + float(dh) * ze.profile(g, t0)
+        lhs = albr.bracket(xi, hz).profile(g, t0)
+        dh = alg.directional(lambda gg: np.array(hfun(gg)), g, xi.v(g))
+        rhs = hfun(g) * albr.bracket(xi, ze).profile(g, t0) + float(dh) * ze.profile(g, t0)
         yield np.linalg.norm(lhs - rhs)
 
 
@@ -318,10 +316,10 @@ def check_anchor_morphism(ctx, rng):
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
-        got = albr.bracket(xi, ze, h=ctx.h).v(g)
+        got = albr.bracket(xi, ze).v(g)
         want = -alg.bracket(xi.v(g), ze.v(g))
-        want = want + alg.directional(ze.v, g, xi.v(g), h=ctx.h)
-        want = want - alg.directional(xi.v, g, ze.v(g), h=ctx.h)
+        want = want + alg.directional(ze.v, g, xi.v(g))
+        want = want - alg.directional(xi.v, g, ze.v(g))
         yield np.linalg.norm(got - want)
 
 
@@ -334,14 +332,14 @@ def check_generator_action(ctx, rng):
         x = alg.random_vector(rng)
         xi = random_section(alg, rng)
         t0 = rng.uniform(0.1, 0.9)
-        got = albr.bracket(albr.generator(alg, x), xi, h=ctx.h).profile(g, t0)
+        got = albr.bracket(albr.generator(alg, x), xi).profile(g, t0)
 
         def action(u):
             k = alg.exp(u * x)
             kinv = alg.inv(k)
             return alg.Ad(k, xi.profile(kinv @ g @ k, t0))
 
-        h = ctx.h
+        h = alg.fd_step
         want = (8 * (action(h) - action(-h)) - (action(2 * h) - action(-2 * h))) / (12 * h)
         yield np.linalg.norm(got - want)
 
@@ -375,8 +373,8 @@ def check_curvature_covariance(ctx, rng):
         v, w = alg.random_vector(rng), alg.random_vector(rng)
         alpha = _invariant_family(ctx, rng)
         t = 0.04  # flat region of the bump, matched across the seam
-        f0 = albr.curvature(alpha, g, t, v, w, h=ctx.h)
-        f1 = albr.curvature(alpha, g, t + 1.0, v, w, h=ctx.h)
+        f0 = albr.curvature(alpha, g, t, v, w)
+        f1 = albr.curvature(alpha, g, t + 1.0, v, w)
         yield np.linalg.norm(f1 - alg.Ad(g, f0))
 
 
@@ -435,7 +433,7 @@ def check_kappa_flat(ctx, rng):
         xi, ze = ctx.random_sections(rng, 2)
         t0 = rng.uniform(0.1, 0.9)
         kap = albr.KappaFamily(alg).at(t0)
-        dk = fm.exterior_derivative(kap, h=ctx.h)
+        dk = fm.exterior_derivative(kap)
         fval = dk(g, xi, ze) + alg.bracket(kap(g, xi), kap(g, ze))
         yield np.linalg.norm(fval)
         x = alg.random_vector(rng)
@@ -464,12 +462,12 @@ def check_d_squared(ctx, rng):
         t0 = rng.uniform(0.1, 0.9)
         # 0-form
         zero_form = fm.AlgebroidForm(alg, 0, lambda gg: alg.pairing(c, alg.Ad(gg, c)))
-        dd0 = fm.exterior_derivative(fm.exterior_derivative(zero_form, h=ctx.h), h=ctx.h)
+        dd0 = fm.exterior_derivative(fm.exterior_derivative(zero_form))
         yield abs(dd0(g, secs[0], secs[1]))
         # 1-form built on the tautological family
         kap = albr.KappaFamily(alg).at(t0)
         one = fm.AlgebroidForm(alg, 1, lambda gg, s: alg.pairing(c, kap(gg, s)))
-        dd1 = fm.exterior_derivative(fm.exterior_derivative(one, h=ctx.h), h=ctx.h)
+        dd1 = fm.exterior_derivative(fm.exterior_derivative(one))
         yield abs(dd1(g, *secs))
 
 
@@ -483,9 +481,8 @@ def check_cartan_commutation(ctx, rng):
         c = alg.random_vector(rng)
         kap = albr.KappaFamily(alg).at(0.3)
         phi = fm.AlgebroidForm(alg, 1, lambda gg, s: alg.pairing(c, kap(gg, s)))
-        lhs = fm.contract(fm.lie_derivative(phi, xi, h=ctx.h), ze)(g)
-        rhs = fm.lie_derivative(fm.contract(phi, ze), xi, h=ctx.h)(g) \
-            - phi(g, albr.bracket(xi, ze, h=ctx.h))
+        lhs = fm.contract(fm.lie_derivative(phi, xi), ze)(g)
+        rhs = fm.lie_derivative(fm.contract(phi, ze), xi)(g) - phi(g, albr.bracket(xi, ze))
         yield abs(lhs - rhs)
 
 
@@ -500,7 +497,7 @@ def check_horizontal_basic(ctx, rng):
         loop = random_twisted_loop(alg, rng)
         chi = random_section(alg, rng)
         yield abs(aom(g, loop))
-        yield abs(fm.lie_derivative(aom, loop, h=ctx.h)(g, chi))
+        yield abs(fm.lie_derivative(aom, loop)(g, chi))
 
 
 @_register("forms", "anchor_cochain", tol=1e-5, identity="d(a* omega) = a*(d omega)")
@@ -510,8 +507,8 @@ def check_anchor_cochain(ctx, rng):
         g = alg.random_group(rng)
         om = _random_one_form(ctx, rng)
         secs = ctx.random_sections(rng, 2)
-        lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=ctx.h)(g, *secs)
-        rhs = fm.pullback_anchor(fm.de_rham_differential(om, h=ctx.h))(g, *secs)
+        lhs = fm.exterior_derivative(fm.pullback_anchor(om))(g, *secs)
+        rhs = fm.pullback_anchor(fm.de_rham_differential(om))(g, *secs)
         yield abs(lhs - rhs)
 
 
@@ -543,7 +540,7 @@ def check_eta_g_closed(ctx, rng):
         parts = fm.equivariant_cartan(alg, x)
         xg = alg.Ad(g, x) - x
         v, w = alg.random_vector(rng), alg.random_vector(rng)
-        d1 = fm.de_rham_differential(parts[1], h=ctx.h)
+        d1 = fm.de_rham_differential(parts[1])
         yield abs(-eta(g, xg, v, w) + d1(g, v, w))
         yield abs(parts[1](g, xg))
         flip = eta(g, xg, v, w) + d1(g, v, w)
@@ -561,7 +558,7 @@ def check_dkappa(ctx, rng):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
         t0 = rng.uniform(0.1, 0.9)
-        got = fm.exterior_derivative(albr.KappaFamily(alg).at(t0), h=ctx.h)(g, xi, ze)
+        got = fm.exterior_derivative(albr.KappaFamily(alg).at(t0))(g, xi, ze)
         want = -alg.bracket(extend(xi, g, t0), extend(ze, g, t0))
         yield np.linalg.norm(got - want)
 
@@ -608,9 +605,9 @@ def check_dsigma(ctx, rng):
         ch = random_section(alg, rng)
         # i_chi (d sigma)(x1,x2): derivative term minus structure terms
         drift = alg.stencil_derivative(
-            lambda gg: lf.central_cocycle(z1, z2, gg, ctx.coarse_grid), g, ch.v(g), h=ctx.h)
-        b1 = albr.bracket(ch, z1, h=ctx.h)
-        b2 = albr.bracket(ch, z2, h=ctx.h)
+            lambda gg: lf.central_cocycle(z1, z2, gg, ctx.coarse_grid), g, ch.v(g))
+        b1 = albr.bracket(ch, z1)
+        b2 = albr.bracket(ch, z2)
         lhs = drift - lf.central_cocycle(b1, z2, g, ctx.coarse_grid) \
             - lf.central_cocycle(z1, b2, g, ctx.coarse_grid)
         pointwise = AlgebroidSection(
@@ -662,9 +659,9 @@ def check_nablahat_flat(ctx, rng):
     xi, ze = ctx.random_sections(rng, 2)
     body = random_twisted_loop(alg, rng)
     b = lf.ExtendedLSection(body, lambda gg: np.sin(gg[..., 0, -1]))
-    n12 = lf.nabla_hat(xi, lf.nabla_hat(ze, b, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid, h=ctx.h)
-    n21 = lf.nabla_hat(ze, lf.nabla_hat(xi, b, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid, h=ctx.h)
-    nbr = lf.nabla_hat(albr.bracket(xi, ze, h=ctx.h), b, ctx.coarse_grid, h=ctx.h)
+    n12 = lf.nabla_hat(xi, lf.nabla_hat(ze, b, ctx.coarse_grid), ctx.coarse_grid)
+    n21 = lf.nabla_hat(ze, lf.nabla_hat(xi, b, ctx.coarse_grid), ctx.coarse_grid)
+    nbr = lf.nabla_hat(albr.bracket(xi, ze), b, ctx.coarse_grid)
     yield abs(n12.scalar(g) - n21.scalar(g) - nbr.scalar(g))
     t0 = 0.37
     yield np.linalg.norm(
@@ -679,9 +676,9 @@ def check_nablahat_derivation(ctx, rng):
     xi = random_section(alg, rng)
     b1 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
     b2 = lf.ExtendedLSection.split(random_twisted_loop(alg, rng))
-    lhs = lf.nabla_hat(xi, lf.bracket_lhat(b1, b2, ctx.coarse_grid), ctx.coarse_grid, h=ctx.h)
-    r1 = lf.bracket_lhat(lf.nabla_hat(xi, b1, ctx.coarse_grid, h=ctx.h), b2, ctx.coarse_grid)
-    r2 = lf.bracket_lhat(b1, lf.nabla_hat(xi, b2, ctx.coarse_grid, h=ctx.h), ctx.coarse_grid)
+    lhs = lf.nabla_hat(xi, lf.bracket_lhat(b1, b2, ctx.coarse_grid), ctx.coarse_grid)
+    r1 = lf.bracket_lhat(lf.nabla_hat(xi, b1, ctx.coarse_grid), b2, ctx.coarse_grid)
+    r2 = lf.bracket_lhat(b1, lf.nabla_hat(xi, b2, ctx.coarse_grid), ctx.coarse_grid)
     yield abs(lhs.scalar(g) - r1.scalar(g) - r2.scalar(g))
     t0 = 0.41
     yield np.linalg.norm(
@@ -739,7 +736,7 @@ def check_varpi_kappa_q(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
-        q = bt.q_functional(fam, g, xi, ze, ctx.grid, h=ctx.h)
+        q = bt.q_functional(fam, g, xi, ze, ctx.grid)
         base = lf.canonical_two_form(xi, ze, g, ctx.grid)
         yield abs(base + q)
 
@@ -794,7 +791,7 @@ def check_dvarpi_eta(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
-        lhs = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
+        lhs = fm.exterior_derivative(vform)(g, *secs)
         rhs = eta(g, *secs)
         yield abs(lhs - rhs)
 
@@ -809,7 +806,7 @@ def check_equivariant_three_form(ctx, rng):
     for trial in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
-        d3 = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
+        d3 = fm.exterior_derivative(vform)(g, *secs)
         r3 = eta(g, *[s.v(g) for s in secs])
         yield abs(d3 - r3)
         for _ in range(n_x):
@@ -826,7 +823,7 @@ def check_equivariant_three_form(ctx, rng):
 def check_eta_data_route(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg)
-    etad = lf.eta_from_data(alpha, ctx.coarse_grid, h=ctx.h)
+    etad = lf.eta_from_data(alpha, ctx.coarse_grid)
     eta = fm.cartan_three_form(alg)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -843,7 +840,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
     if ctx.group_name == "heisenberg3":
         # radial-homotopy primitive of -eta in exponential coordinates
         from .homotopy import poincare_primitive
-        prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0, h=ctx.h)
+        prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0)
         omega = lambda g, v, w, prim=prim: prim(g, v, w)
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
@@ -852,7 +849,7 @@ def check_lifted_jacobi_primitive(ctx, rng):
         om_form = None
         if omega is not None:
             om_form = fm.AlgebroidForm(alg, 2, omega)
-        jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g, ctx.coarse_grid, h=ctx.h)
+        jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g, ctx.coarse_grid)
         yield abs(jac)
     if ctx.group_name == "heisenberg3":
         return {"notes": "eta vanishes identically on heisenberg3 (B is zero on the "
@@ -882,10 +879,10 @@ def check_lifted_jacobi_obstruction(ctx, rng):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
         fields = [constant_field(alg, v) for v in vs]
-        jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid, h=ctx.h)
+        jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid)
         target = eta(g, *vs)
         if om is not None:
-            target += fm.de_rham_differential(om, h=ctx.h)(g, *vs)
+            target += fm.de_rham_differential(om)(g, *vs)
         yield abs(jac - target)
         notes.append(f"{label}: jacobiator {jac:.6g} vs {target:.6g}")
     return {"notes": "; ".join(notes)}
@@ -901,15 +898,14 @@ def check_equivariant_generators(ctx, rng):
     def phi_map(x):
         mu = fm.AlgebroidForm(alg, 1, lambda g, a:
                               -0.5 * alg.pairing(alg.maurer_cartan(g, a, "left") + a, x))
-        prim = poincare_primitive(mu, sign=1.0, h=ctx.h)
+        prim = poincare_primitive(mu, sign=1.0)
         return lambda g: prim(g)
 
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng, scale=0.6)
         x = alg.random_vector(rng)
         v = alg.random_vector(rng)
-        yield lf.equivariant_generator_residual(
-            None, phi_map, alpha, x, v, g, ctx.coarse_grid, h=ctx.h)
+        yield lf.equivariant_generator_residual(None, phi_map, alpha, x, v, g, ctx.coarse_grid)
 
 
 @_register("lifting", "gamma_change", tol=1e-4, groups=("su2",),
@@ -923,20 +919,19 @@ def check_gamma_change(ctx, rng):
     lam0 = lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v)
     lam = lf.HorizontalFamily(alg, lam0)
     bker = random_twisted_loop(alg, rng, scale=0.4)
-    gam = lf.gamma_change(alpha, lam, bker, grid, h=ctx.h)
-    etap = lf.eta_perturbed(alpha, lam, bker, grid, h=ctx.h)
-    eta0 = lf.eta_from_data(alpha, grid, h=ctx.h)
+    gam = lf.gamma_change(alpha, lam, bker, grid)
+    etap = lf.eta_perturbed(alpha, lam, bker, grid)
+    eta0 = lf.eta_from_data(alpha, grid)
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
     lhs = etap(g, *vs) - eta0(g, *vs)
-    rhs = fm.de_rham_differential(gam, h=ctx.h)(g, *vs)
+    rhs = fm.de_rham_differential(gam)(g, *vs)
     yield abs(lhs - rhs)
     # specialization: lambda = 0, beta only: a* gamma = -<beta, F>
     lam0 = lf.HorizontalFamily(alg, lambda g, v: np.zeros(alg.dim))
-    gam0 = lf.gamma_change(alpha, lam0, bker, grid, h=ctx.h)
-    fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1], h=ctx.h)
-    want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes),
-                                       fsec.profile(g, grid.nodes)))
+    gam0 = lf.gamma_change(alpha, lam0, bker, grid)
+    fsec = lf._curvature_section(alpha, lambda gg: vs[0], lambda gg: vs[1])
+    want = -grid.integrate(alg.pairing(extend(bker, g, grid.nodes), fsec.profile(g, grid.nodes)))
     yield abs(gam0(g, vs[0], vs[1]) - want)
 
 
@@ -973,17 +968,17 @@ def check_stokes_family(ctx, rng):
     b1 = _random_gvalued(ctx, rng)
     b2 = albr.KappaFamily(alg).at(0.3)
     u1 = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
-                          bt.upsilon(p, [thl, b1], gg, ss, conventions=conv, h=ctx.h))
-    lhs = fm.exterior_derivative(u1, h=ctx.h)(g, *secs)
-    rhs = bt.upsilon(p, [b1], g, secs, conventions=conv, h=ctx.h) \
-        - bt.upsilon(p, [thl], g, secs, conventions=conv, h=ctx.h)
+                          bt.upsilon(p, [thl, b1], gg, ss, conventions=conv))
+    lhs = fm.exterior_derivative(u1)(g, *secs)
+    rhs = bt.upsilon(p, [b1], g, secs, conventions=conv) \
+        - bt.upsilon(p, [thl], g, secs, conventions=conv)
     yield abs(lhs - rhs)
     u2 = fm.AlgebroidForm(alg, 1, lambda gg, *ss:
-                          bt.upsilon(p, [thl, b1, b2], gg, ss, conventions=conv, h=ctx.h))
-    lhs2 = fm.exterior_derivative(u2, h=ctx.h)(g, *secs[:2])
-    rhs2 = bt.upsilon(p, [b1, b2], g, secs[:2], conventions=conv, h=ctx.h) \
-        - bt.upsilon(p, [thl, b2], g, secs[:2], conventions=conv, h=ctx.h) \
-        + bt.upsilon(p, [thl, b1], g, secs[:2], conventions=conv, h=ctx.h)
+                          bt.upsilon(p, [thl, b1, b2], gg, ss, conventions=conv))
+    lhs2 = fm.exterior_derivative(u2)(g, *secs[:2])
+    rhs2 = bt.upsilon(p, [b1, b2], g, secs[:2], conventions=conv) \
+        - bt.upsilon(p, [thl, b2], g, secs[:2], conventions=conv) \
+        + bt.upsilon(p, [thl, b1], g, secs[:2], conventions=conv)
     yield abs(lhs2 - rhs2)
 
 
@@ -998,14 +993,14 @@ def check_upsilon_gauge(ctx, rng):
     b0 = _random_gvalued(ctx, rng)
     b1 = albr.KappaFamily(alg).at(0.25)
     phi = lambda gg: gg @ gg
-    gb0, gb1 = bt.gauge_transform(phi, b0, h=ctx.h), bt.gauge_transform(phi, b1, h=ctx.h)
-    yield abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv, h=ctx.h)
-              - bt.upsilon(p, [gb0, gb1], g, secs, conventions=conv, h=ctx.h))
+    gb0, gb1 = bt.gauge_transform(phi, b0), bt.gauge_transform(phi, b1)
+    yield abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv)
+              - bt.upsilon(p, [gb0, gb1], g, secs, conventions=conv))
     x = alg.random_vector(rng)
     for args in (secs, secs[:1]):
         yield abs(
-            bt.upsilon_equivariant(p, [b0, b1], x, g, args, conventions=conv, h=ctx.h)
-            - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv, h=ctx.h))
+            bt.upsilon_equivariant(p, [b0, b1], x, g, args, conventions=conv)
+            - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv))
 
 
 @_register("bott", "gauge_composition", tol=1e-6,
@@ -1018,12 +1013,12 @@ def check_gauge_composition(ctx, rng):
     e0 = alg.random_vector(rng, 0.4)
     phi1 = lambda gg: alg.exp(e0) @ gg
     phi2 = lambda gg: gg @ gg
-    lhs = bt.gauge_transform(lambda gg: phi2(gg) @ phi1(gg), beta, h=ctx.h)(g, sec)
-    rhs = bt.gauge_transform(phi2, bt.gauge_transform(phi1, beta, h=ctx.h), h=ctx.h)(g, sec)
+    lhs = bt.gauge_transform(lambda gg: phi2(gg) @ phi1(gg), beta)(g, sec)
+    rhs = bt.gauge_transform(phi2, bt.gauge_transform(phi1, beta))(g, sec)
     yield float(np.linalg.norm(lhs - rhs))
     zero = bt.oneform_zero(alg)
     idm = lambda gg: gg
-    val = bt.gauge_transform(idm, zero, h=ctx.h)(g, sec)
+    val = bt.gauge_transform(idm, zero)(g, sec)
     yield float(np.linalg.norm(val + sec.v(g)))
     return {"notes": "identity-map gauge of 0 gives -theta^R"}
 
@@ -1040,8 +1035,8 @@ def check_cs_vs_bott(ctx, rng):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
         beta = _random_gvalued(ctx, rng)
-        ub = bt.upsilon(p, [zero, beta], g, secs, conventions=conv, h=ctx.h)
-        cs = bt.chern_simons(beta, g, secs, h=ctx.h)
+        ub = bt.upsilon(p, [zero, beta], g, secs, conventions=conv)
+        cs = bt.chern_simons(beta, g, secs)
         if abs(cs) > 1e-8:
             ratios.append(ub / cs)
     if not ratios:
@@ -1065,7 +1060,7 @@ def check_eta_p_anchor(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
-        got = bt.upsilon(p, [zero, thl], g, secs, conventions=conv, h=ctx.h)
+        got = bt.upsilon(p, [zero, thl], g, secs, conventions=conv)
         want = conv.eta_p_vs_eta * eta(g, *secs)
         yield abs(got - want)
     return {"notes": f"c = {conv.eta_p_vs_eta:g}"}
@@ -1078,9 +1073,9 @@ def check_cs_exact(ctx, rng):
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 4)
     beta = _random_gvalued(ctx, rng)
-    csf = fm.AlgebroidForm(alg, 3, lambda gg, *ss: bt.chern_simons(beta, gg, ss, h=ctx.h))
-    lhs = fm.exterior_derivative(csf, h=ctx.h)(g, *secs)
-    rhs = bt.upsilon(p, [beta], g, secs, h=ctx.h)
+    csf = fm.AlgebroidForm(alg, 3, lambda gg, *ss: bt.chern_simons(beta, gg, ss))
+    lhs = fm.exterior_derivative(csf)(g, *secs)
+    rhs = bt.upsilon(p, [beta], g, secs)
     yield abs(lhs - rhs)
 
 
@@ -1096,15 +1091,15 @@ def check_cs_gauge_law(ctx, rng):
         phi = lambda gg: gg @ gg
 
         def phi_eta(gg, *ss):
-            vs = [bt.map_theta_right(alg, phi, gg, s.v(gg), h=ctx.h) for s in ss]
+            vs = [bt.map_theta_right(alg, phi, gg, s.v(gg)) for s in ss]
             return eta(phi(gg), *vs)
 
-        pair = fm.AlgebroidForm(alg, 2, lambda gg, s1, s2:
-                                alg.pairing(beta(gg, s1), bt.map_theta_left(alg, phi, gg, s2.v(gg), h=ctx.h))
-                                - alg.pairing(beta(gg, s2), bt.map_theta_left(alg, phi, gg, s1.v(gg), h=ctx.h)))
-        lhs = bt.chern_simons(bt.gauge_transform(phi, beta, h=ctx.h), g, secs, h=ctx.h)
-        rhs = bt.chern_simons(beta, g, secs, h=ctx.h) + phi_eta(g, *secs) \
-            - 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
+        pair = fm.AlgebroidForm(alg, 2, lambda gg, s1, s2: (
+            alg.pairing(beta(gg, s1), bt.map_theta_left(alg, phi, gg, s2.v(gg)))
+            - alg.pairing(beta(gg, s2), bt.map_theta_left(alg, phi, gg, s1.v(gg)))))
+        lhs = bt.chern_simons(bt.gauge_transform(phi, beta), g, secs)
+        rhs = bt.chern_simons(beta, g, secs) + phi_eta(g, *secs) \
+            - 0.5 * fm.exterior_derivative(pair)(g, *secs)
         yield abs(lhs - rhs)
 
 
@@ -1114,13 +1109,13 @@ def _gauge_family(ctx, rng, phi=None):
     if phi is None:
         e1 = alg.random_vector(rng, 0.4)
         phi = lambda gg, m=alg.exp(e1): gg @ m
-    return bt.GaugePeriodicFamily(alg, beta0, phi, h=ctx.h)
+    return bt.GaugePeriodicFamily(alg, beta0, phi)
 
 
 def _velocity_dot_curvature(ctx, fam, g, secs, t):
     """beta_t' . F^{beta_t} on three sections, at a time or an array of times."""
     alg = ctx.algebra
-    data = bt._PairData(alg, [fam.at(t)], secs, g, h=ctx.h)
+    data = bt._PairData(alg, [fam.at(t)], secs, g)
     dv = [fam.tderiv(t, g, s) for s in secs]
     out = 0.0
     for (i, j, k), sign in (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0)):
@@ -1137,14 +1132,14 @@ def check_transgression(ctx, rng):
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     tt = 0.37
-    hh = 1e-4
-    csdot = (bt.chern_simons(fam.at(tt + hh), g, secs, h=ctx.h)
-             - bt.chern_simons(fam.at(tt - hh), g, secs, h=ctx.h)) / (2 * hh)
+    hh = 1e-4   # the t-step of d/dt CS(beta_t), not a step over the group
+    csdot = (bt.chern_simons(fam.at(tt + hh), g, secs)
+             - bt.chern_simons(fam.at(tt - hh), g, secs)) / (2 * hh)
     rhs = _velocity_dot_curvature(ctx, fam, g, secs, tt)
     pair = fm.AlgebroidForm(alg, 2, lambda gg, s1, s2:
                             alg.pairing(fam.value(tt, gg, s1), fam.tderiv(tt, gg, s2))
                             - alg.pairing(fam.value(tt, gg, s2), fam.tderiv(tt, gg, s1)))
-    rhs -= 0.5 * fm.exterior_derivative(pair, h=ctx.h)(g, *secs)
+    rhs -= 0.5 * fm.exterior_derivative(pair)(g, *secs)
     yield abs(csdot - rhs)
 
 
@@ -1160,12 +1155,11 @@ def check_cs_period_integral(ctx, rng):
     lhs = grid.integrate(_velocity_dot_curvature(ctx, fam, g, secs, grid.nodes))
 
     def phi_eta(gg, *ss):
-        vs = [bt.map_theta_right(alg, fam.phi, gg, s.v(gg), h=ctx.h) for s in ss]
+        vs = [bt.map_theta_right(alg, fam.phi, gg, s.v(gg)) for s in ss]
         return eta(fam.phi(gg), *vs)
 
-    qform = fm.AlgebroidForm(alg, 2,
-                             lambda gg, s1, s2: bt.q_functional(fam, gg, s1, s2, grid, h=ctx.h))
-    rhs = phi_eta(g, *secs) + fm.exterior_derivative(qform, h=ctx.h)(g, *secs)
+    qform = fm.AlgebroidForm(alg, 2, lambda gg, s1, s2: bt.q_functional(fam, gg, s1, s2, grid))
+    rhs = phi_eta(g, *secs) + fm.exterior_derivative(qform)(g, *secs)
     yield abs(lhs - rhs)
 
 
@@ -1176,7 +1170,7 @@ def check_cs_period_equivariant(ctx, rng):
     phi = lambda gg: gg @ gg
     thl = bt.oneform_theta_left(alg)
     beta0 = fm.AlgebroidForm(alg, 1, lambda g, s: 0.4 * thl(g, s), scalar=False)
-    fam = bt.GaugePeriodicFamily(alg, beta0, phi, h=ctx.h)
+    fam = bt.GaugePeriodicFamily(alg, beta0, phi)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     xi = random_section(alg, rng)
@@ -1185,10 +1179,10 @@ def check_cs_period_equivariant(ctx, rng):
 
     ts = grid.nodes
     lhs = grid.integrate(alg.pairing(fam.tderiv(ts, g, xi), x - fam.value(ts, g, xa)))
-    w = bt.map_theta_right(alg, phi, g, xi.v(g), h=ctx.h)
+    w = bt.map_theta_right(alg, phi, g, xi.v(g))
     gphi = phi(g)
     rhs = -0.5 * alg.pairing(alg.Ad(alg.inv(gphi), w) + w, x)
-    rhs -= bt.q_functional(fam, g, xa, xi, grid, h=ctx.h)
+    rhs -= bt.q_functional(fam, g, xa, xi, grid)
     yield abs(lhs - rhs)
 
 
@@ -1218,8 +1212,8 @@ def check_q_reparam(ctx, rng):
         def tderiv(self, t, g, s):
             return scaled(self._dph(t), self.base.tderiv(self._ph(t), g, s))
 
-    q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
-    q1 = bt.q_functional(Reparam(fam, 0.1, 0.13), g, s1, s2, ctx.grid, h=ctx.h)
+    q0 = bt.q_functional(fam, g, s1, s2, ctx.grid)
+    q1 = bt.q_functional(Reparam(fam, 0.1, 0.13), g, s1, s2, ctx.grid)
     yield abs(q0 - q1)
 
 
@@ -1242,8 +1236,8 @@ def check_q_inversion(ctx, rng):
         def tderiv(self, t, g, s):
             return -self.base.tderiv(-t, g, s)
 
-    q0 = bt.q_functional(fam, g, s1, s2, ctx.grid, h=ctx.h)
-    q1 = bt.q_functional(Invert(fam), g, s1, s2, ctx.grid, h=ctx.h)
+    q0 = bt.q_functional(fam, g, s1, s2, ctx.grid)
+    q1 = bt.q_functional(Invert(fam), g, s1, s2, ctx.grid)
     yield abs(q0 + q1)
 
 
@@ -1257,13 +1251,13 @@ def check_q_concat(ctx, rng):
     e0, e1 = alg.random_vector(rng, 0.4), alg.random_vector(rng, 0.4)
     phi1 = lambda gg, m=alg.exp(e0): m @ gg
     phi2 = lambda gg, m=alg.exp(e1): gg @ m
-    f1 = bt.GaugePeriodicFamily(alg, beta0, phi1, h=ctx.h)
-    f2 = bt.GaugePeriodicFamily(alg, bt.gauge_transform(phi1, beta0, h=ctx.h), phi2, h=ctx.h)
+    f1 = bt.GaugePeriodicFamily(alg, beta0, phi1)
+    f2 = bt.GaugePeriodicFamily(alg, bt.gauge_transform(phi1, beta0), phi2)
     cat = bt.concat_families(f1, f2, alg)
-    qc = bt.q_functional(cat, g, s1, s2, ctx.grid, h=ctx.h)
-    q1 = bt.q_functional(f1, g, s1, s2, ctx.grid, h=ctx.h)
-    q2 = bt.q_functional(f2, g, s1, s2, ctx.grid, h=ctx.h)
-    lam = bt.q_concat_lambda(alg, phi1, phi2, g, s1, s2, h=ctx.h)
+    qc = bt.q_functional(cat, g, s1, s2, ctx.grid)
+    q1 = bt.q_functional(f1, g, s1, s2, ctx.grid)
+    q2 = bt.q_functional(f2, g, s1, s2, ctx.grid)
+    lam = bt.q_concat_lambda(alg, phi1, phi2, g, s1, s2)
     yield abs(qc - q1 - q2 - lam)
 
 
@@ -1273,14 +1267,14 @@ def check_bott_equiv_closed(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    etaPG = bt.eta_p_form(p, conv, h=ctx.h)
+    etaPG = bt.eta_p_form(p, conv)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 2)
     xa = albr.generator(alg, x)
     one = fm.AlgebroidForm(alg, 1, lambda gg, *ss: etaPG(x, gg, list(ss)))
     three = fm.AlgebroidForm(alg, 3, lambda gg, *ss: etaPG(x, gg, list(ss)))
-    yield abs(fm.exterior_derivative(one, h=ctx.h)(g, *secs) - three(g, xa, *secs))
+    yield abs(fm.exterior_derivative(one)(g, *secs) - three(g, xa, *secs))
     yield abs(one(g, xa))
 
 
@@ -1301,18 +1295,18 @@ def check_flat_family(ctx, rng):
     pre = 0.0
     for t in (0.2, 0.7):
         kap = fam.at(t)
-        dk = fm.exterior_derivative(kap, h=ctx.h)(g, secs[0], secs[1])
+        dk = fm.exterior_derivative(kap)(g, secs[0], secs[1])
         fval = dk + alg.bracket(kap(g, secs[0]), kap(g, secs[1]))
         pre = max(pre, float(np.linalg.norm(fval)),
                   float(np.linalg.norm(-kap(g, xa) + np.asarray(x))))
     iform = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
-                             conv.rect_sign * bt.rectangle_integral(p, fam, gg, ss, x=x, h=ctx.h))
+                             conv.rect_sign * bt.rectangle_integral(p, fam, gg, ss, x=x))
     s = conv.lemma_orientation
-    lhs3 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs, conventions=conv, h=ctx.h) \
-        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs, conventions=conv, h=ctx.h)
-    rhs3 = s * fm.exterior_derivative(iform, h=ctx.h)(g, *secs)
-    lhs1 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs[:1], conventions=conv, h=ctx.h) \
-        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1], conventions=conv, h=ctx.h)
+    lhs3 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs, conventions=conv) \
+        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs, conventions=conv)
+    rhs3 = s * fm.exterior_derivative(iform)(g, *secs)
+    lhs1 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs[:1], conventions=conv) \
+        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1], conventions=conv)
     rhs1 = s * (-iform(g, xa, secs[0]))
     yield abs(lhs3 - rhs3)
     yield abs(lhs1 - rhs1)
@@ -1325,7 +1319,7 @@ def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
+    vpg = bt.varpi_p_equivariant(p, conv)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -1345,13 +1339,13 @@ def _transgression_samples(ctx, rng, p):
     """Degrees 3 and 1 of d_G varpi^p_G(x) = a* eta^p_G(x) at a random point."""
     alg = ctx.algebra
     conv = ctx.conventions()
-    vpg = bt.varpi_p_equivariant(p, conv, h=ctx.h)
-    etaPG = bt.eta_p_form(p, conv, h=ctx.h)
+    vpg = bt.varpi_p_equivariant(p, conv)
+    etaPG = bt.eta_p_form(p, conv)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 3)
     vform = fm.AlgebroidForm(alg, 2, lambda gg, *ss: vpg(x, gg, list(ss)))
-    lhs3 = fm.exterior_derivative(vform, h=ctx.h)(g, *secs)
+    lhs3 = fm.exterior_derivative(vform)(g, *secs)
     rhs3 = etaPG(x, g, secs)
     xa = albr.generator(alg, x)
     lhs1 = -vform(g, xa, secs[0])
@@ -1367,7 +1361,7 @@ def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
     conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    ps = bt.pressley_segal_two_form(p, conv, h=ctx.h)
+    ps = bt.pressley_segal_two_form(p, conv)
     ge = alg.identity()
     sign = None
     for _ in range(max(2, ctx.samples // 2)):
@@ -1392,7 +1386,7 @@ def check_pressley_segal(ctx, rng):
     loops = [random_loop_section(alg, rng) for _ in range(3)]
     ce = 0.0
     for (i, j, k), sgn in (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 2, 0), 1.0)):
-        br = albr.bracket(loops[i], loops[j], h=ctx.h)
+        br = albr.bracket(loops[i], loops[j])
         ce += sgn * ps(ge, [br, loops[k]])
     yield "pressley_segal_closed", abs(ce)
     return {"notes": f"recorded sign {sign:g}; spot value {spot:.9f}"}
@@ -1409,7 +1403,7 @@ def check_cubic_suite(ctx, rng):
     yield from _transgression_samples(ctx, rng, p3)
     # the explicit proportionality degenerates: invariant cubics kill brackets,
     # so both the restricted 4-form and its comparison integral must vanish
-    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions(), h=ctx.h)
+    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions())
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
     kf = albr.KappaFamily(alg)
@@ -1503,7 +1497,7 @@ def check_pair_bracket_closure(ctx, rng):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         p = fu.pair_from_template(alg, rng)
         q = fu.pair_from_template(alg, rng)
-        yield fu.composable_residual(fu.pair_bracket(p, q, h=ctx.h), g2, g1)
+        yield fu.composable_residual(fu.pair_bracket(p, q), g2, g1)
 
 
 @_register("fusion", "fusion_two_form", tol=1e-4,
@@ -1527,7 +1521,7 @@ def check_lambda_cartan(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g2, g1 = alg.random_group(rng), alg.random_group(rng)
         triples = [(alg.random_vector(rng), alg.random_vector(rng)) for _ in range(3)]
-        yield fu.mult_eta_residual(alg, eta, g2, g1, triples, h=ctx.h)
+        yield fu.mult_eta_residual(alg, eta, g2, g1, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -1558,8 +1552,8 @@ def check_loop_action(ctx, rng):
         chi = random_section(alg, rng)
         f1 = fu.CourantElement(z1, fm.contract(vform, z1))
         f2 = fu.CourantElement(z2, fm.contract(vform, z2))
-        cb = fu.courant_bracket(f1, f2, h=ctx.h)
-        br = albr.bracket(z1, z2, h=ctx.h)
+        cb = fu.courant_bracket(f1, f2)
+        br = albr.bracket(z1, z2)
         yield abs(cb.coform(g, chi) - vform(g, br, chi))
         t0 = rng.uniform(0.2, 0.8)
         yield float(np.linalg.norm(
@@ -1581,17 +1575,12 @@ def check_reduced_twist(ctx, rng):
         a2 = fm.AlgebroidForm(alg, 1,
                               lambda gg, s: alg.pairing(c2, s.v(gg))
                               * np.sin(alg.pairing(c1, alg.Ad(gg, c1))))
-        yield fu.reduced_bracket_residual(
-            vform, eta, v1, v2, a1, a2, chi, g, h=ctx.h)
+        yield fu.reduced_bracket_residual(vform, eta, v1, v2, a1, a2, chi, g)
 
 
 # ---------------------------------------------------------------------------
 # qham suite
 # ---------------------------------------------------------------------------
-
-# brackets of sections over the class differentiate on the sphere at this step
-_SPHERE_STEP = 1e-3
-
 
 def _unit(rng):
     v = rng.standard_normal(3)
@@ -1640,9 +1629,7 @@ def check_pullback_bracket(ctx, rng):
         xf = lambda m: (np.eye(3) - np.outer(m, m)) @ (u1 + np.cross(m, u0))
         return template_section(alg, af, xf, base=klass)
 
-    def br(p, q):
-        return albr.bracket(p, q, h=_SPHERE_STEP)
-
+    br = albr.bracket
     p1, p2, p3 = mk(), mk(), mk()
     yield p1.compatibility_residual(n)
     b12 = br(p1, p2)
@@ -1721,7 +1708,7 @@ def check_pullback_three_form(ctx, rng):
     secs = [mk() for _ in range(3)]
     vform = fm.AlgebroidForm(alg, 2,
                              lambda m, p, q: lf.canonical_two_form(p, q, m, ctx.coarse_grid))
-    dvarpi = fm.exterior_derivative(vform, h=_SPHERE_STEP)
+    dvarpi = fm.exterior_derivative(vform)
     # the right side vanishes: 3-forms on a surface pull back to zero
     yield abs(dvarpi(n, *secs))
     # degree-1 equivariant component
@@ -1749,8 +1736,8 @@ def check_pullback_cochain(ctx, rng):
         return template_section(alg, zero, xf, base=klass)
 
     secs = [field(t) for t in klass.tangent_basis(n)]
-    lhs = fm.exterior_derivative(fm.pullback_anchor(om), h=_SPHERE_STEP)(n, *secs)
-    rhs = fm.pullback_anchor(fm.de_rham_differential(om, h=ctx.h))(n, *secs)
+    lhs = fm.exterior_derivative(fm.pullback_anchor(om))(n, *secs)
+    rhs = fm.pullback_anchor(fm.de_rham_differential(om))(n, *secs)
     yield abs(lhs - rhs)
 
 
@@ -1790,11 +1777,11 @@ def check_subalgebroid(ctx, rng):
     yield s1.compatibility_residual(g)
     yield s2.compatibility_residual(g)
     # hypotheses: E is closed under the bracket and invariant mod E
-    br = albr.bracket(s1, s2, h=ctx.h)
+    br = albr.bracket(s1, s2)
     yield float(np.linalg.norm(br.profile(g, 0.3)))
     yield float(np.linalg.norm(br.v(g)))
     x = alg.random_vector(rng)
-    act = albr.bracket(albr.generator(alg, x), s2, h=ctx.h)
+    act = albr.bracket(albr.generator(alg, x), s2)
     t0 = 0.3
     yield float(np.linalg.norm(
         act.profile(g, t0) - x[0] * s1.profile(g, t0)))
@@ -1807,7 +1794,7 @@ def check_subalgebroid(ctx, rng):
 
     fq2 = AlgebroidSection(alg, lambda gg, t: _times(hfun(gg), t, q2.profile(gg, t)),
                            lambda gg: _times(hfun(gg), (), q2.v(gg)))
-    qbr = albr.bracket(q1, fq2, h=ctx.h)
+    qbr = albr.bracket(q1, fq2)
     ts = np.linspace(0.07, 0.93, 9)
     target = qbr.profile(g, ts).ravel()
     a_mat = np.stack([q1.profile(g, ts).ravel(), q2.profile(g, ts).ravel()], axis=1)
@@ -1821,20 +1808,18 @@ def check_abelian_collapse(ctx, rng):
     alg = ctx.algebra
     eta = fm.cartan_three_form(alg)
     alpha = _invariant_family(ctx, rng)
-    etad = lf.eta_from_data(albr.build_alpha(alg), ctx.coarse_grid, h=ctx.h)
+    etad = lf.eta_from_data(albr.build_alpha(alg), ctx.coarse_grid)
     for _ in range(ctx.samples):
         g = alg.random_group(rng)
         v, w, u = [alg.random_vector(rng) for _ in range(3)]
-        yield float(np.linalg.norm(
-            albr.curvature(alpha, g, 0.37, v, w, h=ctx.h)))
+        yield float(np.linalg.norm(albr.curvature(alpha, g, 0.37, v, w)))
         yield abs(eta(g, v, w, u))
         yield abs(etad(g, v, w, u))
     # twist term of the reduced Courant bracket and the lifted Jacobiator
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
     fields = [constant_field(alg, v) for v in vs]
-    jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg), fields, g, ctx.coarse_grid,
-                                      h=ctx.h)
+    jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg), fields, g, ctx.coarse_grid)
     yield abs(jac)
 
 

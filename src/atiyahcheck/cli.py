@@ -71,7 +71,7 @@ def build_config(args):
         val = getattr(args, attr, None)
         if val is not None:
             config[key] = val
-    if getattr(args, "suite", None):
+    if getattr(args, "suite", None) is not None:
         config["suites"] = _parse_suites(args.suite)
     tols = config.get("tol_overrides", {})
     if not isinstance(tols, dict):
@@ -103,12 +103,15 @@ def _parse_suites(text):
 
 
 def _validate_selection(group, suites):
-    """Reject an unknown group (None selects every group) or suite."""
+    """Reject an unknown group (None selects every group), an unknown suite
+    or a suite list that names none (None selects every suite)."""
     if group is not None and group not in GROUP_NAMES:
         raise ConfigError(f"unknown group {group!r}; choose from {GROUP_NAMES}")
-    if suites:
+    if suites is not None:
         if not isinstance(suites, list):
             raise ConfigError("suites must be a list of suite names")
+        if not suites:
+            raise ConfigError(f"the suite selection names no suite; choose from {SUITES}")
         bad = [s for s in suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
@@ -116,6 +119,9 @@ def _validate_selection(group, suites):
 
 def validate_config(config):
     group = config.get("group", "su2")
+    if group is None:
+        # None selects every group for list-checks; verify runs one
+        raise ConfigError(f"group must be one of {GROUP_NAMES}, not None")
     _validate_selection(group, config.get("suites"))
     n = _integer(config, "n_points", DEFAULTS["n_points"])
     if n < 3 or n % 2 == 0:
@@ -256,7 +262,7 @@ def cmd_verify(args):
 
 def cmd_list_checks(args):
     group = args.group
-    suites = _parse_suites(args.suite) if args.suite else None
+    suites = None if args.suite is None else _parse_suites(args.suite)
     try:
         _validate_selection(group, suites)
     except ConfigError as exc:

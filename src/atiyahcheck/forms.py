@@ -12,7 +12,8 @@ derivative along the tangent field and the algebroid bracket
 (`exterior_derivative`); in a base's constant frames it is the base's
 `stencil_derivative` and `frame_bracket` (`de_rham_differential`: over
 the group theta^R([X, Y]) = -[v, w], over a slot of G x G the same row by
-row, as fusion.mult_eta_residual uses it).
+row, as fusion.mult_eta_residual uses it).  Either way each derivative
+takes its base's step fd_step (see sections); no differential takes one.
 
 A form on G, de Rham or algebroid, takes leading point axes on its point
 (and on any tangent that carries them) and returns one value per point,
@@ -112,25 +113,23 @@ def koszul(form, derivative, bracket):
                          name=f"d({form.name})")
 
 
-def along_sections(h):
-    """The derivative along a section: its base's `stencil_derivative`, at the
-    step h, along the section's tangent field (on the group, its anchor)."""
-    def derivative(f, m, section):
-        return section.base.stencil_derivative(f, m, section.xfield(m), h=h)
-    return derivative
+def along_sections(f, m, section):
+    """D_xi f at m: the base's `stencil_derivative` of f along the section's
+    tangent field (on the group, its anchor)."""
+    return section.base.stencil_derivative(f, m, section.xfield(m))
 
 
-def exterior_derivative(form, h=1e-4):
+def exterior_derivative(form):
     """The algebroid differential of a form on sections over any one base; the
-    derivatives and the brackets both take the step h."""
-    return koszul(form, along_sections(h), lambda a, b: albr.bracket(a, b, h=h))
+    derivatives and the brackets both take the base's step."""
+    return koszul(form, along_sections, albr.bracket)
 
 
-def lie_derivative(form, section, h=1e-4):
+def lie_derivative(form, section):
     """L_xi = i_xi d + d i_xi (Cartan's identity)."""
-    term1 = contract(exterior_derivative(form, h=h), section)
+    term1 = contract(exterior_derivative(form), section)
     if form.degree >= 1:
-        term2 = exterior_derivative(contract(form, section), h=h)
+        term2 = exterior_derivative(contract(form, section))
 
         def evaluator(g, *secs):
             return term1(g, *secs) + term2(g, *secs)
@@ -142,7 +141,7 @@ def lie_derivative(form, section, h=1e-4):
                          scalar=form.scalar, name=f"L_{section.name}({form.name})")
 
 
-def de_rham_differential(omega, h=1e-4, base=None):
+def de_rham_differential(omega, base=None):
     """The de Rham differential of a form on a base (default the group) in its
     constant frames, whose bracket is the base's frame_bracket (over the
     group theta^R([X, Y]) = -[v, w]).
@@ -155,8 +154,7 @@ def de_rham_differential(omega, h=1e-4, base=None):
     `LieAlgebra.directional`.
     """
     base = omega.algebra if base is None else base
-    return koszul(omega, lambda f, m, u: base.stencil_derivative(f, m, u, h=h),
-                  base.frame_bracket)
+    return koszul(omega, base.stencil_derivative, base.frame_bracket)
 
 
 def pullback_anchor(omega):

@@ -45,7 +45,8 @@ __all__ = [
 class Slot:
     """One factor of G x G as a base: Phi(g2, g1) = g2 (index 0) or g1 (index 1).
 
-    Tangents of G x G are two rows (w2, w1) of right-trivialized coefficients.
+    Tangents of G x G are two rows (w2, w1) of right-trivialized coefficients;
+    derivatives take the group's step, algebra.fd_step.
     """
 
     def __init__(self, algebra, index):
@@ -73,9 +74,10 @@ class Slot:
         """The group's frame bracket row by row: (-[u2, w2], -[u1, w1])."""
         return -np.array([self.algebra.bracket(u[0], w[0]), self.algebra.bracket(u[1], w[1])])
 
-    def stencil_derivative(self, func, m, u, h=1e-4):
+    def stencil_derivative(self, func, m, u):
         """Richardson derivative along the product-group direction u = (w2, w1),
         evaluating func at the stencil points one at a time."""
+        h = self.algebra.fd_step
         return _derivative([func(p) for p in self.stencil(m, u, h)], h)
 
     def generator_field(self, x, m):
@@ -131,9 +133,9 @@ def pair_from_template(algebra, rng, scale=0.7):
             template_section(algebra, a1, xfield, base=slot1))
 
 
-def pair_bracket(p, q, h=1e-4):
+def pair_bracket(p, q):
     """Componentwise algebroid bracket over the product group."""
-    return tuple(albr.bracket(a, b, h=h) for a, b in zip(p, q))
+    return tuple(albr.bracket(a, b) for a, b in zip(p, q))
 
 
 def concat(pair, g2, g1):
@@ -181,7 +183,7 @@ def fusion_residual(pair_xi, pair_zeta, g2, g1, grid):
     return abs(whole - part2 - part1 + lam)
 
 
-def mult_eta_residual(algebra, eta, g2, g1, triples, h=1e-4):
+def mult_eta_residual(algebra, eta, g2, g1, triples):
     """Residual of mult* eta = pr1* eta + pr2* eta - d lambda on tangent triples.
 
     triples is a list of three (v2, v1) pairs of right-trivialized tangent
@@ -198,7 +200,7 @@ def mult_eta_residual(algebra, eta, g2, g1, triples, h=1e-4):
 
     # de Rham d of lambda over the product group, constant frames per row
     lam = AlgebroidForm(algebra, 2, lambda pt, a, b: fusion_lambda(algebra, *pt, *a, *b))
-    dlam = de_rham_differential(lam, h=h, base=Slot(algebra, 0))
+    dlam = de_rham_differential(lam, base=Slot(algebra, 0))
     return abs(lhs - rhs + dlam((g2, g1), *triples))
 
 
@@ -214,12 +216,12 @@ class CourantElement:
         self.coform = coform
 
 
-def courant_bracket(a, b, h=1e-4):
+def courant_bracket(a, b):
     """Standard Courant bracket ((v1,a1),(v2,a2)) -> ([v1,v2], L_{v1}a2 - i_{v2} d a1)."""
     from .forms import contract, exterior_derivative, lie_derivative
-    sec = albr.bracket(a.section, b.section, h=h)
-    lterm = lie_derivative(b.coform, a.section, h=h)
-    iterm = contract(exterior_derivative(a.coform, h=h), b.section)
+    sec = albr.bracket(a.section, b.section)
+    lterm = lie_derivative(b.coform, a.section)
+    iterm = contract(exterior_derivative(a.coform), b.section)
 
     def coform_eval(g, chi):
         return lterm(g, chi) - iterm(g, chi)
@@ -232,7 +234,7 @@ def courant_pairing(a, b, g):
     return a.coform(g, b.section) + b.coform(g, a.section)
 
 
-def reduced_bracket_residual(varpi, eta, v1, v2, alpha1, alpha2, chi, g, h=1e-4):
+def reduced_bracket_residual(varpi, eta, v1, v2, alpha1, alpha2, chi, g):
     """Residual of the eta-twisted reduction identity, tested on chi:
 
     [[f(v1)+a1, f(v2)+a2]]-coform = i_{[v1,v2]} varpi + i_{v2} i_{v1} a* eta
@@ -242,13 +244,13 @@ def reduced_bracket_residual(varpi, eta, v1, v2, alpha1, alpha2, chi, g, h=1e-4)
     alg = v1.algebra
     f1 = CourantElement(v1, _plus(contract(varpi, v1), alpha1))
     f2 = CourantElement(v2, _plus(contract(varpi, v2), alpha2))
-    got = courant_bracket(f1, f2, h=h).coform(g, chi)
+    got = courant_bracket(f1, f2).coform(g, chi)
 
-    br = albr.bracket(v1, v2, h=h)
+    br = albr.bracket(v1, v2)
     want = varpi(g, br, chi)
     want += eta(g, v1.v(g), v2.v(g), chi.v(g))
-    want += lie_derivative(alpha2, v1, h=h)(g, chi)
-    want -= contract(exterior_derivative(alpha1, h=h), v2)(g, chi)
+    want += lie_derivative(alpha2, v1)(g, chi)
+    want -= contract(exterior_derivative(alpha1), v2)(g, chi)
     return abs(got - want)
 
 

@@ -11,12 +11,14 @@ a + ib -> [[a, -b], [b, a]] so that all numerics stay real.
 
 Group points may carry leading point axes (shape point_axes + (n, n)), and
 so may the directions of a Richardson stencil.  A stencil over the group is
-the stack exp(s V) g, s in stencil_steps(h), on a new axis 0; `directional`
-calls its function once per stencil point, `stencil_derivative` once on
-the whole (4, *point_axes) stack (sections, lifted scalars, de Rham forms
-and algebroid forms over the group take such stacks, so brackets, drifts
-and both exterior differentials use it), and both combine the four values
-with `_derivative`, the one Richardson combination of every base.  Every
+the stack exp(s V) g, s in stencil_steps(h), on a new axis 0, where h is
+the group's `fd_step` (make_group's argument, FD_STEP by default, which
+--fd-step sets).  `directional` calls its function once per stencil
+point, `stencil_derivative` once on the whole (4, *point_axes) stack
+(sections, lifted scalars, de Rham forms and algebroid forms over the
+group take such stacks, so brackets, drifts and both exterior
+differentials use it), and both combine the four values with
+`_derivative`, the one Richardson combination of every base.  Every
 member of a batch is computed exactly as it would be alone, so the two
 routes agree bit for bit.  `per_point` maps a function of one point over
 a stack (the group log; the Bott integrals, see `bott._upsilon_core`).
@@ -53,6 +55,7 @@ _PADE13 = (
     960960.0, 16380.0, 182.0, 1.0,
 )
 
+FD_STEP = 1e-4            # the Richardson step over the group unless make_group is given another
 _MEMO_SIZE = 256
 _GROUP_TOLERANCE = 1e-9   # the largest membership residual of a sampled group point
 _CHECK_SAMPLES = 4        # random arguments on which an InvariantPolynomial is spot-checked
@@ -205,8 +208,9 @@ class LieAlgebra:
     """
 
     def __init__(self, name, basis, structure_constants, bilinear_form,
-                 membership=None, log_map=None):
+                 membership=None, log_map=None, fd_step=FD_STEP):
         self.name = name
+        self.fd_step = fd_step     # the step of every Richardson derivative over the group
         self.basis = np.asarray(basis, dtype=float)
         self.dim = self.basis.shape[0]
         self.matrix_size = self.basis.shape[1]
@@ -336,18 +340,19 @@ class LieAlgebra:
             steps = steps.reshape(steps.shape[:1] + (1,) * missing + steps.shape[1:])
         return steps @ g
 
-    def directional(self, func, g, v, h=1e-4):
+    def directional(self, func, g, v):
         """Derivative of func along the right-trivialized direction v at g.
 
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
-        curve s -> exp(s v) g.  func is called once per stencil point, with
-        the point axes of g, and may return scalars or arrays; this is the
-        route for functions that take one point at a time (the Bott maps'
-        pull-backs of theta, the checks' own oracles).
+        curve s -> exp(s v) g, at h = fd_step.  func is called once per
+        stencil point, with the point axes of g, and may return scalars or
+        arrays; this is the route for functions that take one point at a
+        time (the Bott maps' pull-backs of theta, the checks' own oracles).
         """
+        h = self.fd_step
         return _derivative([func(point) for point in self.stencil(g, v, h)], h)
 
-    def stencil_derivative(self, func, g, v, h=1e-4):
+    def stencil_derivative(self, func, g, v):
         """The derivative `directional` computes, from one call of func on the
         whole (4, *point axes) stencil stack.
 
@@ -355,6 +360,7 @@ class LieAlgebra:
         as it would be computed alone (every section over the group does,
         see sections), so the result is bit-identical to `directional`.
         """
+        h = self.fd_step
         points = self.stencil(g, v, h)
         values = np.asarray(func(points), dtype=float)
         if values.shape[:points.ndim - 2] != points.shape[:-2]:
@@ -527,7 +533,7 @@ def _standard_structure_constants(basis):
     return c
 
 
-def _make_su2():
+def _make_su2(fd_step):
     sigma = [
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -536,10 +542,10 @@ def _make_su2():
     basis = np.array([_complex_encode(-0.5j * s) for s in sigma])
     c = _standard_structure_constants(basis)
     return LieAlgebra("su2", basis, c, np.eye(3),
-                      membership=_su2_membership, log_map=_angle_log)
+                      membership=_su2_membership, log_map=_angle_log, fd_step=fd_step)
 
 
-def _make_so3():
+def _make_so3(fd_step):
     basis = np.zeros((3, 3, 3))
     eps = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
            (1, 0, 2): -1.0, (2, 1, 0): -1.0, (0, 2, 1): -1.0}
@@ -547,10 +553,10 @@ def _make_so3():
         basis[i, j, k] = -s
     c = _standard_structure_constants(basis)
     return LieAlgebra("so3", basis, c, np.eye(3),
-                      membership=_orthogonal_membership, log_map=_angle_log)
+                      membership=_orthogonal_membership, log_map=_angle_log, fd_step=fd_step)
 
 
-def _make_heisenberg3():
+def _make_heisenberg3(fd_step):
     x = np.zeros((3, 3)); x[0, 1] = 1.0
     y = np.zeros((3, 3)); y[1, 2] = 1.0
     z = np.zeros((3, 3)); z[0, 2] = 1.0
@@ -560,17 +566,17 @@ def _make_heisenberg3():
     # pair the X,Y plane and leave Z isotropic (degenerate, flagged).
     b = np.diag([1.0, 1.0, 0.0])
     return LieAlgebra("heisenberg3", basis, c, b,
-                      membership=_heis_membership, log_map=_heis_log)
+                      membership=_heis_membership, log_map=_heis_log, fd_step=fd_step)
 
 
-def _make_torus2():
+def _make_torus2(fd_step):
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     e1 = np.zeros((4, 4)); e1[:2, :2] = j
     e2 = np.zeros((4, 4)); e2[2:, 2:] = j
     basis = np.array([e1, e2])
     c = np.zeros((2, 2, 2))
     return LieAlgebra("torus2", basis, c, np.eye(2),
-                      membership=_orthogonal_membership, log_map=_torus_log)
+                      membership=_orthogonal_membership, log_map=_torus_log, fd_step=fd_step)
 
 
 _FACTORIES = {
@@ -583,10 +589,11 @@ _FACTORIES = {
 GROUP_NAMES = tuple(sorted(_FACTORIES))
 
 
-def make_group(name):
-    """Build a catalog group by name: su2, so3, heisenberg3 or torus2."""
+def make_group(name, fd_step=FD_STEP):
+    """Build a catalog group by name (su2, so3, heisenberg3 or torus2) whose
+    Richardson derivatives take the step fd_step."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown group {name!r}; choose from {GROUP_NAMES}") from None
-    return factory()
+    return factory(fd_step)

@@ -101,18 +101,18 @@ def bracket_lhat(a, b, grid):
     return ExtendedLSection(body, scalar)
 
 
-def nabla_hat(xi, b, grid, h=1e-4):
+def nabla_hat(xi, b, grid):
     """Lifted representation: ( [xi, body], a(xi) scalar + int xi' . body ).
 
     The drift a(xi) scalar is one stencil_derivative call: b's scalar is
     evaluated once, on the whole Richardson stencil of the point or stack.
     """
     alg = xi.algebra
-    body = bracket(xi.body if isinstance(xi, ExtendedLSection) else xi, b.body, h=h)
+    body = bracket(xi.body if isinstance(xi, ExtendedLSection) else xi, b.body)
     base = xi.body if isinstance(xi, ExtendedLSection) else xi
 
     def scalar(g):
-        drift = alg.stencil_derivative(b.scalar, g, base.v(g), h=h)
+        drift = alg.stencil_derivative(b.scalar, g, base.v(g))
         return drift + _dot_deriv(alg, grid, base, b.body, g)
 
     return ExtendedLSection(body, scalar)
@@ -200,7 +200,7 @@ def q_alpha_closed_form(alpha, g, v, w):
     return out
 
 
-def eta_from_data(alpha, grid, h=1e-4):
+def eta_from_data(alpha, grid):
     """The obstruction 3-form from connection data: a* eta = -<d^theta j, F^theta>.
 
     On constant frames this is the shuffle-paired quadrature
@@ -215,7 +215,7 @@ def eta_from_data(alpha, grid, h=1e-4):
         for i, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
             j, k = [m for m in range(3) if m != i]
             total += sign * _pair_dot(alg, grid, alpha.tderiv(ts, g, vs[i]),
-                                      curvature(alpha, g, ts, vs[j], vs[k], h=h))
+                                      curvature(alpha, g, ts, vs[j], vs[k]))
         return total
 
     return AlgebroidForm(alg, 3, evaluator, name="eta(data)")
@@ -257,16 +257,16 @@ def _hor_section(alpha, w_field):
                             dprofile=dprofile, name="Hor")
 
 
-def _curvature_section(alpha, w1, w2, h=1e-4):
+def _curvature_section(alpha, w1, w2):
     alg = alpha.algebra
 
     def profile(g, t):
-        return curvature(alpha, g, t, w1(g), w2(g), h=h)
+        return curvature(alpha, g, t, w1(g), w2(g))
 
     return AlgebroidSection(alg, profile, constant_field(alg, np.zeros(alg.dim)), name="F")
 
 
-def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4):
+def lifted_bracket(omega, alpha, s1, s2, grid):
     """Bracket on (L + R) + TG defined by the connection and a 2-form omega.
 
     Horizontal-horizontal parts follow
@@ -280,14 +280,14 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4):
     w1, w2 = s1.tangent, s2.tangent
 
     def wbr(g):
-        return field_bracket(alg, w1, w2, g, h=h)
+        return field_bracket(alg, w1, w2, g)
 
     hor1 = _hor_section(alpha, w1)
     hor2 = _hor_section(alpha, w2)
 
-    curv = _curvature_section(alpha, w1, w2, h=h)
-    nb1 = nabla_hat(hor1, s2.hat, grid, h=h)
-    nb2 = nabla_hat(hor2, s1.hat, grid, h=h)
+    curv = _curvature_section(alpha, w1, w2)
+    nb1 = nabla_hat(hor1, s2.hat, grid)
+    nb2 = nabla_hat(hor2, s1.hat, grid)
     vert = bracket_lhat(s1.hat, s2.hat, grid)
 
     def body_profile(g, t):
@@ -308,18 +308,18 @@ def lifted_bracket(omega, alpha, s1, s2, grid, h=1e-4):
     return LiftedSection(ExtendedLSection(body, scalar), wbr)
 
 
-def lifted_jacobiator_scalar(omega, alpha, fields, g, grid, h=1e-4):
+def lifted_jacobiator_scalar(omega, alpha, fields, g, grid):
     """Scalar part of the cyclic double bracket of three horizontal lifts."""
     h1, h2, h3 = [horizontal_lift(alpha, w) for w in fields]
     total = 0.0
     for a, b, c in ((h1, h2, h3), (h2, h3, h1), (h3, h1, h2)):
-        inner = lifted_bracket(omega, alpha, a, b, grid, h=h)
-        outer = lifted_bracket(omega, alpha, inner, c, grid, h=h)
+        inner = lifted_bracket(omega, alpha, a, b, grid)
+        outer = lifted_bracket(omega, alpha, inner, c, grid)
         total += outer.hat.scalar(g)
     return total
 
 
-def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid, h=1e-4):
+def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid):
     """Residual of the generator condition
 
         omega(x_N, X) + d Phi(x)(X) = < d^theta j (X), Psi(x) >
@@ -334,7 +334,7 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid, h=1e-4)
         lhs += omega(g, xg, v)
     if phi_map is not None:
         func = phi_map(x)
-        lhs += alg.stencil_derivative(func, g, v, h=h)
+        lhs += alg.stencil_derivative(func, g, v)
     ts = grid.nodes
     rhs = -_pair_dot(alg, grid, alpha.tderiv(ts, g, v),
                      generator_vertical_part(alpha, x, g, ts))
@@ -402,7 +402,7 @@ def _beta_functional(algebra, kernel, grid):
     return apply
 
 
-def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4):
+def gamma_change(alpha, lam, beta_kernel, grid):
     """The 2-form gamma with eta' - eta = d gamma for j' = j + beta, theta' = theta + lambda:
 
     a* gamma = <d^theta j, lambda> + (1/2) sigma(lambda, lambda)
@@ -421,11 +421,11 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4):
         out += 0.5 * (central_cocycle(lam_v, lam_w, g, grid)
                       - central_cocycle(lam_w, lam_v, g, grid))
         # F + d^theta lambda, evaluated on the constant frames (v, w)
-        fsec = _curvature_section(alpha, fv, fw, h=h)
+        fsec = _curvature_section(alpha, fv, fw)
         hv = _hor_section(alpha, fv)
         hw = _hor_section(alpha, fw)
-        dtl1 = bracket(hv, lam_w, h=h)
-        dtl2 = bracket(hw, lam_v, h=h)
+        dtl1 = bracket(hv, lam_w)
+        dtl2 = bracket(hw, lam_v)
         lam_br = lam.section(constant_field(alg, -alg.bracket(v, w)))
 
         def dtheta_lam(gg, t):
@@ -444,7 +444,7 @@ def gamma_change(alpha, lam, beta_kernel, grid, h=1e-4):
     return AlgebroidForm(alg, 2, evaluator, name="gamma")
 
 
-def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
+def eta_perturbed(alpha, lam, beta_kernel, grid):
     """eta' for the perturbed data: a* eta' = -<d^{theta'} j', F^{theta'}>."""
     alg = alpha.algebra
     prime = PerturbedFamily(alpha, lam)
@@ -456,8 +456,8 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
         lead = -_pair_dot(alg, grid, prime.tderiv(ts, g, v), fsec.profile(g, ts))
         # < d^{theta'} beta, F >(X) = D_v beta(F) - beta([Hor' X, F])
         horp = _hor_section(prime, constant_field(alg, v))
-        drift = alg.stencil_derivative(lambda gg: beta(fsec, gg), g, v, h=h)
-        br = bracket(horp, fsec, h=h)
+        drift = alg.stencil_derivative(lambda gg: beta(fsec, gg), g, v)
+        br = bracket(horp, fsec)
         return lead + drift - beta(br, g)
 
     def evaluator(g, v1, v2, v3):
@@ -466,7 +466,7 @@ def eta_perturbed(alpha, lam, beta_kernel, grid, h=1e-4):
         for i, sign in ((0, 1.0), (1, -1.0), (2, 1.0)):
             j, k = [m for m in range(3) if m != i]
             fsec = _curvature_section(prime, constant_field(alg, vs[j]),
-                                      constant_field(alg, vs[k]), h=h)
+                                      constant_field(alg, vs[k]))
             total -= sign * pair_one(g, vs[i], fsec)
         return total
 

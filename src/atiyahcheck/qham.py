@@ -1,8 +1,8 @@
 """Pull-back algebroids over a finite-dimensional base and the kernel theorem.
 
 The concrete base is a conjugacy class of su2, parametrized by the unit
-sphere: Phi(n) = exp(angle * E(n)).  The candidate invariant 2-form on the
-class is
+sphere: Phi(n) = exp(_ANGLE E(n)) with _ANGLE = pi/2.  The candidate
+invariant 2-form on the class is
 
     omega(x_C, y_C) = (sign/2) B(x, (Ad_{g^{-1}} - Ad_g) y),
 
@@ -20,9 +20,11 @@ constant fields of R^3 (`frame_bracket`), beside point, push_tangent and
 generator_field.  So a section of the pull-back algebroid Phi^!A is an
 AlgebroidSection with base=klass: sections.template_section and
 algebroid.generator build them, algebroid.bracket brackets them and
-algebroid.field_bracket their tangent fields (callers pass the sphere step
-h = 1e-3), lifting.canonical_two_form gives Phi^! varpi and project_based
-the base variant q_M of the based projection.
+algebroid.field_bracket their tangent fields, lifting.canonical_two_form
+gives Phi^! varpi and project_based the base variant q_M of the based
+projection.  Every derivative over the class takes its own fixed sphere
+step, fd_step = _SPHERE_STEP (1e-3), and push_tangent the fixed step
+_PUSH_STEP (1e-5); --fd-step sets neither, only the group's step.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ class GhjwSignError(RuntimeError):
     """Neither sign of the candidate 2-form satisfies the moment condition."""
 
 
-_PUSH_STEP = 1e-5        # the sphere step of push_tangent's Richardson derivative
+_SPHERE_STEP = 1e-3      # the sphere step of every derivative over the class,
+_PUSH_STEP = 1e-5        # and of push_tangent's Richardson derivative
+_ANGLE = math.pi / 2.0   # the class is that of exp(_ANGLE * E(n))
 _GHJW_SAMPLES = 6        # calibrate_ghjw's moment-condition samples per sign,
 _GHJW_TOL = 1e-4         # and the worst residual a sign must stay below
 _DEPENDENCY_TOL = 1e-9   # gram_kernel drops metric eigenvalues below this share of the largest
@@ -62,16 +66,17 @@ def _norm(v):
 
 
 class ConjugacyClass:
-    """The class of exp(angle * E(n)) in a compact catalog group, n on S^2."""
+    """The class of exp(_ANGLE * E(n)) in a compact catalog group, n on S^2."""
 
-    def __init__(self, algebra, angle=math.pi / 2.0):
+    fd_step = _SPHERE_STEP
+
+    def __init__(self, algebra):
         if algebra.dim != 3:
             raise ValueError("conjugacy-class base needs a 3-dimensional algebra")
         self.algebra = algebra
-        self.angle = angle
 
     def point(self, n):
-        return self.algebra.exp(self.angle * np.asarray(n, dtype=float))
+        return self.algebra.exp(_ANGLE * np.asarray(n, dtype=float))
 
     def tangent_basis(self, n):
         n = np.asarray(n, dtype=float)
@@ -112,13 +117,14 @@ class ConjugacyClass:
         """0: the constant fields of R^3 commute."""
         return 0.0
 
-    def directional(self, func, n, u, h=1e-3):
+    def directional(self, func, n, u):
         """Richardson derivative of a function on the sphere along tangent u."""
+        h = self.fd_step
         return _derivative([func(p) for p in self.stencil(n, u, h)], h)
 
-    def stencil_derivative(self, func, n, u, h=1e-3):
+    def stencil_derivative(self, func, n, u):
         """The same derivative: the class evaluates its stencil point by point."""
-        return self.directional(func, n, u, h=h)
+        return self.directional(func, n, u)
 
     def equivariance_residual(self, k, n):
         rot = self.algebra.Ad_operator(k)

@@ -9,8 +9,10 @@ generator x_M) and its geometry: stencil(m, u, h), its four Richardson
 points in stencil_steps order, and frame_bracket(u, w), the bracket of its
 constant frames.  Its stencil_derivative (and, on the group and the
 conjugacy class, directional) combines the values at the stencil with
-liealg's one Richardson combination, and algebroid.field_bracket brackets
-its tangent fields.  The group is the
+liealg's one Richardson combination, at the base's own step fd_step: the
+group's (make_group's, which --fd-step sets), which a slot reads from its
+group, or the conjugacy class's fixed sphere step.  algebroid.field_bracket
+brackets its tangent fields.  The group is the
 base of its own sections with Phi the identity, so there X = v; qham's
 conjugacy class and fusion's slots of G x G are the other bases.
 

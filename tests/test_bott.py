@@ -239,14 +239,14 @@ def test_varpi_p_differentiates_at_t_step(su2, conv, rng):
     assert abs(got - want) < 1e-12
 
 
-def _oracle_upsilon_core(p, betas, g, args, x, rule, h):
+def _oracle_upsilon_core(p, betas, g, args, x, rule):
     """The simplex quadrature node by node: one wedge evaluation per node."""
     alg, m, k, r = p.algebra, p.degree, len(betas) - 1, len(args)
     n_f = (r - k) // 2
     n_z = m - k - n_f
     if (r - k) % 2 or n_f < 0 or n_z < 0 or (n_z and x is None):
         return 0.0
-    data = _PairData(alg, betas, args, g, x=x, h=h)
+    data = _PairData(alg, betas, args, g, x=x)
     reorder = (-1.0) ** (k * (k - 1) // 2)
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     prefactor = (-1.0) ** ((k + 1) // 2)
@@ -299,8 +299,8 @@ def test_upsilon_core_matches_node_by_node_oracle(name, degree):
         rule = SimplexRule(k)
         for r in range(k % 2, 2 * degree + 1, 2):
             for xk in (None, x):
-                got = _upsilon_core(p, forms[:k + 1], g, secs[:r], xk, 1e-4)
-                want = _oracle_upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule, 1e-4)
+                got = _upsilon_core(p, forms[:k + 1], g, secs[:r], xk)
+                want = _oracle_upsilon_core(p, forms[:k + 1], g, secs[:r], xk, rule)
                 assert got == want, (k, r, xk is None)
                 nonzero += got != 0.0
     assert nonzero >= 6

@@ -58,6 +58,47 @@ def test_commands_share_the_selection_rules(monkeypatch, command):
     assert cli.main([command, "--group", "nope"]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "list-checks"])
+@pytest.mark.parametrize("selection", [",", " ", "", " , "])
+def test_suite_selection_naming_no_suite_is_refused(monkeypatch, capsys, command, selection):
+    # it became every suite: verify ran 70/70 on torus2 and exited 0
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    assert cli.main([command, "--group", "torus2", "--suite", selection]) == 2
+    assert "names no suite" in capsys.readouterr().err
+    assert not ran
+
+
+def test_config_suites_naming_no_suite_is_refused(tmp_path, monkeypatch, capsys):
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"group": "torus2", "suites": []}')
+    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
+    assert "names no suite" in capsys.readouterr().err
+    assert not ran
+
+
+def test_config_null_group_is_refused(tmp_path, monkeypatch, capsys):
+    # None passed the selection rules (every group, for list-checks) and
+    # verify died in make_group(None) with a traceback and exit 1
+    from atiyahcheck import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"group": null}')
+    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
+    assert "group must be one of" in capsys.readouterr().err
+    assert not ran
+    # a --group flag still wins over the file
+    assert cli.main(["verify", "--config", str(cfg), "--group", "torus2", "--quiet"]) == 0
+
+
 def test_config_error_bad_tol():
     assert main(["verify", "--tol", "nonsense"]) == 2
 
@@ -131,7 +172,7 @@ def test_cli_and_context_share_the_defaults():
     validate_config(config)
     assert {key: config[key] for key in DEFAULTS} == DEFAULTS
     ctx = CheckContext("torus2", {})
-    assert (ctx.grid.n_points, ctx.h, ctx.samples, ctx.seed) == (
+    assert (ctx.grid.n_points, ctx.algebra.fd_step, ctx.samples, ctx.seed) == (
         DEFAULTS["n_points"], DEFAULTS["fd_step"], DEFAULTS["samples"], DEFAULTS["seed"])
 
 

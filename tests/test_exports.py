@@ -14,10 +14,18 @@ MODULES = ["atiyahcheck"] + [f"atiyahcheck.{info.name}"
 
 # fixed by the construction: the one bump and its flat width, the Bott
 # quadrature rules and node counts, the Fourier modes of a random loop, the
-# time step, the group membership tolerance, the invariance spot checks and
-# the Gram kernel's dependency cut
+# time step, the group membership tolerance, the invariance spot checks, the
+# Gram kernel's dependency cut, the radial nodes of a Poincare primitive and
+# the angle of the conjugacy class
 CONSTANTS = {"bump", "flat_width", "rule", "rule2", "n_s", "n_t", "n_modes",
-             "h_t", "group_tolerance", "check_samples", "dependency_tol"}
+             "h_t", "group_tolerance", "check_samples", "dependency_tol",
+             "n_radial", "angle"}
+
+# the Richardson stencil's geometry takes an explicit step: the one
+# combination of its values and each base's four points; every derivative
+# reads the step of its base (the group's fd_step, the class's sphere step)
+STEP_GEOMETRY = {"richardson", "_derivative", "stencil_steps", "LieAlgebra.push_stencil",
+                 "LieAlgebra.stencil", "ConjugacyClass.stencil", "Slot.stencil"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -43,6 +51,13 @@ def test_construction_constants_are_not_parameters(name):
     taken = {(fn.__qualname__, param) for fn in _own_callables(mod)
              for param in inspect.signature(fn).parameters if param in CONSTANTS}
     assert taken == set()
+
+
+def test_only_the_stencil_geometry_takes_a_step():
+    taken = {fn.__qualname__ for name in MODULES
+             for fn in _own_callables(importlib.import_module(name))
+             if "h" in inspect.signature(fn).parameters}
+    assert taken == STEP_GEOMETRY
 
 
 def test_calibrations_and_class_pushes_take_no_numeric_parameter():

@@ -179,7 +179,7 @@ def test_memo_results_bit_identical(algebra):
     g = algebra.random_group(rng)
     v, x = algebra.random_vector(rng), algebra.random_vector(rng)
     func = lambda gg: gg @ algebra.to_matrix(x)
-    want_d = _uncached_directional(algebra, func, g, v, 1e-4)
+    want_d = _uncached_directional(algebra, func, g, v, algebra.fd_step)
     want_ad = algebra.from_matrix(g @ algebra.to_matrix(x) @ np.linalg.inv(g))
     for _ in range(2):  # cold, then served from the memo
         assert algebra.directional(func, g, v).tobytes() == want_d.tobytes()
@@ -201,7 +201,8 @@ def test_directional_expm_calls_cold_and_warm(monkeypatch):
     # the step exponentials depend on (v, h) only, not on the base point
     alg.directional(func, g2, v)
     assert len(calls) == 4
-    alg.directional(func, g1, v, h=2e-4)
+    alg.fd_step = 2e-4
+    alg.directional(func, g1, v)
     assert len(calls) == 8
 
 

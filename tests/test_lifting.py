@@ -267,7 +267,7 @@ def test_su2_jacobiator_at_omega_zero_is_order_one_and_equals_eta():
     g = alg.random_group(rng, scale=0.5)
     vs = [alg.random_vector(rng) for _ in range(3)]
     jac = lifted_jacobiator_scalar(None, build_alpha(alg), [constant_field(alg, v) for v in vs],
-                                   g, ctx.coarse_grid, h=ctx.h)
+                                   g, ctx.coarse_grid)
     assert abs(jac) > 1.0
     assert round(jac, 3) == -2.286
     assert abs(jac - cartan_three_form(alg)(g, *vs)) < 1e-4

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from atiyahcheck import algebroid, lifting, qham
+from atiyahcheck import algebroid, homotopy, lifting, qham
 from atiyahcheck.checks import _coordinate_omega, run_checks
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
                                equivariant_cartan)
@@ -67,7 +67,7 @@ def test_class_points_do_not_grow_with_truncation():
     assert points[0] == points[1] > 0
 
 
-def test_primitive_expm_calls_do_not_grow_with_radial_nodes():
+def test_primitive_expm_calls_do_not_grow_with_radial_nodes(monkeypatch):
     # every radial node and stencil point is exponentiated in one batch
     alg = make_group("heisenberg3")
     rng = np.random.default_rng(4)
@@ -75,7 +75,8 @@ def test_primitive_expm_calls_do_not_grow_with_radial_nodes():
     vs = [alg.random_vector(rng) for _ in range(2)]
     calls = []
     for n_radial in (12, 24):
-        prim = poincare_primitive(cartan_three_form(alg), sign=-1.0, n_radial=n_radial)
+        monkeypatch.setattr(homotopy, "_N_RADIAL", n_radial)
+        prim = poincare_primitive(cartan_three_form(alg), sign=-1.0)
         tracer = _tracer_module().Tracer()
         with tracer.installed():
             prim(g, *vs)
@@ -83,7 +84,7 @@ def test_primitive_expm_calls_do_not_grow_with_radial_nodes():
     assert calls[0] == calls[1] > 0
 
 
-def test_primitive_evaluates_its_form_once():
+def test_primitive_evaluates_its_form_once(monkeypatch):
     # the form is called once, on all radial nodes, not once per node
     alg = make_group("heisenberg3")
     rng = np.random.default_rng(4)
@@ -93,7 +94,8 @@ def test_primitive_evaluates_its_form_once():
     for n_radial in (12, 24):
         batches = []
         counted = AlgebroidForm(alg, 3, lambda gg, *us: batches.append(len(gg)) or eta(gg, *us))
-        poincare_primitive(counted, sign=-1.0, n_radial=n_radial)(g, *vs)
+        monkeypatch.setattr(homotopy, "_N_RADIAL", n_radial)
+        poincare_primitive(counted, sign=-1.0)(g, *vs)
         assert batches == [n_radial]
 
 

@@ -54,12 +54,10 @@ def _assert_point_axes(sec, gs):
         assert field(gs).shape == gs.shape[:-2] + (sec.algebra.dim,)
 
 
-def _oracle_bracket(xi, zeta, h=1e-4):
+def _oracle_bracket(xi, zeta):
     """The algebroid bracket by the point-by-point `directional` route."""
     alg = xi.algebra
-
-    def derivative(f, g, u):
-        return alg.directional(f, g, u, h=h)
+    derivative = alg.directional
 
     def profile(g, t):
         x, y = xi.xfield(g), zeta.xfield(g)
@@ -262,11 +260,10 @@ def _de_rham_forms(alg, rng, grid):
     return forms
 
 
-def _oracle_de_rham(omega, h=1e-4):
+def _oracle_de_rham(omega):
     """de_rham_differential by the point-by-point `directional` route."""
     alg = omega.algebra
-    return koszul(omega, lambda f, g, v: alg.directional(f, g, v, h=h),
-                  lambda v, w: -alg.bracket(v, w))
+    return koszul(omega, alg.directional, lambda v, w: -alg.bracket(v, w))
 
 
 # forms built from constant frames: their tangents are one vector for every point

@@ -3,9 +3,13 @@
     python tools/reports.py OUTDIR [NAME ...]
 
 The set is every catalog group at seeds 42 and 7 (`su2-seed42.json`, ...,
-`torus2-seed7.json`) plus the algebroid and lifting suites of heisenberg3
-on a 401-node grid at seed 42 (`heisenberg3-fine-seed42.json`).  Given
-names, only those reports are written.  Each report comes from its own
+`torus2-seed7.json`), the algebroid and lifting suites of heisenberg3 on
+a 401-node grid at seed 42 (`heisenberg3-fine-seed42.json`), and su2 and
+heisenberg3 at seed 42 at both ends of the validated `--fd-step` range,
+3e-3 and 2e-5 (`su2-fd3e-3-seed42.json`, ...,
+`heisenberg3-fd2e-5-seed42.json`), where a step that fails to reach a
+derivative changes its result.  Given names, only those reports are
+written.  Each report comes from its own
 `python -m atiyahcheck verify` process run on the `src/` next to this
 file, so running the copy of this script in another checkout reports that
 checkout.  Compare two such directories with `tools/report_diff.py`.
@@ -29,6 +33,10 @@ REPORTS = {
 }
 REPORTS["heisenberg3-fine-seed42"] = ["--group", "heisenberg3", "--suite", "algebroid,lifting",
                                       "--grid-t", "401", "--seed", "42"]
+REPORTS.update({
+    f"{group}-fd{step}-seed42": ["--group", group, "--fd-step", step, "--seed", "42"]
+    for group in ("su2", "heisenberg3") for step in ("3e-3", "2e-5")
+})
 
 
 def write(outdir, names=None, out=None):
