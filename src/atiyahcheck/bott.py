@@ -9,10 +9,11 @@ the anchor).  The simplex integrals follow
 with the ds-components extracted combinatorially.  The quadrature is fixed:
 the k-simplex (k <= 2) takes the tensorized 8-node Gauss-Legendre rule
 SimplexRule(k), built once, and the rectangle integral I^p an
-8 x 32 Gauss-Legendre grid in (s, t).  Orientation of the simplex and
-rectangle integrals relative to that display is a convention; one sign per
-integral family is measured once against the Stokes and flat-family
-identities on su2 and then frozen (see ConventionTable).
+8 x 32 Gauss-Legendre grid in (s, t).  The simplex and rectangle
+integrals take the orientation of their displays, and every other sign
+that relates two normalisations is a module constant with its source
+(SIGNS); nothing here chooses a sign from data.  calibrate_conventions
+evaluates, once, the identities that hold at these signs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "upsilon",
     "upsilon_equivariant",
     "rectangle_integral",
-    "ConventionTable",
     "calibrate_conventions",
     "chern_simons",
     "q_functional",
@@ -249,9 +249,9 @@ def _p_wedge(p, blocks, args_count):
 
 
 def _upsilon_core(p, betas, g, args, x):
-    """The raw simplex integral with the display prefactor, before the dial,
-    on the rule of the (len(betas) - 1)-simplex; one point at a time over
-    any leading point axes of g.
+    """The simplex integral with the display prefactor, on the rule of the
+    (len(betas) - 1)-simplex; one point at a time over any leading point
+    axes of g.
 
     This and `rectangle_integral` stay per point: the one-time convention
     calibration is mostly the exterior derivative of a rectangle integral,
@@ -311,19 +311,17 @@ def _upsilon_core(p, betas, g, args, x):
     return prefactor * reorder * coeff * total
 
 
-def upsilon(p, betas, g, args, conventions=None):
+def upsilon(p, betas, g, args):
     """Bott form Upsilon^p(beta_0..beta_k) evaluated on argument sections."""
-    sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
-    return sign * _upsilon_core(p, betas, g, args, None)
+    return _upsilon_core(p, betas, g, args, None)
 
 
-def upsilon_equivariant(p, betas, x, g, args, conventions=None):
+def upsilon_equivariant(p, betas, x, g, args):
     """Equivariant Bott form at the algebra element x (graded by len(args))."""
-    sign = 1.0 if conventions is None else conventions.upsilon_sign(len(betas) - 1)
-    return sign * _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float))
+    return _upsilon_core(p, betas, g, args, np.asarray(x, dtype=float))
 
 
-def rectangle_integral(p, family, g, args, x=None, conventions=None):
+def rectangle_integral(p, family, g, args, x=None):
     """I^p({beta_t}) = int over [0,1]^2 of p(F^{s beta_t} (+x)) in the (ds, dt) slot,
     on 8 Gauss-Legendre nodes in s and 32 in t.
 
@@ -333,7 +331,7 @@ def rectangle_integral(p, family, g, args, x=None, conventions=None):
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: rectangle_integral(
-            p, family, point, args, x=x, conventions=conventions), g)
+            p, family, point, args, x=x), g)
     alg = p.algebra
     m = p.degree
     r = len(args)
@@ -350,7 +348,6 @@ def rectangle_integral(p, family, g, args, x=None, conventions=None):
     t_nodes, t_weights = _gl01(32)
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     reorder = -1.0                     # dt crosses the ds-slot 1-form
-    sign = 1.0 if conventions is None else conventions.rect_sign
 
     # beta_t and its derivatives on all t nodes at once; row ti is t_nodes[ti]
     data = _PairData(alg, [family.at(t_nodes)], args, g, x=x)
@@ -372,70 +369,80 @@ def rectangle_integral(p, family, g, args, x=None, conventions=None):
                 for _ in range(n_z):
                     blocks.append((0, lambda idx, zv=zv: zv))
             total += wt * ws * _p_wedge(p, blocks, r)
-    return sign * reorder * coeff * total
+    return reorder * coeff * total
 
 
 # ---------------------------------------------------------------------------
-# convention table
+# signs of the construction
 # ---------------------------------------------------------------------------
 
-class ConventionTable:
-    """Measured orientation signs, fixed once and shared by every check."""
+# J(beta_0..beta_k) below is the bare simplex integral of p(F^beta), before
+# the display prefactor (-1)^[(k+1)/2], which is -1 at k = 1.
+LEMMA_ORIENTATION = -1.0   # Upsilon_G(0, kappa_1) - Upsilon_G(0, kappa_0) = -d_G I: Stokes on
+                           # the ds dt-oriented square gives d_G I = J(0, kappa_1) - J(0, kappa_0)
+                           # (its s = 0 edge has beta = 0, its s = 1 edge the flat kappa_t)
+ETA_P_VS_ETA = 1.0         # Upsilon^p(0, a* theta^L) = +eta: Maurer-Cartan makes
+                           # F^{s theta^L} = ((s^2 - s)/2) [theta^L, theta^L], so
+                           # J(0, theta^L) = -eta, and the prefactor -1 turns it to +eta
+CS_VS_BOTT = -1.0          # Upsilon^p(0, beta) = -CS(beta): J(0, beta) is the Chern-Simons
+                           # transgression of p(F^beta), and the prefactor is -1
+KAC_MOODY = 1.0            # sigma^p = +int xi'.zeta on loops at the unit: varpi^p = varpi for
+                           # the quadratic p, and varpi(xi, zeta) = int xi'.zeta where v = 0,
+                           # the Kac-Moody cocycle (Pressley-Segal, Loop Groups, ch. 4)
 
-    def __init__(self, k1, k2, rect, lemma_orientation, eta_p_vs_eta, notes=""):
-        self.k1 = k1
-        self.k2 = k2
-        self.rect_sign = rect
-        self.lemma_orientation = lemma_orientation
-        self.eta_p_vs_eta = eta_p_vs_eta
-        self.notes = notes
-
-    def upsilon_sign(self, k):
-        return {0: 1.0, 1: self.k1, 2: self.k2}[k]
-
-    def as_dict(self):
-        return {
-            "upsilon_k0": 1.0,
-            "upsilon_k1": self.k1,
-            "upsilon_k2": self.k2,
-            "rectangle": self.rect_sign,
-            "lemma_orientation": self.lemma_orientation,
-            "eta_p_vs_eta": self.eta_p_vs_eta,
-            "notes": self.notes,
-        }
-
-
-class ConventionError(RuntimeError):
-    """Raised when no sign assignment satisfies the calibration identities."""
-
+# Every orientation sign of the Bott forms, with its source; the report's
+# convention_table block echoes them.  The sign of the class 2-form is
+# qham.OMEGA_SIGN.
+SIGNS = {
+    "upsilon_k0": (1.0, "the display of Upsilon at k = 0"),
+    "upsilon_k1": (1.0, "the display of Upsilon at k = 1, prefactor included; eta^p = eta "
+                        "and the flat-family transgression hold at it"),
+    "upsilon_k2": (1.0, "the display of Upsilon at k = 2, prefactor included; varpi^p = "
+                        "varpi holds at it (no Stokes identity fixes it)"),
+    "rectangle": (1.0, "the (ds, dt) slot order of I^p; varpi^p = varpi, with varpi pinned "
+                       "by closed-form spot values, holds at it"),
+    "lemma_orientation": (LEMMA_ORIENTATION, "bott.LEMMA_ORIENTATION: Stokes on the square "
+                                             "and the display prefactor"),
+    "eta_p_vs_eta": (ETA_P_VS_ETA, "bott.ETA_P_VS_ETA: Maurer-Cartan and the display "
+                                   "prefactor"),
+    "cs_vs_bott": (CS_VS_BOTT, "bott.CS_VS_BOTT: the Chern-Simons transgression and the "
+                               "display prefactor"),
+    "kac_moody": (KAC_MOODY, "bott.KAC_MOODY: varpi^p = varpi on loops (Pressley-Segal ch. 4)"),
+}
 
 _CONVENTIONS = None
-_CALIBRATION_TOL = 1e-3   # relative tolerance of a sign pick
 
 
 def calibrate_conventions():
-    """Fix the orientation dials once, on su2 at the default step FD_STEP,
-    against the asserted identities, whatever step the checks take.
+    """Evaluate once, on su2 at the default step FD_STEP, the identities that
+    hold at the fixed signs of SIGNS, whatever step the checks take.
 
-    k = 1 and k = 2 come from the Stokes family identity; the rectangle sign
-    comes from the quadratic-polynomial identity varpi^p = varpi (whose right
-    side is pinned independently by closed-form spot values).  The relative
-    orientation of the flat-family transgression identity and the ratio of
-    Upsilon^p(0, theta^L) to the Cartan 3-form are measured and recorded.
-    A pick whose two sides are both exactly 0.0 measures nothing; it keeps
-    the sign +1 and the table's notes name it as unmeasured.
+    Returns a dict: `signs` and `sources` (SIGNS), `mismatch`, the relative
+    mismatch |lhs - rhs| / max(1, |rhs|) of each identity, and `unmeasured`,
+    the identities whose two sides are both exactly 0.0 and so measure
+    nothing (the two Stokes identities: their forms vanish on the sections
+    they are given).  The identities are Stokes at k = 1 and k = 2, the
+    quadratic identity varpi^p = varpi (whose right side is pinned by
+    closed-form spot values), the flat-family transgression and
+    Upsilon^p(0, theta^L) = eta.
     """
     global _CONVENTIONS
     if _CONVENTIONS is not None:
         return _CONVENTIONS
-    tol = _CALIBRATION_TOL
+    mismatch, unmeasured = {}, []
+
+    def record(label, lhs, rhs):
+        if lhs == 0.0 and rhs == 0.0:
+            unmeasured.append(label)
+        mismatch[label] = float(abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     alg = make_group("su2")
     p = quadratic_polynomial(alg)
     rng = np.random.default_rng(971)
     g = alg.random_group(rng)
     args3 = [random_section(alg, rng) for _ in range(3)]
-    args4 = [random_section(alg, rng) for _ in range(4)]
+    for _ in range(4):    # drawn and unused: the rest of the stream stays where it was
+        random_section(alg, rng)
 
     thl = oneform_theta_left(alg)
     c = alg.random_vector(rng, 0.5)
@@ -443,69 +450,47 @@ def calibrate_conventions():
                           + scaled(alg.pairing(c, s.v(gg)), c), scalar=False, name="beta1")
     kappa = KappaFamily(alg)
     beta2 = kappa.at(0.3)
-    unmeasured = []
 
     # Stokes, k = 1: d Upsilon(b0, b1) = Upsilon(b1) - Upsilon(b0)
     u1 = AlgebroidForm(alg, 2, lambda gg, *ss: _upsilon_core(p, [thl, beta1], gg, ss, None))
     du1 = exterior_derivative(u1)
-    lhs = du1(g, *args3)
-    rhs = _upsilon_core(p, [beta1], g, args3, None) - _upsilon_core(p, [thl], g, args3, None)
-    k1 = _pick_sign(lhs, rhs, tol, "Stokes k=1", unmeasured)
+    record("Stokes k=1", du1(g, *args3),
+           _upsilon_core(p, [beta1], g, args3, None) - _upsilon_core(p, [thl], g, args3, None))
 
     # Stokes, k = 2: d Upsilon(b0,b1,b2) = Upsilon(b1,b2) - Upsilon(b0,b2) + Upsilon(b0,b1)
     u2 = AlgebroidForm(alg, 1, lambda gg, *ss: _upsilon_core(p, [thl, beta1, beta2], gg, ss, None))
     du2 = exterior_derivative(u2)
-    lhs2 = du2(g, *args3[:2])
-    rhs2 = (k1 * _upsilon_core(p, [beta1, beta2], g, args3[:2], None)
-            - k1 * _upsilon_core(p, [thl, beta2], g, args3[:2], None)
-            + k1 * _upsilon_core(p, [thl, beta1], g, args3[:2], None))
-    k2 = _pick_sign(lhs2, rhs2, tol, "Stokes k=2", unmeasured)
+    record("Stokes k=2", du2(g, *args3[:2]),
+           _upsilon_core(p, [beta1, beta2], g, args3[:2], None)
+           - _upsilon_core(p, [thl, beta2], g, args3[:2], None)
+           + _upsilon_core(p, [thl, beta1], g, args3[:2], None))
 
-    # rectangle: the quadratic identity varpi^p = varpi on a section pair
+    # the quadratic identity varpi^p = varpi on a section pair
     from .lifting import canonical_two_form
     x = alg.random_vector(rng)
     zero = oneform_zero(alg)
     kap0, kap1 = kappa.at(0.0), kappa.at(1.0)
     pair = args3[:2]
     i_raw = rectangle_integral(p, kappa, g, pair, x=x)
-    u2 = k2 * _upsilon_core(p, [zero, thl, kap0], g, pair, x)
+    ups = _upsilon_core(p, [zero, thl, kap0], g, pair, x)
     want = canonical_two_form(pair[0], pair[1], g, TimeGrid(201))
-    rect = _pick_sign(i_raw, want + u2, tol, "quadratic varpi^p = varpi", unmeasured)
+    record("quadratic varpi^p = varpi", i_raw, want + ups)
 
-    # measured, recorded: orientation of the flat-family transgression identity
-    iform = AlgebroidForm(alg, 2, lambda gg, *ss: rect * rectangle_integral(p, kappa, gg, ss, x=x))
+    # the flat-family transgression
+    iform = AlgebroidForm(alg, 2, lambda gg, *ss: rectangle_integral(p, kappa, gg, ss, x=x))
     d_i = exterior_derivative(iform)
-    lhs3 = (k1 * _upsilon_core(p, [zero, kap1], g, args3, x)
-            - k1 * _upsilon_core(p, [zero, kap0], g, args3, x))
-    rhs3 = d_i(g, *args3)
-    lemma = _pick_sign(lhs3, rhs3, tol, "flat-family transgression", unmeasured)
+    lhs3 = (_upsilon_core(p, [zero, kap1], g, args3, x)
+            - _upsilon_core(p, [zero, kap0], g, args3, x))
+    record("flat-family transgression", lhs3, LEMMA_ORIENTATION * d_i(g, *args3))
 
-    # measured, recorded: Upsilon^p(0, theta^L) against the Cartan form
+    # Upsilon^p(0, theta^L) against the Cartan form
     eta = pullback_anchor(cartan_three_form(alg))
-    got = k1 * _upsilon_core(p, [zero, thl], g, args3, None)
-    want_eta = eta(g, *args3)
-    ratio = got / want_eta
-    if abs(abs(ratio) - 1.0) > tol:
-        raise ConventionError(f"eta^p is not +-eta: ratio {ratio}")
-    notes = "calibrated on su2"
-    if unmeasured:
-        notes += f"; unmeasured, both sides 0.0, sign +1: {', '.join(unmeasured)}"
-    _CONVENTIONS = ConventionTable(k1, k2, rect, lemma, float(np.sign(ratio)), notes=notes)
+    record("eta^p = eta", _upsilon_core(p, [zero, thl], g, args3, None),
+           ETA_P_VS_ETA * eta(g, *args3))
+    _CONVENTIONS = {"signs": {name: sign for name, (sign, _) in SIGNS.items()},
+                    "sources": {name: source for name, (_, source) in SIGNS.items()},
+                    "mismatch": mismatch, "unmeasured": unmeasured}
     return _CONVENTIONS
-
-
-def _pick_sign(lhs, rhs, tol, label, unmeasured):
-    """+1 or -1 as lhs = +rhs or -rhs within tol; label goes on unmeasured
-    when both sides are exactly 0.0."""
-    if lhs == 0.0 and rhs == 0.0:
-        unmeasured.append(label)
-    scale = max(1.0, abs(rhs))
-    if abs(lhs - rhs) < tol * scale:
-        return 1.0
-    if abs(lhs + rhs) < tol * scale:
-        return -1.0
-    raise ConventionError(
-        f"{label}: neither sign matches (lhs={lhs:.6g}, rhs={rhs:.6g})")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +592,7 @@ def concat_families(f1, f2, algebra):
 # higher primitives and Pressley-Segal forms
 # ---------------------------------------------------------------------------
 
-def eta_p_form(p, conventions):
+def eta_p_form(p):
     """eta^p_G = Upsilon^p_G(0, a* theta^L) as an algebroid form factory.
 
     Returns a callable (x, g, args) -> value; the argument count selects the
@@ -618,12 +603,12 @@ def eta_p_form(p, conventions):
     thl = oneform_theta_left(alg)
 
     def equivariant(x, g, args):
-        return upsilon_equivariant(p, [zero, thl], x, g, args, conventions=conventions)
+        return upsilon_equivariant(p, [zero, thl], x, g, args)
 
     return equivariant
 
 
-def varpi_p_equivariant(p, conventions):
+def varpi_p_equivariant(p):
     """varpi^p_G = I^p({kappa_t}) - Upsilon^p(0, a* theta^L, kappa_0).
 
     Returns a callable (x, g, args) -> value covering every graded component;
@@ -637,16 +622,16 @@ def varpi_p_equivariant(p, conventions):
     kap0 = fam.at(0.0)
 
     def value(x, g, args):
-        out = rectangle_integral(p, fam, g, args, x=x, conventions=conventions)
-        out -= upsilon_equivariant(p, [zero, thl, kap0], x, g, args, conventions=conventions)
+        out = rectangle_integral(p, fam, g, args, x=x)
+        out -= upsilon_equivariant(p, [zero, thl, kap0], x, g, args)
         return out
 
     return value
 
 
-def pressley_segal_two_form(p, conventions):
+def pressley_segal_two_form(p):
     """sigma^p: the pull-back of varpi^p to loops at the group unit."""
-    vpg = varpi_p_equivariant(p, conventions)
+    vpg = varpi_p_equivariant(p)
     alg = p.algebra
     x0 = np.zeros(alg.dim)
 

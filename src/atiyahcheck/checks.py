@@ -90,9 +90,6 @@ class CheckContext:
         return np.random.default_rng(np.random.SeedSequence(
             entropy=self.seed, spawn_key=(key,)))
 
-    def conventions(self):
-        return bt.calibrate_conventions()
-
     def random_sections(self, rng, count):
         return [random_section(self.algebra, rng)
                 for _ in range(count)]
@@ -949,36 +946,35 @@ def _random_gvalued(ctx, rng):
         scalar=False)
 
 
-@_register("bott", "convention_table", tol=1.0, groups=("su2",),
-           identity="orientation signs calibrated once on su2")
+@_register("bott", "convention_table", tol=1e-3, groups=("su2",),
+           identity="the calibration identities hold at the fixed orientation signs (relative)")
 def check_convention_table(ctx, rng):
-    yield 0.0
-    return {"notes": str(ctx.conventions().as_dict())}
+    table = bt.calibrate_conventions()
+    for label, mismatch in table["mismatch"].items():
+        if label not in table["unmeasured"]:
+            yield mismatch
+    return {"notes": f"unmeasured, both sides 0.0: {', '.join(table['unmeasured'])}"}
 
 
 @_register("bott", "stokes_family", tol=1e-3,
            identity="d Upsilon(b_0..b_k) = alternating sum of Upsilon with one form omitted")
 def check_stokes_family(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     thl = bt.oneform_theta_left(alg)
     b1 = _random_gvalued(ctx, rng)
     b2 = albr.KappaFamily(alg).at(0.3)
-    u1 = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
-                          bt.upsilon(p, [thl, b1], gg, ss, conventions=conv))
+    u1 = fm.AlgebroidForm(alg, 2, lambda gg, *ss: bt.upsilon(p, [thl, b1], gg, ss))
     lhs = fm.exterior_derivative(u1)(g, *secs)
-    rhs = bt.upsilon(p, [b1], g, secs, conventions=conv) \
-        - bt.upsilon(p, [thl], g, secs, conventions=conv)
+    rhs = bt.upsilon(p, [b1], g, secs) - bt.upsilon(p, [thl], g, secs)
     yield abs(lhs - rhs)
-    u2 = fm.AlgebroidForm(alg, 1, lambda gg, *ss:
-                          bt.upsilon(p, [thl, b1, b2], gg, ss, conventions=conv))
+    u2 = fm.AlgebroidForm(alg, 1, lambda gg, *ss: bt.upsilon(p, [thl, b1, b2], gg, ss))
     lhs2 = fm.exterior_derivative(u2)(g, *secs[:2])
-    rhs2 = bt.upsilon(p, [b1, b2], g, secs[:2], conventions=conv) \
-        - bt.upsilon(p, [thl, b2], g, secs[:2], conventions=conv) \
-        + bt.upsilon(p, [thl, b1], g, secs[:2], conventions=conv)
+    rhs2 = bt.upsilon(p, [b1, b2], g, secs[:2]) \
+        - bt.upsilon(p, [thl, b2], g, secs[:2]) \
+        + bt.upsilon(p, [thl, b1], g, secs[:2])
     yield abs(lhs2 - rhs2)
 
 
@@ -986,7 +982,6 @@ def check_stokes_family(ctx, rng):
            identity="Upsilon(Phi.b_0, Phi.b_1) = Upsilon(b_0, b_1), equivariant version too")
 def check_upsilon_gauge(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
@@ -994,13 +989,11 @@ def check_upsilon_gauge(ctx, rng):
     b1 = albr.KappaFamily(alg).at(0.25)
     phi = lambda gg: gg @ gg
     gb0, gb1 = bt.gauge_transform(phi, b0), bt.gauge_transform(phi, b1)
-    yield abs(bt.upsilon(p, [b0, b1], g, secs, conventions=conv)
-              - bt.upsilon(p, [gb0, gb1], g, secs, conventions=conv))
+    yield abs(bt.upsilon(p, [b0, b1], g, secs) - bt.upsilon(p, [gb0, gb1], g, secs))
     x = alg.random_vector(rng)
     for args in (secs, secs[:1]):
-        yield abs(
-            bt.upsilon_equivariant(p, [b0, b1], x, g, args, conventions=conv)
-            - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args, conventions=conv))
+        yield abs(bt.upsilon_equivariant(p, [b0, b1], x, g, args)
+                  - bt.upsilon_equivariant(p, [gb0, gb1], x, g, args))
 
 
 @_register("bott", "gauge_composition", tol=1e-6,
@@ -1027,7 +1020,6 @@ def check_gauge_composition(ctx, rng):
            identity="CS(beta) = c Upsilon^p(0, beta) with one fixed sign c")
 def check_cs_vs_bott(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     zero = bt.oneform_zero(alg)
     ratios = []
@@ -1035,24 +1027,23 @@ def check_cs_vs_bott(ctx, rng):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
         beta = _random_gvalued(ctx, rng)
-        ub = bt.upsilon(p, [zero, beta], g, secs, conventions=conv)
+        ub = bt.upsilon(p, [zero, beta], g, secs)
         cs = bt.chern_simons(beta, g, secs)
         if abs(cs) > 1e-8:
             ratios.append(ub / cs)
     if not ratios:
         yield 0.0
         return {"notes": "degenerate samples"}
-    c = float(np.sign(ratios[0]))
+    c = bt.CS_VS_BOTT
     for r in ratios:
         yield abs(r - c)
     return {"notes": f"fixed sign {c:g}"}
 
 
 @_register("bott", "eta_p_anchor", tol=1e-4, groups=("su2", "so3"),
-           identity="Upsilon^p(0, theta^L) = c eta with the recorded sign")
+           identity="Upsilon^p(0, theta^L) = c eta with the fixed sign c")
 def check_eta_p_anchor(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     zero = bt.oneform_zero(alg)
     thl = bt.oneform_theta_left(alg)
@@ -1060,10 +1051,10 @@ def check_eta_p_anchor(ctx, rng):
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         secs = ctx.random_sections(rng, 3)
-        got = bt.upsilon(p, [zero, thl], g, secs, conventions=conv)
-        want = conv.eta_p_vs_eta * eta(g, *secs)
+        got = bt.upsilon(p, [zero, thl], g, secs)
+        want = bt.ETA_P_VS_ETA * eta(g, *secs)
         yield abs(got - want)
-    return {"notes": f"c = {conv.eta_p_vs_eta:g}"}
+    return {"notes": f"c = {bt.ETA_P_VS_ETA:g}"}
 
 
 @_register("bott", "cs_exact", tol=1e-4, identity="d CS(beta) = (1/2) F^beta . F^beta")
@@ -1265,9 +1256,8 @@ def check_q_concat(ctx, rng):
            identity="d_G Upsilon^p_G(0, theta^L) = p(Ad_{g^{-1}} x) - p(x) = 0")
 def check_bott_equiv_closed(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    etaPG = bt.eta_p_form(p, conv)
+    etaPG = bt.eta_p_form(p)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 2)
@@ -1279,10 +1269,9 @@ def check_bott_equiv_closed(ctx, rng):
 
 
 @_register("bott", "flat_family_transgression", tol=1e-3,
-           identity="Upsilon_G(0,b_1) - Upsilon_G(0,b_0) = s d_G I (flat family, recorded s)")
+           identity="Upsilon_G(0,b_1) - Upsilon_G(0,b_0) = s d_G I (flat family, fixed s)")
 def check_flat_family(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
     fam = albr.KappaFamily(alg)
     g = alg.random_group(rng)
@@ -1299,14 +1288,13 @@ def check_flat_family(ctx, rng):
         fval = dk + alg.bracket(kap(g, secs[0]), kap(g, secs[1]))
         pre = max(pre, float(np.linalg.norm(fval)),
                   float(np.linalg.norm(-kap(g, xa) + np.asarray(x))))
-    iform = fm.AlgebroidForm(alg, 2, lambda gg, *ss:
-                             conv.rect_sign * bt.rectangle_integral(p, fam, gg, ss, x=x))
-    s = conv.lemma_orientation
-    lhs3 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs, conventions=conv) \
-        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs, conventions=conv)
+    iform = fm.AlgebroidForm(alg, 2, lambda gg, *ss: bt.rectangle_integral(p, fam, gg, ss, x=x))
+    s = bt.LEMMA_ORIENTATION
+    lhs3 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs) \
+        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs)
     rhs3 = s * fm.exterior_derivative(iform)(g, *secs)
-    lhs1 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs[:1], conventions=conv) \
-        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1], conventions=conv)
+    lhs1 = bt.upsilon_equivariant(p, [zero, kap1], x, g, secs[:1]) \
+        - bt.upsilon_equivariant(p, [zero, kap0], x, g, secs[:1])
     rhs1 = s * (-iform(g, xa, secs[0]))
     yield abs(lhs3 - rhs3)
     yield abs(lhs1 - rhs1)
@@ -1317,9 +1305,8 @@ def check_flat_family(ctx, rng):
            identity="varpi^p_G = varpi for the quadratic polynomial")
 def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    vpg = bt.varpi_p_equivariant(p, conv)
+    vpg = bt.varpi_p_equivariant(p)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
         xi, ze = ctx.random_sections(rng, 2)
@@ -1338,9 +1325,8 @@ def check_higher_transgression(ctx, rng):
 def _transgression_samples(ctx, rng, p):
     """Degrees 3 and 1 of d_G varpi^p_G(x) = a* eta^p_G(x) at a random point."""
     alg = ctx.algebra
-    conv = ctx.conventions()
-    vpg = bt.varpi_p_equivariant(p, conv)
-    etaPG = bt.eta_p_form(p, conv)
+    vpg = bt.varpi_p_equivariant(p)
+    etaPG = bt.eta_p_form(p)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
     secs = ctx.random_sections(rng, 3)
@@ -1359,21 +1345,18 @@ def _transgression_samples(ctx, rng, p):
            sub_results=[("pressley_segal_closed", "d_CE sigma^p = 0 on loop triples", 1e-4)])
 def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
-    conv = ctx.conventions()
     p = quadratic_polynomial(alg)
-    ps = bt.pressley_segal_two_form(p, conv)
+    ps = bt.pressley_segal_two_form(p)
     ge = alg.identity()
-    sign = None
+    sign = bt.KAC_MOODY
     for _ in range(max(2, ctx.samples // 2)):
         l1 = random_loop_section(alg, rng)
         l2 = random_loop_section(alg, rng)
         ts = ctx.grid.nodes
         km = ctx.grid.integrate(alg.pairing(l1.dprofile(ge, ts), l2.profile(ge, ts)))
         got = ps(ge, [l1, l2])
-        if sign is None:
-            sign = 1.0 if abs(got - km) < abs(got + km) else -1.0
         yield abs(got - sign * km)
-    # pinned value: sin/cos pair on e1 gives pi up to the recorded sign
+    # pinned value: sin/cos pair on e1 gives pi up to the fixed sign
     e1 = np.zeros(alg.dim); e1[0] = 1.0
     two_pi = 2.0 * np.pi
     s1 = loop_section(alg, lambda t: scaled(np.sin(two_pi * t), e1),
@@ -1389,7 +1372,7 @@ def check_pressley_segal(ctx, rng):
         br = albr.bracket(loops[i], loops[j])
         ce += sgn * ps(ge, [br, loops[k]])
     yield "pressley_segal_closed", abs(ce)
-    return {"notes": f"recorded sign {sign:g}; spot value {spot:.9f}"}
+    return {"notes": f"fixed sign {sign:g}; spot value {spot:.9f}"}
 
 
 @_register("bott", "cubic_polynomial_suite", tol=1e-3, groups=("su2", "heisenberg3"),
@@ -1403,7 +1386,7 @@ def check_cubic_suite(ctx, rng):
     yield from _transgression_samples(ctx, rng, p3)
     # the explicit proportionality degenerates: invariant cubics kill brackets,
     # so both the restricted 4-form and its comparison integral must vanish
-    ps3 = bt.pressley_segal_two_form(p3, ctx.conventions())
+    ps3 = bt.pressley_segal_two_form(p3)
     ge = alg.identity()
     loops = [random_loop_section(alg, rng) for _ in range(4)]
     kf = albr.KappaFamily(alg)
@@ -1598,20 +1581,19 @@ def check_class_equivariance(ctx, rng):
 
 
 @_register("qham", "moment_sign_oracle", tol=1e-4, groups=("su2",),
-           identity="omega(x_M, .) = -(1/2) Phi*((theta^L + theta^R).x) fixes the sign of omega")
+           identity="omega(x_M, .) = -(1/2) Phi*((theta^L + theta^R).x) at the fixed sign of omega")
 def check_moment_oracle(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
-    sign, residuals = qh.calibrate_ghjw(klass, rng)
-    omega = qh.ghjw_omega(klass, sign)
-    yield residuals[sign]
+    omega = qh.ghjw_omega(klass)
+    yield qh.worst_moment_residual(klass, omega, rng)
     # pinned magnitude at the quarter-turn example
     n0 = np.array([0.0, 0.0, 1.0])
     t1 = klass.generator_field(np.array([1.0, 0.0, 0.0]), n0)
     t2 = klass.generator_field(np.array([0.0, 1.0, 0.0]), n0)
     mag = abs(omega(n0, t1, t2))
     yield abs(mag - 1.0)
-    return {"notes": f"sign {sign:g}; |omega| = {mag:.6f} at the example"}
+    return {"notes": f"sign {qh.OMEGA_SIGN:g}; |omega| = {mag:.6f} at the example"}
 
 
 @_register("qham", "pullback_bracket_laws", tol=1e-4, groups=("su2",),
@@ -1656,8 +1638,10 @@ def check_pullback_bracket(ctx, rng):
 def check_kernel_theorem(ctx, rng):
     alg = ctx.algebra
     klass = qh.ConjugacyClass(alg)
-    sign, _ = qh.calibrate_ghjw(klass, rng)
-    omega = qh.ghjw_omega(klass, sign)
+    omega = qh.ghjw_omega(klass)
+    # the moment draws come first, so the base point n stays where the
+    # kernel margins were measured
+    qh.worst_moment_residual(klass, omega, rng)
     n = _unit(rng)
     dropped = []
     truncations, thresholds = (4, 6, 8), (1e-7, 1e-8, 1e-9)

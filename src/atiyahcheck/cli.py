@@ -4,8 +4,10 @@ Usage:
     atiyahcheck verify --group su2 --suite lifting,bott --seed 42 --report out.json
     atiyahcheck list-checks [--group su2] [--suite lifting]
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-3 convention or sign-oracle abort.
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration error.
+The report's convention_table block is bott.calibrate_conventions(): the
+fixed orientation signs, their sources and the mismatch of the identities
+that hold at them.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .bott import ConventionError, calibrate_conventions
+from .bott import calibrate_conventions
 from .checks import CONFIG_KEYS, DEFAULTS, SUITES, list_checks, result_keys, run_checks
-from .liealg import GROUP_NAMES
-from .qham import GhjwSignError
+from .liealg import GROUP_NAMES, validate_fd_step
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
-EXIT_CONVENTION_ABORT = 3
 
 
 class ConfigError(ValueError):
@@ -127,10 +127,10 @@ def validate_config(config):
     if n < 3 or n % 2 == 0:
         raise ConfigError("n_points must be an odd integer >= 3")
     fd = _number(config, "fd_step", DEFAULTS["fd_step"])
-    if not (2e-5 <= fd <= 3e-3):
-        # where every check was seen to pass at its default tolerance: above
-        # it Richardson truncation, below it round-off nears the ladder
-        raise ConfigError("fd_step must lie in [2e-5, 3e-3]")
+    try:
+        validate_fd_step(fd)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     samples = _integer(config, "samples", DEFAULTS["samples"])
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -232,15 +232,11 @@ def cmd_verify(args):
             print(f"[{mark}] {r.suite}.{r.name}  residual {r.residual:.3e}"
                   f"  tol {r.tolerance:.1e}")
 
-    try:
-        # calibrated before the checks, so no check's runtime carries it
-        start = time.perf_counter()
-        convention_table = calibrate_conventions().as_dict()
-        calibration_ms = (time.perf_counter() - start) * 1000.0
-        results = run_checks(group, config, suites=suites, progress=progress)
-    except (ConventionError, GhjwSignError) as exc:
-        print(f"convention abort: {exc}", file=sys.stderr)
-        return EXIT_CONVENTION_ABORT
+    # calibrated before the checks, so no check's runtime carries it
+    start = time.perf_counter()
+    convention_table = calibrate_conventions()
+    calibration_ms = (time.perf_counter() - start) * 1000.0
+    results = run_checks(group, config, suites=suites, progress=progress)
 
     payload = _report_payload(config, results, convention_table, calibration_ms)
     report_path = config.get("report_path")

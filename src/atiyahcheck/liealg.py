@@ -13,7 +13,7 @@ Group points may carry leading point axes (shape point_axes + (n, n)), and
 so may the directions of a Richardson stencil.  A stencil over the group is
 the stack exp(s V) g, s in stencil_steps(h), on a new axis 0, where h is
 the group's `fd_step` (make_group's argument, FD_STEP by default, which
---fd-step sets).  `directional` calls its function once per stencil
+--fd-step sets; validate_fd_step holds it to FD_STEP_RANGE).  `directional` calls its function once per stencil
 point, `stencil_derivative` once on the whole (4, *point_axes) stack
 (sections, lifted scalars, de Rham forms and algebroid forms over the
 group take such stacks, so brackets, drifts and both exterior
@@ -45,6 +45,7 @@ __all__ = [
     "stencil_steps",
     "per_point",
     "make_group",
+    "validate_fd_step",
     "GROUP_NAMES",
 ]
 
@@ -56,6 +57,7 @@ _PADE13 = (
 )
 
 FD_STEP = 1e-4            # the Richardson step over the group unless make_group is given another
+FD_STEP_RANGE = (2e-5, 3e-3)   # the steps at which every check passed at its default tolerance
 _MEMO_SIZE = 256
 _GROUP_TOLERANCE = 1e-9   # the largest membership residual of a sampled group point
 _CHECK_SAMPLES = 4        # random arguments on which an InvariantPolynomial is spot-checked
@@ -198,6 +200,15 @@ def _expm_batch(a):
     return r.reshape(a.shape)
 
 
+def validate_fd_step(fd_step):
+    """Refuse, with ValueError, a Richardson step outside FD_STEP_RANGE or not
+    finite: above the range Richardson truncation, below it round-off nears
+    the tolerance ladder (and a step of 0 divides 0 by 0)."""
+    low, high = FD_STEP_RANGE
+    if not low <= fd_step <= high:
+        raise ValueError(f"fd_step must lie in [{low:g}, {high:g}], not {fd_step!r}")
+
+
 class LieAlgebra:
     """A matrix Lie algebra with basis, structure constants and bilinear form.
 
@@ -209,6 +220,7 @@ class LieAlgebra:
 
     def __init__(self, name, basis, structure_constants, bilinear_form,
                  membership=None, log_map=None, fd_step=FD_STEP):
+        validate_fd_step(fd_step)
         self.name = name
         self.fd_step = fd_step     # the step of every Richardson derivative over the group
         self.basis = np.asarray(basis, dtype=float)

@@ -4,10 +4,12 @@ The concrete base is a conjugacy class of su2, parametrized by the unit
 sphere: Phi(n) = exp(_ANGLE E(n)) with _ANGLE = pi/2.  The candidate
 invariant 2-form on the class is
 
-    omega(x_C, y_C) = (sign/2) B(x, (Ad_{g^{-1}} - Ad_g) y),
+    omega(x_C, y_C) = (1/2) B(x, (Ad_{g^{-1}} - Ad_g) y),
 
-whose global sign is fixed by the moment condition (the degree-1 part of
-d_G omega = -Phi* eta_G) before any kernel computation runs.  The kernel
+the 2-form of a conjugacy class of Alekseev, Malkin and Meinrenken ("Lie
+group valued moment maps", J. Diff. Geom. 48, 1998), at their sign
+OMEGA_SIGN = +1; worst_moment_residual measures the moment condition (the
+degree-1 part of d_G omega = -Phi* eta_G) at that sign.  The kernel
 of a* omega + varpi_M is probed on a Fourier-truncated basis built in the
 Ad_{Phi(m)}-eigenframe, so every loop mode satisfies its seam exactly.
 Each truncation builds one Gram matrix, one eigendecomposition of the
@@ -40,7 +42,7 @@ __all__ = [
     "ConjugacyClass",
     "TrivialClass",
     "ghjw_omega",
-    "GhjwSignError",
+    "worst_moment_residual",
     "TruncatedBasis",
     "gram_matrix",
     "gram_kernel",
@@ -49,15 +51,14 @@ __all__ = [
 ]
 
 
-class GhjwSignError(RuntimeError):
-    """Neither sign of the candidate 2-form satisfies the moment condition."""
-
-
 _SPHERE_STEP = 1e-3      # the sphere step of every derivative over the class,
 _PUSH_STEP = 1e-5        # and of push_tangent's Richardson derivative
 _ANGLE = math.pi / 2.0   # the class is that of exp(_ANGLE * E(n))
-_GHJW_SAMPLES = 6        # calibrate_ghjw's moment-condition samples per sign,
-_GHJW_TOL = 1e-4         # and the worst residual a sign must stay below
+OMEGA_SIGN = 1.0         # the class 2-form of Alekseev-Malkin-Meinrenken (1998, section 3),
+                         # omega(x_C, y_C) = (1/2)(B(Ad_g x, y) - B(Ad_g y, x)), whose moment
+                         # condition (their section 2) is iota(x_M) omega =
+                         # -(1/2) Phi*((theta^L + theta^R).x)
+_MOMENT_DRAWS = 12       # the random (n, x, u) of worst_moment_residual
 _DEPENDENCY_TOL = 1e-9   # gram_kernel drops metric eigenvalues below this share of the largest
 
 
@@ -151,12 +152,9 @@ class TrivialClass:
         return np.zeros(self.algebra.dim)
 
 
-def ghjw_omega(klass, sign):
-    """The candidate 2-form with a chosen global sign.
-
-    omega(t1, t2) at n: solve x_i with (x_i)_M = t_i and pair
-    (sign/2) B(x1, (Ad_{g^{-1}} - Ad_g) x2).
-    """
+def ghjw_omega(klass):
+    """The class 2-form: omega(t1, t2) at n solves x_i with (x_i)_M = t_i and
+    pairs (OMEGA_SIGN/2) B(x1, (Ad_{g^{-1}} - Ad_g) x2)."""
     alg = klass.algebra
 
     def omega(n, t1, t2):
@@ -164,7 +162,7 @@ def ghjw_omega(klass, sign):
         x1 = klass.solve_generator(n, t1)
         x2 = klass.solve_generator(n, t2)
         ginv = alg.inv(g)
-        return 0.5 * sign * alg.pairing(x1, alg.Ad(ginv, x2) - alg.Ad(g, x2))
+        return 0.5 * OMEGA_SIGN * alg.pairing(x1, alg.Ad(ginv, x2) - alg.Ad(g, x2))
 
     return omega
 
@@ -179,22 +177,16 @@ def ghjw_moment_residual(klass, omega, n, x, u):
     return abs(lhs - rhs)
 
 
-def calibrate_ghjw(klass, rng):
-    """Fix the global sign by the moment condition; abort if neither works."""
-    best = {}
-    for sign in (1.0, -1.0):
-        omega = ghjw_omega(klass, sign)
-        worst = 0.0
-        for _ in range(_GHJW_SAMPLES):
-            n = _norm(rng.standard_normal(3))
-            x = klass.algebra.random_vector(rng)
-            u = klass.tangent_basis(n)[0] + 0.3 * klass.tangent_basis(n)[1]
-            worst = max(worst, ghjw_moment_residual(klass, omega, n, x, u))
-        best[sign] = worst
-    good = [s for s, r in best.items() if r < _GHJW_TOL]
-    if not good:
-        raise GhjwSignError(f"moment condition fails for both signs: {best}")
-    return good[0], best
+def worst_moment_residual(klass, omega, rng):
+    """The worst moment residual of omega over _MOMENT_DRAWS random class
+    points n, algebra elements x and sphere tangents u, drawn from rng."""
+    worst = 0.0
+    for _ in range(_MOMENT_DRAWS):
+        n = _norm(rng.standard_normal(3))
+        x = klass.algebra.random_vector(rng)
+        u = klass.tangent_basis(n)[0] + 0.3 * klass.tangent_basis(n)[1]
+        worst = max(worst, ghjw_moment_residual(klass, omega, n, x, u))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from atiyahcheck.algebroid import KappaFamily
-from atiyahcheck.bott import (GaugePeriodicFamily, SimplexRule, _PairData, _p_wedge,
-                              _pick_sign, _simplex_rule, _upsilon_core, calibrate_conventions,
-                              chern_simons, concat_families,
+from atiyahcheck import bott
+from atiyahcheck.bott import (ETA_P_VS_ETA, KAC_MOODY, SIGNS, GaugePeriodicFamily, SimplexRule,
+                              _PairData, _p_wedge, _simplex_rule, _upsilon_core,
+                              calibrate_conventions, chern_simons, concat_families,
                               gauge_transform, map_theta_right, oneform_theta_left,
                               oneform_zero, pressley_segal_two_form, q_functional,
                               rectangle_integral, upsilon, upsilon_equivariant,
                               varpi_p_equivariant)
+from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.liealg import cubic_polynomial, make_group, quadratic_polynomial
 from atiyahcheck.sections import TimeGrid, integrate_01, random_section, scaled
-
-
-@pytest.fixture(scope="module")
-def conv():
-    return calibrate_conventions()
 
 
 @pytest.fixture
@@ -49,47 +46,71 @@ def test_simplex_rules():
     assert len(r1.nodes) == 8 and len(r2.nodes) == 64
 
 
-def test_convention_table_shape(conv):
-    table = conv.as_dict()
-    assert set(table) >= {"upsilon_k1", "upsilon_k2", "rectangle",
-                          "lemma_orientation", "eta_p_vs_eta"}
-    for key in ("upsilon_k1", "upsilon_k2", "rectangle", "eta_p_vs_eta"):
-        assert table[key] in (1.0, -1.0)
+def _run(group, name):
+    """The results of one registered check at the default config."""
+    [spec] = [spec for spec in REGISTRY if spec.name == name]
+    return spec.fn(CheckContext(group, {}))
 
 
-def test_convention_table_notes_name_its_unmeasured_picks(conv):
-    # the two Stokes picks compare 0.0 with 0.0 on su2, so their sign +1 is a
-    # default, not a measurement; the measured picks are not named
-    notes = conv.notes
-    assert notes.startswith("calibrated on su2; unmeasured")
-    assert "Stokes k=1" in notes and "Stokes k=2" in notes
-    assert "varpi" not in notes and "transgression" not in notes
-    assert conv.as_dict()["notes"] == notes
-    unmeasured = []
-    assert _pick_sign(0.0, 0.0, 1e-3, "zero", unmeasured) == 1.0
-    assert _pick_sign(-2.0, 2.0, 1e-3, "measured", unmeasured) == -1.0
-    assert unmeasured == ["zero"]
+def test_convention_table_shape():
+    table = calibrate_conventions()
+    assert set(table) == {"signs", "sources", "mismatch", "unmeasured"}
+    assert table["signs"] == {name: sign for name, (sign, _) in SIGNS.items()}
+    assert set(table["sources"]) == set(SIGNS) and all(table["sources"].values())
+    assert set(table["signs"].values()) == {1.0, -1.0}
+    assert (table["signs"]["lemma_orientation"], table["signs"]["cs_vs_bott"]) == (-1.0, -1.0)
+    # every identity is evaluated at the fixed signs, none picks one
+    assert list(table["mismatch"]) == ["Stokes k=1", "Stokes k=2", "quadratic varpi^p = varpi",
+                                       "flat-family transgression", "eta^p = eta"]
+    assert max(table["mismatch"].values()) < 1e-5
 
 
-def test_upsilon_flat_zero(su2, conv, rng):
+def test_convention_table_notes_name_its_unmeasured_picks():
+    # the two Stokes identities compare 0.0 with 0.0 on su2, so they measure
+    # nothing; the check's residual is the worst of the three measured ones
+    table = calibrate_conventions()
+    assert table["unmeasured"] == ["Stokes k=1", "Stokes k=2"]
+    [result] = _run("su2", "convention_table")
+    assert result.notes == "unmeasured, both sides 0.0: Stokes k=1, Stokes k=2"
+    assert result.n_samples == 3 and result.tolerance == 1e-3
+    assert result.residual == max(v for k, v in table["mismatch"].items() if "Stokes" not in k)
+    assert 0.0 < result.residual < 1e-5
+
+
+def test_negated_rectangle_fails_varpi_p(monkeypatch):
+    # the rectangle sign is fixed, so a sign error in I^p fails the check
+    # rather than being absorbed by a fitted sign
+    real = bott.rectangle_integral
+    monkeypatch.setattr(bott, "rectangle_integral", lambda *a, **k: -real(*a, **k))
+    [result] = _run("su2", "varpi_p_matches_varpi")
+    assert not result.passed and result.residual > 1e-2
+
+
+def test_negated_upsilon_fails_eta_p_anchor(monkeypatch):
+    real = bott._upsilon_core
+    monkeypatch.setattr(bott, "_upsilon_core", lambda *a: -real(*a))
+    [result] = _run("su2", "eta_p_anchor")
+    assert not result.passed and result.residual > 1e-2
+
+
+def test_upsilon_flat_zero(su2, rng):
     # k = 0 on a flat connection: p(F) = 0
     p = quadratic_polynomial(su2)
     thl = oneform_theta_left(su2)
     g = su2.random_group(rng)
     secs = [random_section(su2, rng) for _ in range(4)]
-    assert abs(upsilon(p, [thl], g, secs, conventions=conv)) < 1e-9
-    assert abs(upsilon(p, [oneform_zero(su2)], g, secs, conventions=conv)) < 1e-12
+    assert abs(upsilon(p, [thl], g, secs)) < 1e-9
+    assert abs(upsilon(p, [oneform_zero(su2)], g, secs)) < 1e-12
 
 
-def test_eta_p_measured_sign(su2, conv, rng):
+def test_eta_p_fixed_sign(su2, rng):
     from atiyahcheck.forms import cartan_three_form, pullback_anchor
     p = quadratic_polynomial(su2)
     eta = pullback_anchor(cartan_three_form(su2))
     g = su2.random_group(rng)
     secs = [random_section(su2, rng) for _ in range(3)]
-    got = upsilon(p, [oneform_zero(su2), oneform_theta_left(su2)], g, secs,
-                  conventions=conv)
-    want = conv.eta_p_vs_eta * eta(g, *secs)
+    got = upsilon(p, [oneform_zero(su2), oneform_theta_left(su2)], g, secs)
+    want = ETA_P_VS_ETA * eta(g, *secs)
     assert abs(got - want) < 1e-9
 
 
@@ -108,7 +129,7 @@ def test_cs_values(su2, rng):
     assert abs(chern_simons(const, gt, tsecs)) < 1e-9
 
 
-def test_rectangle_quadratic_closed_form(su2, conv, rng):
+def test_rectangle_quadratic_closed_form(su2, rng):
     # for the quadratic polynomial the rectangle integral reduces to the
     # kappa . kappa-dot integral (x-independent)
     p = quadratic_polynomial(su2)
@@ -116,19 +137,18 @@ def test_rectangle_quadratic_closed_form(su2, conv, rng):
     g = su2.random_group(rng)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
     x = su2.random_vector(rng)
-    got = conv.rect_sign * rectangle_integral(p, kf, g, [xi, ze], x=x)
+    got = rectangle_integral(p, kf, g, [xi, ze], x=x)
     grid = TimeGrid(201)
     want = -0.5 * integrate_01(
         lambda t: su2.pairing(kf.value(t, g, xi), kf.tderiv(t, g, ze))
         - su2.pairing(kf.value(t, g, ze), kf.tderiv(t, g, xi)), grid)
     assert abs(got - want) < 1e-6
     # x-independence
-    got2 = conv.rect_sign * rectangle_integral(p, kf, g, [xi, ze],
-                                               x=su2.random_vector(rng))
+    got2 = rectangle_integral(p, kf, g, [xi, ze], x=su2.random_vector(rng))
     assert abs(got - got2) < 1e-12
 
 
-def test_upsilon2_closed_form(su2, conv, rng):
+def test_upsilon2_closed_form(su2, rng):
     # Upsilon^p_G(0, a*thetaL, kappa_0) = p(a*thetaL, kappa_0) for quadratic p
     p = quadratic_polynomial(su2)
     g = su2.random_group(rng)
@@ -137,15 +157,14 @@ def test_upsilon2_closed_form(su2, conv, rng):
     zero = oneform_zero(su2)
     thl = oneform_theta_left(su2)
     kap0 = KappaFamily(su2).at(0.0)
-    got = upsilon_equivariant(p, [zero, thl, kap0], x, g, [xi, ze],
-                              conventions=conv)
+    got = upsilon_equivariant(p, [zero, thl, kap0], x, g, [xi, ze])
     want = p(thl(g, xi), kap0(g, ze)) - p(thl(g, ze), kap0(g, xi))
     assert abs(got - want) < 1e-10
 
 
-def test_varpi_p_equals_varpi(su2, conv, rng):
+def test_varpi_p_equals_varpi(su2, rng):
     p = quadratic_polynomial(su2)
-    vpg = varpi_p_equivariant(p, conv)
+    vpg = varpi_p_equivariant(p)
     grid = TimeGrid(201)
     for _ in range(2):
         g = su2.random_group(rng)
@@ -155,10 +174,10 @@ def test_varpi_p_equals_varpi(su2, conv, rng):
                    - canonical_two_form(xi, ze, g, grid)) < 1e-5
 
 
-def test_pressley_segal_sin_cos(su2, conv):
+def test_pressley_segal_sin_cos(su2):
     from atiyahcheck.sections import loop_section, scaled
     p = quadratic_polynomial(su2)
-    ps = pressley_segal_two_form(p, conv)
+    ps = pressley_segal_two_form(p)
     e1 = np.array([1.0, 0.0, 0.0])
     w = 2 * np.pi
     s1 = loop_section(su2, lambda t: scaled(np.sin(w * t), e1),
@@ -166,7 +185,7 @@ def test_pressley_segal_sin_cos(su2, conv):
     s2 = loop_section(su2, lambda t: scaled(np.cos(w * t), e1),
                       lambda t: scaled(-w * np.sin(w * t), e1))
     val = ps(su2.identity(), [s1, s2])
-    assert abs(abs(val) - np.pi) < 1e-7
+    assert abs(val - KAC_MOODY * np.pi) < 1e-7
     # constant loops pair to zero
     c = loop_section(su2, lambda t: scaled(np.ones(np.shape(t)), e1),
                      lambda t: np.zeros(np.shape(t) + (3,)))
@@ -218,7 +237,7 @@ def test_gauge_family_seams(su2, rng):
             assert np.linalg.norm(fam.tderiv(t + 1.0, g, sec) - want_d) < 1e-10
 
 
-def test_varpi_p_differentiates_at_t_step(su2, conv, rng):
+def test_varpi_p_differentiates_at_t_step(su2, rng):
     # without an analytic d/dt, kappa' is the central difference at T_STEP
     from atiyahcheck.sections import T_STEP, AlgebroidSection, extend
     p = quadratic_polynomial(su2)
@@ -234,8 +253,8 @@ def test_varpi_p_differentiates_at_t_step(su2, conv, rng):
             su2, sec.profile, sec.v,
             dprofile=lambda gg, t, s=bare: (extend(s, gg, t + T_STEP)
                                             - extend(s, gg, t - T_STEP)) / (2.0 * T_STEP)))
-    got = varpi_p_equivariant(p, conv)(x, g, raw)
-    want = varpi_p_equivariant(p, conv)(x, g, stepped)
+    got = varpi_p_equivariant(p)(x, g, raw)
+    want = varpi_p_equivariant(p)(x, g, stepped)
     assert abs(got - want) < 1e-12
 
 

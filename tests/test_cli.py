@@ -459,13 +459,23 @@ def test_readme_table_matches_registry():
     assert len(table) == len(declared)
 
 
-def test_convention_abort_exit_code(monkeypatch):
-    from atiyahcheck import cli
-    from atiyahcheck.bott import ConventionError
+def test_sign_error_fails_named_checks_with_a_report(tmp_path, monkeypatch):
+    # no sign is fitted, so a negated simplex integral is not absorbed: the
+    # calibration records its mismatch and verify reports the failing checks
+    from atiyahcheck import bott
 
-    def boom(*a, **k):
-        raise ConventionError("forced")
+    real = bott._upsilon_core
 
-    monkeypatch.setattr(cli, "run_checks", boom)
-    assert cli.main(["verify", "--group", "torus2", "--suite", "courant",
-                     "--quiet"]) == 3
+    def negated(p, betas, g, args, x):
+        # over point axes the real core maps this one over the points
+        return real(p, betas, g, args, x) if np.ndim(g) > 2 else -real(p, betas, g, args, x)
+
+    monkeypatch.setattr(bott, "_upsilon_core", negated)
+    monkeypatch.setattr(bott, "_CONVENTIONS", None)
+    report = tmp_path / "out.json"
+    assert main(["verify", "--group", "su2", "--suite", "bott", "--quiet",
+                 "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    failed = {c["check_name"] for c in data["checks"] if not c["pass"]}
+    assert {"convention_table", "eta_p_anchor", "varpi_p_matches_varpi"} <= failed
+    assert data["convention_table"]["mismatch"]["eta^p = eta"] > 1e-3

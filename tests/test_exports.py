@@ -16,10 +16,10 @@ MODULES = ["atiyahcheck"] + [f"atiyahcheck.{info.name}"
 # quadrature rules and node counts, the Fourier modes of a random loop, the
 # time step, the group membership tolerance, the invariance spot checks, the
 # Gram kernel's dependency cut, the radial nodes of a Poincare primitive and
-# the angle of the conjugacy class
+# the angle of the conjugacy class; and the orientation signs (bott.SIGNS)
 CONSTANTS = {"bump", "flat_width", "rule", "rule2", "n_s", "n_t", "n_modes",
              "h_t", "group_tolerance", "check_samples", "dependency_tol",
-             "n_radial", "angle"}
+             "n_radial", "angle", "conventions"}
 
 # the Richardson stencil's geometry takes an explicit step: the one
 # combination of its values and each base's four points; every derivative
@@ -64,7 +64,8 @@ def test_calibrations_and_class_pushes_take_no_numeric_parameter():
     from atiyahcheck import bott, qham
 
     signatures = {
-        qham.calibrate_ghjw: ["klass", "rng"],
+        qham.worst_moment_residual: ["klass", "omega", "rng"],
+        qham.ghjw_omega: ["klass"],
         bott.calibrate_conventions: [],
         qham.ConjugacyClass.push_tangent: ["self", "n", "u"],
         qham.TrivialClass.push_tangent: ["self", "n", "u"],

@@ -21,6 +21,24 @@ def test_catalog_names():
         make_group("nope")
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, 1e-5, 5e-3, np.inf, np.nan])
+def test_make_group_refuses_a_step_outside_the_range(step):
+    with pytest.raises(ValueError, match="fd_step must lie in"):
+        make_group("su2", fd_step=step)
+
+
+def test_make_group_takes_the_range_edges():
+    for edge in liealg.FD_STEP_RANGE:
+        assert make_group("su2", fd_step=edge).fd_step == edge
+
+
+def test_library_run_refuses_a_zero_step():
+    # a zero step divided 0 by 0 in 7 of the 17 algebroid results
+    from atiyahcheck.checks import run_checks
+    with pytest.raises(ValueError, match="fd_step must lie in"):
+        run_checks("torus2", {"fd_step": 0.0, "seed": 42}, suites=["algebroid"])
+
+
 def test_construction_invariants(algebra):
     # construction already validates; re-check the pieces explicitly
     c = algebra.c

@@ -54,7 +54,7 @@ def test_kernel_probe_work_per_truncation():
 def test_class_points_do_not_grow_with_truncation():
     # only generator and tangent rows push through Phi, whatever n_max is
     klass = qham.ConjugacyClass(make_group("su2"))
-    omega = qham.ghjw_omega(klass, 1.0)
+    omega = qham.ghjw_omega(klass)
     n = np.array([0.36, -0.48, 0.8])
     points = []
     for n_max in (4, 8):

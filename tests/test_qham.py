@@ -5,11 +5,12 @@ import pytest
 
 from atiyahcheck import qham
 from atiyahcheck.algebroid import bracket, generator
+from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.liealg import make_group
 from atiyahcheck.lifting import canonical_two_form
 from atiyahcheck.qham import (ConjugacyClass, TrivialClass, TruncatedBasis,
-                              basis_metric, calibrate_ghjw, ghjw_omega, gram_kernel,
-                              gram_matrix, project_based)
+                              basis_metric, ghjw_omega, gram_kernel, gram_matrix,
+                              project_based, worst_moment_residual)
 from atiyahcheck.sections import TimeGrid, random_section, template_section
 
 
@@ -43,20 +44,28 @@ def test_central_point_omega_zero(su2, klass, monkeypatch):
     # antipodal invariance: omega vanishes when Ad_g = Ad_{g^{-1}}
     monkeypatch.setattr(qham, "_ANGLE", np.pi)
     pi_class = ConjugacyClass(su2)
-    omega = ghjw_omega(pi_class, 1.0)
+    omega = ghjw_omega(pi_class)
     n = np.array([0.0, 0.0, 1.0])
     t1, t2 = pi_class.tangent_basis(n)
     assert abs(omega(n, t1, t2)) < 1e-12
 
 
 def test_ghjw_oracle_and_example(su2, klass, rng):
-    sign, residuals = calibrate_ghjw(klass, rng)
-    assert residuals[sign] < 1e-8
-    omega = ghjw_omega(klass, sign)
+    omega = ghjw_omega(klass)
+    assert worst_moment_residual(klass, omega, rng) < 1e-9
     n0 = np.array([0.0, 0.0, 1.0])
     t1 = klass.generator_field(np.array([1.0, 0.0, 0.0]), n0)
     t2 = klass.generator_field(np.array([0.0, 1.0, 0.0]), n0)
     assert abs(abs(omega(n0, t1, t2)) - 1.0) < 1e-12
+
+
+def test_negated_omega_fails_the_moment_condition(monkeypatch):
+    # the sign of omega is fixed, so the opposite sign is an error the
+    # moment check reports, not a second candidate
+    monkeypatch.setattr(qham, "OMEGA_SIGN", -1.0)
+    [spec] = [spec for spec in REGISTRY if spec.name == "moment_sign_oracle"]
+    results = spec.fn(CheckContext("su2", {}))
+    assert not results[0].passed and results[0].residual > 1e-2
 
 
 def test_pullback_template_seam(su2, klass, rng):
@@ -78,8 +87,8 @@ def test_pullback_generator_bracket(su2, klass, rng):
 
 
 def test_kernel_dimension_and_stability(su2, klass, rng):
-    sign, _ = calibrate_ghjw(klass, rng)
-    omega = ghjw_omega(klass, sign)
+    omega = ghjw_omega(klass)
+    worst_moment_residual(klass, omega, rng)   # the draws place n as before
     n = _unit(rng)
     grid = TimeGrid(201)
     for n_max in (4, 6):
@@ -149,10 +158,9 @@ def _oracle_kernel(basis, omega, threshold, dependency_tol=1e-9):
 def _oracle_cases():
     su2 = make_group("su2")
     klass = ConjugacyClass(su2)
-    sign, _ = calibrate_ghjw(klass, np.random.default_rng(53))
     n = _unit(np.random.default_rng(11))
     for n_max in (4, 8):
-        yield TruncatedBasis(klass, n, n_max, TimeGrid(201)), ghjw_omega(klass, sign)
+        yield TruncatedBasis(klass, n, n_max, TimeGrid(201)), ghjw_omega(klass)
     tor = make_group("torus2")
     yield TruncatedBasis(TrivialClass(tor), n, 4, TimeGrid(201)), None
 
@@ -205,8 +213,8 @@ def test_loop_rows_have_zero_push(su2, klass, rng):
 
 
 def test_varpi_pullback_generator_rows(su2, klass, rng):
-    sign, _ = calibrate_ghjw(klass, rng)
-    omega = ghjw_omega(klass, sign)
+    omega = ghjw_omega(klass)
+    worst_moment_residual(klass, omega, rng)   # the draws place n as before
     n = _unit(rng)
     grid = TimeGrid(201)
     x = su2.random_vector(rng)
