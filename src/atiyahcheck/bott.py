@@ -29,7 +29,7 @@ from . import algebroid as albr
 from .algebroid import KappaFamily, generator
 from .forms import (AlgebroidForm, _perm_sign, along_sections, cartan_three_form,
                     exterior_derivative, koszul, pullback_anchor)
-from .liealg import make_group, per_point, quadratic_polynomial
+from .liealg import make_group, per_point
 from .sections import (InterpolatedFamily, TimeGrid, gauge_steps, piecewise, random_section,
                        scaled)
 
@@ -437,7 +437,7 @@ def calibrate_conventions():
         mismatch[label] = float(abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     alg = make_group("su2")
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     rng = np.random.default_rng(971)
     g = alg.random_group(rng)
     args3 = [random_section(alg, rng) for _ in range(3)]

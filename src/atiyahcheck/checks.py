@@ -18,6 +18,10 @@ default.
 
 `rng` is a generator derived from (seed, check name), so execution order
 never changes results.
+
+`groups` only says where a check runs: a body reads what it needs of the
+group (`alg.polynomials`, `alg.eta_vanishes`, its log) from the group's
+declarations, never from its name.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from . import forms as fm
 from . import fusion as fu
 from . import lifting as lf
 from . import qham as qh
-from .liealg import FD_STEP, cubic_polynomial, make_group, quadratic_polynomial
+from .homotopy import poincare_primitive
+from .liealg import FD_STEP, _derivative, make_group, stencil_steps
 from .sections import (AlgebroidSection, TimeGrid, at_times, bump, constant_field, extend,
                        integrate_01, loop_section, random_loop_section, random_section,
                        random_twisted_loop, scaled, template_section, time_derivative)
@@ -336,8 +341,7 @@ def check_generator_action(ctx, rng):
             kinv = alg.inv(k)
             return alg.Ad(k, xi.profile(kinv @ g @ k, t0))
 
-        h = alg.fd_step
-        want = (8 * (action(h) - action(-h)) - (action(2 * h) - action(-2 * h))) / (12 * h)
+        want = _derivative([action(s) for s in stencil_steps(alg.fd_step)], alg.fd_step)
         yield np.linalg.norm(got - want)
 
 
@@ -828,35 +832,31 @@ def check_eta_data_route(ctx, rng):
         yield abs(etad(g, *vs) - eta(g, *vs))
 
 
+def _primitive_of_minus_eta(alg):
+    """The radial-homotopy primitive omega of -eta in exponential coordinates,
+    and the report extras, which say when it is the primitive of 0."""
+    omega = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0)
+    note = f"eta vanishes identically on {alg.name}, so omega is the primitive of 0"
+    return omega, {"notes": note} if alg.eta_vanishes else {}
+
+
 @_register("lifting", "lifted_jacobi_primitive", tol=1e-4, groups=("heisenberg3", "torus2"),
            identity="d omega = -eta makes the lifted bracket a Lie bracket")
 def check_lifted_jacobi_primitive(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg)
-    omega = None
-    if ctx.group_name == "heisenberg3":
-        # radial-homotopy primitive of -eta in exponential coordinates
-        from .homotopy import poincare_primitive
-        prim = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0)
-        omega = lambda g, v, w, prim=prim: prim(g, v, w)
+    omega, extras = _primitive_of_minus_eta(alg)
     for _ in range(2):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
         fields = [constant_field(alg, v) for v in vs]
-        om_form = None
-        if omega is not None:
-            om_form = fm.AlgebroidForm(alg, 2, omega)
-        jac = lf.lifted_jacobiator_scalar(om_form, alpha, fields, g, ctx.coarse_grid)
-        yield abs(jac)
-    if ctx.group_name == "heisenberg3":
-        return {"notes": "eta vanishes identically on heisenberg3 (B is zero on the "
-                         "centre, which holds every bracket), so the check compares "
-                         "against omega = 0"}
+        yield abs(lf.lifted_jacobiator_scalar(omega, alpha, fields, g, ctx.coarse_grid))
+    return extras
 
 
 def _coordinate_omega(alg):
     """The 2-form g_02 (a_0 b_1 - a_1 b_0) in matrix and basis coordinates, over
-    point axes; on heisenberg3 its d omega is not zero."""
+    point axes; on heisenberg3 and su2 its d omega is not zero."""
     return fm.AlgebroidForm(alg, 2, lambda g, a, b: g[..., 0, 2] * (
         a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), name="coordinate omega")
 
@@ -869,10 +869,7 @@ def check_lifted_jacobi_obstruction(ctx, rng):
     alpha = albr.build_alpha(alg)
     eta = fm.cartan_three_form(alg)
     notes = []
-    cases = [("omega=0", None)]
-    if ctx.group_name == "heisenberg3":
-        cases.append(("coordinate omega", _coordinate_omega(alg)))
-    for label, om in cases:
+    for label, om in (("omega=0", None), ("coordinate omega", _coordinate_omega(alg))):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
         fields = [constant_field(alg, v) for v in vs]
@@ -889,8 +886,8 @@ def check_lifted_jacobi_obstruction(ctx, rng):
            identity="omega(x_N, X) + d Phi(x)(X) = <d^theta j(X), Psi(x)>")
 def check_equivariant_generators(ctx, rng):
     alg = ctx.algebra
-    from .homotopy import poincare_primitive
     alpha = albr.build_alpha(alg)
+    omega, extras = _primitive_of_minus_eta(alg)
 
     def phi_map(x):
         mu = fm.AlgebroidForm(alg, 1, lambda g, a:
@@ -902,7 +899,8 @@ def check_equivariant_generators(ctx, rng):
         g = alg.random_group(rng, scale=0.6)
         x = alg.random_vector(rng)
         v = alg.random_vector(rng)
-        yield lf.equivariant_generator_residual(None, phi_map, alpha, x, v, g, ctx.coarse_grid)
+        yield lf.equivariant_generator_residual(omega, phi_map, alpha, x, v, g, ctx.coarse_grid)
+    return extras
 
 
 @_register("lifting", "gamma_change", tol=1e-4, groups=("su2",),
@@ -960,7 +958,7 @@ def check_convention_table(ctx, rng):
            identity="d Upsilon(b_0..b_k) = alternating sum of Upsilon with one form omitted")
 def check_stokes_family(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     thl = bt.oneform_theta_left(alg)
@@ -982,7 +980,7 @@ def check_stokes_family(ctx, rng):
            identity="Upsilon(Phi.b_0, Phi.b_1) = Upsilon(b_0, b_1), equivariant version too")
 def check_upsilon_gauge(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 3)
     b0 = _random_gvalued(ctx, rng)
@@ -1020,7 +1018,7 @@ def check_gauge_composition(ctx, rng):
            identity="CS(beta) = c Upsilon^p(0, beta) with one fixed sign c")
 def check_cs_vs_bott(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     zero = bt.oneform_zero(alg)
     ratios = []
     for _ in range(max(2, ctx.samples // 2)):
@@ -1044,7 +1042,7 @@ def check_cs_vs_bott(ctx, rng):
            identity="Upsilon^p(0, theta^L) = c eta with the fixed sign c")
 def check_eta_p_anchor(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     zero = bt.oneform_zero(alg)
     thl = bt.oneform_theta_left(alg)
     eta = fm.pullback_anchor(fm.cartan_three_form(alg))
@@ -1060,7 +1058,7 @@ def check_eta_p_anchor(ctx, rng):
 @_register("bott", "cs_exact", tol=1e-4, identity="d CS(beta) = (1/2) F^beta . F^beta")
 def check_cs_exact(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     g = alg.random_group(rng)
     secs = ctx.random_sections(rng, 4)
     beta = _random_gvalued(ctx, rng)
@@ -1256,7 +1254,7 @@ def check_q_concat(ctx, rng):
            identity="d_G Upsilon^p_G(0, theta^L) = p(Ad_{g^{-1}} x) - p(x) = 0")
 def check_bott_equiv_closed(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     etaPG = bt.eta_p_form(p)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1272,7 +1270,7 @@ def check_bott_equiv_closed(ctx, rng):
            identity="Upsilon_G(0,b_1) - Upsilon_G(0,b_0) = s d_G I (flat family, fixed s)")
 def check_flat_family(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     fam = albr.KappaFamily(alg)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -1305,7 +1303,7 @@ def check_flat_family(ctx, rng):
            identity="varpi^p_G = varpi for the quadratic polynomial")
 def check_varpi_p_matches(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     vpg = bt.varpi_p_equivariant(p)
     for _ in range(max(2, ctx.samples // 2)):
         g = alg.random_group(rng)
@@ -1319,7 +1317,7 @@ def check_varpi_p_matches(ctx, rng):
 @_register("bott", "higher_transgression_theorem", tol=1e-3, groups=("su2",),
            identity="d_G varpi^p_G(x) = a* eta^p_G(x)")
 def check_higher_transgression(ctx, rng):
-    yield from _transgression_samples(ctx, rng, quadratic_polynomial(ctx.algebra))
+    yield from _transgression_samples(ctx, rng, ctx.algebra.polynomials[2])
 
 
 def _transgression_samples(ctx, rng, p):
@@ -1345,7 +1343,7 @@ def _transgression_samples(ctx, rng, p):
            sub_results=[("pressley_segal_closed", "d_CE sigma^p = 0 on loop triples", 1e-4)])
 def check_pressley_segal(ctx, rng):
     alg = ctx.algebra
-    p = quadratic_polynomial(alg)
+    p = alg.polynomials[2]
     ps = bt.pressley_segal_two_form(p)
     ge = alg.identity()
     sign = bt.KAC_MOODY
@@ -1379,7 +1377,7 @@ def check_pressley_segal(ctx, rng):
            identity="cubic p: equivariant transgression and the explicit-formula degeneration")
 def check_cubic_suite(ctx, rng):
     alg = ctx.algebra
-    p3 = cubic_polynomial(alg)
+    p3 = alg.polynomials.get(3)
     if p3 is None:
         yield 0.0
         return {"notes": "no invariant cubic exists for this algebra; suite skipped"}

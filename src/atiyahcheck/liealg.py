@@ -28,6 +28,13 @@ first out past _MEMO_SIZE (256) entries, as read-only copies; a hit is
 bit-identical to the unmemoised call.  Each LieAlgebra keeps two: `inv`
 (the group inverse behind `Ad` and `Ad_operator`) and `step_exponentials`
 (the exponentials of a stencil's steps).
+
+A catalog group's factory declares what sets the group apart: its basis,
+the form B, the membership residual, the log map and any invariant
+polynomial beyond the quadratic one, which every LieAlgebra builds itself
+(`polynomials`, by degree).  Whether the Cartan 3-form vanishes
+identically (`eta_vanishes`) follows from c and B.  Nothing reads a
+group's name to choose its mathematics.
 """
 
 from __future__ import annotations
@@ -219,7 +226,7 @@ class LieAlgebra:
     """
 
     def __init__(self, name, basis, structure_constants, bilinear_form,
-                 membership=None, log_map=None, fd_step=FD_STEP):
+                 membership, log_map, fd_step=FD_STEP):
         validate_fd_step(fd_step)
         self.name = name
         self.fd_step = fd_step     # the step of every Richardson derivative over the group
@@ -246,6 +253,11 @@ class LieAlgebra:
 
         self.nondegenerate = abs(np.linalg.det(self.B)) > 1e-12
         self._validate()
+        # B([e_i, e_j], e_k) = 0 exactly: the Cartan 3-form eta is identically 0
+        self.eta_vanishes = not np.any(np.einsum("ijm,mk->ijk", self.c, self.B))
+        # the invariant polynomials by degree: (1/2) B here, any other the factory's
+        self.polynomials = {2: InvariantPolynomial(
+            self, 2, lambda x, y: 0.5 * self.pairing(x, y), name="half-square")}
 
     # -- construction checks -------------------------------------------------
 
@@ -327,15 +339,11 @@ class LieAlgebra:
         return np.array(cols).T
 
     def membership_residual(self, g):
-        if self._membership is not None:
-            return self._membership(g)
-        return 0.0
+        return self._membership(g)
 
     def log(self, g):
-        """Inverse of exp where the catalog group provides one, point by point
-        over any leading point axes of g."""
-        if self._log_map is None:
-            raise NotImplementedError(f"no log map for group {self.name!r}")
+        """The inverse of exp by the group's log map, point by point over any
+        leading point axes of g."""
         if np.ndim(g) > 2:
             return per_point(lambda point: self._log_map(self, point), g)
         return self._log_map(self, g)
@@ -455,26 +463,6 @@ class InvariantPolynomial:
         return float(out) if out.ndim == 0 else out
 
 
-def quadratic_polynomial(algebra):
-    """p(x) = (1/2) B(x, x), polarized to p(x, y) = (1/2) B(x, y)."""
-    return InvariantPolynomial(
-        algebra, 2, lambda x, y: 0.5 * algebra.pairing(x, y), name="half-square")
-
-
-def cubic_polynomial(algebra):
-    """An invariant cubic for the catalog group, or None when none exists.
-
-    Compact simple algebras in the catalog have no odd-degree invariants.
-    On the Heisenberg algebra the Ad action fixes the two non-central
-    coefficients, so products of those coordinates are invariant.
-    """
-    if algebra.name == "heisenberg3":
-        def p(x, y, z):
-            return x[..., 0] * y[..., 0] * z[..., 0]
-        return InvariantPolynomial(algebra, 3, p, name="x-coeff cubed")
-    return None
-
-
 # ---------------------------------------------------------------------------
 # group catalog
 # ---------------------------------------------------------------------------
@@ -508,22 +496,26 @@ def _heis_log(alg, g):
     return alg.from_matrix(n - 0.5 * (n @ n))
 
 
-def _angle_log(alg, g):
-    # For su2/so3: project onto the basis and rescale by angle/|w|.
+def _angle_log(alg, g, angle_of):
+    """w t / |w| for the basis projection w of g and its rotation angle
+    t = angle_of(|w|, tr g)."""
     w = alg.from_matrix(g)
     nw = np.linalg.norm(w)
-    if alg.name == "su2":
-        # g = cos(t/2) I + sum w_k e_k with |w| = 2 sin(t/2); trace of the
-        # real encoding is 4 cos(t/2).
-        ct = np.trace(g) / 4.0
-        st = nw / 2.0
-    else:  # so3: skew part has coefficients sin(t) w_hat
-        ct = (np.trace(g) - 1.0) / 2.0
-        st = nw
-    t = math.atan2(st, ct) if alg.name == "so3" else 2.0 * math.atan2(st, ct)
+    t = angle_of(nw, np.trace(g))
     if nw < 1e-12:
         return np.zeros(alg.dim)
     return w * (t / nw)
+
+
+def _su2_log(alg, g):
+    # g = cos(t/2) I + sum w_k e_k with |w| = 2 sin(t/2), and the trace of
+    # the real encoding is 4 cos(t/2)
+    return _angle_log(alg, g, lambda nw, tr: 2.0 * math.atan2(nw / 2.0, tr / 4.0))
+
+
+def _so3_log(alg, g):
+    # the skew part of g has coefficients sin(t) w / |w|, and tr g = 1 + 2 cos(t)
+    return _angle_log(alg, g, lambda nw, tr: math.atan2(nw, (tr - 1.0) / 2.0))
 
 
 def _torus_log(alg, g):
@@ -554,7 +546,7 @@ def _make_su2(fd_step):
     basis = np.array([_complex_encode(-0.5j * s) for s in sigma])
     c = _standard_structure_constants(basis)
     return LieAlgebra("su2", basis, c, np.eye(3),
-                      membership=_su2_membership, log_map=_angle_log, fd_step=fd_step)
+                      membership=_su2_membership, log_map=_su2_log, fd_step=fd_step)
 
 
 def _make_so3(fd_step):
@@ -565,7 +557,7 @@ def _make_so3(fd_step):
         basis[i, j, k] = -s
     c = _standard_structure_constants(basis)
     return LieAlgebra("so3", basis, c, np.eye(3),
-                      membership=_orthogonal_membership, log_map=_angle_log, fd_step=fd_step)
+                      membership=_orthogonal_membership, log_map=_so3_log, fd_step=fd_step)
 
 
 def _make_heisenberg3(fd_step):
@@ -577,8 +569,12 @@ def _make_heisenberg3(fd_step):
     # Invariance forces the center into the radical of any invariant form;
     # pair the X,Y plane and leave Z isotropic (degenerate, flagged).
     b = np.diag([1.0, 1.0, 0.0])
-    return LieAlgebra("heisenberg3", basis, c, b,
-                      membership=_heis_membership, log_map=_heis_log, fd_step=fd_step)
+    alg = LieAlgebra("heisenberg3", basis, c, b,
+                     membership=_heis_membership, log_map=_heis_log, fd_step=fd_step)
+    # Ad fixes the two non-central coefficients, so their products are invariant
+    alg.polynomials[3] = InvariantPolynomial(
+        alg, 3, lambda x, y, z: x[..., 0] * y[..., 0] * z[..., 0], name="x-coeff cubed")
+    return alg
 
 
 def _make_torus2(fd_step):

@@ -325,16 +325,11 @@ def equivariant_generator_residual(omega, phi_map, alpha, x, v, g, grid):
         omega(x_N, X) + d Phi(x)(X) = < d^theta j (X), Psi(x) >
 
     at the sample (g, X) with theta^R(X) = v; phi_map(x) is a scalar
-    function on G (None means 0), omega a de Rham 2-form (None means 0).
+    function on G, omega a de Rham 2-form.
     """
     alg = alpha.algebra
     xg = alg.Ad(g, x) - x
-    lhs = 0.0
-    if omega is not None:
-        lhs += omega(g, xg, v)
-    if phi_map is not None:
-        func = phi_map(x)
-        lhs += alg.stencil_derivative(func, g, v)
+    lhs = omega(g, xg, v) + alg.stencil_derivative(phi_map(x), g, v)
     ts = grid.nodes
     rhs = -_pair_dot(alg, grid, alpha.tderiv(ts, g, v),
                      generator_vertical_part(alpha, x, g, ts))

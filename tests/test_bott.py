@@ -17,7 +17,7 @@ from atiyahcheck.bott import (ETA_P_VS_ETA, KAC_MOODY, SIGNS, GaugePeriodicFamil
 from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
-from atiyahcheck.liealg import cubic_polynomial, make_group, quadratic_polynomial
+from atiyahcheck.liealg import make_group
 from atiyahcheck.sections import TimeGrid, integrate_01, random_section, scaled
 
 
@@ -95,7 +95,7 @@ def test_negated_upsilon_fails_eta_p_anchor(monkeypatch):
 
 def test_upsilon_flat_zero(su2, rng):
     # k = 0 on a flat connection: p(F) = 0
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     thl = oneform_theta_left(su2)
     g = su2.random_group(rng)
     secs = [random_section(su2, rng) for _ in range(4)]
@@ -105,7 +105,7 @@ def test_upsilon_flat_zero(su2, rng):
 
 def test_eta_p_fixed_sign(su2, rng):
     from atiyahcheck.forms import cartan_three_form, pullback_anchor
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     eta = pullback_anchor(cartan_three_form(su2))
     g = su2.random_group(rng)
     secs = [random_section(su2, rng) for _ in range(3)]
@@ -132,7 +132,7 @@ def test_cs_values(su2, rng):
 def test_rectangle_quadratic_closed_form(su2, rng):
     # for the quadratic polynomial the rectangle integral reduces to the
     # kappa . kappa-dot integral (x-independent)
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     kf = KappaFamily(su2)
     g = su2.random_group(rng)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
@@ -150,7 +150,7 @@ def test_rectangle_quadratic_closed_form(su2, rng):
 
 def test_upsilon2_closed_form(su2, rng):
     # Upsilon^p_G(0, a*thetaL, kappa_0) = p(a*thetaL, kappa_0) for quadratic p
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     g = su2.random_group(rng)
     xi, ze = random_section(su2, rng), random_section(su2, rng)
     x = su2.random_vector(rng)
@@ -163,7 +163,7 @@ def test_upsilon2_closed_form(su2, rng):
 
 
 def test_varpi_p_equals_varpi(su2, rng):
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     vpg = varpi_p_equivariant(p)
     grid = TimeGrid(201)
     for _ in range(2):
@@ -176,7 +176,7 @@ def test_varpi_p_equals_varpi(su2, rng):
 
 def test_pressley_segal_sin_cos(su2):
     from atiyahcheck.sections import loop_section, scaled
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     ps = pressley_segal_two_form(p)
     e1 = np.array([1.0, 0.0, 0.0])
     w = 2 * np.pi
@@ -240,7 +240,7 @@ def test_gauge_family_seams(su2, rng):
 def test_varpi_p_differentiates_at_t_step(su2, rng):
     # without an analytic d/dt, kappa' is the central difference at T_STEP
     from atiyahcheck.sections import T_STEP, AlgebroidSection, extend
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     g = su2.random_group(rng)
     x = su2.random_vector(rng)
     raw = []
@@ -307,7 +307,7 @@ def _random_oneform(alg, rng):
 @pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])
 def test_upsilon_core_matches_node_by_node_oracle(name, degree):
     alg = make_group(name)
-    p = quadratic_polynomial(alg) if degree == 2 else cubic_polynomial(alg)
+    p = alg.polynomials[degree]
     rng = np.random.default_rng(37)
     g = alg.random_group(rng)
     x = alg.random_vector(rng)
@@ -328,7 +328,7 @@ def test_upsilon_core_matches_node_by_node_oracle(name, degree):
 @pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])
 def test_invariant_polynomial_over_node_axes(name, degree):
     alg = make_group(name)
-    p = quadratic_polynomial(alg) if degree == 2 else cubic_polynomial(alg)
+    p = alg.polynomials[degree]
     rng = np.random.default_rng(41)
     xs = [rng.standard_normal((17, alg.dim)) for _ in range(degree)]
     batch = p(*xs)

@@ -20,7 +20,7 @@ from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, contract, de_rh
                                exterior_derivative, koszul, lie_derivative, pullback_anchor)
 from atiyahcheck.fusion import Slot, fusion_lambda, mult_eta_residual, pair_from_template
 from atiyahcheck.lifting import canonical_two_form, varpi_form
-from atiyahcheck.liealg import make_group, quadratic_polynomial
+from atiyahcheck.liealg import make_group
 from atiyahcheck.qham import ConjugacyClass
 from atiyahcheck.sections import (TimeGrid, random_section,
                                   template_section)
@@ -66,7 +66,7 @@ def _group_forms(alg, rng):
     f = AlgebroidForm(alg, 0, lambda g: alg.pairing(c, alg.Ad(g, c)))
     xi = random_section(alg, rng)
     upsilon = AlgebroidForm(alg, 3, lambda g, *ss: bott.upsilon(
-        quadratic_polynomial(alg), [thl, kappa], g, ss))
+        alg.polynomials[2], [thl, kappa], g, ss))
     cases = {name: (exterior_derivative(form), _anchor_oracle(form)) for name, form in {
         "varpi": varpi_form(alg, TimeGrid(21)),
         "kappa_t": kappa,

@@ -1,12 +1,15 @@
 """Group/algebra core: catalog construction, exp/Ad, derivative oracles."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
 from atiyahcheck import liealg
 from atiyahcheck.fusion import Slot
-from atiyahcheck.liealg import (GROUP_NAMES, cubic_polynomial, expm,
-                                make_group, quadratic_polynomial)
+from atiyahcheck.forms import cartan_three_form
+from atiyahcheck.liealg import GROUP_NAMES, expm, make_group
 from atiyahcheck.qham import ConjugacyClass
 
 
@@ -168,15 +171,53 @@ def test_log_roundtrip(algebra):
 
 def test_polynomials():
     su2 = make_group("su2")
-    p = quadratic_polynomial(su2)
+    p = su2.polynomials[2]
     x = np.array([1.0, 2.0, -1.0])
     assert abs(p(x, x) - 0.5 * su2.pairing(x, x)) < 1e-14
-    assert cubic_polynomial(su2) is None
-    h3 = make_group("heisenberg3")
-    p3 = cubic_polynomial(h3)
-    assert p3 is not None
+    assert su2.polynomials.get(3) is None
+    p3 = make_group("heisenberg3").polynomials[3]
     assert abs(p3(np.array([2.0, 0, 0]), np.array([2.0, 0, 0]),
                   np.array([2.0, 0, 0])) - 8.0) < 1e-14
+
+
+# -- what each group declares ---------------------------------------------------
+
+@pytest.mark.parametrize("name, degrees", [
+    ("su2", [2]), ("so3", [2]), ("heisenberg3", [2, 3]), ("torus2", [2])])
+def test_declared_polynomial_degrees(name, degrees):
+    alg = make_group(name)
+    assert sorted(alg.polynomials) == degrees
+    assert all(p.degree == d and p.algebra is alg for d, p in alg.polynomials.items())
+
+
+def test_a_polynomial_is_built_once(algebra):
+    assert algebra.polynomials[2] is algebra.polynomials[2]
+
+
+def test_readme_group_table_matches_the_declarations():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| .+ \| ([\d, ]+) \| (yes|no) \| [^|]+ \|$", readme, re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(GROUP_NAMES)
+    for name, degrees, vanishes in rows:
+        alg = make_group(name)
+        assert degrees == ", ".join(map(str, sorted(alg.polynomials))), name
+        assert vanishes == ("yes" if alg.eta_vanishes else "no"), name
+
+
+@pytest.mark.parametrize("name, vanishes", [
+    ("su2", False), ("so3", False), ("heisenberg3", True), ("torus2", True)])
+def test_eta_vanishes_exactly_where_declared(name, vanishes):
+    alg = make_group(name)
+    assert alg.eta_vanishes is vanishes
+    eta = cartan_three_form(alg)
+    rng = np.random.default_rng(23)
+    values = [eta(alg.random_group(rng), *[alg.random_vector(rng) for _ in range(3)])
+              for _ in range(5)]
+    if vanishes:
+        assert values == [0.0] * 5
+    else:
+        assert min(abs(v) for v in values) > 1e-3
 
 
 # -- memo of step exponentials and group inverses ------------------------------

@@ -243,19 +243,21 @@ def test_poincare_primitive_rejects_a_form_without_a_batch_axis():
 
 def test_heisenberg_eta_vanishes_and_the_primitive_check_says_so():
     # B is zero on the centre, which holds every bracket, so eta is exactly 0
-    # and lifted_jacobi_primitive compares against omega = 0 there
+    # and the primitive checks compare against omega = 0 there; on torus2
+    # every bracket is 0, and both groups declare eta_vanishes
     h3 = make_group("heisenberg3")
     eta = cartan_three_form(h3)
     rng = np.random.default_rng(43)
     for _ in range(6):
         g = h3.random_group(rng)
         assert eta(g, *[h3.random_vector(rng) for _ in range(3)]) == 0.0
-    spec = next(s for s in REGISTRY if s.name == "lifted_jacobi_primitive")
-    for group, noted in (("heisenberg3", True), ("torus2", False)):
-        results = spec.fn(CheckContext(group, {"seed": 42}))
-        assert [r.name for r in results] == ["lifted_jacobi_primitive"]
-        assert all(r.passed for r in results)
-        assert ("eta vanishes identically" in results[0].notes) == noted
+    for check in ("lifted_jacobi_primitive", "equivariant_generators"):
+        spec = next(s for s in REGISTRY if s.name == check)
+        for group in ("heisenberg3", "torus2"):
+            results = spec.fn(CheckContext(group, {"seed": 42}))
+            assert [r.name for r in results] == [check]
+            assert all(r.passed for r in results)
+            assert f"eta vanishes identically on {group}" in results[0].notes
 
 
 def test_su2_jacobiator_at_omega_zero_is_order_one_and_equals_eta():

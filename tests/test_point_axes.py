@@ -252,7 +252,7 @@ def _de_rham_forms(alg, rng, grid):
         "gamma": lf.gamma_change(alpha, lam, bker, grid),
         "eta'": lf.eta_perturbed(alpha, lam, bker, grid),
     }
-    if alg.name == "heisenberg3":
+    if alg.eta_vanishes:    # slow: only on the groups the primitive checks run on
         mu = AlgebroidForm(alg, 1, lambda g, a: -0.5 * alg.pairing(
             alg.maurer_cartan(g, a, "left") + a, x))
         forms["primitive(eta)"] = poincare_primitive(cartan_three_form(alg), sign=-1.0)
