@@ -174,7 +174,7 @@ def curvature(alpha, g, t, v, w):
     d alpha_t the de Rham differential in constant right-trivialized frames."""
     from .forms import AlgebroidForm, de_rham_differential
     alg = alpha.algebra
-    alpha_t = AlgebroidForm(alg, 1, lambda gg, u: alpha.value(t, gg, u), scalar=False)
+    alpha_t = AlgebroidForm(alg, 1, lambda gg, u: alpha.value(t, gg, u))
     d = de_rham_differential(alpha_t)(g, v, w)
     return d + alg.bracket(alpha.value(t, g, v), alpha.value(t, g, w))
 
@@ -215,5 +215,4 @@ class KappaFamily:
     def at(self, t):
         """kappa_t as a g-valued algebroid 1-form."""
         from .forms import AlgebroidForm
-        return AlgebroidForm(self.algebra, 1, lambda g, xi: self.value(t, g, xi),
-                             scalar=False, name="kappa_t")
+        return AlgebroidForm(self.algebra, 1, lambda g, xi: self.value(t, g, xi), name="kappa_t")

@@ -110,13 +110,13 @@ def _simplex_rule(k):
 
 def oneform_zero(algebra):
     return AlgebroidForm(algebra, 1, lambda g, s: np.zeros(algebra.point_axes(g) + (algebra.dim,)),
-                         scalar=False, name="0")
+                         name="0")
 
 
 def oneform_theta_left(algebra):
     """a* theta^L: the left Maurer-Cartan form on the anchor."""
     return AlgebroidForm(algebra, 1, lambda g, s: algebra.Ad(algebra.inv(g), s.v(g)),
-                         scalar=False, name="a*thetaL")
+                         name="a*thetaL")
 
 
 def map_theta_right(algebra, phi, g, v):
@@ -139,7 +139,7 @@ def gauge_transform(phi, beta):
         out = alg.Ad(phi(g), beta(g, sec))
         return out - map_theta_right(alg, phi, g, sec.v(g))
 
-    return AlgebroidForm(alg, 1, value, scalar=False, name=f"Phi.{beta.name}")
+    return AlgebroidForm(alg, 1, value, name=f"Phi.{beta.name}")
 
 
 class GaugePeriodicFamily(InterpolatedFamily):
@@ -161,8 +161,7 @@ class GaugePeriodicFamily(InterpolatedFamily):
         return self.phi(g), -map_theta_right(self.algebra, self.phi, g, sec.v(g))
 
     def at(self, t):
-        return AlgebroidForm(self.algebra, 1, lambda g, sec: self.value(t, g, sec),
-                             scalar=False, name="beta_t")
+        return AlgebroidForm(self.algebra, 1, lambda g, sec: self.value(t, g, sec), name="beta_t")
 
     def gauge_residual(self, t, g, sec):
         lhs = self.value(t + 1.0, g, sec)
@@ -447,7 +446,7 @@ def calibrate_conventions():
     thl = oneform_theta_left(alg)
     c = alg.random_vector(rng, 0.5)
     beta1 = AlgebroidForm(alg, 1, lambda gg, s: thl(gg, s) * 0.4
-                          + scaled(alg.pairing(c, s.v(gg)), c), scalar=False, name="beta1")
+                          + scaled(alg.pairing(c, s.v(gg)), c), name="beta1")
     kappa = KappaFamily(alg)
     beta2 = kappa.at(0.3)
 
@@ -582,8 +581,7 @@ def concat_families(f1, f2, algebra):
             return piecewise(t, np.floor, piece)
 
         def at(self, t):
-            return AlgebroidForm(algebra, 1, lambda g, sec: self.value(t, g, sec),
-                                 scalar=False)
+            return AlgebroidForm(algebra, 1, lambda g, sec: self.value(t, g, sec))
 
     return _Concat()
 

@@ -4,6 +4,11 @@ Usage:
     atiyahcheck verify --group su2 --suite lifting,bott --seed 42 --report out.json
     atiyahcheck list-checks [--group su2] [--suite lifting]
 
+`verify` is configured by its flags alone: --group --suite --grid-t
+--fd-step --seed --report --quiet.  Every result is judged at its
+declared tolerance, and each check fixes its own sample count; --seed
+draws new samples.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error.
 The report's convention_table block is bott.calibrate_conventions(): the
 fixed orientation signs, their sources and the mismatch of the identities
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bott import calibrate_conventions
-from .checks import CONFIG_KEYS, DEFAULTS, SUITES, list_checks, result_keys, run_checks
+from .checks import DEFAULTS, SUITES, list_checks, run_checks, validate_grid
 from .liealg import GROUP_NAMES, validate_fd_step
 
 EXIT_OK = 0
@@ -36,65 +41,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_tol(items):
-    out = {}
-    for item in items or ():
-        if "=" not in item:
-            raise ConfigError(f"tolerance override {item!r} is not key=value")
-        key, val = item.split("=", 1)
-        try:
-            out[key.strip()] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in {item!r}") from exc
-    return out
-
-
-def _read_config_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ConfigError("a config file must hold one JSON object")
-    unknown = sorted(set(config) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; choose from {list(CONFIG_KEYS)}")
-    return config
-
-
 def build_config(args):
-    config = {}
-    if getattr(args, "config", None):
-        config.update(_read_config_file(args.config))
-    # flags win over the config file
-    mapping = {"group": "group", "grid_t": "n_points", "fd_step": "fd_step", "seed": "seed",
-               "samples": "samples", "report": "report_path"}
-    for attr, key in mapping.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            config[key] = val
-    if getattr(args, "suite", None) is not None:
+    """The verify flags as one config: the group, the suites (with --suite),
+    the report path and every key of `checks.DEFAULTS`."""
+    config = {"group": args.group, "n_points": args.grid_t, "fd_step": args.fd_step,
+              "seed": args.seed, "report_path": args.report}
+    if args.suite is not None:
         config["suites"] = _parse_suites(args.suite)
-    tols = config.get("tol_overrides", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tol_overrides must be a JSON object of suite.check: value")
-    tols = dict(tols)
-    tols.update(_parse_tol(getattr(args, "tol", None)))
-    config["tol_overrides"] = tols
     validate_config(config)
     return config
-
-
-def _integer(config, key, default):
-    val = config.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{key} must be an integer, not {val!r}")
-    return val
-
-
-def _number(config, key, default):
-    val = config.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{key} must be a number, not {val!r}")
-    return float(val)
 
 
 def _parse_suites(text):
@@ -108,8 +63,6 @@ def _validate_selection(group, suites):
     if group is not None and group not in GROUP_NAMES:
         raise ConfigError(f"unknown group {group!r}; choose from {GROUP_NAMES}")
     if suites is not None:
-        if not isinstance(suites, list):
-            raise ConfigError("suites must be a list of suite names")
         if not suites:
             raise ConfigError(f"the suite selection names no suite; choose from {SUITES}")
         bad = [s for s in suites if s not in SUITES]
@@ -118,46 +71,21 @@ def _validate_selection(group, suites):
 
 
 def validate_config(config):
-    group = config.get("group", "su2")
-    if group is None:
-        # None selects every group for list-checks; verify runs one
-        raise ConfigError(f"group must be one of {GROUP_NAMES}, not None")
-    _validate_selection(group, config.get("suites"))
-    n = _integer(config, "n_points", DEFAULTS["n_points"])
-    if n < 3 or n % 2 == 0:
-        raise ConfigError("n_points must be an odd integer >= 3")
-    fd = _number(config, "fd_step", DEFAULTS["fd_step"])
+    """Refuse, with ConfigError, what a typed flag can still get wrong."""
+    _validate_selection(config["group"], config.get("suites"))
     try:
-        validate_fd_step(fd)
+        validate_grid(config["n_points"])
+        validate_fd_step(config["fd_step"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    samples = _integer(config, "samples", DEFAULTS["samples"])
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
-    tols = config.get("tol_overrides", {})
-    unknown = sorted(set(tols) - result_keys())
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys {unknown}; a key names a "
-                          "reported result as suite.check")
-    for key in tols:
-        tols[key] = _number(tols, key, None)
-        if not (math.isfinite(tols[key]) and tols[key] >= 0.0):
-            # nan fails every comparison and inf passes any residual
-            raise ConfigError(f"tolerance {key} must be a finite number >= 0")
-    report_path = config.get("report_path", "")
-    if not isinstance(report_path, str):
-        raise ConfigError("report_path must be a string")
-    report_dir = os.path.dirname(os.path.abspath(report_path))
-    if report_path and not os.path.isdir(report_dir):
-        raise ConfigError(f"report_path {report_path!r}: no directory {report_dir!r}")
-    config["group"] = group
-    config["n_points"] = n
-    config["fd_step"] = fd
-    config["samples"] = samples
-    config["seed"] = _integer(config, "seed", DEFAULTS["seed"])
     if config["seed"] < 0:
         # numpy's seed sequence takes only non-negative entropy
         raise ConfigError("seed must be a non-negative integer")
+    report_path = config["report_path"]
+    if report_path:
+        report_dir = os.path.dirname(os.path.abspath(report_path))
+        if not os.path.isdir(report_dir):
+            raise ConfigError(f"report_path {report_path!r}: no directory {report_dir!r}")
 
 
 def _margin(residual, tolerance):
@@ -217,12 +145,11 @@ def _report_payload(config, results, convention_table, calibration_ms):
 def cmd_verify(args):
     try:
         config = build_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     group = config["group"]
-    suites = config.get("suites")
 
     def progress(spec, out):
         if args.quiet:
@@ -236,10 +163,11 @@ def cmd_verify(args):
     start = time.perf_counter()
     convention_table = calibrate_conventions()
     calibration_ms = (time.perf_counter() - start) * 1000.0
-    results = run_checks(group, config, suites=suites, progress=progress)
+    results = run_checks(group, {k: config[k] for k in DEFAULTS},
+                         suites=config.get("suites"), progress=progress)
 
     payload = _report_payload(config, results, convention_table, calibration_ms)
-    report_path = config.get("report_path")
+    report_path = config["report_path"]
     if report_path:
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
@@ -279,18 +207,14 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--group", default=None, help="one of " + ", ".join(GROUP_NAMES))
+    ver.add_argument("--group", default="su2", help="one of " + ", ".join(GROUP_NAMES))
     ver.add_argument("--suite", default=None,
                      help="comma-separated subset of " + ",".join(SUITES))
-    ver.add_argument("--grid-t", dest="grid_t", type=int, default=None,
-                     help="odd number of time-grid nodes (default 201)")
-    ver.add_argument("--fd-step", dest="fd_step", type=float, default=None)
-    ver.add_argument("--tol", action="append", default=None,
-                     metavar="suite.check=value", help="tolerance override")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--samples", type=int, default=None)
+    ver.add_argument("--grid-t", dest="grid_t", type=int, default=DEFAULTS["n_points"],
+                     help="odd number of time-grid nodes, at least 201 (the default)")
+    ver.add_argument("--fd-step", dest="fd_step", type=float, default=DEFAULTS["fd_step"])
+    ver.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     ver.add_argument("--report", default=None, help="JSON report path")
-    ver.add_argument("--config", default=None, help="JSON config file (flags win)")
     ver.add_argument("--quiet", action="store_true")
     ver.set_defaults(func=cmd_verify)
 

@@ -52,27 +52,24 @@ __all__ = [
 class AlgebroidForm:
     """Degree-k multilinear alternating evaluator on k arguments at a base point.
 
-    A scalar form returns a float at one point.  Over the group the
+    A form whose value at one point is 0-d returns it as a float; a
+    g-valued form returns its array.  Over the group the
     evaluator must take leading point axes on its point and arguments and
     return them first, one value per point; a form that drops them makes
     `exterior_derivative` (through `stencil_derivative`) raise ValueError.
     """
 
-    def __init__(self, algebra, degree, evaluator, scalar=True, name=""):
+    def __init__(self, algebra, degree, evaluator, name=""):
         self.algebra = algebra
         self.degree = degree
         self._eval = evaluator
-        self.scalar = scalar
         self.name = name
 
     def __call__(self, m, *args):
         if len(args) != self.degree:
             raise ValueError(f"form of degree {self.degree} got {len(args)} arguments")
         val = np.asarray(self._eval(m, *args), dtype=float)
-        return float(val) if self.scalar and val.ndim == 0 else val
-
-    def zero_like(self):
-        return 0.0 if self.scalar else np.zeros(self.algebra.dim)
+        return float(val) if val.ndim == 0 else val
 
 
 def contract(form, section):
@@ -84,7 +81,7 @@ def contract(form, section):
         return form(g, section, *rest)
 
     return AlgebroidForm(form.algebra, form.degree - 1, evaluator,
-                         scalar=form.scalar, name=f"i_{section.name}({form.name})")
+                         name=f"i_{section.name}({form.name})")
 
 
 def koszul(form, derivative, bracket):
@@ -98,7 +95,7 @@ def koszul(form, derivative, bracket):
     k = form.degree
 
     def evaluator(m, *args):
-        total = form.zero_like()
+        total = 0.0
         for i in range(k + 1):
             rest = args[:i] + args[i + 1:]
             dval = derivative(lambda mm: form(mm, *rest), m, args[i])
@@ -109,8 +106,7 @@ def koszul(form, derivative, bracket):
                 total = total + ((-1) ** (i + j)) * form(m, bracket(args[i], args[j]), *rest)
         return total
 
-    return AlgebroidForm(form.algebra, k + 1, evaluator, scalar=form.scalar,
-                         name=f"d({form.name})")
+    return AlgebroidForm(form.algebra, k + 1, evaluator, name=f"d({form.name})")
 
 
 def along_sections(f, m, section):
@@ -138,7 +134,7 @@ def lie_derivative(form, section):
             return term1(g, *secs)
 
     return AlgebroidForm(form.algebra, form.degree, evaluator,
-                         scalar=form.scalar, name=f"L_{section.name}({form.name})")
+                         name=f"L_{section.name}({form.name})")
 
 
 def de_rham_differential(omega, base=None):
@@ -165,8 +161,7 @@ def pullback_anchor(omega):
     def evaluator(m, *secs):
         return omega(secs[0].base.point(m), *[s.v(m) for s in secs])
 
-    return AlgebroidForm(alg, omega.degree, evaluator, scalar=omega.scalar,
-                         name=f"a*({omega.name})")
+    return AlgebroidForm(alg, omega.degree, evaluator, name=f"a*({omega.name})")
 
 
 def cartan_three_form(algebra):

@@ -9,18 +9,16 @@ import time
 
 from atiyahcheck.checks import CheckContext, REGISTRY, run_checks
 
-BASE_CONFIG = {"n_points": 201, "fd_step": 1e-4, "samples": 4, "seed": 42}
+BASE_CONFIG = {"n_points": 201, "fd_step": 1e-4, "seed": 42}
 
 _SPECS = {spec.name: spec for spec in REGISTRY}
 _CACHE = {}
 
 
-def run_named(group, name, **overrides):
-    key = (group, name, tuple(sorted(overrides.items())))
+def run_named(group, name):
+    key = (group, name)
     if key not in _CACHE:
-        config = dict(BASE_CONFIG)
-        config.update(overrides)
-        ctx = CheckContext(group, config)
+        ctx = CheckContext(group, BASE_CONFIG)
         start = time.perf_counter()
         results = _SPECS[name].fn(ctx)
         elapsed = time.perf_counter() - start
@@ -40,7 +38,7 @@ def test_criterion_01_algebroid_axioms():
     worst = 0.0
     for group in ("su2", "heisenberg3"):
         for name in ("bracket_jacobi", "bracket_leibniz"):
-            results, _ = run_named(group, name, samples=8)
+            results, _ = run_named(group, name)
             worst = max(worst, max(r.residual for r in results))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 30s"
@@ -58,7 +56,7 @@ def test_criterion_02_equivariant_three_form():
 
 
 def test_criterion_03_varpi_spot_values():
-    results, _ = run_named("so3", "varpi_generators", samples=20)
+    results, _ = run_named("so3", "varpi_generators")
     worst = max(r.residual for r in results)
     notes = results[0].notes
     assert "-1.0000000" in notes, notes
@@ -93,7 +91,7 @@ def test_criterion_05_cocycle_suite():
 
 
 def test_criterion_06_fusion():
-    fus, _ = run_named("su2", "fusion_two_form", samples=8)
+    fus, _ = run_named("su2", "fusion_two_form")
     report(6, "mult! varpi = pr1! varpi + pr2! varpi - lambda (8 composable pairs)",
            max(r.residual for r in fus), 1e-4)
     lam, _ = run_named("su2", "lambda_cartan_form")

@@ -124,8 +124,7 @@ def test_cs_values(su2, rng):
     gt = tor.random_group(rng)
     tsecs = [random_section(tor, rng) for _ in range(3)]
     c = tor.random_vector(rng)
-    const = AlgebroidForm(tor, 1, lambda gg, s: scaled(tor.pairing(c, s.v(gg)), c),
-                          scalar=False)
+    const = AlgebroidForm(tor, 1, lambda gg, s: scaled(tor.pairing(c, s.v(gg)), c))
     assert abs(chern_simons(const, gt, tsecs)) < 1e-9
 
 
@@ -221,7 +220,7 @@ def test_gauge_family_seams(su2, rng):
     g = su2.random_group(rng)
     sec = random_section(su2, rng)
     thl = oneform_theta_left(su2)
-    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s), scalar=False)
+    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s))
     e0, e1 = su2.random_vector(rng, 0.4), su2.random_vector(rng, 0.4)
     phi1 = lambda gg, m=su2.exp(e0): m @ gg
     phi2 = lambda gg, m=su2.exp(e1): gg @ m
@@ -301,7 +300,7 @@ def _random_oneform(alg, rng):
     c, d = alg.random_vector(rng, 0.5), alg.random_vector(rng, 0.5)
     return AlgebroidForm(
         alg, 1, lambda g, s: 0.4 * thl(g, s) + scaled(alg.pairing(c, s.v(g)), alg.Ad(g, d))
-        + c, scalar=False)
+        + c)
 
 
 @pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])

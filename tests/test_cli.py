@@ -71,38 +71,6 @@ def test_suite_selection_naming_no_suite_is_refused(monkeypatch, capsys, command
     assert not ran
 
 
-def test_config_suites_naming_no_suite_is_refused(tmp_path, monkeypatch, capsys):
-    from atiyahcheck import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"group": "torus2", "suites": []}')
-    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
-    assert "names no suite" in capsys.readouterr().err
-    assert not ran
-
-
-def test_config_null_group_is_refused(tmp_path, monkeypatch, capsys):
-    # None passed the selection rules (every group, for list-checks) and
-    # verify died in make_group(None) with a traceback and exit 1
-    from atiyahcheck import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"group": null}')
-    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
-    assert "group must be one of" in capsys.readouterr().err
-    assert not ran
-    # a --group flag still wins over the file
-    assert cli.main(["verify", "--config", str(cfg), "--group", "torus2", "--quiet"]) == 0
-
-
-def test_config_error_bad_tol():
-    assert main(["verify", "--tol", "nonsense"]) == 2
-
-
 @pytest.mark.parametrize("fd_step, code", [("1e-2", 2), ("5e-3", 2), ("1e-5", 2), ("1e-6", 2),
                                            ("3e-3", 0), ("2e-5", 0)])
 def test_fd_step_range(monkeypatch, fd_step, code):
@@ -114,28 +82,30 @@ def test_fd_step_range(monkeypatch, fd_step, code):
     assert cli.main(["verify", "--group", "su2", "--fd-step", fd_step, "--quiet"]) == code
 
 
-def test_t_step_flag_is_refused(monkeypatch):
-    # the time step is a constant of the construction, sections.T_STEP
+@pytest.mark.parametrize("flag", [
+    ["--t-step", "1e-5"],    # the time step is a constant of the construction, sections.T_STEP
+    ["--samples", "8"],      # each check fixes its own sample count
+    ["--tol", "forms.eta_value=1e-6"],   # each result is judged at its declared tolerance
+    ["--config", "c.json"],  # the flags are the whole configuration
+], ids=" ".join)
+def test_t_step_flag_is_refused(monkeypatch, flag):
     from atiyahcheck import cli
 
     ran = []
     monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--group", "torus2", "--t-step", "1e-5", "--quiet"])
+        cli.main(["verify", "--group", "torus2", *flag, "--quiet"])
     assert exc.value.code == 2
     assert not ran
 
 
-def test_t_step_config_key_is_unknown(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("grid_t, code", [("199", 2), ("200", 2), ("201", 0), ("401", 0)])
+def test_grid_t_range(monkeypatch, grid_t, code):
+    # at 199 su2's qham.kernel_loop_velocity passes with 0.4% to spare; at 197 it fails
     from atiyahcheck import cli
 
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"t_step": 1e-5}')
-    assert cli.main(["verify", "--group", "torus2", "--config", str(cfg), "--quiet"]) == 2
-    assert "unknown config keys ['t_step']" in capsys.readouterr().err
-    assert not ran
+    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
+    assert cli.main(["verify", "--group", "su2", "--grid-t", grid_t, "--quiet"]) == code
 
 
 def test_report_in_a_missing_directory_is_refused_before_any_check(tmp_path, monkeypatch):
@@ -158,22 +128,29 @@ def test_report_write_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "cannot write the report" in capsys.readouterr().err
 
 
-def test_context_refuses_an_unknown_key():
+@pytest.mark.parametrize("key", ["fd_stp", "samples", "tol_overrides"])
+def test_context_refuses_an_unknown_key(key):
     # a misspelt key ran silently at the default step
-    with pytest.raises(ValueError, match="fd_stp"):
-        CheckContext("su2", {"fd_stp": 1e-3})
+    with pytest.raises(ValueError, match=key):
+        CheckContext("su2", {key: 1e-3})
 
 
-def test_cli_and_context_share_the_defaults():
+def test_context_refuses_a_coarse_grid():
+    with pytest.raises(ValueError, match="n_points"):
+        CheckContext("su2", {"n_points": 199})
+
+
+def test_cli_and_context_share_the_defaults(monkeypatch):
+    from atiyahcheck import cli
     from atiyahcheck.checks import DEFAULTS
-    from atiyahcheck.cli import validate_config
 
-    config = {}
-    validate_config(config)
-    assert {key: config[key] for key in DEFAULTS} == DEFAULTS
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda group, config, **k: seen.append(config) or [])
+    assert cli.main(["verify", "--group", "torus2", "--quiet"]) == 0
+    assert seen == [DEFAULTS]
     ctx = CheckContext("torus2", {})
-    assert (ctx.grid.n_points, ctx.algebra.fd_step, ctx.samples, ctx.seed) == (
-        DEFAULTS["n_points"], DEFAULTS["fd_step"], DEFAULTS["samples"], DEFAULTS["seed"])
+    assert (ctx.grid.n_points, ctx.algebra.fd_step, ctx.seed) == (
+        DEFAULTS["n_points"], DEFAULTS["fd_step"], DEFAULTS["seed"])
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-3"]])
@@ -184,49 +161,6 @@ def test_negative_seed_flag(monkeypatch, argv):
     ran = []
     monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
     assert cli.main(["verify", "--group", "torus2", *argv, "--quiet"]) == 2
-    assert not ran
-
-
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
-def test_tolerance_must_be_finite_non_negative(monkeypatch, value):
-    # nan failed the check silently (exit 1) and inf passed any residual
-    from atiyahcheck import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    assert cli.main(["verify", "--group", "torus2", "--suite", "fusion",
-                     "--tol", f"fusion.fusion_two_form={value}", "--quiet"]) == 2
-    assert not ran
-
-
-def test_zero_tolerance_accepted(monkeypatch):
-    from atiyahcheck import cli
-
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [])
-    assert cli.main(["verify", "--group", "torus2", "--suite", "fusion",
-                     "--tol", "fusion.fusion_two_form=0", "--quiet"]) == 0
-
-
-@pytest.mark.parametrize("content", [
-    '{"seed": -3}',            # negative seed
-    '{"tol_overrides": {"forms.eta_value": NaN}}',
-    '{"tol_overrides": {"forms.eta_value": -1e-6}}',
-    '{"tol_overrides": {"forms.eta_value": Infinity}}',
-    '{"fd_step": "abc"}',      # not a number
-    '[1, 2]',                  # not an object
-    '{"sead": 3}',             # unknown key
-    '{"n_points": 201.7}',     # not an integer
-    '{"samples": 2.5}',        # not an integer
-    '{"tol_overrides": {"forms.eta_value": "tight"}}',
-])
-def test_bad_config_file(tmp_path, monkeypatch, content):
-    from atiyahcheck import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
-    assert cli.main(["verify", "--config", str(cfg), "--quiet"]) == 2
     assert not ran
 
 
@@ -308,41 +242,6 @@ def test_every_body_is_a_generator():
     assert [s.name for s in REGISTRY if not inspect.isgeneratorfunction(s.body)] == []
 
 
-def test_config_error_unknown_tol_key(monkeypatch):
-    from atiyahcheck import cli
-
-    ran = []
-    monkeypatch.setattr(cli, "run_checks", lambda *a, **k: ran.append(1) or [])
-    assert cli.main(["verify", "--group", "torus2", "--suite", "forms",
-                     "--tol", "forms.no_such_check=1e-30", "--quiet"]) == 2
-    assert not ran  # rejected before any check runs
-
-
-def test_tol_key_of_sub_result_accepted(monkeypatch):
-    from atiyahcheck import cli
-
-    seen = []
-    monkeypatch.setattr(cli, "run_checks",
-                        lambda group, config, **k: seen.append(config) or [])
-    assert cli.main(["verify", "--group", "su2", "--suite", "qham",
-                     "--tol", "qham.kernel_loop_velocity=2e-4", "--quiet"]) == 0
-    assert seen[0]["tol_overrides"] == {"qham.kernel_loop_velocity": 2e-4}
-
-
-@pytest.mark.parametrize("group, check, key", [
-    ("torus2", "pressley_segal", "bott.pressley_segal_closed"),
-    ("torus2", "eta_value", "forms.eta_value"),
-    ("su2", "cubic_polynomial_suite", "bott.cubic_polynomial_suite"),
-])
-def test_tol_override_is_the_result_tolerance(group, check, key):
-    # every result, sub-results and early returns included, takes its --tol override
-    spec = next(s for s in REGISTRY if s.name == check)
-    ctx = CheckContext(group, {"samples": 2, "tol_overrides": {key: 3e-3}})
-    expected = {f"{spec.suite}.{name}": tol for name, _, tol in spec.results}
-    expected[key] = 3e-3
-    assert {f"{r.suite}.{r.name}": r.tolerance for r in spec.fn(ctx)} == expected
-
-
 def test_verify_report_schema(tmp_path):
     report = tmp_path / "out.json"
     code = main(["verify", "--group", "torus2", "--suite", "courant",
@@ -372,6 +271,17 @@ def test_verify_report_schema(tmp_path):
             assert check["margin"] == residual / tol
         else:
             assert check["margin"] == (0.0 if residual == 0.0 else None)
+
+
+def test_every_result_is_judged_at_its_declared_tolerance(tmp_path):
+    report = tmp_path / "out.json"
+    assert main(["verify", "--group", "torus2", "--suite", "forms,courant", "--quiet",
+                 "--report", str(report)]) == 0
+    declared = {(spec.suite, name): tol for spec in REGISTRY for name, _, tol in spec.results}
+    checks = json.loads(report.read_text())["checks"]
+    assert checks
+    for c in checks:
+        assert c["tolerance"] == declared[c["suite"], c["check_name"]]
 
 
 def test_calibration_runs_before_the_checks(tmp_path, monkeypatch):
@@ -413,19 +323,6 @@ def test_margin_of_zero_tolerance():
     assert _margin(2e-5, 1e-4) == pytest.approx(0.2)
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"group": "su2", "suites": ["courant"],
-                               "samples": 2, "seed": 7}))
-    report = tmp_path / "out.json"
-    code = main(["verify", "--config", str(cfg), "--group", "torus2",
-                 "--quiet", "--report", str(report)])
-    assert code == 0
-    data = json.loads(report.read_text())
-    assert data["config_echo"]["group"] == "torus2"  # flag wins
-    assert data["config_echo"]["seed"] == 7          # file value kept
-
-
 def test_report_determinism(tmp_path):
     payloads = []
     for i in range(2):
@@ -437,13 +334,6 @@ def test_report_determinism(tmp_path):
         data.pop("run")
         payloads.append(json.dumps(data, sort_keys=True))
     assert payloads[0] == payloads[1]
-
-
-def test_tolerance_override_can_fail(tmp_path):
-    # an absurdly tight override must flip the exit code to 1
-    code = main(["verify", "--group", "torus2", "--suite", "fusion",
-                 "--tol", "fusion.fusion_two_form=1e-18", "--quiet"])
-    assert code == 1
 
 
 def test_readme_table_matches_registry():

@@ -65,11 +65,11 @@ def test_pullback_anchor_values(su2, rng):
     g = su2.random_group(rng)
     xi = random_section(su2, rng)
     # a* theta^R and a* theta^L evaluate the Maurer-Cartan forms on anchors
-    thr = AlgebroidForm(su2, 1, lambda gg, v: np.asarray(v), scalar=False)
+    thr = AlgebroidForm(su2, 1, lambda gg, v: np.asarray(v))
     got = pullback_anchor(thr)(g, xi)
     assert np.allclose(got, xi.v(g))
     thl = AlgebroidForm(su2, 1,
-                        lambda gg, v: su2.maurer_cartan(gg, v, "left"), scalar=False)
+                        lambda gg, v: su2.maurer_cartan(gg, v, "left"))
     got = pullback_anchor(thl)(g, xi)
     assert np.allclose(got, su2.Ad(np.linalg.inv(g), xi.v(g)))
 
@@ -141,8 +141,7 @@ def test_eta_equivariant_degree_one(su2, rng):
 def test_de_rham_differential_mc_equation(su2, rng):
     # d theta^L = -(1/2)[theta^L, theta^L] in constant frames
     g = su2.random_group(rng)
-    thl = AlgebroidForm(su2, 1, lambda gg, v: su2.maurer_cartan(gg, v, "left"),
-                        scalar=False)
+    thl = AlgebroidForm(su2, 1, lambda gg, v: su2.maurer_cartan(gg, v, "left"))
     d = de_rham_differential(thl)
     v, w = su2.random_vector(rng), su2.random_vector(rng)
     lv = su2.maurer_cartan(g, v, "left")

@@ -78,7 +78,7 @@ def _group_forms(alg, rng):
     cases["d(d f)"] = (exterior_derivative(exterior_derivative(f)),
                        _anchor_oracle(_anchor_oracle(f)))
     lie = AlgebroidForm(alg, 1, lambda g, chi: _anchor_oracle(kappa)(g, xi, chi)
-                        + _anchor_oracle(contract(kappa, xi))(g, chi), scalar=False)
+                        + _anchor_oracle(contract(kappa, xi))(g, chi))
     cases["L_xi kappa_t"] = (lie_derivative(kappa, xi), lie)
     return cases
 

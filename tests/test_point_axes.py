@@ -244,7 +244,7 @@ def _de_rham_forms(alg, rng, grid):
         alg, lambda g, v: scaled(alg.pairing(c1, v), c2) + 0.2 * alg.Ad(g, v))
     bker = random_twisted_loop(alg, rng, scale=0.4)
     forms = {
-        "alpha_t": AlgebroidForm(alg, 1, lambda g, u: alpha.value(0.37, g, u), scalar=False),
+        "alpha_t": AlgebroidForm(alg, 1, lambda g, u: alpha.value(0.37, g, u)),
         "eta": cartan_three_form(alg),
         "eta_G deg-1": equivariant_cartan(alg, x)[1],
         "coordinate omega": _coordinate_omega(alg),

@@ -208,7 +208,7 @@ def _sections_and_families(su2, rng):
         (lam.section(lambda gg: w), g), (fusion.concat(pair, g2, g1), g2 @ g1),
     ]
     thl = bott.oneform_theta_left(su2)
-    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s), scalar=False)
+    beta0 = AlgebroidForm(su2, 1, lambda gg, s: 0.4 * thl(gg, s))
     phi1 = lambda gg, m=su2.exp(su2.random_vector(rng, 0.4)): m @ gg
     phi2 = lambda gg, m=su2.exp(su2.random_vector(rng, 0.4)): gg @ m
     f1 = bott.GaugePeriodicFamily(su2, beta0, phi1)
