@@ -501,22 +501,14 @@ def chern_simons(beta, g, args):
     alg = beta.algebra
     data = _PairData(alg, [beta], args, g)
     total = 0.0
-    # (2,1) shuffle: B(d beta(i,j), beta(k))
-    for (i, j, k), sign in _shuffles_21():
-        total += 0.5 * sign * alg.pairing(data.dbeta(0, i, j), data.value(0, k))
-    # (1,2) shuffle: B(beta(i), [beta,beta](j,k)) with [beta,beta](a,b) = 2[b(a),b(b)]
-    for (i, j, k), sign in _shuffles_12():
+    # (2,1) shuffles: B(d beta(i,j), beta(k))
+    for (i, j), (k,) in _shuffle_blocks((0, 1, 2), (2, 1)):
+        total += 0.5 * _perm_sign((i, j, k)) * alg.pairing(data.dbeta(0, i, j), data.value(0, k))
+    # (1,2) shuffles: B(beta(i), [beta,beta](j,k)) with [beta,beta](a,b) = 2[b(a),b(b)]
+    for (i,), (j, k) in _shuffle_blocks((0, 1, 2), (1, 2)):
         br = 2.0 * alg.bracket(data.value(0, j), data.value(0, k))
-        total += (1.0 / 6.0) * sign * alg.pairing(data.value(0, i), br)
+        total += (1.0 / 6.0) * _perm_sign((i, j, k)) * alg.pairing(data.value(0, i), br)
     return total
-
-
-def _shuffles_21():
-    return (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 2, 0), 1.0))
-
-
-def _shuffles_12():
-    return (((0, 1, 2), 1.0), ((1, 0, 2), -1.0), ((2, 0, 1), 1.0))
 
 
 def q_functional(family, g, a1, a2, grid):

@@ -170,7 +170,7 @@ def test_non_finite_sample_fails():
 
     def body(ctx, rng):
         for num, den in ((1.0, 2.0), (0.0, 0.0), (1.0, 4.0)):
-            yield np.float64(num) / np.float64(den)
+            yield np.float64(num) / np.float64(den), 0.0
 
     spec = CheckSpec("algebroid", "nan_probe", body, None,
                      (("nan_probe", "probe", 1.0), ("nan_probe_sub", "sub-probe", 1.0)))
@@ -189,26 +189,51 @@ def _probe(body, sub_results=()):
     return spec.fn(CheckContext("torus2", {}))
 
 
-@pytest.mark.parametrize("samples, index, value", [
-    ((1e-3, float("nan"), 0.0), 1, "nan"),   # max(worst, nan) kept worst
-    ((-1.0,), 0, "-1.0"),                    # the 0.0 floor hid a negative residual
-    ((0.5, np.float64(-2e-3)), 1, "-0.002"),
-])
-def test_nan_or_negative_sample_fails(samples, index, value):
+def test_sides_form_the_residual():
+    # abs of a 0-d difference, the 2-norm of any other, bit for bit
+    a, b = np.float64(0.1) * 3, 0.3
+    u, v = np.array([0.1, 0.2, 0.7]) * 3, np.array([0.3, 0.6, 2.1])
+    m = np.arange(6.0).reshape(2, 3) / 7
+
     def body(ctx, rng):
-        yield from samples
+        yield a, b
+        yield "probe_vec", u, v
+        yield "probe_vec", m, 0.0
+        yield "probe_count", 5, 3
+        yield "probe_count", -np.float64(2.5), 0.0
+
+    own, vec, count = _probe(body, [("probe_vec", "vector", 2.0),
+                                    ("probe_count", "count", 3.0)])
+    assert own.residual.hex() == abs(a - b).hex() and own.n_samples == 1
+    norms = [np.linalg.norm(u - v), np.linalg.norm(m)]
+    assert vec.residual.hex() == max(norms).hex() and vec.n_samples == 2
+    assert (count.residual, count.n_samples, count.worst_sample) == (2.5, 2, 1)
+    assert own.passed and vec.passed and count.passed
+
+
+@pytest.mark.parametrize("sides", [
+    (float("nan"), 0.0),
+    (0.25, np.float64("nan")),
+    (np.array([1.0, np.nan]), np.zeros(2)),
+], ids=["lhs", "rhs", "array"])
+def test_nan_side_fails(sides):
+    # max(worst, nan) would keep worst: a NaN side fails the result instead
+    def body(ctx, rng):
+        yield 1e-3, 0.0
+        yield sides
+        yield 0.0, 0.0
         return {"notes": "extra"}
 
     [r] = _probe(body)
     assert not r.passed and np.isnan(r.residual)
-    assert r.worst_sample == index and r.n_samples == len(samples)
-    assert r.notes == f"sample {index} is {value}; extra"
+    assert r.worst_sample == 1 and r.n_samples == 3
+    assert r.notes == "sample 1 is nan; extra"
 
 
 def test_worst_sample_is_first_maximum():
     def body(ctx, rng):
-        yield from (0.0, 2e-3, 1e-3, 2e-3)
-        yield "probe_sub", 0.0
+        yield from ((r, 0.0) for r in (0.0, 2e-3, 1e-3, 2e-3))
+        yield "probe_sub", 0.0, 0.0
 
     own, sub = _probe(body, [("probe_sub", "sub-probe", 1.0)])
     assert (own.residual, own.n_samples, own.worst_sample) == (2e-3, 4, 1)
@@ -219,7 +244,7 @@ def test_worst_sample_is_first_maximum():
 def test_missing_sub_result_fails():
     # a declared result with no sample used to crash verify with a KeyError
     def body(ctx, rng):
-        yield 1e-3
+        yield 1e-3, 0.0
 
     own, sub = _probe(body, [("probe_sub", "sub-probe", 1.0)])
     assert own.passed and own.residual == 1e-3
@@ -230,8 +255,8 @@ def test_missing_sub_result_fails():
 def test_undeclared_sub_result_raises():
     # a residual under an undeclared name used to be dropped silently
     def body(ctx, rng):
-        yield 1e-3
-        yield "probe_typo", 2e-3
+        yield 1e-3, 0.0
+        yield "probe_typo", 2e-3, 0.0
 
     with pytest.raises(ValueError, match=r"algebroid\.probe.*'probe_typo'"):
         _probe(body, [("probe_sub", "sub-probe", 1.0)])

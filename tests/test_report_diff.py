@@ -44,6 +44,15 @@ def test_moved_result_is_listed(tmp_path):
     assert lines[1:] == ["  courant.isotropy: 4e-15 -> 5e-15  tol 1e-10  margin move 1e-05"]
 
 
+def test_moved_fields_are_named_when_the_residual_stays(tmp_path):
+    parent = [_result("lifting", "obstruction", 0.0, 1e-4)]
+    change = [{**parent[0], "notes": "dim 2 < 3", "n_samples": 3}]
+    code, lines = _diff(tmp_path, parent, change)
+    assert code == 0
+    assert lines == ["total 1 results, 0 identical",
+                     "  lifting.obstruction: 0.0 (moved n_samples, notes)  tol 0.0001  margin move 0"]
+
+
 def test_pass_flip_or_other_result_set_fails(tmp_path):
     parent = [_result("forms", "stokes", 1e-9, 1e-6), _result("lifting", "dsigma_dj", 2e-6, 1e-5)]
     flipped = [_result("forms", "stokes", 1e-9, 1e-6),

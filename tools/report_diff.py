@@ -6,9 +6,11 @@
 Prints `total N results, M identical`, where a result is identical when
 every reported field of it (residual, tolerance, margin, pass, params,
 notes, n_samples, worst_sample, identity) is equal in both reports.  Each
-moved result follows on its own line: `suite.check`, both residual reprs,
-the tolerance and the margin move |margin_change - margin_parent|.  The
-`run` block (environment and runtimes) is not compared.
+moved result follows on its own line: `suite.check`, both residual reprs
+(or, where the residual did not move, the residual and the fields that
+did, as `0.0 (moved notes)`), the tolerance and the margin move
+|margin_change - margin_parent|.  The `run` block (environment and
+runtimes) is not compared.
 
 Given two directories, it compares every `*.json` report that both hold,
 matched by file name: the grand total comes first, then one line
@@ -51,7 +53,12 @@ def _compare(parent_path, change_path):
         flips += flip
         tol = (f"{new['tolerance']:g}" if old["tolerance"] == new["tolerance"]
                else f"{old['tolerance']:g} -> {new['tolerance']:g}")
-        lines.append(f"  {key[0]}.{key[1]}: {old['residual']} -> {new['residual']}"
+        if old["residual"] != new["residual"]:
+            what = f"{old['residual']} -> {new['residual']}"
+        else:
+            fields = [f for f in {**old, **new} if old.get(f) != new.get(f)]
+            what = f"{new['residual']} (moved {', '.join(fields)})"
+        lines.append(f"  {key[0]}.{key[1]}: {what}"
                      f"  tol {tol}  margin move {_margin_move(old, new)}"
                      + ("  PASS FLIPPED" if flip else ""))
     for label, keys in (("only in parent", parent.keys() - change.keys()),
