@@ -54,10 +54,9 @@ def bracket(xi, zeta):
     carries a composed analytic time derivative when both inputs do.
 
     Each derivative term is one `stencil_derivative` call, which over the
-    group evaluates the inner section once on its whole (4, *point axes)
-    stencil stack; the result takes point axes in turn, so the stencils of
-    a nested bracket run as stacks too.  Over a conjugacy class or a slot
-    of G x G the stencil is evaluated point by point.
+    group or a slot of G x G evaluates the inner section once on its whole
+    stencil; the result takes point axes in turn, so the stencils of a
+    nested bracket run as stacks too.
     """
     alg, base = xi.algebra, xi.base
 

@@ -120,14 +120,15 @@ def oneform_theta_left(algebra):
 
 
 def map_theta_right(algebra, phi, g, v):
-    """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients."""
-    d = algebra.directional(phi, g, v)
+    """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients; phi maps a stack
+    of points to the stack of their images, so D_v Phi is one stencil call."""
+    d = algebra.stencil_derivative(phi, g, v)
     return algebra.from_matrix(d @ algebra.inv(phi(g)))
 
 
 def map_theta_left(algebra, phi, g, v):
-    """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients."""
-    d = algebra.directional(phi, g, v)
+    """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients, phi as above."""
+    d = algebra.stencil_derivative(phi, g, v)
     return algebra.from_matrix(algebra.inv(phi(g)) @ d)
 
 

@@ -240,7 +240,7 @@ def check_dirderiv(ctx, rng):
     for _ in range(4):
         g = alg.random_group(rng)
         c, v = alg.random_vector(rng), alg.random_vector(rng)
-        got = alg.directional(lambda gg: alg.Ad(gg, c), g, v)
+        got = alg.stencil_derivative(lambda gg: alg.Ad(gg, c), g, v)
         want = alg.bracket(v, alg.Ad(g, c))
         scale = max(1.0, np.linalg.norm(want))
         yield np.linalg.norm(got - want) / scale, 0.0
@@ -319,8 +319,8 @@ def check_bracket_leibniz(ctx, rng):
             dprofile=lambda gg, t: _times(hfun(gg), t, ze.dprofile(gg, t)))
         t0 = rng.uniform(0.15, 0.85)
         lhs = albr.bracket(xi, hz).profile(g, t0)
-        dh = alg.directional(lambda gg: np.array(hfun(gg)), g, xi.v(g))
-        rhs = hfun(g) * albr.bracket(xi, ze).profile(g, t0) + float(dh) * ze.profile(g, t0)
+        dh = alg.stencil_derivative(hfun, g, xi.v(g))
+        rhs = hfun(g) * albr.bracket(xi, ze).profile(g, t0) + dh * ze.profile(g, t0)
         yield lhs, rhs
 
 
@@ -333,8 +333,8 @@ def check_anchor_morphism(ctx, rng):
         xi, ze = ctx.random_sections(rng, 2)
         got = albr.bracket(xi, ze).v(g)
         want = -alg.bracket(xi.v(g), ze.v(g))
-        want = want + alg.directional(ze.v, g, xi.v(g))
-        want = want - alg.directional(xi.v, g, ze.v(g))
+        want = want + alg.stencil_derivative(ze.v, g, xi.v(g))
+        want = want - alg.stencil_derivative(xi.v, g, ze.v(g))
         yield got, want
 
 
@@ -839,12 +839,19 @@ def check_eta_data_route(ctx, rng):
         yield etad(g, *vs), eta(g, *vs)
 
 
+def _zero_two_form(alg):
+    """The 2-form 0, over point axes."""
+    return fm.AlgebroidForm(alg, 2, lambda g, a, b: np.zeros(alg.point_axes(g)), name="0")
+
+
 def _primitive_of_minus_eta(alg):
-    """The radial-homotopy primitive omega of -eta in exponential coordinates,
-    and the report extras, which say when it is the primitive of 0."""
-    omega = poincare_primitive(fm.cartan_three_form(alg), sign=-1.0)
-    note = f"eta vanishes identically on {alg.name}, so omega is the primitive of 0"
-    return omega, {"notes": note} if alg.eta_vanishes else {}
+    """A primitive omega of -eta and the report extras: the zero 2-form, with a
+    note, where eta vanishes identically; else the radial-homotopy primitive
+    in exponential coordinates."""
+    if alg.eta_vanishes:
+        note = f"eta vanishes identically on {alg.name}, so omega is the primitive of 0"
+        return _zero_two_form(alg), {"notes": note}
+    return poincare_primitive(fm.cartan_three_form(alg), sign=-1.0), {}
 
 
 @_register("lifting", "lifted_jacobi_primitive", tol=1e-4, groups=("heisenberg3", "torus2"),
@@ -868,27 +875,22 @@ def _coordinate_omega(alg):
         a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), name="coordinate omega")
 
 
-@_register("lifting", "lifted_jacobi_obstruction", tol=1e-4,
-           groups=("su2", "heisenberg3", "torus2"),
+@_register("lifting", "lifted_jacobi_obstruction", tol=1e-4, groups=("su2", "heisenberg3"),
            identity="scalar Jacobiator of the lifted bracket = (d omega + eta)(X1,X2,X3)")
 def check_lifted_jacobi_obstruction(ctx, rng):
     alg = ctx.algebra
     alpha = albr.build_alpha(alg)
     eta = fm.cartan_three_form(alg)
     notes = []
-    for label, om in (("omega=0", None), ("coordinate omega", _coordinate_omega(alg))):
+    for label, om in (("omega=0", _zero_two_form(alg)),
+                      ("coordinate omega", _coordinate_omega(alg))):
         g = alg.random_group(rng, scale=0.5)
         vs = [alg.random_vector(rng) for _ in range(3)]
         fields = [constant_field(alg, v) for v in vs]
         jac = lf.lifted_jacobiator_scalar(om, alpha, fields, g, ctx.coarse_grid)
-        target = eta(g, *vs)
-        if om is not None:
-            target += fm.de_rham_differential(om)(g, *vs)
+        target = eta(g, *vs) + fm.de_rham_differential(om)(g, *vs)
         yield jac, target
         notes.append(f"{label}: jacobiator {jac:.6g} vs {target:.6g}")
-    if alg.dim < 3:
-        notes.append(f"dim {alg.dim} < 3: every 3-form vanishes, so both sides are 0 "
-                     "for any omega")
     return {"notes": "; ".join(notes)}
 
 
@@ -1806,7 +1808,8 @@ def check_abelian_collapse(ctx, rng):
     g = alg.random_group(rng)
     vs = [alg.random_vector(rng) for _ in range(3)]
     fields = [constant_field(alg, v) for v in vs]
-    jac = lf.lifted_jacobiator_scalar(None, albr.build_alpha(alg), fields, g, ctx.coarse_grid)
+    jac = lf.lifted_jacobiator_scalar(_zero_two_form(alg), albr.build_alpha(alg), fields, g,
+                                      ctx.coarse_grid)
     yield jac, 0.0
 
 

@@ -15,16 +15,16 @@ the group theta^R([X, Y]) = -[v, w], over a slot of G x G the same row by
 row, as fusion.mult_eta_residual uses it).  Either way each derivative
 takes its base's step fd_step (see sections); no differential takes one.
 
-A form on G, de Rham or algebroid, takes leading point axes on its point
-(and on any tangent that carries them) and returns one value per point,
-each as it would be computed alone, so each derivative term of its
-differential is one call of the form on the whole Richardson stencil: the
-base's `stencil_derivative`, in `de_rham_differential` and, along the
-argument sections, in `exterior_derivative`.  A form that drops its point
-axes makes that call raise ValueError.  The Bott integrals map themselves
-over the point axes one point at a time (see `bott._upsilon_core`), and a
-conjugacy class or a slot of G x G evaluates its stencil one point at a
-time.
+A form on G or on a slot of G x G, de Rham or algebroid, takes leading
+point axes on its point (and on any tangent that carries them) and
+returns one value per point, each as it would be computed alone, so each
+derivative term of its differential is one call of the form on the whole
+Richardson stencil: the base's `stencil_derivative`, in
+`de_rham_differential` and, along the argument sections, in
+`exterior_derivative`.  A form that drops its point axes makes that call
+raise ValueError.  The Bott integrals map themselves over the point axes
+(`bott._upsilon_core`); the conjugacy class is the one base evaluated
+point by point (see liealg).
 """
 
 from __future__ import annotations
@@ -143,11 +143,10 @@ def de_rham_differential(omega, base=None):
     group theta^R([X, Y]) = -[v, w]).
 
     Each derivative term is one `stencil_derivative` call of the base.  Over
-    the group that calls omega once, on the (4, *point axes) stencil stack,
-    so omega must take leading point axes and return them first; the
-    differential then takes point axes in turn, and the result is
-    bit-identical to differentiating omega point by point with
-    `LieAlgebra.directional`.
+    the group or a slot that calls omega once, on the whole stencil, so
+    omega must take leading point axes and return them first; the
+    differential then takes point axes in turn, bit-identical to
+    differentiating omega point by point.
     """
     base = omega.algebra if base is None else base
     return koszul(omega, base.stencil_derivative, base.frame_bracket)

@@ -4,14 +4,15 @@ Pairs live over the product group with points m = (g2, g1) and the
 composite g2 g1 (concatenation runs right to left).  Each slot of G x G is
 a base of sections (Phi = pr_2 or pr_1, see sections.AlgebroidSection),
 and a pair is a tuple (xi2, xi1) of sections over the two slots that share
-one tangent field, the two-row (v2, v1) on G x G.  So the template, seam,
-bracket and varpi of a pair are the group's own, run once per slot.  A
-slot's geometry is the pair of group stencils (`Slot.stencil`) and the
-group's frame bracket row by row (`Slot.frame_bracket`), so
-forms.de_rham_differential over a slot is the de Rham differential of
-G x G that mult_eta_residual takes of lambda.  The fusion defect is
-lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1 the (g2)-slot, a
-convention pinned by the closed-form generator identity.
+one tangent field, the two rows (v2, v1) on G x G, shape point axes +
+(2, dim).  So the template, seam, bracket and varpi of a pair are the
+group's own, run once per slot.  A slot's geometry is the pair of group
+stencils (`Slot.stencil`) and the group's frame bracket row by row, and
+its derivative is the group's stencil_derivative on both stencils at
+once, so forms.de_rham_differential over a slot is the de Rham
+differential of G x G that mult_eta_residual takes of lambda.  The
+fusion defect is lambda = (1/2) pr1* theta^L . pr2* theta^R with pr1 the
+(g2)-slot, a convention pinned by the closed-form generator identity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .forms import AlgebroidForm, de_rham_differential
 from .sections import AlgebroidSection, piecewise, template_section
 from . import algebroid as albr
-from .liealg import _derivative
+from .liealg import LieAlgebra
 from .lifting import canonical_two_form
 
 __all__ = [
@@ -45,45 +46,40 @@ __all__ = [
 class Slot:
     """One factor of G x G as a base: Phi(g2, g1) = g2 (index 0) or g1 (index 1).
 
-    Tangents of G x G are two rows (w2, w1) of right-trivialized coefficients;
-    derivatives take the group's step, algebra.fd_step.
+    A point is a pair (g2, g1) of group points with the same point axes; a
+    tangent holds the rows (w2, w1) of right-trivialized coefficients on
+    axis -2.  Derivatives take the group's step and stencil_derivative body.
     """
+
+    stencil_derivative = LieAlgebra.stencil_derivative
 
     def __init__(self, algebra, index):
         self.algebra = algebra
         self.index = index
+        self.fd_step = algebra.fd_step
 
     def point(self, m):
         return m[self.index]
 
     def push_tangent(self, m, u):
-        return u[self.index]
+        return u[..., self.index, :]
 
     def point_axes(self, m):
         return np.shape(m[0])[:-2]
 
     def stencil(self, m, u, h):
-        """The Richardson stencil of m = (g2, g1) along u = (w2, w1): the points
-        (exp(s w2) g2, exp(s w1) g1), s in stencil_steps(h)."""
+        """The Richardson stencil of m = (g2, g1) along u = (w2, w1): the pair of
+        group stencils (exp(s w2) g2, exp(s w1) g1), s in stencil_steps(h)."""
         alg = self.algebra
-        e2 = alg.step_exponentials(alg.to_matrix(u[0]), h)
-        e1 = alg.step_exponentials(alg.to_matrix(u[1]), h)
-        return [(s2 @ m[0], s1 @ m[1]) for s2, s1 in zip(e2, e1)]
+        return alg.stencil(m[0], u[..., 0, :], h), alg.stencil(m[1], u[..., 1, :], h)
 
     def frame_bracket(self, u, w):
         """The group's frame bracket row by row: (-[u2, w2], -[u1, w1])."""
-        return -np.array([self.algebra.bracket(u[0], w[0]), self.algebra.bracket(u[1], w[1])])
-
-    def stencil_derivative(self, func, m, u):
-        """Richardson derivative along the product-group direction u = (w2, w1),
-        evaluating func at the stencil points one at a time."""
-        h = self.algebra.fd_step
-        return _derivative([func(p) for p in self.stencil(m, u, h)], h)
+        return -self.algebra.bracket(u, w)
 
     def generator_field(self, x, m):
         """Diagonal conjugation: (Ad_{g2} x - x, Ad_{g1} x - x)."""
-        return np.array([self.algebra.generator_field(x, m[0]),
-                         self.algebra.generator_field(x, m[1])])
+        return self.algebra.generator_field(x, np.stack(m, axis=-3))
 
 
 def slots(algebra):
@@ -124,7 +120,7 @@ def pair_from_template(algebra, rng, scale=0.7):
         return v10 + c1 * algebra.Ad(m[1], dv1)
 
     def xfield(m):
-        return np.array([v20 + c2 * algebra.Ad(m[0], dv2), v1(m)])
+        return np.stack([v20 + c2 * algebra.Ad(m[0], dv2), v1(m)], axis=-2)
 
     def boundary(m):
         return algebra.Ad(m[1], a1(m)) + v1(m)
@@ -198,10 +194,11 @@ def mult_eta_residual(algebra, eta, g2, g1, triples):
     lhs = eta(gm, *[push(v2, v1) for v2, v1 in triples])
     rhs = eta(g2, *[v2 for v2, _ in triples]) + eta(g1, *[v1 for _, v1 in triples])
 
-    # de Rham d of lambda over the product group, constant frames per row
-    lam = AlgebroidForm(algebra, 2, lambda pt, a, b: fusion_lambda(algebra, *pt, *a, *b))
+    # de Rham d of lambda over the product group, in the constant frames (v2, v1)
+    lam = AlgebroidForm(algebra, 2, lambda pt, a, b: fusion_lambda(
+        algebra, *pt, a[..., 0, :], a[..., 1, :], b[..., 0, :], b[..., 1, :]))
     dlam = de_rham_differential(lam, base=Slot(algebra, 0))
-    return abs(lhs - rhs + dlam((g2, g1), *triples))
+    return abs(lhs - rhs + dlam((g2, g1), *[np.array(pair) for pair in triples]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ Group points may carry leading point axes (shape point_axes + (n, n)), and
 so may the directions of a Richardson stencil.  A stencil over the group is
 the stack exp(s V) g, s in stencil_steps(h), on a new axis 0, where h is
 the group's `fd_step` (make_group's argument, FD_STEP by default, which
---fd-step sets; validate_fd_step holds it to FD_STEP_RANGE).  `directional` calls its function once per stencil
-point, `stencil_derivative` once on the whole (4, *point_axes) stack
-(sections, lifted scalars, de Rham forms and algebroid forms over the
-group take such stacks, so brackets, drifts and both exterior
-differentials use it), and both combine the four values with
-`_derivative`, the one Richardson combination of every base.  Every
-member of a batch is computed exactly as it would be alone, so the two
-routes agree bit for bit.  `per_point` maps a function of one point over
-a stack (the group log; the Bott integrals, see `bott._upsilon_core`).
+--fd-step sets; validate_fd_step holds it to FD_STEP_RANGE).
+`stencil_derivative`, the one derivative over the group and over a slot of
+G x G (fusion.Slot shares its body), calls its function once on the whole
+stencil stack and combines the four values with `_derivative`, the one
+Richardson combination of every base.  Sections, scalars and forms there
+compute each member of a batch as it would be alone, so `directional`, one
+call per stencil point, is the bit-identical per-point reference.  The
+conjugacy class (qham) is the one base evaluated point by point: its chart,
+push and generator solve take one sphere point at a time.  `per_point`
+maps a function of one point over a stack (the group log; the Bott
+integrals, see `bott._upsilon_core`).
 
 A PointMemo keeps a function's values per argument, least recently used
 first out past _MEMO_SIZE (256) entries, as read-only copies; a hit is
@@ -366,25 +368,26 @@ class LieAlgebra:
         Richardson-extrapolated central difference (4 D_h - D_2h)/3 over the
         curve s -> exp(s v) g, at h = fd_step.  func is called once per
         stencil point, with the point axes of g, and may return scalars or
-        arrays; this is the route for functions that take one point at a
-        time (the Bott maps' pull-backs of theta, the checks' own oracles).
+        arrays: the per-point reference of stencil_derivative.
         """
         h = self.fd_step
         return _derivative([func(point) for point in self.stencil(g, v, h)], h)
 
     def stencil_derivative(self, func, g, v):
         """The derivative `directional` computes, from one call of func on the
-        whole (4, *point axes) stencil stack.
+        whole stencil of the base (the group, or a slot of G x G).
 
-        func must take leading point axes and return them first, each member
-        as it would be computed alone (every section over the group does,
-        see sections), so the result is bit-identical to `directional`.
+        func must take the stencil's point axes, (4,) + point axes of g, and
+        return them first, each member as it would be computed alone (every
+        section over the group does, see sections), so the result is
+        bit-identical to point-by-point evaluation.
         """
         h = self.fd_step
         points = self.stencil(g, v, h)
+        lead = self.point_axes(points)
         values = np.asarray(func(points), dtype=float)
-        if values.shape[:points.ndim - 2] != points.shape[:-2]:
-            raise ValueError(f"a function of stencil points {points.shape[:-2]} returned "
+        if values.shape[:len(lead)] != lead:
+            raise ValueError(f"a function of stencil points {lead} returned "
                              f"shape {values.shape}; it must keep the point axes first")
         return _derivative(values, h)
 

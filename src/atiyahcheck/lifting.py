@@ -272,9 +272,8 @@ def lifted_bracket(omega, alpha, s1, s2, grid):
     Horizontal-horizontal parts follow
     [Hor(X), Hor(Y)] = Hor([X, Y]) + j(F(X, Y)) - omega(X, Y);
     mixed parts use the lifted representation, vertical parts the extended
-    bracket.  omega is a de Rham 2-form on G (omega = None means 0); the
-    scalar evaluates it on the point or stack it is given, so omega must take
-    point axes.
+    bracket.  omega is a de Rham 2-form on G; the scalar evaluates it on the
+    point or stack it is given, so omega must take point axes.
     """
     alg = alpha.algebra
     w1, w2 = s1.tangent, s2.tangent
@@ -300,10 +299,7 @@ def lifted_bracket(omega, alpha, s1, s2, grid):
                             name="lifted-bracket-body")
 
     def scalar(g):
-        out = nb1.scalar(g) - nb2.scalar(g) + vert.scalar(g)
-        if omega is not None:
-            out = out - omega(g, w1(g), w2(g))
-        return out
+        return nb1.scalar(g) - nb2.scalar(g) + vert.scalar(g) - omega(g, w1(g), w2(g))
 
     return LiftedSection(ExtendedLSection(body, scalar), wbr)
 

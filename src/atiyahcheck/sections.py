@@ -7,25 +7,24 @@ xi(m, t+1) = Ad_{Phi(m)} xi(m, t) + v(m).  A base provides point (Phi),
 point_axes, push_tangent (d Phi in theta^R), generator_field (the action
 generator x_M) and its geometry: stencil(m, u, h), its four Richardson
 points in stencil_steps order, and frame_bracket(u, w), the bracket of its
-constant frames.  Its stencil_derivative (and, on the group and the
-conjugacy class, directional) combines the values at the stencil with
-liealg's one Richardson combination, at the base's own step fd_step: the
-group's (make_group's, which --fd-step sets), which a slot reads from its
-group, or the conjugacy class's fixed sphere step.  algebroid.field_bracket
-brackets its tangent fields.  The group is the
+constant frames.  Its stencil_derivative combines the values at the
+stencil with liealg's one Richardson combination, at the base's own step
+fd_step: the group's (make_group's, which --fd-step sets), which a slot
+reads from its group, or the conjugacy class's fixed sphere step.
+algebroid.field_bracket brackets its tangent fields.  The group is the
 base of its own sections with Phi the identity, so there X = v; qham's
 conjugacy class and fusion's slots of G x G are the other bases.
 
 Point axes lead and time axes follow.  Profiles, their derivatives and the
 t-families take a float or a 1-D array t and return np.shape(t) + (dim,)
 after the point axes of m; over the group m may be a stack of points of
-shape point_axes + (n, n), and xfield and v return point_axes + (dim,).
-Every member is computed exactly as it would be alone, so a bracket over
-the group evaluates each inner section once on its whole Richardson
-stencil (LieAlgebra.stencil_derivative) and the result is bit-identical to
+shape point_axes + (n, n), and xfield and v return point_axes + (dim,)
+(over a slot, point_axes + (2, dim)).  Every member is computed exactly
+as it would be alone, so a bracket evaluates each inner section once on
+its whole Richardson stencil and the result is bit-identical to
 point-by-point evaluation.  Every section constructor here keeps that
-contract over the group; sections over a conjugacy class or a slot are
-evaluated at one point at a time.  extend and time_derivative take a
+contract; sections over the conjugacy class take one point at a time
+(see liealg).  extend and time_derivative take a
 stack of points too; a pair integral is one call per section on the grid
 nodes and one TimeGrid.integrate over the last (time) axis of their
 pairing, so it gives one value per point; integrate_01 stays for scalar

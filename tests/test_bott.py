@@ -202,7 +202,9 @@ def test_gauge_transform_composition(su2, rng):
     rhs = gauge_transform(phi2, gauge_transform(phi1, thl))(g, sec)
     assert np.linalg.norm(lhs - rhs) < 1e-9
     # constant gauge at the identity leaves forms unchanged
-    ident = gauge_transform(lambda gg: np.eye(su2.matrix_size), thl)(g, sec)
+    # a gauge map takes point axes: the constant map keeps them
+    unit = lambda gg: np.broadcast_to(su2.identity(), np.shape(gg))
+    ident = gauge_transform(unit, thl)(g, sec)
     assert np.linalg.norm(ident - thl(g, sec)) < 1e-12
 
 
@@ -210,7 +212,7 @@ def test_q_functional_zero_family(su2, rng):
     g = su2.random_group(rng)
     s1, s2 = random_section(su2, rng), random_section(su2, rng)
     fam = GaugePeriodicFamily(su2, oneform_zero(su2),
-                              lambda gg: np.eye(su2.matrix_size))
+                              lambda gg: np.broadcast_to(su2.identity(), np.shape(gg)))
     assert abs(q_functional(fam, g, s1, s2, TimeGrid(101))) < 1e-12
 
 

@@ -233,7 +233,7 @@ def test_product_group_dlambda_matches_its_cartan_sum(su2, rng):
         rest = [triples[m] for m in range(3) if m != i]
         dval = product.stencil_derivative(
             lambda pt: np.array(fusion_lambda(su2, *pt, *rest[0], *rest[1])),
-            (g2, g1), triples[i])
+            (g2, g1), np.array(triples[i]))
         total += ((-1) ** i) * float(dval)
     for i in range(3):
         for j in range(i + 1, 3):

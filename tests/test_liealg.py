@@ -349,7 +349,7 @@ def test_non_finite_derivative_raises_on_every_base(base_name):
     elif base_name == "class":
         base, m, u = ConjugacyClass(alg), np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
     else:
-        base, m, u = Slot(alg, 0), (alg.random_group(rng), alg.random_group(rng)), (v, v)
+        base, m, u = Slot(alg, 0), (alg.random_group(rng), alg.random_group(rng)), np.stack([v, v])
     # a slot has no per-point directional of its own
     derivatives = [base.stencil_derivative] + ([] if base_name == "slot" else [base.directional])
     for derivative in derivatives:

@@ -5,7 +5,7 @@ import pytest
 
 from atiyahcheck.algebroid import build_alpha, generator, invariant_alpha0
 from atiyahcheck.bott import _gl01
-from atiyahcheck.checks import REGISTRY, CheckContext
+from atiyahcheck.checks import REGISTRY, CheckContext, _zero_two_form
 from atiyahcheck.forms import AlgebroidForm, cartan_three_form, de_rham_differential
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
@@ -160,7 +160,7 @@ def test_lifted_jacobiator_obstruction(su2, rng):
     g = su2.random_group(rng, scale=0.5)
     vs = [su2.random_vector(rng) for _ in range(3)]
     fields = [constant_field(su2, v) for v in vs]
-    jac = lifted_jacobiator_scalar(None, alpha, fields, g, grid)
+    jac = lifted_jacobiator_scalar(_zero_two_form(su2), alpha, fields, g, grid)
     assert abs(jac - eta(g, *vs)) < 1e-9
 
 
@@ -268,8 +268,8 @@ def test_su2_jacobiator_at_omega_zero_is_order_one_and_equals_eta():
     alg, rng = ctx.algebra, ctx.rng("lifted_jacobi_obstruction")
     g = alg.random_group(rng, scale=0.5)
     vs = [alg.random_vector(rng) for _ in range(3)]
-    jac = lifted_jacobiator_scalar(None, build_alpha(alg), [constant_field(alg, v) for v in vs],
-                                   g, ctx.coarse_grid)
+    jac = lifted_jacobiator_scalar(_zero_two_form(alg), build_alpha(alg),
+                                   [constant_field(alg, v) for v in vs], g, ctx.coarse_grid)
     assert abs(jac) > 1.0
     assert round(jac, 3) == -2.286
     assert abs(jac - cartan_three_form(alg)(g, *vs)) < 1e-4

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from atiyahcheck import algebroid, homotopy, lifting, qham
-from atiyahcheck.checks import _coordinate_omega, run_checks
+from atiyahcheck.checks import SUITES, _coordinate_omega, run_checks
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
                                equivariant_cartan)
 from atiyahcheck.homotopy import poincare_primitive
@@ -212,4 +212,15 @@ def test_nabla_hat_scalar_calls_the_inner_scalar_once_per_drift():
         seen.clear()
         lifting.nabla_hat(xi, lifting.nabla_hat(ze, b, grid), grid).scalar(g)
         assert seen == [(4, 4)]
+    assert tracer.calls["liealg.directional"] == 0
+
+
+def test_no_per_point_group_derivative_outside_the_class():
+    # every derivative over the group and over G x G is one stencil call;
+    # only the conjugacy class (the qham suite) differentiates point by point
+    tracer = _tracer_module().Tracer()
+    suites = [suite for suite in SUITES if suite != "qham"]
+    with tracer.installed():
+        results = run_checks("su2", {"seed": 42}, suites=suites)
+    assert {r.suite for r in results} == set(suites)
     assert tracer.calls["liealg.directional"] == 0

@@ -1,20 +1,22 @@
-"""Sections, scalars, de Rham forms and algebroid forms over the group take
-leading point axes: every member of a stack of points equals the value at
-that point alone, bit for bit, and a bracket or a de Rham differential over
-the group (one stencil call per derivative term) equals the point-by-point
-`directional` route."""
+"""Sections, scalars, de Rham forms and algebroid forms over the group and
+over a slot of G x G take leading point axes: every member of a stack of
+points equals the value at that point alone, bit for bit, and a bracket or
+a de Rham differential (one stencil call per derivative term) equals the
+point-by-point route: `directional` over the group, the slot's stencil one
+point at a time over a slot."""
 
 import numpy as np
 import pytest
 
 from atiyahcheck import algebroid as albr
 from atiyahcheck import bott
+from atiyahcheck import fusion as fu
 from atiyahcheck import lifting as lf
-from atiyahcheck.checks import _coordinate_omega
+from atiyahcheck.checks import _coordinate_omega, _zero_two_form
 from atiyahcheck.forms import (AlgebroidForm, cartan_three_form, de_rham_differential,
                                equivariant_cartan, exterior_derivative, koszul)
 from atiyahcheck.homotopy import poincare_primitive
-from atiyahcheck.liealg import GROUP_NAMES, make_group, per_point
+from atiyahcheck.liealg import GROUP_NAMES, _derivative, make_group, per_point
 from atiyahcheck.qham import project_based
 from atiyahcheck.sections import (AlgebroidSection, TimeGrid, constant_field,
                                   constant_profile_section, extend, random_loop_section,
@@ -128,8 +130,9 @@ def test_lifted_bracket_body_takes_point_axes(algebra):
     fields = [constant_field(algebra, algebra.random_vector(rng)) for _ in range(3)]
     h1, h2, h3 = (lf.horizontal_lift(alpha, w) for w in fields)
     grid = TimeGrid(11)
-    inner = lf.lifted_bracket(None, alpha, h1, h2, grid)
-    outer = lf.lifted_bracket(None, alpha, inner, h3, grid)
+    zero = _zero_two_form(algebra)
+    inner = lf.lifted_bracket(zero, alpha, h1, h2, grid)
+    outer = lf.lifted_bracket(zero, alpha, inner, h3, grid)
     for lifted in (inner, outer):
         body = lifted.hat.body
         for t in TIMES:
@@ -227,7 +230,7 @@ def test_lifted_bracket_scalar_takes_point_axes(algebra):
     alpha = albr.build_alpha(algebra)
     fields = [constant_field(algebra, algebra.random_vector(rng)) for _ in range(3)]
     h1, h2, h3 = (lf.horizontal_lift(alpha, w) for w in fields)
-    for omega in (None, _coordinate_omega(algebra)):
+    for omega in (_zero_two_form(algebra), _coordinate_omega(algebra)):
         inner = lf.lifted_bracket(omega, alpha, h1, h2, grid)
         outer = lf.lifted_bracket(omega, alpha, inner, h3, grid)
         for lifted in (inner, outer):
@@ -344,3 +347,74 @@ def test_form_dropping_its_point_axes_raises(algebra):
     constant = AlgebroidForm(algebra, 1, lambda gg, s: 1.0)
     with pytest.raises(ValueError, match="point axes"):
         exterior_derivative(constant)(g, *secs)
+
+
+# -- slots of G x G over a stack of points ---------------------------------------
+
+def _slot_oracle_derivative(slot):
+    """A slot's derivative with its function called at one stencil point at a time."""
+    def derivative(func, m, u):
+        h = slot.fd_step
+        return _derivative([func(p) for p in zip(*slot.stencil(m, u, h))], h)
+    return derivative
+
+
+def _slot_points(alg, rng, shape):
+    return tuple(_points(alg, rng, shape) for _ in range(2))
+
+
+def _slot_alone(fn, m, *args):
+    """fn at each slot point of the stacks m = (g2s, g1s), the arguments' point
+    axes taken along; the values stacked back over the point axes."""
+    lead = m[0].shape[:-2]
+    flat = [x.reshape((-1,) + x.shape[len(lead):]) for x in (*m, *args)]
+    values = [np.asarray(fn((g2, g1), *rest)) for g2, g1, *rest in zip(*flat)]
+    return np.array(values).reshape(lead + values[0].shape)
+
+
+def _recording(fn, seen):
+    """fn, recording the point axes of the slot point of each call."""
+    def record(m, *args):
+        seen.append(np.shape(m[0])[:-2])
+        return fn(m, *args)
+    return record
+
+
+def test_slot_de_rham_differential_is_one_call_per_term_and_matches_points(algebra):
+    rng = np.random.default_rng(85)
+    slot = fu.Slot(algebra, 0)
+    seen = []
+    lam = AlgebroidForm(algebra, 2, _recording(lambda pt, a, b: fu.fusion_lambda(
+        algebra, *pt, a[..., 0, :], a[..., 1, :], b[..., 0, :], b[..., 1, :]), seen))
+    d = de_rham_differential(lam, base=slot)
+    m = _slot_points(algebra, rng, ())
+    frames = [rng.standard_normal((2, algebra.dim)) for _ in range(3)]
+    got = d(m, *frames)
+    # three derivative terms on the (4,) stencil, three bracket terms at m
+    assert seen == [(4,)] * 3 + [()] * 3
+    want = koszul(lam, _slot_oracle_derivative(slot), slot.frame_bracket)(m, *frames)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    ms = _slot_points(algebra, rng, (3,))
+    carried = [rng.standard_normal((3, 2, algebra.dim)) for _ in range(3)]
+    assert d(ms, *carried).tobytes() == _slot_alone(d, ms, *carried).tobytes()
+
+
+def test_slot_field_bracket_is_one_call_per_term_and_matches_points(algebra):
+    rng = np.random.default_rng(86)
+    xf = fu.pair_from_template(algebra, rng)[0].xfield
+    yf = fu.pair_from_template(algebra, rng)[0].xfield
+    m = _slot_points(algebra, rng, ())
+    ms = _slot_points(algebra, rng, (3,))
+    for slot in fu.slots(algebra):
+        seen = []
+        got = albr.field_bracket(slot, _recording(xf, seen), _recording(yf, seen), m)
+        # the fields at m, then each once on the (4,) stencil
+        assert seen == [(), (), (4,), (4,)]
+        x, y = xf(m), yf(m)
+        oracle = _slot_oracle_derivative(slot)
+        want = slot.frame_bracket(x, y) + oracle(yf, m, x) - oracle(xf, m, y)
+        assert got.tobytes() == want.tobytes()
+        stacked = albr.field_bracket(slot, xf, yf, ms)
+        assert stacked.shape == (3, 2, algebra.dim)
+        alone = _slot_alone(lambda mm: albr.field_bracket(slot, xf, yf, mm), ms)
+        assert stacked.tobytes() == alone.tobytes()

@@ -109,6 +109,6 @@ def test_standard_reports_on_one_selection(tmp_path):
     assert report["summary"]["failed"] == 0
     out = io.StringIO()
     assert _tool().diff(str(tmp_path), str(tmp_path), out=out) == 0
-    assert out.getvalue().splitlines()[0] == "total 70 results, 70 identical"
+    assert out.getvalue().splitlines()[0] == "total 69 results, 69 identical"
     assert reports.write(str(tmp_path), ["torus2-seed8"]) == 2
     assert len(reports.REPORTS) == 13
