@@ -126,13 +126,11 @@ class ConnectionFamily(InterpolatedFamily):
 
 def build_alpha(algebra, alpha0=None, invariant=None):
     """ConnectionFamily from a base 1-form (default alpha_0 = 0, invariant)."""
+    if invariant is None:
+        invariant = alpha0 is None
     if alpha0 is None:
         def alpha0(g, v):
             return np.zeros(algebra.dim)
-        if invariant is None:
-            invariant = True
-    if invariant is None:
-        invariant = False
     return ConnectionFamily(algebra, alpha0, invariant=invariant)
 
 

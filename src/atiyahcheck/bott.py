@@ -119,17 +119,26 @@ def oneform_theta_left(algebra):
                          name="a*thetaL")
 
 
+def _map_derivative(algebra, phi, g, v):
+    """D_v Phi, one stencil call of phi (a map of stacks of points), and Phi(g)^{-1};
+    a 4x4 map that drops its point axes passes the 4-point stencil, not this check."""
+    d, value = algebra.stencil_derivative(phi, g, v), phi(g)
+    if d.shape != np.shape(value):
+        raise ValueError(f"a gauge map must keep the point axes: D_v Phi {d.shape}, "
+                         f"Phi(g) {np.shape(value)}")
+    return d, algebra.inv(value)
+
+
 def map_theta_right(algebra, phi, g, v):
-    """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients; phi maps a stack
-    of points to the stack of their images, so D_v Phi is one stencil call."""
-    d = algebra.stencil_derivative(phi, g, v)
-    return algebra.from_matrix(d @ algebra.inv(phi(g)))
+    """(Phi* theta^R)(X) = (D_v Phi) Phi^{-1} in coefficients."""
+    d, inv = _map_derivative(algebra, phi, g, v)
+    return algebra.from_matrix(d @ inv)
 
 
 def map_theta_left(algebra, phi, g, v):
-    """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients, phi as above."""
-    d = algebra.stencil_derivative(phi, g, v)
-    return algebra.from_matrix(algebra.inv(phi(g)) @ d)
+    """(Phi* theta^L)(X) = Phi^{-1} (D_v Phi) in coefficients."""
+    d, inv = _map_derivative(algebra, phi, g, v)
+    return algebra.from_matrix(inv @ d)
 
 
 def gauge_transform(phi, beta):

@@ -845,13 +845,12 @@ def _zero_two_form(alg):
 
 
 def _primitive_of_minus_eta(alg):
-    """A primitive omega of -eta and the report extras: the zero 2-form, with a
-    note, where eta vanishes identically; else the radial-homotopy primitive
-    in exponential coordinates."""
-    if alg.eta_vanishes:
-        note = f"eta vanishes identically on {alg.name}, so omega is the primitive of 0"
-        return _zero_two_form(alg), {"notes": note}
-    return poincare_primitive(fm.cartan_three_form(alg), sign=-1.0), {}
+    """The primitive omega = 0 of -eta and the report note, on a group where
+    eta vanishes identically: the checks that take it are declared only there."""
+    if not alg.eta_vanishes:
+        raise ValueError(f"eta does not vanish on {alg.name}; 0 is not a primitive of -eta")
+    note = f"eta vanishes identically on {alg.name}, so omega is the primitive of 0"
+    return _zero_two_form(alg), {"notes": note}
 
 
 @_register("lifting", "lifted_jacobi_primitive", tol=1e-4, groups=("heisenberg3", "torus2"),
@@ -904,8 +903,7 @@ def check_equivariant_generators(ctx, rng):
     def phi_map(x):
         mu = fm.AlgebroidForm(alg, 1, lambda g, a:
                               -0.5 * alg.pairing(alg.maurer_cartan(g, a, "left") + a, x))
-        prim = poincare_primitive(mu, sign=1.0)
-        return lambda g: prim(g)
+        return poincare_primitive(mu, sign=1.0)
 
     for _ in range(2):
         g = alg.random_group(rng, scale=0.6)

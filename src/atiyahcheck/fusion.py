@@ -52,11 +52,11 @@ class Slot:
     """
 
     stencil_derivative = LieAlgebra.stencil_derivative
+    fd_step = property(lambda self: self.algebra.fd_step)
 
     def __init__(self, algebra, index):
         self.algebra = algebra
         self.index = index
-        self.fd_step = algebra.fd_step
 
     def point(self, m):
         return m[self.index]

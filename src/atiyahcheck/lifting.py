@@ -290,10 +290,8 @@ def lifted_bracket(omega, alpha, s1, s2, grid):
     vert = bracket_lhat(s1.hat, s2.hat, grid)
 
     def body_profile(g, t):
-        out = curv.profile(g, t)
-        out = out + nb1.body.profile(g, t) - nb2.body.profile(g, t)
-        out = out + vert.body.profile(g, t)
-        return out
+        return (curv.profile(g, t) + nb1.body.profile(g, t) - nb2.body.profile(g, t)
+                + vert.body.profile(g, t))
 
     body = AlgebroidSection(alg, body_profile, constant_field(alg, np.zeros(alg.dim)),
                             name="lifted-bracket-body")

@@ -19,16 +19,15 @@ Point axes lead and time axes follow.  Profiles, their derivatives and the
 t-families take a float or a 1-D array t and return np.shape(t) + (dim,)
 after the point axes of m; over the group m may be a stack of points of
 shape point_axes + (n, n), and xfield and v return point_axes + (dim,)
-(over a slot, point_axes + (2, dim)).  Every member is computed exactly
-as it would be alone, so a bracket evaluates each inner section once on
-its whole Richardson stencil and the result is bit-identical to
-point-by-point evaluation.  Every section constructor here keeps that
-contract; sections over the conjugacy class take one point at a time
-(see liealg).  extend and time_derivative take a
-stack of points too; a pair integral is one call per section on the grid
-nodes and one TimeGrid.integrate over the last (time) axis of their
-pairing, so it gives one value per point; integrate_01 stays for scalar
-callables, one call per node.
+(over a slot, point_axes + (2, dim)).  Every member is computed exactly as
+it would be alone, so a bracket evaluates each inner section once on its
+whole Richardson stencil and the result is bit-identical to point-by-point
+evaluation.  Every section constructor here keeps that contract; sections
+over the conjugacy class take one point at a time (see liealg).  extend and
+time_derivative take a stack of points too; a pair integral is one call
+per section on the grid nodes and one TimeGrid.integrate over the last
+(time) axis of their pairing, so it gives one value per point;
+integrate_01 stays for scalar callables, one call per node.
 
 Every quasi-periodic object is built from one smooth cutoff, the module's
 `bump` b, flat on [0, FLAT_WIDTH] and [1 - FLAT_WIDTH, 1]: templates,

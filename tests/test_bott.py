@@ -10,10 +10,10 @@ from atiyahcheck import bott
 from atiyahcheck.bott import (ETA_P_VS_ETA, KAC_MOODY, SIGNS, GaugePeriodicFamily, SimplexRule,
                               _PairData, _p_wedge, _simplex_rule, _upsilon_core,
                               calibrate_conventions, chern_simons, concat_families,
-                              gauge_transform, map_theta_right, oneform_theta_left,
-                              oneform_zero, pressley_segal_two_form, q_functional,
-                              rectangle_integral, upsilon, upsilon_equivariant,
-                              varpi_p_equivariant)
+                              gauge_transform, map_theta_left, map_theta_right,
+                              oneform_theta_left, oneform_zero, pressley_segal_two_form,
+                              q_functional, rectangle_integral, upsilon,
+                              upsilon_equivariant, varpi_p_equivariant)
 from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
@@ -214,6 +214,15 @@ def test_q_functional_zero_family(su2, rng):
     fam = GaugePeriodicFamily(su2, oneform_zero(su2),
                               lambda gg: np.broadcast_to(su2.identity(), np.shape(gg)))
     assert abs(q_functional(fam, g, s1, s2, TimeGrid(101))) < 1e-12
+
+
+def test_gauge_map_dropping_its_point_axes_raises(su2, rng):
+    # a 4x4 constant passes the stencil's shape check (the stencil axis also
+    # has length 4), so the Maurer-Cartan pullback compares D_v Phi to Phi(g)
+    g, v = su2.random_group(rng), su2.random_vector(rng)
+    for pullback in (map_theta_right, map_theta_left):
+        with pytest.raises(ValueError, match="must keep the point axes"):
+            pullback(su2, lambda gg: np.eye(4), g, v)
 
 
 def test_gauge_family_seams(su2, rng):

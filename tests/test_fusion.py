@@ -86,6 +86,12 @@ def test_slot_field_bracket_is_the_row_formula(su2, rng):
         assert field_bracket(slot, xf, yf, m).tobytes() == want.tobytes()
 
 
+def test_slot_reads_its_groups_step(su2):
+    slot = Slot(su2, 1)
+    su2.fd_step = 2e-4
+    assert slot.fd_step == 2e-4
+
+
 def test_mult_eta(su2, rng):
     eta = cartan_three_form(su2)
     g2, g1 = su2.random_group(rng), su2.random_group(rng)

@@ -5,7 +5,7 @@ import pytest
 
 from atiyahcheck.algebroid import build_alpha, generator, invariant_alpha0
 from atiyahcheck.bott import _gl01
-from atiyahcheck.checks import REGISTRY, CheckContext, _zero_two_form
+from atiyahcheck.checks import REGISTRY, CheckContext, _primitive_of_minus_eta, _zero_two_form
 from atiyahcheck.forms import AlgebroidForm, cartan_three_form, de_rham_differential
 from atiyahcheck.homotopy import poincare_primitive
 from atiyahcheck.lifting import (ExtendedLSection, bracket_lhat,
@@ -258,6 +258,12 @@ def test_heisenberg_eta_vanishes_and_the_primitive_check_says_so():
             assert [r.name for r in results] == [check]
             assert all(r.passed for r in results)
             assert f"eta vanishes identically on {group}" in results[0].notes
+
+
+def test_zero_primitive_of_minus_eta_only_where_eta_vanishes():
+    assert _primitive_of_minus_eta(make_group("heisenberg3"))[0].name == "0"
+    with pytest.raises(ValueError, match="eta does not vanish on su2"):
+        _primitive_of_minus_eta(make_group("su2"))
 
 
 def test_su2_jacobiator_at_omega_zero_is_order_one_and_equals_eta():
