@@ -9,7 +9,10 @@ the anchor).  The simplex integrals follow
 with the ds-components extracted combinatorially.  The quadrature is fixed:
 the k-simplex (k <= 2) takes the tensorized 8-node Gauss-Legendre rule
 SimplexRule(k), built once, and the rectangle integral I^p an
-8 x 32 Gauss-Legendre grid in (s, t).  The simplex and rectangle
+8 x 32 Gauss-Legendre grid in (s, t).  Each integral evaluates its
+integrand once on all its nodes (blocks with node axes) and sums the node
+values in the node-by-node order; it goes one point at a time only over
+leading point axes.  The simplex and rectangle
 integrals take the orientation of their displays, and every other sign
 that relates two normalisations is a module constant with its source
 (SIGNS); nothing here chooses a sign from data.  calibrate_conventions
@@ -59,9 +62,14 @@ __all__ = [
 # quadrature rules
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _gl01(n):
+    """The n-node Gauss-Legendre rule mapped to [0, 1], built once per n;
+    the nodes and weights are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -244,7 +252,9 @@ def _p_wedge(p, blocks, args_count):
     """Evaluate p on wedge blocks: list of (degree, evaluator-on-indices).
 
     Returns the alternating sum over all shuffles of range(args_count) into
-    the blocks; 0-degree blocks consume no arguments.
+    the blocks; 0-degree blocks consume no arguments.  A block may carry
+    leading node axes (broadcast against the other blocks'), and the sum is
+    then one value per node, each as it would be computed alone.
     """
     sizes = [b[0] for b in blocks]
     assert sum(sizes) == args_count
@@ -259,13 +269,8 @@ def _p_wedge(p, blocks, args_count):
 
 def _upsilon_core(p, betas, g, args, x):
     """The simplex integral with the display prefactor, on the rule of the
-    (len(betas) - 1)-simplex; one point at a time over any leading point
-    axes of g.
-
-    This and `rectangle_integral` stay per point: the one-time convention
-    calibration is mostly the exterior derivative of a rectangle integral,
-    and batching it takes set-up under the about 0.2 s of wall time that the
-    benchmark's speed probe can time.
+    (len(betas) - 1)-simplex: one wedge evaluation on all the rule's nodes,
+    and one point at a time over any leading point axes of g.
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: _upsilon_core(p, betas, point, args, x), g)
@@ -335,8 +340,9 @@ def rectangle_integral(p, family, g, args, x=None):
     on 8 Gauss-Legendre nodes in s and 32 in t.
 
     family must provide value(t, g, sec), tderiv(t, g, sec) and at(t), for
-    arrays of times t.  Over leading point axes of g the integral is taken
-    one point at a time (see `_upsilon_core`).
+    arrays of times t.  The integrand is one wedge evaluation on all
+    32 x 8 nodes; over leading point axes of g the integral is taken one
+    point at a time.
     """
     if np.ndim(g) > 2:
         return per_point(lambda point: rectangle_integral(
@@ -358,26 +364,29 @@ def rectangle_integral(p, family, g, args, x=None):
     coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
     reorder = -1.0                     # dt crosses the ds-slot 1-form
 
-    # beta_t and its derivatives on all t nodes at once; row ti is t_nodes[ti]
+    # beta_t and its derivatives on all t nodes at once; row ti is t_nodes[ti],
+    # and every block carries the node axes (t, s)
     data = _PairData(alg, [family.at(t_nodes)], args, g, x=x)
-    dvals = [family.tderiv(t_nodes, g, a) for a in args]
-    total = 0.0
-    for ti, wt in enumerate(t_weights):
-        for s, ws in zip(s_nodes, s_weights):
-            def f_eval(pair, s=s):
-                i, j = pair
-                return s * data.dbeta(0, i, j)[ti] + (s * s) * alg.bracket(
-                    data.value(0, i)[ti], data.value(0, j)[ti])
+    dvals = [family.tderiv(t_nodes, g, a)[:, None, :] for a in args]
+    s = s_nodes[None, :, None]
+    s2 = (s_nodes * s_nodes)[None, :, None]
 
-            blocks = [(1, lambda idx: data.value(0, idx[0])[ti]),
-                      (1, lambda idx, s=s: s * dvals[idx[0]][ti])]
-            for _ in range(n_f):
-                blocks.append((2, f_eval))
-            if n_z:
-                zv = np.asarray(x, dtype=float) - s * data.iota_x(0)[ti]
-                for _ in range(n_z):
-                    blocks.append((0, lambda idx, zv=zv: zv))
-            total += wt * ws * _p_wedge(p, blocks, r)
+    def f_eval(pair):
+        i, j = pair
+        brk = alg.bracket(data.value(0, i), data.value(0, j))
+        return s * data.dbeta(0, i, j)[:, None, :] + s2 * brk[:, None, :]
+
+    blocks = [(1, lambda idx: data.value(0, idx[0])[:, None, :]),
+              (1, lambda idx: s * dvals[idx[0]])]
+    blocks += [(2, f_eval)] * n_f
+    if n_z:
+        zv = np.asarray(x, dtype=float) - s * data.iota_x(0)[:, None, :]
+        blocks += [(0, lambda idx: zv)] * n_z
+    # summed from 0.0, t outer and s inner, exactly as node by node
+    total = 0.0
+    for wt, row in zip(t_weights, _p_wedge(p, blocks, r).tolist()):
+        for ws, value in zip(s_weights, row):
+            total += wt * ws * value
     return reorder * coeff * total
 
 

@@ -17,7 +17,7 @@ from atiyahcheck.bott import (ETA_P_VS_ETA, KAC_MOODY, SIGNS, GaugePeriodicFamil
 from atiyahcheck.checks import REGISTRY, CheckContext
 from atiyahcheck.forms import AlgebroidForm
 from atiyahcheck.lifting import canonical_two_form
-from atiyahcheck.liealg import make_group
+from atiyahcheck.liealg import InvariantPolynomial, make_group
 from atiyahcheck.sections import TimeGrid, integrate_01, random_section, scaled
 
 
@@ -333,6 +333,69 @@ def test_upsilon_core_matches_node_by_node_oracle(name, degree):
                 assert got == want, (k, r, xk is None)
                 nonzero += got != 0.0
     assert nonzero >= 6
+
+
+def _oracle_rectangle(p, family, g, args, x=None):
+    """The rectangle quadrature node by node: one wedge evaluation per (t, s) node."""
+    alg, m, r = p.algebra, p.degree, len(args)
+    n_f = (r - 2) // 2
+    n_z = m - 2 - n_f
+    if (r - 2) % 2 or n_f < 0 or n_z < 0 or (n_z and x is None):
+        return 0.0
+    s_nodes, s_weights = bott._gl01(8)
+    t_nodes, t_weights = bott._gl01(32)
+    coeff = math.factorial(m) / (math.factorial(n_f) * math.factorial(n_z))
+    data = _PairData(alg, [family.at(t_nodes)], args, g, x=x)
+    dvals = [family.tderiv(t_nodes, g, a) for a in args]
+    total = 0.0
+    for ti, wt in enumerate(t_weights):
+        for s, ws in zip(s_nodes, s_weights):
+            def f_eval(pair, s=s):
+                i, j = pair
+                return s * data.dbeta(0, i, j)[ti] + (s * s) * alg.bracket(
+                    data.value(0, i)[ti], data.value(0, j)[ti])
+
+            blocks = [(1, lambda idx: data.value(0, idx[0])[ti]),
+                      (1, lambda idx, s=s: s * dvals[idx[0]][ti])]
+            blocks += [(2, f_eval)] * n_f
+            if n_z:
+                zv = np.asarray(x, dtype=float) - s * data.iota_x(0)[ti]
+                blocks += [(0, lambda idx, zv=zv: zv)] * n_z
+            total += wt * ws * _p_wedge(p, blocks, r)
+    return -1.0 * coeff * total
+
+
+def _quartic(alg):
+    """B(x, x)^2 / 4, polarised: an invariant polynomial whose rectangle integral
+    takes the curvature block F (with its bracket) on four sections."""
+    b = alg.pairing
+    return InvariantPolynomial(alg, 4, lambda x, y, z, w: (
+        b(x, y) * b(z, w) + b(x, z) * b(y, w) + b(x, w) * b(y, z)) / 12.0, name="quartic")
+
+
+@pytest.mark.parametrize("name, degree, n_args, with_x", [
+    ("su2", 2, 2, True),            # the quadratic p, as varpi^p_G takes it
+    ("heisenberg3", 3, 2, True),    # n_z = 1: the zero-degree block su2 never takes
+    ("su2", 4, 4, True),            # n_f = 1 and n_z = 1: the curvature block too
+    ("su2", 2, 3, True),            # an odd number of sections gives 0.0
+])
+def test_rectangle_integral_matches_node_by_node_oracle(name, degree, n_args, with_x,
+                                                       monkeypatch):
+    alg = make_group(name)
+    p = alg.polynomials[degree] if degree in alg.polynomials else _quartic(alg)
+    rng = np.random.default_rng(43)
+    kf = KappaFamily(alg)
+    g = alg.random_group(rng)
+    x = alg.random_vector(rng) if with_x else None
+    secs = [random_section(alg, rng) for _ in range(n_args)]
+    calls = []
+    monkeypatch.setattr(bott, "_p_wedge", lambda *a: calls.append(a) or _p_wedge(*a))
+    got = rectangle_integral(p, kf, g, secs, x=x)
+    odd = n_args % 2 == 1
+    # one wedge evaluation on all 32 x 8 nodes, none for an odd degree
+    assert len(calls) == (0 if odd else 1)
+    assert got == _oracle_rectangle(p, kf, g, secs, x=x)
+    assert (got == 0.0) == odd
 
 
 @pytest.mark.parametrize("name, degree", [("su2", 2), ("heisenberg3", 3)])

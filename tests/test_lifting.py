@@ -222,6 +222,22 @@ def test_poincare_primitive_matches_node_by_node_oracle():
             assert prim(g, *vs) == oracle(g, *vs)
 
 
+def test_gl01_is_built_once_and_read_only():
+    rule = _gl01(24)
+    assert _gl01(24) is rule
+    assert not any(a.flags.writeable for a in rule)
+    x, w = np.polynomial.legendre.leggauss(24)
+    want = [(0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()]
+    assert [a.tolist() for a in rule] == want
+    # both radial sums read the shared rule and leave it as it was
+    omega, sign = next(iter(_primitive_cases()))
+    g = omega.algebra.random_group(np.random.default_rng(31), scale=0.6)
+    vs = [omega.algebra.random_vector(np.random.default_rng(32))
+          for _ in range(omega.degree - 1)]
+    assert poincare_primitive(omega, sign=sign)(g, *vs) == _oracle_primitive(omega, sign)(g, *vs)
+    assert [a.tolist() for a in rule] == want
+
+
 def test_poincare_primitive_heisenberg(rng):
     h3 = make_group("heisenberg3")
     one = AlgebroidForm(h3, 1, lambda g, a: g[..., 0, 1] * a[..., 0]
